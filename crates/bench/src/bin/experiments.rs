@@ -3,21 +3,20 @@
 //! ```text
 //! experiments [all|table1|table2|fig6|fig7|fig8|fig9|fig10|fig11|fig12|
 //!              fig13|fig14|related|overhead|ablation|dynamics|policies|
-//!              scale|scale-e2e|batching|kernels|churn|queries|trace|
-//!              correlated|adversarial|recovery|federated]
+//!              scale|churn|queries|trace|correlated|adversarial|
+//!              recovery|federated]
 //!             [--quick] [--policy=<name>] [--query='<text>'] [--nodes=<n>]
-//!             [--shards=<k>] [--secs=<s>] [--sources=<n>]
-//!             [--sources-procs=<n>] [--profile] [--file=<path>]
-//!             [--beat-ms=<ms>]
+//!             [--shards=<k>] [--secs=<s>] [--sources-procs=<n>]
+//!             [--file=<path>] [--beat-ms=<ms>]
 //! ```
 //!
 //! Each experiment prints the series the paper plots and writes a CSV
 //! under `results/`. Flags are validated against the selected
 //! experiments (`themis_bench::cli`): an unknown flag, or one that none
 //! of the selected experiments accepts, exits 2 listing the valid flags
-//! for the selection. `--quick` switches to the reduced scale used by
-//! the benches (for smoke runs). `--policy=<name>` restricts the
-//! `policies` parity experiment to one policy looked up in the shedding
+//! for the selection. `--quick` switches to the reduced scale used for
+//! smoke runs. `--policy=<name>` restricts the `policies` parity
+//! experiment to one policy looked up in the shedding
 //! registry (e.g. `balance-sic`, `fifo`, or any name registered at
 //! startup); an unknown name exits 2 listing the registered policies.
 //! `--nodes`/`--shards`/`--secs` size the `scale` experiment (default
@@ -25,24 +24,11 @@
 //! the process's peak thread count exceeds the sharded engine's
 //! `shards + 3` budget, which is what the CI smoke asserts — for that
 //! reason it only runs when named explicitly, never as part of `all`.
-//! `batching` races the pre-columnar row representation against the live
-//! `TupleBatch` path on the shedder hot loop and a join/aggregate
-//! pipeline, writes `results/BENCH_batching.json`, and (when named
-//! explicitly, like `scale`) exits non-zero if the batch path is not at
-//! least 2x faster on the shedder loop. `kernels` races the `Value`-arena
-//! aggregate reads against the typed column kernels on a 1M-row batch,
-//! writes `results/BENCH_kernels.json`, and (when named explicitly)
-//! exits non-zero if the typed aggregate bank is not at least 2x faster.
 //! `churn` runs a 512+-node engine scenario (sized by `--nodes`/
 //! `--shards`/`--secs`) with a flash-crowd query cohort attaching and
 //! detaching mid-run, writes `results/BENCH_churn.json`, and exits
 //! non-zero if resident Jain fairness fails to recover after the cohort
-//! departs — the CI churn smoke. `scale-e2e` drives `--sources=<n>`
-//! (default 100000) single-source AVG queries through the full engine,
-//! writes `results/BENCH_scale.json` with end-to-end wall/CPU ns per
-//! tuple, peak RSS and batch-pool traffic, and exits non-zero when the
-//! CPU-per-tuple ceiling or the RSS budget is breached — the CI scale
-//! smoke runs it at `--sources=10000`. `queries` runs the declarative
+//! departs — the CI churn smoke. `queries` runs the declarative
 //! frontend parity gate: every Table-1 template's canonical query text
 //! must compile to the same graph and simulate to bitwise-identical
 //! SIC/Jain numbers as the preset path under every registry policy, and
@@ -51,8 +37,7 @@
 //! `results/BENCH_queries.json` and exits non-zero on any mismatch —
 //! the CI queries smoke. `--query='<text>'` additionally runs one
 //! ad-hoc declarative query end-to-end on the engine (parse errors exit
-//! 2 with the frontend's message). `--profile` adds a per-thread CPU
-//! table sampled from `/proc`. `trace` replays an arrival-trace file
+//! 2 with the frontend's message). `trace` replays an arrival-trace file
 //! (`--file=<path>`, default `traces/worldcup98-diurnal.csv`; `.csv` or
 //! `.json`, validated with actionable errors; `--beat-ms` rescales the
 //! replay beat) through the engine and gates on replay accuracy against
@@ -76,16 +61,15 @@
 //! registered policy's federated SIC/Jain within 2% of the in-process
 //! control, writing `results/BENCH_federated.json`. All five are
 //! explicit-only CI smokes, like `churn`. Built to be run with
-//! `--release`.
+//! `--release`. Performance is not measured here: `BENCHMARK.json` and
+//! `cargo run --release -p themis-benchmark` are the one perf harness.
 
 use std::time::Instant;
 
 use themis_bench::cli;
-use themis_bench::figures::batching::{self, BatchingScale};
 use themis_bench::figures::correlation::{correlation, render as render_corr, CorrelationQuery};
 use themis_bench::figures::fairness::{fig10, fig11, fig8, fig9, render as render_fair};
 use themis_bench::figures::federated as federated_fig;
-use themis_bench::figures::kernels::{self, KernelsScale};
 use themis_bench::figures::overhead::{overhead, render as render_overhead};
 use themis_bench::figures::parity::{policy_parity, render as render_parity};
 use themis_bench::figures::queries;
@@ -93,7 +77,7 @@ use themis_bench::figures::recovery;
 use themis_bench::figures::related::{related_work, render as render_related};
 use themis_bench::figures::scalability::{fig12, fig13, fig14, render as render_scal};
 use themis_bench::figures::scale as engine_scale;
-use themis_bench::figures::{ablation, dynamics, scale_e2e, tables};
+use themis_bench::figures::{ablation, dynamics, tables};
 use themis_bench::figures::{adversarial, churn, correlated, trace as trace_fig};
 use themis_bench::scenarios::Scale;
 use themis_bench::table::TextTable;
@@ -154,14 +138,13 @@ fn main() {
         }
     };
     let quick = opts.quick;
-    let profile = opts.profile;
     let scale = if quick {
         Scale::quick()
     } else {
         Scale::default_scale()
     };
     let (nodes_arg, shards_arg) = (opts.nodes, opts.shards);
-    let (secs_arg, sources_arg) = (opts.secs, opts.sources);
+    let secs_arg = opts.secs;
     let query_arg = opts.query.as_deref();
     let policies: Vec<Policy> = match opts.policy.as_deref() {
         Some(name) => match lookup_policy(name) {
@@ -296,88 +279,6 @@ fn main() {
         let (pts, arrive, depart) = dynamics::dynamics(&scale, SEED);
         emit("dynamics", dynamics::render(&pts, arrive, depart));
     }
-    // Explicit-only (not part of `all`), like `scale`: a speedup smoke
-    // whose micro-benchmark timings (and the BENCH_batching.json
-    // trajectory artifact) would be polluted by a loaded machine mid-way
-    // through a full figure-regeneration run.
-    if opts.named("batching") {
-        let bscale = if quick {
-            BatchingScale::quick()
-        } else {
-            BatchingScale::default_scale()
-        };
-        let rows = batching::batching(&bscale);
-        emit("batching", batching::render(&rows));
-        write_bench_json("batching", &batching::to_json(&rows));
-        let shed = rows.iter().find(|r| r.stage == "shedder");
-        match shed {
-            Some(r) if r.speedup() >= 2.0 => {
-                eprintln!(
-                    "batching: shedder batch path {:.2}x faster (>= 2x)",
-                    r.speedup()
-                );
-            }
-            Some(r) => {
-                eprintln!(
-                    "FAIL: shedder batch path only {:.2}x faster than the row path \
-                     (expected >= 2x)",
-                    r.speedup()
-                );
-                std::process::exit(1);
-            }
-            None => unreachable!("batching always measures the shedder stage"),
-        }
-    }
-    // Explicit-only (not part of `all`), like `batching`: a speedup smoke
-    // over micro-benchmark timings that a loaded machine would pollute.
-    if opts.named("kernels") {
-        let kscale = if quick {
-            KernelsScale::quick()
-        } else {
-            KernelsScale::default_scale()
-        };
-        let rows = kernels::kernels_race(&kscale);
-        emit("kernels", kernels::render(&rows));
-        write_bench_json("kernels", &kernels::to_json(&rows));
-        let agg = rows.iter().find(|r| r.stage == "aggregate");
-        match agg {
-            Some(r) if r.speedup() >= 2.0 => {
-                eprintln!(
-                    "kernels: typed aggregate bank {:.2}x faster (>= 2x) on {} rows",
-                    r.speedup(),
-                    kscale.rows
-                );
-            }
-            Some(r) => {
-                eprintln!(
-                    "FAIL: typed aggregate kernels only {:.2}x faster than the Value-arena \
-                     path (expected >= 2x)",
-                    r.speedup()
-                );
-                std::process::exit(1);
-            }
-            None => unreachable!("kernels always measures the aggregate stage"),
-        }
-        let group = rows.iter().find(|r| r.stage == "group");
-        match group {
-            Some(r) if r.speedup() >= 2.0 => {
-                eprintln!(
-                    "kernels: dictionary group-by kernel {:.2}x faster (>= 2x) on {} rows",
-                    r.speedup(),
-                    kscale.rows
-                );
-            }
-            Some(r) => {
-                eprintln!(
-                    "FAIL: dictionary group-by kernel only {:.2}x faster than the Value-arena \
-                     HashMap path (expected >= 2x)",
-                    r.speedup()
-                );
-                std::process::exit(1);
-            }
-            None => unreachable!("kernels always measures the group stage"),
-        }
-    }
     // Explicit-only (not part of `all`), like `scale`: a CI smoke whose
     // fairness-recovery gate exits non-zero. Runs a 512+-node engine
     // scenario wall-clock with a flash-crowd cohort attaching and
@@ -467,52 +368,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // Explicit-only (not part of `all`), like `scale`: a CI smoke with
-    // CPU-per-tuple and RSS gates that exit non-zero, measured wall-clock
-    // on the full engine — a loaded machine mid-figure-regeneration would
-    // pollute it.
-    if opts.named("scale-e2e") {
-        let sources = sources_arg.unwrap_or(100_000) as usize;
-        let shards = shards_arg.map(|k| k as usize);
-        let secs = secs_arg.unwrap_or(if quick { 2 } else { 6 });
-        let row = scale_e2e::scale_e2e(sources, shards, secs, profile, SEED);
-        emit("scale_e2e", scale_e2e::render(&row));
-        if !row.profile.is_empty() {
-            println!("{}", scale_e2e::render_profile(&row.profile).render());
-        }
-        write_bench_json("scale", &scale_e2e::to_json(&row));
-        let mut failed = false;
-        if !row.within_cpu_budget() {
-            eprintln!(
-                "FAIL: {:.0} CPU ns/tuple exceeds the {:.0} ns ceiling",
-                row.cpu_ns_per_tuple(),
-                scale_e2e::CPU_NS_PER_TUPLE_CEILING
-            );
-            failed = true;
-        }
-        if !row.within_rss_budget() {
-            eprintln!(
-                "FAIL: peak RSS {} kB exceeds the {} kB budget for {} sources",
-                row.peak_rss_kb.unwrap_or(0),
-                row.rss_budget_kb(),
-                row.sources
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "scale-e2e: {} sources end-to-end at {:.0} CPU ns/tuple \
-             (wall {:.0} ns/tuple), peak RSS {} kB, pool reuse {:.0}%",
-            row.sources,
-            row.cpu_ns_per_tuple(),
-            row.wall_ns_per_tuple(),
-            row.peak_rss_kb.unwrap_or(0),
-            row.pool_reuse_fraction() * 100.0
-        );
-    }
-
     // Explicit-only (not part of `all`), like `churn`: a CI smoke whose
     // replay-accuracy and fairness gates exit non-zero. Replays a
     // validated arrival-trace file through the engine under balance-sic.

@@ -4,8 +4,8 @@
 //! alongside experiments none of which accept it is an error (exit 2 in
 //! the binary), **listing the valid flags** for the selection — the PR 7
 //! `--policy=<unknown>` convention extended to the whole command line.
-//! Previously `experiments churn --sources=5` parsed, silently ignored
-//! `--sources` and ran with the default; now it is rejected.
+//! `experiments churn --file=x.csv` does not silently ignore `--file` and
+//! run with the default trace; it is rejected.
 
 /// Every experiment the binary knows, in help order.
 pub const EXPERIMENTS: &[&str] = &[
@@ -27,9 +27,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "policies",
     "dynamics",
     "scale",
-    "scale-e2e",
-    "batching",
-    "kernels",
     "churn",
     "queries",
     "trace",
@@ -70,11 +67,6 @@ const FLAGS: &[FlagSpec] = &[
         applies: Applies::Global,
     },
     FlagSpec {
-        name: "--profile",
-        placeholder: "",
-        applies: Applies::To(&["scale-e2e"]),
-    },
-    FlagSpec {
         name: "--policy=",
         placeholder: "<name>",
         applies: Applies::To(&["policies", "federated"]),
@@ -92,7 +84,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--shards=",
         placeholder: "<k>",
-        applies: Applies::To(&["churn", "scale", "scale-e2e"]),
+        applies: Applies::To(&["churn", "scale"]),
     },
     FlagSpec {
         name: "--secs=",
@@ -101,7 +93,6 @@ const FLAGS: &[FlagSpec] = &[
             "churn",
             "queries",
             "scale",
-            "scale-e2e",
             "trace",
             "correlated",
             "adversarial",
@@ -113,11 +104,6 @@ const FLAGS: &[FlagSpec] = &[
         name: "--sources-procs=",
         placeholder: "<n>",
         applies: Applies::To(&["federated"]),
-    },
-    FlagSpec {
-        name: "--sources=",
-        placeholder: "<n>",
-        applies: Applies::To(&["scale-e2e"]),
     },
     FlagSpec {
         name: "--file=",
@@ -138,20 +124,16 @@ pub struct Options {
     pub what: Vec<String>,
     /// `--quick`: reduced bench scale for smoke runs.
     pub quick: bool,
-    /// `--profile`: per-thread CPU table (scale-e2e).
-    pub profile: bool,
     /// `--policy=<name>` for the policies parity experiment.
     pub policy: Option<String>,
     /// `--query='<text>'` ad-hoc declarative query (queries).
     pub query: Option<String>,
     /// `--nodes=<n>` for churn/scale.
     pub nodes: Option<u64>,
-    /// `--shards=<k>` for churn/scale/scale-e2e.
+    /// `--shards=<k>` for churn/scale.
     pub shards: Option<u64>,
     /// `--secs=<s>` run length for the engine experiments.
     pub secs: Option<u64>,
-    /// `--sources=<n>` for scale-e2e.
-    pub sources: Option<u64>,
     /// `--sources-procs=<n>` source processes for the federated gate.
     pub sources_procs: Option<u64>,
     /// `--file=<path>` trace file for the trace experiment.
@@ -261,13 +243,11 @@ where
         };
         match spec.name {
             "--quick" => opts.quick = true,
-            "--profile" => opts.profile = true,
             "--policy=" => opts.policy = Some(value()),
             "--query=" => opts.query = Some(value()),
             "--nodes=" => opts.nodes = Some(uint()?),
             "--shards=" => opts.shards = Some(uint()?),
             "--secs=" => opts.secs = Some(uint()?),
-            "--sources=" => opts.sources = Some(uint()?),
             "--sources-procs=" => opts.sources_procs = Some(uint()?),
             "--file=" => opts.file = Some(value()),
             "--beat-ms=" => opts.beat_ms = Some(uint()?),
@@ -295,23 +275,47 @@ mod tests {
 
     #[test]
     fn churn_rejects_inapplicable_sources_flag() {
+        // No experiment takes `--sources=`: it is unknown, and the message
+        // lists churn's actual flags.
         let err = parse_strs(&["churn", "--sources=5"]).unwrap_err();
-        assert!(err.contains("--sources=<n>"), "{err}");
-        assert!(err.contains("only applies to [scale-e2e]"), "{err}");
-        // The message lists churn's actual flags.
+        assert!(err.contains("unknown option `--sources=5`"), "{err}");
         assert!(err.contains("--nodes=<n>"), "{err}");
         assert!(err.contains("--secs=<s>"), "{err}");
         assert!(!err.contains("--file"), "{err}");
+        // A flag some other experiment takes names its owners instead.
+        let err = parse_strs(&["churn", "--file=x.csv"]).unwrap_err();
+        assert!(err.contains("--file=<path>"), "{err}");
+        assert!(err.contains("only applies to [trace]"), "{err}");
+        assert!(err.contains("--nodes=<n>"), "{err}");
     }
 
     #[test]
-    fn scale_e2e_rejects_unknown_and_inapplicable_flags() {
-        let err = parse_strs(&["scale-e2e", "--bogus"]).unwrap_err();
+    fn trace_rejects_unknown_and_inapplicable_flags() {
+        let err = parse_strs(&["trace", "--bogus"]).unwrap_err();
         assert!(err.contains("unknown option `--bogus`"), "{err}");
-        assert!(err.contains("--sources=<n>"), "valid flags listed: {err}");
-        let err = parse_strs(&["scale-e2e", "--nodes=4"]).unwrap_err();
+        assert!(err.contains("--file=<path>"), "valid flags listed: {err}");
+        let err = parse_strs(&["trace", "--nodes=4"]).unwrap_err();
         assert!(err.contains("--nodes=<n>"), "{err}");
         assert!(err.contains("churn, scale"), "{err}");
+    }
+
+    #[test]
+    fn retired_perf_races_and_their_flags_are_rejected() {
+        // BENCHMARK.json (`themis-benchmark`) is the only perf harness.
+        for gone in ["batching", "kernels", "scale-e2e"] {
+            let err = parse_strs(&[gone]).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown experiment `{gone}`")),
+                "{err}"
+            );
+            assert!(err.contains("expected one of: all, table1"), "{err}");
+            assert!(!EXPERIMENTS.contains(&gone));
+        }
+        for flag in ["--profile", "--sources=5"] {
+            let err = parse_strs(&["scale", flag]).unwrap_err();
+            assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+            assert!(err.contains("--shards=<k>"), "valid flags listed: {err}");
+        }
     }
 
     #[test]
@@ -364,8 +368,8 @@ mod tests {
         let all = parse_strs(&[]).unwrap();
         assert!(!all.selected("recovery"));
         // The strict flag table still applies.
-        let err = parse_strs(&["recovery", "--sources=5"]).unwrap_err();
-        assert!(err.contains("only applies to [scale-e2e]"), "{err}");
+        let err = parse_strs(&["recovery", "--file=x.csv"]).unwrap_err();
+        assert!(err.contains("only applies to [trace]"), "{err}");
         assert!(err.contains("--secs=<s>"), "{err}");
     }
 
@@ -398,9 +402,9 @@ mod tests {
 
     #[test]
     fn multiple_experiments_union_their_flags() {
-        let o = parse_strs(&["churn", "scale-e2e", "--sources=9", "--nodes=8"]).unwrap();
-        assert_eq!((o.sources, o.nodes), (Some(9), Some(8)));
-        assert!(o.named("churn") && o.named("scale-e2e"));
+        let o = parse_strs(&["churn", "trace", "--beat-ms=9", "--nodes=8"]).unwrap();
+        assert_eq!((o.beat_ms, o.nodes), (Some(9), Some(8)));
+        assert!(o.named("churn") && o.named("trace"));
         assert!(!o.named("scale"));
     }
 }

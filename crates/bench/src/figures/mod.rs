@@ -1,17 +1,15 @@
 //! One module per evaluation artefact (table or figure), each exposing a
-//! data-producing function plus a text renderer so the binary, the
-//! Criterion benches and the integration tests share one implementation.
+//! data-producing function plus a text renderer so the binary and the
+//! integration tests share one implementation.
 
 pub mod ablation;
 pub mod adversarial;
-pub mod batching;
 pub mod churn;
 pub mod correlated;
 pub mod correlation;
 pub mod dynamics;
 pub mod fairness;
 pub mod federated;
-pub mod kernels;
 pub mod overhead;
 pub mod parity;
 pub mod queries;
@@ -19,6 +17,5 @@ pub mod recovery;
 pub mod related;
 pub mod scalability;
 pub mod scale;
-pub mod scale_e2e;
 pub mod tables;
 pub mod trace;

@@ -4,7 +4,7 @@
 //! volumes: source rates and query counts are scaled down so every figure
 //! regenerates in minutes on a laptop, while overload factors (demand over
 //! capacity) match the paper's operating points. `Scale` controls the
-//! knob: `default` for the experiments binary, `quick` for benches and
+//! knob: `default` for the experiments binary, `quick` for smoke runs and
 //! integration tests.
 
 use themis_core::prelude::*;
@@ -38,7 +38,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale for Criterion benches and integration tests.
+    /// Reduced scale for smoke runs and integration tests.
     pub fn quick() -> Self {
         Scale {
             tuples_per_sec: 8,

@@ -86,11 +86,6 @@ pub fn f(v: f64) -> String {
     format!("{v:.4}")
 }
 
-/// Formats a float with 2 decimals.
-pub fn f2(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ use crate::value::Value;
 /// Count of capacity-carrying batch constructions
 /// ([`TupleBatch::with_capacity`] / [`TupleBatch::with_schema_capacity`])
 /// since process start. [`BatchPool`] reuse skips these constructors, so
-/// benches assert on deltas of this counter to make pooling's effect
+/// the benchmark reports deltas of this counter to make pooling's effect
 /// visible next to throughput.
 static BATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 

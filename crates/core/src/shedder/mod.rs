@@ -15,7 +15,7 @@
 //!   [`BatchOrder`].
 //!
 //! Every policy lives in the open [`ShedderRegistry`] — a name → factory
-//! table through which the simulator, the prototype engine, the benches
+//! table through which the simulator, the prototype engine, the benchmark
 //! and the `experiments` CLI all build their shedders. The six paper
 //! policies are registered by default; external crates add their own
 //! with [`register_shedder`] and every runtime picks them up by name

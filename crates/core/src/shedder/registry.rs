@@ -5,7 +5,7 @@
 //! **name plus a factory** ([`Policy`]), the six paper policies are
 //! registered by default, and external crates add their own with
 //! [`register_shedder`] — no edit to `themis-core` required. Every
-//! runtime (simulator, engine, benches, `experiments` CLI) stores a
+//! runtime (simulator, engine, benchmark, `experiments` CLI) stores a
 //! [`Policy`] handle and builds its per-node [`Shedder`] through it, so
 //! a policy registered once is immediately runnable everywhere.
 //!

@@ -1,5 +1,5 @@
 //! Additional baseline shedders beyond the paper's random baseline, used by
-//! the ablation benches:
+//! the ablation experiments:
 //!
 //! * [`FifoShedder`] — drop-from-tail, what a bounded queue does with no
 //!   shedding policy at all;

@@ -5,7 +5,7 @@
 //! Where the simulator models time, the engine *is* real: ticks fire on the
 //! wall clock, the cost model measures actual processing time, and the
 //! shedder's execution time is measured per invocation (the §7.6 overhead
-//! numbers come from here and from the Criterion benches).
+//! numbers come from here and from `themis-benchmark`'s per-layer metrics).
 //!
 //! The engine is a long-lived [`Engine`] value with **runtime query
 //! churn**: [`Engine::attach_query`] places a new query's fragments onto
@@ -484,8 +484,10 @@ fn run_pump(
 
 /// Per-query sampling state on the coordinator side.
 struct QueryTracking {
-    /// Collected SIC samples (means come from these).
-    samples: Vec<f64>,
+    /// Running sum of the SIC samples, added in sampling order.
+    sum: f64,
+    /// Number of samples in `sum` (the mean is `sum / count`).
+    count: u64,
     /// Sampling starts here: end of warm-up for initial queries, one STW
     /// after arrival for runtime-attached ones — matching the simulator's
     /// "active, settled life" accounting.
@@ -595,7 +597,7 @@ impl Engine {
         let (results_tx, results_rx) = unbounded::<ResultEvent>();
 
         // Threads carry names so `/proc/self/task/*/stat` sampling (the
-        // scale-e2e profiler) can attribute CPU per role.
+        // benchmark's thread sampler) can attribute CPU per role.
         let mut shard_handles = Vec::new();
         for (i, rx) in shard_rxs.into_iter().enumerate() {
             let routing = ShardRouting {
@@ -898,7 +900,8 @@ impl Engine {
         self.tracking.insert(
             query.id,
             QueryTracking {
-                samples: Vec::new(),
+                sum: 0.0,
+                count: 0,
                 settle_at,
             },
         );
@@ -1135,7 +1138,8 @@ impl Engine {
                         }
                         let sic = self.tracker.query_sic(now, q).value();
                         if now_wall >= t.settle_at {
-                            t.samples.push(sic);
+                            t.sum += sic;
+                            t.count += 1;
                         }
                         if self.config.record_series {
                             self.sic_series.entry(q).or_default().push((now, sic));
@@ -1207,10 +1211,10 @@ impl Engine {
             .tracking
             .into_iter()
             .map(|(q, t)| {
-                let mean = if t.samples.is_empty() {
+                let mean = if t.count == 0 {
                     0.0
                 } else {
-                    t.samples.iter().sum::<f64>() / t.samples.len() as f64
+                    t.sum / t.count as f64
                 };
                 (q, mean)
             })

@@ -97,8 +97,6 @@ pub struct ResultEvent {
     pub at: Timestamp,
     /// SIC mass of the emission.
     pub sic: Sic,
-    /// Result rows.
-    pub rows: Vec<Row>,
 }
 
 /// Counters accumulated by one node worker.

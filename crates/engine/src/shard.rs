@@ -89,8 +89,6 @@ impl ShardRouting {
                         query,
                         at: e.at,
                         sic: e.sic(),
-                        // Result rows materialise at the reporting edge.
-                        rows: e.batch().to_rows(),
                     });
                 }
             }

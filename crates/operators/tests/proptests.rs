@@ -118,7 +118,9 @@ proptest! {
     }
 
     /// A join's output mass never exceeds its combined input mass, and
-    /// equals it when every row finds a match.
+    /// equals it when every row finds a match; and the join feeding an
+    /// AVG (the live operator stack) averages exactly the right-hand
+    /// values a nested-loop equi-join pairs up.
     #[test]
     fn join_mass_bounded_by_inputs(
         left in arb_window_tuples(),
@@ -140,6 +142,20 @@ proptest! {
         // almost certain — if one exists, full mass must be carried.
         if !out.is_empty() {
             prop_assert!((output - input).abs() < 1e-9 * input.max(1.0));
+        }
+        // Join rows are `left ++ right`: the right value (field 1 of its
+        // input) is field 3 of the output.
+        let matched: Vec<f64> = left
+            .iter()
+            .flat_map(|l| right.iter().filter(move |r| r.values[0] == l.values[0]))
+            .map(|r| r.values[1].as_f64())
+            .collect();
+        let joined: Vec<Tuple> = out.iter().flat_map(|e| e.tuples()).collect();
+        let got = run_op(LogicSpec::Avg { field: 3 }, joined);
+        prop_assert_eq!(got.len(), usize::from(!matched.is_empty()));
+        if let Some(e) = got.first() {
+            let want = matched.iter().sum::<f64>() / matched.len() as f64;
+            prop_assert!(close(e.batch().row(0).f64(0), want), "join→avg vs nested loop");
         }
     }
 
@@ -274,6 +290,8 @@ proptest! {
         cap_pct in 10usize..100,
     ) {
         let (arena_base, typed_base) = parity_batches(&rows);
+        // Both layouts hold the same rows before anything is dropped.
+        prop_assert_eq!(arena_base.to_tuples(), typed_base.to_tuples());
         let cap = (rows.len() * cap_pct / 100).max(1);
         for dropped in policy_drop_patterns(rows.len(), chunk, cap) {
             let (mut arena, mut typed) = (arena_base.clone(), typed_base.clone());
