@@ -154,18 +154,20 @@ pub trait Shedder: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Builds the per-query buffer snapshot for a shedder invocation.
+/// Builds the per-query buffer snapshot for a shedder invocation from the
+/// input buffer's batches, in buffer order (`buffer_index` is the position
+/// in that order).
 ///
 /// `reported_sic` is the latest coordinator-disseminated result SIC per query
 /// (`updateSIC`, Algorithm 1 line 20). The projection heuristic of §6
 /// subtracts the SIC mass of all buffered batches, clamped at zero.
-pub fn build_buffer_states(
-    buffer: &[Batch],
+pub fn build_buffer_states<'a>(
+    buffer: impl IntoIterator<Item = &'a Batch>,
     reported_sic: impl Fn(QueryId) -> Sic,
 ) -> Vec<QueryBufferState> {
     use std::collections::HashMap;
     let mut by_query: HashMap<QueryId, Vec<CandidateBatch>> = HashMap::new();
-    for (idx, b) in buffer.iter().enumerate() {
+    for (idx, b) in buffer.into_iter().enumerate() {
         by_query.entry(b.query()).or_default().push(CandidateBatch {
             buffer_index: idx,
             sic: b.sic(),

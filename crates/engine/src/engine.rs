@@ -33,10 +33,10 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use themis_net::listener::{IngestEvent, IngestServer};
 
 use themis_core::prelude::*;
-use themis_query::prelude::{QuerySpec, Template, ValidatedQuery};
+use themis_query::prelude::{NodeReport, QuerySpec, RoutedBatch, Template, ValidatedQuery};
 use themis_workloads::prelude::*;
 
-use crate::messages::{AttachFragment, EngineMsg, NodeReport, ResultEvent, RoutedBatch, ShardMsg};
+use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeConfig;
 use crate::shard::{run_shard, shard_of, ShardDurability, ShardRouting};
 
@@ -253,25 +253,12 @@ pub struct EngineReport {
 impl EngineReport {
     /// Mean shedder execution time per invocation across nodes (µs).
     pub fn mean_shed_time_us(&self) -> f64 {
-        let (ns, n): (u64, u64) = self.nodes.iter().fold((0, 0), |(a, b), r| {
-            (a + r.shed_time_ns, b + r.shed_decisions)
-        });
-        if n == 0 {
-            0.0
-        } else {
-            ns as f64 / n as f64 / 1_000.0
-        }
+        self.nodes.iter().sum::<NodeReport>().mean_shed_time_us()
     }
 
     /// Fraction of arrived tuples shed.
     pub fn shed_fraction(&self) -> f64 {
-        let arrived: u64 = self.nodes.iter().map(|n| n.arrived_tuples).sum();
-        let shed: u64 = self.nodes.iter().map(|n| n.shed_tuples).sum();
-        if arrived == 0 {
-            0.0
-        } else {
-            shed as f64 / arrived as f64
-        }
+        self.nodes.iter().sum::<NodeReport>().shed_fraction()
     }
 }
 

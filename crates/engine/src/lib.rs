@@ -39,10 +39,9 @@ pub mod prelude {
     pub use crate::engine::{
         default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport, FaultPlan,
     };
-    pub use crate::messages::{
-        AttachFragment, EngineMsg, NodeReport, ResultEvent, RoutedBatch, ShardMsg,
-    };
+    pub use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
     pub use crate::node_state::{NodeConfig, NodeState};
     pub use crate::shard::{run_shard, shard_assignment, shard_of, ShardDurability, ShardRouting};
     pub use themis_core::shedder::PolicyKind;
+    pub use themis_query::node::{NodeReport, RoutedBatch};
 }

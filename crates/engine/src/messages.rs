@@ -3,22 +3,9 @@
 use std::sync::Arc;
 
 use themis_core::prelude::*;
-use themis_query::prelude::{Ingress, QuerySpec};
+use themis_query::prelude::{QuerySpec, RoutedBatch};
 
 use crate::node_state::NodeConfig;
-
-/// A batch plus routing info (same shape as the simulator's).
-#[derive(Debug, Clone)]
-pub struct RoutedBatch {
-    /// Owning query.
-    pub query: QueryId,
-    /// Destination fragment.
-    pub fragment: usize,
-    /// Entry point into the fragment.
-    pub ingress: Ingress,
-    /// Payload.
-    pub batch: Batch,
-}
 
 /// Installs one fragment of a query on a node — the unit of runtime query
 /// churn. The first attach addressed to a node *installs* the node's state
@@ -97,73 +84,4 @@ pub struct ResultEvent {
     pub at: Timestamp,
     /// SIC mass of the emission.
     pub sic: Sic,
-}
-
-/// Counters accumulated by one node worker.
-#[derive(Debug, Clone, Default)]
-pub struct NodeReport {
-    /// Tuples arrived (pre-shedding).
-    pub arrived_tuples: u64,
-    /// Tuples admitted.
-    pub kept_tuples: u64,
-    /// Tuples shed.
-    pub shed_tuples: u64,
-    /// Batches shed.
-    pub shed_batches: u64,
-    /// Shedder invocations under overload.
-    pub shed_invocations: u64,
-    /// Total wall time spent inside `select_to_keep`, nanoseconds.
-    pub shed_time_ns: u64,
-    /// Number of timed shedder calls.
-    pub shed_decisions: u64,
-    /// Coordinator updates received.
-    pub sic_updates: u64,
-    /// Shedding ticks fired (detector invocations).
-    pub ticks: u64,
-    /// Ticks that fired at least one full interval past their deadline
-    /// (starved by message pressure or delayed by an overrunning
-    /// predecessor); the skipped periods are dropped, not replayed.
-    pub late_ticks: u64,
-}
-
-impl NodeReport {
-    /// Mean shedder execution time per invocation, in microseconds
-    /// (the §7.6 overhead metric).
-    pub fn mean_shed_time_us(&self) -> f64 {
-        if self.shed_decisions == 0 {
-            0.0
-        } else {
-            self.shed_time_ns as f64 / self.shed_decisions as f64 / 1_000.0
-        }
-    }
-
-    /// Adds another report's counters onto this one — used when a node is
-    /// torn down and later re-installed on its shard (churn), so the final
-    /// per-node report covers every incarnation.
-    pub fn absorb(&mut self, other: &NodeReport) {
-        self.arrived_tuples += other.arrived_tuples;
-        self.kept_tuples += other.kept_tuples;
-        self.shed_tuples += other.shed_tuples;
-        self.shed_batches += other.shed_batches;
-        self.shed_invocations += other.shed_invocations;
-        self.shed_time_ns += other.shed_time_ns;
-        self.shed_decisions += other.shed_decisions;
-        self.sic_updates += other.sic_updates;
-        self.ticks += other.ticks;
-        self.late_ticks += other.late_ticks;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mean_shed_time() {
-        let mut r = NodeReport::default();
-        assert_eq!(r.mean_shed_time_us(), 0.0);
-        r.shed_time_ns = 3_000_000;
-        r.shed_decisions = 3;
-        assert_eq!(r.mean_shed_time_us(), 1000.0);
-    }
 }

@@ -1,39 +1,29 @@
-//! Per-node state of the prototype engine: a heap-allocated incarnation of
-//! the THEMIS node of Figure 5 (input buffer, overload detector, online
-//! cost model, tuple shedder, operator execution).
+//! Per-node state of the prototype engine: the shared Figure-5 [`Node`]
+//! (`themis_query::node` — input buffer, overload detector, online cost
+//! model, tuple shedder, operator execution, counters) on a wall clock.
+//! What [`NodeState`] adds is only what a real clock needs: `Instant`
+//! deadlines with the drift/late-tick reschedule below, measured busy time
+//! for [`CostModel::observe_windowed`], pool recycling of shed batches, the
+//! synthetic-cost spin, emission routing over [`ShardRouting`], and the
+//! SIC drift that triggers early checkpoints.
 //!
-//! The seed engine kept all of this on the stack of a dedicated OS thread
-//! per node; extracting it into [`NodeState`] lets one shard thread
-//! interleave thousands of nodes (see [`crate::shard`]). Since the churn
-//! refactor, nodes are *dynamic*: fragments install via
-//! [`NodeState::attach_fragment`] and depart via
-//! [`NodeState::detach_query`] (which also purges the departing query's
-//! buffered batches), so queries arrive and leave a running engine.
+//! Extracting the node from the seed engine's one-OS-thread-per-node
+//! worker lets one shard thread interleave thousands of nodes (see
+//! [`crate::shard`], which also keeps a message flood from starving the
+//! tick). Nodes are *dynamic*: fragments install via
+//! [`NodeState::attach_fragment`] and depart via [`Node::detach`].
 //!
-//! The shedding tick carries two correctness fixes over the seed worker:
-//!
-//! 1. **No starvation** — the tick fires whenever its deadline has passed,
-//!    even while messages are still queued. The old drain loop `continue`d
-//!    on every received message, so a sustained input flood kept
-//!    `recv_timeout` returning `Ok` and postponed the detector/shedder
-//!    indefinitely — exactly the overload situation the tick exists for.
-//! 2. **No drift storm** — a tick that overruns its period reschedules to
-//!    the next *future* deadline instead of accumulating a backlog of past
-//!    deadlines. The old `next_tick += interval` produced a burst of
-//!    zero-timeout back-to-back ticks after an overrun, each observing a
-//!    near-empty buffer and corrupting the cost model's per-tuple EWMA
-//!    with tiny windows. Skipped periods are counted in
-//!    [`NodeReport::late_ticks`], and the cost model additionally weighs
-//!    observations by actual window length
-//!    ([`CostModel::observe_windowed`]).
+//! **No drift storm** — a tick that overruns its period reschedules to the
+//! next *future* deadline; the seed's `next_tick += interval` fired a burst
+//! of zero-timeout catch-up ticks that fed the cost model's EWMA tiny
+//! windows. Skipped periods are counted in [`NodeReport::late_ticks`], and
+//! the cost model weighs observations by actual window length.
 
-use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use themis_core::prelude::*;
 use themis_query::prelude::*;
 
-use crate::messages::{NodeReport, RoutedBatch};
 use crate::shard::ShardRouting;
 
 /// Per-node static configuration.
@@ -65,33 +55,18 @@ pub struct NodeConfig {
     pub pool: Option<BatchPool>,
 }
 
-/// One query fragment hosted by a node, plus where its emissions go.
-struct HostedFragment {
-    runtime: FragmentRuntime,
-    /// Downstream `(node, fragment)` of the same query; `None` emits
-    /// query results.
-    downstream: Option<(usize, usize)>,
-}
-
-/// The full mutable state of one engine node, owned by a shard thread.
+/// The shared [`Node`] on a wall clock, owned by a shard thread.
 pub struct NodeState {
     /// Global node index (for routing and report scatter).
     pub node: usize,
-    runtimes: BTreeMap<(QueryId, usize), HostedFragment>,
-    assigners: HashMap<QueryId, SourceSicAssigner>,
-    buffer: Vec<RoutedBatch>,
-    sic_table: SicTable,
-    cost_model: CostModel,
-    detector: OverloadDetector,
-    shedder: Box<dyn Shedder>,
+    /// The shared node; the shard drives it directly where this adapter
+    /// adds nothing (detach, restore, final counters).
+    pub(crate) core: Node,
     synthetic_cost: TimeDelta,
-    fixed_capacity: Option<usize>,
-    stw: StwConfig,
     interval: Duration,
     interval_delta: TimeDelta,
     next_tick: Instant,
     last_tick: Instant,
-    report: NodeReport,
     pool: Option<BatchPool>,
     /// Sum of absolute SIC-table movement since the last checkpoint — the
     /// AF-Stream divergence measure that triggers early checkpoints.
@@ -107,23 +82,17 @@ impl NodeState {
         // past forever (`deadline + ZERO * periods == deadline`), keeping
         // this node the heap minimum and starving its shard-mates' ticks.
         let interval = Duration::from_micros(config.interval.as_micros().max(1));
+        let detector = OverloadDetector::new(config.interval, config.initial_capacity);
+        let mut core = Node::new(config.shedder, config.stw, detector);
+        core.pin_capacity(config.fixed_capacity);
         NodeState {
             node,
-            runtimes: BTreeMap::new(),
-            assigners: HashMap::new(),
-            buffer: Vec::new(),
-            sic_table: SicTable::new(),
-            cost_model: CostModel::default(),
-            detector: OverloadDetector::new(config.interval, config.initial_capacity),
-            shedder: config.shedder,
+            core,
             synthetic_cost: config.synthetic_cost,
-            fixed_capacity: config.fixed_capacity,
-            stw: config.stw,
             interval,
             interval_delta: config.interval,
             next_tick: first_tick,
             last_tick: first_tick.checked_sub(interval).unwrap_or(first_tick),
-            report: NodeReport::default(),
             pool: config.pool,
             sic_drift: 0.0,
         }
@@ -138,39 +107,10 @@ impl NodeState {
         fragment: usize,
         downstream: Option<(usize, usize)>,
     ) {
-        let mut runtime = FragmentRuntime::new(&query.fragments[fragment]);
+        let runtime = self.core.attach(query, fragment, downstream);
         if let Some(pool) = &self.pool {
             runtime.set_pool(pool);
         }
-        self.runtimes.insert(
-            (query.id, fragment),
-            HostedFragment {
-                runtime,
-                downstream,
-            },
-        );
-        let stw = self.stw;
-        let n_sources = query.n_sources();
-        self.assigners
-            .entry(query.id)
-            .or_insert_with(|| SourceSicAssigner::new(stw, n_sources));
-    }
-
-    /// Removes every fragment of `query` from this node, purging its
-    /// buffered batches, SIC assigner and coordinator-table entry.
-    /// Returns the number of fragments still hosted afterwards (0 means
-    /// the shard should tear the node down).
-    pub fn detach_query(&mut self, query: QueryId) -> usize {
-        self.runtimes.retain(|&(q, _), _| q != query);
-        self.assigners.remove(&query);
-        self.sic_table.remove(query);
-        self.buffer.retain(|rb| rb.query != query);
-        self.runtimes.len()
-    }
-
-    /// Number of fragments hosted.
-    pub fn n_fragments(&self) -> usize {
-        self.runtimes.len()
     }
 
     /// The node's next shedding deadline.
@@ -178,40 +118,20 @@ impl NodeState {
         self.next_tick
     }
 
-    /// True when the shedding deadline has passed and the tick must fire
-    /// before any further message draining.
-    pub fn tick_due(&self, now: Instant) -> bool {
-        now >= self.next_tick
-    }
-
     /// Counters accumulated so far.
     pub fn report(&self) -> &NodeReport {
-        &self.report
-    }
-
-    /// Consumes the state, yielding the node's counters.
-    pub fn into_report(self) -> NodeReport {
-        self.report
+        &self.core.stats
     }
 
     /// Enqueues an incoming data batch, stamping source batches with SIC.
-    pub fn enqueue(&mut self, mut rb: RoutedBatch, now: Timestamp) {
-        self.report.arrived_tuples += rb.batch.len() as u64;
-        if rb.batch.source().is_some() {
-            if let Some(a) = self.assigners.get_mut(&rb.query) {
-                a.stamp(now, &mut rb.batch);
-            }
-        }
-        self.buffer.push(rb);
+    pub fn enqueue(&mut self, rb: RoutedBatch, now: Timestamp) {
+        self.core.enqueue(rb, now);
     }
 
     /// Applies a coordinator SIC update, accumulating the absolute table
     /// movement into the divergence measure ([`NodeState::sic_drift`]).
     pub fn apply_sic(&mut self, update: &SicUpdate) {
-        self.report.sic_updates += 1;
-        let old = self.sic_table.get(update.query);
-        self.sic_table.apply(update);
-        self.sic_drift += (update.sic.value() - old.value()).abs();
+        self.sic_drift += self.core.apply_sic(update);
     }
 
     /// Absolute SIC-table movement since the last checkpoint. A shard
@@ -221,59 +141,17 @@ impl NodeState {
         self.sic_drift
     }
 
-    /// Directly overwrites one SIC-table entry (WAL-tail replay during
-    /// restore — the delta carries the absolute value).
-    pub fn set_sic(&mut self, query: QueryId, sic: Sic) {
-        self.sic_table.set(query, sic);
-    }
-
     /// Captures the node's recoverable state — SIC table plus every
     /// buffered window pane — and resets the divergence accumulator.
     pub fn checkpoint(&mut self) -> NodeSnapshot {
         self.sic_drift = 0.0;
-        let mut sic: Vec<(QueryId, Sic)> = self.sic_table.entries().collect();
-        sic.sort_by_key(|&(q, _)| q);
-        let mut panes = Vec::new();
-        for (&(query, fragment), hf) in self.runtimes.iter() {
-            for (op, key, port, batch) in hf.runtime.snapshot_windows() {
-                panes.push(PaneRecord {
-                    query,
-                    fragment,
-                    op,
-                    port,
-                    key,
-                    batch,
-                });
-            }
-        }
-        NodeSnapshot {
-            node: self.node,
-            sic,
-            panes,
-        }
+        self.core.checkpoint(self.node)
     }
 
-    /// Overlays a checkpointed snapshot onto this node: SIC entries
-    /// overwrite the table, panes land in their operators' window buffers.
-    /// Panes of fragments no longer hosted here are skipped — the bounded
-    /// divergence a reconfigured restore accepts.
-    pub fn restore(&mut self, snap: &NodeSnapshot) {
-        for &(query, sic) in &snap.sic {
-            self.sic_table.set(query, sic);
-        }
-        for pane in &snap.panes {
-            if let Some(hf) = self.runtimes.get_mut(&(pane.query, pane.fragment)) {
-                hf.runtime
-                    .restore_window(pane.op, pane.key, pane.port, pane.batch.clone());
-            }
-        }
-    }
-
-    /// Fires one shedding tick at wall time `now`: overload detection,
-    /// shedding when the backlog exceeds capacity, fragment execution, and
-    /// cost-model feedback — then reschedules the deadline past `now`.
+    /// Fires one shedding tick at wall time `now` (see [`Node::tick`]),
+    /// feeds the cost model the measured processing time, then reschedules
+    /// the deadline past `now`.
     pub fn tick(&mut self, now: Instant, epoch: Instant, routing: &ShardRouting) {
-        self.report.ticks += 1;
         let window = TimeDelta::from_micros(
             now.saturating_duration_since(self.last_tick).as_micros() as u64,
         );
@@ -281,59 +159,36 @@ impl NodeState {
         self.reschedule(now);
 
         let now_ts = Timestamp(epoch.elapsed().as_micros() as u64);
-        let c = self
-            .fixed_capacity
-            .unwrap_or_else(|| self.detector.threshold(&self.cost_model));
-        let buffered: usize = self.buffer.iter().map(|rb| rb.batch.len()).sum();
-
-        // The decision is applied as a bitmap over buffer slots: shed
-        // batches are bit-marked, kept batches move their columns onward.
-        let shed = if buffered > c {
-            self.report.shed_invocations += 1;
-            let states = snapshot(&self.buffer, &self.sic_table);
-            let shed_start = Instant::now();
-            let decision = self.shedder.select_to_keep(c, &states);
-            self.report.shed_time_ns += shed_start.elapsed().as_nanos() as u64;
-            self.report.shed_decisions += 1;
-            self.report.kept_tuples += decision.kept_tuples as u64;
-            self.report.shed_tuples += decision.shed_tuples as u64;
-            self.report.shed_batches += decision.shed_batches as u64;
-            decision.shed_bitmap(self.buffer.len())
-        } else {
-            self.report.kept_tuples += buffered as u64;
-            DropBitmap::new()
-        };
-
-        let busy_start = Instant::now();
-        let mut kept_tuples = 0u64;
-        let drained = std::mem::take(&mut self.buffer);
-        for (idx, rb) in drained.into_iter().enumerate() {
-            if shed.is_dropped(idx) {
+        let pool = self.pool.as_ref();
+        let select_ns = self.core.stats.shed_time_ns;
+        let start = Instant::now();
+        let kept = self.core.tick(
+            now_ts,
+            |rb| {
                 // A shed batch's columns are as reusable as processed
                 // ones — under sustained overload this is the busiest
                 // recycle point of all.
-                if let Some(pool) = &self.pool {
+                if let Some(pool) = pool {
                     pool.recycle(rb.batch.into_data());
                 }
-                continue;
-            }
-            kept_tuples += rb.batch.len() as u64;
-            if !self.synthetic_cost.is_zero() {
-                spin_for(self.synthetic_cost.as_micros() * rb.batch.len() as u64);
-            }
-            if let Some(hf) = self.runtimes.get_mut(&(rb.query, rb.fragment)) {
-                let (q, f) = (rb.query, rb.fragment);
-                let emissions = hf.runtime.ingest(rb.ingress, rb.batch.into_data(), now_ts);
-                routing.route(q, f, hf.downstream, emissions);
-            }
+            },
+            |query, fragment, downstream, emissions| {
+                routing.route(query, fragment, downstream, emissions);
+            },
+        );
+        if !self.synthetic_cost.is_zero() {
+            spin_for(self.synthetic_cost.as_micros() * kept);
         }
-        for (&(q, f), hf) in self.runtimes.iter_mut() {
-            let emissions = hf.runtime.tick(now_ts);
-            routing.route(q, f, hf.downstream, emissions);
-        }
-        let busy = TimeDelta::from_micros(busy_start.elapsed().as_micros() as u64);
-        self.cost_model
-            .observe_windowed(busy, kept_tuples, window, self.interval_delta);
+        // Busy time is processing only; the shedder's own time is the
+        // separately reported §7.6 overhead.
+        let select_ns = self.core.stats.shed_time_ns - select_ns;
+        let busy_ns = (start.elapsed().as_nanos() as u64).saturating_sub(select_ns);
+        self.core.cost_model_mut().observe_windowed(
+            TimeDelta::from_micros(busy_ns / 1_000),
+            kept,
+            window,
+            self.interval_delta,
+        );
     }
 
     /// Advances the deadline one period, skipping any periods `now` has
@@ -343,7 +198,7 @@ impl NodeState {
         let deadline = self.next_tick;
         self.next_tick = deadline + self.interval;
         if self.next_tick <= now {
-            self.report.late_ticks += 1;
+            self.core.stats.late_ticks += 1;
             let behind = now.duration_since(deadline).as_nanos();
             let periods = (behind / self.interval.as_nanos().max(1))
                 .saturating_add(1)
@@ -351,35 +206,6 @@ impl NodeState {
             self.next_tick = deadline + self.interval * periods;
         }
     }
-}
-
-/// Groups the buffered batches by query and projects each query's base SIC
-/// (coordinator-reported SIC minus what is sitting in this buffer) for the
-/// shedder.
-pub(crate) fn snapshot(buffer: &[RoutedBatch], sic_table: &SicTable) -> Vec<QueryBufferState> {
-    let mut by_query: HashMap<QueryId, Vec<CandidateBatch>> = HashMap::new();
-    for (idx, rb) in buffer.iter().enumerate() {
-        by_query.entry(rb.query).or_default().push(CandidateBatch {
-            buffer_index: idx,
-            sic: rb.batch.sic(),
-            tuples: rb.batch.len(),
-            created: rb.batch.created(),
-        });
-    }
-    let mut states: Vec<QueryBufferState> = by_query
-        .into_iter()
-        .map(|(query, batches)| {
-            let buffered: Sic = batches.iter().map(|b| b.sic).sum();
-            let reported = sic_table.get(query);
-            QueryBufferState {
-                query,
-                base_sic: Sic((reported.value() - buffered.value()).max(0.0)),
-                batches,
-            }
-        })
-        .collect();
-    states.sort_by_key(|s| s.query);
-    states
 }
 
 /// Busy-spins for roughly `micros` microseconds (sleeping is too coarse at
@@ -422,7 +248,7 @@ mod tests {
     fn deadline_advances_one_period_when_on_time() {
         let base = Instant::now() + Duration::from_secs(60);
         let mut s = state(50, base);
-        assert!(s.tick_due(base));
+        assert!(base >= s.next_tick(), "due at its deadline");
         s.reschedule(base);
         assert_eq!(s.next_tick(), base + Duration::from_millis(50));
         assert_eq!(s.report().late_ticks, 0);
@@ -441,7 +267,7 @@ mod tests {
         // deadline is the first schedule point strictly after `now`.
         assert!(s.next_tick() > now, "deadline left in the past");
         assert_eq!(s.next_tick(), base + Duration::from_millis(6 * 50));
-        assert!(!s.tick_due(now), "immediate re-tick would storm");
+        assert!(now < s.next_tick(), "immediate re-tick would storm");
         assert_eq!(s.report().late_ticks, 1);
     }
 
@@ -493,7 +319,6 @@ mod tests {
         let mut s = NodeState::new(config(50), 0, base);
         s.attach_fragment(&q0, 0, None);
         s.attach_fragment(&q1, 0, None);
-        assert_eq!(s.n_fragments(), 2);
         for (q, src) in [(&q0, q0.sources[0].id), (&q1, q1.sources[0].id)] {
             s.enqueue(
                 RoutedBatch {
@@ -509,15 +334,11 @@ mod tests {
                 Timestamp(0),
             );
         }
-        assert_eq!(s.buffer.len(), 2);
-        let remaining = s.detach_query(q0.id);
-        assert_eq!(remaining, 1);
-        assert_eq!(s.n_fragments(), 1);
-        assert_eq!(s.buffer.len(), 1, "q0's buffered batch purged");
-        assert_eq!(s.buffer[0].query, q1.id);
-        assert!(!s.assigners.contains_key(&q0.id));
+        assert_eq!(s.core.buffered_tuples(), 2);
+        assert_eq!(s.core.detach(q0.id), 1, "q1's fragment stays");
+        assert_eq!(s.core.buffered_tuples(), 1, "q0's buffered batch purged");
         // Detaching the last query empties the node.
-        assert_eq!(s.detach_query(q1.id), 0);
+        assert_eq!(s.core.detach(q1.id), 0);
     }
 
     #[test]
@@ -525,20 +346,24 @@ mod tests {
         let mut ids = IdGen::new();
         let query = Template::Avg.build(QueryId(0), &mut ids);
         let base = Instant::now();
+        let pool = BatchPool::new();
         let mut cfg = config(50);
         cfg.fixed_capacity = Some(3);
+        cfg.pool = Some(pool.clone());
         let mut s = NodeState::new(cfg, 0, base);
         s.attach_fragment(&query, 0, None);
         let src = query.sources[0].id;
-        let tuples: Vec<Tuple> = (0..10)
-            .map(|i| Tuple::measurement(Timestamp(0), Sic(0.01), i as f64))
-            .collect();
+        // Schema-typed, so the pool accepts the shed batch's columns.
+        let mut data = TupleBatch::with_schema_capacity(measurement_schema(), 10);
+        for i in 0..10 {
+            data.push_row(Timestamp(0), Sic(0.01), &[Value::F64(i as f64)]);
+        }
         s.enqueue(
             RoutedBatch {
                 query: query.id,
                 fragment: 0,
                 ingress: Ingress::Source(src),
-                batch: Batch::from_source(query.id, src, Timestamp(0), tuples),
+                batch: Batch::from_source_data(query.id, src, Timestamp(0), data),
             },
             Timestamp(0),
         );
@@ -553,6 +378,28 @@ mod tests {
         // no reason to shed (zero synthetic cost).
         assert_eq!(s.report().shed_invocations, 1);
         assert!(s.report().shed_tuples >= 7);
+        assert_eq!(s.report().ticks, 1);
+        assert_eq!(
+            pool.stats().recycled,
+            1,
+            "the shed batch went back to the pool"
+        );
+    }
+
+    #[test]
+    fn sic_drift_accumulates_until_checkpoint() {
+        let mut s = state(50, Instant::now());
+        for sic in [0.5, 0.2] {
+            s.apply_sic(&SicUpdate {
+                query: QueryId(0),
+                node: NodeId(0),
+                sic: Sic(sic),
+            });
+        }
+        assert!((s.sic_drift() - 0.8).abs() < 1e-12);
+        let snap = s.checkpoint();
+        assert_eq!(snap.sic, vec![(QueryId(0), Sic(0.2))]);
+        assert_eq!(s.sic_drift(), 0.0);
     }
 
     #[test]
@@ -561,21 +408,5 @@ mod tests {
         spin_for(200);
         let us = t0.elapsed().as_micros();
         assert!(us >= 200, "spun only {us}us");
-    }
-
-    #[test]
-    fn snapshot_projects_base_sic() {
-        let tuples = vec![Tuple::measurement(Timestamp(0), Sic(0.2), 1.0)];
-        let rb = RoutedBatch {
-            query: QueryId(1),
-            fragment: 0,
-            ingress: Ingress::Source(SourceId(0)),
-            batch: Batch::new(QueryId(1), Timestamp(0), tuples),
-        };
-        let mut table = SicTable::new();
-        table.set(QueryId(1), Sic(0.5));
-        let states = snapshot(&[rb], &table);
-        assert_eq!(states.len(), 1);
-        assert!((states[0].base_sic.value() - 0.3).abs() < 1e-12);
     }
 }

@@ -31,7 +31,7 @@ use themis_core::wal;
 use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
-use crate::messages::{AttachFragment, EngineMsg, NodeReport, ResultEvent, RoutedBatch, ShardMsg};
+use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeState;
 
 /// How long an idle shard (no nodes, or all deadlines far out) sleeps per
@@ -287,10 +287,7 @@ pub fn run_shard(
                 log = None;
                 heap.clear();
                 for (node, state) in states.drain() {
-                    finished
-                        .entry(node)
-                        .or_default()
-                        .absorb(&state.into_report());
+                    retire(&mut finished, node, &state);
                     *generations.entry(node).or_insert(0) += 1;
                 }
             }
@@ -307,12 +304,12 @@ pub fn run_shard(
                     Ok(Some(restore)) => {
                         for snap in &restore.snapshots {
                             if let Some(state) = states.get_mut(&snap.node) {
-                                state.restore(snap);
+                                state.core.restore(snap);
                             }
                         }
                         for delta in &restore.deltas {
                             if let Some(state) = states.get_mut(&delta.node) {
-                                state.set_sic(delta.query, delta.sic);
+                                state.core.set_sic(delta.query, delta.sic);
                             }
                         }
                     }
@@ -329,16 +326,13 @@ pub fn run_shard(
             }) => {
                 let empty = states
                     .get_mut(&node)
-                    .map(|s| s.detach_query(query) == 0)
+                    .map(|s| s.core.detach(query) == 0)
                     .unwrap_or(false);
                 if empty {
                     // Teardown: freeze the counters, forget the state; the
                     // generation bump invalidates the pending deadline.
                     if let Some(state) = states.remove(&node) {
-                        finished
-                            .entry(node)
-                            .or_default()
-                            .absorb(&state.into_report());
+                        retire(&mut finished, node, &state);
                     }
                     *generations.entry(node).or_insert(0) += 1;
                 }
@@ -385,12 +379,15 @@ pub fn run_shard(
     }
 
     for (node, state) in states {
-        finished
-            .entry(node)
-            .or_default()
-            .absorb(&state.into_report());
+        retire(&mut finished, node, &state);
     }
     finished.into_iter().collect()
+}
+
+/// Folds a departing node incarnation's counters into the node's total, so
+/// the final report covers every incarnation (churn, crash) of it.
+fn retire(finished: &mut HashMap<usize, NodeReport>, node: usize, state: &NodeState) {
+    finished.entry(node).or_default().absorb(&state.core.stats);
 }
 
 /// Opens a shard's durable log, demoting failures to a warning — an

@@ -80,6 +80,8 @@ pub fn connect_with_retry(addr: &str, cfg: &NetConfig) -> Result<TcpStream, NetE
 
 struct SendQueue {
     frames: VecDeque<Vec<u8>>,
+    /// The writer has popped a frame and not yet finished writing it.
+    in_flight: bool,
     closed: bool,
 }
 
@@ -124,6 +126,7 @@ impl PeerSender {
         let queue = Arc::new((
             Mutex::new(SendQueue {
                 frames: VecDeque::new(),
+                in_flight: false,
                 closed: false,
             }),
             Condvar::new(),
@@ -193,10 +196,11 @@ impl PeerSender {
     pub fn close(mut self) -> Result<SendStats, NetError> {
         let (lock, cv) = &*self.queue;
         let stats = {
-            // Wait for the backlog to drain so the counters in the bye
-            // are final. A failed writer abandons its backlog.
+            // Wait for the backlog — including a frame the writer is still
+            // writing — to drain so the counters in the bye are final. A
+            // failed writer abandons its backlog.
             let mut q = lock.lock().unwrap();
-            while !q.frames.is_empty() && !self.failed.load(Ordering::Relaxed) {
+            while (!q.frames.is_empty() || q.in_flight) && !self.failed.load(Ordering::Relaxed) {
                 q = cv.wait(q).unwrap();
             }
             // Snapshot before enqueueing the bye: the writer counts every
@@ -254,6 +258,7 @@ fn writer_loop(
             let mut q = lock.lock().unwrap();
             loop {
                 if let Some(frame) = q.frames.pop_front() {
+                    q.in_flight = true;
                     break frame;
                 }
                 if q.closed {
@@ -262,14 +267,20 @@ fn writer_loop(
                 q = cv.wait(q).unwrap();
             }
         };
-        if let Err(e) = stream.write_all(&frame) {
+        let written = stream.write_all(&frame);
+        // The in-flight mark clears under the same lock that counts the
+        // frame, so `close` never sees it neither queued, in flight nor
+        // counted.
+        let mut q = lock
+            .lock()
+            .expect("send queue lock poisoned by a panicked sender");
+        q.in_flight = false;
+        if let Err(e) = written {
             failed.store(true, Ordering::Relaxed);
             // Unblock a closer waiting for the queue to drain; leftover
             // frames are abandoned — a dead link delivers nothing.
-            let mut q = lock.lock().unwrap();
             q.frames.clear();
             cv.notify_all();
-            drop(q);
             return Err(NetError::Io(e));
         }
         sent.fetch_add(1, Ordering::Relaxed);

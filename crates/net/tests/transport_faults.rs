@@ -2,8 +2,10 @@
 //! hang. A refused connect exhausts its bounded retries and reports an
 //! actionable error naming the address and attempt count; a send queue
 //! backed up behind a peer that never reads sheds oldest-first and keeps
-//! accepting batches at full speed instead of deadlocking the pump.
+//! accepting batches at full speed instead of deadlocking the pump; and
+//! `close` accounts for every batch exactly.
 
+use std::io::Read;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -156,5 +158,46 @@ fn full_queue_sheds_oldest_and_never_blocks_the_sender() {
             matches!(e, NetError::Io(_)),
             "dead link must surface as an i/o error, got {e}"
         ),
+    }
+}
+
+/// Regression (close race): the writer used to bump `sent` only after
+/// releasing the queue lock, so `close` could find the queue empty while
+/// the last frame was still being written and report one batch short.
+/// The in-flight frame now counts as backlog, so sent + shed is exact.
+#[test]
+fn close_accounts_for_every_batch() {
+    const N: u64 = 16;
+    let cfg = tiny_cfg();
+    let mut small = TupleBatch::with_capacity(1, 1);
+    small.push_row(Timestamp(0), Sic(1.0e-3), &[Value::F64(1.0)]);
+    for iteration in 0..200 {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let reader = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut sink = Vec::new();
+            stream
+                .read_to_end(&mut sink)
+                .expect("read to the peer's close");
+        });
+        let sender = PeerSender::connect(&addr, "close-race", &cfg).expect("connect");
+        for i in 0..N {
+            sender.send_batch(&WireBatch {
+                node: 0,
+                query: QueryId(0),
+                fragment: 0,
+                source: SourceId(0),
+                created: Timestamp(i),
+                batch: small.clone(),
+            });
+        }
+        let stats = sender.close().expect("healthy loopback link");
+        assert_eq!(
+            stats.sent_batches + stats.shed_batches,
+            N,
+            "iteration {iteration}: {stats:?}"
+        );
+        reader.join().expect("reader thread");
     }
 }

@@ -15,7 +15,10 @@
 //! * [`placement`] — round-robin and Zipf fragment placement under the
 //!   "one node per fragment of a query" constraint;
 //! * [`runtime`] — [`runtime::FragmentRuntime`], which executes a
-//!   fragment's operators with SIC propagation.
+//!   fragment's operators with SIC propagation;
+//! * [`node`] — [`node::Node`], the one Figure-5 node (input buffer,
+//!   overload detector, shedder, hosted fragments) that the simulator and
+//!   the prototype engine both drive.
 //!
 //! ```
 //! use themis_core::prelude::*;
@@ -32,6 +35,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod graph;
+pub mod node;
 pub mod placement;
 pub mod runtime;
 pub mod spec;
@@ -43,6 +47,7 @@ pub mod prelude {
         keyed_measurement_schema, measurement_schema, FragmentSpec, LocalEdge, QueryError,
         QuerySpec, SourceBinding, SourceKind, SourceSpec, TagSource, UpstreamBinding,
     };
+    pub use crate::node::{Node, NodeReport, RoutedBatch};
     pub use crate::placement::{place, Deployment, PlacementError, PlacementPolicy};
     pub use crate::runtime::{FragmentRuntime, Ingress};
     pub use crate::spec::{

@@ -33,8 +33,6 @@ pub struct FragmentRuntime {
     topo: Vec<usize>,
     ingress: HashMap<Ingress, (usize, usize)>,
     root: usize,
-    /// Tuples delivered to operators since the last cost probe.
-    processed_since_probe: u64,
 }
 
 impl FragmentRuntime {
@@ -60,7 +58,6 @@ impl FragmentRuntime {
             topo,
             ingress,
             root: spec.root,
-            processed_since_probe: 0,
         }
     }
 
@@ -91,20 +88,13 @@ impl FragmentRuntime {
             // dropped; its SIC mass is lost like any shed tuple.
             return Vec::new();
         };
-        let batch = batch.into();
-        self.processed_since_probe += batch.len() as u64;
-        self.run(now, vec![(op, port, batch)])
+        self.run(now, vec![(op, port, batch.into())])
     }
 
     /// Advances logical time: closes due windows on every operator, in
     /// topological order, cascading intra-fragment emissions.
     pub fn tick(&mut self, now: Timestamp) -> Vec<Emission> {
         self.run(now, Vec::new())
-    }
-
-    /// Tuples ingested since the previous call (cost-model accounting).
-    pub fn take_processed(&mut self) -> u64 {
-        std::mem::take(&mut self.processed_since_probe)
     }
 
     /// Total tuples buffered in open windows across operators.
@@ -218,8 +208,6 @@ mod tests {
         assert_eq!(result.f64(0), 50.0);
         // All source SIC mass arrives at the result: 20 * 0.05 = 1.0.
         assert!((result.sic.value() - 1.0).abs() < 1e-12);
-        assert_eq!(rt.take_processed(), 20);
-        assert_eq!(rt.take_processed(), 0);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //!
 //! The simulation wires a [`themis_workloads::scenario::Scenario`] into:
 //!
-//! * [`node::SimNode`]s — input buffer, overload detector, online cost
-//!   model and the configured tuple shedder (Figure 5 of the paper);
+//! * [`node::SimNode`]s — the Figure-5 node shared with the prototype
+//!   engine ([`themis_query::node::Node`]: input buffer, overload
+//!   detector, online cost model, the configured tuple shedder) on a
+//!   simulated per-tuple cost;
 //! * links with configurable one-way latency (LAN 5 ms / WAN 50 ms);
 //! * per-query coordinators disseminating result SIC values
 //!   (`updateSIC`), with an ablation switch to disable them;
@@ -46,8 +48,9 @@ pub mod sim;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::config::SimConfig;
-    pub use crate::node::{NodeOutput, RoutedBatch, SimNode};
+    pub use crate::node::{NodeOutput, SimNode};
     pub use crate::report::{NodeStats, QueryStats, SimReport};
     pub use crate::sim::{run_scenario, Simulation};
     pub use themis_core::shedder::PolicyKind;
+    pub use themis_query::node::RoutedBatch;
 }

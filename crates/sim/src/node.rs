@@ -1,28 +1,15 @@
-//! The simulated THEMIS node (Figure 5): input buffer, overload detector,
-//! cost model, tuple shedder and the operator threads (here: fragment
-//! runtimes executed at tick granularity).
+//! The simulated THEMIS node: the shared Figure-5 [`Node`] on a simulated
+//! clock. What this adapter adds is only the simulated hardware — every
+//! admitted tuple costs a fixed `1 / capacity` of processing time, which is
+//! what the cost model observes — and the choice of the `updateSIC`-off
+//! local-SIC fallback from [`SimConfig::coordinator`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::ops::Deref;
 
 use themis_core::prelude::*;
-use themis_core::stw::SlidingAccumulator;
 use themis_query::prelude::*;
 
 use crate::config::SimConfig;
-use crate::report::NodeStats;
-
-/// A batch in flight or buffered, together with its routing information.
-#[derive(Debug, Clone)]
-pub struct RoutedBatch {
-    /// The query the batch belongs to.
-    pub query: QueryId,
-    /// Destination fragment (index within the query).
-    pub fragment: usize,
-    /// How the batch enters the fragment.
-    pub ingress: Ingress,
-    /// The payload.
-    pub batch: Batch,
-}
 
 /// An output produced while processing a node tick.
 #[derive(Debug)]
@@ -40,28 +27,13 @@ pub enum NodeOutput {
     },
 }
 
-/// One simulated FSPS node.
+/// One simulated FSPS node. Reads — counters (`stats`), buffer depth,
+/// threshold — go straight to the shared [`Node`] through `Deref`.
 pub struct SimNode {
     id: NodeId,
     /// True per-tuple processing cost (the simulated hardware).
     per_tuple_cost: TimeDelta,
-    /// Input buffer (Figure 5's IB).
-    buffer: Vec<RoutedBatch>,
-    /// Hosted fragments, ordered for deterministic tick iteration.
-    fragments: BTreeMap<(QueryId, usize), FragmentRuntime>,
-    assigners: HashMap<QueryId, SourceSicAssigner>,
-    /// Latest coordinator-disseminated result SIC per query.
-    sic_table: SicTable,
-    /// Fallback when `updateSIC` dissemination is disabled: locally
-    /// accepted SIC mass per query over the STW.
-    local_sic: HashMap<QueryId, SlidingAccumulator>,
-    stw: StwConfig,
-    shedder: Box<dyn Shedder>,
-    cost_model: CostModel,
-    detector: OverloadDetector,
-    use_coordinator: bool,
-    /// Counters reported at the end of the run.
-    pub stats: NodeStats,
+    node: Node,
 }
 
 impl SimNode {
@@ -70,7 +42,6 @@ impl SimNode {
     /// `capacity_tps` is the true processing rate of the simulated
     /// hardware; the cost model starts from the matching threshold and
     /// keeps estimating it online from observed work.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: NodeId,
         capacity_tps: u32,
@@ -83,20 +54,13 @@ impl SimNode {
             TimeDelta::from_micros((1_000_000 / capacity_tps.max(1) as u64).max(1));
         let initial_capacity =
             (interval.as_micros() / per_tuple_cost.as_micros().max(1)).max(1) as usize;
+        let detector = OverloadDetector::new(interval, initial_capacity);
+        let mut node = Node::new(config.policy.build(seed), stw, detector);
+        node.use_local_sic(!config.coordinator);
         SimNode {
             id,
             per_tuple_cost,
-            buffer: Vec::new(),
-            fragments: BTreeMap::new(),
-            assigners: HashMap::new(),
-            sic_table: SicTable::new(),
-            local_sic: HashMap::new(),
-            stw,
-            shedder: config.policy.build(seed),
-            cost_model: CostModel::default(),
-            detector: OverloadDetector::new(interval, initial_capacity),
-            use_coordinator: config.coordinator,
-            stats: NodeStats::default(),
+            node,
         }
     }
 
@@ -107,175 +71,45 @@ impl SimNode {
 
     /// Deploys a fragment on this node.
     pub fn deploy(&mut self, query: &QuerySpec, fragment: usize) {
-        self.fragments.insert(
-            (query.id, fragment),
-            FragmentRuntime::new(&query.fragments[fragment]),
-        );
-        let stw = self.stw;
-        let n_sources = query.n_sources();
-        self.assigners
-            .entry(query.id)
-            .or_insert_with(|| SourceSicAssigner::new(stw, n_sources));
+        self.node.attach(query, fragment, None);
     }
 
-    /// Number of fragments hosted.
-    pub fn n_fragments(&self) -> usize {
-        self.fragments.len()
-    }
-
-    /// Handles a batch arrival: source batches get their Eq.-1 SIC values
-    /// stamped *before* buffering, so the rate estimator observes every
-    /// arriving tuple (shed ones included) and the shedder sees final SIC
-    /// values.
-    pub fn on_arrival(&mut self, now: Timestamp, mut rb: RoutedBatch) {
-        self.stats.arrived_tuples += rb.batch.len() as u64;
-        if rb.batch.source().is_some() {
-            if let Some(assigner) = self.assigners.get_mut(&rb.query) {
-                assigner.stamp(now, &mut rb.batch);
-            }
-        }
-        self.buffer.push(rb);
+    /// Handles a batch arrival (see [`Node::enqueue`]).
+    pub fn on_arrival(&mut self, now: Timestamp, rb: RoutedBatch) {
+        self.node.enqueue(rb, now);
     }
 
     /// Receives a coordinator SIC update.
     pub fn on_sic_update(&mut self, update: &SicUpdate) {
-        self.stats.sic_updates += 1;
-        if self.use_coordinator {
-            self.sic_table.apply(update);
-        }
+        self.node.apply_sic(update);
     }
 
-    /// Buffered tuples awaiting processing.
-    pub fn buffered_tuples(&self) -> usize {
-        self.buffer.iter().map(|rb| rb.batch.len()).sum()
-    }
-
-    /// The current capacity threshold `c` (tuples per interval).
-    pub fn threshold(&self) -> usize {
-        self.detector.threshold(&self.cost_model)
-    }
-
-    /// Runs one shedding interval: detector → shedder → processing.
-    /// Returns the fragment outputs to route.
+    /// Runs one shedding interval (see [`Node::tick`]) and charges the
+    /// simulated hardware for the admitted tuples. Returns the fragment
+    /// outputs to route.
     pub fn tick(&mut self, now: Timestamp) -> Vec<NodeOutput> {
-        // When updateSIC dissemination is off, nodes estimate query SIC
-        // from the mass they accepted locally (Figure 4, top).
-        if !self.use_coordinator {
-            let queries: Vec<QueryId> = self.buffer.iter().map(|rb| rb.query).collect();
-            for q in queries {
-                let acc = self
-                    .local_sic
-                    .entry(q)
-                    .or_insert_with(|| SlidingAccumulator::new(self.stw));
-                acc.advance_to(now);
-                self.sic_table.set(q, Sic(acc.total()).clamp_unit());
-            }
-        }
-
-        let c = self.threshold();
-        let buffered = self.buffered_tuples();
-        // Shed decisions become a bitmap over buffer slots: shed batches
-        // get a bit flipped instead of having their tuples spliced out.
-        let shed = if buffered > c {
-            // Overloaded: Algorithm 1 (or the configured baseline).
-            self.stats.shed_invocations += 1;
-            let states = self.snapshot();
-            let decision = self.shedder.select_to_keep(c, &states);
-            self.stats.kept_tuples += decision.kept_tuples as u64;
-            self.stats.shed_tuples += decision.shed_tuples as u64;
-            self.stats.shed_batches += decision.shed_batches as u64;
-            decision.shed_bitmap(self.buffer.len())
-        } else {
-            self.stats.kept_tuples += buffered as u64;
-            DropBitmap::new()
-        };
-
-        let mut kept_tuples = 0u64;
         let mut outputs = Vec::new();
-        let buffer = std::mem::take(&mut self.buffer);
-        for (idx, rb) in buffer.into_iter().enumerate() {
-            if shed.is_dropped(idx) {
-                continue; // shed
-            }
-            kept_tuples += rb.batch.len() as u64;
-            if !self.use_coordinator {
-                let acc = self
-                    .local_sic
-                    .entry(rb.query)
-                    .or_insert_with(|| SlidingAccumulator::new(self.stw));
-                acc.add(now, rb.batch.sic().value());
-            }
-            if let Some(rt) = self.fragments.get_mut(&(rb.query, rb.fragment)) {
-                let query = rb.query;
-                let fragment = rb.fragment;
-                // Hand the batch's columns to the fragment: a move, not a
-                // per-tuple materialisation.
-                for e in rt.ingest(rb.ingress, rb.batch.into_data(), now) {
-                    outputs.push(NodeOutput::FragmentOutput {
-                        query,
-                        fragment,
-                        at: e.at,
-                        batch: e.into_batch(),
-                    });
-                }
-            }
-        }
-
-        // Advance every hosted fragment's windows.
-        for (&(query, fragment), rt) in self.fragments.iter_mut() {
-            for e in rt.tick(now) {
-                outputs.push(NodeOutput::FragmentOutput {
-                    query,
-                    fragment,
-                    at: e.at,
-                    batch: e.into_batch(),
-                });
-            }
-        }
-
-        // Cost accounting: the simulated hardware spends `per_tuple_cost`
-        // per admitted tuple; the cost model re-estimates the threshold.
-        let busy = TimeDelta::from_micros(kept_tuples * self.per_tuple_cost.as_micros());
-        self.cost_model.observe(busy, kept_tuples);
+        // The simulation routes outputs by `(query, fragment)`, so the
+        // fragment's downstream slot goes unused.
+        let kept = self.node.tick(now, drop, |query, fragment, _, emissions| {
+            outputs.extend(emissions.into_iter().map(|e| NodeOutput::FragmentOutput {
+                query,
+                fragment,
+                at: e.at,
+                batch: e.into_batch(),
+            }));
+        });
+        let busy = TimeDelta::from_micros(kept * self.per_tuple_cost.as_micros());
+        self.node.cost_model_mut().observe(busy, kept);
         outputs
-    }
-
-    /// Groups the buffer by query with projected base SIC values (§6): the
-    /// disseminated result SIC minus locally buffered mass.
-    fn snapshot(&self) -> Vec<QueryBufferState> {
-        let mut by_query: HashMap<QueryId, Vec<CandidateBatch>> = HashMap::new();
-        for (idx, rb) in self.buffer.iter().enumerate() {
-            by_query.entry(rb.query).or_default().push(CandidateBatch {
-                buffer_index: idx,
-                sic: rb.batch.sic(),
-                tuples: rb.batch.len(),
-                created: rb.batch.created(),
-            });
-        }
-        let mut states: Vec<QueryBufferState> = by_query
-            .into_iter()
-            .map(|(query, batches)| {
-                let buffered: Sic = batches.iter().map(|b| b.sic).sum();
-                let reported = self.sic_table.get(query);
-                QueryBufferState {
-                    query,
-                    base_sic: Sic((reported.value() - buffered.value()).max(0.0)),
-                    batches,
-                }
-            })
-            .collect();
-        states.sort_by_key(|s| s.query);
-        states
     }
 }
 
-impl std::fmt::Debug for SimNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimNode")
-            .field("id", &self.id)
-            .field("fragments", &self.fragments.len())
-            .field("buffered", &self.buffer.len())
-            .finish()
+impl Deref for SimNode {
+    type Target = Node;
+
+    fn deref(&self) -> &Node {
+        &self.node
     }
 }
 
@@ -283,26 +117,15 @@ impl std::fmt::Debug for SimNode {
 mod tests {
     use super::*;
 
-    fn node(capacity_tps: u32, policy: PolicyKind) -> SimNode {
-        let cfg = SimConfig::with_policy(policy);
+    fn node(capacity_tps: u32, config: &SimConfig) -> SimNode {
         SimNode::new(
             NodeId(0),
             capacity_tps,
             TimeDelta::from_millis(250),
             StwConfig::new(TimeDelta::from_secs(2), TimeDelta::from_millis(250)),
-            &cfg,
+            config,
             42,
         )
-    }
-
-    fn avg_query(id: u32) -> QuerySpec {
-        let mut gen = IdGen::new();
-        // Distinct source ids per query come from the scenario normally;
-        // emulate by offsetting the generator.
-        for _ in 0..id {
-            let _: SourceId = gen.next();
-        }
-        Template::Avg.build(QueryId(id), &mut gen)
     }
 
     fn source_batch(q: &QuerySpec, ms: u64, n: usize) -> RoutedBatch {
@@ -320,54 +143,30 @@ mod tests {
 
     #[test]
     fn threshold_matches_capacity() {
-        let n = node(4000, PolicyKind::BalanceSic);
         // 4000 t/s over 250 ms = 1000 tuples.
-        assert_eq!(n.threshold(), 1000);
+        assert_eq!(node(4000, &SimConfig::default()).threshold(), 1000);
     }
 
     #[test]
-    fn arrival_stamps_source_sic() {
-        let q = avg_query(0);
-        let mut n = node(4000, PolicyKind::BalanceSic);
-        n.deploy(&q, 0);
-        n.on_arrival(Timestamp::from_millis(10), source_batch(&q, 10, 100));
-        assert_eq!(n.buffered_tuples(), 100);
-        assert_eq!(n.stats.arrived_tuples, 100);
-        // The batch now carries Eq.-1 SIC mass.
-        assert!(n.buffer[0].batch.sic().value() > 0.0);
-    }
-
-    #[test]
-    fn underload_processes_everything() {
-        let q = avg_query(0);
-        let mut n = node(4000, PolicyKind::BalanceSic);
-        n.deploy(&q, 0);
-        n.on_arrival(Timestamp::from_millis(10), source_batch(&q, 10, 100));
-        n.tick(Timestamp::from_millis(250));
-        assert_eq!(n.stats.kept_tuples, 100);
-        assert_eq!(n.stats.shed_tuples, 0);
-        assert_eq!(n.buffered_tuples(), 0, "buffer drained");
-    }
-
-    #[test]
-    fn overload_sheds_down_to_threshold() {
-        let q = avg_query(0);
-        let mut n = node(400, PolicyKind::BalanceSic); // c = 100
+    fn simulated_cost_keeps_the_threshold() {
+        // c = 100; every admitted tuple costs exactly 1/400 s, so the cost
+        // model re-estimates the same threshold after a full interval.
+        let q = Template::Avg.build(QueryId(0), &mut IdGen::new());
+        let mut n = node(400, &SimConfig::default());
         n.deploy(&q, 0);
         for k in 0..5 {
             n.on_arrival(Timestamp::from_millis(10 + k), source_batch(&q, 10, 50));
         }
-        assert_eq!(n.buffered_tuples(), 250);
         n.tick(Timestamp::from_millis(250));
         assert_eq!(n.stats.kept_tuples, 100);
         assert_eq!(n.stats.shed_tuples, 150);
-        assert_eq!(n.stats.shed_invocations, 1);
+        assert_eq!(n.threshold(), 100);
     }
 
     #[test]
-    fn windowed_results_emerge_after_grace() {
-        let q = avg_query(0);
-        let mut n = node(40_000, PolicyKind::BalanceSic);
+    fn outputs_carry_fragment_emissions() {
+        let q = Template::Avg.build(QueryId(0), &mut IdGen::new());
+        let mut n = node(40_000, &SimConfig::default());
         n.deploy(&q, 0);
         n.on_arrival(Timestamp::from_millis(10), source_batch(&q, 10, 100));
         let mut outputs = Vec::new();
@@ -375,59 +174,31 @@ mod tests {
             outputs.extend(n.tick(Timestamp::from_millis(t)));
         }
         assert_eq!(outputs.len(), 1, "one AVG result window");
-        let NodeOutput::FragmentOutput { query, batch, .. } = &outputs[0];
-        assert_eq!(*query, q.id);
+        let NodeOutput::FragmentOutput {
+            query,
+            fragment,
+            batch,
+            ..
+        } = &outputs[0];
+        assert_eq!((*query, *fragment), (q.id, 0));
         assert_eq!(batch.row(0).f64(0), 50.0);
     }
 
     #[test]
-    fn sic_update_feeds_table() {
-        let mut n = node(400, PolicyKind::BalanceSic);
+    fn coordinator_off_ignores_updates() {
+        let config = SimConfig {
+            coordinator: false,
+            ..Default::default()
+        };
+        let q = Template::Avg.build(QueryId(0), &mut IdGen::new());
+        let mut n = node(400, &config);
+        n.deploy(&q, 0);
         n.on_sic_update(&SicUpdate {
-            query: QueryId(3),
+            query: q.id,
             node: NodeId(0),
-            sic: Sic(0.4),
+            sic: Sic(0.9),
         });
         assert_eq!(n.stats.sic_updates, 1);
-        // The snapshot projection uses the table; verify indirectly via a
-        // shed: a query with reported SIC 0.4 and no competition keeps its
-        // own batches.
-        let q = avg_query(3);
-        n.deploy(&q, 0);
-        n.on_arrival(Timestamp::from_millis(10), source_batch(&q, 10, 200));
-        n.tick(Timestamp::from_millis(250));
-        assert!(n.stats.kept_tuples <= 100);
-    }
-
-    #[test]
-    fn balance_prefers_starved_queries() {
-        // Two queries, one reported rich (0.8), one starved (0.0); capacity
-        // for only part of the buffer: the starved query's batches win.
-        let q0 = avg_query(0);
-        let q1 = avg_query(1);
-        let mut n = node(400, PolicyKind::BalanceSic); // c = 100
-        n.deploy(&q0, 0);
-        n.deploy(&q1, 0);
-        n.on_sic_update(&SicUpdate {
-            query: q0.id,
-            node: NodeId(0),
-            sic: Sic(0.8),
-        });
-        n.on_sic_update(&SicUpdate {
-            query: q1.id,
-            node: NodeId(0),
-            sic: Sic::ZERO,
-        });
-        for k in 0..2 {
-            n.on_arrival(Timestamp::from_millis(10 + k), source_batch(&q0, 10, 50));
-            n.on_arrival(Timestamp::from_millis(10 + k), source_batch(&q1, 10, 50));
-        }
-        n.tick(Timestamp::from_millis(250));
-        // 100 tuples kept; all should belong to q1 (starved).
-        assert_eq!(n.stats.kept_tuples, 100);
-        // q0's batches were shed: find counts via stats only; the check is
-        // that exactly two batches were shed and they total 100 tuples.
-        assert_eq!(n.stats.shed_tuples, 100);
-        assert_eq!(n.stats.shed_batches, 2);
+        assert_eq!(n.checkpoint(0).sic, vec![], "update not applied");
     }
 }

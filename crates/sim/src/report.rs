@@ -20,22 +20,9 @@ pub struct QueryStats {
     pub samples: usize,
 }
 
-/// Per-node counters.
-#[derive(Debug, Clone, Default)]
-pub struct NodeStats {
-    /// Tuples that arrived in batches (before shedding).
-    pub arrived_tuples: u64,
-    /// Tuples admitted for processing.
-    pub kept_tuples: u64,
-    /// Tuples shed.
-    pub shed_tuples: u64,
-    /// Batches shed.
-    pub shed_batches: u64,
-    /// Shedder invocations while overloaded.
-    pub shed_invocations: u64,
-    /// SIC updates received from coordinators.
-    pub sic_updates: u64,
-}
+/// Per-node counters: the shared node's counters, under the simulator's
+/// historical name.
+pub use themis_query::node::NodeReport as NodeStats;
 
 /// One recorded result emission: the rows a query reported at a timestamp.
 pub type ResultRecord = (Timestamp, Vec<Row>);
@@ -80,13 +67,7 @@ impl SimReport {
 
     /// Fraction of arrived tuples that were shed, across all nodes.
     pub fn shed_fraction(&self) -> f64 {
-        let arrived: u64 = self.nodes.iter().map(|n| n.arrived_tuples).sum();
-        let shed: u64 = self.nodes.iter().map(|n| n.shed_tuples).sum();
-        if arrived == 0 {
-            0.0
-        } else {
-            shed as f64 / arrived as f64
-        }
+        self.nodes.iter().sum::<NodeStats>().shed_fraction()
     }
 
     /// Mean SIC of a single query, if present.
@@ -122,6 +103,7 @@ mod tests {
                 shed_batches: 4,
                 shed_invocations: 2,
                 sic_updates: 8,
+                ..Default::default()
             }],
             coordinator_messages: 10,
             results: HashMap::new(),

@@ -16,7 +16,7 @@ use themis_query::prelude::*;
 use themis_workloads::prelude::*;
 
 use crate::config::SimConfig;
-use crate::node::{NodeOutput, RoutedBatch, SimNode};
+use crate::node::{NodeOutput, SimNode};
 use crate::report::{NodeStats, QueryStats, SimReport};
 
 /// Simulator events.
@@ -58,15 +58,6 @@ impl Ord for Queued {
     }
 }
 
-/// Where a fragment's output goes.
-#[derive(Debug, Clone, Copy)]
-enum FragRoute {
-    /// This fragment emits the query result.
-    Result,
-    /// Output feeds `fragment` on `node`.
-    To { node: usize, fragment: usize },
-}
-
 /// A fully wired simulation, ready to run.
 pub struct Simulation {
     scenario: Scenario,
@@ -77,10 +68,14 @@ pub struct Simulation {
     drivers: Vec<SourceDriver>,
     /// source id -> (node, query, fragment).
     source_route: HashMap<SourceId, (usize, QueryId, usize)>,
-    frag_route: HashMap<(QueryId, usize), FragRoute>,
+    /// (query, fragment) -> the `(node, fragment)` its output feeds, or
+    /// `None` when it emits the query result.
+    frag_route: HashMap<(QueryId, usize), Option<(usize, usize)>>,
     coordinators: Vec<QueryCoordinator>,
     tracker: ResultSicTracker,
-    sic_samples: HashMap<QueryId, Vec<f64>>,
+    /// Per-query running `(sum, count)` of post-warm-up SIC samples — only
+    /// their mean is reported, so the samples themselves are not kept.
+    sic_samples: HashMap<QueryId, (f64, usize)>,
     sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
     results: HashMap<QueryId, Vec<(Timestamp, Vec<Row>)>>,
     end: Timestamp,
@@ -108,31 +103,23 @@ impl Simulation {
         let mut drivers = Vec::new();
         let mut coordinators = Vec::new();
         for q in &scenario.queries {
-            for (fi, frag) in q.fragments.iter().enumerate() {
-                let node = scenario
+            let node_of = |fi: usize| {
+                scenario
                     .deployment
                     .node_of(q.id, fi)
                     .expect("validated deployment")
-                    .index();
+                    .index()
+            };
+            for (fi, frag) in q.fragments.iter().enumerate() {
+                let node = node_of(fi);
                 nodes[node].deploy(q, fi);
                 for b in &frag.sources {
                     source_route.insert(b.source, (node, q.id, fi));
                 }
-                let route = if fi == q.result_fragment {
-                    FragRoute::Result
-                } else if let Some(down) = q.downstream_of(fi) {
-                    let dnode = scenario
-                        .deployment
-                        .node_of(q.id, down)
-                        .expect("validated deployment")
-                        .index();
-                    FragRoute::To {
-                        node: dnode,
-                        fragment: down,
-                    }
-                } else {
-                    // Dangling non-result fragment: results vanish.
-                    FragRoute::Result
+                let route = match q.downstream_of(fi) {
+                    Some(down) if fi != q.result_fragment => Some((node_of(down), down)),
+                    // The result fragment, or a dangling one, reports results.
+                    _ => None,
                 };
                 frag_route.insert((q.id, fi), route);
             }
@@ -163,11 +150,7 @@ impl Simulation {
             frag_route,
             coordinators,
             tracker,
-            sic_samples: scenario
-                .queries
-                .iter()
-                .map(|q| (q.id, Vec::new()))
-                .collect(),
+            sic_samples: scenario.queries.iter().map(|q| (q.id, (0.0, 0))).collect(),
             sic_series: HashMap::new(),
             results: HashMap::new(),
             end,
@@ -288,7 +271,7 @@ impl Simulation {
                 }
                 Event::Sample => {
                     if now >= Timestamp::ZERO + self.scenario.warmup {
-                        for (q, series) in self.sic_samples.iter_mut() {
+                        for (q, (sum, count)) in self.sic_samples.iter_mut() {
                             // Mean statistics only cover a query's active,
                             // converged life: from one STW after arrival to
                             // its departure.
@@ -300,7 +283,8 @@ impl Simulation {
                                     .map(|d| now < d)
                                     .unwrap_or(true);
                             if active {
-                                series.push(self.tracker.query_sic(now, *q).value());
+                                *sum += self.tracker.query_sic(now, *q).value();
+                                *count += 1;
                             }
                         }
                     }
@@ -328,7 +312,7 @@ impl Simulation {
             batch,
         } = out;
         match self.frag_route.get(&(query, fragment)) {
-            Some(FragRoute::Result) => {
+            Some(None) => {
                 self.tracker.record(now, query, batch.sic_total());
                 if self.config.record_results {
                     // Result rows materialise at the edge only.
@@ -338,7 +322,7 @@ impl Simulation {
                         .push((at, batch.to_rows()));
                 }
             }
-            Some(&FragRoute::To { node, fragment: df }) => {
+            Some(&Some((node, df))) => {
                 let rb = RoutedBatch {
                     query,
                     fragment: df,
@@ -361,18 +345,18 @@ impl Simulation {
             .queries
             .iter()
             .map(|q| {
-                let samples = &self.sic_samples[&q.id];
-                let mean = if samples.is_empty() {
+                let (sum, samples) = self.sic_samples[&q.id];
+                let mean = if samples == 0 {
                     0.0
                 } else {
-                    samples.iter().sum::<f64>() / samples.len() as f64
+                    sum / samples as f64
                 };
                 QueryStats {
                     query: q.id,
                     template: q.template.clone(),
                     fragments: q.n_fragments(),
                     mean_sic: mean,
-                    samples: samples.len(),
+                    samples,
                 }
             })
             .collect();

@@ -48,15 +48,12 @@ pub use themis_sim as sim;
 pub use themis_workloads as workloads;
 
 /// Everything most applications need.
-///
-/// The engine's `RoutedBatch` is re-exported under an alias because the
-/// simulator exports a type of the same name.
 pub mod prelude {
     pub use themis_baselines::prelude::*;
     pub use themis_core::prelude::*;
     pub use themis_engine::prelude::{
-        default_shards, run_engine, Engine, EngineConfig, EngineMsg, EngineReport, NodeReport,
-        ResultEvent, RoutedBatch as EngineRoutedBatch, ShardMsg,
+        default_shards, run_engine, Engine, EngineConfig, EngineMsg, EngineReport, ResultEvent,
+        ShardMsg,
     };
     pub use themis_operators::prelude::*;
     pub use themis_query::prelude::*;
