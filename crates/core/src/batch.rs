@@ -13,23 +13,24 @@
 //! * a contiguous **timestamp column** (`τ` of the §3 data model),
 //! * a contiguous **SIC column** shared by the shedder and the Eq.-3
 //!   propagation (the per-tuple SIC tags of §4),
-//! * the **payload**, in one of two layouts:
-//!   * **typed columns** for batches whose query declared a [`Schema`]:
-//!     one contiguous native [`Column`] (`Vec<f64>` / `Vec<i64>` /
-//!     bitset) per field, so aggregate kernels read plain slices with no
-//!     per-element enum match;
-//!   * a fixed-width [`Value`] **arena** holding payload rows back to
-//!     back — the fallback for schema-less batches and for the
-//!     [`TupleBatch::from_tuples`] / [`TupleBatch::into_tuples`] edges,
-//!     which are unchanged;
+//! * the **payload**: one contiguous native [`Column`] (`Vec<f64>` /
+//!   `Vec<i64>` / bitset / dictionary codes) per field of the batch's
+//!   [`Schema`], so aggregate kernels read plain slices with no
+//!   per-element enum match,
 //! * a [`DropBitmap`] marking shed rows, so dropping tuples flips bits
 //!   instead of splicing vectors.
 //!
+//! Every batch with rows has a schema: sources and operator logic declare
+//! theirs, window panes adopt the schema of the first batch they receive,
+//! and the edge converters ([`TupleBatch::from_tuples`], `FromIterator`,
+//! [`TupleBatch::push_row`] into an empty batch) infer one from the first
+//! row's [`Value`] variants ([`Schema::infer`]).
+//!
 //! Row views are provided by [`TupleRef`] (a borrowed `(τ, SIC, V)`
-//! triple whose values are a [`RowValues`] view over either layout) and
-//! [`TupleBatch::iter`]; the edges of the system — sources building
-//! batches, reports materialising result rows — can still convert from
-//! and to `Vec<Tuple>` via [`TupleBatch::from_tuples`] and
+//! triple whose values are a [`RowValues`] view over the columns) and
+//! [`TupleBatch::iter`]; the edges of the system — tests building
+//! batches, reports materialising result rows — convert from and to
+//! `Vec<Tuple>` via [`TupleBatch::from_tuples`] and
 //! [`TupleBatch::into_tuples`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,9 +44,9 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Count of capacity-carrying batch constructions
-/// ([`TupleBatch::with_capacity`] / [`TupleBatch::with_schema_capacity`])
-/// since process start. [`BatchPool`] reuse skips these constructors, so
-/// the benchmark reports deltas of this counter to make pooling's effect
+/// ([`TupleBatch::with_schema_capacity`] and checkpoint decodes) since
+/// process start. [`BatchPool`] reuse skips these constructors, so the
+/// benchmark reports deltas of this counter to make pooling's effect
 /// visible next to throughput.
 static BATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -138,69 +139,47 @@ impl PartialEq for DropBitmap {
     }
 }
 
-/// A borrowed view of one row's payload values, over either batch layout.
-///
-/// For arena batches this wraps the row's `&[Value]` slice; for
-/// schema-typed batches it indexes the native columns, materialising a
-/// [`Value`] only at the access site. Equality is semantic on the
-/// materialised values (note that `Value::F64(1.0) != Value::I64(1)`, so
-/// a typed `f64` column never equals an arena holding `I64`s).
+/// A borrowed view of one row's payload values: it indexes the batch's
+/// native columns, materialising a [`Value`] only at the access site.
+/// Equality is semantic on the materialised values (note that
+/// `Value::F64(1.0) != Value::I64(1)`, so an `f64` column never equals an
+/// `i64` one).
 #[derive(Debug, Clone, Copy)]
-pub enum RowValues<'a> {
-    /// A row slice of a fixed-width [`Value`] arena.
-    Arena(&'a [Value]),
-    /// One row of a schema-typed batch's native columns.
-    Typed {
-        /// The batch's declared schema.
-        schema: &'a Schema,
-        /// The batch's typed columns (one per schema field).
-        columns: &'a [Column],
-        /// The physical row index.
-        row: usize,
-    },
+pub struct RowValues<'a> {
+    schema: &'a Schema,
+    columns: &'a [Column],
+    row: usize,
 }
 
-impl RowValues<'_> {
+impl<'a> RowValues<'a> {
     /// Number of payload fields in the row.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            RowValues::Arena(s) => s.len(),
-            RowValues::Typed { columns, .. } => columns.len(),
-        }
+        self.columns.len()
     }
 
     /// True when the row has no payload fields.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.columns.is_empty()
     }
 
     /// Field `i`, if present.
     #[inline]
     pub fn get(&self, i: usize) -> Option<Value> {
-        match self {
-            RowValues::Arena(s) => s.get(i).copied(),
-            RowValues::Typed { columns, row, .. } => columns.get(i).map(|c| c.value(*row)),
-        }
+        self.columns.get(i).map(|c| c.value(self.row))
     }
 
     /// Field `i` (panics if out of range).
     #[inline]
     pub fn value(&self, i: usize) -> Value {
-        match self {
-            RowValues::Arena(s) => s[i],
-            RowValues::Typed { columns, row, .. } => columns[i].value(*row),
-        }
+        self.columns[i].value(self.row)
     }
 
     /// Numeric view of field `i` (panics if out of range).
     #[inline]
     pub fn f64(&self, i: usize) -> f64 {
-        match self {
-            RowValues::Arena(s) => s[i].as_f64(),
-            RowValues::Typed { columns, row, .. } => columns[i].f64_at(*row),
-        }
+        self.columns[i].f64_at(self.row)
     }
 
     /// Integer view of field `i` (panics if out of range).
@@ -216,10 +195,20 @@ impl RowValues<'_> {
 
     /// Materialises the row as an owning value vector (edge use).
     pub fn to_vec(&self) -> Vec<Value> {
-        match self {
-            RowValues::Arena(s) => s.to_vec(),
-            RowValues::Typed { .. } => self.iter().collect(),
-        }
+        self.iter().collect()
+    }
+
+    /// Field `i` as its column and physical row, for native copies
+    /// ([`TupleBatch::push_cells`]).
+    #[inline]
+    pub fn cell(&self, i: usize) -> Option<(&'a Column, usize)> {
+        self.columns.get(i).map(|c| (c, self.row))
+    }
+
+    /// Every field as its column and physical row, in field order.
+    pub fn cells(&self) -> impl Iterator<Item = (&'a Column, usize)> + 'a {
+        let row = self.row;
+        self.columns.iter().map(move |c| (c, row))
     }
 }
 
@@ -237,7 +226,7 @@ pub struct TupleRef<'a> {
     pub ts: Timestamp,
     /// SIC mass carried by the tuple.
     pub sic: Sic,
-    /// Payload fields (a borrowed view over the batch's payload layout).
+    /// Payload fields (a borrowed view over the batch's columns).
     pub values: RowValues<'a>,
 }
 
@@ -267,144 +256,25 @@ impl TupleRef<'_> {
     }
 }
 
-/// The payload storage of a batch: a fixed-width [`Value`] arena
-/// (schema-less fallback) or one native column per declared field.
-#[derive(Debug, Clone, PartialEq)]
-enum Payload {
-    Arena {
-        width: usize,
-        values: Vec<Value>,
-    },
-    Typed {
-        schema: Schema,
-        columns: Vec<Column>,
-    },
-}
-
-impl Default for Payload {
-    fn default() -> Self {
-        Payload::Arena {
-            width: 0,
-            values: Vec::new(),
-        }
-    }
-}
-
-impl Payload {
-    /// An empty typed payload with the given schema and column types —
-    /// the single construction both layout-adoption paths share. Tag
-    /// columns keep the source columns' dictionary ([`Column::empty_like`]),
-    /// so adopted panes stay code-compatible with their input.
-    fn empty_typed_like(schema: &Schema, columns: &[Column]) -> Payload {
-        Payload::Typed {
-            schema: schema.clone(),
-            columns: columns.iter().map(|c| c.empty_like(0)).collect(),
-        }
-    }
-}
-
-/// A borrowed view of the payload storage for the checkpoint codec
-/// ([`crate::wal`]): the codec serialises whichever representation the
-/// batch already holds, so restore rebuilds a bit-identical layout.
-#[derive(Clone, Copy)]
-pub(crate) enum PayloadView<'a> {
-    /// Schema-less fixed-width value arena.
-    Arena {
-        /// Payload fields per row.
-        width: usize,
-        /// Row-major `rows * width` value arena.
-        values: &'a [Value],
-    },
-    /// Schema-typed native columns.
-    Typed {
-        /// The declaring schema.
-        schema: &'a Schema,
-        /// One column per declared field.
-        columns: &'a [Column],
-    },
-}
-
-/// Per-element access into one payload field, resolved once per column
-/// walk so the per-row loop carries no payload-layout dispatch.
-#[derive(Clone, Copy)]
-enum ColumnSource<'a> {
-    Arena {
-        values: &'a [Value],
-        width: usize,
-        field: usize,
-    },
-    F64(&'a [f64]),
-    I64(&'a [i64]),
-    Bool(&'a BoolColumn),
-    Tag(&'a [u32]),
-    Missing,
-}
-
-impl<'a> ColumnSource<'a> {
-    fn new(payload: &'a Payload, field: usize) -> Self {
-        match payload {
-            Payload::Arena { width, values } => {
-                if field < *width {
-                    ColumnSource::Arena {
-                        values,
-                        width: *width,
-                        field,
-                    }
-                } else {
-                    ColumnSource::Missing
-                }
-            }
-            Payload::Typed { columns, .. } => match columns.get(field) {
-                Some(Column::F64(v)) => ColumnSource::F64(v),
-                Some(Column::I64(v)) => ColumnSource::I64(v),
-                Some(Column::Bool(v)) => ColumnSource::Bool(v),
-                Some(Column::Tag(v)) => ColumnSource::Tag(v.codes()),
-                None => ColumnSource::Missing,
-            },
-        }
-    }
-
-    #[inline]
-    fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            ColumnSource::Arena {
-                values,
-                width,
-                field,
-            } => values[i * width + field].as_f64(),
-            ColumnSource::F64(v) => v[i],
-            ColumnSource::I64(v) => v[i] as f64,
-            ColumnSource::Bool(v) => v.get(i) as i64 as f64,
-            ColumnSource::Tag(v) => v[i] as f64,
-            ColumnSource::Missing => 0.0,
-        }
-    }
-}
-
-/// A columnar batch of tuples: contiguous timestamp/SIC columns, a
-/// payload (schema-typed native columns, or one fixed-width value arena
-/// as the schema-less fallback), and a [`DropBitmap`] for shed rows.
+/// A columnar batch of tuples: contiguous timestamp/SIC columns, one
+/// native [`Column`] per field of the batch's [`Schema`], and a
+/// [`DropBitmap`] for shed rows.
 ///
-/// **Arena batches** ([`TupleBatch::new`] / [`TupleBatch::with_capacity`]
-/// / [`TupleBatch::from_tuples`]): the first row pushed into an empty
-/// batch fixes the payload width; later rows are padded with
-/// `Value::F64(0.0)` or truncated to fit (the same semantics as the row
-/// path's `values.get(i).unwrap_or(0.0)` reads).
+/// Pushed values are coerced to their field's type; short rows pad with
+/// the type's zero value and long rows truncate (the same semantics as
+/// the scalar `values.get(i).unwrap_or(0.0)` reads).
+/// [`TupleBatch::f64_column`] / [`TupleBatch::i64_column`] expose the raw
+/// slices that the aggregate kernels consume.
 ///
-/// **Typed batches** ([`TupleBatch::with_schema`]): each field lives in a
-/// contiguous native [`Column`] declared by a [`Schema`]; pushed values
-/// are coerced to the field type, short rows pad with the type's zero
-/// value, long rows truncate. [`TupleBatch::f64_column`] /
-/// [`TupleBatch::i64_column`] expose the raw slices that the aggregate
-/// kernels consume.
-///
-/// Equality compares the stored representation, so an arena batch never
-/// equals a typed batch even when both hold the same logical rows.
+/// The empty batch of [`TupleBatch::new`] has no schema yet and allocates
+/// nothing; it adopts the schema of the first row or batch it receives
+/// (window panes stay typed that way), or infers one from the first
+/// [`Value`] row pushed into it.
 ///
 /// ```
 /// use themis_core::prelude::*;
 ///
-/// let mut batch = TupleBatch::with_capacity(1, 3);
+/// let mut batch = TupleBatch::with_schema(Schema::new([("v", FieldType::F64)]));
 /// for (ms, v) in [(10u64, 1.0), (20, 2.0), (30, 3.0)] {
 ///     batch.push_row(Timestamp::from_millis(ms), Sic(0.1), &[Value::F64(v)]);
 /// }
@@ -419,30 +289,19 @@ impl<'a> ColumnSource<'a> {
 pub struct TupleBatch {
     ts: Vec<Timestamp>,
     sic: Vec<Sic>,
-    payload: Payload,
+    /// `None` only while the batch is empty and has not adopted a layout.
+    schema: Option<Schema>,
+    /// One column per schema field; tag columns share the schema's
+    /// dictionary.
+    columns: Vec<Column>,
     drops: DropBitmap,
 }
 
 impl TupleBatch {
-    /// An empty arena batch; the first pushed row decides the payload
-    /// width.
+    /// An empty batch without a schema; the first row or batch it
+    /// receives decides the layout.
     pub fn new() -> Self {
         TupleBatch::default()
-    }
-
-    /// An empty arena batch with a fixed payload `width` and room for
-    /// `rows`.
-    pub fn with_capacity(width: usize, rows: usize) -> Self {
-        BATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        TupleBatch {
-            ts: Vec::with_capacity(rows),
-            sic: Vec::with_capacity(rows),
-            payload: Payload::Arena {
-                width,
-                values: Vec::with_capacity(rows * width),
-            },
-            drops: DropBitmap::new(),
-        }
     }
 
     /// An empty schema-typed batch: one native column per declared field.
@@ -454,44 +313,39 @@ impl TupleBatch {
     /// columns sharing the schema's dictionary ([`Schema::column_for`]).
     pub fn with_schema_capacity(schema: Schema, rows: usize) -> Self {
         BATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let columns = (0..schema.len())
-            .map(|i| schema.column_for(i, rows).expect("field in range"))
-            .collect();
         TupleBatch {
             ts: Vec::with_capacity(rows),
             sic: Vec::with_capacity(rows),
-            payload: Payload::Typed { schema, columns },
+            columns: schema_columns(&schema, rows),
+            schema: Some(schema),
             drops: DropBitmap::new(),
         }
     }
 
-    /// Builds an arena batch from owning tuples (the source/report edge).
+    /// Builds a batch from owning tuples (the test/report edge), typed by
+    /// the schema [`Schema::infer`] reads off the first tuple.
     pub fn from_tuples(tuples: Vec<Tuple>) -> Self {
-        let width = tuples.first().map(|t| t.values.len()).unwrap_or(0);
-        let mut b = TupleBatch::with_capacity(width, tuples.len());
+        let Some(first) = tuples.first() else {
+            return TupleBatch::new();
+        };
+        let mut b = TupleBatch::with_schema_capacity(Schema::infer(&first.values), tuples.len());
         for t in &tuples {
-            b.push_row(t.ts, t.sic, &t.values);
+            b.push_tuple(t);
         }
         b
     }
 
-    /// The declared schema, when this is a typed batch.
+    /// The batch's schema (`None` only for an empty batch that has not
+    /// adopted one yet).
     #[inline]
     pub fn schema(&self) -> Option<&Schema> {
-        match &self.payload {
-            Payload::Typed { schema, .. } => Some(schema),
-            Payload::Arena { .. } => None,
-        }
+        self.schema.as_ref()
     }
 
-    /// Payload fields per row (0 until an arena batch's first row is
-    /// pushed; the schema length for typed batches).
+    /// Payload fields per row (the schema length; 0 without a schema).
     #[inline]
     pub fn width(&self) -> usize {
-        match &self.payload {
-            Payload::Arena { width, .. } => *width,
-            Payload::Typed { schema, .. } => schema.len(),
-        }
+        self.columns.len()
     }
 
     /// Physical rows, dropped ones included.
@@ -512,51 +366,29 @@ impl TupleBatch {
         self.len() == 0
     }
 
-    /// Appends one row. Arena batches adopt the first row's width; typed
-    /// batches coerce each value to its column type, padding short rows
-    /// with the field type's zero and truncating long ones.
-    #[inline]
-    pub fn push_row(&mut self, ts: Timestamp, sic: Sic, values: &[Value]) {
-        self.ts.push(ts);
-        self.sic.push(sic);
-        self.push_payload_values(values);
+    /// Gives a schema-less (hence empty) batch the layout of `schema`.
+    fn adopt(&mut self, schema: &Schema) {
+        debug_assert!(self.ts.is_empty());
+        self.columns = schema_columns(schema, 0);
+        self.schema = Some(schema.clone());
     }
 
-    /// Appends `values` to the payload (after ts/sic were pushed).
+    /// Appends one row, coercing each value to its column type, padding
+    /// short rows with the field type's zero and truncating long ones. A
+    /// batch without a schema first infers one from `values`.
     #[inline]
-    fn push_payload_values(&mut self, values: &[Value]) {
-        match &mut self.payload {
-            Payload::Arena {
-                width,
-                values: arena,
-            } => {
-                if values.len() == *width {
-                    // Fast path: uniform schema, one contiguous copy.
-                    arena.extend_from_slice(values);
-                } else if self.ts.len() == 1 && *width == 0 {
-                    // Width adoption on the first row.
-                    *width = values.len();
-                    arena.extend_from_slice(values);
-                } else {
-                    // Pad / truncate non-uniform rows (cold).
-                    let take = values.len().min(*width);
-                    arena.extend_from_slice(&values[..take]);
-                    for _ in take..*width {
-                        arena.push(Value::F64(0.0));
-                    }
-                }
-            }
-            Payload::Typed { columns, .. } => {
-                for (i, col) in columns.iter_mut().enumerate() {
-                    match values.get(i) {
-                        Some(&v) => col.push_value(v),
-                        None => {
-                            let pad = col.field_type().default_value();
-                            col.push_value(pad);
-                        }
-                    }
-                }
-            }
+    pub fn push_row(&mut self, ts: Timestamp, sic: Sic, values: &[Value]) {
+        if self.schema.is_none() {
+            self.adopt(&Schema::infer(values));
+        }
+        self.ts.push(ts);
+        self.sic.push(sic);
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            let v = match values.get(i) {
+                Some(&v) => v,
+                None => col.field_type().default_value(),
+            };
+            col.push_value(v);
         }
     }
 
@@ -566,11 +398,10 @@ impl TupleBatch {
         self.push_row(t.ts, t.sic, &t.values);
     }
 
-    /// Appends a borrowed row. Same-layout copies (typed→typed with an
-    /// equal schema, arena→arena) move native values without
-    /// materialising [`Value`]s; an empty layout-less batch adopts the
-    /// row's typed layout first, so window panes sliced from typed
-    /// batches stay typed.
+    /// Appends a borrowed row, copying native values column to column
+    /// (coercing across field types, re-interning tags across
+    /// dictionaries). A batch without a schema adopts the row's first, so
+    /// window panes sliced from typed batches stay typed.
     #[inline]
     pub fn push_ref(&mut self, r: TupleRef<'_>) {
         self.push_ref_sic(r, r.sic);
@@ -579,80 +410,36 @@ impl TupleBatch {
     /// [`TupleBatch::push_ref`] with an overridden SIC value (sliding
     /// windows divide a tuple's SIC across its panes).
     pub fn push_ref_sic(&mut self, r: TupleRef<'_>, sic: Sic) {
-        if self.ts.is_empty() {
-            self.adopt_layout_of(&r.values);
+        if self.schema.is_none() {
+            self.adopt(r.values.schema);
         }
-        self.ts.push(r.ts);
+        self.push_cells(r.ts, sic, r.values.cells().map(Some));
+    }
+
+    /// Appends one row assembled from other batches' columns: field `j`
+    /// copies the `j`-th cell natively (coercing across field types,
+    /// re-interning tags across dictionaries), and a missing cell pads
+    /// the field type's zero. This is how logic deriving rows from input
+    /// rows (projection, join) fills the schema it declared; the batch
+    /// must have one.
+    pub fn push_cells<'c>(
+        &mut self,
+        ts: Timestamp,
+        sic: Sic,
+        cells: impl IntoIterator<Item = Option<(&'c Column, usize)>>,
+    ) {
+        debug_assert!(self.schema.is_some(), "push_cells needs a schema");
+        self.ts.push(ts);
         self.sic.push(sic);
-        match (&mut self.payload, r.values) {
-            (
-                Payload::Typed { schema, columns },
-                RowValues::Typed {
-                    schema: src_schema,
-                    columns: src_columns,
-                    row,
-                },
-            ) if schema.same_as(src_schema) || *schema == *src_schema => {
-                for (d, s) in columns.iter_mut().zip(src_columns) {
-                    d.push_from(s, row);
+        let mut cells = cells.into_iter();
+        for d in &mut self.columns {
+            match cells.next().flatten() {
+                Some((s, i)) => d.push_from(s, i),
+                None => {
+                    let pad = d.field_type().default_value();
+                    d.push_value(pad);
                 }
             }
-            (Payload::Arena { .. }, RowValues::Arena(slice)) => {
-                self.push_payload_values(slice);
-            }
-            (_, rv) => {
-                // Cross-layout (cold): coerce through owned values.
-                let tmp = rv.to_vec();
-                self.push_payload_values(&tmp);
-            }
-        }
-    }
-
-    /// If this batch is still layout-less (the empty arena default),
-    /// adopt the typed layout of `values`' batch.
-    fn adopt_layout_of(&mut self, values: &RowValues<'_>) {
-        if let (
-            Payload::Arena {
-                width: 0,
-                values: arena,
-            },
-            RowValues::Typed {
-                schema, columns, ..
-            },
-        ) = (&self.payload, values)
-        {
-            if arena.is_empty() {
-                self.payload = Payload::empty_typed_like(schema, columns);
-            }
-        }
-    }
-
-    /// Same, adopting from a whole batch (used by append paths).
-    fn adopt_layout_from(&mut self, other: &TupleBatch) {
-        if let Payload::Arena { width: 0, values } = &self.payload {
-            if values.is_empty() {
-                self.payload = match &other.payload {
-                    Payload::Arena { width, .. } => Payload::Arena {
-                        width: *width,
-                        values: Vec::new(),
-                    },
-                    Payload::Typed { schema, columns } => {
-                        Payload::empty_typed_like(schema, columns)
-                    }
-                };
-            }
-        }
-    }
-
-    /// True when both batches store the same payload layout (equal arena
-    /// width, or equal schema), so rows copy column-to-column.
-    fn same_layout(&self, other: &TupleBatch) -> bool {
-        match (&self.payload, &other.payload) {
-            (Payload::Arena { width: a, .. }, Payload::Arena { width: b, .. }) => a == b,
-            (Payload::Typed { schema: a, .. }, Payload::Typed { schema: b, .. }) => {
-                a.same_as(b) || a == b
-            }
-            _ => false,
         }
     }
 
@@ -663,15 +450,13 @@ impl TupleBatch {
         TupleRef {
             ts: self.ts[i],
             sic: self.sic[i],
-            values: match &self.payload {
-                Payload::Arena { width, values } => {
-                    RowValues::Arena(&values[i * width..(i + 1) * width])
-                }
-                Payload::Typed { schema, columns } => RowValues::Typed {
-                    schema,
-                    columns,
-                    row: i,
-                },
+            values: RowValues {
+                schema: self
+                    .schema
+                    .as_ref()
+                    .expect("a batch with rows has a schema"),
+                columns: &self.columns,
+                row: i,
             },
         }
     }
@@ -720,38 +505,7 @@ impl TupleBatch {
         &self.sic
     }
 
-    /// Borrows the payload storage for the checkpoint codec.
-    #[inline]
-    pub(crate) fn payload_view(&self) -> PayloadView<'_> {
-        match &self.payload {
-            Payload::Arena { width, values } => PayloadView::Arena {
-                width: *width,
-                values,
-            },
-            Payload::Typed { schema, columns } => PayloadView::Typed { schema, columns },
-        }
-    }
-
-    /// Rebuilds an arena batch from decoded checkpoint parts.
-    pub(crate) fn from_arena_parts(
-        width: usize,
-        ts: Vec<Timestamp>,
-        sic: Vec<Sic>,
-        values: Vec<Value>,
-        drops: DropBitmap,
-    ) -> Self {
-        debug_assert_eq!(ts.len(), sic.len());
-        debug_assert_eq!(values.len(), ts.len() * width);
-        BATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        TupleBatch {
-            ts,
-            sic,
-            payload: Payload::Arena { width, values },
-            drops,
-        }
-    }
-
-    /// Rebuilds a schema-typed batch from decoded checkpoint parts.
+    /// Rebuilds a batch from decoded checkpoint parts.
     pub(crate) fn from_typed_parts(
         schema: Schema,
         ts: Vec<Timestamp>,
@@ -766,7 +520,8 @@ impl TupleBatch {
         TupleBatch {
             ts,
             sic,
-            payload: Payload::Typed { schema, columns },
+            schema: Some(schema),
+            columns,
             drops,
         }
     }
@@ -780,15 +535,14 @@ impl TupleBatch {
             .map(move |i| self.row(i))
     }
 
-    /// Streams the numeric view of one payload column over the live rows.
-    /// This is the scalar aggregate read path: typed batches read their
-    /// native column, arena batches do a strided walk over the value
-    /// arena; kernels use [`TupleBatch::f64_column`] for slice access
+    /// Streams the numeric view of one payload column over the live rows
+    /// — the scalar read path for fields that are not native `f64`
+    /// columns; kernels use [`TupleBatch::f64_column`] for slice access
     /// instead.
     ///
     /// The `field` index must be in range for a non-empty batch
     /// (`debug_assert`ed); in release builds an out-of-range field
-    /// silently reads as 0.0 for every row, matching the row path's
+    /// silently reads as 0.0 for every row, matching the scalar
     /// `values.get(i).unwrap_or(0.0)` semantics.
     pub fn column_f64(&self, field: usize) -> impl Iterator<Item = f64> + '_ {
         debug_assert!(
@@ -797,24 +551,28 @@ impl TupleBatch {
             self.width()
         );
         let all_live = self.drops.dropped() == 0;
-        let src = ColumnSource::new(&self.payload, field);
+        let col = self.columns.get(field);
         (0..self.ts.len())
             .filter(move |&i| all_live || self.is_live(i))
-            .map(move |i| src.f64_at(i))
+            .map(move |i| col.map_or(0.0, |c| c.f64_at(i)))
     }
 
-    /// The raw typed column at `field`, if this batch is schema-typed.
+    /// Every payload column, in schema order (dropped rows included;
+    /// checkpoint codec read path).
+    #[inline]
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// The raw column at `field`, if in range.
     #[inline]
     pub fn column(&self, field: usize) -> Option<&Column> {
-        match &self.payload {
-            Payload::Typed { columns, .. } => columns.get(field),
-            Payload::Arena { .. } => None,
-        }
+        self.columns.get(field)
     }
 
-    /// The contiguous `f64` slice of a typed `F64` field (dropped rows
+    /// The contiguous `f64` slice of an `F64` field (dropped rows
     /// *included* — pair with [`TupleBatch::drops`] for masked kernels).
-    /// `None` for arena batches or non-`F64` fields.
+    /// `None` for non-`F64` or out-of-range fields.
     #[inline]
     pub fn f64_column(&self, field: usize) -> Option<&[f64]> {
         match self.column(field) {
@@ -823,8 +581,8 @@ impl TupleBatch {
         }
     }
 
-    /// The contiguous `i64` slice of a typed `I64` field (dropped rows
-    /// included). `None` for arena batches or non-`I64` fields.
+    /// The contiguous `i64` slice of an `I64` field (dropped rows
+    /// included). `None` for non-`I64` or out-of-range fields.
     #[inline]
     pub fn i64_column(&self, field: usize) -> Option<&[i64]> {
         match self.column(field) {
@@ -833,8 +591,8 @@ impl TupleBatch {
         }
     }
 
-    /// The word-packed column of a typed `Bool` field (dropped rows
-    /// included). `None` for arena batches or non-`Bool` fields.
+    /// The word-packed column of a `Bool` field (dropped rows included).
+    /// `None` for non-`Bool` or out-of-range fields.
     #[inline]
     pub fn bool_column(&self, field: usize) -> Option<&BoolColumn> {
         match self.column(field) {
@@ -843,9 +601,9 @@ impl TupleBatch {
         }
     }
 
-    /// The dictionary-encoded column of a typed `Tag` field (dropped rows
+    /// The dictionary-encoded column of a `Tag` field (dropped rows
     /// included — pair with [`TupleBatch::drops`] for masked kernels).
-    /// `None` for arena batches or non-`Tag` fields.
+    /// `None` for non-`Tag` or out-of-range fields.
     #[inline]
     pub fn tag_column(&self, field: usize) -> Option<&TagColumn> {
         match self.column(field) {
@@ -894,31 +652,26 @@ impl TupleBatch {
         }
     }
 
-    /// Appends `other`'s live rows. When both batches share a layout
-    /// (equal width or equal schema) and `other` has no drops this is a
-    /// handful of contiguous column copies — the batch path's replacement
-    /// for per-tuple moves. An empty layout-less batch adopts `other`'s
-    /// layout first, so typed batches stay typed across pane appends.
+    /// Appends `other`'s live rows. When both batches share a schema and
+    /// `other` has no drops this is a handful of contiguous column copies
+    /// — the batch path's replacement for per-tuple moves. A batch
+    /// without a schema adopts `other`'s first, so typed batches stay
+    /// typed across pane appends.
     pub fn append_batch(&mut self, other: &TupleBatch) {
+        let Some(schema) = &other.schema else {
+            return;
+        };
         if other.ts.is_empty() {
             return;
         }
-        if self.ts.is_empty() {
-            self.adopt_layout_from(other);
+        if self.schema.is_none() {
+            self.adopt(schema);
         }
-        if self.same_layout(other) && other.drops.dropped() == 0 {
+        if self.schema == other.schema && other.drops.dropped() == 0 {
             self.ts.extend_from_slice(&other.ts);
             self.sic.extend_from_slice(&other.sic);
-            match (&mut self.payload, &other.payload) {
-                (Payload::Arena { values: d, .. }, Payload::Arena { values: s, .. }) => {
-                    d.extend_from_slice(s);
-                }
-                (Payload::Typed { columns: d, .. }, Payload::Typed { columns: s, .. }) => {
-                    for (dc, sc) in d.iter_mut().zip(s) {
-                        dc.extend_from(sc);
-                    }
-                }
-                _ => unreachable!("same_layout checked"),
+            for (d, s) in self.columns.iter_mut().zip(&other.columns) {
+                d.extend_from(s);
             }
         } else {
             for r in other.iter() {
@@ -930,15 +683,15 @@ impl TupleBatch {
     /// Appends the rows of `other` whose bit is set in `mask` (one bit
     /// per physical row, word-packed like the drop bitmap). Callers are
     /// expected to have cleared the bits of dropped rows already — the
-    /// filter kernel's predicate mask does. Same-layout copies gather
-    /// column by column, one layout dispatch per column rather than per
+    /// filter kernel's predicate mask does. Same-schema copies gather
+    /// column by column, one type dispatch per column rather than per
     /// row.
     pub fn append_gathered(&mut self, other: &TupleBatch, mask: &[u64]) {
-        if other.ts.is_empty() {
+        let Some(schema) = &other.schema else {
             return;
-        }
-        if self.ts.is_empty() {
-            self.adopt_layout_from(other);
+        };
+        if self.schema.is_none() {
+            self.adopt(schema);
         }
         let mut idx = Vec::new();
         for (w, &word) in mask.iter().enumerate() {
@@ -952,44 +705,23 @@ impl TupleBatch {
                 m &= m - 1;
             }
         }
-        if idx.is_empty() {
+        if self.schema != other.schema {
+            for &i in &idx {
+                self.push_ref(other.row(i));
+            }
             return;
         }
         self.ts.extend(idx.iter().map(|&i| other.ts[i]));
         self.sic.extend(idx.iter().map(|&i| other.sic[i]));
-        if self.same_layout(other) {
-            match (&mut self.payload, &other.payload) {
-                (
-                    Payload::Arena {
-                        width, values: d, ..
-                    },
-                    Payload::Arena { values: s, .. },
-                ) => {
-                    let w = *width;
-                    for &i in &idx {
-                        d.extend_from_slice(&s[i * w..(i + 1) * w]);
-                    }
-                }
-                (Payload::Typed { columns: d, .. }, Payload::Typed { columns: s, .. }) => {
-                    for (dc, sc) in d.iter_mut().zip(s) {
-                        for &i in &idx {
-                            dc.push_from(sc, i);
-                        }
-                    }
-                }
-                _ => unreachable!("same_layout checked"),
-            }
-        } else {
-            // Cross-layout gather (cold): coerce row by row.
+        for (d, s) in self.columns.iter_mut().zip(&other.columns) {
             for &i in &idx {
-                let tmp = other.row(i).values.to_vec();
-                self.push_payload_values(&tmp);
+                d.push_from(s, i);
             }
         }
     }
 
     /// The rows of this batch whose bit is set in `mask`, as a fresh
-    /// compact batch of the same layout (see
+    /// compact batch of the same schema (see
     /// [`TupleBatch::append_gathered`]).
     pub fn gather(&self, mask: &[u64]) -> TupleBatch {
         let mut out = TupleBatch::new();
@@ -1005,23 +737,11 @@ impl TupleBatch {
         let n = n.min(self.ts.len());
         let tail_ts = self.ts.split_off(n);
         let tail_sic = self.sic.split_off(n);
-        let payload = match &mut self.payload {
-            Payload::Arena { width, values } => {
-                let tail_values = values.split_off(n * *width);
-                Payload::Arena {
-                    width: *width,
-                    values: std::mem::replace(values, tail_values),
-                }
-            }
-            Payload::Typed { schema, columns } => Payload::Typed {
-                schema: schema.clone(),
-                columns: columns.iter_mut().map(|c| c.split_front(n)).collect(),
-            },
-        };
         TupleBatch {
             ts: std::mem::replace(&mut self.ts, tail_ts),
             sic: std::mem::replace(&mut self.sic, tail_sic),
-            payload,
+            schema: self.schema.clone(),
+            columns: self.columns.iter_mut().map(|c| c.split_front(n)).collect(),
             drops: DropBitmap::new(),
         }
     }
@@ -1041,22 +761,24 @@ impl TupleBatch {
         self.iter().map(|r| r.values.to_vec()).collect()
     }
 
-    /// Clears every row while keeping the payload layout, the column
-    /// allocations and (for tag columns) the shared dictionary — the
-    /// [`BatchPool`] recycle path.
+    /// Clears every row while keeping the schema, the column allocations
+    /// and (for tag columns) the shared dictionary — the [`BatchPool`]
+    /// recycle path.
     pub fn clear_rows(&mut self) {
         self.ts.clear();
         self.sic.clear();
         self.drops.clear();
-        match &mut self.payload {
-            Payload::Arena { values, .. } => values.clear(),
-            Payload::Typed { columns, .. } => {
-                for c in columns {
-                    c.clear();
-                }
-            }
+        for c in &mut self.columns {
+            c.clear();
         }
     }
+}
+
+/// Empty columns with room for `rows`, one per field of `schema`.
+fn schema_columns(schema: &Schema, rows: usize) -> Vec<Column> {
+    (0..schema.len())
+        .map(|i| schema.column_for(i, rows).expect("field in range"))
+        .collect()
 }
 
 /// Counters describing a [`BatchPool`]'s traffic since construction.
@@ -1066,13 +788,23 @@ pub struct PoolStats {
     pub reused: u64,
     /// Acquisitions that fell through to a fresh construction.
     pub fresh: u64,
-    /// Batches returned to the pool (capped drops not included).
+    /// Batches returned to the pool (capped or unwanted drops not
+    /// included).
     pub recycled: u64,
 }
 
 #[derive(Debug, Default)]
+struct Slots {
+    /// Cleared batches waiting for a producer.
+    idle: Vec<TupleBatch>,
+    /// One schema per structurally distinct layout some producer has
+    /// acquired; only batches of these schemas are worth keeping.
+    acquired: Vec<Schema>,
+}
+
+#[derive(Debug, Default)]
 struct PoolInner {
-    slots: Mutex<Vec<TupleBatch>>,
+    slots: Mutex<Slots>,
     reused: AtomicU64,
     fresh: AtomicU64,
     recycled: AtomicU64,
@@ -1087,6 +819,10 @@ struct PoolInner {
 /// dictionaries kept) and hands them back to any producer of the same
 /// schema. Clones share the pool, so the source pump, shard ingest and
 /// window eviction can recycle into one pool across threads.
+///
+/// Only batches of a schema some producer has acquired enter the pool:
+/// operator outputs derive schemas no producer asks for, and keeping
+/// them would fill the slots with batches every `acquire` scans past.
 ///
 /// ```
 /// use themis_core::prelude::*;
@@ -1119,15 +855,15 @@ impl BatchPool {
     /// same schema when one is pooled, else a fresh
     /// [`TupleBatch::with_schema_capacity`].
     pub fn acquire(&self, schema: &Schema, rows: usize) -> TupleBatch {
-        let mut slots = self.inner.slots.lock().unwrap();
-        if let Some(pos) = slots
-            .iter()
-            .position(|b| b.schema().is_some_and(|s| s.same_as(schema) || s == schema))
-        {
-            let batch = slots.swap_remove(pos);
+        let mut slots = self.inner.slots.lock().expect("batch pool lock poisoned");
+        if let Some(pos) = slots.idle.iter().position(|b| b.schema() == Some(schema)) {
+            let batch = slots.idle.swap_remove(pos);
             drop(slots);
             self.inner.reused.fetch_add(1, Ordering::Relaxed);
             return batch;
+        }
+        if !slots.acquired.contains(schema) {
+            slots.acquired.push(schema.clone());
         }
         drop(slots);
         self.inner.fresh.fetch_add(1, Ordering::Relaxed);
@@ -1135,23 +871,26 @@ impl BatchPool {
     }
 
     /// Returns a batch to the pool: rows are cleared, allocations kept.
-    /// Arena batches and overflow beyond the pool cap are simply dropped
-    /// (the pool is schema-keyed).
+    /// Batches of a schema no producer has acquired, and overflow beyond
+    /// the pool cap, are simply dropped.
     pub fn recycle(&self, mut batch: TupleBatch) {
-        if batch.schema().is_none() {
-            return;
-        }
-        batch.clear_rows();
-        let mut slots = self.inner.slots.lock().unwrap();
-        if slots.len() < POOL_CAP {
-            slots.push(batch);
+        let mut slots = self.inner.slots.lock().expect("batch pool lock poisoned");
+        let wanted = batch.schema().is_some_and(|s| slots.acquired.contains(s));
+        if wanted && slots.idle.len() < POOL_CAP {
+            batch.clear_rows();
+            slots.idle.push(batch);
             self.inner.recycled.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Number of idle batches currently pooled.
     pub fn idle(&self) -> usize {
-        self.inner.slots.lock().unwrap().len()
+        self.inner
+            .slots
+            .lock()
+            .expect("batch pool lock poisoned")
+            .idle
+            .len()
     }
 
     /// Traffic counters since construction.
@@ -1446,15 +1185,43 @@ mod tests {
     #[test]
     fn cross_layout_append_coerces() {
         let mut typed = typed_batch(&[(1, 1.0)]);
-        let arena = TupleBatch::from_tuples(vec![Tuple::new(
+        // An inferred `[f64, i64]` schema: other names, swapped types.
+        let other = TupleBatch::from_tuples(vec![Tuple::new(
             Timestamp(9),
             Sic(0.2),
-            vec![Value::I64(5), Value::F64(50.0)],
+            vec![Value::F64(5.9), Value::I64(50)],
         )]);
-        typed.append_batch(&arena);
+        assert_ne!(other.schema(), typed.schema());
+        typed.append_batch(&other);
         assert_eq!(typed.len(), 2);
         assert_eq!(typed.i64_column(0), Some(&[1i64, 5][..]));
         assert_eq!(typed.f64_column(1), Some(&[1.0, 50.0][..]));
+    }
+
+    #[test]
+    fn first_row_infers_the_schema() {
+        let mut b = TupleBatch::new();
+        assert_eq!(b.schema(), None, "the empty batch has no layout yet");
+        b.push_row(
+            Timestamp(0),
+            Sic(0.1),
+            &[Value::I64(1), Value::F64(2.5), Value::Bool(true)],
+        );
+        let fields: Vec<(&str, FieldType)> = b.schema().unwrap().fields().collect();
+        assert_eq!(
+            fields,
+            vec![
+                ("f0", FieldType::I64),
+                ("f1", FieldType::F64),
+                ("f2", FieldType::Bool)
+            ]
+        );
+        assert_eq!(b.i64_column(0), Some(&[1i64][..]));
+        assert_eq!(b.bool_column(2).map(|c| c.get(0)), Some(true));
+        // Later rows coerce to the inferred types.
+        b.push_row(Timestamp(1), Sic(0.1), &[Value::F64(7.9)]);
+        assert_eq!(b.i64_column(0), Some(&[1i64, 7][..]));
+        assert_eq!(b.f64_column(1), Some(&[2.5, 0.0][..]));
     }
 
     #[test]
@@ -1466,13 +1233,13 @@ mod tests {
         assert_eq!(out.i64_column(0), Some(&[1i64, 3][..]));
         assert_eq!(out.row(1).ts, Timestamp(2));
         assert!(out.schema().is_some());
-        // Arena gather too.
-        let arena = TupleBatch::from_tuples(vec![t(0, 0.1, 1.0), t(1, 0.1, 2.0)]);
-        let out = arena.gather(&[0b10]);
+        // Inferred-schema gather too.
+        let inferred = TupleBatch::from_tuples(vec![t(0, 0.1, 1.0), t(1, 0.1, 2.0)]);
+        let out = inferred.gather(&[0b10]);
         assert_eq!(out.len(), 1);
         assert_eq!(out.row(0).f64(0), 2.0);
         // Mask bits past the end are ignored.
-        assert_eq!(arena.gather(&[!0u64]).len(), 2);
+        assert_eq!(inferred.gather(&[!0u64]).len(), 2);
     }
 
     #[test]
@@ -1599,16 +1366,38 @@ mod tests {
             2,
             "only the fresh acquisitions constructed batches"
         );
-        // Arena batches are not pooled.
-        pool.recycle(TupleBatch::with_capacity(1, 4));
+    }
+
+    #[test]
+    fn pool_keeps_only_schemas_a_producer_acquires() {
+        let pool = BatchPool::new();
+        let source = keyed_schema();
+        drop(pool.acquire(&source, 4));
+        // A derived schema no producer acquires stays out of the slots.
+        let derived = Schema::new([("avg", FieldType::F64)]);
+        let mut out = TupleBatch::with_schema(derived.clone());
+        out.push_row(Timestamp(0), Sic(0.1), &[Value::F64(1.0)]);
+        pool.recycle(out);
+        pool.recycle(TupleBatch::new());
         assert_eq!(pool.idle(), 0);
+        assert_eq!(pool.stats().recycled, 0);
+        // A structurally equal schema from another declaration (a decoded
+        // wire batch) is pooled and serves the producer.
+        pool.recycle(typed_batch(&[(1, 1.0)]));
+        assert_eq!(pool.idle(), 1);
+        let b = pool.acquire(&source, 4);
+        assert_eq!((b.rows(), pool.stats().reused), (0, 1));
+        // Once a producer acquires the derived schema, its batches pool.
+        drop(pool.acquire(&derived, 1));
+        pool.recycle(TupleBatch::with_schema(derived));
+        assert_eq!(pool.idle(), 1);
     }
 
     #[test]
     fn pool_clones_share_slots() {
         let pool = BatchPool::new();
         let schema = keyed_schema();
-        pool.recycle(TupleBatch::with_schema(schema.clone()));
+        pool.recycle(pool.acquire(&schema, 0));
         let other = pool.clone();
         assert_eq!(other.idle(), 1);
         let _ = other.acquire(&schema, 0);
@@ -1619,17 +1408,18 @@ mod tests {
     #[test]
     fn row_values_equality_is_semantic() {
         let typed = typed_batch(&[(1, 10.0)]);
-        let arena_same = TupleBatch::from_tuples(vec![Tuple::new(
+        let inferred_same = TupleBatch::from_tuples(vec![Tuple::new(
             Timestamp(0),
             Sic(0.1),
             vec![Value::I64(1), Value::F64(10.0)],
         )]);
-        assert_eq!(typed.row(0).values, arena_same.row(0).values);
-        let arena_diff = TupleBatch::from_tuples(vec![Tuple::new(
+        assert_ne!(typed.schema(), inferred_same.schema(), "field names differ");
+        assert_eq!(typed.row(0).values, inferred_same.row(0).values);
+        let inferred_diff = TupleBatch::from_tuples(vec![Tuple::new(
             Timestamp(0),
             Sic(0.1),
             vec![Value::F64(1.0), Value::F64(10.0)],
         )]);
-        assert_ne!(typed.row(0).values, arena_diff.row(0).values);
+        assert_ne!(typed.row(0).values, inferred_diff.row(0).values);
     }
 }

@@ -13,13 +13,11 @@
 //!   result SIC values ([`coordinator`]), and the fairness / result-quality
 //!   metrics used throughout the evaluation ([`fairness`], [`metrics`]);
 //! * the **columnar hot-path representation** ([`batch`]): tuple batches
-//!   stored as contiguous timestamp/SIC/value columns with a drop bitmap,
-//!   so shedding marks bits and window panes copy columns instead of
-//!   re-allocating per tuple. Queries that declare a [`schema::Schema`]
-//!   store each payload field as a contiguous *native* column
-//!   (`Vec<f64>` / `Vec<i64>` / bitset) so aggregate kernels read plain
-//!   slices; schema-less batches keep the dynamically-typed `Value`
-//!   arena as a fallback.
+//!   stored as contiguous timestamp/SIC columns plus one *native* column
+//!   per field of a [`schema::Schema`] (`Vec<f64>` / `Vec<i64>` / bitset /
+//!   dictionary codes) with a drop bitmap, so shedding marks bits, window
+//!   panes copy columns instead of re-allocating per tuple, and aggregate
+//!   kernels read plain slices.
 //!
 //! Everything in this crate is pure and deterministic: no I/O, no threads,
 //! no wall-clock time. The [`themis-sim`](../themis_sim/index.html) and

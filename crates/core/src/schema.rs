@@ -5,14 +5,16 @@
 //! `[value]` or `[key, value]`. When a query declares that shape as a
 //! [`Schema`] up front, the hot path can store each field as a
 //! contiguous **native column** ([`Column`]: `Vec<f64>` / `Vec<i64>` /
-//! a word-packed bitset) instead of the dynamically-typed [`Value`]
-//! arena, removing the per-element enum match from every aggregate read
-//! and letting slice kernels auto-vectorize.
+//! a word-packed bitset / dictionary codes) instead of a dynamically-typed
+//! [`Value`] per field, removing the per-element enum match from every
+//! aggregate read and letting slice kernels auto-vectorize.
 //!
 //! A [`Schema`] is an ordered list of `field name →` [`FieldType`]
 //! entries, shared cheaply across batches through an [`Arc`]. Query
 //! templates declare one schema per query; sources build typed batches
-//! against it, and every window slice and pane hand-off preserves it.
+//! against it, every window slice and pane hand-off preserves it, and
+//! operator logic declares the schema of the rows it derives. Rows that
+//! arrive without a declaration get one inferred ([`Schema::infer`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,8 +49,7 @@ impl FieldType {
     }
 
     /// The column default used to pad short rows: `0.0`, `0`, `false` or
-    /// the empty-string tag (the typed counterpart of the arena's
-    /// `Value::F64(0.0)` pad).
+    /// the empty-string tag.
     pub fn default_value(&self) -> Value {
         match self {
             FieldType::F64 => Value::F64(0.0),
@@ -238,6 +239,23 @@ impl Schema {
         Schema {
             inner: Arc::new(SchemaInner { fields, interner }),
         }
+    }
+
+    /// Infers a schema from one row's value variants, naming the fields
+    /// `f0`, `f1`, … — how the edge converters type rows that arrive
+    /// without a declaration. A tag field gets a fresh dictionary, so a
+    /// [`Value::Tag`] code only resolves against the dictionary it was
+    /// interned in, never this one.
+    pub fn infer(values: &[Value]) -> Schema {
+        Schema::new(values.iter().enumerate().map(|(i, v)| {
+            let ty = match v {
+                Value::F64(_) => FieldType::F64,
+                Value::I64(_) => FieldType::I64,
+                Value::Bool(_) => FieldType::Bool,
+                Value::Tag(_) => FieldType::Tag,
+            };
+            (format!("f{i}"), ty)
+        }))
     }
 
     /// The shared tag dictionary (`Some` iff any field is
@@ -501,8 +519,8 @@ impl PartialEq for TagColumn {
     }
 }
 
-/// One typed column of a schema-declared batch: the contiguous native
-/// storage that replaces a stride of the [`Value`] arena.
+/// One typed column of a batch: the contiguous native storage of one
+/// schema field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Contiguous 64-bit floats.
@@ -537,16 +555,6 @@ impl Column {
         }
     }
 
-    /// An empty column of `self`'s type that keeps `self`'s tag
-    /// dictionary — the layout-preserving constructor window slicing and
-    /// pane hand-offs use.
-    pub fn empty_like(&self, rows: usize) -> Column {
-        match self {
-            Column::Tag(c) => Column::Tag(TagColumn::with_capacity(c.dict.clone(), rows)),
-            other => Column::with_capacity(other.field_type(), rows),
-        }
-    }
-
     /// The column's field type.
     pub fn field_type(&self) -> FieldType {
         match self {
@@ -573,7 +581,7 @@ impl Column {
     }
 
     /// Appends a [`Value`], coercing it to the column type (`as_f64` /
-    /// `as_i64` / `as_bool` — the same numeric views the arena exposes).
+    /// `as_i64` / `as_bool` — the numeric views of [`Value`]).
     /// A [`Value::Tag`] pushed into a tag column appends its bare code;
     /// the caller guarantees the code came from this column's dictionary
     /// (batch paths check schema equality, which compares interner
@@ -869,11 +877,6 @@ mod tests {
         match (&c0, s.interner()) {
             (Column::Tag(t), Some(dict)) => assert!(Arc::ptr_eq(t.dict(), dict)),
             _ => panic!("tag column must share the schema dictionary"),
-        }
-        // empty_like preserves the dictionary; with_capacity does not.
-        match c0.empty_like(4) {
-            Column::Tag(t) => assert!(Arc::ptr_eq(t.dict(), s.interner().unwrap())),
-            _ => panic!("empty_like keeps the type"),
         }
         assert!(s.column_for(9, 0).is_none());
     }

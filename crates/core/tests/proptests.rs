@@ -91,9 +91,13 @@ proptest! {
         }
     }
 
-    /// BALANCE-SIC weakly dominates random shedding in Jain's index when all
-    /// batches are single tuples (so the convergence argument applies
-    /// exactly).
+    /// BALANCE-SIC keeps a minimum per-query SIC at least as high as
+    /// random shedding's when all batches are single tuples (so the
+    /// convergence argument applies exactly). The property is max-min
+    /// fairness, the objective Algorithm 1 approximates — not Jain's
+    /// index: with two queries of 2 × 0.0199 and 14 × 0.0034 SIC under
+    /// capacity 8, BALANCE-SIC keeps (2, 6) tuples (min 0.0203, Jain
+    /// 0.905) while random keeps (1, 7) (min 0.0199, Jain 0.992).
     #[test]
     fn balance_is_fairer_than_random_on_unit_batches(
         per_query in prop::collection::vec((1usize..60, 1e-4f64..0.02), 2..6),
@@ -134,13 +138,11 @@ proptest! {
                 })
                 .collect()
         };
-        let db = BalanceSicShedder::new(seed).select_to_keep(cap, &states);
-        let dr = RandomShedder::new(seed).select_to_keep(cap, &states);
-        let jb = jain_index(&kept_sics(&db));
-        let jr = jain_index(&kept_sics(&dr));
-        // Allow small numerical slack; random can occasionally be fair by
-        // chance but should never be *meaningfully* fairer.
-        prop_assert!(jb >= jr - 0.05, "balance {jb} vs random {jr}");
+        let min_kept = |d: &ShedDecision| kept_sics(d).into_iter().fold(f64::INFINITY, f64::min);
+        let mb = min_kept(&BalanceSicShedder::new(seed).select_to_keep(cap, &states));
+        let mr = min_kept(&RandomShedder::new(seed).select_to_keep(cap, &states));
+        // Slack covers only float summation order.
+        prop_assert!(mb >= mr - 1e-12, "balance min {mb} vs random min {mr}");
     }
 
     /// Jain's index is bounded by [1/n, 1] on non-degenerate inputs.
@@ -290,11 +292,11 @@ proptest! {
         }
     }
 
-    /// Dictionary-encoded tag columns survive the batch plumbing: the
-    /// same rows pushed through an arena batch (`from_tuples`) and a
-    /// typed batch (schema with a `Tag` field) stay identical through
-    /// split_front → append_batch → random drops → gather, and every
-    /// surviving code still resolves to the string it was interned from.
+    /// Dictionary-encoded tag columns survive the batch plumbing: rows
+    /// pushed into a batch with a `Tag` field stay identical to a plain
+    /// row model through split_front → append_batch → random drops →
+    /// gather, and every surviving code still resolves to the string it
+    /// was interned from.
     #[test]
     fn dictionary_round_trip_preserves_tags(
         rows in prop::collection::vec((0usize..6, 0u32..2, 0u32..2), 1..48),
@@ -317,7 +319,6 @@ proptest! {
             })
             .collect();
 
-        let mut arena = TupleBatch::from_tuples(tuples.clone());
         let mut typed = TupleBatch::with_schema_capacity(schema.clone(), tuples.len());
         for t in &tuples {
             typed.push_tuple(t);
@@ -326,16 +327,13 @@ proptest! {
 
         // split_front + append_batch is an identity on the row sequence.
         let n = split_at % (tuples.len() + 1);
-        let mut arena_front = arena.split_front(n);
-        arena_front.append_batch(&arena);
         let mut typed_front = typed.split_front(n);
         typed_front.append_batch(&typed);
-        let (mut arena, mut typed) = (arena_front, typed_front);
+        let mut typed = typed_front;
 
-        // Random drop bitmap, applied identically to both layouts.
+        // Random drop bitmap.
         for (i, &(_, dropped, _)) in rows.iter().enumerate() {
             if dropped == 1 {
-                arena.drop_row(i);
                 typed.drop_row(i);
             }
         }
@@ -348,7 +346,6 @@ proptest! {
                 mask[i / 64] |= 1 << (i % 64);
             }
         }
-        let arena_out = arena.gather(&mask);
         let typed_out = typed.gather(&mask);
 
         // Gathered typed batches keep the dictionary column and share the
@@ -365,9 +362,7 @@ proptest! {
             .filter(|&(_, &(_, dropped, keep))| dropped == 0 && keep == 1)
             .map(|(i, _)| tuples[i].clone())
             .collect();
-        let arena_tuples = arena_out.into_tuples();
         let typed_tuples = typed_out.into_tuples();
-        prop_assert_eq!(&arena_tuples, &expect);
         prop_assert_eq!(&typed_tuples, &expect);
         for t in &typed_tuples {
             match t.values[0] {

@@ -1,7 +1,7 @@
 //! Property-based tests over the WAL checkpoint codec: encode→decode is
-//! lossless for every column layout a pane can hold (arena batches, typed
-//! batches with F64/I64/Bool/Tag columns and their dictionaries, drop
-//! bitmaps, NaN-carrying SIC values), and every corruption of the byte
+//! lossless for every column type a pane can hold (F64/I64/Bool/Tag
+//! columns and their dictionaries, drop bitmaps, NaN-carrying SIC
+//! values), and every corruption of the byte
 //! stream — truncation at any offset, any flipped byte — maps to an
 //! actionable [`WalError::Corrupt`] or a tolerated torn tail, never a
 //! panic.
@@ -13,46 +13,6 @@ use themis_core::wal::{decode_records, decode_records_tolerant, encode_record};
 // ---------------------------------------------------------------------------
 // Strategies
 // ---------------------------------------------------------------------------
-
-/// An arena-layout batch: rows carry `Value` cells of every variant
-/// (including raw tag codes, which arena batches store without a
-/// dictionary), with an arbitrary drop bitmap.
-fn arb_arena_batch() -> impl Strategy<Value = TupleBatch> {
-    prop::collection::vec(
-        (
-            (0u64..1_000_000, 0.0f64..1.0), // ts, sic
-            (
-                i64::MIN..i64::MAX, // I64 cell
-                -1.0e12f64..1.0e12, // F64 cell
-                0u8..2,             // Bool cell
-                0u32..1_000,        // raw tag code cell
-            ),
-            0u8..2, // dropped?
-        ),
-        0..24,
-    )
-    .prop_map(|rows| {
-        let mut b = TupleBatch::with_capacity(4, rows.len());
-        for &((ts, sic), (n, x, ok, code), _) in &rows {
-            b.push_row(
-                Timestamp(ts),
-                Sic(sic),
-                &[
-                    Value::I64(n),
-                    Value::F64(x),
-                    Value::Bool(ok == 1),
-                    Value::Tag(code),
-                ],
-            );
-        }
-        for (i, &(.., dropped)) in rows.iter().enumerate() {
-            if dropped == 1 {
-                b.drop_row(i);
-            }
-        }
-        b
-    })
-}
 
 /// A typed batch over a schema exercising all four column types, tags
 /// drawn from a six-entry dictionary that is interned in full (so some
@@ -109,22 +69,20 @@ fn arb_pane() -> impl Strategy<Value = PaneRecord> {
     (
         (0u32..8, 0usize..3, 0usize..3, 0usize..2),
         (0u8..2, 0u64..u64::MAX),
-        (0u8..2, arb_arena_batch(), arb_typed_batch()),
+        arb_typed_batch(),
     )
-        .prop_map(
-            |((q, fragment, op, port), (kind, t), (layout, arena, typed))| PaneRecord {
-                query: QueryId(q),
-                fragment,
-                op,
-                port,
-                key: if kind == 0 {
-                    PaneKey::Time(t)
-                } else {
-                    PaneKey::Pending
-                },
-                batch: if layout == 0 { arena } else { typed },
+        .prop_map(|((q, fragment, op, port), (kind, t), batch)| PaneRecord {
+            query: QueryId(q),
+            fragment,
+            op,
+            port,
+            key: if kind == 0 {
+                PaneKey::Time(t)
+            } else {
+                PaneKey::Pending
             },
-        )
+            batch,
+        })
 }
 
 /// SIC values are generated from raw bit patterns so the round-trip
@@ -195,16 +153,15 @@ fn batch_mismatch(a: &TupleBatch, b: &TupleBatch) -> Option<String> {
         }
         for (f, (va, vb)) in ta.values.iter().zip(&tb.values).enumerate() {
             let same = match (va, vb) {
-                (Value::Tag(ca), Value::Tag(cb)) => match (a.schema(), b.schema()) {
-                    // Typed tags compare by resolved string; arena tags
-                    // carry bare codes and must survive verbatim.
-                    (Some(sa), Some(sb)) => {
-                        let ra = sa.interner().and_then(|d| d.resolve(*ca));
-                        let rb = sb.interner().and_then(|d| d.resolve(*cb));
-                        ra == rb
-                    }
-                    _ => ca == cb,
-                },
+                // Tags compare by resolved string.
+                (Value::Tag(ca), Value::Tag(cb)) => {
+                    let resolve = |t: &TupleBatch, c: u32| {
+                        t.schema()
+                            .and_then(|s| s.interner())
+                            .and_then(|d| d.resolve(c))
+                    };
+                    resolve(a, *ca) == resolve(b, *cb)
+                }
                 _ => va == vb,
             };
             if !same {
@@ -285,8 +242,8 @@ fn encode_all(records: &[WalRecord]) -> Vec<u8> {
 
 proptest! {
     /// Encode→decode round-trips every snapshot and delta: window panes
-    /// in both layouts (all column types, tag dictionaries, drop
-    /// bitmaps) semantically identical, SIC values bit-identical.
+    /// (all column types, tag dictionaries, drop bitmaps) semantically
+    /// identical, SIC values bit-identical.
     #[test]
     fn codec_round_trips_snapshots_and_deltas(
         snaps in prop::collection::vec(arb_snapshot(), 1..3),

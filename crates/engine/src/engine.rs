@@ -38,7 +38,7 @@ use themis_workloads::prelude::*;
 
 use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeConfig;
-use crate::shard::{run_shard, shard_of, ShardDurability, ShardRouting};
+use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome, ShardRouting};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -140,10 +140,10 @@ pub struct FaultPlan {
 }
 
 /// A non-fatal engine failure surfaced in [`EngineReport::errors`]: a
-/// shard worker thread lost to a panic, or an ingest connection from a
-/// remote source process that failed mid-run. Either way the engine
-/// keeps serving what survives — an error degrades the run, it does not
-/// poison it.
+/// shard worker thread lost to a panic, an ingest connection from a
+/// remote source process that failed mid-run, or a shard's write-ahead
+/// log failing. Either way the engine keeps serving what survives — an
+/// error degrades the run, it does not poison it.
 #[derive(Debug, Clone)]
 pub enum EngineError {
     /// A shard worker thread died to a panic.
@@ -164,6 +164,17 @@ pub enum EngineError {
         /// What went wrong, actionable.
         detail: String,
     },
+    /// A shard's durability log failed; the shard kept serving traffic
+    /// without it. Only the first failure of each operation is recorded.
+    Durability {
+        /// The shard whose log failed.
+        shard: usize,
+        /// The failed operation: `open`, `checkpoint`, `append` or
+        /// `restore`.
+        op: &'static str,
+        /// The underlying WAL error.
+        detail: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -176,6 +187,9 @@ impl fmt::Display for EngineError {
             } => write!(f, "shard {shard} failed under policy {policy}: {detail}"),
             EngineError::Ingest { peer, detail } => {
                 write!(f, "ingest connection from {peer} failed: {detail}")
+            }
+            EngineError::Durability { shard, op, detail } => {
+                write!(f, "shard {shard} durability {op} failed: {detail}")
             }
         }
     }
@@ -520,7 +534,7 @@ pub struct Engine {
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
     results_rx: Receiver<ResultEvent>,
-    shard_handles: Vec<JoinHandle<Vec<(usize, NodeReport)>>>,
+    shard_handles: Vec<JoinHandle<ShardOutcome>>,
     pump_tx: Sender<PumpMsg>,
     pump_handle: JoinHandle<()>,
     // Coordinator state (driven by run_for on the calling thread).
@@ -841,13 +855,13 @@ impl Engine {
             let config = self.node_config(node);
             let _ = self.node_txs[node].send(ShardMsg {
                 node,
-                msg: EngineMsg::Attach(Box::new(AttachFragment {
+                msg: EngineMsg::Attach(AttachFragment {
                     node,
                     config,
                     query: query.clone(),
                     fragment: fi,
                     downstream,
-                })),
+                }),
             });
             self.node_load[node] += 1;
         }
@@ -1033,13 +1047,13 @@ impl Engine {
                 let config = self.node_config(node);
                 let _ = self.node_txs[node].send(ShardMsg {
                     node,
-                    msg: EngineMsg::Attach(Box::new(AttachFragment {
+                    msg: EngineMsg::Attach(AttachFragment {
                         node,
                         config,
                         query: query.clone(),
                         fragment: fi,
                         downstream,
-                    })),
+                    }),
                 });
             }
         }
@@ -1171,10 +1185,11 @@ impl Engine {
         let mut errors: Vec<EngineError> = Vec::new();
         for (shard, h) in self.shard_handles.into_iter().enumerate() {
             match h.join() {
-                Ok(reports) => {
+                Ok((reports, shard_errors)) => {
                     for (node, report) in reports {
                         nodes[node].absorb(&report);
                     }
+                    errors.extend(shard_errors);
                 }
                 // A shard thread died to a panic: name it and its policy
                 // instead of propagating — the surviving shards above
@@ -1612,6 +1627,41 @@ mod tests {
             "durable log is empty"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: WAL failures used to go to stderr only, so a run that
+    /// lost its durability reported clean. A durability root that is a
+    /// regular file fails every shard's log open; the report names each
+    /// shard and the operation while the queries keep producing results.
+    #[test]
+    fn durability_failures_surface_as_engine_errors() {
+        let file = test_dir("not-a-dir");
+        std::fs::write(&file, b"a file, not a directory").unwrap();
+        let report = run_engine(
+            &overload_scenario("engine-undurable", 17),
+            EngineConfig {
+                enforce_capacity: true,
+                shards: Some(2),
+                checkpoint_every: Some(Duration::from_millis(200)),
+                durability_dir: Some(file.clone()),
+                ..Default::default()
+            },
+        );
+        let _ = std::fs::remove_file(&file);
+        let mut opens: Vec<usize> = report
+            .errors
+            .iter()
+            .map(|e| match e {
+                EngineError::Durability { shard, op, .. } => {
+                    assert_eq!(*op, "open", "{e}");
+                    *shard
+                }
+                other => panic!("expected a durability error, got {other}"),
+            })
+            .collect();
+        opens.sort_unstable();
+        assert_eq!(opens, vec![0, 1], "one open failure per shard");
+        assert_eq!(report.result_counts.len(), 4, "every query kept producing");
     }
 
     /// [`Engine::restore_from`] replays a previous run's durable state

@@ -33,7 +33,7 @@ pub enum EngineMsg {
     Sic(SicUpdate),
     /// Install a query fragment on the addressed node (runtime query
     /// arrival; installs the node itself if absent).
-    Attach(Box<AttachFragment>),
+    Attach(AttachFragment),
     /// Remove every fragment of `query` from the addressed node (runtime
     /// query departure). A node left hosting nothing is torn down: its
     /// counters freeze and its shedding deadline is abandoned, so it

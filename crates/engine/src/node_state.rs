@@ -353,8 +353,8 @@ mod tests {
         let mut s = NodeState::new(cfg, 0, base);
         s.attach_fragment(&query, 0, None);
         let src = query.sources[0].id;
-        // Schema-typed, so the pool accepts the shed batch's columns.
-        let mut data = TupleBatch::with_schema_capacity(measurement_schema(), 10);
+        // Acquired like a source's, so the pool takes the shed batch back.
+        let mut data = pool.acquire(&measurement_schema(), 10);
         for i in 0..10 {
             data.push_row(Timestamp(0), Sic(0.01), &[Value::F64(i as f64)]);
         }

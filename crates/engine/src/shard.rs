@@ -31,6 +31,7 @@ use themis_core::wal;
 use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
+use crate::engine::EngineError;
 use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeState;
 
@@ -151,9 +152,15 @@ impl Ord for Deadline {
     }
 }
 
+/// What a shard thread returns: `(global node, counters)` per node, plus
+/// the durability failures it served through.
+pub type ShardOutcome = (Vec<(usize, NodeReport)>, Vec<EngineError>);
+
 /// Runs a shard's event loop until an [`EngineMsg::Shutdown`] arrives (or
 /// every sender is gone); returns `(global node, counters)` per node that
-/// was ever installed (one merged report per node across re-installs).
+/// was ever installed (one merged report per node across re-installs),
+/// plus the durability failures the shard served through
+/// ([`EngineError::Durability`], the first of each operation).
 ///
 /// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
 /// (the engine pre-loads the initial scenario's attaches before spawning
@@ -163,7 +170,8 @@ pub fn run_shard(
     rx: Receiver<ShardMsg>,
     epoch: Instant,
     durability: Option<ShardDurability>,
-) -> Vec<(usize, NodeReport)> {
+) -> ShardOutcome {
+    let mut errors: Vec<EngineError> = Vec::new();
     let mut states: HashMap<usize, NodeState> = HashMap::new();
     let mut generations: HashMap<usize, u64> = HashMap::new();
     let mut heap: BinaryHeap<Deadline> = BinaryHeap::new();
@@ -222,11 +230,11 @@ pub fn run_shard(
                     let snapshots: Vec<wal::NodeSnapshot> =
                         states.values_mut().map(NodeState::checkpoint).collect();
                     if log.is_none() {
-                        log = open_log(d);
+                        log = open_log(d, &mut errors);
                     }
                     if let Some(l) = &mut log {
                         if let Err(e) = l.checkpoint(&snapshots) {
-                            eprintln!("shard {}: checkpoint failed: {e}", d.shard);
+                            durability_error(&mut errors, d.shard, "checkpoint", &e);
                         }
                     }
                     next_checkpoint = Some(now + d.every);
@@ -253,7 +261,7 @@ pub fn run_shard(
                     query,
                     fragment,
                     downstream,
-                } = *attach;
+                } = attach;
                 let state = states.entry(node).or_insert_with(|| {
                     let interval = Duration::from_micros(config.interval.as_micros().max(1));
                     let slot = installed_seq % STAGGER_SLOTS;
@@ -314,7 +322,7 @@ pub fn run_shard(
                         }
                     }
                     Ok(None) => {}
-                    Err(e) => eprintln!("shard {shard}: restore failed: {e}"),
+                    Err(e) => durability_error(&mut errors, shard, "restore", &e),
                 }
                 if let Some(d) = &durability {
                     next_checkpoint = Some(Instant::now() + d.every);
@@ -349,7 +357,7 @@ pub fn run_shard(
                             if !crashed {
                                 if let Some(d) = &durability {
                                     if log.is_none() {
-                                        log = open_log(d);
+                                        log = open_log(d, &mut errors);
                                     }
                                     if let Some(l) = &mut log {
                                         if let Err(e) = l.append(&wal::SicDelta {
@@ -357,7 +365,7 @@ pub fn run_shard(
                                             query: update.query,
                                             sic: update.sic,
                                         }) {
-                                            eprintln!("shard {}: wal append failed: {e}", d.shard);
+                                            durability_error(&mut errors, d.shard, "append", &e);
                                         }
                                     }
                                 }
@@ -381,7 +389,7 @@ pub fn run_shard(
     for (node, state) in states {
         retire(&mut finished, node, &state);
     }
-    finished.into_iter().collect()
+    (finished.into_iter().collect(), errors)
 }
 
 /// Folds a departing node incarnation's counters into the node's total, so
@@ -390,15 +398,36 @@ fn retire(finished: &mut HashMap<usize, NodeReport>, node: usize, state: &NodeSt
     finished.entry(node).or_default().absorb(&state.core.stats);
 }
 
-/// Opens a shard's durable log, demoting failures to a warning — an
-/// undurable engine keeps serving traffic.
-fn open_log(d: &ShardDurability) -> Option<wal::ShardLog> {
+/// Opens a shard's durable log, recording a failure instead of failing
+/// the shard — an undurable engine keeps serving traffic.
+fn open_log(d: &ShardDurability, errors: &mut Vec<EngineError>) -> Option<wal::ShardLog> {
     match wal::ShardLog::create(&d.dir, d.shard) {
         Ok(log) => Some(log),
         Err(e) => {
-            eprintln!("shard {}: cannot open wal: {e}", d.shard);
+            durability_error(errors, d.shard, "open", &e);
             None
         }
+    }
+}
+
+/// Records a failed durability operation, once per operation: a failing
+/// disk fails every later write the same way, and the log is retried on
+/// every checkpoint and SIC update.
+fn durability_error(
+    errors: &mut Vec<EngineError>,
+    shard: usize,
+    op: &'static str,
+    err: &wal::WalError,
+) {
+    let seen = errors
+        .iter()
+        .any(|e| matches!(e, EngineError::Durability { op: o, .. } if *o == op));
+    if !seen {
+        errors.push(EngineError::Durability {
+            shard,
+            op,
+            detail: err.to_string(),
+        });
     }
 }
 
@@ -452,13 +481,13 @@ mod tests {
     fn attach_msg(node: usize, config: NodeConfig, query: &Arc<QuerySpec>) -> ShardMsg {
         ShardMsg {
             node,
-            msg: EngineMsg::Attach(Box::new(AttachFragment {
+            msg: EngineMsg::Attach(AttachFragment {
                 node,
                 config,
                 query: query.clone(),
                 fragment: 0,
                 downstream: None,
-            })),
+            }),
         }
     }
 
@@ -526,7 +555,7 @@ mod tests {
             })
             .unwrap();
         }
-        let mut reports = handle.join().expect("shard panicked");
+        let (mut reports, _) = handle.join().expect("shard panicked");
         assert_eq!(reports.len(), 1);
         reports.pop().unwrap().1
     }
@@ -611,7 +640,7 @@ mod tests {
             msg: EngineMsg::Shutdown,
         })
         .unwrap();
-        let reports = handle.join().expect("shard panicked");
+        let (reports, _) = handle.join().expect("shard panicked");
         let by_node: HashMap<usize, &NodeReport> = reports.iter().map(|(n, r)| (*n, r)).collect();
         assert!(by_node[&0].ticks >= 1);
         assert!(
@@ -660,7 +689,7 @@ mod tests {
             msg: EngineMsg::Shutdown,
         })
         .unwrap();
-        let reports = handle.join().expect("shard panicked");
+        let (reports, _) = handle.join().expect("shard panicked");
         let by_node: HashMap<usize, NodeReport> = reports.into_iter().collect();
         let resident = &by_node[&0];
         let churned = &by_node[&1];

@@ -425,7 +425,7 @@ mod tests {
     use themis_core::prelude::{Sic, Value};
 
     fn batch() -> TupleBatch {
-        let mut b = TupleBatch::with_capacity(2, 3);
+        let mut b = TupleBatch::new();
         for i in 0..3u64 {
             b.push_row(
                 Timestamp(i * 10),
@@ -489,6 +489,37 @@ mod tests {
                 assert_eq!(*shed_batches, 1);
             }
             other => panic!("expected bye, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_payload_tag_is_located_corruption() {
+        // A batch frame whose payload carries tag 0, the retired
+        // schema-less layout: one row, a width, one tagged `Value`.
+        let mut body = vec![MSG_BATCH];
+        for header in [3u32, 7, 1, 9] {
+            put_u32(&mut body, header);
+        }
+        put_u64(&mut body, 12345);
+        put_u32(&mut body, 1);
+        put_u64(&mut body, 5);
+        put_u64(&mut body, 0.5f64.to_bits());
+        put_u32(&mut body, 0);
+        let tag_at = (FRAME_HEADER_BYTES + body.len()) as u64;
+        body.push(0);
+        put_u32(&mut body, 1);
+        body.push(1);
+        put_u64(&mut body, 2.0f64.to_bits());
+        let mut buf = Vec::new();
+        put_u32(&mut buf, body.len() as u32);
+        put_u32(&mut buf, crc32(&body));
+        buf.extend_from_slice(&body);
+        match decode_frames(&buf).unwrap_err() {
+            NetError::Corrupt { offset, detail } => {
+                assert_eq!(offset, tag_at);
+                assert!(detail.contains("unknown payload tag 0"), "{detail}");
+            }
+            other => panic!("expected corrupt, got {other}"),
         }
     }
 

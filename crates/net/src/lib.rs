@@ -7,7 +7,7 @@
 //!
 //! - [`codec`] — a length-prefixed, CRC-checked frame codec for tuple
 //!   batches that reuses the WAL's columnar batch layout byte-for-byte
-//!   (typed + arena payloads, drop bitmaps, tag dictionaries shipped as
+//!   (typed column payloads, drop bitmaps, tag dictionaries shipped as
 //!   code-ordered snapshots re-interned per connection).
 //! - [`transport`] — outbound side: bounded-retry connects with backoff
 //!   and per-peer send queues that **shed oldest-first instead of

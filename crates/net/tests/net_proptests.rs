@@ -1,7 +1,7 @@
 //! Property-based tests over the wire codec: encode→decode is lossless
-//! for every message kind and both batch layouts (arena batches with raw
-//! tag codes, typed batches with interned tag dictionaries, drop
-//! bitmaps, NaN-carrying SIC values), and every corruption of the byte
+//! for every message kind and every column type (interned tag
+//! dictionaries, drop bitmaps, NaN-carrying SIC values), and every
+//! corruption of the byte
 //! stream — truncation at any offset, any flipped byte — maps to an
 //! actionable [`NetError::Corrupt`] naming the damaged offset, never a
 //! panic. The structure mirrors `wal_proptests.rs` deliberately: the
@@ -17,46 +17,6 @@ const HEADER: usize = 8;
 // ---------------------------------------------------------------------------
 // Strategies
 // ---------------------------------------------------------------------------
-
-/// An arena-layout batch: rows carry `Value` cells of every variant
-/// (including raw tag codes, which arena batches ship without a
-/// dictionary), with an arbitrary drop bitmap.
-fn arb_arena_batch() -> impl Strategy<Value = TupleBatch> {
-    prop::collection::vec(
-        (
-            (0u64..1_000_000, 0.0f64..1.0), // ts, sic
-            (
-                i64::MIN..i64::MAX, // I64 cell
-                -1.0e12f64..1.0e12, // F64 cell
-                0u8..2,             // Bool cell
-                0u32..1_000,        // raw tag code cell
-            ),
-            0u8..2, // dropped?
-        ),
-        0..24,
-    )
-    .prop_map(|rows| {
-        let mut b = TupleBatch::with_capacity(4, rows.len());
-        for &((ts, sic), (n, x, ok, code), _) in &rows {
-            b.push_row(
-                Timestamp(ts),
-                Sic(sic),
-                &[
-                    Value::I64(n),
-                    Value::F64(x),
-                    Value::Bool(ok == 1),
-                    Value::Tag(code),
-                ],
-            );
-        }
-        for (i, &(.., dropped)) in rows.iter().enumerate() {
-            if dropped == 1 {
-                b.drop_row(i);
-            }
-        }
-        b
-    })
-}
 
 /// A typed batch over a schema exercising all four column types, tags
 /// drawn from a six-entry dictionary that is interned in full (so some
@@ -110,22 +70,20 @@ fn arb_typed_batch() -> impl Strategy<Value = TupleBatch> {
     })
 }
 
-/// A routed batch frame: arbitrary routing header over either layout.
+/// A routed batch frame: arbitrary routing header over a typed batch.
 fn arb_wire_batch() -> impl Strategy<Value = WireBatch> {
     (
         (0u32..16, 0u32..8, 0u32..4, 0u32..64, 0u64..u64::MAX),
-        (0u8..2, arb_arena_batch(), arb_typed_batch()),
+        arb_typed_batch(),
     )
-        .prop_map(
-            |((node, q, fragment, source, created), (layout, arena, typed))| WireBatch {
-                node,
-                query: QueryId(q),
-                fragment,
-                source: SourceId(source),
-                created: Timestamp(created),
-                batch: if layout == 0 { arena } else { typed },
-            },
-        )
+        .prop_map(|((node, q, fragment, source, created), batch)| WireBatch {
+            node,
+            query: QueryId(q),
+            fragment,
+            source: SourceId(source),
+            created: Timestamp(created),
+            batch,
+        })
 }
 
 /// A whole session: hello, a run of batches, bye — the exact frame
@@ -196,16 +154,15 @@ fn batch_mismatch(a: &TupleBatch, b: &TupleBatch) -> Option<String> {
         }
         for (f, (va, vb)) in ta.values.iter().zip(&tb.values).enumerate() {
             let same = match (va, vb) {
-                (Value::Tag(ca), Value::Tag(cb)) => match (a.schema(), b.schema()) {
-                    // Typed tags compare by resolved string; arena tags
-                    // carry bare codes and must survive verbatim.
-                    (Some(sa), Some(sb)) => {
-                        let ra = sa.interner().and_then(|d| d.resolve(*ca));
-                        let rb = sb.interner().and_then(|d| d.resolve(*cb));
-                        ra == rb
-                    }
-                    _ => ca == cb,
-                },
+                // Tags compare by resolved string.
+                (Value::Tag(ca), Value::Tag(cb)) => {
+                    let resolve = |t: &TupleBatch, c: u32| {
+                        t.schema()
+                            .and_then(|s| s.interner())
+                            .and_then(|d| d.resolve(c))
+                    };
+                    resolve(a, *ca) == resolve(b, *cb)
+                }
                 _ => va == vb,
             };
             if !same {
@@ -288,8 +245,8 @@ fn encode_all(msgs: &[NetMsg]) -> Vec<u8> {
 
 proptest! {
     /// Encode→decode round-trips a whole session semantically: routing
-    /// headers verbatim, both batch layouts (all column types, tag
-    /// dictionaries, drop bitmaps) field-identical, SIC bit-identical —
+    /// headers verbatim, batches (all column types, tag dictionaries,
+    /// drop bitmaps) field-identical, SIC bit-identical —
     /// both through the one-shot stream decoder and through an
     /// incremental [`Decoder`] fed the stream in arbitrary chunks.
     #[test]

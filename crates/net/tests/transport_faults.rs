@@ -35,7 +35,7 @@ fn tiny_cfg() -> NetConfig {
 /// socket buffers of an unread loopback connection.
 fn bulky_batch() -> TupleBatch {
     let rows = 4096;
-    let mut b = TupleBatch::with_capacity(2, rows);
+    let mut b = TupleBatch::new();
     for i in 0..rows as u64 {
         b.push_row(
             Timestamp(i),
@@ -169,7 +169,7 @@ fn full_queue_sheds_oldest_and_never_blocks_the_sender() {
 fn close_accounts_for_every_batch() {
     const N: u64 = 16;
     let cfg = tiny_cfg();
-    let mut small = TupleBatch::with_capacity(1, 1);
+    let mut small = TupleBatch::new();
     small.push_row(Timestamp(0), Sic(1.0e-3), &[Value::F64(1.0)]);
     for iteration in 0..200 {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

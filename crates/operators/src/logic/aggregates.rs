@@ -1,22 +1,29 @@
 //! Windowed aggregate logic: AVG, SUM, COUNT (with HAVING), MAX, MIN, plus
 //! the partial/merge pair used by incremental multi-fragment trees
-//! (the AVG-all workload of Table 1). Aggregates collapse the pane, so they
-//! return no per-row timestamps — the operator wrapper stamps outputs with
-//! the pane's window timestamp.
+//! (the AVG-all workload of Table 1). Aggregates collapse the pane into
+//! one row stamped with the pane's window timestamp, under an output
+//! schema each logic declares once at construction.
 //!
-//! Panes whose batches are schema-typed with a native `f64` column at the
-//! aggregated field run the vectorized [`kernels`] (lane-split sums,
-//! word-at-a-time drop handling); arena panes fall back to the scalar
-//! [`TupleBatch::column_f64`] fold with identical semantics.
+//! Native `f64` columns at the aggregated field run the vectorized
+//! [`kernels`] (lane-split sums, word-at-a-time drop handling); other
+//! field types fall back to the scalar [`TupleBatch::column_f64`] fold
+//! with identical semantics.
+
+use std::iter;
 
 use themis_core::prelude::*;
 
 use super::filter::Predicate;
-use super::{OutRow, PaneLogic};
+use super::{emit, PaneLogic};
 use crate::kernels;
 
 fn is_empty(panes: &[&TupleBatch]) -> bool {
     panes.iter().all(|p| p.is_empty())
+}
+
+/// The one-field `[name: f64]` schema most aggregates emit.
+fn f64_schema(name: &str) -> Schema {
+    Schema::new([(name, FieldType::F64)])
 }
 
 /// Sum + live count of `field` over one pane: the typed kernel when the
@@ -47,7 +54,7 @@ fn sum_count(panes: &[&TupleBatch], field: usize) -> (f64, u64) {
 }
 
 // The scalar max/min fallbacks fold from the ∓∞ identity exactly like
-// the kernels, so both layouts agree bit-for-bit even on NaN entries
+// the kernels, so both paths agree bit-for-bit even on NaN entries
 // (`f64::max`/`f64::min` ignore NaN; an all-NaN column yields ∓∞).
 
 fn pane_max(pane: &TupleBatch, field: usize) -> Option<f64> {
@@ -82,22 +89,24 @@ fn pane_min(pane: &TupleBatch, field: usize) -> Option<f64> {
 #[derive(Debug)]
 pub struct AvgLogic {
     field: usize,
+    schema: Schema,
 }
 
 impl AvgLogic {
     /// Creates the aggregate on `field`.
     pub fn new(field: usize) -> Self {
-        AvgLogic { field }
+        AvgLogic {
+            field,
+            schema: f64_schema("avg"),
+        }
     }
 }
 
 impl PaneLogic for AvgLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         let (sum, n) = sum_count(panes, self.field);
-        if n == 0 {
-            return Vec::new();
-        }
-        vec![(None, vec![Value::F64(sum / n as f64)])]
+        let avg = (n > 0).then(|| [Value::F64(sum / n as f64)]);
+        emit(&self.schema, at, avg.into_iter())
     }
 
     fn name(&self) -> &'static str {
@@ -110,22 +119,24 @@ impl PaneLogic for AvgLogic {
 #[derive(Debug)]
 pub struct PartialAvgLogic {
     field: usize,
+    schema: Schema,
 }
 
 impl PartialAvgLogic {
     /// Creates the partial aggregate on `field`.
     pub fn new(field: usize) -> Self {
-        PartialAvgLogic { field }
+        PartialAvgLogic {
+            field,
+            schema: Schema::new([("sum", FieldType::F64), ("count", FieldType::I64)]),
+        }
     }
 }
 
 impl PaneLogic for PartialAvgLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         let (sum, n) = sum_count(panes, self.field);
-        if n == 0 {
-            return Vec::new();
-        }
-        vec![(None, vec![Value::F64(sum), Value::I64(n as i64)])]
+        let partial = (n > 0).then_some([Value::F64(sum), Value::I64(n as i64)]);
+        emit(&self.schema, at, partial.into_iter())
     }
 
     fn name(&self) -> &'static str {
@@ -134,20 +145,28 @@ impl PaneLogic for PartialAvgLogic {
 }
 
 /// Merges `[sum, count]` partials into the exact global `[avg]`.
-#[derive(Debug, Default)]
-pub struct MergeAvgLogic;
+#[derive(Debug)]
+pub struct MergeAvgLogic {
+    schema: Schema,
+}
+
+impl Default for MergeAvgLogic {
+    fn default() -> Self {
+        MergeAvgLogic {
+            schema: f64_schema("avg"),
+        }
+    }
+}
 
 impl PaneLogic for MergeAvgLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         let (mut sum, mut n) = (0.0, 0i64);
         for t in panes.iter().flat_map(|p| p.iter()) {
             sum += t.get(0).map(|v| v.as_f64()).unwrap_or(0.0);
             n += t.get(1).map(|v| v.as_i64()).unwrap_or(0);
         }
-        if n == 0 {
-            return Vec::new();
-        }
-        vec![(None, vec![Value::F64(sum / n as f64)])]
+        let avg = (n != 0).then(|| [Value::F64(sum / n as f64)]);
+        emit(&self.schema, at, avg.into_iter())
     }
 
     fn name(&self) -> &'static str {
@@ -159,22 +178,26 @@ impl PaneLogic for MergeAvgLogic {
 #[derive(Debug)]
 pub struct SumLogic {
     field: usize,
+    schema: Schema,
 }
 
 impl SumLogic {
     /// Creates the aggregate on `field`.
     pub fn new(field: usize) -> Self {
-        SumLogic { field }
+        SumLogic {
+            field,
+            schema: f64_schema("sum"),
+        }
     }
 }
 
 impl PaneLogic for SumLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         if is_empty(panes) {
-            return Vec::new();
+            return TupleBatch::new();
         }
         let (sum, _) = sum_count(panes, self.field);
-        vec![(None, vec![Value::F64(sum)])]
+        emit(&self.schema, at, iter::once([Value::F64(sum)]))
     }
 
     fn name(&self) -> &'static str {
@@ -188,20 +211,24 @@ impl PaneLogic for SumLogic {
 #[derive(Debug)]
 pub struct CountLogic {
     predicate: Option<Predicate>,
+    schema: Schema,
 }
 
 impl CountLogic {
     /// Creates the aggregate with an optional HAVING predicate.
     pub fn new(predicate: Option<Predicate>) -> Self {
-        CountLogic { predicate }
+        CountLogic {
+            predicate,
+            schema: Schema::new([("count", FieldType::I64)]),
+        }
     }
 
     fn pane_count(&self, pane: &TupleBatch) -> usize {
         match self.predicate {
             None => pane.len(),
             Some(p) => match pane.f64_column(p.field) {
-                // Typed column: evaluate the HAVING predicate through the
-                // word-packed mask kernel and popcount the survivors.
+                // Native f64 column: evaluate the HAVING predicate through
+                // the word-packed mask kernel and popcount the survivors.
                 Some(col) => {
                     kernels::mask_count(&kernels::predicate_mask(col, p.op, p.value, pane.drops()))
                 }
@@ -212,12 +239,12 @@ impl CountLogic {
 }
 
 impl PaneLogic for CountLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         if is_empty(panes) {
-            return Vec::new();
+            return TupleBatch::new();
         }
         let n: usize = panes.iter().map(|p| self.pane_count(p)).sum();
-        vec![(None, vec![Value::I64(n as i64)])]
+        emit(&self.schema, at, iter::once([Value::I64(n as i64)]))
     }
 
     fn name(&self) -> &'static str {
@@ -229,25 +256,28 @@ impl PaneLogic for CountLogic {
 #[derive(Debug)]
 pub struct MaxLogic {
     field: usize,
+    schema: Schema,
 }
 
 impl MaxLogic {
     /// Creates the aggregate on `field`.
     pub fn new(field: usize) -> Self {
-        MaxLogic { field }
+        MaxLogic {
+            field,
+            schema: f64_schema("max"),
+        }
     }
 }
 
 impl PaneLogic for MaxLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
-        panes
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
+        let max = panes
             .iter()
             .filter_map(|p| pane_max(p, self.field))
             .fold(None, |acc: Option<f64>, v| {
                 Some(acc.map_or(v, |a| a.max(v)))
-            })
-            .map(|m| vec![(None, vec![Value::F64(m)])])
-            .unwrap_or_default()
+            });
+        emit(&self.schema, at, max.map(|m| [Value::F64(m)]).into_iter())
     }
 
     fn name(&self) -> &'static str {
@@ -259,25 +289,28 @@ impl PaneLogic for MaxLogic {
 #[derive(Debug)]
 pub struct MinLogic {
     field: usize,
+    schema: Schema,
 }
 
 impl MinLogic {
     /// Creates the aggregate on `field`.
     pub fn new(field: usize) -> Self {
-        MinLogic { field }
+        MinLogic {
+            field,
+            schema: f64_schema("min"),
+        }
     }
 }
 
 impl PaneLogic for MinLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
-        panes
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
+        let min = panes
             .iter()
             .filter_map(|p| pane_min(p, self.field))
             .fold(None, |acc: Option<f64>, v| {
                 Some(acc.map_or(v, |a| a.min(v)))
-            })
-            .map(|m| vec![(None, vec![Value::F64(m)])])
-            .unwrap_or_default()
+            });
+        emit(&self.schema, at, min.map(|m| [Value::F64(m)]).into_iter())
     }
 
     fn name(&self) -> &'static str {
@@ -290,13 +323,9 @@ mod tests {
     use super::super::filter::CmpOp;
     use super::*;
 
-    fn pane(vals: &[f64]) -> TupleBatch {
-        vals.iter()
-            .map(|&v| Tuple::measurement(Timestamp(0), Sic(0.1), v))
-            .collect()
-    }
+    const AT: Timestamp = Timestamp(9);
 
-    fn typed_pane(vals: &[f64]) -> TupleBatch {
+    fn pane(vals: &[f64]) -> TupleBatch {
         let mut b = TupleBatch::with_schema(Schema::new([("value", FieldType::F64)]));
         for &v in vals {
             b.push_row(Timestamp(0), Sic(0.1), &[Value::F64(v)]);
@@ -304,56 +333,61 @@ mod tests {
         b
     }
 
-    fn rows(out: Vec<OutRow>) -> Vec<Row> {
-        out.into_iter().map(|(_, r)| r).collect()
+    /// A pane whose value field is an `i64` column: the scalar fold path.
+    fn int_pane(vals: &[i64]) -> TupleBatch {
+        vals.iter()
+            .map(|&v| Tuple::measurement(Timestamp(0), Sic(0.1), v))
+            .collect()
+    }
+
+    fn rows(out: TupleBatch) -> Vec<Row> {
+        out.to_rows()
     }
 
     #[test]
     fn avg_of_pane() {
         let p = pane(&[10.0, 20.0, 30.0]);
-        let out = AvgLogic::new(0).apply(&[&p]);
-        assert_eq!(out[0].0, None, "aggregates are stamped by the pane");
+        let out = AvgLogic::new(0).apply(&[&p], AT);
+        assert_eq!(out.row(0).ts, AT, "aggregates are stamped by the pane");
         assert_eq!(rows(out), vec![vec![Value::F64(20.0)]]);
     }
 
     #[test]
     fn avg_empty_emits_nothing() {
-        assert!(AvgLogic::new(0).apply(&[&TupleBatch::new()]).is_empty());
+        assert!(AvgLogic::new(0).apply(&[&TupleBatch::new()], AT).is_empty());
     }
 
     #[test]
-    fn typed_panes_agree_with_arena_panes() {
+    fn kernels_match_a_scalar_fold() {
         let vals: Vec<f64> = (0..130).map(|i| (i as f64) * 0.5 - 20.0).collect();
-        let mut arena = pane(&vals);
-        let mut typed = typed_pane(&vals);
-        // Drop the same rows on both representations.
-        for i in [3usize, 100] {
-            arena.drop_row(i);
-            typed.drop_row(i);
+        let mut p = pane(&vals);
+        let dropped = [3usize, 100];
+        for i in dropped {
+            p.drop_row(i);
         }
-        for (mut a, mut b) in [
+        let live: Vec<f64> = (0..vals.len())
+            .filter(|i| !dropped.contains(i))
+            .map(|i| vals[i])
+            .collect();
+        let sum: f64 = live.iter().sum();
+        let want = [
+            (AvgLogic::new(0).apply(&[&p], AT), sum / live.len() as f64),
+            (SumLogic::new(0).apply(&[&p], AT), sum),
             (
-                AvgLogic::new(0).apply(&[&arena]),
-                AvgLogic::new(0).apply(&[&typed]),
+                MaxLogic::new(0).apply(&[&p], AT),
+                live.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             ),
             (
-                SumLogic::new(0).apply(&[&arena]),
-                SumLogic::new(0).apply(&[&typed]),
+                MinLogic::new(0).apply(&[&p], AT),
+                live.iter().copied().fold(f64::INFINITY, f64::min),
             ),
-            (
-                MaxLogic::new(0).apply(&[&arena]),
-                MaxLogic::new(0).apply(&[&typed]),
-            ),
-            (
-                MinLogic::new(0).apply(&[&arena]),
-                MinLogic::new(0).apply(&[&typed]),
-            ),
-        ] {
-            let (a, b) = (
-                a.remove(0).1.remove(0).as_f64(),
-                b.remove(0).1.remove(0).as_f64(),
+        ];
+        for (out, want) in want {
+            let got = out.row(0).f64(0);
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "{got} vs {want}"
             );
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
         }
     }
 
@@ -361,40 +395,36 @@ mod tests {
     fn partial_then_merge_is_exact() {
         let p1 = pane(&[10.0, 20.0]);
         let p2 = pane(&[40.0]);
-        let r1 = PartialAvgLogic::new(0).apply(&[&p1]);
-        let r2 = PartialAvgLogic::new(0).apply(&[&p2]);
-        let mut partials = TupleBatch::new();
-        for (_, row) in [r1, r2].into_iter().flatten() {
-            partials.push_row(Timestamp(0), Sic(0.1), &row);
-        }
-        let merged = MergeAvgLogic.apply(&[&partials]);
-        let avg = merged[0].1[0].as_f64();
+        let mut partials = PartialAvgLogic::new(0).apply(&[&p1], AT);
+        partials.append_batch(&PartialAvgLogic::new(0).apply(&[&p2], AT));
+        assert_eq!(partials.i64_column(1), Some(&[2i64, 1][..]));
+        let merged = MergeAvgLogic::default().apply(&[&partials], AT);
+        let avg = merged.row(0).f64(0);
         assert!((avg - 70.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn merge_avg_with_zero_count_emits_nothing() {
-        assert!(MergeAvgLogic.apply(&[&TupleBatch::new()]).is_empty());
+        assert!(MergeAvgLogic::default()
+            .apply(&[&TupleBatch::new()], AT)
+            .is_empty());
     }
 
     #[test]
     fn sum_logic() {
         let p = pane(&[1.5, 2.5]);
         assert_eq!(
-            rows(SumLogic::new(0).apply(&[&p])),
+            rows(SumLogic::new(0).apply(&[&p], AT)),
             vec![vec![Value::F64(4.0)]]
         );
     }
 
     #[test]
     fn count_with_having() {
-        for p in [
-            pane(&[10.0, 55.0, 50.0, 99.0]),
-            typed_pane(&[10.0, 55.0, 50.0, 99.0]),
-        ] {
-            let out = CountLogic::new(Some(Predicate::new(0, CmpOp::Ge, 50.0))).apply(&[&p]);
+        for p in [pane(&[10.0, 55.0, 50.0, 99.0]), int_pane(&[10, 55, 50, 99])] {
+            let out = CountLogic::new(Some(Predicate::new(0, CmpOp::Ge, 50.0))).apply(&[&p], AT);
             assert_eq!(rows(out), vec![vec![Value::I64(3)]]);
-            let all = CountLogic::new(None).apply(&[&p]);
+            let all = CountLogic::new(None).apply(&[&p], AT);
             assert_eq!(rows(all), vec![vec![Value::I64(4)]]);
         }
     }
@@ -404,7 +434,7 @@ mod tests {
         // The pane was processed: the count result (0) is a valid result
         // carrying the pane's SIC mass.
         let p = pane(&[1.0]);
-        let out = CountLogic::new(Some(Predicate::new(0, CmpOp::Ge, 50.0))).apply(&[&p]);
+        let out = CountLogic::new(Some(Predicate::new(0, CmpOp::Ge, 50.0))).apply(&[&p], AT);
         assert_eq!(rows(out), vec![vec![Value::I64(0)]]);
     }
 
@@ -412,32 +442,29 @@ mod tests {
     fn max_min() {
         let p = pane(&[3.0, -1.0, 7.0]);
         assert_eq!(
-            rows(MaxLogic::new(0).apply(&[&p])),
+            rows(MaxLogic::new(0).apply(&[&p], AT)),
             vec![vec![Value::F64(7.0)]]
         );
         assert_eq!(
-            rows(MinLogic::new(0).apply(&[&p])),
+            rows(MinLogic::new(0).apply(&[&p], AT)),
             vec![vec![Value::F64(-1.0)]]
         );
-        assert!(MaxLogic::new(0).apply(&[&TupleBatch::new()]).is_empty());
+        assert!(MaxLogic::new(0).apply(&[&TupleBatch::new()], AT).is_empty());
     }
 
     #[test]
     fn aggregates_span_ports() {
-        let p0 = pane(&[1.0]);
-        let p1 = typed_pane(&[3.0]);
-        let out = AvgLogic::new(0).apply(&[&p0, &p1]);
+        let p0 = int_pane(&[1]);
+        let p1 = pane(&[3.0]);
+        let out = AvgLogic::new(0).apply(&[&p0, &p1], AT);
         assert_eq!(rows(out), vec![vec![Value::F64(2.0)]]);
     }
 
     #[test]
     fn dropped_rows_are_ignored() {
-        for mut p in [
-            pane(&[10.0, 1000.0, 30.0]),
-            typed_pane(&[10.0, 1000.0, 30.0]),
-        ] {
+        for mut p in [pane(&[10.0, 1000.0, 30.0]), int_pane(&[10, 1000, 30])] {
             p.drop_row(1);
-            let out = AvgLogic::new(0).apply(&[&p]);
+            let out = AvgLogic::new(0).apply(&[&p], AT);
             assert_eq!(rows(out), vec![vec![Value::F64(20.0)]]);
         }
     }

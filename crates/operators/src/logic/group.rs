@@ -4,18 +4,18 @@
 //! it sums a value field per distinct tag of a [`FieldType::Tag`] key
 //! column and emits `[tag, sum, count]` partials, ready for a
 //! downstream merge (sum the sums and counts per tag) or a final
-//! `sum / count` average. Typed panes run the
+//! `sum / count` average. Panes run the
 //! [`kernels::group_sum_count_f64`] kernel directly on the raw code
 //! slice — flat `Vec`-indexed accumulators, no per-row hashing — and
-//! the output batch shares the input column's interner, so the emitted
+//! the output batch shares the first pane's dictionary, so the emitted
 //! codes stay resolvable downstream.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use themis_core::prelude::*;
 
-use super::{OutRow, PaneLogic};
+use super::{derived_schema, emit, PaneLogic};
 use crate::kernels;
 
 /// Per-tag `(sum, count)` group-by; emits `[tag, sum, count]` rows in
@@ -24,6 +24,9 @@ use crate::kernels;
 pub struct GroupAggregateLogic {
     key_field: usize,
     value_field: usize,
+    /// The output schema, bound to the dictionary of the panes it last
+    /// served.
+    schema: Option<Schema>,
 }
 
 impl GroupAggregateLogic {
@@ -32,88 +35,75 @@ impl GroupAggregateLogic {
         GroupAggregateLogic {
             key_field,
             value_field,
+            schema: None,
         }
     }
 
-    /// Scalar per-key reference fold shared by the row path (and pinned
-    /// against the kernel by the property tests): key codes read through
-    /// the numeric view (`Tag` yields its code, negatives clamp to 0 —
-    /// the same clamp `Column::push_value` applies when writing a tag
-    /// column).
-    fn fold_rows(&self, panes: &[&TupleBatch]) -> Vec<(u32, f64, u64)> {
-        let mut acc: HashMap<u32, (f64, u64)> = HashMap::new();
-        for p in panes {
-            for t in p.iter() {
-                let code = t.get(self.key_field).map(|v| v.as_i64()).unwrap_or(0);
-                let v = t.get(self.value_field).map(|v| v.as_f64()).unwrap_or(0.0);
-                let e = acc.entry(code.max(0) as u32).or_insert((0.0, 0));
-                e.0 += v;
-                e.1 += 1;
+    /// `[tag, sum, count]` with the tag field on `dict` (a fresh
+    /// dictionary for a key that is not a tag column), reused while the
+    /// panes keep that dictionary.
+    fn out_schema(&mut self, dict: Option<&Arc<TagInterner>>) -> Schema {
+        match (&self.schema, dict) {
+            (Some(s), None) => s.clone(),
+            (Some(s), Some(d)) if s.interner().is_some_and(|i| Arc::ptr_eq(i, d)) => s.clone(),
+            _ => {
+                let fields = vec![
+                    ("tag".to_string(), FieldType::Tag),
+                    ("sum".to_string(), FieldType::F64),
+                    ("count".to_string(), FieldType::I64),
+                ];
+                let s = derived_schema(fields, dict);
+                self.schema = Some(s.clone());
+                s
             }
         }
-        let mut rows: Vec<(u32, f64, u64)> = acc.into_iter().map(|(c, (s, n))| (c, s, n)).collect();
-        rows.sort_unstable_by_key(|&(c, _, _)| c);
-        rows
     }
 }
 
-/// Output schema of one emission: `[tag, sum, count]`, with the tag
-/// column bound to the input pane's dictionary when one is available.
-fn out_schema(dict: Option<&Arc<TagInterner>>) -> Schema {
-    let fields = [
-        ("tag", FieldType::Tag),
-        ("sum", FieldType::F64),
-        ("count", FieldType::I64),
-    ];
-    match dict {
-        Some(d) => Schema::with_interner(fields, Arc::clone(d)),
-        None => Schema::new(fields),
+/// `pane`'s key codes in `dict`'s code space, one per physical row: the
+/// tag column's own codes when it already uses `dict`, re-interned
+/// strings otherwise (another dictionary's tags, or the printed value of
+/// a non-tag key) — codes never cross dictionaries raw.
+fn codes_in<'a>(pane: &'a TupleBatch, field: usize, dict: &TagInterner) -> Cow<'a, [u32]> {
+    match pane.column(field) {
+        Some(Column::Tag(t)) if std::ptr::eq(Arc::as_ptr(t.dict()), dict) => {
+            Cow::Borrowed(t.codes())
+        }
+        Some(Column::Tag(t)) => (0..pane.rows())
+            .map(|i| dict.intern(&t.resolve(i).unwrap_or_else(|| Arc::from(""))))
+            .collect(),
+        Some(c) => (0..pane.rows())
+            .map(|i| dict.intern(&c.value(i).to_string()))
+            .collect(),
+        None => Cow::Owned(vec![TagInterner::EMPTY; pane.rows()]),
     }
 }
 
 impl PaneLogic for GroupAggregateLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
-        self.fold_rows(panes)
-            .into_iter()
-            .map(|(c, s, n)| {
-                (
-                    None,
-                    vec![Value::Tag(c), Value::F64(s), Value::I64(n as i64)],
-                )
-            })
-            .collect()
-    }
-
-    fn apply_columnar(&mut self, panes: &[&TupleBatch], at: Timestamp) -> Option<TupleBatch> {
-        // Kernel path only when every non-empty pane exposes native tag
-        // key and f64 value columns sharing one dictionary; mixed panes
-        // fall back to the scalar row path, whose numeric-view fold
-        // handles arena rows and cross-dictionary codes alike.
-        let mut dict: Option<&Arc<TagInterner>> = None;
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
+        let mut live = panes.iter().filter(|p| !p.is_empty()).peekable();
+        let Some(first) = live.peek() else {
+            return TupleBatch::new();
+        };
+        let schema = self.out_schema(first.tag_column(self.key_field).map(|t| t.dict()));
+        let dict = schema.interner().expect("tag field implies an interner");
         let mut acc = kernels::GroupSums::new();
-        for p in panes {
-            if p.rows() == 0 {
-                continue;
-            }
-            let keys = p.tag_column(self.key_field)?;
-            let vals = p.f64_column(self.value_field)?;
-            match dict {
-                Some(d) if !Arc::ptr_eq(d, keys.dict()) => return None,
-                Some(_) => {}
-                None => dict = Some(keys.dict()),
-            }
-            acc.accumulate(keys.codes(), vals, p.drops());
+        for p in live {
+            let codes = codes_in(p, self.key_field, dict);
+            let vals: Cow<'_, [f64]> = match p.f64_column(self.value_field) {
+                Some(v) => Cow::Borrowed(v),
+                None => (0..p.rows())
+                    .map(|i| p.column(self.value_field).map_or(0.0, |c| c.f64_at(i)))
+                    .collect(),
+            };
+            acc.accumulate(&codes, &vals, p.drops());
         }
-        let rows = acc.into_sorted();
-        let mut out = TupleBatch::with_schema_capacity(out_schema(dict), rows.len());
-        for (c, s, n) in rows {
-            out.push_row(
-                at,
-                Sic(0.0), // wrapper restamps per Eq. 3
-                &[Value::Tag(c), Value::F64(s), Value::I64(n as i64)],
-            );
-        }
-        Some(out)
+        let rows = acc.into_sorted().into_iter();
+        emit(
+            &schema,
+            at,
+            rows.map(|(c, s, n)| [Value::Tag(c), Value::F64(s), Value::I64(n as i64)]),
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -125,10 +115,11 @@ impl PaneLogic for GroupAggregateLogic {
 mod tests {
     use super::*;
 
-    fn tagged(rows: &[(&str, f64)]) -> TupleBatch {
-        let schema = Schema::new([("tag", FieldType::Tag), ("value", FieldType::F64)]);
+    const AT: Timestamp = Timestamp(9);
+
+    fn tagged_on(schema: &Schema, rows: &[(&str, f64)]) -> TupleBatch {
         let dict = schema.interner().unwrap().clone();
-        let mut b = TupleBatch::with_schema_capacity(schema, rows.len());
+        let mut b = TupleBatch::with_schema_capacity(schema.clone(), rows.len());
         for &(tag, v) in rows {
             let code = dict.intern(tag);
             b.push_row(Timestamp(3), Sic(0.1), &[Value::Tag(code), Value::F64(v)]);
@@ -136,75 +127,81 @@ mod tests {
         b
     }
 
+    fn tagged(rows: &[(&str, f64)]) -> TupleBatch {
+        let schema = Schema::new([("tag", FieldType::Tag), ("value", FieldType::F64)]);
+        tagged_on(&schema, rows)
+    }
+
+    /// `(tag string, sum, count)` per output row.
+    fn resolved(out: &TupleBatch) -> Vec<(String, f64, i64)> {
+        let tags = out.tag_column(0).expect("tag column");
+        (0..out.rows())
+            .map(|i| {
+                let r = out.row(i);
+                (tags.resolve(i).unwrap().to_string(), r.f64(1), r.i64(2))
+            })
+            .collect()
+    }
+
     #[test]
     fn columnar_matches_scalar_rows() {
         let pane = tagged(&[("a", 1.0), ("b", 2.0), ("a", 3.0)]);
-        let mut logic = GroupAggregateLogic::new(0, 1);
-        let rows = logic.apply(&[&pane]);
-        let cols = logic.apply_columnar(&[&pane], Timestamp(9)).unwrap();
-        assert_eq!(cols.len(), rows.len());
-        for (i, (_, r)) in rows.iter().enumerate() {
-            assert_eq!(&cols.row(i).values.to_vec(), r);
-        }
-        // Aggregate emissions carry the pane stamp on the columnar path.
-        assert_eq!(cols.row(0).ts, Timestamp(9));
+        let out = GroupAggregateLogic::new(0, 1).apply(&[&pane], AT);
+        assert_eq!(
+            resolved(&out),
+            vec![("a".to_string(), 4.0, 2), ("b".to_string(), 2.0, 1)]
+        );
+        // Aggregate emissions carry the pane stamp.
+        assert_eq!(out.row(0).ts, AT);
         // The output column shares the input dictionary.
-        let out_dict = cols.tag_column(0).unwrap().dict().clone();
+        let out_dict = out.tag_column(0).unwrap().dict().clone();
         assert!(Arc::ptr_eq(&out_dict, pane.tag_column(0).unwrap().dict()));
-        let code = cols.row(0).values.i64(0) as u32;
-        assert_eq!(&*out_dict.resolve(code).unwrap(), "a");
     }
 
     #[test]
     fn columnar_skips_dropped_rows() {
         let mut pane = tagged(&[("a", 1.0), ("a", 2.0), ("b", 4.0)]);
         pane.drop_row(1);
-        let out = GroupAggregateLogic::new(0, 1)
-            .apply_columnar(&[&pane], Timestamp(0))
-            .unwrap();
+        let out = GroupAggregateLogic::new(0, 1).apply(&[&pane], AT);
         assert_eq!(out.len(), 2);
         assert_eq!(out.f64_column(1), Some(&[1.0, 4.0][..]));
         assert_eq!(out.i64_column(2), Some(&[1, 1][..]));
     }
 
     #[test]
-    fn columnar_declines_mixed_dictionaries() {
-        let a = tagged(&[("a", 1.0)]);
-        let b = tagged(&[("b", 2.0)]);
-        assert!(!a.tag_column(0).unwrap().dict().is_empty());
+    fn mixed_dictionaries_reintern_into_the_first() {
+        let a = tagged(&[("a", 1.0), ("b", 2.0)]);
+        let b = tagged(&[("zz", 7.0), ("a", 5.0)]);
         let mut logic = GroupAggregateLogic::new(0, 1);
-        assert!(logic.apply_columnar(&[&a, &b], Timestamp(0)).is_none());
-        // Same dictionary across panes accumulates.
-        let c = tagged(&[("a", 1.0), ("b", 2.0)]);
-        let d = {
-            let schema = c.schema().unwrap().clone();
-            let dict = schema.interner().unwrap().clone();
-            let mut b = TupleBatch::with_schema_capacity(schema, 1);
-            b.push_row(
-                Timestamp(0),
-                Sic(0.1),
-                &[Value::Tag(dict.intern("a")), Value::F64(5.0)],
-            );
-            b
-        };
-        let out = logic.apply_columnar(&[&c, &d], Timestamp(0)).unwrap();
-        assert_eq!(out.f64_column(1), Some(&[6.0, 2.0][..]));
+        let out = logic.apply(&[&a, &b], AT);
+        assert!(Arc::ptr_eq(
+            out.tag_column(0).unwrap().dict(),
+            a.tag_column(0).unwrap().dict()
+        ));
+        assert_eq!(
+            resolved(&out),
+            vec![
+                ("a".to_string(), 6.0, 2),
+                ("b".to_string(), 2.0, 1),
+                ("zz".to_string(), 7.0, 1)
+            ]
+        );
+        // Panes sharing one dictionary accumulate on the raw codes.
+        let c = tagged_on(a.schema().unwrap(), &[("a", 1.0)]);
+        let out = logic.apply(&[&a, &c], AT);
+        assert_eq!(out.f64_column(1), Some(&[2.0, 2.0][..]));
     }
 
     #[test]
-    fn arena_panes_fall_back_to_rows() {
-        let pane: TupleBatch = vec![
-            Tuple::new(Timestamp(0), Sic(0.1), vec![Value::Tag(2), Value::F64(1.5)]),
-            Tuple::new(Timestamp(0), Sic(0.1), vec![Value::Tag(2), Value::F64(2.5)]),
-        ]
-        .into_iter()
-        .collect();
-        let mut logic = GroupAggregateLogic::new(0, 1);
-        assert!(logic.apply_columnar(&[&pane], Timestamp(0)).is_none());
-        let rows = logic.apply(&[&pane]);
+    fn non_tag_keys_group_by_their_printed_value() {
+        let pane: TupleBatch = [(2i64, 1.5), (2, 2.5), (7, 1.0)]
+            .iter()
+            .map(|&(k, v)| Tuple::new(Timestamp(0), Sic(0.1), vec![Value::I64(k), Value::F64(v)]))
+            .collect();
+        let out = GroupAggregateLogic::new(0, 1).apply(&[&pane], AT);
         assert_eq!(
-            rows,
-            vec![(None, vec![Value::Tag(2), Value::F64(4.0), Value::I64(2)])]
+            resolved(&out),
+            vec![("2".to_string(), 4.0, 2), ("7".to_string(), 1.0, 1)]
         );
     }
 }

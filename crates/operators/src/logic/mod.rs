@@ -1,8 +1,8 @@
 //! Pane-atomic operator logic.
 //!
 //! THEMIS treats operators as black boxes (§4); here a [`PaneLogic`] maps the
-//! atomic input groups of one pane (one group per input port) to output
-//! rows. The surrounding [`crate::op::WindowedOperator`] handles windowing
+//! atomic input groups of one pane (one group per input port) to one output
+//! batch. The surrounding [`crate::op::WindowedOperator`] handles windowing
 //! and SIC propagation, so logic implementations never touch SIC values.
 //!
 //! [`LogicSpec`] is the declarative, cloneable description used by query
@@ -24,40 +24,55 @@ pub use group::GroupAggregateLogic;
 pub use join::JoinLogic;
 pub use topk::{GroupAvgLogic, GroupMaxLogic, TopKLogic};
 
+use std::sync::Arc;
+
 use themis_core::prelude::*;
 
-/// One output row of a pane computation. Row-preserving logic (identity,
-/// filter, project) carries the originating tuple's timestamp so windows
-/// downstream keep grouping by event time; aggregates return `None` and the
-/// operator wrapper stamps the pane's window timestamp instead.
-pub type OutRow = (Option<Timestamp>, Row);
-
-/// Black-box operator logic: maps one pane's atomic input groups to output
-/// rows. `panes[p]` holds the columnar tuple batch of input port `p`;
-/// implementations read rows through borrowed [`TupleRef`] views, never
-/// materialising owning tuples.
+/// Black-box operator logic: maps one pane's atomic input groups to the
+/// pane's output batch. `panes[p]` holds the columnar tuple batch of input
+/// port `p`.
+///
+/// An empty output batch means the pane emits nothing (its SIC mass is
+/// lost — the paper's model). Row-preserving logic (identity, filter,
+/// project) keeps each input row's timestamp, so downstream event-time
+/// windows keep grouping correctly; all other logic stamps its rows with
+/// `at`, the pane's window timestamp. The operator wrapper overwrites
+/// every output row's SIC with its Eq.-3 share.
 pub trait PaneLogic: Send {
-    /// Computes the output rows of one atomic processing step.
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow>;
-
-    /// Columnar fast path: computes the whole output *batch* of one
-    /// atomic step (row timestamps already set; the operator wrapper
-    /// overwrites SIC per Eq. 3), so typed input columns copy straight
-    /// into typed output columns without materialising per-row
-    /// `Vec<Value>`s. Row-preserving logic keeps input timestamps and
-    /// ignores `at`; aggregate logic stamps `at` (the pane timestamp)
-    /// onto its output rows — matching what the wrapper stamps on the
-    /// row path. Returning `None` (the default) makes the wrapper fall
-    /// back to [`PaneLogic::apply`]; implementations must return `None`
-    /// whenever they cannot reproduce the row path's semantics for the
-    /// given panes.
-    fn apply_columnar(&mut self, panes: &[&TupleBatch], at: Timestamp) -> Option<TupleBatch> {
-        let _ = (panes, at);
-        None
-    }
+    /// Computes the output batch of one atomic processing step.
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch;
 
     /// Display name for diagnostics.
     fn name(&self) -> &'static str;
+}
+
+/// The output of logic whose rows are computed rather than copied from
+/// input rows: one row per item of `rows` under `schema`, each stamped
+/// `at` (SIC left for the wrapper). No rows yield the allocation-free
+/// empty batch.
+fn emit<const N: usize>(
+    schema: &Schema,
+    at: Timestamp,
+    rows: impl ExactSizeIterator<Item = [Value; N]>,
+) -> TupleBatch {
+    if rows.len() == 0 {
+        return TupleBatch::new();
+    }
+    let mut out = TupleBatch::with_schema_capacity(schema.clone(), rows.len());
+    for row in rows {
+        out.push_row(at, Sic::ZERO, &row);
+    }
+    out
+}
+
+/// A derived schema whose tag fields share `dict` — the input's
+/// dictionary, so copied tag codes keep resolving downstream — or a fresh
+/// dictionary when the input has none.
+fn derived_schema(fields: Vec<(String, FieldType)>, dict: Option<&Arc<TagInterner>>) -> Schema {
+    match dict {
+        Some(d) => Schema::with_interner(fields, Arc::clone(d)),
+        None => Schema::new(fields),
+    }
 }
 
 /// Declarative description of operator logic, used by query templates.
@@ -126,9 +141,9 @@ pub enum LogicSpec {
         value_field: usize,
     },
     /// Per-tag sum/count over a dictionary-coded key column (emits
-    /// `[tag, sum, count]` rows in ascending code order). The columnar
-    /// path runs the [`crate::kernels::group_sum_count_f64`] kernel on
-    /// the raw code slice.
+    /// `[tag, sum, count]` rows in ascending code order), running the
+    /// [`crate::kernels::group_sum_count_f64`] kernel on the raw code
+    /// slice.
     GroupAggregate {
         /// Field holding the dictionary-coded grouping tag.
         key_field: usize,
@@ -160,7 +175,7 @@ impl LogicSpec {
             LogicSpec::Project(fields) => Box::new(ProjectLogic::new(fields.clone())),
             LogicSpec::Avg { field } => Box::new(AvgLogic::new(*field)),
             LogicSpec::PartialAvg { field } => Box::new(PartialAvgLogic::new(*field)),
-            LogicSpec::MergeAvg => Box::new(MergeAvgLogic),
+            LogicSpec::MergeAvg => Box::new(MergeAvgLogic::default()),
             LogicSpec::Sum { field } => Box::new(SumLogic::new(*field)),
             LogicSpec::Count { predicate } => Box::new(CountLogic::new(*predicate)),
             LogicSpec::Max { field } => Box::new(MaxLogic::new(*field)),

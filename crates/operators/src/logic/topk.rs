@@ -1,20 +1,36 @@
 //! Top-k and group-by logic used by the TOP-5 workload of Table 1.
 //!
-//! All three logics fold rows into a per-key map; panes whose batches are
-//! schema-typed with native `i64` key and `f64` value columns read the
-//! raw slices (no per-field `Value` match), and the final top-k selection
-//! runs through [`kernels::partial_top_k`] instead of a full sort.
+//! All three logics fold rows into a per-key map; panes with native `i64`
+//! key and `f64` value columns read the raw slices (no per-field `Value`
+//! match), and the final top-k selection runs through
+//! [`kernels::partial_top_k`] instead of a full sort.
 
 use std::collections::HashMap;
 
 use themis_core::prelude::*;
 
-use super::{OutRow, PaneLogic};
+use super::{emit, PaneLogic};
 use crate::kernels;
 
+/// `[key: i64, <value>: f64]`, the row shape all three logics emit.
+fn keyed_schema(key: &str, value: &str) -> Schema {
+    Schema::new([(key, FieldType::I64), (value, FieldType::F64)])
+}
+
+/// The emission of `(key, value)` rows, stamped `at`.
+fn emit_keyed(schema: &Schema, at: Timestamp, rows: Vec<(i64, f64)>) -> TupleBatch {
+    emit(
+        schema,
+        at,
+        rows.into_iter()
+            .map(|(k, v)| [Value::I64(k), Value::F64(v)]),
+    )
+}
+
 /// Folds each live `(key, value)` pair of the pane into `each`, reading
-/// native columns when the pane is typed and borrowed row views
-/// otherwise (missing fields read as 0, the row-path `get` semantics).
+/// native columns when the fields are `i64` / `f64` and borrowed row
+/// views otherwise (missing fields read as 0, the scalar `get`
+/// semantics).
 fn fold_keyed(
     pane: &TupleBatch,
     key_field: usize,
@@ -49,6 +65,7 @@ pub struct TopKLogic {
     k: usize,
     id_field: usize,
     value_field: usize,
+    schema: Schema,
 }
 
 impl TopKLogic {
@@ -58,12 +75,13 @@ impl TopKLogic {
             k: k.max(1),
             id_field,
             value_field,
+            schema: keyed_schema("id", "value"),
         }
     }
 }
 
 impl PaneLogic for TopKLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         let mut best: HashMap<i64, f64> = HashMap::new();
         for p in panes {
             fold_keyed(p, self.id_field, self.value_field, |id, v| {
@@ -75,9 +93,7 @@ impl PaneLogic for TopKLogic {
         let mut rows: Vec<(i64, f64)> = best.into_iter().collect();
         // Partial select: descending by value, ascending id tie-break.
         kernels::partial_top_k(&mut rows, self.k);
-        rows.into_iter()
-            .map(|(id, v)| (None, vec![Value::I64(id), Value::F64(v)]))
-            .collect()
+        emit_keyed(&self.schema, at, rows)
     }
 
     fn name(&self) -> &'static str {
@@ -91,6 +107,7 @@ impl PaneLogic for TopKLogic {
 pub struct GroupMaxLogic {
     key_field: usize,
     value_field: usize,
+    schema: Schema,
 }
 
 impl GroupMaxLogic {
@@ -99,12 +116,13 @@ impl GroupMaxLogic {
         GroupMaxLogic {
             key_field,
             value_field,
+            schema: keyed_schema("key", "max"),
         }
     }
 }
 
 impl PaneLogic for GroupMaxLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         let mut best: HashMap<i64, f64> = HashMap::new();
         for p in panes {
             fold_keyed(p, self.key_field, self.value_field, |key, v| {
@@ -115,9 +133,7 @@ impl PaneLogic for GroupMaxLogic {
         }
         let mut rows: Vec<(i64, f64)> = best.into_iter().collect();
         rows.sort_by_key(|&(k, _)| k);
-        rows.into_iter()
-            .map(|(k, v)| (None, vec![Value::I64(k), Value::F64(v)]))
-            .collect()
+        emit_keyed(&self.schema, at, rows)
     }
 
     fn name(&self) -> &'static str {
@@ -132,6 +148,7 @@ impl PaneLogic for GroupMaxLogic {
 pub struct GroupAvgLogic {
     key_field: usize,
     value_field: usize,
+    schema: Schema,
 }
 
 impl GroupAvgLogic {
@@ -140,12 +157,13 @@ impl GroupAvgLogic {
         GroupAvgLogic {
             key_field,
             value_field,
+            schema: keyed_schema("key", "avg"),
         }
     }
 }
 
 impl PaneLogic for GroupAvgLogic {
-    fn apply(&mut self, panes: &[&TupleBatch]) -> Vec<OutRow> {
+    fn apply(&mut self, panes: &[&TupleBatch], at: Timestamp) -> TupleBatch {
         let mut acc: HashMap<i64, (f64, u64)> = HashMap::new();
         for p in panes {
             fold_keyed(p, self.key_field, self.value_field, |key, v| {
@@ -159,9 +177,7 @@ impl PaneLogic for GroupAvgLogic {
             .map(|(k, (sum, n))| (k, sum / n as f64))
             .collect();
         rows.sort_by_key(|&(k, _)| k);
-        rows.into_iter()
-            .map(|(k, v)| (None, vec![Value::I64(k), Value::F64(v)]))
-            .collect()
+        emit_keyed(&self.schema, at, rows)
     }
 
     fn name(&self) -> &'static str {
@@ -173,59 +189,61 @@ impl PaneLogic for GroupAvgLogic {
 mod tests {
     use super::*;
 
-    fn row(id: i64, v: f64) -> Tuple {
-        Tuple::new(Timestamp(0), Sic(0.1), vec![Value::I64(id), Value::F64(v)])
-    }
+    const AT: Timestamp = Timestamp(0);
 
-    fn batch(rows: &[(i64, f64)]) -> TupleBatch {
-        rows.iter().map(|&(id, v)| row(id, v)).collect()
+    /// Keyed rows whose value field is an `i64` column: the row-view path.
+    fn int_valued(rows: &[(i64, i64)]) -> TupleBatch {
+        rows.iter()
+            .map(|&(id, v)| Tuple::new(Timestamp(0), Sic(0.1), vec![Value::I64(id), Value::I64(v)]))
+            .collect()
     }
 
     fn typed(rows: &[(i64, f64)]) -> TupleBatch {
-        let schema = Schema::new([("key", FieldType::I64), ("value", FieldType::F64)]);
-        let mut b = TupleBatch::with_schema_capacity(schema, rows.len());
+        let mut b = TupleBatch::with_schema_capacity(keyed_schema("key", "value"), rows.len());
         for &(id, v) in rows {
             b.push_row(Timestamp(0), Sic(0.1), &[Value::I64(id), Value::F64(v)]);
         }
         b
     }
 
-    fn ids(out: &[OutRow]) -> Vec<i64> {
-        out.iter().map(|(_, r)| r[0].as_i64()).collect()
+    fn ids(out: &TupleBatch) -> Vec<i64> {
+        out.iter().map(|r| r.i64(0)).collect()
     }
 
     #[test]
     fn topk_orders_descending() {
-        let data = [(1, 5.0), (2, 9.0), (3, 7.0), (4, 1.0)];
-        for pane in [batch(&data), typed(&data)] {
-            let out = TopKLogic::new(2, 0, 1).apply(&[&pane]);
+        for pane in [
+            typed(&[(1, 5.0), (2, 9.0), (3, 7.0), (4, 1.0)]),
+            int_valued(&[(1, 5), (2, 9), (3, 7), (4, 1)]),
+        ] {
+            let out = TopKLogic::new(2, 0, 1).apply(&[&pane], AT);
             assert_eq!(ids(&out), vec![2, 3]);
         }
     }
 
     #[test]
     fn topk_merges_duplicate_ids() {
-        let pane = batch(&[(1, 5.0), (1, 8.0), (2, 6.0)]);
-        let out = TopKLogic::new(5, 0, 1).apply(&[&pane]);
+        let pane = typed(&[(1, 5.0), (1, 8.0), (2, 6.0)]);
+        let out = TopKLogic::new(5, 0, 1).apply(&[&pane], AT);
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1[0].as_i64(), 1);
-        assert_eq!(out[0].1[1].as_f64(), 8.0);
+        assert_eq!(out.row(0).i64(0), 1);
+        assert_eq!(out.row(0).f64(1), 8.0);
     }
 
     #[test]
     fn topk_ties_break_on_id() {
-        let pane = batch(&[(9, 5.0), (3, 5.0)]);
-        let out = TopKLogic::new(2, 0, 1).apply(&[&pane]);
-        assert_eq!(out[0].1[0].as_i64(), 3);
+        let pane = typed(&[(9, 5.0), (3, 5.0)]);
+        let out = TopKLogic::new(2, 0, 1).apply(&[&pane], AT);
+        assert_eq!(out.row(0).i64(0), 3);
     }
 
     #[test]
     fn topk_handles_short_panes() {
-        let pane = batch(&[(1, 5.0)]);
-        let out = TopKLogic::new(5, 0, 1).apply(&[&pane]);
+        let pane = typed(&[(1, 5.0)]);
+        let out = TopKLogic::new(5, 0, 1).apply(&[&pane], AT);
         assert_eq!(out.len(), 1);
         assert!(TopKLogic::new(5, 0, 1)
-            .apply(&[&TupleBatch::new()])
+            .apply(&[&TupleBatch::new()], AT)
             .is_empty());
     }
 
@@ -233,29 +251,41 @@ mod tests {
     fn topk_skips_dropped_typed_rows() {
         let mut pane = typed(&[(1, 5.0), (2, 9.0), (3, 7.0)]);
         pane.drop_row(1);
-        let out = TopKLogic::new(2, 0, 1).apply(&[&pane]);
+        let out = TopKLogic::new(2, 0, 1).apply(&[&pane], AT);
         assert_eq!(ids(&out), vec![3, 1], "dropped winner excluded");
     }
 
     #[test]
     fn group_max_groups() {
-        let data = [(1, 5.0), (1, 7.0), (2, 3.0)];
-        for pane in [batch(&data), typed(&data)] {
-            let out = GroupMaxLogic::new(0, 1).apply(&[&pane]);
-            assert_eq!(out.len(), 2);
-            assert_eq!(out[0].1, vec![Value::I64(1), Value::F64(7.0)]);
-            assert_eq!(out[1].1, vec![Value::I64(2), Value::F64(3.0)]);
+        for pane in [
+            typed(&[(1, 5.0), (1, 7.0), (2, 3.0)]),
+            int_valued(&[(1, 5), (1, 7), (2, 3)]),
+        ] {
+            let out = GroupMaxLogic::new(0, 1).apply(&[&pane], AT);
+            assert_eq!(
+                out.to_rows(),
+                vec![
+                    vec![Value::I64(1), Value::F64(7.0)],
+                    vec![Value::I64(2), Value::F64(3.0)]
+                ]
+            );
         }
     }
 
     #[test]
     fn group_avg_averages_per_key() {
-        let data = [(1, 4.0), (1, 8.0), (2, 3.0)];
-        for pane in [batch(&data), typed(&data)] {
-            let out = GroupAvgLogic::new(0, 1).apply(&[&pane]);
-            assert_eq!(out.len(), 2);
-            assert_eq!(out[0].1, vec![Value::I64(1), Value::F64(6.0)]);
-            assert_eq!(out[1].1, vec![Value::I64(2), Value::F64(3.0)]);
+        for pane in [
+            typed(&[(1, 4.0), (1, 8.0), (2, 3.0)]),
+            int_valued(&[(1, 4), (1, 8), (2, 3)]),
+        ] {
+            let out = GroupAvgLogic::new(0, 1).apply(&[&pane], AT);
+            assert_eq!(
+                out.to_rows(),
+                vec![
+                    vec![Value::I64(1), Value::F64(6.0)],
+                    vec![Value::I64(2), Value::F64(3.0)]
+                ]
+            );
         }
     }
 }

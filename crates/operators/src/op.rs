@@ -3,12 +3,11 @@
 //!
 //! A [`WindowedOperator`] buffers pushed tuples in its [`WindowBuffer`];
 //! whenever a pane closes, the pane's columnar tuple groups are handed
-//! atomically to the [`PaneLogic`], and every output tuple receives
-//! `sum(input SIC) / |outputs|` (Eq. 3). Row-preserving logic keeps the
-//! originating tuples' timestamps; aggregate outputs are stamped with the
-//! pane's window timestamp. Output rows are assembled directly into one
-//! columnar [`Emission`] batch — the hot path never materialises owning
-//! [`Tuple`]s.
+//! atomically to the [`PaneLogic`], whose output batch becomes one
+//! [`Emission`] once every output tuple receives `sum(input SIC) /
+//! |outputs|` (Eq. 3). Row-preserving logic keeps the originating tuples'
+//! timestamps; all other outputs are stamped with the pane's window
+//! timestamp. The hot path never materialises owning [`Tuple`]s.
 
 use themis_core::prelude::*;
 
@@ -237,29 +236,11 @@ impl WindowedOperator {
         at: Timestamp,
         input_sic: Sic,
     ) -> Option<Emission> {
-        // Columnar fast path: row-preserving logic (identity, typed
-        // filters) and kernel-backed aggregates (group-by) emit a
-        // whole batch — typed input columns copy to typed output
-        // columns, and only the Eq.-3 SIC restamping touches each
-        // row. Aggregates stamp the pane timestamp themselves.
-        if let Some(mut batch) = self.logic.apply_columnar(groups, at) {
-            if batch.is_empty() {
-                return None;
-            }
-            let share = Sic::derived_tuple(input_sic, batch.len());
-            batch.set_uniform_sic(share);
-            return Some(Emission::new(at, batch));
-        }
-        let rows = self.logic.apply(groups);
-        if rows.is_empty() {
+        let mut batch = self.logic.apply(groups, at);
+        if batch.is_empty() {
             return None;
         }
-        let share = Sic::derived_tuple(input_sic, rows.len());
-        let width = rows.first().map(|(_, r)| r.len()).unwrap_or(0);
-        let mut batch = TupleBatch::with_capacity(width, rows.len());
-        for (ts, values) in rows {
-            batch.push_row(ts.unwrap_or(at), share, &values);
-        }
+        batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
         Some(Emission::new(at, batch))
     }
 }
@@ -385,7 +366,7 @@ mod tests {
         let pool = BatchPool::new();
         op.set_pool(pool.clone());
         let schema = Schema::new([("v", FieldType::F64)]);
-        let mut batch = TupleBatch::with_schema_capacity(schema, 2);
+        let mut batch = pool.acquire(&schema, 2);
         batch.push_row(Timestamp::from_millis(100), Sic(0.25), &[Value::F64(10.0)]);
         batch.push_row(Timestamp::from_millis(600), Sic(0.25), &[Value::F64(30.0)]);
         op.push(0, batch, Timestamp::from_millis(600));
@@ -394,7 +375,8 @@ mod tests {
         let out = op.tick(Timestamp::from_secs(1));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tuples()[0].f64(0), 20.0);
-        // The processed pane's typed column batch joined it at drain.
+        // The processed pane (the source's schema) joined it at drain; the
+        // emission's derived `[avg]` schema is not pooled.
         assert_eq!(pool.idle(), 2);
         assert_eq!(pool.stats().recycled, 2);
     }

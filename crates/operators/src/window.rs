@@ -253,7 +253,7 @@ impl WindowBuffer {
     }
 
     /// Returns a spent input batch to the pool (no-op without one; the
-    /// pool itself ignores schema-less arena batches).
+    /// pool itself ignores schemas no producer acquires).
     fn recycle_spent(&self, batch: TupleBatch) {
         if let Some(pool) = &self.pool {
             pool.recycle(batch);
@@ -492,9 +492,9 @@ mod tests {
     #[test]
     fn pooled_buffer_recycles_spent_typed_batches() {
         let schema = Schema::new([("v", FieldType::F64)]);
-        let mut batch = TupleBatch::with_schema_capacity(schema.clone(), 2);
-        batch.push_row(Timestamp::from_millis(100), Sic(0.1), &[Value::F64(1.0)]);
         let pool = BatchPool::new();
+        let mut batch = pool.acquire(&schema, 2);
+        batch.push_row(Timestamp::from_millis(100), Sic(0.1), &[Value::F64(1.0)]);
         let mut w = buf(WindowSpec::tumbling(TimeDelta::from_secs(1)), 1);
         w.set_pool(pool.clone());
         w.push(0, batch, Timestamp::from_millis(100));
@@ -502,7 +502,8 @@ mod tests {
         // The pane itself keeps the copied row.
         let panes = w.close_up_to(Timestamp::from_secs(1));
         assert_eq!(panes[0].input_len(), 1);
-        // Arena batches pass through the recycle point without pooling.
+        // Batches of a schema no producer acquires pass the recycle
+        // point without pooling.
         w.push(0, vec![t(1100, 0.1, 2.0)], Timestamp::from_millis(1100));
         assert_eq!(pool.idle(), 1);
     }

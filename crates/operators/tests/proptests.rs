@@ -1,7 +1,7 @@
 //! Property-based tests: Eq.-3 SIC propagation invariants over arbitrary
-//! tuple streams and operator configurations, plus typed-kernel /
-//! scalar-fold parity over random schemas, drop patterns and all six
-//! shedding policies.
+//! tuple streams and operator configurations, plus kernel and logic
+//! parity with plain scalar folds over the generated rows, across random
+//! schemas, drop patterns and all six shedding policies.
 
 use proptest::prelude::*;
 
@@ -189,12 +189,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Typed-kernel parity: for random schemas and batches, every typed
-// kernel result matches the scalar `Value`-path fold — bit-for-bit for
-// order-independent kernels (min/max/count/filter/top-k/group-by), and
-// within a tiny reassociation bound for the lane-split float sums
-// (sum/avg/cov) — across drop patterns produced by all six shedding
-// policies plus direct row-level drops.
+// Kernel and logic parity: for random batches, every typed kernel and
+// every logic's output matches a plain scalar fold over the generated
+// rows — bit-for-bit for order-independent results (min/max/count/
+// filter/top-k/group-by), and within a tiny reassociation bound for the
+// lane-split float sums (sum/avg/cov) — across drop patterns produced by
+// all six shedding policies plus direct row-level drops.
 // ---------------------------------------------------------------------
 
 /// The row shape of the parity cases: `[id: i64, v: f64, flag: bool]`.
@@ -216,17 +216,20 @@ fn arb_parity_rows() -> impl Strategy<Value = Vec<ParityRow>> {
     })
 }
 
-/// Builds the same logical rows as an arena batch and a typed batch.
-fn parity_batches(rows: &[ParityRow]) -> (TupleBatch, TupleBatch) {
-    let mut arena = TupleBatch::with_capacity(3, rows.len());
+fn parity_values(&(_, id, v, flag): &ParityRow) -> Vec<Value> {
+    vec![Value::I64(id), Value::F64(v), Value::Bool(flag)]
+}
+
+fn parity_batch(rows: &[ParityRow]) -> TupleBatch {
     let mut typed = TupleBatch::with_schema_capacity(parity_schema(), rows.len());
-    for &(ms, id, v, flag) in rows {
-        let row = [Value::I64(id), Value::F64(v), Value::Bool(flag)];
-        let ts = Timestamp::from_millis(ms);
-        arena.push_row(ts, Sic(0.001), &row);
-        typed.push_row(ts, Sic(0.001), &row);
+    for row in rows {
+        typed.push_row(
+            Timestamp::from_millis(row.0),
+            Sic(0.001),
+            &parity_values(row),
+        );
     }
-    (arena, typed)
+    typed
 }
 
 /// Runs each policy over the rows chunked into shed-candidate batches and
@@ -276,39 +279,53 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-8 + 1e-9 * a.abs().max(b.abs())
 }
 
-fn single_f64(out: &[(Option<Timestamp>, Row)]) -> Option<f64> {
-    out.first().map(|(_, r)| r[0].as_f64())
+fn single_f64(out: &TupleBatch) -> Option<f64> {
+    out.iter().next().map(|r| r.f64(0))
+}
+
+/// `(key, value)` rows sorted by key.
+fn keyed_rows(map: std::collections::BTreeMap<i64, f64>) -> Vec<Vec<Value>> {
+    map.into_iter()
+        .map(|(k, v)| vec![Value::I64(k), Value::F64(v)])
+        .collect()
 }
 
 proptest! {
-    /// Every typed kernel agrees with the scalar `Value`-path fold on the
-    /// same rows under the same drops, for all six shedding policies.
+    /// Every typed kernel and every logic agrees with a scalar fold over
+    /// the live generated rows under the same drops, for all six shedding
+    /// policies.
     #[test]
     fn typed_kernels_match_scalar_value_path(
         rows in arb_parity_rows(),
         chunk in 1usize..12,
         cap_pct in 10usize..100,
     ) {
-        let (arena_base, typed_base) = parity_batches(&rows);
-        // Both layouts hold the same rows before anything is dropped.
-        prop_assert_eq!(arena_base.to_tuples(), typed_base.to_tuples());
+        const AT: Timestamp = Timestamp(0);
+        let base = parity_batch(&rows);
         let cap = (rows.len() * cap_pct / 100).max(1);
         for dropped in policy_drop_patterns(rows.len(), chunk, cap) {
-            let (mut arena, mut typed) = (arena_base.clone(), typed_base.clone());
+            let mut typed = base.clone();
             for &i in &dropped {
-                arena.drop_row(i);
                 typed.drop_row(i);
             }
-            prop_assert_eq!(arena.len(), typed.len());
+            let live: Vec<&ParityRow> = rows
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !dropped.contains(i))
+                .map(|(_, r)| r)
+                .collect();
+            prop_assert_eq!(typed.len(), live.len());
 
-            // Scalar references, folded sequentially through the arena.
-            let scalar_sum: f64 = arena.column_f64(1).sum();
-            let scalar_n = arena.len() as u64;
-            let scalar_max = arena
-                .column_f64(1)
+            // Scalar references, folded sequentially over the live rows.
+            let scalar_sum: f64 = live.iter().map(|r| r.2).sum();
+            let scalar_n = live.len() as u64;
+            let scalar_max = live
+                .iter()
+                .map(|r| r.2)
                 .fold(None, |a: Option<f64>, v| Some(a.map_or(v, |a| a.max(v))));
-            let scalar_min = arena
-                .column_f64(1)
+            let scalar_min = live
+                .iter()
+                .map(|r| r.2)
                 .fold(None, |a: Option<f64>, v| Some(a.map_or(v, |a| a.min(v))));
 
             // Kernels on the typed columns.
@@ -319,72 +336,70 @@ proptest! {
             prop_assert_eq!(kernels::max_f64(col, typed.drops()), scalar_max, "max");
             prop_assert_eq!(kernels::min_f64(col, typed.drops()), scalar_min, "min");
 
-            // Aggregate logic: typed pane (kernel path) vs arena pane
-            // (scalar fallback path).
-            for field_logic in [
-                LogicSpec::Avg { field: 1 },
-                LogicSpec::Sum { field: 1 },
-            ] {
-                let a = single_f64(&field_logic.build().apply(&[&arena]));
-                let t = single_f64(&field_logic.build().apply(&[&typed]));
-                match (a, t) {
-                    (Some(a), Some(t)) => prop_assert!(close(a, t), "{field_logic:?}: {a} vs {t}"),
-                    (a, t) => prop_assert_eq!(a, t, "{:?}", field_logic),
+            // Aggregate logic over the pane.
+            let avg = (scalar_n > 0).then(|| scalar_sum / scalar_n as f64);
+            let sum = (scalar_n > 0).then_some(scalar_sum);
+            for (logic, want) in [(LogicSpec::Avg { field: 1 }, avg), (LogicSpec::Sum { field: 1 }, sum)] {
+                match (single_f64(&logic.build().apply(&[&typed], AT)), want) {
+                    (Some(got), Some(want)) => prop_assert!(close(got, want), "{logic:?}: {got} vs {want}"),
+                    (got, want) => prop_assert_eq!(got, want, "{:?}", logic),
                 }
             }
-            for field_logic in [
-                LogicSpec::Max { field: 1 },
-                LogicSpec::Min { field: 1 },
+            // Order-independent: bit-for-bit.
+            prop_assert_eq!(single_f64(&LogicSpec::Max { field: 1 }.build().apply(&[&typed], AT)), scalar_max);
+            prop_assert_eq!(single_f64(&LogicSpec::Min { field: 1 }.build().apply(&[&typed], AT)), scalar_min);
+
+            // COUNT with HAVING and FILTER, on a native f64 field (mask
+            // kernel) and on an i64 field (row-view path), bit-for-bit.
+            for (pred, field_of) in [
+                (Predicate::new(1, CmpOp::Ge, 0.0), (|r: &ParityRow| r.2) as fn(&ParityRow) -> f64),
+                (Predicate::new(0, CmpOp::Ge, 3.0), |r: &ParityRow| r.1 as f64),
             ] {
-                // Order-independent: bit-for-bit.
-                let a = single_f64(&field_logic.build().apply(&[&arena]));
-                let t = single_f64(&field_logic.build().apply(&[&typed]));
-                prop_assert_eq!(a, t, "{:?}", field_logic);
+                let matching: Vec<&&ParityRow> =
+                    live.iter().filter(|r| pred.matches(field_of(r))).collect();
+                let count = LogicSpec::Count { predicate: Some(pred) }.build().apply(&[&typed], AT);
+                let want_count: Vec<Vec<Value>> = live
+                    .iter()
+                    .take(1)
+                    .map(|_| vec![Value::I64(matching.len() as i64)])
+                    .collect();
+                prop_assert_eq!(count.to_rows(), want_count, "count(having)");
+                let filtered = FilterLogic::new(pred).apply(&[&typed], AT);
+                prop_assert_eq!(filtered.len(), matching.len(), "filter survivors");
+                for (got, want) in filtered.iter().zip(&matching) {
+                    prop_assert_eq!(got.ts, Timestamp::from_millis(want.0));
+                    prop_assert_eq!(got.values.to_vec(), parity_values(want));
+                }
             }
 
-            // COUNT with HAVING: mask kernel vs row-walk, bit-for-bit.
-            let pred = Predicate::new(1, CmpOp::Ge, 0.0);
-            let count = LogicSpec::Count { predicate: Some(pred) };
-            prop_assert_eq!(
-                count.build().apply(&[&arena]),
-                count.build().apply(&[&typed]),
-                "count(having)"
-            );
-
-            // FILTER: the columnar gather (mask kernel) vs the row path.
-            let mut filter = FilterLogic::new(pred);
-            let row_out = filter.apply(&[&arena]);
-            let col_out = FilterLogic::new(pred)
-                .apply_columnar(&[&typed], Timestamp(0))
-                .expect("typed filter path");
-            prop_assert_eq!(col_out.len(), row_out.len(), "filter survivors");
-            for (i, (ts, row)) in row_out.iter().enumerate() {
-                let got = col_out.row(i);
-                prop_assert_eq!(Some(got.ts), *ts);
-                prop_assert_eq!(&got.values.to_vec(), row, "filter row {i}");
+            // TOP-K and group-bys against per-key folds in row order.
+            let mut best = std::collections::BTreeMap::new();
+            let mut sums = std::collections::BTreeMap::new();
+            for r in &live {
+                best.entry(r.1).and_modify(|m: &mut f64| *m = m.max(r.2)).or_insert(r.2);
+                let e = sums.entry(r.1).or_insert((0.0, 0u64));
+                e.0 += r.2;
+                e.1 += 1;
             }
-
-            // TOP-K and group-bys: typed column folds vs row views,
-            // bit-for-bit (same fold order on both layouts).
-            for keyed in [
-                LogicSpec::TopK { k: 3, id_field: 0, value_field: 1 },
-                LogicSpec::GroupMax { key_field: 0, value_field: 1 },
-                LogicSpec::GroupAvg { key_field: 0, value_field: 1 },
+            let mut top: Vec<(i64, f64)> = best.iter().map(|(&k, &v)| (k, v)).collect();
+            top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            top.truncate(3);
+            let top: Vec<Vec<Value>> = top.into_iter().map(|(k, v)| vec![Value::I64(k), Value::F64(v)]).collect();
+            let avgs = sums.into_iter().map(|(k, (s, n))| (k, s / n as f64)).collect();
+            for (keyed, want) in [
+                (LogicSpec::TopK { k: 3, id_field: 0, value_field: 1 }, top),
+                (LogicSpec::GroupMax { key_field: 0, value_field: 1 }, keyed_rows(best)),
+                (LogicSpec::GroupAvg { key_field: 0, value_field: 1 }, keyed_rows(avgs)),
             ] {
-                prop_assert_eq!(
-                    keyed.build().apply(&[&arena]),
-                    keyed.build().apply(&[&typed]),
-                    "{:?}",
-                    keyed
-                );
+                prop_assert_eq!(keyed.build().apply(&[&typed], AT).to_rows(), want, "{:?}", keyed);
             }
 
             // COV across two ports: the kernel's one-pass sums vs a
-            // sequential scalar fold over the arena's live values.
-            let half = arena_base.rows() / 2;
+            // sequential scalar fold over the live values.
+            let half = base.rows() / 2;
             if half >= 2 {
-                let xs: Vec<f64> = arena.column_f64(1).take(half).collect();
-                let ys: Vec<f64> = arena.column_f64(2).take(half).collect();
+                let xs: Vec<f64> = typed.column_f64(1).take(half).collect();
+                let ys: Vec<f64> = typed.column_f64(2).take(half).collect();
                 let n = xs.len().min(ys.len());
                 if n >= 2 {
                     let (mut sx, mut sy, mut sxy) = (0.0, 0.0, 0.0);
@@ -403,9 +418,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Group-by kernel parity: `group_sum_count_f64` against a scalar
-// per-key reference, over random schemas (tag field position varies),
-// key cardinalities, and the same six-policy drop patterns.
+// Group-by kernel parity: `group_sum_count_f64` and the
+// `GroupAggregate` logic against a scalar per-key fold over the
+// generated rows, over random schemas (tag field position varies), key
+// cardinalities, and the same six-policy drop patterns.
 // ---------------------------------------------------------------------
 
 type GroupRow = (u64, usize, f64);
@@ -419,14 +435,14 @@ fn arb_group_rows() -> impl Strategy<Value = (Vec<GroupRow>, usize, bool)> {
         .prop_map(|(rows, card, lead)| (rows, card, lead == 1))
 }
 
-/// Builds the same logical tagged rows as an arena batch and a typed
-/// batch. `lead` prepends an extra i64 field, so the tag/value fields sit
-/// at different indices across runs (the "random schemas" axis).
-fn group_parity_batches(
+/// Builds the tagged rows as a typed batch, returning it with each row's
+/// tag code. `lead` prepends an extra i64 field, so the tag/value fields
+/// sit at different indices across runs (the "random schemas" axis).
+fn group_parity_batch(
     rows: &[GroupRow],
     card: usize,
     lead: bool,
-) -> (TupleBatch, TupleBatch, usize, usize) {
+) -> (TupleBatch, Vec<u32>, usize, usize) {
     let (key_field, value_field) = if lead { (1, 2) } else { (0, 1) };
     let fields: Vec<(&str, FieldType)> = if lead {
         vec![
@@ -442,27 +458,26 @@ fn group_parity_batches(
     let codes: Vec<u32> = (0..card)
         .map(|k| dict.intern(&format!("key-{k}")))
         .collect();
-    let mut arena = TupleBatch::with_capacity(schema.len(), rows.len());
     let mut typed = TupleBatch::with_schema_capacity(schema, rows.len());
+    let mut row_codes = Vec::with_capacity(rows.len());
     for &(ms, key, v) in rows {
         let code = codes[key % card];
+        row_codes.push(code);
         let mut row = Vec::with_capacity(3);
         if lead {
             row.push(Value::I64(key as i64));
         }
         row.push(Value::Tag(code));
         row.push(Value::F64(v));
-        let ts = Timestamp::from_millis(ms);
-        arena.push_row(ts, Sic(0.001), &row);
-        typed.push_row(ts, Sic(0.001), &row);
+        typed.push_row(Timestamp::from_millis(ms), Sic(0.001), &row);
     }
-    (arena, typed, key_field, value_field)
+    (typed, row_codes, key_field, value_field)
 }
 
 proptest! {
-    /// The group-by kernel agrees with a scalar per-key fold on the same
-    /// rows under the same drops, for all six shedding policies — and the
-    /// `GroupAggregate` logic's columnar path matches its row path.
+    /// The group-by kernel and the `GroupAggregate` logic agree with a
+    /// scalar per-key fold over the live rows under the same drops, for
+    /// all six shedding policies.
     #[test]
     fn group_kernel_matches_scalar_reference(
         input in arb_group_rows(),
@@ -470,50 +485,37 @@ proptest! {
         cap_pct in 10usize..100,
     ) {
         let (rows, card, lead) = input;
-        let (arena_base, typed_base, key_field, value_field) =
-            group_parity_batches(&rows, card, lead);
+        let (base, row_codes, key_field, value_field) = group_parity_batch(&rows, card, lead);
         let cap = (rows.len() * cap_pct / 100).max(1);
         for dropped in policy_drop_patterns(rows.len(), chunk, cap) {
-            let (mut arena, mut typed) = (arena_base.clone(), typed_base.clone());
+            let mut typed = base.clone();
             for &i in &dropped {
-                arena.drop_row(i);
                 typed.drop_row(i);
             }
 
-            // Kernel on the raw code/value slices vs a sequential scalar
-            // per-key fold over the live arena rows. Both add per key in
-            // row order, so the float sums match bit-for-bit.
+            // Sequential per-key fold over the live rows. Kernel and
+            // reference both add per key in row order, so the float sums
+            // match bit-for-bit.
+            let mut want: std::collections::BTreeMap<u32, (f64, u64)> = Default::default();
+            for (i, &(_, _, v)) in rows.iter().enumerate() {
+                if !dropped.contains(&i) {
+                    let e = want.entry(row_codes[i]).or_insert((0.0, 0));
+                    e.0 += v;
+                    e.1 += 1;
+                }
+            }
+            let want: Vec<(u32, f64, u64)> = want.into_iter().map(|(c, (s, n))| (c, s, n)).collect();
+
             let codes = typed.tag_column(key_field).expect("tag column").codes();
             let vals = typed.f64_column(value_field).expect("value column");
-            let got = kernels::group_sum_count_f64(codes, vals, typed.drops());
-            let mut want: std::collections::HashMap<u32, (f64, u64)> = Default::default();
-            for t in arena.iter() {
-                let code = t.get(key_field).map(|v| v.as_i64()).unwrap_or(0).max(0) as u32;
-                let v = t.get(value_field).map(|v| v.as_f64()).unwrap_or(0.0);
-                let e = want.entry(code).or_insert((0.0, 0));
-                e.0 += v;
-                e.1 += 1;
-            }
-            prop_assert_eq!(got.len(), want.len(), "distinct keys");
-            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ascending codes");
-            for &(c, s, n) in &got {
-                let &(ws, wn) = want.get(&c).expect("key in reference");
-                prop_assert_eq!(n, wn, "count for code {}", c);
-                prop_assert_eq!(s, ws, "sum for code {}", c);
-            }
+            prop_assert_eq!(&kernels::group_sum_count_f64(codes, vals, typed.drops()), &want);
 
-            // Logic parity: arena row path vs typed row path vs typed
-            // columnar (kernel) path.
-            let mut logic = GroupAggregateLogic::new(key_field, value_field);
-            let row_out = logic.apply(&[&arena]);
-            prop_assert_eq!(&row_out, &logic.apply(&[&typed]), "row-path layouts");
-            let col_out = logic
-                .apply_columnar(&[&typed], Timestamp(0))
-                .expect("typed group path");
-            prop_assert_eq!(col_out.len(), row_out.len(), "group rows");
-            for (i, (_, row)) in row_out.iter().enumerate() {
-                prop_assert_eq!(&col_out.row(i).values.to_vec(), row, "group row {}", i);
-            }
+            let out = GroupAggregateLogic::new(key_field, value_field).apply(&[&typed], Timestamp(0));
+            let got: Vec<(u32, f64, u64)> = out
+                .iter()
+                .map(|r| (r.i64(0) as u32, r.f64(1), r.i64(2) as u64))
+                .collect();
+            prop_assert_eq!(got, want);
         }
     }
 }

@@ -39,9 +39,11 @@ pub struct NodeReport {
     pub arrived_tuples: u64,
     /// Tuples admitted.
     pub kept_tuples: u64,
-    /// Tuples shed.
+    /// Tuples shed: dropped by the shedder, or purged from the input
+    /// buffer when their query detached — so `arrived = kept + shed +
+    /// buffered` holds exactly across churn.
     pub shed_tuples: u64,
-    /// Batches shed.
+    /// Batches shed (by the shedder or a detach purge).
     pub shed_batches: u64,
     /// Shedder invocations under overload.
     pub shed_invocations: u64,
@@ -190,14 +192,22 @@ impl Node {
         &mut self.fragments.get_mut(&key).expect("just inserted").runtime
     }
 
-    /// Removes every fragment of `query`, purging its buffered batches
-    /// (uncounted), SIC assigner and table entry. Returns the number of
-    /// fragments still hosted.
+    /// Removes every fragment of `query`, its SIC assigner and table
+    /// entry, and purges its buffered batches, counting them as shed.
+    /// Returns the number of fragments still hosted.
     pub fn detach(&mut self, query: QueryId) -> usize {
         self.fragments.retain(|&(q, _), _| q != query);
         self.assigners.remove(&query);
         self.sic_table.remove(query);
-        self.buffer.retain(|rb| rb.query != query);
+        let stats = &mut self.stats;
+        self.buffer.retain(|rb| {
+            let purge = rb.query == query;
+            if purge {
+                stats.shed_tuples += rb.batch.len() as u64;
+                stats.shed_batches += 1;
+            }
+            !purge
+        });
         self.fragments.len()
     }
 

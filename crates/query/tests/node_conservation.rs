@@ -1,6 +1,7 @@
 //! Conservation on the one Figure-5 node (`themis_query::node`), for every
 //! registered policy: every arrived tuple is kept, shed or still buffered —
-//! exactly, at every step, not within a tolerance.
+//! exactly, at every step, not within a tolerance, across query detach and
+//! re-attach.
 
 use proptest::prelude::*;
 use themis_core::prelude::*;
@@ -8,11 +9,12 @@ use themis_query::prelude::*;
 
 /// One step: `(kind, query, size, capacity)`. Kinds 0–2 enqueue a source
 /// batch of `size` tuples for `query`, 3 applies a coordinator update, 4
-/// ticks at the pinned `capacity`.
+/// ticks at the pinned `capacity`, 5 detaches `query` (re-attaching it when
+/// already detached).
 type Step = (u8, usize, usize, usize);
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
-    prop::collection::vec((0u8..5, 0usize..3, 1usize..60, 0usize..200), 1..60)
+    prop::collection::vec((0u8..6, 0usize..3, 1usize..60, 0usize..200), 1..60)
 }
 
 fn check(policy: &Policy, n_queries: usize, seed: u64, steps: &[Step]) {
@@ -29,6 +31,7 @@ fn check(policy: &Policy, n_queries: usize, seed: u64, steps: &[Step]) {
     for q in &queries {
         node.attach(q, 0, None);
     }
+    let mut attached = vec![true; n_queries];
     let mut now = Timestamp::ZERO;
     for &(kind, query, size, capacity) in steps {
         now += TimeDelta::from_millis(50);
@@ -53,6 +56,15 @@ fn check(policy: &Policy, n_queries: usize, seed: u64, steps: &[Step]) {
                     node: NodeId(0),
                     sic: Sic(capacity as f64 / 200.0),
                 });
+            }
+            5 => {
+                let a = &mut attached[query % n_queries];
+                if *a {
+                    node.detach(q.id);
+                } else {
+                    node.attach(q, 0, None);
+                }
+                *a = !*a;
             }
             _ => {
                 node.pin_capacity(Some(capacity));

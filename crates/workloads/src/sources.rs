@@ -572,9 +572,9 @@ impl SourceDriver {
         let n = exact.floor().max(0.0) as usize;
         self.carry = exact - n as f64;
         // Typed column construction: rows append straight into the
-        // schema's native columns — no per-tuple `Vec<Value>` allocation
-        // and no `Value` arena downstream. With a pool attached the
-        // backing columns come from recycled batches.
+        // schema's native columns — no per-tuple `Vec<Value>` allocation.
+        // With a pool attached the backing columns come from recycled
+        // batches.
         let mut data = match &self.pool {
             Some(pool) => pool.acquire(&self.schema, n),
             None => TupleBatch::with_schema_capacity(self.schema.clone(), n),
