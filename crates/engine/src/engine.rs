@@ -21,8 +21,11 @@
 //! calling thread via [`Engine::run_for`]), so 1000+-node scenarios fit
 //! one process. The `scale` experiment budgets `shards + 3` for the whole
 //! process: pool + pump + coordinator/main + its own thread-count sampler.
+//! The pump thread is a wall-clock driver over the clock-free
+//! [`SourcePump`] the remote generator also runs, so both pace sources
+//! identically.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -35,6 +38,7 @@ use themis_net::listener::{IngestEvent, IngestServer};
 use themis_core::prelude::*;
 use themis_query::prelude::{NodeReport, QuerySpec, RoutedBatch, Template, ValidatedQuery};
 use themis_workloads::prelude::*;
+use themis_workloads::pump::{query_bindings, SourceBinding, SourcePump};
 
 use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeConfig;
@@ -276,80 +280,21 @@ impl EngineReport {
     }
 }
 
-/// Installs one live source driver in the pump.
-struct SourceInstall {
-    query: QueryId,
-    spec: themis_query::prelude::SourceSpec,
-    profile: SourceProfile,
-    seed: u64,
-    /// Node hosting the fragment this source feeds.
-    node: usize,
-    /// That fragment's index.
-    fragment: usize,
-}
-
 /// Control messages for the source pump thread.
 enum PumpMsg {
     /// Start driving these sources (a query attached).
-    Add(Vec<SourceInstall>),
+    Add(Vec<SourceBinding>),
     /// Stop every driver of this query (it detached).
     Remove(QueryId),
     /// Shut the pump down.
     Stop,
 }
 
-/// Entry in the source pump's schedule heap, tagged with the slot's
-/// install generation so entries of removed drivers are discarded on pop
-/// (and the slot can be reused by a later attach).
-struct Due {
-    at: Timestamp,
-    slot: usize,
-    generation: u64,
-}
-impl PartialEq for Due {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.slot == other.slot && self.generation == other.generation
-    }
-}
-impl Eq for Due {}
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Due {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.slot, other.generation).cmp(&(self.at, self.slot, self.generation))
-    }
-}
-
-/// One running driver in the pump, plus its routing.
-struct PumpDriver {
-    driver: SourceDriver,
-    node: usize,
-    query: QueryId,
-    fragment: usize,
-}
-
-/// A pump slot: a reusable home for one driver. Removing a query frees
-/// its slots (and bumps their generation, invalidating the pending
-/// schedule entries), so sustained attach/detach churn does not grow the
-/// slot vector without bound.
-struct PumpSlot {
-    driver: Option<PumpDriver>,
-    generation: u64,
-}
-
-/// Carry-stash entries kept across remove/re-add cycles; beyond this the
-/// stash is cleared wholesale (each entry is one `f64`, so the cap only
-/// matters under unbounded churn of never-returning sources).
-const CARRY_STASH_CAP: usize = 1 << 16;
-
-/// The source pump: drives every live source's emission schedule on one
-/// thread, with runtime add/remove for query churn. Emitted batches are
-/// acquired from `pool` (the engine-wide recycle loop: nodes return
-/// spent columns, the pump reuses them for the next emission).
+/// The source pump thread: steps a [`SourcePump`] drawing batches from
+/// the engine-wide `pool` on the engine clock, sends what is due to the
+/// owning shards, then waits on the control channel until the next due
+/// time (not at all after a truncated sweep, so `Stop` and `Remove` are
+/// never starved by a catch-up storm).
 fn run_pump(
     rx: Receiver<PumpMsg>,
     node_txs: Vec<Sender<ShardMsg>>,
@@ -357,126 +302,24 @@ fn run_pump(
     pool: BatchPool,
 ) {
     const IDLE: Duration = Duration::from_millis(50);
-    let mut slots: Vec<PumpSlot> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut heap: BinaryHeap<Due> = BinaryHeap::new();
-    // Fractional-tuple balances of removed drivers, keyed by source id: a
-    // re-added source resumes its carry instead of restarting at zero, so
-    // remove/re-add churn does not bias its realised long-run rate.
-    let mut carry_stash: HashMap<SourceId, f64> = HashMap::new();
-    // Per-loop emission cap: a saturated pump (every heap entry
-    // perpetually due) must still poll the control channel, or Stop and
-    // Remove starve while catch-up emission storms the shard queues.
-    const MAX_SWEEP: usize = 4096;
+    let now = || Timestamp(epoch.elapsed().as_micros() as u64);
+    let mut pump = SourcePump::with_pool(pool);
     loop {
-        // Emit everything due, up to the sweep cap.
-        let mut swept = 0;
-        while let Some(d) = heap.peek() {
-            if swept >= MAX_SWEEP {
-                break;
-            }
-            let fire_at = epoch + Duration::from_micros(d.at.as_micros());
-            if fire_at
-                .checked_duration_since(Instant::now())
-                .is_some_and(|w| !w.is_zero())
-            {
-                break;
-            }
-            let due = heap.pop().expect("peeked");
-            let slot = &mut slots[due.slot];
-            if slot.generation != due.generation {
-                continue; // removed (or reused): abandon the stale entry
-            }
-            swept += 1;
-            let pd = slot.driver.as_mut().expect("live generation has a driver");
-            // Re-anchor drivers that fell a whole beat behind instead of
-            // emitting their backlog at maximum rate.
-            pd.driver
-                .fast_forward(Timestamp(epoch.elapsed().as_micros() as u64));
-            let batch = pd.driver.emit();
-            // Quiet-pattern batches can be empty; nothing to send then.
-            if !batch.is_empty() {
-                let _ = node_txs[pd.node].send(ShardMsg {
-                    node: pd.node,
-                    msg: EngineMsg::Batch(RoutedBatch {
-                        query: pd.query,
-                        fragment: pd.fragment,
-                        ingress: themis_query::prelude::Ingress::Source(pd.driver.source),
-                        batch,
-                    }),
-                });
-            }
-            heap.push(Due {
-                at: pd.driver.next_time(),
-                slot: due.slot,
-                generation: due.generation,
+        let next = pump.step(now(), |node, batch| {
+            let _ = node_txs[node].send(ShardMsg {
+                node,
+                msg: EngineMsg::Batch(batch),
             });
-        }
-        let timeout = if swept >= MAX_SWEEP {
-            // The sweep was truncated: drain any pending control
-            // messages immediately before resuming emission.
-            Duration::ZERO
-        } else {
-            heap.peek()
-                .map(|d| {
-                    (epoch + Duration::from_micros(d.at.as_micros()))
-                        .saturating_duration_since(Instant::now())
-                })
-                .unwrap_or(IDLE)
-        };
+        });
+        let timeout = next.map_or(IDLE, |at| {
+            (epoch + Duration::from_micros(at.as_micros()))
+                .saturating_duration_since(Instant::now())
+        });
         match rx.recv_timeout(timeout) {
-            Ok(PumpMsg::Add(installs)) => {
-                let now_ts = Timestamp(epoch.elapsed().as_micros() as u64);
-                for ins in installs {
-                    let mut driver = SourceDriver::new(ins.query, &ins.spec, ins.profile, ins.seed);
-                    driver.set_pool(pool.clone());
-                    if let Some(carry) = carry_stash.remove(&driver.source) {
-                        driver.set_carry(carry);
-                    }
-                    // Sources of queries attached mid-run start emitting
-                    // now (plus their de-phasing offset), not at t=0.
-                    driver.start_at(now_ts);
-                    let at = driver.next_time();
-                    let pd = PumpDriver {
-                        driver,
-                        node: ins.node,
-                        query: ins.query,
-                        fragment: ins.fragment,
-                    };
-                    let idx = match free.pop() {
-                        Some(idx) => {
-                            slots[idx].driver = Some(pd);
-                            idx
-                        }
-                        None => {
-                            slots.push(PumpSlot {
-                                driver: Some(pd),
-                                generation: 0,
-                            });
-                            slots.len() - 1
-                        }
-                    };
-                    heap.push(Due {
-                        at,
-                        slot: idx,
-                        generation: slots[idx].generation,
-                    });
-                }
-            }
-            Ok(PumpMsg::Remove(query)) => {
-                for (idx, slot) in slots.iter_mut().enumerate() {
-                    if slot.driver.as_ref().is_some_and(|pd| pd.query == query) {
-                        if let Some(pd) = slot.driver.take() {
-                            if carry_stash.len() >= CARRY_STASH_CAP {
-                                carry_stash.clear();
-                            }
-                            carry_stash.insert(pd.driver.source, pd.driver.carry());
-                        }
-                        slot.generation += 1;
-                        free.push(idx);
-                    }
-                }
-            }
+            // Sources of queries attached mid-run start emitting now
+            // (plus their de-phasing offset), not at t=0.
+            Ok(PumpMsg::Add(bindings)) => pump.add(now(), bindings),
+            Ok(PumpMsg::Remove(query)) => pump.remove(query),
             Ok(PumpMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
         }
@@ -747,18 +590,13 @@ impl Engine {
         // their sampling settles at the end of warm-up.
         let warmup_end = engine.warmup_end;
         for q in &scenario.queries {
-            let nodes: Vec<usize> = (0..q.n_fragments())
-                .map(|fi| {
-                    scenario
-                        .deployment
-                        .node_of(q.id, fi)
-                        .expect("validated deployment")
-                        .index()
-                })
-                .collect();
-            let profiles: Vec<SourceProfile> =
-                q.sources.iter().map(|s| scenario.profiles[&s.id]).collect();
-            engine.install(Arc::new(q.clone()), nodes, &profiles, warmup_end);
+            let profile_of = |s: SourceId| scenario.profiles[&s];
+            engine.install(
+                Arc::new(q.clone()),
+                scenario.nodes_of(q),
+                profile_of,
+                warmup_end,
+            );
         }
         engine
     }
@@ -836,62 +674,49 @@ impl Engine {
         }
     }
 
+    /// Sends fragment `fi` of `query` (fragments placed on `nodes`) to
+    /// its node with a fresh node configuration — on first install and
+    /// again on a fault-plan restart.
+    fn attach_fragment(&self, query: &Arc<QuerySpec>, nodes: &[usize], fi: usize) {
+        let node = nodes[fi];
+        let downstream = if fi == query.result_fragment {
+            None
+        } else {
+            query.downstream_of(fi).map(|d| (nodes[d], d))
+        };
+        let _ = self.node_txs[node].send(ShardMsg {
+            node,
+            msg: EngineMsg::Attach(AttachFragment {
+                node,
+                config: self.node_config(node),
+                query: query.clone(),
+                fragment: fi,
+                downstream,
+            }),
+        });
+    }
+
     /// Installs `query` with fragment `fi` on `nodes[fi]`, wires its
-    /// sources into the pump and registers its coordinator. `profiles`
-    /// lists one profile per query source, in declaration order.
+    /// sources into the pump (each emitting with `profile_of(source)`)
+    /// and registers its coordinator.
     fn install(
         &mut self,
         query: Arc<QuerySpec>,
         nodes: Vec<usize>,
-        profiles: &[SourceProfile],
+        profile_of: impl Fn(SourceId) -> SourceProfile,
         settle_at: Instant,
     ) {
         for (fi, &node) in nodes.iter().enumerate() {
-            let downstream = if fi == query.result_fragment {
-                None
-            } else {
-                query.downstream_of(fi).map(|d| (nodes[d], d))
-            };
-            let config = self.node_config(node);
-            let _ = self.node_txs[node].send(ShardMsg {
-                node,
-                msg: EngineMsg::Attach(AttachFragment {
-                    node,
-                    config,
-                    query: query.clone(),
-                    fragment: fi,
-                    downstream,
-                }),
-            });
+            self.attach_fragment(&query, &nodes, fi);
             self.node_load[node] += 1;
         }
-        // Sources: each fragment's bindings say which node its sources
-        // feed; the pump drives them on their emission schedule.
-        let mut installs = Vec::new();
-        for (fi, &node) in nodes.iter().enumerate() {
-            for b in &query.fragments[fi].sources {
-                let si = query
-                    .sources
-                    .iter()
-                    .position(|s| s.id == b.source)
-                    .expect("bound source declared");
-                installs.push(SourceInstall {
-                    query: query.id,
-                    spec: query.sources[si].clone(),
-                    // One profile per declared source — a mismatch is a
-                    // caller bug and should fail loudly, not silently
-                    // reuse another source's profile.
-                    profile: profiles[si],
-                    seed: self.seed ^ (b.source.0 as u64).wrapping_mul(0x9E37_79B9),
-                    node,
-                    fragment: fi,
-                });
-            }
-        }
-        // With remote sources the drivers live in other processes; the
-        // fragments above still attach, only the local pump stays idle.
+        // Sources: the pump drives each fragment's bindings on their
+        // emission schedule. With remote sources the drivers live in
+        // other processes; the fragments above still attach, only the
+        // local pump stays idle.
         if !self.config.remote_sources {
-            let _ = self.pump_tx.send(PumpMsg::Add(installs));
+            let bindings = query_bindings(&query, &nodes, profile_of, self.seed);
+            let _ = self.pump_tx.send(PumpMsg::Add(bindings));
         }
         self.coordinators.push(QueryCoordinator::new(
             query.id,
@@ -956,9 +781,8 @@ impl Engine {
         let mut order: Vec<usize> = (0..self.n_nodes).collect();
         order.sort_by_key(|&n| (self.node_load[n], n));
         let nodes: Vec<usize> = order[..query.n_fragments()].to_vec();
-        let profiles = vec![profile; query.sources.len()];
         let settle_at = Instant::now() + Duration::from_micros(self.stw.window.as_micros());
-        self.install(Arc::new(query), nodes, &profiles, settle_at);
+        self.install(Arc::new(query), nodes, |_| profile, settle_at);
         id
     }
 
@@ -1025,36 +849,15 @@ impl Engine {
     /// instances), then sends [`EngineMsg::Recover`] so the shard overlays
     /// its latest checkpoint and replays its WAL tail. Without a
     /// configured durability directory the shard restarts cold.
-    fn restart_shard(&mut self, shard: usize) {
-        let placements: Vec<(QueryId, Vec<usize>)> = self
-            .placements
-            .iter()
-            .map(|(&q, nodes)| (q, nodes.clone()))
-            .collect();
-        for (qid, nodes) in placements {
-            let Some(query) = self.specs.get(&qid).cloned() else {
+    fn restart_shard(&self, shard: usize) {
+        for (qid, nodes) in &self.placements {
+            let Some(query) = self.specs.get(qid) else {
                 continue;
             };
             for (fi, &node) in nodes.iter().enumerate() {
-                if shard_of(node, self.n_shards) != shard {
-                    continue;
+                if shard_of(node, self.n_shards) == shard {
+                    self.attach_fragment(query, nodes, fi);
                 }
-                let downstream = if fi == query.result_fragment {
-                    None
-                } else {
-                    query.downstream_of(fi).map(|d| (nodes[d], d))
-                };
-                let config = self.node_config(node);
-                let _ = self.node_txs[node].send(ShardMsg {
-                    node,
-                    msg: EngineMsg::Attach(AttachFragment {
-                        node,
-                        config,
-                        query: query.clone(),
-                        fragment: fi,
-                        downstream,
-                    }),
-                });
             }
         }
         if let Some(dir) = self.config.durability_dir.clone() {
@@ -1381,55 +1184,6 @@ mod tests {
         );
         // The scenario has 2 nodes; the pool is clamped.
         assert_eq!(report.shards, 2);
-    }
-
-    /// Receives the next non-empty data batch routed by the pump.
-    fn recv_batch_len(rx: &Receiver<ShardMsg>) -> usize {
-        loop {
-            let msg = rx.recv_timeout(Duration::from_secs(5)).expect("pump batch");
-            if let EngineMsg::Batch(rb) = msg.msg {
-                if !rb.batch.is_empty() {
-                    return rb.batch.len();
-                }
-            }
-        }
-    }
-
-    /// Regression: removing a pump slot used to discard the driver's
-    /// fractional-tuple carry, so every remove/re-add cycle of a source
-    /// whose rate does not divide its cadence rounded the lost fraction
-    /// down — a systematic under-delivery under churn. The pump now
-    /// stashes the carry by source id and restores it on re-add.
-    #[test]
-    fn pump_preserves_fractional_carry_across_remove_and_readd() {
-        let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
-        let (tx, rx) = unbounded::<ShardMsg>();
-        let epoch = Instant::now();
-        let pool = BatchPool::new();
-        let handle = thread::spawn(move || run_pump(pump_rx, vec![tx], epoch, pool));
-        let install = || SourceInstall {
-            query: QueryId(0),
-            spec: themis_query::prelude::SourceSpec::plain(
-                SourceId(0),
-                None,
-                themis_query::prelude::SourceKind::Cpu,
-            ),
-            // 5 t/s in 2 batches/s: 2.5 tuples per batch — emission
-            // sizes alternate 2, 3 deterministically via the carry.
-            profile: SourceProfile::steady(5, 2, Dataset::Uniform),
-            seed: 8,
-            node: 0,
-            fragment: 0,
-        };
-        pump_tx.send(PumpMsg::Add(vec![install()])).unwrap();
-        assert_eq!(recv_batch_len(&rx), 2, "first emission floors 2.5");
-        // Remove the query and immediately re-add the same source; the
-        // 0.5-tuple balance must survive the slot teardown.
-        pump_tx.send(PumpMsg::Remove(QueryId(0))).unwrap();
-        pump_tx.send(PumpMsg::Add(vec![install()])).unwrap();
-        assert_eq!(recv_batch_len(&rx), 3, "restored carry rounds up");
-        pump_tx.send(PumpMsg::Stop).unwrap();
-        handle.join().unwrap();
     }
 
     /// The engine-wide recycle loop closes: sources acquire from the pool

@@ -14,6 +14,7 @@ use std::collections::{BinaryHeap, HashMap};
 use themis_core::prelude::*;
 use themis_query::prelude::*;
 use themis_workloads::prelude::*;
+use themis_workloads::pump::source_seed;
 
 use crate::config::SimConfig;
 use crate::node::{NodeOutput, SimNode};
@@ -129,7 +130,7 @@ impl Simulation {
                     q.id,
                     s,
                     profile,
-                    scenario.seed ^ (s.id.0 as u64).wrapping_mul(0x9E37_79B9),
+                    source_seed(scenario.seed, s.id),
                 ));
             }
             coordinators.push(QueryCoordinator::new(

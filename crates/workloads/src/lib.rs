@@ -5,9 +5,11 @@
 //! under programmable rate patterns — steady, paper-bursty, diurnal
 //! cycles, flash-crowd replays, arrival-trace replay ([`traces`]),
 //! correlated shared loads, a tick-gaming adversarial source,
-//! heterogeneous per-source multipliers ([`sources`], [`testbed`]) — and
-//! the scenario builder that assembles queries, placement and capacities
-//! into a simulator-ready [`scenario::Scenario`].
+//! heterogeneous per-source multipliers ([`sources`], [`testbed`]) — the
+//! scenario builder that assembles queries, placement and capacities
+//! into a simulator-ready [`scenario::Scenario`], and the one source
+//! pacer ([`pump`]) that the engine's pump thread and the remote
+//! generator ([`remote`]) both drive.
 //!
 //! ```
 //! use themis_core::prelude::*;
@@ -31,6 +33,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod datasets;
+pub mod pump;
 pub mod remote;
 pub mod scenario;
 pub mod sources;

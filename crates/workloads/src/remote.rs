@@ -2,17 +2,15 @@
 //! *separate process* and ships their batches to an engine's ingest
 //! listener over TCP.
 //!
-//! Determinism is the whole point: the partition enumerates sources in
-//! the exact order the engine's own installer does (queries in scenario
-//! order, fragments in order, bindings in order) and seeds each driver
-//! with the same formula, so N source processes collectively emit the
-//! very tuple streams the in-process pump would have — the federated
-//! parity gate compares like with like. Both sides rebuild the scenario
-//! from the same parameters; nothing about placement or seeding crosses
-//! the wire.
+//! Determinism is the whole point: the partition keeps every `parts`-th
+//! of the very bindings the engine's installer enumerates (queries in
+//! scenario order, then [`crate::pump::query_bindings`], seeded by
+//! [`crate::pump::source_seed`]), and paces them with the engine's own
+//! [`SourcePump`] — so N source processes collectively emit the very
+//! tuple streams the in-process pump would have, and the federated parity
+//! gate compares like with like. Both sides rebuild the scenario from the
+//! same parameters; nothing about placement or seeding crosses the wire.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -21,10 +19,10 @@ use themis_net::codec::{NetError, WireBatch};
 use themis_net::transport::FragmentRouter;
 
 use crate::datasets::Dataset;
+use crate::pump::{scenario_bindings, SourceBinding, SourcePump};
 use crate::scenario::{Scenario, ScenarioBuilder};
-use crate::sources::{SourceDriver, SourceProfile};
+use crate::sources::SourceProfile;
 
-pub use themis_net::codec::NetError as RemoteError;
 pub use themis_net::transport::NetConfig;
 
 /// Parameters of the canonical federated scenario. The engine process,
@@ -113,11 +111,13 @@ pub fn build_federated_scenario(p: &FederatedParams) -> Scenario {
 /// so a forked child behaves identically whichever binary hosts it.
 ///
 /// Required: `--addr=HOST:PORT`, `--run-ms=N`. Optional: `--part=`,
-/// `--parts=`, `--peer=`, `--start-unix-us=` (a shared wall-clock
-/// timeline anchor, microseconds since the Unix epoch — see
-/// [`run_remote_sources`]'s `start_at`), and every [`FederatedParams`]
-/// field as `--seed= --nodes= --queries= --rate= --batches=
-/// --capacity= --stw-ms= --warmup-ms= --duration-ms=`.
+/// `--parts=` (`--part` must be below `--parts`), `--peer=`,
+/// `--start-unix-us=` (a shared wall-clock timeline anchor,
+/// microseconds since the Unix epoch — see [`run_remote_sources`]'s
+/// `start_at`), and every [`FederatedParams`] field as `--seed= --nodes=
+/// --queries= --rate= --batches= --capacity= --stw-ms= --warmup-ms=
+/// --duration-ms=`. The send queue holds two shedding intervals of the
+/// partition's frames ([`NetConfig::send_queue`], at least the default).
 pub fn pump_main(args: &[String]) -> Result<RemotePumpStats, String> {
     let mut addr: Option<String> = None;
     let mut run_ms: Option<u64> = None;
@@ -155,35 +155,39 @@ pub fn pump_main(args: &[String]) -> Result<RemotePumpStats, String> {
             other => return Err(format!("unknown pump flag {other}")),
         }
     }
+    if part >= parts {
+        return Err(format!(
+            "pump flag --part={part} is out of range for --parts={parts} \
+             (partitions are numbered 0..{parts})"
+        ));
+    }
     let addr = addr.ok_or("missing required pump flag --addr=HOST:PORT")?;
     let run_ms = run_ms.ok_or("missing required pump flag --run-ms=N")?;
     let peer = peer.unwrap_or_else(|| format!("source-pump-{part}"));
     let start_at = start_unix_us.map(|at| std::time::UNIX_EPOCH + Duration::from_micros(at));
     let scenario = build_federated_scenario(&p);
+    let cfg = NetConfig {
+        send_queue: send_queue_frames(&scenario, part, parts),
+        ..NetConfig::default()
+    };
     run_remote_sources(
         &scenario,
         part,
         parts,
         &addr,
         &peer,
-        &NetConfig::default(),
+        &cfg,
         Duration::from_millis(run_ms),
         start_at,
     )
     .map_err(|e| e.to_string())
 }
 
-/// One driven source plus its wire-routing header.
-struct RemoteSource {
-    driver: SourceDriver,
-    node: u32,
-    fragment: u32,
-}
-
 /// Final accounting of one remote pump run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RemotePumpStats {
-    /// Batches emitted by the drivers.
+    /// Batches the pump emitted, each handed to the send queue (quiet
+    /// beats emit none).
     pub emitted_batches: u64,
     /// Batches actually written to the socket.
     pub sent_batches: u64,
@@ -191,46 +195,26 @@ pub struct RemotePumpStats {
     pub shed_batches: u64,
 }
 
-/// Enumerates the scenario's source bindings in installer order and
-/// keeps every `parts`-th one starting at `part`. The seed formula
-/// matches the engine's installer, so a partitioned federation emits
-/// bit-identical streams to the in-process pump.
-fn partition_sources(scenario: &Scenario, part: usize, parts: usize) -> Vec<RemoteSource> {
-    let mut out = Vec::new();
-    let mut index = 0usize;
-    for q in &scenario.queries {
-        for fi in 0..q.n_fragments() {
-            let node = scenario
-                .deployment
-                .node_of(q.id, fi)
-                .expect("validated deployment")
-                .index();
-            for b in &q.fragments[fi].sources {
-                let mine = index % parts == part;
-                index += 1;
-                if !mine {
-                    continue;
-                }
-                let si = q
-                    .sources
-                    .iter()
-                    .position(|s| s.id == b.source)
-                    .expect("bound source declared");
-                let seed = scenario.seed ^ (b.source.0 as u64).wrapping_mul(0x9E37_79B9);
-                out.push(RemoteSource {
-                    driver: SourceDriver::new(
-                        q.id,
-                        &q.sources[si],
-                        scenario.profiles[&b.source],
-                        seed,
-                    ),
-                    node: node as u32,
-                    fragment: fi as u32,
-                });
-            }
-        }
-    }
-    out
+/// Partition `part` of `parts`: every `parts`-th of the installer's
+/// bindings, starting at `part`.
+fn partition_sources(
+    scenario: &Scenario,
+    part: usize,
+    parts: usize,
+) -> impl Iterator<Item = SourceBinding> + '_ {
+    scenario_bindings(scenario).skip(part).step_by(parts)
+}
+
+/// Frames the generator's send queue holds: everything partition `part`
+/// emits in two shedding intervals, and never fewer than the transport
+/// default. Sized in time, the queue rides out the same stall however
+/// many sources the partition drives.
+fn send_queue_frames(scenario: &Scenario, part: usize, parts: usize) -> usize {
+    let per_sec: u64 = partition_sources(scenario, part, parts)
+        .map(|b| u64::from(b.profile.batches_per_sec))
+        .sum();
+    let frames = per_sec * 2 * scenario.shedding_interval.as_micros() / 1_000_000;
+    (frames as usize).max(NetConfig::default().send_queue)
 }
 
 /// Drives partition `part` of `parts` of the scenario's sources against
@@ -248,11 +232,12 @@ fn partition_sources(scenario: &Scenario, part: usize, parts: usize) -> Vec<Remo
 /// interleaving order-sensitive shedding policies see matches the
 /// in-process pump's. Without an anchor the epoch is simply now.
 ///
-/// The emission loop is the engine pump's: a due-heap ordered by each
-/// driver's next emission time, wall-clock paced, with
-/// [`SourceDriver::fast_forward`] re-anchoring any driver that fell more
-/// than a full interval behind, so an overloaded pump degrades its rate
-/// instead of storming catch-up batches.
+/// The emission loop is the engine pump's: the same [`SourcePump`],
+/// stepped on the wall clock, with a socket as its sink.
+///
+/// # Panics
+///
+/// Panics when `part >= parts` (that partition is empty).
 #[allow(clippy::too_many_arguments)]
 pub fn run_remote_sources(
     scenario: &Scenario,
@@ -264,8 +249,9 @@ pub fn run_remote_sources(
     run_for: Duration,
     start_at: Option<std::time::SystemTime>,
 ) -> Result<RemotePumpStats, NetError> {
-    const MAX_SWEEP: usize = 4096;
-    let mut sources = partition_sources(scenario, part, parts.max(1));
+    assert!(part < parts, "partition {part} of {parts} is empty");
+    let mut pump = SourcePump::default();
+    pump.add(Timestamp::ZERO, partition_sources(scenario, part, parts));
     let router = FragmentRouter::connect(&[addr.to_string()], peer, cfg)?;
     let epoch = match start_at {
         Some(target) => {
@@ -276,8 +262,8 @@ pub fn run_remote_sources(
                 thread::sleep(rem.min(Duration::from_millis(5)));
             }
             // Back-date the epoch by however far past the anchor we are
-            // (process spawn latency): the due-heap fast-forwards the
-            // drivers straight onto the shared timeline.
+            // (process spawn latency): the pump fast-forwards the drivers
+            // straight onto the shared timeline.
             match std::time::SystemTime::now().duration_since(target) {
                 Ok(behind) => Instant::now() - behind,
                 Err(_) => Instant::now(),
@@ -286,11 +272,6 @@ pub fn run_remote_sources(
         None => Instant::now(),
     };
     let deadline = epoch + run_for;
-    let mut due: BinaryHeap<Reverse<(u64, usize)>> = sources
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Reverse((s.driver.next_time().0, i)))
-        .collect();
     let mut emitted = 0u64;
     loop {
         let now_wall = Instant::now();
@@ -298,40 +279,25 @@ pub fn run_remote_sources(
             break;
         }
         let now = Timestamp(now_wall.duration_since(epoch).as_micros() as u64);
-        let mut sweep = 0usize;
-        while let Some(&Reverse((at, i))) = due.peek() {
-            if at > now.0 || sweep >= MAX_SWEEP {
-                break;
-            }
-            due.pop();
-            sweep += 1;
-            let s = &mut sources[i];
-            s.driver.fast_forward(now);
-            let batch = s.driver.emit();
+        let next = pump.step(now, |node, rb| {
             emitted += 1;
             router.send_batch(&WireBatch {
-                node: s.node,
-                query: batch.query(),
-                fragment: s.fragment,
-                source: s.driver.source,
-                created: batch.created(),
-                batch: batch.into_data(),
+                node: node as u32,
+                query: rb.query,
+                fragment: rb.fragment as u32,
+                source: rb.batch.source().expect("pump batches carry their source"),
+                created: rb.batch.created(),
+                batch: rb.batch.into_data(),
             });
-            due.push(Reverse((s.driver.next_time().0, i)));
-        }
+        });
         // Sleep until the next due emission (like the engine's own
         // pump), not a fixed poll beat: quantising emissions to a coarse
         // tick would shift batches across the engine's shedding-tick
         // boundaries relative to the in-process timeline.
-        let next = due
-            .peek()
-            .map(|&Reverse((at, _))| epoch + Duration::from_micros(at))
-            .unwrap_or(deadline)
+        let next = next
+            .map_or(deadline, |at| epoch + Duration::from_micros(at.as_micros()))
             .min(deadline);
-        let pause = next.saturating_duration_since(Instant::now());
-        if !pause.is_zero() {
-            thread::sleep(pause);
-        }
+        thread::sleep(next.saturating_duration_since(Instant::now()));
     }
     let send = router.close()?;
     Ok(RemotePumpStats {
@@ -343,8 +309,12 @@ pub fn run_remote_sources(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
-    use themis_query::prelude::Template;
+    use crate::pump::source_seed;
+    use themis_core::prelude::{SourceId, TimeDelta};
+    use themis_query::prelude::{Ingress, RoutedBatch, Template};
 
     fn scenario(seed: u64) -> Scenario {
         ScenarioBuilder::new("remote-test", seed)
@@ -365,28 +335,93 @@ mod tests {
         let parts = 3;
         let mut seen = 0usize;
         for p in 0..parts {
-            seen += partition_sources(&s, p, parts).len();
+            seen += partition_sources(&s, p, parts).count();
         }
         assert_eq!(seen, total);
     }
 
+    /// Per source: `(node, fragment, created, len, values)` of every
+    /// batch that reached a sink, in emission order.
+    type Streams = HashMap<SourceId, Vec<(usize, usize, Timestamp, usize, Vec<f64>)>>;
+
+    fn record(streams: &mut Streams, node: usize, rb: RoutedBatch) {
+        let Ingress::Source(source) = rb.ingress else {
+            panic!("pump emitted a non-source batch");
+        };
+        let data = rb.batch.data();
+        let value = data.schema().expect("typed source batch").len() - 1;
+        let values = data.f64_column(value).expect("f64 value column").to_vec();
+        streams.entry(source).or_default().push((
+            node,
+            rb.fragment,
+            rb.batch.created(),
+            rb.batch.len(),
+            values,
+        ));
+    }
+
+    /// The federation-parity property: on one virtual clock, the union
+    /// of a 3-way partition emits exactly the per-source streams of one
+    /// whole pump over the installer's bindings.
     #[test]
-    fn partition_matches_installer_seeding() {
-        let s = scenario(20160626);
-        let all = partition_sources(&s, 0, 1);
-        // Every driver's first emission must match a fresh driver built
-        // with the engine installer's seed formula — same phase, same
-        // schedule.
-        for rs in &all {
-            let q = s.queries.iter().find(|q| q.id == rs.driver.query).unwrap();
-            let spec = q
-                .sources
-                .iter()
-                .find(|sp| sp.id == rs.driver.source)
-                .unwrap();
-            let seed = s.seed ^ (spec.id.0 as u64).wrapping_mul(0x9E37_79B9);
-            let fresh = SourceDriver::new(q.id, spec, s.profiles[&spec.id], seed);
-            assert_eq!(fresh.next_time(), rs.driver.next_time());
+    fn partitions_together_emit_the_whole_pumps_streams() {
+        let s = build_federated_scenario(&FederatedParams {
+            nodes: 2,
+            queries: 7,
+            ..FederatedParams::default()
+        });
+        // Seeded by the formula `crates/sim/tests/golden.rs` pins.
+        assert!(scenario_bindings(&s).all(|b| b.seed == source_seed(s.seed, b.spec.id)));
+        let mut whole = SourcePump::default();
+        whole.add(Timestamp::ZERO, scenario_bindings(&s));
+        let mut parts: Vec<SourcePump> = (0..3)
+            .map(|part| {
+                let mut pump = SourcePump::default();
+                pump.add(Timestamp::ZERO, partition_sources(&s, part, 3));
+                pump
+            })
+            .collect();
+        let (mut expected, mut federated) = (Streams::new(), Streams::new());
+        let mut now = Timestamp::ZERO;
+        while now <= Timestamp::from_secs(2) {
+            whole.step(now, |node, rb| record(&mut expected, node, rb));
+            for pump in &mut parts {
+                pump.step(now, |node, rb| record(&mut federated, node, rb));
+            }
+            now += TimeDelta::from_millis(1);
         }
+        assert_eq!(expected.len(), 7, "every source emitted");
+        assert!(expected.values().all(|batches| batches.len() >= 59));
+        assert_eq!(federated, expected);
+    }
+
+    #[test]
+    fn an_out_of_range_partition_is_rejected() {
+        let args: Vec<String> = ["--addr=127.0.0.1:9", "--run-ms=1", "--part=4", "--parts=4"]
+            .map(String::from)
+            .to_vec();
+        let err = pump_main(&args).expect_err("partition 4 of 4 pumps nothing");
+        assert!(
+            err.contains("--part=4") && err.contains("--parts=4"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_send_queue_holds_two_shedding_intervals() {
+        // federated-durable: 640 sources × 10 batches/s × 2 × 250 ms.
+        let durable = build_federated_scenario(&FederatedParams {
+            queries: 640,
+            rate_tps: 1_000,
+            batches_per_sec: 10,
+            ..FederatedParams::default()
+        });
+        assert_eq!(durable.shedding_interval, TimeDelta::from_millis(250));
+        assert_eq!(send_queue_frames(&durable, 0, 1), 3_200);
+        assert_eq!(send_queue_frames(&durable, 1, 2), 1_600);
+        // The federated gate's 12 sources × 30 batches/s fill 180 frames
+        // in two intervals: the 256-frame floor holds.
+        let gate = build_federated_scenario(&FederatedParams::default());
+        assert_eq!(send_queue_frames(&gate, 0, 1), 256);
     }
 }

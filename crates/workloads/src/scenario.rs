@@ -66,6 +66,18 @@ impl Scenario {
         self.lifetimes.get(&query).and_then(|&(_, e)| e)
     }
 
+    /// The node hosting each of `query`'s fragments, by fragment index.
+    pub fn nodes_of(&self, query: &QuerySpec) -> Vec<usize> {
+        (0..query.n_fragments())
+            .map(|fi| {
+                self.deployment
+                    .node_of(query.id, fi)
+                    .expect("validated deployment")
+                    .index()
+            })
+            .collect()
+    }
+
     /// Total long-run source demand in tuples/second (each source's
     /// declared mean rate: base rate × multiplier × pattern mean factor).
     pub fn total_demand_tps(&self) -> f64 {

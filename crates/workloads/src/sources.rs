@@ -467,11 +467,6 @@ impl SourceDriver {
         }
     }
 
-    /// The driver's profile.
-    pub fn profile(&self) -> &SourceProfile {
-        &self.profile
-    }
-
     /// Attaches a [`BatchPool`]; subsequent [`SourceDriver::emit`] calls
     /// acquire their output batches from it instead of allocating.
     pub fn set_pool(&mut self, pool: BatchPool) {
