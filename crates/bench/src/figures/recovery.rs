@@ -39,7 +39,9 @@ use themis_workloads::prelude::*;
 use crate::table::{f, TextTable};
 
 /// Allowed mean absolute per-query SIC error between the faulted arm and
-/// the uninterrupted control, over the post-recovery window.
+/// the uninterrupted control, over the post-recovery window. Both arms
+/// also use it as their per-query divergence bound, so no checkpoint lags
+/// a query's live SIC by more than the gate allows.
 pub const SIC_ERROR_BOUND: f64 = 0.25;
 
 /// Allowed |Jain(faulted) - Jain(control)| over the post-recovery window.
@@ -59,6 +61,10 @@ pub struct RecoveryArm {
     /// Shard-thread failures the engine reported (must be 0; the injected
     /// crash is a controlled state drop, not a thread loss).
     pub engine_errors: usize,
+    /// Durable checkpoints the arm's shards cut.
+    pub checkpoints: u64,
+    /// Of those, the ones the divergence bound cut before the cadence.
+    pub early_checkpoints: u64,
 }
 
 /// Outcome of the recovery experiment.
@@ -170,7 +176,7 @@ fn run_arm(
         shards: Some(4),
         checkpoint_every: Some(Duration::from_millis(250)),
         durability_dir: Some(dir.to_path_buf()),
-        sic_divergence_bound: 1.0,
+        sic_divergence_bound: SIC_ERROR_BOUND,
         fault_plan: fault,
         ..Default::default()
     };
@@ -189,6 +195,8 @@ fn run_arm(
         mean_sic: mean_of(means.values().copied()),
         shed_fraction: report.shed_fraction(),
         engine_errors: report.errors.len(),
+        checkpoints: report.checkpoints,
+        early_checkpoints: report.early_checkpoints,
     };
     let from_s = (measure_from.as_secs_f64() - t0.as_secs_f64()).max(0.0);
     let to_s = (measure_to.as_secs_f64() - t0.as_secs_f64()).max(0.0);
@@ -309,7 +317,15 @@ pub fn render(out: &RecoveryOutcome) -> TextTable {
             out.measure_from_s,
             out.measure_to_s
         ),
-        &["arm", "jain", "mean-sic", "shed-%", "engine-errors"],
+        &[
+            "arm",
+            "jain",
+            "mean-sic",
+            "shed-%",
+            "engine-errors",
+            "checkpoints",
+            "early",
+        ],
     );
     for a in &out.arms {
         t.row(vec![
@@ -318,12 +334,16 @@ pub fn render(out: &RecoveryOutcome) -> TextTable {
             f(a.mean_sic),
             format!("{:.1}", a.shed_fraction * 100.0),
             a.engine_errors.to_string(),
+            a.checkpoints.to_string(),
+            a.early_checkpoints.to_string(),
         ]);
     }
     t.row(vec![
         "error".to_string(),
         f(out.jain_diff()),
         f(out.mean_abs_error),
+        String::new(),
+        String::new(),
         String::new(),
         String::new(),
     ]);
@@ -359,12 +379,14 @@ pub fn to_json(out: &RecoveryOutcome) -> String {
     ));
     for (i, a) in out.arms.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"jain\": {:.6}, \"mean_sic\": {:.6}, \"shed_fraction\": {:.6}, \"engine_errors\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"jain\": {:.6}, \"mean_sic\": {:.6}, \"shed_fraction\": {:.6}, \"engine_errors\": {}, \"checkpoints\": {}, \"early_checkpoints\": {}}}{}\n",
             a.name,
             a.jain,
             a.mean_sic,
             a.shed_fraction,
             a.engine_errors,
+            a.checkpoints,
+            a.early_checkpoints,
             if i + 1 < out.arms.len() { "," } else { "" }
         ));
     }

@@ -83,10 +83,12 @@ pub struct EngineConfig {
     /// tail. Required for [`EngineConfig::checkpoint_every`] to take
     /// effect.
     pub durability_dir: Option<PathBuf>,
-    /// AF-Stream-style divergence bound: a shard checkpoints *early* when
-    /// any hosted node has accumulated more than this much absolute SIC
-    /// drift since its last checkpoint, bounding how much approximation
-    /// state a crash can lose. `0.0` (the default) disables the early
+    /// AF-Stream-style divergence bound: a shard checkpoints *early* as
+    /// soon as a SIC update leaves some query's SIC more than this far
+    /// from its value at the shard's last checkpoint, so no checkpointed
+    /// SIC stays further than the bound from its live value — however
+    /// many queries a node hosts. SIC lies in `[0, 1]`, so a bound of
+    /// `1.0` or more never fires. `0.0` (the default) disables the early
     /// trigger; the periodic cadence still applies.
     pub sic_divergence_bound: f64,
     /// Fault injection: kill one shard mid-run and restart it later,
@@ -266,6 +268,12 @@ pub struct EngineReport {
     /// full send queues — the link-level loss the transport chose over
     /// blocking the source pump.
     pub remote_shed_batches: u64,
+    /// Durable checkpoints cut, summed over shards (zero without
+    /// durability).
+    pub checkpoints: u64,
+    /// Of [`EngineReport::checkpoints`], those cut early by
+    /// [`EngineConfig::sic_divergence_bound`] rather than on cadence.
+    pub early_checkpoints: u64,
 }
 
 impl EngineReport {
@@ -986,13 +994,16 @@ impl Engine {
         let policy_name = self.config.policy.name().to_string();
         let mut nodes: Vec<NodeReport> = vec![NodeReport::default(); self.n_nodes];
         let mut errors: Vec<EngineError> = Vec::new();
+        let (mut checkpoints, mut early_checkpoints) = (0, 0);
         for (shard, h) in self.shard_handles.into_iter().enumerate() {
             match h.join() {
-                Ok((reports, shard_errors)) => {
-                    for (node, report) in reports {
+                Ok(outcome) => {
+                    for (node, report) in outcome.reports {
                         nodes[node].absorb(&report);
                     }
-                    errors.extend(shard_errors);
+                    errors.extend(outcome.errors);
+                    checkpoints += outcome.checkpoints;
+                    early_checkpoints += outcome.early_checkpoints;
                 }
                 // A shard thread died to a panic: name it and its policy
                 // instead of propagating — the surviving shards above
@@ -1044,6 +1055,8 @@ impl Engine {
             remote_batches,
             remote_sent_batches,
             remote_shed_batches,
+            checkpoints,
+            early_checkpoints,
         }
     }
 }

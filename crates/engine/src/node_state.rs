@@ -5,7 +5,8 @@
 //! deadlines with the drift/late-tick reschedule below, measured busy time
 //! for [`CostModel::observe_windowed`], pool recycling of shed batches, the
 //! synthetic-cost spin, emission routing over [`ShardRouting`], and the
-//! SIC drift that triggers early checkpoints.
+//! per-query SIC divergence from the last checkpoint that triggers early
+//! checkpoints.
 //!
 //! Extracting the node from the seed engine's one-OS-thread-per-node
 //! worker lets one shard thread interleave thousands of nodes (see
@@ -19,6 +20,7 @@
 //! windows. Skipped periods are counted in [`NodeReport::late_ticks`], and
 //! the cost model weighs observations by actual window length.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use themis_core::prelude::*;
@@ -68,8 +70,12 @@ pub struct NodeState {
     next_tick: Instant,
     last_tick: Instant,
     pool: Option<BatchPool>,
-    /// Sum of absolute SIC-table movement since the last checkpoint — the
-    /// AF-Stream divergence measure that triggers early checkpoints.
+    /// The SIC table the last [`NodeState::checkpoint`] captured (empty
+    /// before the first one).
+    checkpointed: HashMap<QueryId, Sic>,
+    /// Largest distance of any updated query's SIC from its checkpointed
+    /// value since the last checkpoint — the AF-Stream divergence measure
+    /// that triggers early checkpoints.
     sic_drift: f64,
 }
 
@@ -94,6 +100,7 @@ impl NodeState {
             next_tick: first_tick,
             last_tick: first_tick.checked_sub(interval).unwrap_or(first_tick),
             pool: config.pool,
+            checkpointed: HashMap::new(),
             sic_drift: 0.0,
         }
     }
@@ -128,24 +135,38 @@ impl NodeState {
         self.core.enqueue(rb, now);
     }
 
-    /// Applies a coordinator SIC update, accumulating the absolute table
-    /// movement into the divergence measure ([`NodeState::sic_drift`]).
+    /// Applies a coordinator SIC update and widens the divergence measure
+    /// ([`NodeState::sic_drift`]) to the updated query's distance from its
+    /// checkpointed value.
     pub fn apply_sic(&mut self, update: &SicUpdate) {
-        self.sic_drift += self.core.apply_sic(update);
+        self.core.apply_sic(update);
+        let checkpointed = self
+            .checkpointed
+            .get(&update.query)
+            .copied()
+            .unwrap_or(Sic::ZERO);
+        let divergence = (update.sic.value() - checkpointed.value()).abs();
+        self.sic_drift = self.sic_drift.max(divergence);
     }
 
-    /// Absolute SIC-table movement since the last checkpoint. A shard
-    /// checkpoints early when any node's drift exceeds the configured
-    /// divergence bound (AF-Stream-style bounded divergence).
+    /// The largest distance between a query's SIC and its value at the
+    /// last checkpoint, over the queries updated since (a query never
+    /// checkpointed counts from zero). A shard checkpoints early when a
+    /// node's drift exceeds the configured divergence bound, so no
+    /// checkpointed SIC is further than the bound from its live value —
+    /// however many queries the node hosts (AF-Stream's per-state
+    /// divergence threshold).
     pub fn sic_drift(&self) -> f64 {
         self.sic_drift
     }
 
     /// Captures the node's recoverable state — SIC table plus every
-    /// buffered window pane — and resets the divergence accumulator.
+    /// buffered window pane — and measures divergence from it afresh.
     pub fn checkpoint(&mut self) -> NodeSnapshot {
+        let snapshot = self.core.checkpoint(self.node);
+        self.checkpointed = snapshot.sic.iter().copied().collect();
         self.sic_drift = 0.0;
-        self.core.checkpoint(self.node)
+        snapshot
     }
 
     /// Fires one shedding tick at wall time `now` (see [`Node::tick`]),
@@ -386,20 +407,41 @@ mod tests {
         );
     }
 
+    fn sic(s: &mut NodeState, query: u32, sic: f64) {
+        s.apply_sic(&SicUpdate {
+            query: QueryId(query),
+            node: NodeId(0),
+            sic: Sic(sic),
+        });
+    }
+
     #[test]
-    fn sic_drift_accumulates_until_checkpoint() {
+    fn sic_drift_is_the_largest_divergence_from_the_checkpoint() {
         let mut s = state(50, Instant::now());
-        for sic in [0.5, 0.2] {
-            s.apply_sic(&SicUpdate {
-                query: QueryId(0),
-                node: NodeId(0),
-                sic: Sic(sic),
-            });
-        }
-        assert!((s.sic_drift() - 0.8).abs() < 1e-12);
+        // Never checkpointed: distances count from zero, and the drift
+        // keeps the widest one even after the query moves back.
+        sic(&mut s, 0, 0.5);
+        sic(&mut s, 0, 0.2);
+        assert!((s.sic_drift() - 0.5).abs() < 1e-12);
         let snap = s.checkpoint();
         assert_eq!(snap.sic, vec![(QueryId(0), Sic(0.2))]);
         assert_eq!(s.sic_drift(), 0.0);
+        // Measured from the checkpointed 0.2, not from zero.
+        sic(&mut s, 0, 0.3);
+        assert!((s.sic_drift() - 0.1).abs() < 1e-12);
+
+        // Many queries each moving a little do not add up.
+        let mut ids = IdGen::new();
+        let mut s = NodeState::new(config(50), 0, Instant::now());
+        for q in 0..160 {
+            s.attach_fragment(&Template::Avg.build(QueryId(q), &mut ids), 0, None);
+            sic(&mut s, q, 0.5);
+        }
+        s.checkpoint();
+        for q in 0..160 {
+            sic(&mut s, q, 0.51);
+        }
+        assert!((s.sic_drift() - 0.01).abs() < 1e-12);
     }
 
     #[test]

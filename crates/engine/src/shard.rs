@@ -98,8 +98,8 @@ impl ShardRouting {
 }
 
 /// Durability configuration handed to a shard thread: where to log, how
-/// often to checkpoint, and the AF-Stream-style divergence bound that
-/// forces an early checkpoint.
+/// often to checkpoint, and the AF-Stream-style per-query divergence
+/// bound that forces an early checkpoint.
 #[derive(Debug, Clone)]
 pub struct ShardDurability {
     /// Durability root; this shard writes under `dir/shard-<i>/`.
@@ -108,8 +108,9 @@ pub struct ShardDurability {
     pub shard: usize,
     /// Periodic checkpoint cadence.
     pub every: Duration,
-    /// Checkpoint early when any node's uncheckpointed absolute SIC
-    /// movement exceeds this bound (`<= 0` disables the early trigger).
+    /// Checkpoint early when some query's SIC has moved more than this
+    /// bound away from its checkpointed value ([`NodeState::sic_drift`];
+    /// `<= 0` disables the early trigger).
     pub sic_bound: f64,
 }
 
@@ -152,15 +153,25 @@ impl Ord for Deadline {
     }
 }
 
-/// What a shard thread returns: `(global node, counters)` per node, plus
-/// the durability failures it served through.
-pub type ShardOutcome = (Vec<(usize, NodeReport)>, Vec<EngineError>);
+/// What a shard thread returns when its event loop ends.
+#[derive(Debug, Default)]
+pub struct ShardOutcome {
+    /// `(global node, counters)` per node that was ever installed (one
+    /// merged report per node across re-installs).
+    pub reports: Vec<(usize, NodeReport)>,
+    /// The durability failures the shard served through
+    /// ([`EngineError::Durability`], the first of each operation).
+    pub errors: Vec<EngineError>,
+    /// Checkpoints cut (every hosted node snapshotted), on cadence or
+    /// early.
+    pub checkpoints: u64,
+    /// Of [`ShardOutcome::checkpoints`], those the divergence bound cut
+    /// before the cadence was due.
+    pub early_checkpoints: u64,
+}
 
 /// Runs a shard's event loop until an [`EngineMsg::Shutdown`] arrives (or
-/// every sender is gone); returns `(global node, counters)` per node that
-/// was ever installed (one merged report per node across re-installs),
-/// plus the durability failures the shard served through
-/// ([`EngineError::Durability`], the first of each operation).
+/// every sender is gone) and returns its [`ShardOutcome`].
 ///
 /// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
 /// (the engine pre-loads the initial scenario's attaches before spawning
@@ -171,7 +182,7 @@ pub fn run_shard(
     epoch: Instant,
     durability: Option<ShardDurability>,
 ) -> ShardOutcome {
-    let mut errors: Vec<EngineError> = Vec::new();
+    let mut out = ShardOutcome::default();
     let mut states: HashMap<usize, NodeState> = HashMap::new();
     let mut generations: HashMap<usize, u64> = HashMap::new();
     let mut heap: BinaryHeap<Deadline> = BinaryHeap::new();
@@ -184,6 +195,9 @@ pub fn run_shard(
     // post-crash empty shard would immediately write an empty checkpoint
     // and truncate the very tail recovery needs.
     let mut crashed = false;
+    // Set when a SIC update pushed its node's drift past the divergence
+    // bound; consumed by the checkpoint at the top of the next pass.
+    let mut diverged = false;
 
     loop {
         // Fire every due tick before draining more messages: the deadline,
@@ -218,26 +232,28 @@ pub fn run_shard(
             fired += 1;
             now = Instant::now();
         }
-        // Checkpoint on cadence, or early when any node's uncheckpointed
-        // SIC drift exceeds the divergence bound (AF-Stream: bound the
-        // deviation instead of logging everything).
+        // Checkpoint on cadence, or early when a SIC update left some
+        // query further than the divergence bound from its checkpointed
+        // value (AF-Stream: bound the deviation instead of logging
+        // everything).
+        let early = std::mem::take(&mut diverged);
         if let Some(d) = &durability {
             if !crashed && !states.is_empty() {
                 let due = next_checkpoint.is_some_and(|t| now >= t);
-                let diverged =
-                    d.sic_bound > 0.0 && states.values().any(|s| s.sic_drift() > d.sic_bound);
-                if due || diverged {
+                if due || early {
                     let snapshots: Vec<wal::NodeSnapshot> =
                         states.values_mut().map(NodeState::checkpoint).collect();
                     if log.is_none() {
-                        log = open_log(d, &mut errors);
+                        log = open_log(d, &mut out.errors);
                     }
                     if let Some(l) = &mut log {
                         if let Err(e) = l.checkpoint(&snapshots) {
-                            durability_error(&mut errors, d.shard, "checkpoint", &e);
+                            durability_error(&mut out.errors, d.shard, "checkpoint", &e);
                         }
                     }
                     next_checkpoint = Some(now + d.every);
+                    out.checkpoints += 1;
+                    out.early_checkpoints += u64::from(!due);
                 }
             }
         }
@@ -322,7 +338,7 @@ pub fn run_shard(
                         }
                     }
                     Ok(None) => {}
-                    Err(e) => durability_error(&mut errors, shard, "restore", &e),
+                    Err(e) => durability_error(&mut out.errors, shard, "restore", &e),
                 }
                 if let Some(d) = &durability {
                     next_checkpoint = Some(Instant::now() + d.every);
@@ -354,20 +370,18 @@ pub fn run_shard(
                         }
                         EngineMsg::Sic(update) => {
                             state.apply_sic(&update);
-                            if !crashed {
-                                if let Some(d) = &durability {
-                                    if log.is_none() {
-                                        log = open_log(d, &mut errors);
-                                    }
-                                    if let Some(l) = &mut log {
-                                        if let Err(e) = l.append(&wal::SicDelta {
-                                            node,
-                                            query: update.query,
-                                            sic: update.sic,
-                                        }) {
-                                            durability_error(&mut errors, d.shard, "append", &e);
-                                        }
-                                    }
+                            if let Some(d) = durability.as_ref().filter(|_| !crashed) {
+                                diverged |= d.sic_bound > 0.0 && state.sic_drift() > d.sic_bound;
+                                if log.is_none() {
+                                    log = open_log(d, &mut out.errors);
+                                }
+                                let delta = wal::SicDelta {
+                                    node,
+                                    query: update.query,
+                                    sic: update.sic,
+                                };
+                                if let Some(Err(e)) = log.as_mut().map(|l| l.append(&delta)) {
+                                    durability_error(&mut out.errors, d.shard, "append", &e);
                                 }
                             }
                         }
@@ -389,7 +403,8 @@ pub fn run_shard(
     for (node, state) in states {
         retire(&mut finished, node, &state);
     }
-    (finished.into_iter().collect(), errors)
+    out.reports = finished.into_iter().collect();
+    out
 }
 
 /// Folds a departing node incarnation's counters into the node's total, so
@@ -555,7 +570,7 @@ mod tests {
             })
             .unwrap();
         }
-        let (mut reports, _) = handle.join().expect("shard panicked");
+        let mut reports = handle.join().expect("shard panicked").reports;
         assert_eq!(reports.len(), 1);
         reports.pop().unwrap().1
     }
@@ -640,7 +655,7 @@ mod tests {
             msg: EngineMsg::Shutdown,
         })
         .unwrap();
-        let (reports, _) = handle.join().expect("shard panicked");
+        let reports = handle.join().expect("shard panicked").reports;
         let by_node: HashMap<usize, &NodeReport> = reports.iter().map(|(n, r)| (*n, r)).collect();
         assert!(by_node[&0].ticks >= 1);
         assert!(
@@ -689,7 +704,7 @@ mod tests {
             msg: EngineMsg::Shutdown,
         })
         .unwrap();
-        let (reports, _) = handle.join().expect("shard panicked");
+        let reports = handle.join().expect("shard panicked").reports;
         let by_node: HashMap<usize, NodeReport> = reports.into_iter().collect();
         let resident = &by_node[&0];
         let churned = &by_node[&1];
@@ -704,6 +719,70 @@ mod tests {
             resident.ticks
         );
         assert!(churned.ticks >= 2, "both incarnations ticked");
+    }
+
+    /// Regression (checkpoint storm): the early trigger used to sum SIC
+    /// movement over every query a node hosts, so 64 queries each moving
+    /// 0.01 per coordinator round crossed a 0.5 bound every round and cut
+    /// a full checkpoint each time. Divergence is per query and measured
+    /// from the checkpoint: small moves never fire, one large move fires
+    /// once. The hour-long cadence leaves only early cuts, and the whole
+    /// message stream is queued before the shard starts, so nothing here
+    /// depends on timing.
+    #[test]
+    fn many_small_sic_moves_do_not_storm_checkpoints() {
+        let dir = std::env::temp_dir().join(format!("themis-shard-storm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ids = IdGen::new();
+        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
+        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
+        let routing = ShardRouting {
+            node_txs: vec![tx.clone()],
+            results_tx,
+        };
+        let queries: Vec<QueryId> = (0..64).map(QueryId).collect();
+        for &q in &queries {
+            let query = Arc::new(Template::Avg.build(q, &mut ids));
+            tx.send(attach_msg(0, node_config(50, TimeDelta::ZERO, 100), &query))
+                .unwrap();
+        }
+        let sic = |query: QueryId, sic: f64| ShardMsg {
+            node: 0,
+            msg: EngineMsg::Sic(SicUpdate {
+                query,
+                node: NodeId(0),
+                sic: Sic(sic),
+            }),
+        };
+        for round in 1..=20 {
+            for &q in &queries {
+                tx.send(sic(q, 0.01 * round as f64)).unwrap();
+            }
+        }
+        tx.send(sic(queries[0], 0.2 + 0.6)).unwrap();
+        tx.send(ShardMsg {
+            node: 0,
+            msg: EngineMsg::Shutdown,
+        })
+        .unwrap();
+        let durability = ShardDurability {
+            dir: dir.clone(),
+            shard: 0,
+            every: Duration::from_secs(3600),
+            sic_bound: 0.5,
+        };
+        let out = run_shard(routing, rx, Instant::now(), Some(durability));
+        let restore = wal::restore_shard(&dir, 0).expect("readable log");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
+        assert_eq!(out.early_checkpoints, 1, "one query crossed the bound once");
+        assert_eq!(out.checkpoints, 1, "the cadence never came due");
+        let restore = restore.expect("the shard logged state");
+        assert_eq!(restore.snapshots.len(), 1);
+        assert!(
+            restore.deltas.is_empty(),
+            "the checkpoint truncated the tail"
+        );
     }
 
     #[test]

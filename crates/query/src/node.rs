@@ -243,15 +243,12 @@ impl Node {
     }
 
     /// Applies a coordinator SIC update (ignored under the local-SIC
-    /// fallback); returns how far the query's table entry moved.
-    pub fn apply_sic(&mut self, update: &SicUpdate) -> f64 {
+    /// fallback).
+    pub fn apply_sic(&mut self, update: &SicUpdate) {
         self.stats.sic_updates += 1;
-        if self.local_sic.is_some() {
-            return 0.0;
+        if self.local_sic.is_none() {
+            self.sic_table.apply(update);
         }
-        let old = self.sic_table.get(update.query);
-        self.sic_table.apply(update);
-        (update.sic.value() - old.value()).abs()
     }
 
     /// Overwrites one SIC-table entry (WAL-tail replay during restore —
@@ -497,11 +494,12 @@ mod tests {
     #[test]
     fn sic_update_feeds_table() {
         let mut n = node();
-        assert_eq!(n.apply_sic(&update(QueryId(3), 0.4)), 0.4);
+        n.apply_sic(&update(QueryId(3), 0.4));
         assert_eq!(n.stats.sic_updates, 1);
         assert_eq!(n.sic_table.get(QueryId(3)), Sic(0.4));
-        // The return value is the entry's movement, the engine's drift.
-        assert!((n.apply_sic(&update(QueryId(3), 0.1)) - 0.3).abs() < 1e-12);
+        // The last update wins.
+        n.apply_sic(&update(QueryId(3), 0.1));
+        assert_eq!(n.sic_table.get(QueryId(3)), Sic(0.1));
     }
 
     #[test]
@@ -530,7 +528,7 @@ mod tests {
         let mut n = node();
         n.use_local_sic(true);
         n.attach(&q, 0, None);
-        assert_eq!(n.apply_sic(&update(q.id, 0.9)), 0.0);
+        n.apply_sic(&update(q.id, 0.9));
         assert_eq!(n.stats.sic_updates, 1, "counted even when ignored");
         assert_eq!(n.sic_table.get(q.id), Sic::ZERO);
         n.enqueue(source_batch(&q, 10, 50), Timestamp::from_millis(10));
