@@ -62,10 +62,11 @@ pub fn update_sic_ablation(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
 pub fn batch_order_ablation(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
     let mut out = Vec::new();
     for (label, policy) in [
-        ("highest-sic-first", PolicyKind::BalanceSic),
-        ("fifo-order", PolicyKind::BalanceSicFifoOrder),
-        ("lowest-sic-first", PolicyKind::BalanceSicLowestFirst),
+        ("highest-sic-first", "balance-sic"),
+        ("fifo-order", "balance-sic(fifo-order)"),
+        ("lowest-sic-first", "balance-sic(lowest-first)"),
     ] {
+        let policy = lookup_policy(policy).expect("builtin policy");
         let report = run_scenario(
             base_scenario(label, scale, seed),
             SimConfig::with_policy(policy),
@@ -87,18 +88,14 @@ pub fn batch_order_ablation(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
 /// serve-few-starve-many outcome inside the running system.
 pub fn policy_comparison(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
     let mut out = Vec::new();
-    for policy in [
-        PolicyKind::BalanceSic,
-        PolicyKind::Random,
-        PolicyKind::Fifo,
-        PolicyKind::Priority,
-    ] {
+    for name in ["balance-sic", "random", "fifo", "priority"] {
+        let policy = lookup_policy(name).expect("builtin policy");
         let report = run_scenario(
-            base_scenario(policy.name(), scale, seed),
+            base_scenario(name, scale, seed),
             SimConfig::with_policy(policy),
         );
         out.push(FairnessPoint {
-            x: policy.name().into(),
+            x: name.into(),
             policy: report.policy.clone(),
             mean_sic: report.fairness.mean,
             jain: report.fairness.jain,

@@ -184,7 +184,7 @@ fn error_between(
 pub fn correlation(q: CorrelationQuery, scale: &Scale, seed: u64) -> Vec<CorrelationPoint> {
     let counts = [2usize, 3, 4, 6, 10, 16];
     let capacity = q.capacity_for_two_queries();
-    let mut cfg = SimConfig::with_policy(PolicyKind::Random);
+    let mut cfg = SimConfig::with_policy(lookup_policy("random").expect("builtin policy"));
     cfg.record_results = true;
     let mut points = Vec::new();
     for dataset in Dataset::ALL {

@@ -105,8 +105,8 @@ pub fn fig10(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
         let demand =
             total_fragments as f64 * mix_sources_per_fragment() * scale.tuples_per_sec as f64;
         let capacity = capacity_for_overload(demand / 18.0, 3.0);
-        for policy in [PolicyKind::BalanceSic, PolicyKind::Random] {
-            let b = ScenarioBuilder::new(format!("fig10-{label}-{}", policy.name()), seed)
+        for policy in ["balance-sic", "random"] {
+            let b = ScenarioBuilder::new(format!("fig10-{label}-{policy}"), seed)
                 .nodes(18)
                 .placement(PlacementPolicy::UniformRandom)
                 .capacity_tps(capacity)
@@ -115,6 +115,7 @@ pub fn fig10(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
             let scn = add_complex_mix_varied(b, n_queries, &frags, scale.profile(Dataset::Uniform))
                 .build()
                 .expect("18-node placement");
+            let policy = lookup_policy(policy).expect("builtin policy");
             let report = run_scenario(scn, SimConfig::with_policy(policy));
             out.push(point(label.clone(), &report));
         }

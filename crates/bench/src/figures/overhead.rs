@@ -48,10 +48,10 @@ fn overhead_scenario(secs: u64, seed: u64) -> Scenario {
 /// constant overload.
 pub fn overhead(secs: u64, seed: u64) -> Vec<OverheadRow> {
     let mut rows = Vec::new();
-    for policy in [PolicyKind::BalanceSic, PolicyKind::Random] {
+    for policy in ["balance-sic", "random"] {
         let scn = overhead_scenario(secs, seed);
         let cfg = EngineConfig {
-            policy: policy.into(),
+            policy: lookup_policy(policy).expect("builtin policy"),
             synthetic_cost: TimeDelta::from_micros(300),
             ..Default::default()
         };

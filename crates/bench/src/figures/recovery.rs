@@ -170,7 +170,6 @@ fn run_arm(
     let total = Duration::from_secs(secs);
     let warmup = Duration::from_micros(scenario.warmup.as_micros());
     let cfg = EngineConfig {
-        policy: PolicyKind::BalanceSic.into(),
         enforce_capacity: true,
         record_series: true,
         shards: Some(4),

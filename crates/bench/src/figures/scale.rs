@@ -102,7 +102,6 @@ pub fn scale(n_nodes: usize, shards: Option<usize>, secs: u64, seed: u64) -> Sca
     let report = run_engine(
         &scenario,
         EngineConfig {
-            policy: PolicyKind::BalanceSic.into(),
             shards,
             ..Default::default()
         },

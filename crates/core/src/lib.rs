@@ -75,10 +75,9 @@ pub mod prelude {
     pub use crate::schema::{BoolColumn, Column, FieldType, Schema, TagColumn, TagInterner};
     pub use crate::shedder::{
         build_buffer_states, lookup_policy, register_shedder, registered_policies,
-        registered_policy_names, BalanceSicShedder, BatchOrder, CandidateBatch,
-        DuplicatePolicyError, FifoShedder, ParsePolicyError, Policy, PolicyKind, PriorityShedder,
-        QueryBufferState, RandomShedder, ShedDecision, Shedder, ShedderFactory, ShedderRegistry,
-        UnknownPolicyError,
+        BalanceSicShedder, BatchOrder, CandidateBatch, DuplicatePolicyError, FifoShedder, Policy,
+        PriorityShedder, QueryBufferState, RandomShedder, ShedDecision, Shedder, ShedderFactory,
+        ShedderRegistry, UnknownPolicyError,
     };
     pub use crate::sic::Sic;
     pub use crate::stw::{ResultSicTracker, SourceSicAssigner, StwConfig};

@@ -233,14 +233,6 @@ impl Shedder for BalanceSicShedder {
 
         ShedDecision::from_keep(keep, queries)
     }
-
-    fn name(&self) -> &'static str {
-        match self.order {
-            BatchOrder::HighestSicFirst => "balance-sic",
-            BatchOrder::LowestSicFirst => "balance-sic(lowest-first)",
-            BatchOrder::Fifo => "balance-sic(fifo-order)",
-        }
-    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,7 @@
 //! and the `experiments` CLI all build their shedders. The six paper
 //! policies are registered by default; external crates add their own
 //! with [`register_shedder`] and every runtime picks them up by name
-//! ([`lookup_policy`]). The closed [`PolicyKind`] enum remains as a
-//! deprecated shim over the registry's builtin table.
+//! ([`lookup_policy`]). A policy's registry key is its only name.
 
 mod balance_sic;
 mod policy;
@@ -29,11 +28,11 @@ mod registry;
 mod variants;
 
 pub use balance_sic::{BalanceSicShedder, BatchOrder};
-pub use policy::{ParsePolicyError, PolicyKind};
+pub use policy::{Policy, ShedderFactory};
 pub use random::RandomShedder;
 pub use registry::{
-    lookup_policy, register_shedder, registered_policies, registered_policy_names,
-    DuplicatePolicyError, Policy, ShedderFactory, ShedderRegistry, UnknownPolicyError,
+    lookup_policy, register_shedder, registered_policies, DuplicatePolicyError, ShedderRegistry,
+    UnknownPolicyError,
 };
 pub use variants::{FifoShedder, PriorityShedder};
 
@@ -149,9 +148,6 @@ pub trait Shedder: Send {
         capacity_tuples: usize,
         queries: &[QueryBufferState],
     ) -> ShedDecision;
-
-    /// Human-readable policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Builds the per-query buffer snapshot for a shedder invocation from the

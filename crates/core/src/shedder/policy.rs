@@ -1,150 +1,104 @@
-//! The legacy closed policy enumeration, now a shim over the registry.
+//! A shedding policy: a registry key plus the factory that builds its
+//! per-node [`Shedder`], and the six paper policies every registry is
+//! seeded with.
 //!
-//! **Deprecated surface**: [`PolicyKind`] predates the open
-//! [`ShedderRegistry`](super::ShedderRegistry) and survives only as a
-//! convenience for the six builtin policies. Its names and constructors
-//! are read from the registry's builtin table, so the registry keys stay
-//! the single source of truth; new code should hold a
-//! [`Policy`](super::Policy) handle (every `PolicyKind` converts via
-//! `Into<Policy>`), and policies added with
-//! [`register_shedder`](super::register_shedder) are *not* representable
-//! here — parse user input with [`lookup_policy`](super::lookup_policy)
-//! instead of `FromStr` on this enum.
+//! A policy is named only by its registry key. Runtimes hold a [`Policy`]
+//! handle and call [`Policy::build`] once per node; user input resolves
+//! through [`lookup_policy`](super::lookup_policy).
 
 use std::fmt;
-use std::str::FromStr;
+use std::sync::Arc;
 
-use super::registry::{name_matches, BuiltinPolicy, BUILTINS};
+use super::balance_sic::{BalanceSicShedder, BatchOrder};
+use super::random::RandomShedder;
+use super::variants::{FifoShedder, PriorityShedder};
 use super::Shedder;
 
-/// Which builtin tuple shedder a node runs (Algorithm 1 or a baseline).
-///
-/// Canonical names round-trip through [`PolicyKind::name`] and
-/// [`FromStr`] for all six builtin policies:
-///
-/// ```
-/// use themis_core::shedder::PolicyKind;
-///
-/// for policy in PolicyKind::ALL {
-///     assert_eq!(policy.name().parse::<PolicyKind>(), Ok(policy));
-/// }
-/// // The six canonical names, in registry order:
-/// let names: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-/// assert_eq!(
-///     names,
-///     [
-///         "balance-sic",
-///         "random",
-///         "fifo",
-///         "priority",
-///         "balance-sic(lowest-first)",
-///         "balance-sic(fifo-order)",
-///     ]
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
-    /// The paper's BALANCE-SIC fair shedder (Algorithm 1).
-    BalanceSic,
-    /// Random shedding (the §7.2 baseline).
-    Random,
-    /// Drop-from-tail (bounded queue) baseline.
-    Fifo,
-    /// Admission-control baseline: lowest query ids are served to
-    /// saturation, the rest starve (the node-local analogue of the
-    /// throughput-maximising FIT LP of §7.5).
-    Priority,
-    /// Ablation: Algorithm 1 but admitting *lowest*-SIC batches first
-    /// (inverts line 16's `max(xSIC)`).
-    BalanceSicLowestFirst,
-    /// Ablation: Algorithm 1 with arrival-order admission.
-    BalanceSicFifoOrder,
+/// A shedder factory: seed in, boxed [`Shedder`] out.
+pub type ShedderFactory = Arc<dyn Fn(u64) -> Box<dyn Shedder> + Send + Sync>;
+
+/// A builtin policy's shedder constructor.
+type BuiltinFn = fn(u64) -> Box<dyn Shedder>;
+
+/// The six paper policies as `(registry key, constructor)`, in registry
+/// order. The first is the [`Policy::default`].
+pub(super) const BUILTINS: [(&str, BuiltinFn); 6] = [
+    // The paper's BALANCE-SIC fair shedder (Algorithm 1).
+    ("balance-sic", |seed| Box::new(BalanceSicShedder::new(seed))),
+    // Random shedding (the §7.2 baseline).
+    ("random", |seed| Box::new(RandomShedder::new(seed))),
+    // Drop-from-tail (bounded queue) baseline.
+    ("fifo", |_| Box::new(FifoShedder::new())),
+    // Admission control: lowest query ids are served to saturation, the
+    // rest starve (the node-local analogue of §7.5's FIT LP).
+    ("priority", |_| Box::new(PriorityShedder::new())),
+    // Ablation: Algorithm 1 admitting *lowest*-SIC batches first.
+    ("balance-sic(lowest-first)", |seed| {
+        Box::new(BalanceSicShedder::with_order(
+            seed,
+            BatchOrder::LowestSicFirst,
+        ))
+    }),
+    // Ablation: Algorithm 1 with arrival-order admission.
+    ("balance-sic(fifo-order)", |seed| {
+        Box::new(BalanceSicShedder::with_order(seed, BatchOrder::Fifo))
+    }),
+];
+
+/// A cheaply clonable policy handle: a registry key plus its factory.
+/// Runtimes store this in their configs and call [`Policy::build`] once
+/// per node.
+#[derive(Clone)]
+pub struct Policy {
+    name: Arc<str>,
+    factory: ShedderFactory,
 }
 
-impl PolicyKind {
-    /// Every builtin policy, in registry order.
-    pub const ALL: [PolicyKind; 6] = [
-        PolicyKind::BalanceSic,
-        PolicyKind::Random,
-        PolicyKind::Fifo,
-        PolicyKind::Priority,
-        PolicyKind::BalanceSicLowestFirst,
-        PolicyKind::BalanceSicFifoOrder,
-    ];
+impl Policy {
+    /// Wraps a factory under `name` (the registry key it will be known
+    /// by, if registered).
+    pub fn new(name: impl Into<Arc<str>>, factory: ShedderFactory) -> Self {
+        Policy {
+            name: name.into(),
+            factory,
+        }
+    }
 
-    /// This kind's row in the registry's builtin table.
-    fn builtin(&self) -> &'static BuiltinPolicy {
-        BUILTINS
-            .iter()
-            .find(|b| b.kind == *self)
-            .expect("every PolicyKind has a builtin row")
+    /// The canonical policy name (a registry key).
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Instantiates the shedder with a node-specific seed.
     pub fn build(&self, seed: u64) -> Box<dyn Shedder> {
-        (self.builtin().build)(seed)
-    }
-
-    /// Canonical display name — the registry key; [`FromStr`] round-trips
-    /// it.
-    pub fn name(&self) -> &'static str {
-        self.builtin().name
+        (self.factory)(seed)
     }
 }
 
-impl fmt::Display for PolicyKind {
+impl fmt::Debug for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+        f.debug_struct("Policy").field("name", &self.name).finish()
     }
 }
 
-/// Error returned when parsing an unknown builtin policy name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePolicyError {
-    input: String,
-}
-
-impl fmt::Display for ParsePolicyError {
+impl fmt::Display for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown shedding policy `{}` (expected one of: ",
-            self.input
-        )?;
-        for (i, p) in PolicyKind::ALL.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(p.name())?;
-        }
-        f.write_str(")")
+        f.write_str(&self.name)
     }
 }
 
-impl std::error::Error for ParsePolicyError {}
+impl PartialEq for Policy {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+impl Eq for Policy {}
 
-impl FromStr for PolicyKind {
-    type Err = ParsePolicyError;
-
-    /// Accepts the canonical [`PolicyKind::name`] plus a CLI-friendly
-    /// spelling that replaces parentheses with dashes (e.g.
-    /// `balance-sic-lowest-first`), case-insensitively. Only resolves the
-    /// six builtins — registered external policies need
-    /// [`lookup_policy`](super::lookup_policy).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let norm: String = s
-            .trim()
-            .to_ascii_lowercase()
-            .chars()
-            .map(|c| if c == '_' { '-' } else { c })
-            .collect();
-        PolicyKind::ALL
-            .iter()
-            .find(|p| name_matches(p.name(), &norm))
-            .copied()
-            .ok_or_else(|| ParsePolicyError {
-                input: s.trim().to_string(),
-            })
+impl Default for Policy {
+    /// The paper's BALANCE-SIC shedder.
+    fn default() -> Self {
+        let (name, build) = BUILTINS[0];
+        Policy::new(name, Arc::new(build))
     }
 }
 
@@ -155,74 +109,27 @@ mod tests {
 
     #[test]
     fn every_policy_builds_a_shedder() {
-        for p in PolicyKind::ALL {
-            let mut s = p.build(42);
-            let d = s.select_to_keep(10, &[]);
-            assert!(d.keep.is_empty());
-            assert!(!s.name().is_empty());
+        for (name, build) in BUILTINS {
+            let d = build(42).select_to_keep(10, &[]);
+            assert!(d.keep.is_empty(), "{name}");
         }
     }
 
     #[test]
     fn names_are_unique_and_stable() {
-        let names: HashSet<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), PolicyKind::ALL.len());
-        assert_eq!(PolicyKind::BalanceSic.to_string(), "balance-sic");
-    }
-
-    #[test]
-    fn from_str_round_trips_every_name() {
-        for p in PolicyKind::ALL {
-            assert_eq!(p.name().parse::<PolicyKind>(), Ok(p), "{}", p.name());
-        }
-    }
-
-    #[test]
-    fn from_str_accepts_cli_spellings() {
+        let names: Vec<&str> = BUILTINS.iter().map(|(name, _)| *name).collect();
         assert_eq!(
-            "Balance-SIC".parse::<PolicyKind>(),
-            Ok(PolicyKind::BalanceSic)
+            names,
+            [
+                "balance-sic",
+                "random",
+                "fifo",
+                "priority",
+                "balance-sic(lowest-first)",
+                "balance-sic(fifo-order)",
+            ]
         );
-        assert_eq!(
-            "balance_sic".parse::<PolicyKind>(),
-            Ok(PolicyKind::BalanceSic)
-        );
-        assert_eq!(
-            "balance-sic-lowest-first".parse::<PolicyKind>(),
-            Ok(PolicyKind::BalanceSicLowestFirst)
-        );
-        assert_eq!(
-            "balance-sic-fifo-order".parse::<PolicyKind>(),
-            Ok(PolicyKind::BalanceSicFifoOrder)
-        );
-        assert_eq!(" fifo ".parse::<PolicyKind>(), Ok(PolicyKind::Fifo));
-    }
-
-    #[test]
-    fn from_str_rejects_unknown_with_listing() {
-        let err = "drop-everything".parse::<PolicyKind>().unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("drop-everything"));
-        for p in PolicyKind::ALL {
-            assert!(msg.contains(p.name()), "error lists {}", p.name());
-        }
-    }
-
-    #[test]
-    fn from_str_rejects_truncated_spellings() {
-        // A truncated `balance-sic-lowest-first` must not silently fall
-        // back to plain BALANCE-SIC.
-        assert!("balance-sic-".parse::<PolicyKind>().is_err());
-        assert!("balance-sic-lowest".parse::<PolicyKind>().is_err());
-        assert!("balance-siclowest-first".parse::<PolicyKind>().is_err());
-    }
-
-    #[test]
-    fn shim_agrees_with_builtin_shedders() {
-        // The shim constructs the same shedders the registry does: the
-        // built shedder's self-reported name equals the canonical name.
-        for p in PolicyKind::ALL {
-            assert_eq!(p.build(1).name(), p.name());
-        }
+        assert_eq!(names.iter().collect::<HashSet<_>>().len(), names.len());
+        assert_eq!(Policy::default().to_string(), "balance-sic");
     }
 }

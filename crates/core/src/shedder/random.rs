@@ -48,10 +48,6 @@ impl Shedder for RandomShedder {
         }
         ShedDecision::from_keep(keep, queries)
     }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
 }
 
 #[cfg(test)]

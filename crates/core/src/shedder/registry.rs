@@ -1,17 +1,16 @@
 //! The open shedding-policy registry: name → shedder factory.
 //!
-//! [`PolicyKind`] used to be the closed enumeration of every shedding
-//! policy the workspace knows. The registry inverts that: a policy is a
-//! **name plus a factory** ([`Policy`]), the six paper policies are
-//! registered by default, and external crates add their own with
-//! [`register_shedder`] — no edit to `themis-core` required. Every
+//! A policy is a **name plus a factory** ([`Policy`]). The six paper
+//! policies are registered by default, and external crates add their own
+//! with [`register_shedder`] — no edit to `themis-core` required. Every
 //! runtime (simulator, engine, benchmark, `experiments` CLI) stores a
 //! [`Policy`] handle and builds its per-node [`Shedder`] through it, so
 //! a policy registered once is immediately runnable everywhere.
 //!
-//! Registry keys are the single source of truth for policy naming:
-//! [`Policy::name`], [`PolicyKind::name`], `FromStr` parsing and every
-//! report/JSON field round-trip through the same strings.
+//! Registry keys are the only names a policy has: [`Policy::name`],
+//! [`ShedderRegistry::parse`] (the one parser, behind [`lookup_policy`]
+//! and `experiments --policy=`) and every report/JSON field round-trip
+//! through the same strings.
 //!
 //! ```
 //! use themis_core::shedder::{lookup_policy, register_shedder, FifoShedder};
@@ -29,132 +28,8 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use super::balance_sic::{BalanceSicShedder, BatchOrder};
-use super::policy::PolicyKind;
-use super::random::RandomShedder;
-use super::variants::{FifoShedder, PriorityShedder};
+use super::policy::{Policy, BUILTINS};
 use super::Shedder;
-
-/// A shedder factory: seed in, boxed [`Shedder`] out.
-pub type ShedderFactory = Arc<dyn Fn(u64) -> Box<dyn Shedder> + Send + Sync>;
-
-/// One registered (or builtin) shedding policy row: the [`PolicyKind`]
-/// shim and the registry both read policy names and constructors from
-/// this table, so there is exactly one place a builtin's spelling lives.
-pub(super) struct BuiltinPolicy {
-    /// The legacy enum variant this row backs.
-    pub kind: PolicyKind,
-    /// Canonical registry key.
-    pub name: &'static str,
-    /// Shedder constructor.
-    pub build: fn(u64) -> Box<dyn Shedder>,
-}
-
-/// The six paper policies, in registry order (must stay aligned with
-/// [`PolicyKind::ALL`]).
-pub(super) const BUILTINS: [BuiltinPolicy; 6] = [
-    BuiltinPolicy {
-        kind: PolicyKind::BalanceSic,
-        name: "balance-sic",
-        build: |seed| Box::new(BalanceSicShedder::new(seed)),
-    },
-    BuiltinPolicy {
-        kind: PolicyKind::Random,
-        name: "random",
-        build: |seed| Box::new(RandomShedder::new(seed)),
-    },
-    BuiltinPolicy {
-        kind: PolicyKind::Fifo,
-        name: "fifo",
-        build: |_| Box::new(FifoShedder::new()),
-    },
-    BuiltinPolicy {
-        kind: PolicyKind::Priority,
-        name: "priority",
-        build: |_| Box::new(PriorityShedder::new()),
-    },
-    BuiltinPolicy {
-        kind: PolicyKind::BalanceSicLowestFirst,
-        name: "balance-sic(lowest-first)",
-        build: |seed| {
-            Box::new(BalanceSicShedder::with_order(
-                seed,
-                BatchOrder::LowestSicFirst,
-            ))
-        },
-    },
-    BuiltinPolicy {
-        kind: PolicyKind::BalanceSicFifoOrder,
-        name: "balance-sic(fifo-order)",
-        build: |seed| Box::new(BalanceSicShedder::with_order(seed, BatchOrder::Fifo)),
-    },
-];
-
-/// A cheaply clonable policy handle: a registry key plus its factory.
-/// Runtimes store this in their configs and call [`Policy::build`] once
-/// per node.
-#[derive(Clone)]
-pub struct Policy {
-    name: Arc<str>,
-    factory: ShedderFactory,
-}
-
-impl Policy {
-    /// Wraps a factory under `name` (the registry key it will be known
-    /// by, if registered).
-    pub fn new(name: impl Into<Arc<str>>, factory: ShedderFactory) -> Self {
-        Policy {
-            name: name.into(),
-            factory,
-        }
-    }
-
-    /// The canonical policy name (a registry key).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Instantiates the shedder with a node-specific seed.
-    pub fn build(&self, seed: u64) -> Box<dyn Shedder> {
-        (self.factory)(seed)
-    }
-}
-
-impl fmt::Debug for Policy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Policy").field("name", &self.name).finish()
-    }
-}
-
-impl fmt::Display for Policy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
-    }
-}
-
-impl PartialEq for Policy {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-impl Eq for Policy {}
-
-impl From<PolicyKind> for Policy {
-    fn from(kind: PolicyKind) -> Self {
-        let row = BUILTINS
-            .iter()
-            .find(|b| b.kind == kind)
-            .expect("every PolicyKind has a builtin row");
-        Policy::new(row.name, Arc::new(row.build))
-    }
-}
-
-impl Default for Policy {
-    /// The paper's BALANCE-SIC shedder.
-    fn default() -> Self {
-        PolicyKind::BalanceSic.into()
-    }
-}
 
 /// Attempted to register a second policy under an existing key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,7 +82,7 @@ fn normalise(s: &str) -> String {
 /// True when normalised input `norm` addresses registry key `name`:
 /// exact, or the dashed spelling of a parenthesised key
 /// (`balance-sic(lowest-first)` ⇔ `balance-sic-lowest-first`).
-pub(super) fn name_matches(name: &str, norm: &str) -> bool {
+fn name_matches(name: &str, norm: &str) -> bool {
     norm == name || (name.contains('(') && norm == name.replace('(', "-").replace(')', ""))
 }
 
@@ -218,17 +93,12 @@ pub struct ShedderRegistry {
 }
 
 impl ShedderRegistry {
-    /// An empty registry (no builtins).
-    pub fn empty() -> Self {
-        ShedderRegistry::default()
-    }
-
     /// A registry pre-seeded with the six paper policies, in
-    /// [`PolicyKind::ALL`] order.
+    /// paper order (BALANCE-SIC first). `default()` is the empty one.
     pub fn with_builtins() -> Self {
-        let mut r = ShedderRegistry::empty();
-        for b in &BUILTINS {
-            r.register(Policy::new(b.name, Arc::new(b.build)))
+        let mut r = ShedderRegistry::default();
+        for (name, build) in BUILTINS {
+            r.register(Policy::new(name, Arc::new(build)))
                 .expect("builtin names are unique");
         }
         r
@@ -326,51 +196,57 @@ pub fn registered_policies() -> Vec<Policy> {
         .to_vec()
 }
 
-/// Snapshot of the registry keys, in registration order.
-pub fn registered_policy_names() -> Vec<String> {
-    global()
-        .read()
-        .expect("shedder registry poisoned")
-        .names()
-        .map(String::from)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shedder::FifoShedder;
 
     #[test]
     fn builtins_round_trip_through_registry_keys() {
         // The naming seam, closed: for every registered builtin the
-        // registry key, the Policy name, the built shedder's self-reported
-        // name, the PolicyKind name and FromStr all agree.
+        // registry key, the Policy name and the parsed spelling agree, and
+        // the factory builds a working shedder.
         let reg = ShedderRegistry::with_builtins();
-        assert_eq!(reg.len(), PolicyKind::ALL.len());
-        for (policy, kind) in reg.policies().iter().zip(PolicyKind::ALL) {
+        assert_eq!(reg.len(), BUILTINS.len());
+        for (policy, (name, _)) in reg.policies().iter().zip(BUILTINS) {
             let key = policy.name();
-            assert_eq!(kind.name(), key, "PolicyKind::name agrees with the key");
+            assert_eq!(key, name, "registry order is builtin order");
             assert_eq!(reg.parse(key).unwrap().name(), key, "parse round-trips");
-            assert_eq!(key.parse::<PolicyKind>(), Ok(kind), "FromStr round-trips");
-            let mut built = policy.build(7);
-            assert_eq!(built.name(), key, "Shedder::name agrees with the key");
-            assert!(built.select_to_keep(10, &[]).keep.is_empty());
+            assert!(policy.build(7).select_to_keep(10, &[]).keep.is_empty());
         }
     }
 
     #[test]
     fn parse_accepts_cli_spellings_and_lists_keys_on_error() {
         let reg = ShedderRegistry::with_builtins();
-        assert_eq!(reg.parse("Balance_SIC").unwrap().name(), "balance-sic");
-        assert_eq!(
-            reg.parse("balance-sic-lowest-first").unwrap().name(),
-            "balance-sic(lowest-first)"
-        );
+        for (input, key) in [
+            ("Balance-SIC", "balance-sic"),
+            ("Balance_SIC", "balance-sic"),
+            (" fifo ", "fifo"),
+            ("balance-sic-lowest-first", "balance-sic(lowest-first)"),
+            ("balance-sic-fifo-order", "balance-sic(fifo-order)"),
+        ] {
+            assert_eq!(reg.parse(input).unwrap().name(), key, "{input:?}");
+        }
         let err = reg.parse("drop-everything").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("drop-everything"));
         for name in reg.names() {
             assert!(msg.contains(name), "error lists {name}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_truncated_spellings() {
+        // A truncated `balance-sic-lowest-first` must not silently fall
+        // back to plain BALANCE-SIC.
+        let reg = ShedderRegistry::with_builtins();
+        for input in [
+            "balance-sic-",
+            "balance-sic-lowest",
+            "balance-siclowest-first",
+        ] {
+            assert!(reg.parse(input).is_err(), "{input:?} resolved");
         }
     }
 
@@ -398,24 +274,24 @@ mod tests {
             ))
             .unwrap_err();
         assert_eq!(err.name, "fifo");
-        assert_eq!(reg.len(), PolicyKind::ALL.len());
+        assert_eq!(reg.len(), BUILTINS.len());
     }
 
     #[test]
     fn global_registry_serves_builtins() {
         let p = lookup_policy("priority").unwrap();
         assert_eq!(p.name(), "priority");
-        assert!(registered_policy_names().contains(&"balance-sic".to_string()));
-        assert!(registered_policies().len() >= PolicyKind::ALL.len());
+        let registered = registered_policies();
+        assert!(registered.len() >= BUILTINS.len());
+        assert_eq!(registered[0], Policy::default(), "builtins come first");
     }
 
     #[test]
     fn policy_equality_and_conversion() {
-        let a: Policy = PolicyKind::BalanceSic.into();
+        let a = Policy::default();
         let b = lookup_policy("balance-sic").unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_string(), "balance-sic");
-        assert_eq!(Policy::default().name(), "balance-sic");
-        assert_ne!(a, PolicyKind::Fifo.into());
+        assert_ne!(a, lookup_policy("fifo").unwrap());
     }
 }

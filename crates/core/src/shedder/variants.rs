@@ -51,10 +51,6 @@ impl Shedder for FifoShedder {
         }
         ShedDecision::from_keep(keep, queries)
     }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
 }
 
 /// Admission-control baseline: queries are served in ascending `QueryId`
@@ -93,10 +89,6 @@ impl Shedder for PriorityShedder {
             }
         }
         ShedDecision::from_keep(keep, queries)
-    }
-
-    fn name(&self) -> &'static str {
-        "priority"
     }
 }
 

@@ -47,14 +47,9 @@ proptest! {
     /// policy.
     #[test]
     fn shedders_respect_capacity(states in arb_states(), cap in 0usize..500, seed in 0u64..1000) {
-        let shedders: Vec<Box<dyn Shedder>> = vec![
-            Box::new(BalanceSicShedder::new(seed)),
-            Box::new(RandomShedder::new(seed)),
-            Box::new(FifoShedder::new()),
-        ];
-        for mut s in shedders {
-            let d = s.select_to_keep(cap, &states);
-            prop_assert!(d.kept_tuples <= cap, "{} kept {} > cap {}", s.name(), d.kept_tuples, cap);
+        for policy in registered_policies() {
+            let d = policy.build(seed).select_to_keep(cap, &states);
+            prop_assert!(d.kept_tuples <= cap, "{} kept {} > cap {}", policy, d.kept_tuples, cap);
         }
     }
 
@@ -81,13 +76,9 @@ proptest! {
     #[test]
     fn unlimited_capacity_sheds_nothing(states in arb_states(), seed in 0u64..100) {
         let total: usize = states.iter().map(|q| q.buffered_tuples()).sum();
-        for mut s in [
-            Box::new(BalanceSicShedder::new(seed)) as Box<dyn Shedder>,
-            Box::new(RandomShedder::new(seed)),
-            Box::new(FifoShedder::new()),
-        ] {
-            let d = s.select_to_keep(total, &states);
-            prop_assert_eq!(d.kept_tuples, total, "{} shed under no overload", s.name());
+        for policy in registered_policies() {
+            let d = policy.build(seed).select_to_keep(total, &states);
+            prop_assert_eq!(d.kept_tuples, total, "{} shed under no overload", policy);
         }
     }
 
@@ -251,7 +242,7 @@ proptest! {
         // Batch-path snapshot: header reads.
         let batch_states = build_buffer_states(&columnar, |_| Sic::ZERO);
 
-        for policy in PolicyKind::ALL {
+        for policy in registered_policies() {
             let d_row = policy.build(seed).select_to_keep(cap, &row_states);
             let d_batch = policy.build(seed).select_to_keep(cap, &batch_states);
             prop_assert_eq!(

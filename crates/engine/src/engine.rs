@@ -49,9 +49,8 @@ use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome, ShardRout
 pub struct EngineConfig {
     /// Shedding policy — a handle from the workspace-wide
     /// `ShedderRegistry` shared with the simulator, so every registered
-    /// policy (builtin or external) also runs on real threads. Builtins
-    /// convert from [`PolicyKind`] via `Into`; registered names resolve
-    /// through [`themis_core::shedder::lookup_policy`].
+    /// policy (builtin or external) also runs on real threads. Names
+    /// resolve through [`themis_core::shedder::lookup_policy`].
     pub policy: Policy,
     /// Artificial per-tuple processing cost, so modest source rates create
     /// genuine overload (`ZERO` disables; nodes are then extremely fast).
@@ -1115,7 +1114,6 @@ mod tests {
         // Per node: 2 queries x 400 t/s = 800 t/s demand vs 1/(2 ms) =
         // 500 t/s capacity.
         let cfg = EngineConfig {
-            policy: PolicyKind::BalanceSic.into(),
             synthetic_cost: TimeDelta::from_micros(2000),
             ..Default::default()
         };
@@ -1311,16 +1309,13 @@ mod tests {
             fn select_to_keep(&mut self, _: usize, _: &[QueryBufferState]) -> ShedDecision {
                 panic!("injected shedder fault")
             }
-            fn name(&self) -> &'static str {
-                "panicky"
-            }
         }
         // Node 0's shedder panics on its first overload invocation; node 1
         // runs plain FIFO. With 2 shards, node 0's shard dies and node 1's
         // survives.
         let seed = 77_u64;
         let panic_seed = seed ^ 0xE0_0000;
-        let fifo: Policy = PolicyKind::Fifo.into();
+        let fifo = lookup_policy("fifo").unwrap();
         let policy = Policy::new(
             "panic-on-node0",
             Arc::new(move |s| {
@@ -1364,7 +1359,6 @@ mod tests {
     fn fault_plan_kills_and_recovers_a_shard_with_durability() {
         let dir = test_dir("recovery");
         let cfg = EngineConfig {
-            policy: PolicyKind::BalanceSic.into(),
             enforce_capacity: true,
             shards: Some(2),
             checkpoint_every: Some(Duration::from_millis(200)),
@@ -1438,7 +1432,6 @@ mod tests {
     fn restore_from_replays_durable_state_into_a_fresh_engine() {
         let dir = test_dir("restore");
         let cfg = EngineConfig {
-            policy: PolicyKind::BalanceSic.into(),
             enforce_capacity: true,
             shards: Some(2),
             checkpoint_every: Some(Duration::from_millis(200)),

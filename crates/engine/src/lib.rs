@@ -42,6 +42,6 @@ pub mod prelude {
     pub use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
     pub use crate::node_state::{NodeConfig, NodeState};
     pub use crate::shard::{run_shard, shard_assignment, shard_of, ShardDurability, ShardRouting};
-    pub use themis_core::shedder::PolicyKind;
+    pub use themis_core::shedder::{lookup_policy, Policy};
     pub use themis_query::node::{NodeReport, RoutedBatch};
 }

@@ -249,7 +249,7 @@ mod tests {
             id: NodeId(0),
             interval: TimeDelta::from_millis(interval_ms),
             stw: StwConfig::PAPER_DEFAULT,
-            shedder: PolicyKind::BalanceSic.build(7),
+            shedder: Policy::default().build(7),
             synthetic_cost: TimeDelta::ZERO,
             initial_capacity: 100,
             fixed_capacity: None,

@@ -485,7 +485,7 @@ mod tests {
             id: NodeId(0),
             interval: TimeDelta::from_millis(interval_ms),
             stw: StwConfig::PAPER_DEFAULT,
-            shedder: PolicyKind::BalanceSic.build(11),
+            shedder: Policy::default().build(11),
             synthetic_cost,
             initial_capacity,
             fixed_capacity: None,

@@ -257,7 +257,7 @@ fn policy_drop_patterns(n_rows: usize, chunk: usize, cap: usize) -> Vec<Vec<usiz
             created: Timestamp(bi as u64),
         });
     }
-    for policy in PolicyKind::ALL {
+    for policy in registered_policies() {
         let decision = policy.build(42).select_to_keep(cap, &states);
         let shed = decision.shed_bitmap(starts.len());
         let mut dropped = Vec::new();

@@ -11,8 +11,7 @@ use themis_core::prelude::*;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Shedding policy run by every node (the unified registry shared
-    /// with the prototype engine). Builtins convert from [`PolicyKind`]
-    /// via `Into`; registered names resolve through
+    /// with the prototype engine); names resolve through
     /// [`themis_core::shedder::lookup_policy`].
     pub policy: Policy,
     /// Whether the query coordinators disseminate result SIC values
@@ -43,11 +42,10 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Default config with the given policy (a [`Policy`] handle or any
-    /// [`PolicyKind`] builtin).
-    pub fn with_policy(policy: impl Into<Policy>) -> Self {
+    /// Default config with the given policy.
+    pub fn with_policy(policy: Policy) -> Self {
         SimConfig {
-            policy: policy.into(),
+            policy,
             ..Default::default()
         }
     }
@@ -60,10 +58,10 @@ mod tests {
     #[test]
     fn defaults() {
         let c = SimConfig::default();
-        assert_eq!(c.policy, PolicyKind::BalanceSic.into());
+        assert_eq!(c.policy.name(), "balance-sic");
         assert!(c.coordinator);
         assert!(!c.record_results);
-        let c2 = SimConfig::with_policy(PolicyKind::Random);
+        let c2 = SimConfig::with_policy(lookup_policy("random").unwrap());
         assert_eq!(c2.policy.name(), "random");
     }
 

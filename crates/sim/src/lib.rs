@@ -51,6 +51,6 @@ pub mod prelude {
     pub use crate::node::{NodeOutput, SimNode};
     pub use crate::report::{NodeStats, QueryStats, SimReport};
     pub use crate::sim::{run_scenario, Simulation};
-    pub use themis_core::shedder::PolicyKind;
+    pub use themis_core::shedder::{lookup_policy, Policy};
     pub use themis_query::node::RoutedBatch;
 }

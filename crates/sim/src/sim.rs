@@ -465,7 +465,7 @@ mod tests {
         let balance = run_scenario(tiny_scenario(120, 6), SimConfig::default());
         let random = run_scenario(
             tiny_scenario(120, 6),
-            SimConfig::with_policy(PolicyKind::Random),
+            SimConfig::with_policy(lookup_policy("random").unwrap()),
         );
         assert!(
             balance.jain() >= random.jain() - 0.02,

@@ -58,10 +58,6 @@ impl Shedder for RoundRobinShedder {
             kept_tuples,
         }
     }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
 }
 
 /// An overloaded two-node mix: six 2-fragment AVG-all trees against
@@ -84,10 +80,11 @@ fn scenario(seed: u64) -> Scenario {
 
 fn main() {
     register_shedder("round-robin", |_seed| Box::new(RoundRobinShedder)).unwrap();
-    println!(
-        "registered policies: {}\n",
-        registered_policy_names().join(", ")
-    );
+    let names: Vec<String> = registered_policies()
+        .iter()
+        .map(Policy::to_string)
+        .collect();
+    println!("registered policies: {}\n", names.join(", "));
 
     // The handle comes back out of the registry by name, exactly like a
     // builtin — this is the same lookup `experiments --policy=` does.

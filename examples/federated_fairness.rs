@@ -27,9 +27,9 @@ fn build(seed: u64) -> Scenario {
 fn main() {
     println!("running the threaded prototype for ~9 s per policy...\n");
     let mut rows = Vec::new();
-    for policy in [PolicyKind::BalanceSic, PolicyKind::Random] {
+    for policy in ["balance-sic", "random"] {
         let cfg = EngineConfig {
-            policy: policy.into(),
+            policy: lookup_policy(policy).unwrap(),
             // 400 us per tuple: ~625 tuples per 250 ms interval, while
             // sources offer ~ (4*4+2*20) sources * 200 t/s spread over two
             // nodes — heavy overload.

@@ -49,7 +49,8 @@ fn main() {
         scenario.node_capacity_tps,
     );
 
-    for policy in [PolicyKind::BalanceSic, PolicyKind::Random] {
+    for policy in ["balance-sic", "random"] {
+        let policy = lookup_policy(policy).unwrap();
         let report = run_scenario(build(7), SimConfig::with_policy(policy));
         println!(
             "\n{:>12}: mean SIC {:.3}, Jain {:.3}, std {:.3}, shed {:.0}%",

@@ -33,9 +33,9 @@ fn scenario(policy_tag: u64) -> Scenario {
         .unwrap()
 }
 
-fn config(policy: PolicyKind) -> EngineConfig {
+fn config(policy: &Policy) -> EngineConfig {
     EngineConfig {
-        policy: policy.into(),
+        policy: policy.clone(),
         enforce_capacity: true,
         ..Default::default()
     }
@@ -44,8 +44,8 @@ fn config(policy: PolicyKind) -> EngineConfig {
 /// Runs warm-up plus three phases; `churn` controls whether the cohort
 /// actually attaches. Phase slicing is identical either way, so the two
 /// runs differ only by the cohort's presence.
-fn run(policy: PolicyKind, churn: bool) -> (EngineReport, Vec<QueryId>) {
-    let scn = scenario(policy as u64);
+fn run(policy_tag: u64, policy: &Policy, churn: bool) -> (EngineReport, Vec<QueryId>) {
+    let scn = scenario(policy_tag);
     let mut engine = Engine::start(&scn, config(policy));
     engine.run_for(Duration::from_millis(1700));
     // The cohort overloads its own dedicated nodes (4, 5): 700 t/s
@@ -72,9 +72,9 @@ fn run(policy: PolicyKind, churn: bool) -> (EngineReport, Vec<QueryId>) {
 
 #[test]
 fn churn_parity_under_every_policy() {
-    for policy in PolicyKind::ALL {
-        let (churned, cohort) = run(policy, true);
-        let (control, _) = run(policy, false);
+    for (tag, policy) in registered_policies().iter().enumerate() {
+        let (churned, cohort) = run(tag as u64, policy, true);
+        let (control, _) = run(tag as u64, policy, false);
         assert_eq!(cohort, vec![QueryId(4), QueryId(5)]);
 
         // The cohort landed on the empty nodes, was overloaded there

@@ -40,7 +40,6 @@ fn engine_processes_everything_without_overload() {
 fn engine_sheds_under_synthetic_cost() {
     // Per node: 2 queries x 400 t/s = 800 t/s demand vs 1/(2 ms) = 500 t/s.
     let cfg = EngineConfig {
-        policy: PolicyKind::BalanceSic.into(),
         synthetic_cost: TimeDelta::from_micros(2000),
         ..Default::default()
     };
@@ -124,7 +123,7 @@ fn engine_scales_nodes_onto_bounded_shard_pool() {
 #[test]
 fn engine_random_policy_runs() {
     let cfg = EngineConfig {
-        policy: PolicyKind::Random.into(),
+        policy: lookup_policy("random").unwrap(),
         synthetic_cost: TimeDelta::from_micros(2000),
         ..Default::default()
     };

@@ -3,7 +3,7 @@
 
 use themis::prelude::*;
 
-fn overloaded_mix(seed: u64, policy: PolicyKind, coordinator: bool) -> SimReport {
+fn overloaded_mix(seed: u64, policy: &str, coordinator: bool) -> SimReport {
     let profile = SourceProfile::steady(20, 4, Dataset::Uniform);
     let scenario = ScenarioBuilder::new("fairness-mix", seed)
         .nodes(4)
@@ -18,7 +18,7 @@ fn overloaded_mix(seed: u64, policy: PolicyKind, coordinator: bool) -> SimReport
         .unwrap();
     let cfg = SimConfig {
         coordinator,
-        ..SimConfig::with_policy(policy)
+        ..SimConfig::with_policy(lookup_policy(policy).unwrap())
     };
     run_scenario(scenario, cfg)
 }
@@ -28,8 +28,8 @@ fn overloaded_mix(seed: u64, policy: PolicyKind, coordinator: bool) -> SimReport
 /// workload).
 #[test]
 fn balance_sic_beats_random_fairness() {
-    let balance = overloaded_mix(1, PolicyKind::BalanceSic, true);
-    let random = overloaded_mix(1, PolicyKind::Random, true);
+    let balance = overloaded_mix(1, "balance-sic", true);
+    let random = overloaded_mix(1, "random", true);
     assert!(balance.shed_fraction() > 0.2, "must be overloaded");
     assert!(
         balance.jain() > random.jain() - 0.02,
@@ -50,8 +50,8 @@ fn balance_sic_beats_random_fairness() {
 /// (Figure 10b).
 #[test]
 fn balance_sic_reduces_spread() {
-    let balance = overloaded_mix(2, PolicyKind::BalanceSic, true);
-    let random = overloaded_mix(2, PolicyKind::Random, true);
+    let balance = overloaded_mix(2, "balance-sic", true);
+    let random = overloaded_mix(2, "random", true);
     assert!(
         balance.fairness.std <= random.fairness.std + 0.03,
         "balance std {} vs random {}",

@@ -1,36 +1,29 @@
 //! The unified shedding-policy registry: name round-trips, and sim↔engine
-//! parity — every `PolicyKind` must run in both runtimes.
+//! parity — every registered policy must run in both runtimes.
 
 use themis::prelude::*;
 
 #[test]
 fn registry_round_trips_names() {
-    // Registry keys are the single source of truth: every registered
-    // policy looks itself up by its own name, and the built shedder
-    // reports the same canonical spelling.
+    // Registry keys are a policy's only name: every registered policy
+    // looks itself up by it.
     for p in registered_policies() {
-        let looked_up = lookup_policy(p.name()).unwrap();
-        assert_eq!(looked_up.name(), p.name());
-        assert_eq!(p.build(1).name(), p.name());
+        assert_eq!(lookup_policy(p.name()).unwrap(), p);
     }
-    // The deprecated PolicyKind shim reads from the same table.
-    for k in PolicyKind::ALL {
-        assert_eq!(k.name().parse::<PolicyKind>(), Ok(k));
-        assert_eq!(Policy::from(k).name(), k.name());
-        assert!(registered_policy_names().contains(&k.name().to_string()));
-    }
+    assert_eq!(
+        registered_policies(),
+        ShedderRegistry::with_builtins().policies(),
+        "the process registry starts as the six builtins"
+    );
 }
 
 #[test]
 fn registry_rejects_unknown_names() {
-    // The registry error lists every registered policy by name...
+    // The registry error lists every registered policy by name.
     let err = lookup_policy("no-such-policy").unwrap_err().to_string();
-    for name in registered_policy_names() {
-        assert!(err.contains(&name), "{err} should list {name}");
+    for p in registered_policies() {
+        assert!(err.contains(p.name()), "{err} should list {p}");
     }
-    // ...and the legacy FromStr shim stays actionable too.
-    let err = "no-such-policy".parse::<PolicyKind>().unwrap_err();
-    assert!(err.to_string().contains("balance-sic"));
 }
 
 /// An overloaded two-node scenario for the simulator (simulated time, so
@@ -76,8 +69,8 @@ fn engine_scenario(seed: u64) -> Scenario {
 /// simulator, sheds under overload, and reports its canonical name.
 #[test]
 fn every_policy_runs_in_the_simulator() {
-    for p in PolicyKind::ALL {
-        let report = run_scenario(sim_scenario(11), SimConfig::with_policy(p));
+    for p in registered_policies() {
+        let report = run_scenario(sim_scenario(11), SimConfig::with_policy(p.clone()));
         assert_eq!(report.policy, p.name());
         assert_eq!(report.per_query.len(), 6, "{p}: all queries reported");
         assert!(
@@ -93,9 +86,9 @@ fn every_policy_runs_in_the_simulator() {
 /// cost forces genuine overload so each shedder actually executes.
 #[test]
 fn every_policy_runs_in_the_engine() {
-    for p in PolicyKind::ALL {
+    for p in registered_policies() {
         let cfg = EngineConfig {
-            policy: p.into(),
+            policy: p.clone(),
             synthetic_cost: TimeDelta::from_micros(2000),
             ..Default::default()
         };

@@ -157,13 +157,9 @@ fn externally_registered_policy_drives_the_engine() {
                 kept_tuples,
             }
         }
-        fn name(&self) -> &'static str {
-            "keep-newest"
-        }
     }
 
     register_shedder("keep-newest", |_seed| Box::new(KeepNewest)).unwrap();
-    assert!(registered_policy_names().contains(&"keep-newest".to_string()));
 
     let scenario = ScenarioBuilder::new("custom-policy-engine", 23)
         .nodes(2)

@@ -112,7 +112,7 @@ fn count_error_tracks_sic() {
                 .build()
                 .unwrap()
         };
-        let mut cfg = SimConfig::with_policy(PolicyKind::Random);
+        let mut cfg = SimConfig::with_policy(lookup_policy("random").unwrap());
         cfg.record_results = true;
         let degraded = run_scenario(build(capacity), cfg.clone());
         let perfect = run_scenario(build(1_000_000), cfg);
