@@ -1338,37 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_by_schema() {
-        let pool = BatchPool::new();
-        let tagged = tagged_schema();
-        let plain = keyed_schema();
-        let before = batch_allocs();
-        let mut a = pool.acquire(&tagged, 8);
-        let code = tagged.interner().unwrap().intern("host");
-        a.push_row(Timestamp(0), Sic(0.1), &[Value::Tag(code), Value::F64(1.0)]);
-        a.drop_row(0);
-        pool.recycle(a);
-        assert_eq!(pool.idle(), 1);
-        // Wrong schema misses the slot; right schema reuses it.
-        let b = pool.acquire(&plain, 8);
-        assert!(b.schema().unwrap().same_as(&plain));
-        let c = pool.acquire(&tagged, 8);
-        assert_eq!(c.rows(), 0, "recycled batch is empty");
-        assert_eq!(c.drops().dropped(), 0, "drop bitmap cleared");
-        assert!(
-            Arc::ptr_eq(c.tag_column(0).unwrap().dict(), tagged.interner().unwrap()),
-            "recycled batch keeps the dictionary"
-        );
-        let stats = pool.stats();
-        assert_eq!((stats.reused, stats.fresh, stats.recycled), (1, 2, 1));
-        assert_eq!(
-            batch_allocs() - before,
-            2,
-            "only the fresh acquisitions constructed batches"
-        );
-    }
-
-    #[test]
     fn pool_keeps_only_schemas_a_producer_acquires() {
         let pool = BatchPool::new();
         let source = keyed_schema();

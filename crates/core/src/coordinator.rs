@@ -81,12 +81,16 @@ impl QueryCoordinator {
         self.latest
     }
 
-    /// Called by the runtime clock; when one update interval has elapsed the
-    /// coordinator emits one `SicUpdate` per hosting node.
+    /// Called by the runtime clock once per update interval; emits one
+    /// `SicUpdate` per hosting node. A round is due once at least half an
+    /// interval has passed since the last one: a runtime whose rounds
+    /// jitter (the engine's fire a few ms late or early on the wall clock)
+    /// must not skip every round that lands a hair short of a full
+    /// interval, while a second call within the same round stays silent.
     pub fn tick(&mut self, now: Timestamp) -> Vec<SicUpdate> {
         let due = match self.last_update {
             None => true,
-            Some(prev) => now.since(prev) >= self.update_interval,
+            Some(prev) => 2 * now.since(prev).as_micros() >= self.update_interval.as_micros(),
         };
         if !due {
             return Vec::new();
@@ -205,6 +209,28 @@ mod tests {
         assert!(second.iter().all(|u| u.sic == Sic(0.6)));
         assert_eq!(c.messages_sent(), 4);
         assert_eq!(c.bytes_sent(), 4 * 30);
+    }
+
+    /// Regression: rounds on a wall clock jitter around the interval. With
+    /// a full-interval threshold the 499 ms round (249 ms after the last)
+    /// was skipped, and about a third of the engine's rounds sent nothing.
+    #[test]
+    fn jittered_rounds_all_disseminate() {
+        let mut c = QueryCoordinator::new(
+            QueryId(1),
+            vec![NodeId(0), NodeId(4)],
+            TimeDelta::from_millis(250),
+        );
+        for ms in [250, 499, 750] {
+            assert_eq!(
+                c.tick(Timestamp::from_millis(ms)).len(),
+                2,
+                "round at {ms} ms"
+            );
+        }
+        assert_eq!(c.messages_sent(), 6);
+        // A repeat call well inside the round stays silent.
+        assert!(c.tick(Timestamp::from_millis(800)).is_empty());
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! process: pool + pump + coordinator/main + its own thread-count sampler.
 //! The pump thread is a wall-clock driver over the clock-free
 //! [`SourcePump`] the remote generator also runs, so both pace sources
-//! identically.
+//! identically. It sweeps at most once per 1 ms beat and sends each shard
+//! one [`EngineMsg::Bundle`] per sweep; a coordinator round likewise sends
+//! each shard one bundle of SIC updates. [`EngineReport::pump_sweeps`] and
+//! [`EngineReport::mailbox_messages`] count the resulting wake-ups.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -40,7 +43,7 @@ use themis_query::prelude::{NodeReport, QuerySpec, RoutedBatch, Template, Valida
 use themis_workloads::prelude::*;
 use themis_workloads::pump::{query_bindings, SourceBinding, SourcePump};
 
-use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
+use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeConfig;
 use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome, ShardRouting};
 
@@ -273,6 +276,14 @@ pub struct EngineReport {
     /// Of [`EngineReport::checkpoints`], those cut early by
     /// [`EngineConfig::sic_divergence_bound`] rather than on cadence.
     pub early_checkpoints: u64,
+    /// Sweeps of the in-process source pump: its wake-ups that stepped
+    /// the sources (at most one per pump beat of 1 ms).
+    pub pump_sweeps: u64,
+    /// Messages the shard threads took off their channels, summed over
+    /// shards. A pump beat's or coordinator round's bundle counts once;
+    /// every other batch (routed between fragments, or received over the
+    /// ingest listener) and control message counts once each.
+    pub mailbox_messages: u64,
 }
 
 impl EngineReport {
@@ -297,38 +308,73 @@ enum PumpMsg {
     Stop,
 }
 
+/// The source pump's sweep beat: the pump steps its [`SourcePump`] at
+/// most once per beat and sends each shard one [`EngineMsg::Bundle`] of
+/// everything that came due meanwhile, so shards wake once per beat
+/// instead of once per batch. A batch waits at most one beat, ≤ 0.5 % of
+/// the paper's 250 ms shedding interval.
+const PUMP_BEAT: Duration = Duration::from_millis(1);
+
 /// The source pump thread: steps a [`SourcePump`] drawing batches from
-/// the engine-wide `pool` on the engine clock, sends what is due to the
-/// owning shards, then waits on the control channel until the next due
-/// time (not at all after a truncated sweep, so `Stop` and `Remove` are
-/// never starved by a catch-up storm).
+/// the engine-wide `pool` on the engine clock, one sweep per
+/// [`PUMP_BEAT`] at most (later when nothing is due sooner), and sends
+/// each shard one bundle per sweep. Between sweeps it waits on the
+/// control channel, so `Stop` and `Remove` are never starved by a
+/// catch-up storm. Returns the number of sweeps.
 fn run_pump(
     rx: Receiver<PumpMsg>,
-    node_txs: Vec<Sender<ShardMsg>>,
+    shard_txs: Vec<Sender<ShardMsg>>,
     epoch: Instant,
     pool: BatchPool,
-) {
+) -> u64 {
     const IDLE: Duration = Duration::from_millis(50);
     let now = || Timestamp(epoch.elapsed().as_micros() as u64);
     let mut pump = SourcePump::with_pool(pool);
+    let mut sweeps = 0;
+    let mut last_sweep = Instant::now();
+    let mut next_sweep = last_sweep;
     loop {
-        let next = pump.step(now(), |node, batch| {
-            let _ = node_txs[node].send(ShardMsg {
-                node,
-                msg: EngineMsg::Batch(batch),
+        if Instant::now() >= next_sweep {
+            sweeps += 1;
+            last_sweep = Instant::now();
+            let mut bundles: Vec<Bundle> = shard_txs.iter().map(|_| Bundle::default()).collect();
+            let next = pump.step(now(), |node, batch| {
+                bundles[shard_of(node, shard_txs.len())]
+                    .batches
+                    .push((node, batch));
             });
-        });
-        let timeout = next.map_or(IDLE, |at| {
-            (epoch + Duration::from_micros(at.as_micros()))
-                .saturating_duration_since(Instant::now())
-        });
-        match rx.recv_timeout(timeout) {
+            send_bundles(&shard_txs, bundles);
+            let due = next.map_or(last_sweep + IDLE, |at| {
+                epoch + Duration::from_micros(at.as_micros())
+            });
+            next_sweep = due.max(last_sweep + PUMP_BEAT);
+        }
+        match rx.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
             // Sources of queries attached mid-run start emitting now
-            // (plus their de-phasing offset), not at t=0.
-            Ok(PumpMsg::Add(bindings)) => pump.add(now(), bindings),
+            // (plus their de-phasing offset), not at t=0: swept on the
+            // next beat, not after an idle wait.
+            Ok(PumpMsg::Add(bindings)) => {
+                pump.add(now(), bindings);
+                next_sweep = next_sweep.min(last_sweep + PUMP_BEAT);
+            }
             Ok(PumpMsg::Remove(query)) => pump.remove(query),
             Ok(PumpMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
             Err(RecvTimeoutError::Timeout) => {}
+        }
+    }
+    sweeps
+}
+
+/// Sends shard `i` the non-empty `bundles[i]`. A closed shard channel
+/// means shutdown is racing; dropping the bundle is equivalent to
+/// shedding it.
+fn send_bundles(shard_txs: &[Sender<ShardMsg>], bundles: Vec<Bundle>) {
+    for (tx, bundle) in shard_txs.iter().zip(bundles) {
+        if !bundle.is_empty() {
+            let _ = tx.send(ShardMsg {
+                node: 0,
+                msg: EngineMsg::Bundle(bundle),
+            });
         }
     }
 }
@@ -386,7 +432,7 @@ pub struct Engine {
     results_rx: Receiver<ResultEvent>,
     shard_handles: Vec<JoinHandle<ShardOutcome>>,
     pump_tx: Sender<PumpMsg>,
-    pump_handle: JoinHandle<()>,
+    pump_handle: JoinHandle<u64>,
     // Coordinator state (driven by run_for on the calling thread).
     tracker: ResultSicTracker,
     coordinators: Vec<QueryCoordinator>,
@@ -474,7 +520,7 @@ impl Engine {
 
         let pool = BatchPool::new();
         let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
-        let pump_txs = node_txs.clone();
+        let pump_txs = shard_txs.clone();
         let pump_pool = pool.clone();
         let pump_handle = thread::Builder::new()
             .name("source-pump".into())
@@ -929,19 +975,22 @@ impl Engine {
                     // future tick instead of storming catch-up ticks.
                     self.next_tick = now_wall + self.interval;
                 }
+                // One bundle of updates per shard per round, not one
+                // message per (query, host) pair.
                 let now = self.now();
+                let mut bundles: Vec<Bundle> =
+                    self.shard_txs.iter().map(|_| Bundle::default()).collect();
                 for c in self.coordinators.iter_mut() {
                     let sic = self.tracker.query_sic(now, c.query());
                     c.on_result_sic(sic);
                     for update in c.tick(now) {
                         self.coordinator_messages += 1;
-                        let node = update.node.index();
-                        let _ = self.node_txs[node].send(ShardMsg {
-                            node,
-                            msg: EngineMsg::Sic(update),
-                        });
+                        bundles[shard_of(update.node.index(), self.n_shards)]
+                            .sic
+                            .push(update);
                     }
                 }
+                send_bundles(&self.shard_txs, bundles);
                 if self.sampling && now_wall >= self.warmup_end {
                     for (&q, t) in self.tracking.iter_mut() {
                         if !self.active.contains(&q) {
@@ -989,11 +1038,11 @@ impl Engine {
                 msg: EngineMsg::Shutdown,
             });
         }
-        let _ = self.pump_handle.join();
+        let pump_sweeps = self.pump_handle.join().unwrap_or(0);
         let policy_name = self.config.policy.name().to_string();
         let mut nodes: Vec<NodeReport> = vec![NodeReport::default(); self.n_nodes];
         let mut errors: Vec<EngineError> = Vec::new();
-        let (mut checkpoints, mut early_checkpoints) = (0, 0);
+        let (mut checkpoints, mut early_checkpoints, mut mailbox_messages) = (0, 0, 0);
         for (shard, h) in self.shard_handles.into_iter().enumerate() {
             match h.join() {
                 Ok(outcome) => {
@@ -1003,6 +1052,7 @@ impl Engine {
                     errors.extend(outcome.errors);
                     checkpoints += outcome.checkpoints;
                     early_checkpoints += outcome.early_checkpoints;
+                    mailbox_messages += outcome.mailbox_messages;
                 }
                 // A shard thread died to a panic: name it and its policy
                 // instead of propagating — the surviving shards above
@@ -1056,6 +1106,8 @@ impl Engine {
             remote_shed_batches,
             checkpoints,
             early_checkpoints,
+            pump_sweeps,
+            mailbox_messages,
         }
     }
 }
@@ -1103,6 +1155,9 @@ mod tests {
         // Results flowed for every query.
         assert_eq!(report.result_counts.len(), 4);
         assert!(report.coordinator_messages > 0);
+        // The work counters are wired: the pump swept, the shards received.
+        assert!(report.pump_sweeps > 0);
+        assert!(report.mailbox_messages > 0);
         // SIC should be positive (timing jitter keeps it below perfect).
         for &(q, s) in &report.per_query_sic {
             assert!(s > 0.3, "query {q} sic {s}");

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use crate::engine::{
         default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport, FaultPlan,
     };
-    pub use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
+    pub use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
     pub use crate::node_state::{NodeConfig, NodeState};
     pub use crate::shard::{run_shard, shard_assignment, shard_of, ShardDurability, ShardRouting};
     pub use themis_core::shedder::{lookup_policy, Policy};

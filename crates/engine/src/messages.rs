@@ -31,6 +31,10 @@ pub enum EngineMsg {
     Batch(RoutedBatch),
     /// A coordinator SIC update.
     Sic(SicUpdate),
+    /// Work for many nodes of one shard in one message: a source-pump
+    /// beat's batches or a coordinator round's SIC updates. The envelope's
+    /// `node` is ignored; every entry names its own.
+    Bundle(Bundle),
     /// Install a query fragment on the addressed node (runtime query
     /// arrival; installs the node itself if absent).
     Attach(AttachFragment),
@@ -64,11 +68,30 @@ pub enum EngineMsg {
     Shutdown,
 }
 
+/// The payload of [`EngineMsg::Bundle`]: what would otherwise be one
+/// message per batch or update, so a shard wakes once per source-pump
+/// beat and once per coordinator round instead of once per item.
+#[derive(Default)]
+pub struct Bundle {
+    /// Data batches, each with its destination global node.
+    pub batches: Vec<(usize, RoutedBatch)>,
+    /// Coordinator SIC updates; each names its destination node.
+    pub sic: Vec<SicUpdate>,
+}
+
+impl Bundle {
+    /// True when the bundle carries nothing.
+    pub fn is_empty(&self) -> bool {
+        self.batches.is_empty() && self.sic.is_empty()
+    }
+}
+
 /// Envelope delivered to a shard thread: the destination node plus the
 /// payload. Every sender addressing node `n` holds a clone of the owning
 /// shard's channel, so one shard multiplexes messages for all of its nodes.
 pub struct ShardMsg {
     /// Global node index the payload is for (ignored for
+    /// [`EngineMsg::Bundle`], whose entries carry their own, and for
     /// [`EngineMsg::Shutdown`], which stops the whole shard).
     pub node: usize,
     /// Payload.

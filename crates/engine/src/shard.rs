@@ -6,10 +6,18 @@
 //! Where the seed engine spawned one OS thread per FSPS node — capping
 //! experiments at a few dozen nodes — a shard interleaves thousands of
 //! [`NodeState`]s on one thread. The event loop fires every due deadline
-//! *before* each channel drain, so a sustained input flood can never
+//! *before* each channel receive, so a sustained input flood can never
 //! starve the overload detector (the seed worker's drain loop `continue`d
 //! on every message and postponed the tick indefinitely under exactly the
 //! overload it was meant to detect).
+//!
+//! Bulk traffic arrives **bundled**: the source pump sends each shard one
+//! [`EngineMsg::Bundle`] of batches per 1 ms beat, and the coordinator one
+//! bundle of SIC updates per round, so the loop wakes per beat and per
+//! round rather than per item. A shard unpacks a bundle entry by entry
+//! and services its deadlines (and checkpoint cadence) between bundles and
+//! every `MAX_SWEEP` entries inside one, which keeps the flood guarantee
+//! for a bundle of any size.
 //!
 //! Shards start **empty**: nodes install on first
 //! [`EngineMsg::Attach`] and tear down when an [`EngineMsg::Detach`]
@@ -32,12 +40,18 @@ use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
 use crate::engine::EngineError;
-use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
+use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeState;
 
 /// How long an idle shard (no nodes, or all deadlines far out) sleeps per
 /// loop iteration while waiting for messages.
 const IDLE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Bundle entries a shard handles between two services of its deadline
+/// heap: a coordinator round's bundle carries thousands of updates, and a
+/// tick due meanwhile waits for at most this many (the tick-starvation fix,
+/// kept inside a bundle).
+const MAX_SWEEP: usize = 512;
 
 /// First-tick stagger slots: the `i`-th node installed on a shard fires
 /// its first tick `(i % SLOTS) / SLOTS` of an interval into the schedule,
@@ -168,6 +182,8 @@ pub struct ShardOutcome {
     /// Of [`ShardOutcome::checkpoints`], those the divergence bound cut
     /// before the cadence was due.
     pub early_checkpoints: u64,
+    /// Messages taken off the shard's channel (a bundle counts once).
+    pub mailbox_messages: u64,
 }
 
 /// Runs a shard's event loop until an [`EngineMsg::Shutdown`] arrives (or
@@ -182,49 +198,103 @@ pub fn run_shard(
     epoch: Instant,
     durability: Option<ShardDurability>,
 ) -> ShardOutcome {
-    let mut out = ShardOutcome::default();
-    let mut states: HashMap<usize, NodeState> = HashMap::new();
-    let mut generations: HashMap<usize, u64> = HashMap::new();
-    let mut heap: BinaryHeap<Deadline> = BinaryHeap::new();
-    let mut finished: HashMap<usize, NodeReport> = HashMap::new();
-    let mut installed_seq: u64 = 0;
-    let mut log: Option<wal::ShardLog> = None;
-    let mut next_checkpoint = durability.as_ref().map(|d| Instant::now() + d.every);
-    // Set by EngineMsg::Crash: a dead process writes nothing, so both
-    // checkpointing and delta appends stop until Recover — otherwise the
-    // post-crash empty shard would immediately write an empty checkpoint
-    // and truncate the very tail recovery needs.
-    let mut crashed = false;
-    // Set when a SIC update pushed its node's drift past the divergence
-    // bound; consumed by the checkpoint at the top of the next pass.
-    let mut diverged = false;
-
+    let mut shard = Shard::new(routing, epoch, durability);
     loop {
-        // Fire every due tick before draining more messages: the deadline,
-        // not channel pressure, decides when the detector runs. Firings
-        // are capped at the shard's node count per pass so degenerate
-        // intervals (shorter than the tick's own work) cannot livelock
-        // the loop and starve the channel — with due deadlines still
-        // pending, the recv_timeout below is zero and acts as a poll.
-        // Rescheduling always lands strictly after `now` (NodeState clamps
-        // the interval to >= 1 us), so within a pass due nodes fire in
-        // deadline order and no node re-fires ahead of a due shard-mate.
+        // Due ticks (and a due checkpoint) come before every receive: the
+        // deadline, not channel pressure, decides when the detector runs.
+        // With deadlines still pending after a capped pass, the timeout
+        // below is zero and the receive acts as a poll.
+        let now = shard.service();
+        let timeout = shard
+            .heap
+            .peek()
+            .map(|d| d.at.saturating_duration_since(now))
+            .unwrap_or(IDLE_TIMEOUT);
+        match rx.recv_timeout(timeout) {
+            Ok(msg) => {
+                shard.out.mailbox_messages += 1;
+                if !shard.handle(msg) {
+                    break;
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    shard.finish()
+}
+
+/// A shard's state between messages: its nodes and their deadline heap,
+/// plus the durability bookkeeping. [`run_shard`] is the thread around
+/// it: receive, [`Shard::handle`], [`Shard::service`].
+struct Shard {
+    routing: ShardRouting,
+    epoch: Instant,
+    durability: Option<ShardDurability>,
+    out: ShardOutcome,
+    states: HashMap<usize, NodeState>,
+    generations: HashMap<usize, u64>,
+    heap: BinaryHeap<Deadline>,
+    /// Frozen counters of torn-down (or crashed) node incarnations.
+    finished: HashMap<usize, NodeReport>,
+    installed_seq: u64,
+    log: Option<wal::ShardLog>,
+    next_checkpoint: Option<Instant>,
+    /// Set by [`EngineMsg::Crash`]: a dead process writes nothing, so both
+    /// checkpointing and delta appends stop until Recover — otherwise the
+    /// post-crash empty shard would immediately write an empty checkpoint
+    /// and truncate the very tail recovery needs.
+    crashed: bool,
+    /// Set when a SIC update pushed its node's drift past the divergence
+    /// bound; consumed by the next [`Shard::service`]'s checkpoint.
+    diverged: bool,
+}
+
+impl Shard {
+    fn new(routing: ShardRouting, epoch: Instant, durability: Option<ShardDurability>) -> Self {
+        Shard {
+            routing,
+            epoch,
+            next_checkpoint: durability.as_ref().map(|d| Instant::now() + d.every),
+            durability,
+            out: ShardOutcome::default(),
+            states: HashMap::new(),
+            generations: HashMap::new(),
+            heap: BinaryHeap::new(),
+            finished: HashMap::new(),
+            installed_seq: 0,
+            log: None,
+            crashed: false,
+            diverged: false,
+        }
+    }
+
+    /// Fires every due tick, then checkpoints when the cadence is due or a
+    /// SIC update diverged; returns the clock reading it ended on.
+    ///
+    /// Firings are capped at the shard's node count per call so degenerate
+    /// intervals (shorter than the tick's own work) cannot livelock the
+    /// loop and starve the channel. Rescheduling always lands strictly
+    /// after `now` (NodeState clamps the interval to >= 1 us), so within a
+    /// call due nodes fire in deadline order and no node re-fires ahead of
+    /// a due shard-mate.
+    fn service(&mut self) -> Instant {
         let mut now = Instant::now();
         let mut fired = 0;
-        let cap = states.len().max(1);
-        while let Some(d) = heap.peek() {
+        let cap = self.states.len().max(1);
+        while let Some(d) = self.heap.peek() {
             if d.at > now || fired >= cap {
                 break;
             }
-            let d = heap.pop().expect("peeked");
+            let d = self.heap.pop().expect("peeked");
             // Stale entry (node torn down or re-installed): discard — the
             // lazy-deletion arm of the churn path.
-            let live = generations.get(&d.node) == Some(&d.generation);
-            let Some(state) = (live).then(|| states.get_mut(&d.node)).flatten() else {
+            let live = self.generations.get(&d.node) == Some(&d.generation);
+            let Some(state) = (live).then(|| self.states.get_mut(&d.node)).flatten() else {
                 continue;
             };
-            state.tick(now, epoch, &routing);
-            heap.push(Deadline {
+            state.tick(now, self.epoch, &self.routing);
+            self.heap.push(Deadline {
                 at: state.next_tick(),
                 node: d.node,
                 generation: d.generation,
@@ -236,175 +306,204 @@ pub fn run_shard(
         // query further than the divergence bound from its checkpointed
         // value (AF-Stream: bound the deviation instead of logging
         // everything).
-        let early = std::mem::take(&mut diverged);
-        if let Some(d) = &durability {
-            if !crashed && !states.is_empty() {
-                let due = next_checkpoint.is_some_and(|t| now >= t);
-                if due || early {
-                    let snapshots: Vec<wal::NodeSnapshot> =
-                        states.values_mut().map(NodeState::checkpoint).collect();
-                    if log.is_none() {
-                        log = open_log(d, &mut out.errors);
-                    }
-                    if let Some(l) = &mut log {
-                        if let Err(e) = l.checkpoint(&snapshots) {
-                            durability_error(&mut out.errors, d.shard, "checkpoint", &e);
-                        }
-                    }
-                    next_checkpoint = Some(now + d.every);
-                    out.checkpoints += 1;
-                    out.early_checkpoints += u64::from(!due);
-                }
-            }
+        let early = std::mem::take(&mut self.diverged);
+        let Some(d) = &self.durability else {
+            return now;
+        };
+        if self.crashed || self.states.is_empty() {
+            return now;
         }
-        let timeout = heap
-            .peek()
-            .map(|d| d.at.saturating_duration_since(now))
-            .unwrap_or(IDLE_TIMEOUT);
-        match rx.recv_timeout(timeout) {
-            Ok(ShardMsg {
-                msg: EngineMsg::Shutdown,
-                ..
-            }) => break,
-            Ok(ShardMsg {
-                msg: EngineMsg::Attach(attach),
-                node,
-            }) => {
+        let due = self.next_checkpoint.is_some_and(|t| now >= t);
+        if due || early {
+            let snapshots: Vec<wal::NodeSnapshot> = self
+                .states
+                .values_mut()
+                .map(NodeState::checkpoint)
+                .collect();
+            if self.log.is_none() {
+                self.log = open_log(d, &mut self.out.errors);
+            }
+            if let Some(l) = &mut self.log {
+                if let Err(e) = l.checkpoint(&snapshots) {
+                    durability_error(&mut self.out.errors, d.shard, "checkpoint", &e);
+                }
+            }
+            self.next_checkpoint = Some(now + d.every);
+            self.out.checkpoints += 1;
+            self.out.early_checkpoints += u64::from(!due);
+        }
+        now
+    }
+
+    /// Handles one message; `false` when the shard must stop.
+    fn handle(&mut self, msg: ShardMsg) -> bool {
+        let ShardMsg { node, msg } = msg;
+        match msg {
+            EngineMsg::Shutdown => return false,
+            EngineMsg::Batch(rb) => self.enqueue(node, rb),
+            EngineMsg::Sic(update) => self.apply_sic(node, &update),
+            EngineMsg::Bundle(bundle) => self.unbundle(bundle),
+            EngineMsg::Attach(attach) => {
                 debug_assert_eq!(node, attach.node, "attach addressed to its node");
-                let AttachFragment {
-                    node,
-                    config,
-                    query,
-                    fragment,
-                    downstream,
-                } = attach;
-                let state = states.entry(node).or_insert_with(|| {
-                    let interval = Duration::from_micros(config.interval.as_micros().max(1));
-                    let slot = installed_seq % STAGGER_SLOTS;
-                    installed_seq += 1;
-                    let first_tick = Instant::now()
-                        + interval
-                        + interval.mul_f64(slot as f64 / STAGGER_SLOTS as f64);
-                    let state = NodeState::new(config, node, first_tick);
-                    let generation = generations.get(&node).copied().unwrap_or(0) + 1;
-                    generations.insert(node, generation);
-                    heap.push(Deadline {
-                        at: state.next_tick(),
-                        node,
-                        generation,
-                    });
-                    state
-                });
-                state.attach_fragment(&query, fragment, downstream);
+                self.attach(attach);
             }
-            Ok(ShardMsg {
-                msg: EngineMsg::Crash,
-                ..
-            }) => {
-                // Simulated process death: every node's live state is
-                // gone (counters survive for final accounting, as for a
-                // torn-down node) and no durability write happens again
-                // until Recover. Pending deadlines are invalidated by the
-                // generation bump; in-flight traffic to the dead nodes is
-                // silently discarded by the states guard below.
-                crashed = true;
-                log = None;
-                heap.clear();
-                for (node, state) in states.drain() {
-                    retire(&mut finished, node, &state);
-                    *generations.entry(node).or_insert(0) += 1;
-                }
+            EngineMsg::Detach { query } => self.detach(node, query),
+            EngineMsg::Crash => self.crash(),
+            EngineMsg::Recover { dir, shard } => self.recover(&dir, shard),
+        }
+        true
+    }
+
+    /// Handles a bundle's entries in order, servicing due ticks every
+    /// [`MAX_SWEEP`] entries so a coordinator round's thousands of updates
+    /// cannot hold the detector back.
+    fn unbundle(&mut self, bundle: Bundle) {
+        let mut handled = 0;
+        let mut sweep = |shard: &mut Shard| {
+            if handled == MAX_SWEEP {
+                shard.service();
+                handled = 0;
             }
-            Ok(ShardMsg {
-                msg: EngineMsg::Recover { dir, shard },
-                ..
-            }) => {
-                // Arrives after the engine re-attached the dead nodes'
-                // fragments: overlay the checkpointed state, replay the
-                // delta tail (absolute values; last write wins), and
-                // resume durability writes.
-                crashed = false;
-                match wal::restore_shard(&dir, shard) {
-                    Ok(Some(restore)) => {
-                        for snap in &restore.snapshots {
-                            if let Some(state) = states.get_mut(&snap.node) {
-                                state.core.restore(snap);
-                            }
-                        }
-                        for delta in &restore.deltas {
-                            if let Some(state) = states.get_mut(&delta.node) {
-                                state.core.set_sic(delta.query, delta.sic);
-                            }
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(e) => durability_error(&mut out.errors, shard, "restore", &e),
-                }
-                if let Some(d) = &durability {
-                    next_checkpoint = Some(Instant::now() + d.every);
-                }
-            }
-            Ok(ShardMsg {
-                msg: EngineMsg::Detach { query },
-                node,
-            }) => {
-                let empty = states
-                    .get_mut(&node)
-                    .map(|s| s.core.detach(query) == 0)
-                    .unwrap_or(false);
-                if empty {
-                    // Teardown: freeze the counters, forget the state; the
-                    // generation bump invalidates the pending deadline.
-                    if let Some(state) = states.remove(&node) {
-                        retire(&mut finished, node, &state);
-                    }
-                    *generations.entry(node).or_insert(0) += 1;
-                }
-            }
-            Ok(ShardMsg { node, msg }) => {
-                if let Some(state) = states.get_mut(&node) {
-                    match msg {
-                        EngineMsg::Batch(rb) => {
-                            let ts = Timestamp(epoch.elapsed().as_micros() as u64);
-                            state.enqueue(rb, ts);
-                        }
-                        EngineMsg::Sic(update) => {
-                            state.apply_sic(&update);
-                            if let Some(d) = durability.as_ref().filter(|_| !crashed) {
-                                diverged |= d.sic_bound > 0.0 && state.sic_drift() > d.sic_bound;
-                                if log.is_none() {
-                                    log = open_log(d, &mut out.errors);
-                                }
-                                let delta = wal::SicDelta {
-                                    node,
-                                    query: update.query,
-                                    sic: update.sic,
-                                };
-                                if let Some(Err(e)) = log.as_mut().map(|l| l.append(&delta)) {
-                                    durability_error(&mut out.errors, d.shard, "append", &e);
-                                }
-                            }
-                        }
-                        EngineMsg::Attach(_)
-                        | EngineMsg::Detach { .. }
-                        | EngineMsg::Crash
-                        | EngineMsg::Recover { .. }
-                        | EngineMsg::Shutdown => {
-                            unreachable!("matched above")
-                        }
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            handled += 1;
+        };
+        for update in &bundle.sic {
+            sweep(self);
+            self.apply_sic(update.node.index(), update);
+        }
+        for (node, rb) in bundle.batches {
+            sweep(self);
+            self.enqueue(node, rb);
         }
     }
 
-    for (node, state) in states {
-        retire(&mut finished, node, &state);
+    /// Buffers a data batch on `node`, stamped with its arrival time.
+    /// Traffic for a node this shard does not host (torn down, crashed)
+    /// is dropped — equivalent to shedding it.
+    fn enqueue(&mut self, node: usize, rb: RoutedBatch) {
+        if let Some(state) = self.states.get_mut(&node) {
+            let ts = Timestamp(self.epoch.elapsed().as_micros() as u64);
+            state.enqueue(rb, ts);
+        }
     }
-    out.reports = finished.into_iter().collect();
-    out
+
+    /// Applies a coordinator update to `node`, logs it as a WAL delta, and
+    /// flags an early checkpoint when it crossed the divergence bound.
+    fn apply_sic(&mut self, node: usize, update: &SicUpdate) {
+        let Some(state) = self.states.get_mut(&node) else {
+            return;
+        };
+        state.apply_sic(update);
+        let Some(d) = self.durability.as_ref().filter(|_| !self.crashed) else {
+            return;
+        };
+        self.diverged |= d.sic_bound > 0.0 && state.sic_drift() > d.sic_bound;
+        if self.log.is_none() {
+            self.log = open_log(d, &mut self.out.errors);
+        }
+        let delta = wal::SicDelta {
+            node,
+            query: update.query,
+            sic: update.sic,
+        };
+        if let Some(Err(e)) = self.log.as_mut().map(|l| l.append(&delta)) {
+            durability_error(&mut self.out.errors, d.shard, "append", &e);
+        }
+    }
+
+    /// Installs a fragment, installing its node first when absent (with a
+    /// staggered first deadline).
+    fn attach(&mut self, attach: AttachFragment) {
+        let AttachFragment {
+            node,
+            config,
+            query,
+            fragment,
+            downstream,
+        } = attach;
+        let state = self.states.entry(node).or_insert_with(|| {
+            let interval = Duration::from_micros(config.interval.as_micros().max(1));
+            let slot = self.installed_seq % STAGGER_SLOTS;
+            self.installed_seq += 1;
+            let first_tick =
+                Instant::now() + interval + interval.mul_f64(slot as f64 / STAGGER_SLOTS as f64);
+            let state = NodeState::new(config, node, first_tick);
+            let generation = self.generations.get(&node).copied().unwrap_or(0) + 1;
+            self.generations.insert(node, generation);
+            self.heap.push(Deadline {
+                at: state.next_tick(),
+                node,
+                generation,
+            });
+            state
+        });
+        state.attach_fragment(&query, fragment, downstream);
+    }
+
+    /// Removes `query`'s fragments from `node`, tearing the node down when
+    /// it hosts nothing else: its counters freeze and the generation bump
+    /// invalidates its pending deadline.
+    fn detach(&mut self, node: usize, query: QueryId) {
+        let empty = self
+            .states
+            .get_mut(&node)
+            .is_some_and(|s| s.core.detach(query) == 0);
+        if empty {
+            if let Some(state) = self.states.remove(&node) {
+                retire(&mut self.finished, node, &state);
+            }
+            *self.generations.entry(node).or_insert(0) += 1;
+        }
+    }
+
+    /// Simulated process death: every node's live state is gone (counters
+    /// survive for final accounting, as for a torn-down node) and no
+    /// durability write happens again until Recover. Pending deadlines are
+    /// invalidated by the generation bump; in-flight traffic to the dead
+    /// nodes is silently discarded.
+    fn crash(&mut self) {
+        self.crashed = true;
+        self.log = None;
+        self.heap.clear();
+        for (node, state) in self.states.drain() {
+            retire(&mut self.finished, node, &state);
+            *self.generations.entry(node).or_insert(0) += 1;
+        }
+    }
+
+    /// Arrives after the engine re-attached the dead nodes' fragments:
+    /// overlays the checkpointed state, replays the delta tail (absolute
+    /// values; last write wins), and resumes durability writes.
+    fn recover(&mut self, dir: &std::path::Path, shard: usize) {
+        self.crashed = false;
+        match wal::restore_shard(dir, shard) {
+            Ok(Some(restore)) => {
+                for snap in &restore.snapshots {
+                    if let Some(state) = self.states.get_mut(&snap.node) {
+                        state.core.restore(snap);
+                    }
+                }
+                for delta in &restore.deltas {
+                    if let Some(state) = self.states.get_mut(&delta.node) {
+                        state.core.set_sic(delta.query, delta.sic);
+                    }
+                }
+            }
+            Ok(None) => {}
+            Err(e) => durability_error(&mut self.out.errors, shard, "restore", &e),
+        }
+        if let Some(d) = &self.durability {
+            self.next_checkpoint = Some(Instant::now() + d.every);
+        }
+    }
+
+    /// Retires every node still installed and returns the outcome.
+    fn finish(mut self) -> ShardOutcome {
+        for (node, state) in self.states.drain() {
+            retire(&mut self.finished, node, &state);
+        }
+        self.out.reports = self.finished.into_iter().collect();
+        self.out
+    }
 }
 
 /// Folds a departing node incarnation's counters into the node's total, so
@@ -594,6 +693,77 @@ mod tests {
             report.arrived_tuples,
         );
         assert!(report.shed_tuples > 0);
+    }
+
+    /// Bundles keep the tick-starvation fix: the whole flood arrives as
+    /// one bundle of batches (after a bundle of SIC updates), queued with
+    /// the shutdown before the shard starts. Draining it takes many 5 ms
+    /// intervals, while the pass between the bundle and the shutdown fires
+    /// at most one tick (firings are capped at the node count), so a
+    /// second tick proves the service every [`MAX_SWEEP`] entries inside
+    /// the bundle.
+    #[test]
+    fn bundled_flood_still_ticks_and_sheds() {
+        let mut ids = IdGen::new();
+        let query = Arc::new(Template::Avg.build(QueryId(0), &mut ids));
+        let src = query.sources[0].id;
+        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
+        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
+        let routing = ShardRouting {
+            node_txs: vec![tx.clone()],
+            results_tx,
+        };
+        tx.send(attach_msg(0, node_config(5, TimeDelta::ZERO, 100), &query))
+            .unwrap();
+        let sic = (0..2_000)
+            .map(|i| SicUpdate {
+                query: query.id,
+                node: NodeId(0),
+                sic: Sic(f64::from(i % 100) / 100.0),
+            })
+            .collect();
+        let batches = (0..60_000u64)
+            .map(|i| {
+                let tuples: Vec<Tuple> = (0..5)
+                    .map(|j| Tuple::measurement(Timestamp(i), Sic(0.001), f64::from(j)))
+                    .collect();
+                let rb = RoutedBatch {
+                    query: query.id,
+                    fragment: 0,
+                    ingress: Ingress::Source(src),
+                    batch: Batch::from_source(query.id, src, Timestamp(i), tuples),
+                };
+                (0, rb)
+            })
+            .collect();
+        for bundle in [
+            Bundle {
+                sic,
+                ..Bundle::default()
+            },
+            Bundle {
+                batches,
+                ..Bundle::default()
+            },
+        ] {
+            tx.send(ShardMsg {
+                node: 0,
+                msg: EngineMsg::Bundle(bundle),
+            })
+            .unwrap();
+        }
+        tx.send(ShardMsg {
+            node: 0,
+            msg: EngineMsg::Shutdown,
+        })
+        .unwrap();
+        let out = run_shard(routing, rx, Instant::now(), None);
+        assert_eq!(out.mailbox_messages, 4, "attach, two bundles, shutdown");
+        let report = &out.reports[0].1;
+        assert_eq!(report.arrived_tuples, 300_000);
+        assert_eq!(report.sic_updates, 2_000);
+        assert!(report.ticks >= 2, "starved: no tick fired mid-bundle");
+        assert!(report.shed_invocations >= 1, "{report:?}");
     }
 
     /// Regression (tick drift/storm): a tick that overruns its period must

@@ -3,10 +3,12 @@
 //! downstream event-time windows keep grouping correctly.
 //!
 //! Identity concatenates pane columns (contiguous copies, schema
-//! preserved); filter evaluates its predicate into a keep bitmap — through
-//! the [`kernels::predicate_mask`] kernel on native `f64` columns — and
-//! gathers survivors column by column; project copies the kept fields
-//! natively under a schema derived from its input's.
+//! preserved), and is skipped altogether when its operator can forward a
+//! single drop-free input batch by move; filter evaluates its predicate
+//! into a keep bitmap — through the [`kernels::predicate_mask`] kernel on
+//! native `f64` columns — and gathers survivors column by column; project
+//! copies the kept fields natively under a schema derived from its
+//! input's.
 
 use themis_core::prelude::*;
 
@@ -91,6 +93,10 @@ impl PaneLogic for IdentityLogic {
 
     fn name(&self) -> &'static str {
         "identity"
+    }
+
+    fn forwards_input(&self) -> bool {
+        true
     }
 }
 

@@ -44,6 +44,13 @@ pub trait PaneLogic: Send {
 
     /// Display name for diagnostics.
     fn name(&self) -> &'static str;
+
+    /// True when [`PaneLogic::apply`] returns its input's live rows
+    /// unchanged (identity). The operator then hands a pane's single
+    /// drop-free input batch on by move instead of calling `apply`.
+    fn forwards_input(&self) -> bool {
+        false
+    }
 }
 
 /// The output of logic whose rows are computed rather than copied from

@@ -7,12 +7,14 @@
 //! [`Emission`] once every output tuple receives `sum(input SIC) /
 //! |outputs|` (Eq. 3). Row-preserving logic keeps the originating tuples'
 //! timestamps; all other outputs are stamped with the pane's window
-//! timestamp. The hot path never materialises owning [`Tuple`]s.
+//! timestamp. The hot path never materialises owning [`Tuple`]s, and an
+//! identity operator hands a pane's single drop-free input batch on by
+//! move (re-stamped per Eq. 3 like any output) instead of copying it.
 
 use themis_core::prelude::*;
 
 use crate::logic::{LogicSpec, PaneLogic};
-use crate::window::{WindowBuffer, WindowSpec};
+use crate::window::{Pane, WindowBuffer, WindowSpec};
 
 /// An atomic output group of one operator (becomes a batch downstream):
 /// a pane timestamp plus a columnar batch of output tuples, each already
@@ -127,6 +129,8 @@ impl OperatorSpec {
 pub struct WindowedOperator {
     buffer: WindowBuffer,
     logic: Box<dyn PaneLogic>,
+    /// [`PaneLogic::forwards_input`], read once.
+    forwards: bool,
     processed_tuples: u64,
 }
 
@@ -140,6 +144,7 @@ impl WindowedOperator {
     ) -> Self {
         WindowedOperator {
             buffer: WindowBuffer::new(window, ports, grace),
+            forwards: logic.forwards_input(),
             logic,
             processed_tuples: 0,
         }
@@ -183,6 +188,12 @@ impl WindowedOperator {
         self.drain(now)
     }
 
+    /// True when [`WindowedOperator::tick`] at `now` has a pane to close
+    /// ([`WindowBuffer::has_due`]).
+    pub fn has_due(&self, now: Timestamp) -> bool {
+        self.buffer.has_due(now)
+    }
+
     /// Tuples processed by the logic so far (cost-model accounting).
     pub fn processed_tuples(&self) -> u64 {
         self.processed_tuples
@@ -211,37 +222,46 @@ impl WindowedOperator {
         for mut pane in panes {
             let input_sic = pane.input_sic();
             self.processed_tuples += pane.input_len() as u64;
-            let emission = {
-                let groups: Vec<&TupleBatch> = pane.inputs.iter().collect();
-                self.process_pane(&groups, pane.at, input_sic)
-            };
-            // The pane's columns are spent; with a pool attached they go
-            // back for the next emission/pane of the same schema.
-            if let Some(pool) = self.buffer.pool() {
-                for b in pane.inputs.drain(..) {
-                    pool.recycle(b);
+            let mut batch = match self.forwarded_port(&pane) {
+                // The pane's one drop-free input already is the identity
+                // output: hand it on by move instead of copying it.
+                Some(port) => std::mem::take(&mut pane.inputs[port]),
+                None => {
+                    let groups: Vec<&TupleBatch> = pane.inputs.iter().collect();
+                    let batch = self.logic.apply(&groups, pane.at);
+                    // The pane's columns are spent; with a pool attached
+                    // they go back for the next emission/pane of the same
+                    // schema.
+                    if let Some(pool) = self.buffer.pool() {
+                        for b in pane.inputs.drain(..) {
+                            pool.recycle(b);
+                        }
+                    }
+                    batch
                 }
+            };
+            // A pane yielding no derived tuples emits nothing (its mass is
+            // lost — the paper's model); otherwise Eq. 3 re-stamps every
+            // output with an equal share of the pane's input mass.
+            if !batch.is_empty() {
+                batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
+                out.push(Emission::new(pane.at, batch));
             }
-            out.extend(emission);
         }
         out
     }
 
-    /// Runs the logic over one closed pane's atomic groups; `None` when
-    /// the pane yields no derived tuples (its mass is lost — the paper's
-    /// model).
-    fn process_pane(
-        &mut self,
-        groups: &[&TupleBatch],
-        at: Timestamp,
-        input_sic: Sic,
-    ) -> Option<Emission> {
-        let mut batch = self.logic.apply(groups, at);
-        if batch.is_empty() {
+    /// The port of `pane`'s only non-empty input when the logic forwards
+    /// its input unchanged and that input has no dropped rows — the case
+    /// where moving the batch on equals what `apply` would copy. A batch
+    /// with dropped rows takes the copying path, which compacts them out.
+    fn forwarded_port(&self, pane: &Pane) -> Option<usize> {
+        if !self.forwards {
             return None;
         }
-        batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
-        Some(Emission::new(at, batch))
+        let mut inputs = pane.inputs.iter().enumerate().filter(|(_, b)| b.rows() > 0);
+        let (port, batch) = inputs.next()?;
+        (inputs.next().is_none() && batch.drops().dropped() == 0).then_some(port)
     }
 }
 

@@ -302,6 +302,23 @@ impl WindowBuffer {
         }
     }
 
+    /// True when [`WindowBuffer::close_up_to`] at `now` has a pane to
+    /// close: a pass-through or count pane is ready, or the oldest time
+    /// pane's end plus grace has passed. Lets an idle tick skip the close
+    /// (and its allocations) altogether.
+    pub fn has_due(&self, now: Timestamp) -> bool {
+        if !self.ready.is_empty() {
+            return true;
+        }
+        let deadline = now.as_micros().saturating_sub(self.grace.as_micros());
+        self.spec.is_timed()
+            && self
+                .panes
+                .keys()
+                .next()
+                .is_some_and(|&idx| self.pane_end(idx) <= deadline)
+    }
+
     /// Closes every time pane whose end (plus grace) has passed `now` and
     /// returns them in order, together with any pass-through/count panes
     /// accumulated since the last call.

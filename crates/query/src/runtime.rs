@@ -5,7 +5,9 @@
 //! fragments through this runtime: columnar batches accepted by the shedder
 //! are [`FragmentRuntime::ingest`]ed (a move of the batch's columns, not a
 //! per-tuple copy), and logical time advances via
-//! [`FragmentRuntime::tick`]. Emissions of the fragment's root operator are
+//! [`FragmentRuntime::tick`]. An emission moves to its sole downstream
+//! operator (only fan-out clones), and a tick with no due pane does no
+//! work at all. Emissions of the fragment's root operator are
 //! returned to the caller, which routes them to the downstream fragment (or
 //! to the user as query results).
 
@@ -88,13 +90,18 @@ impl FragmentRuntime {
             // dropped; its SIC mass is lost like any shed tuple.
             return Vec::new();
         };
-        self.run(now, vec![(op, port, batch.into())])
+        self.run(now, Some((op, port, batch.into())))
     }
 
     /// Advances logical time: closes due windows on every operator, in
-    /// topological order, cascading intra-fragment emissions.
+    /// topological order, cascading intra-fragment emissions. Returns at
+    /// once — without allocating or running an operator — when no window
+    /// has a due pane, which is most ticks of a slow source's fragment.
     pub fn tick(&mut self, now: Timestamp) -> Vec<Emission> {
-        self.run(now, Vec::new())
+        if !self.ops.iter().any(|op| op.has_due(now)) {
+            return Vec::new();
+        }
+        self.run(now, None)
     }
 
     /// Total tuples buffered in open windows across operators.
@@ -124,18 +131,28 @@ impl FragmentRuntime {
         }
     }
 
-    fn run(&mut self, now: Timestamp, initial: Vec<(usize, usize, TupleBatch)>) -> Vec<Emission> {
-        let mut inbox: Vec<Vec<(usize, TupleBatch)>> = vec![Vec::new(); self.ops.len()];
-        for (op, port, batch) in initial {
-            inbox[op].push((port, batch));
-        }
+    fn run(
+        &mut self,
+        now: Timestamp,
+        initial: Option<(usize, usize, TupleBatch)>,
+    ) -> Vec<Emission> {
+        // Deliveries `(op, port, batch)` not yet fed, in production order.
+        // Every target lies later in topological order, so one flat list
+        // serves the whole pass.
+        let mut pending: Vec<(usize, usize, TupleBatch)> = initial.into_iter().collect();
         let mut results = Vec::new();
         for idx in 0..self.topo.len() {
             let i = self.topo[idx];
             // Feed every pending delivery (all ports!) before draining, so
             // multi-port operators never close a pane with partial input.
-            for (port, batch) in std::mem::take(&mut inbox[i]) {
-                self.ops[i].feed(port, batch, now);
+            let mut k = 0;
+            while k < pending.len() {
+                if pending[k].0 == i {
+                    let (_, port, batch) = pending.remove(k);
+                    self.ops[i].feed(port, batch, now);
+                } else {
+                    k += 1;
+                }
             }
             let emissions = self.ops[i].tick(now);
             if emissions.is_empty() {
@@ -143,14 +160,19 @@ impl FragmentRuntime {
             }
             if i == self.root {
                 results.extend(emissions);
-            } else {
-                for e in emissions {
-                    for &(to, port) in &self.downstream[i] {
-                        // Columnar clone: a handful of memcpys, not one
-                        // allocation per tuple.
-                        inbox[to].push((port, e.batch().clone()));
-                    }
+                continue;
+            }
+            let Some((&(last, last_port), rest)) = self.downstream[i].split_last() else {
+                continue;
+            };
+            for e in emissions {
+                // Columnar clones for all but the last target (a handful
+                // of memcpys, not one allocation per tuple); the last —
+                // usually the only one — takes the batch by move.
+                for &(to, port) in rest {
+                    pending.push((to, port, e.batch().clone()));
                 }
+                pending.push((last, last_port, e.into_batch()));
             }
         }
         results
