@@ -38,7 +38,7 @@
 //! the CI queries smoke. `--query='<text>'` additionally runs one
 //! ad-hoc declarative query end-to-end on the engine (parse errors exit
 //! 2 with the frontend's message). `trace` replays an arrival-trace file
-//! (`--file=<path>`, default `traces/worldcup98-diurnal.csv`; `.csv` or
+//! (`--file=<path>`, default `traces/flashcrowd-spike.json`; `.csv` or
 //! `.json`, validated with actionable errors; `--beat-ms` rescales the
 //! replay beat) through the engine and gates on replay accuracy against
 //! the trace-declared mean plus Jain under `balance-sic`, writing
@@ -375,7 +375,7 @@ fn main() {
         let file = opts
             .file
             .clone()
-            .unwrap_or_else(|| "traces/worldcup98-diurnal.csv".to_string());
+            .unwrap_or_else(|| "traces/flashcrowd-spike.json".to_string());
         let secs = secs_arg.unwrap_or(if quick { 3 } else { 8 });
         let data = match themis_workloads::traces::TraceData::load(&file) {
             Ok(d) => d,

@@ -4,17 +4,18 @@
 //! fragments (i.e. `updateSIC()` in Algorithm 1) is performed by a
 //! logically-centralised query coordinator component."
 //!
-//! The coordinator is a pure state machine: the hosting runtime (simulator or
-//! engine) feeds it result-SIC observations from the root fragment and calls
-//! [`QueryCoordinator::tick`] at the update interval (250 ms in §7.6,
-//! matching the shedding interval); it returns the `SicUpdate` messages to
-//! deliver to every node hosting a fragment of the query. Each message costs
-//! 30 bytes on the wire in the prototype (§7.6).
+//! [`Coordinator`] is that component for both clocks: the simulator steps
+//! it on simulated time, the engine on its wall clock. It reads no clock,
+//! sleeps on nothing and uses no channel. It owns the result-SIC tracker,
+//! one [`QueryCoordinator`] per attached query, the round schedule (250 ms
+//! in §7.6, the shedding interval) and the sampling ledger the fairness
+//! numbers come from. Each update costs 30 bytes on the wire (§7.6).
 
 use std::collections::HashMap;
 
 use crate::ids::{NodeId, QueryId};
 use crate::sic::Sic;
+use crate::stw::{ResultSicTracker, StwConfig};
 use crate::time::{TimeDelta, Timestamp};
 
 /// A result-SIC dissemination message from a coordinator to one node.
@@ -43,7 +44,6 @@ pub struct QueryCoordinator {
     update_interval: TimeDelta,
     latest: Sic,
     last_update: Option<Timestamp>,
-    messages_sent: u64,
 }
 
 impl QueryCoordinator {
@@ -57,7 +57,6 @@ impl QueryCoordinator {
             update_interval,
             latest: Sic::ZERO,
             last_update: None,
-            messages_sent: 0,
         }
     }
 
@@ -66,19 +65,9 @@ impl QueryCoordinator {
         self.query
     }
 
-    /// Nodes hosting fragments of the query.
-    pub fn hosts(&self) -> &[NodeId] {
-        &self.hosts
-    }
-
     /// Records a fresh result-SIC observation from the root fragment.
     pub fn on_result_sic(&mut self, sic: Sic) {
         self.latest = sic;
-    }
-
-    /// Latest observed result SIC.
-    pub fn latest(&self) -> Sic {
-        self.latest
     }
 
     /// Called by the runtime clock once per update interval; emits one
@@ -96,7 +85,6 @@ impl QueryCoordinator {
             return Vec::new();
         }
         self.last_update = Some(now);
-        self.messages_sent += self.hosts.len() as u64;
         self.hosts
             .iter()
             .map(|&node| SicUpdate {
@@ -106,16 +94,160 @@ impl QueryCoordinator {
             })
             .collect()
     }
+}
 
-    /// Total messages emitted so far; `× SicUpdate::WIRE_BYTES` gives the
-    /// coordination traffic reported in §7.6.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+/// One attached query's sampling ledger: its result SIC is sampled while
+/// `from <= now < until`, and only the running sum and count are kept.
+#[derive(Debug, Clone, Copy)]
+struct Ledger {
+    query: QueryId,
+    from: Timestamp,
+    until: Option<Timestamp>,
+    sum: f64,
+    samples: usize,
+}
+
+/// The logically-centralised query coordinator (§6), stepped by its
+/// caller's clock: the caller records result emissions, runs a
+/// [`Coordinator::round`] whenever [`Coordinator::next_round`] is due and
+/// calls [`Coordinator::sample`] on its own cadence and gates.
+#[derive(Debug)]
+pub struct Coordinator {
+    interval: TimeDelta,
+    tracker: ResultSicTracker,
+    /// Per-query coordinators in attach order (detached ones removed).
+    queries: Vec<QueryCoordinator>,
+    /// Sampling ledgers in attach order (detached ones kept).
+    ledgers: Vec<Ledger>,
+    result_counts: HashMap<QueryId, usize>,
+    messages: u64,
+    next_round: Timestamp,
+}
+
+/// What a [`Coordinator`] reports at the end of a run.
+#[derive(Debug, Clone, Default)]
+pub struct CoordinatorReport {
+    /// `(query, mean sampled SIC, samples)` for every query ever
+    /// attached, sorted by query; the mean is `0` without samples.
+    pub per_query: Vec<(QueryId, f64, usize)>,
+    /// Result emissions recorded per query.
+    pub result_counts: HashMap<QueryId, usize>,
+    /// `SicUpdate`s delivered: Σ hosts × rounds.
+    pub messages: u64,
+}
+
+impl Coordinator {
+    /// A coordinator whose result SIC windows follow `stw` and whose
+    /// rounds fall every `interval`, the first at `interval`.
+    pub fn new(stw: StwConfig, interval: TimeDelta) -> Self {
+        Coordinator {
+            interval,
+            tracker: ResultSicTracker::new(stw),
+            queries: Vec::new(),
+            ledgers: Vec::new(),
+            result_counts: HashMap::new(),
+            messages: 0,
+            next_round: Timestamp::ZERO + interval,
+        }
     }
 
-    /// Total coordination bytes emitted so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.messages_sent * SicUpdate::WIRE_BYTES as u64
+    /// Starts coordinating `query`, whose fragments run on `hosts`: it
+    /// joins every later round, and its result SIC is sampled over
+    /// `[from, until)` (`until = None`: until it is detached).
+    pub fn attach(
+        &mut self,
+        query: QueryId,
+        hosts: Vec<NodeId>,
+        from: Timestamp,
+        until: Option<Timestamp>,
+    ) {
+        self.queries
+            .push(QueryCoordinator::new(query, hosts, self.interval));
+        self.ledgers.push(Ledger {
+            query,
+            from,
+            until,
+            sum: 0.0,
+            samples: 0,
+        });
+    }
+
+    /// Stops coordinating `query` at `now`: it gets no further updates
+    /// and no further samples, but its mean so far is still reported.
+    pub fn detach(&mut self, query: QueryId, now: Timestamp) {
+        self.queries.retain(|c| c.query() != query);
+        for l in self.ledgers.iter_mut().filter(|l| l.query == query) {
+            l.until = Some(l.until.map_or(now, |u| u.min(now)));
+        }
+    }
+
+    /// Records result tuples carrying `sic` aggregate SIC for `query`.
+    pub fn record(&mut self, now: Timestamp, query: QueryId, sic: Sic) {
+        self.tracker.record(now, query, sic);
+        *self.result_counts.entry(query).or_insert(0) += 1;
+    }
+
+    /// The current result SIC of `query`.
+    pub fn query_sic(&mut self, now: Timestamp, query: QueryId) -> Sic {
+        self.tracker.query_sic(now, query)
+    }
+
+    /// When the next round is due.
+    pub fn next_round(&self) -> Timestamp {
+        self.next_round
+    }
+
+    /// Runs one `updateSIC` round at `now`: hands `sink` one update per
+    /// host of every attached query, in attach order. The next round is
+    /// due one interval after this one's due time, or one interval after
+    /// `now` when the caller fell a whole interval behind — a late call
+    /// fires once, it does not storm catch-up rounds.
+    pub fn round(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) {
+        for c in self.queries.iter_mut() {
+            let sic = self.tracker.query_sic(now, c.query());
+            c.on_result_sic(sic);
+            for update in c.tick(now) {
+                self.messages += 1;
+                sink(update);
+            }
+        }
+        self.next_round += self.interval;
+        if self.next_round <= now {
+            self.next_round = now + self.interval;
+        }
+    }
+
+    /// Samples the result SIC of every query whose sampling window
+    /// covers `now`.
+    pub fn sample(&mut self, now: Timestamp) {
+        for l in self.ledgers.iter_mut() {
+            if now >= l.from && l.until.map_or(true, |u| now < u) {
+                l.sum += self.tracker.query_sic(now, l.query).value();
+                l.samples += 1;
+            }
+        }
+    }
+
+    /// The run's per-query means, result counts and message count.
+    pub fn finish(self) -> CoordinatorReport {
+        let mut per_query: Vec<(QueryId, f64, usize)> = self
+            .ledgers
+            .iter()
+            .map(|l| {
+                let mean = if l.samples == 0 {
+                    0.0
+                } else {
+                    l.sum / l.samples as f64
+                };
+                (l.query, mean, l.samples)
+            })
+            .collect();
+        per_query.sort_by_key(|&(q, _, _)| q);
+        CoordinatorReport {
+            per_query,
+            result_counts: self.result_counts,
+            messages: self.messages,
+        }
     }
 }
 
@@ -177,14 +309,19 @@ impl SicTable {
 mod tests {
     use super::*;
 
+    fn nodes(updates: &[SicUpdate]) -> Vec<NodeId> {
+        updates.iter().map(|u| u.node).collect()
+    }
+
     #[test]
     fn coordinator_dedups_hosts() {
-        let c = QueryCoordinator::new(
+        let mut c = QueryCoordinator::new(
             QueryId(0),
             vec![NodeId(2), NodeId(1), NodeId(2)],
             TimeDelta::from_millis(250),
         );
-        assert_eq!(c.hosts(), &[NodeId(1), NodeId(2)]);
+        let updates = c.tick(Timestamp::ZERO);
+        assert_eq!(nodes(&updates), [NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -196,19 +333,17 @@ mod tests {
         );
         c.on_result_sic(Sic(0.4));
         let first = c.tick(Timestamp::from_millis(0));
-        assert_eq!(first.len(), 2);
+        assert_eq!(nodes(&first), [NodeId(0), NodeId(1)]);
         assert!(first
             .iter()
             .all(|u| u.sic == Sic(0.4) && u.query == QueryId(3)));
         // Too early: nothing.
         assert!(c.tick(Timestamp::from_millis(100)).is_empty());
-        // Due again.
+        // Due again, with the fresh observation.
         c.on_result_sic(Sic(0.6));
         let second = c.tick(Timestamp::from_millis(250));
-        assert_eq!(second.len(), 2);
+        assert_eq!(nodes(&second), [NodeId(0), NodeId(1)]);
         assert!(second.iter().all(|u| u.sic == Sic(0.6)));
-        assert_eq!(c.messages_sent(), 4);
-        assert_eq!(c.bytes_sent(), 4 * 30);
     }
 
     /// Regression: rounds on a wall clock jitter around the interval. With
@@ -228,9 +363,97 @@ mod tests {
                 "round at {ms} ms"
             );
         }
-        assert_eq!(c.messages_sent(), 6);
         // A repeat call well inside the round stays silent.
         assert!(c.tick(Timestamp::from_millis(800)).is_empty());
+    }
+
+    fn stw() -> StwConfig {
+        StwConfig::new(TimeDelta::from_secs(1), TimeDelta::from_millis(250))
+    }
+
+    /// A coordinator with 250 ms rounds and 1 s result windows.
+    fn coordinator() -> Coordinator {
+        Coordinator::new(stw(), TimeDelta::from_millis(250))
+    }
+
+    /// Runs one round at `ms` and returns what reached the sink.
+    fn round_at(c: &mut Coordinator, ms: u64) -> Vec<SicUpdate> {
+        let mut out = Vec::new();
+        c.round(Timestamp::from_millis(ms), |u| out.push(u));
+        out
+    }
+
+    #[test]
+    fn a_late_round_fires_once_and_skips_ahead() {
+        let mut c = coordinator();
+        c.attach(QueryId(0), vec![NodeId(0)], Timestamp::ZERO, None);
+        assert_eq!(c.next_round(), Timestamp::from_millis(250));
+        assert_eq!(round_at(&mut c, 250).len(), 1);
+        assert_eq!(c.next_round(), Timestamp::from_millis(500));
+        // The caller fell 1.75 s behind: one round, then one interval on
+        // from now — not six catch-up rounds at 500, 750, … ms.
+        assert_eq!(round_at(&mut c, 2_000).len(), 1);
+        assert_eq!(c.next_round(), Timestamp::from_millis(2_250));
+        assert_eq!(c.finish().messages, 2);
+    }
+
+    #[test]
+    fn sampling_counts_only_the_window() {
+        let mut c = coordinator();
+        let q = QueryId(7);
+        c.attach(
+            q,
+            vec![NodeId(0)],
+            Timestamp::from_secs(1),
+            Some(Timestamp::from_secs(3)),
+        );
+        c.record(Timestamp::from_millis(900), q, Sic(0.5));
+        // 0.5, 1.0, …, 3.5 s: only 1.0 ≤ t < 3.0 counts.
+        for ms in (500..=3_500).step_by(500) {
+            c.sample(Timestamp::from_millis(ms));
+        }
+        let report = c.finish();
+        let (query, _, samples) = report.per_query[0];
+        assert_eq!((query, samples), (q, 4));
+    }
+
+    #[test]
+    fn a_detached_query_gets_no_updates_or_samples_but_keeps_its_mean() {
+        let mut c = coordinator();
+        let (gone, stays) = (QueryId(1), QueryId(2));
+        c.attach(gone, vec![NodeId(0), NodeId(1)], Timestamp::ZERO, None);
+        c.attach(stays, vec![NodeId(1)], Timestamp::ZERO, None);
+        c.record(Timestamp::from_millis(100), gone, Sic(0.8));
+        c.sample(Timestamp::from_millis(200));
+        c.detach(gone, Timestamp::from_millis(250));
+        let updates = round_at(&mut c, 250);
+        assert!(updates.iter().all(|u| u.query == stays), "{updates:?}");
+        c.sample(Timestamp::from_millis(300));
+        let report = c.finish();
+        assert_eq!(report.per_query, [(gone, 0.8, 1), (stays, 0.0, 2)]);
+    }
+
+    #[test]
+    fn messages_and_result_counts_match_what_was_delivered_and_recorded() {
+        let mut c = coordinator();
+        c.attach(
+            QueryId(0),
+            vec![NodeId(0), NodeId(1)],
+            Timestamp::ZERO,
+            None,
+        );
+        c.attach(QueryId(1), vec![NodeId(2)], Timestamp::ZERO, None);
+        let mut delivered = 0;
+        for k in 1..=4 {
+            c.record(Timestamp::from_millis(250 * k), QueryId(1), Sic(0.1));
+            c.round(Timestamp::from_millis(250 * k), |_| delivered += 1);
+        }
+        c.record(Timestamp::from_millis(1_100), QueryId(0), Sic(0.1));
+        let report = c.finish();
+        assert_eq!(delivered, (2 + 1) * 4, "Σ hosts × rounds");
+        assert_eq!(report.messages, delivered);
+        assert_eq!(report.result_counts[&QueryId(0)], 1);
+        assert_eq!(report.result_counts[&QueryId(1)], 4);
     }
 
     #[test]

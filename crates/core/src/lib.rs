@@ -69,7 +69,9 @@ pub mod prelude {
     };
     pub use crate::bits::BitVec;
     pub use crate::capacity::{CostModel, OverloadDetector};
-    pub use crate::coordinator::{QueryCoordinator, SicTable, SicUpdate};
+    pub use crate::coordinator::{
+        Coordinator, CoordinatorReport, QueryCoordinator, SicTable, SicUpdate,
+    };
     pub use crate::fairness::{jain_index, jain_index_sic, FairnessSummary};
     pub use crate::ids::{FragmentId, IdGen, NodeId, OperatorId, QueryId, SourceId};
     pub use crate::schema::{BoolColumn, Column, FieldType, Schema, TagColumn, TagInterner};

@@ -287,11 +287,6 @@ impl ResultSicTracker {
             None => Sic::ZERO,
         }
     }
-
-    /// Queries with recorded results.
-    pub fn queries(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.per_query.keys().copied()
-    }
 }
 
 #[cfg(test)]

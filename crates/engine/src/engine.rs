@@ -21,12 +21,14 @@
 //! calling thread via [`Engine::run_for`]), so 1000+-node scenarios fit
 //! one process. The `scale` experiment budgets `shards + 3` for the whole
 //! process: pool + pump + coordinator/main + its own thread-count sampler.
-//! The pump thread is a wall-clock driver over the clock-free
-//! [`SourcePump`] the remote generator also runs, so both pace sources
-//! identically. It sweeps at most once per 1 ms beat and sends each shard
-//! one [`EngineMsg::Bundle`] per sweep; a coordinator round likewise sends
-//! each shard one bundle of SIC updates. [`EngineReport::pump_sweeps`] and
-//! [`EngineReport::mailbox_messages`] count the resulting wake-ups.
+//! The pump thread and the coordinator loop are wall-clock drivers over
+//! the clock-free [`SourcePump`] and [`Coordinator`] the simulator also
+//! steps, so sources are paced and `updateSIC` rounds and SIC samples run
+//! identically on both clocks. The pump sweeps at most once per 1 ms
+//! beat and sends each shard one [`EngineMsg::Bundle`] per sweep; a
+//! coordinator round likewise sends each shard one bundle of SIC updates.
+//! [`EngineReport::pump_sweeps`] and [`EngineReport::mailbox_messages`]
+//! count the resulting wake-ups.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -379,18 +381,6 @@ fn send_bundles(shard_txs: &[Sender<ShardMsg>], bundles: Vec<Bundle>) {
     }
 }
 
-/// Per-query sampling state on the coordinator side.
-struct QueryTracking {
-    /// Running sum of the SIC samples, added in sampling order.
-    sum: f64,
-    /// Number of samples in `sum` (the mean is `sum / count`).
-    count: u64,
-    /// Sampling starts here: end of warm-up for initial queries, one STW
-    /// after arrival for runtime-attached ones — matching the simulator's
-    /// "active, settled life" accounting.
-    settle_at: Instant,
-}
-
 /// A live THEMIS engine: shard pool + source pump running, coordinator
 /// driven by [`Engine::run_for`] on the calling thread, queries arriving
 /// and departing at runtime.
@@ -424,8 +414,7 @@ pub struct Engine {
     seed: u64,
     stw: StwConfig,
     shedding_interval: TimeDelta,
-    interval: Duration,
-    warmup_end: Instant,
+    warmup_end: Timestamp,
     node_capacity_tps: Vec<u32>,
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
@@ -433,14 +422,9 @@ pub struct Engine {
     shard_handles: Vec<JoinHandle<ShardOutcome>>,
     pump_tx: Sender<PumpMsg>,
     pump_handle: JoinHandle<u64>,
-    // Coordinator state (driven by run_for on the calling thread).
-    tracker: ResultSicTracker,
-    coordinators: Vec<QueryCoordinator>,
-    tracking: HashMap<QueryId, QueryTracking>,
+    /// The coordinator, stepped by `run_for` on the calling thread.
+    coordinator: Coordinator,
     sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
-    result_counts: HashMap<QueryId, usize>,
-    coordinator_messages: u64,
-    next_tick: Instant,
     // Placement state for runtime attaches.
     active: HashSet<QueryId>,
     placements: HashMap<QueryId, Vec<usize>>,
@@ -579,7 +563,6 @@ impl Engine {
             (server, stats)
         });
 
-        let interval = Duration::from_micros(scenario.shedding_interval.as_micros());
         let max_query = scenario
             .queries
             .iter()
@@ -611,8 +594,7 @@ impl Engine {
             seed: scenario.seed,
             stw: scenario.stw,
             shedding_interval: scenario.shedding_interval,
-            interval,
-            warmup_end: epoch + Duration::from_micros(scenario.warmup.as_micros()),
+            warmup_end: Timestamp::ZERO + scenario.warmup,
             node_capacity_tps: scenario.node_capacity_tps.clone(),
             shard_txs,
             node_txs,
@@ -620,13 +602,8 @@ impl Engine {
             shard_handles,
             pump_tx,
             pump_handle,
-            tracker: ResultSicTracker::new(scenario.stw),
-            coordinators: Vec::new(),
-            tracking: HashMap::new(),
+            coordinator: Coordinator::new(scenario.stw, scenario.shedding_interval),
             sic_series: HashMap::new(),
-            result_counts: HashMap::new(),
-            coordinator_messages: 0,
-            next_tick: Instant::now() + interval,
             active: HashSet::new(),
             placements: HashMap::new(),
             specs: HashMap::new(),
@@ -732,11 +709,6 @@ impl Engine {
     /// again on a fault-plan restart.
     fn attach_fragment(&self, query: &Arc<QuerySpec>, nodes: &[usize], fi: usize) {
         let node = nodes[fi];
-        let downstream = if fi == query.result_fragment {
-            None
-        } else {
-            query.downstream_of(fi).map(|d| (nodes[d], d))
-        };
         let _ = self.node_txs[node].send(ShardMsg {
             node,
             msg: EngineMsg::Attach(AttachFragment {
@@ -744,20 +716,20 @@ impl Engine {
                 config: self.node_config(node),
                 query: query.clone(),
                 fragment: fi,
-                downstream,
+                downstream: query.downstream_route(fi, nodes),
             }),
         });
     }
 
     /// Installs `query` with fragment `fi` on `nodes[fi]`, wires its
     /// sources into the pump (each emitting with `profile_of(source)`)
-    /// and registers its coordinator.
+    /// and attaches it to the coordinator, sampled from `settle_at`.
     fn install(
         &mut self,
         query: Arc<QuerySpec>,
         nodes: Vec<usize>,
         profile_of: impl Fn(SourceId) -> SourceProfile,
-        settle_at: Instant,
+        settle_at: Timestamp,
     ) {
         for (fi, &node) in nodes.iter().enumerate() {
             self.attach_fragment(&query, &nodes, fi);
@@ -771,19 +743,8 @@ impl Engine {
             let bindings = query_bindings(&query, &nodes, profile_of, self.seed);
             let _ = self.pump_tx.send(PumpMsg::Add(bindings));
         }
-        self.coordinators.push(QueryCoordinator::new(
-            query.id,
-            nodes.iter().map(|&n| NodeId(n as u32)).collect(),
-            self.shedding_interval,
-        ));
-        self.tracking.insert(
-            query.id,
-            QueryTracking {
-                sum: 0.0,
-                count: 0,
-                settle_at,
-            },
-        );
+        let hosts = nodes.iter().map(|&n| NodeId(n as u32)).collect();
+        self.coordinator.attach(query.id, hosts, settle_at, None);
         self.active.insert(query.id);
         self.placements.insert(query.id, nodes);
         self.specs.insert(query.id, query);
@@ -834,7 +795,7 @@ impl Engine {
         let mut order: Vec<usize> = (0..self.n_nodes).collect();
         order.sort_by_key(|&n| (self.node_load[n], n));
         let nodes: Vec<usize> = order[..query.n_fragments()].to_vec();
-        let settle_at = Instant::now() + Duration::from_micros(self.stw.window.as_micros());
+        let settle_at = self.now() + self.stw.window;
         self.install(Arc::new(query), nodes, |_| profile, settle_at);
         id
     }
@@ -870,7 +831,7 @@ impl Engine {
             });
             self.node_load[node] = self.node_load[node].saturating_sub(1);
         }
-        self.coordinators.retain(|c| c.query() != query);
+        self.coordinator.detach(query, self.now());
         self.specs.remove(&query);
         true
     }
@@ -951,9 +912,11 @@ impl Engine {
     }
 
     /// Drives the coordinator loop on the calling thread for `wall` time:
-    /// drains result emissions into the SIC tracker, fires coordinator
-    /// dissemination every shedding interval, and samples per-query SIC
-    /// values (after warm-up and per-query settling).
+    /// records result emissions in the [`Coordinator`], runs its
+    /// `updateSIC` round whenever one is due (one bundle per shard), and
+    /// then samples per-query SIC values — after warm-up, unless
+    /// [`Engine::pause_sampling`] was called; each query's own sampling
+    /// window starts once it has settled.
     pub fn run_for(&mut self, wall: Duration) {
         let deadline = Instant::now() + wall;
         loop {
@@ -963,45 +926,26 @@ impl Engine {
             }
             // Drain pending results.
             while let Ok(ev) = self.results_rx.try_recv() {
-                let now = self.now();
-                self.tracker.record(now, ev.query, ev.sic);
-                *self.result_counts.entry(ev.query).or_insert(0) += 1;
+                self.coordinator.record(self.now(), ev.query, ev.sic);
             }
             self.drive_fault_plan();
-            if now_wall >= self.next_tick {
-                self.next_tick += self.interval;
-                if self.next_tick <= now_wall {
-                    // A long gap between run_for slices: skip to the next
-                    // future tick instead of storming catch-up ticks.
-                    self.next_tick = now_wall + self.interval;
-                }
+            let now = self.now();
+            if now >= self.coordinator.next_round() {
                 // One bundle of updates per shard per round, not one
                 // message per (query, host) pair.
-                let now = self.now();
                 let mut bundles: Vec<Bundle> =
                     self.shard_txs.iter().map(|_| Bundle::default()).collect();
-                for c in self.coordinators.iter_mut() {
-                    let sic = self.tracker.query_sic(now, c.query());
-                    c.on_result_sic(sic);
-                    for update in c.tick(now) {
-                        self.coordinator_messages += 1;
-                        bundles[shard_of(update.node.index(), self.n_shards)]
-                            .sic
-                            .push(update);
-                    }
-                }
+                self.coordinator.round(now, |update| {
+                    bundles[shard_of(update.node.index(), self.n_shards)]
+                        .sic
+                        .push(update);
+                });
                 send_bundles(&self.shard_txs, bundles);
-                if self.sampling && now_wall >= self.warmup_end {
-                    for (&q, t) in self.tracking.iter_mut() {
-                        if !self.active.contains(&q) {
-                            continue;
-                        }
-                        let sic = self.tracker.query_sic(now, q).value();
-                        if now_wall >= t.settle_at {
-                            t.sum += sic;
-                            t.count += 1;
-                        }
-                        if self.config.record_series {
+                if self.sampling && now >= self.warmup_end {
+                    self.coordinator.sample(now);
+                    if self.config.record_series {
+                        for &q in &self.active {
+                            let sic = self.coordinator.query_sic(now, q).value();
                             self.sic_series.entry(q).or_default().push((now, sic));
                         }
                     }
@@ -1072,31 +1016,24 @@ impl Engine {
             }
         }
 
-        let mut per_query_sic: Vec<(QueryId, f64)> = self
-            .tracking
-            .into_iter()
-            .map(|(q, t)| {
-                let mean = if t.count == 0 {
-                    0.0
-                } else {
-                    t.sum / t.count as f64
-                };
-                (q, mean)
-            })
-            .collect();
+        let coordinated = self.coordinator.finish();
         errors.extend(
             ingest_errors
                 .into_iter()
                 .map(|(peer, detail)| EngineError::Ingest { peer, detail }),
         );
-        per_query_sic.sort_by_key(|&(q, _)| q);
+        let per_query_sic: Vec<(QueryId, f64)> = coordinated
+            .per_query
+            .iter()
+            .map(|&(q, mean, _)| (q, mean))
+            .collect();
         let sics: Vec<Sic> = per_query_sic.iter().map(|&(_, s)| Sic(s)).collect();
         EngineReport {
             nodes,
             fairness: FairnessSummary::from_sics(&sics),
             per_query_sic,
-            result_counts: self.result_counts,
-            coordinator_messages: self.coordinator_messages,
+            result_counts: coordinated.result_counts,
+            coordinator_messages: coordinated.messages,
             policy: policy_name,
             shards: self.n_shards,
             sic_series: self.sic_series,

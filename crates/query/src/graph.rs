@@ -267,6 +267,17 @@ impl QuerySpec {
             .position(|f| f.upstreams.iter().any(|u| u.fragment == idx))
     }
 
+    /// Where fragment `fi`'s output goes when each fragment `f` runs on
+    /// `nodes[f]`: `(node, fragment)` of its consumer, or `None` when it
+    /// reports the query's results (the result fragment, or one nothing
+    /// consumes).
+    pub fn downstream_route(&self, fi: usize, nodes: &[usize]) -> Option<(usize, usize)> {
+        if fi == self.result_fragment {
+            return None;
+        }
+        self.downstream_of(fi).map(|d| (nodes[d], d))
+    }
+
     /// Checks structural invariants.
     pub fn validate(&self) -> Result<(), QueryError> {
         if self.fragments.is_empty() {

@@ -10,10 +10,13 @@
 //!   engine ([`themis_query::node::Node`]: input buffer, overload
 //!   detector, online cost model, the configured tuple shedder) on a
 //!   simulated per-tuple cost;
+//! * the shared source pump ([`themis_workloads::pump::SourcePump`]),
+//!   each query's sources live from its arrival to its departure;
 //! * links with configurable one-way latency (LAN 5 ms / WAN 50 ms);
-//! * per-query coordinators disseminating result SIC values
-//!   (`updateSIC`), with an ablation switch to disable them;
-//! * a result-SIC tracker sampling every query's `qSIC` for the report.
+//! * the shared coordinator ([`themis_core::coordinator::Coordinator`])
+//!   disseminating result SIC values (`updateSIC`), with an ablation
+//!   switch to disable it, and sampling every query's `qSIC` for the
+//!   report.
 //!
 //! ```
 //! use themis_core::prelude::*;

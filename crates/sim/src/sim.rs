@@ -1,12 +1,18 @@
-//! The discrete-event FSPS simulation: sources, links, nodes, coordinators.
+//! The discrete-event FSPS simulation: sources, links, nodes, coordinator.
 //!
 //! This is the repo's substitute for the paper's Emulab deployment
 //! (Table 2). Every evaluation metric — per-query SIC values, Jain's
 //! index, shed fractions, coordinator traffic — is a function of *which
 //! tuples are shed where and when*, which the event-driven model captures:
-//! sources emit batches on their schedule, links delay them, nodes run the
-//! overload detector + shedder every shedding interval, and per-query
-//! coordinators disseminate result SIC values (`updateSIC`).
+//! links delay batches, nodes run the overload detector + shedder every
+//! shedding interval, and the coordinator disseminates result SIC values
+//! (`updateSIC`).
+//!
+//! The event loop only schedules. Sources are paced by the one
+//! [`SourcePump`] the engine's pump thread and the remote generator also
+//! step, and every `updateSIC` round and SIC sample runs in the one
+//! [`Coordinator`] the engine also drives; the simulator supplies their
+//! clock and delivers what they emit after the link latency.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -14,7 +20,7 @@ use std::collections::{BinaryHeap, HashMap};
 use themis_core::prelude::*;
 use themis_query::prelude::*;
 use themis_workloads::prelude::*;
-use themis_workloads::pump::source_seed;
+use themis_workloads::pump::{query_bindings, SourcePump};
 
 use crate::config::SimConfig;
 use crate::node::{NodeOutput, SimNode};
@@ -22,13 +28,15 @@ use crate::report::{NodeStats, QueryStats, SimReport};
 
 /// Simulator events.
 enum Event {
-    /// A source's next batch is due.
-    SourceEmit { driver: usize },
+    /// The source pump's next batch is due.
+    PumpStep,
+    /// A query departs: its sources stop emitting.
+    Depart { query: QueryId },
     /// A batch reaches a node.
     BatchArrival { node: usize, rb: RoutedBatch },
     /// A node's shedding interval fires.
     NodeTick { node: usize },
-    /// All query coordinators disseminate result SIC values.
+    /// The coordinator disseminates result SIC values.
     CoordTick,
     /// A coordinator update reaches a node.
     SicArrival { node: usize, update: SicUpdate },
@@ -37,7 +45,7 @@ enum Event {
 }
 
 struct Queued {
-    at: u64,
+    at: Timestamp,
     seq: u64,
     ev: Event,
 }
@@ -59,27 +67,39 @@ impl Ord for Queued {
     }
 }
 
+/// The pending events up to the end of the run, ordered by time and then
+/// by push order.
+struct Agenda {
+    queue: BinaryHeap<Reverse<Queued>>,
+    seq: u64,
+    end: Timestamp,
+}
+
+impl Agenda {
+    /// Schedules `ev` at `at`; an event past the end never happens.
+    fn push(&mut self, at: Timestamp, ev: Event) {
+        if at > self.end {
+            return;
+        }
+        self.seq += 1;
+        let seq = self.seq;
+        self.queue.push(Reverse(Queued { at, seq, ev }));
+    }
+}
+
 /// A fully wired simulation, ready to run.
 pub struct Simulation {
     scenario: Scenario,
     config: SimConfig,
-    queue: BinaryHeap<Reverse<Queued>>,
-    seq: u64,
+    agenda: Agenda,
     nodes: Vec<SimNode>,
-    drivers: Vec<SourceDriver>,
-    /// source id -> (node, query, fragment).
-    source_route: HashMap<SourceId, (usize, QueryId, usize)>,
+    pump: SourcePump,
     /// (query, fragment) -> the `(node, fragment)` its output feeds, or
     /// `None` when it emits the query result.
     frag_route: HashMap<(QueryId, usize), Option<(usize, usize)>>,
-    coordinators: Vec<QueryCoordinator>,
-    tracker: ResultSicTracker,
-    /// Per-query running `(sum, count)` of post-warm-up SIC samples — only
-    /// their mean is reported, so the samples themselves are not kept.
-    sic_samples: HashMap<QueryId, (f64, usize)>,
+    coordinator: Coordinator,
     sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
     results: HashMap<QueryId, Vec<(Timestamp, Vec<Row>)>>,
-    end: Timestamp,
 }
 
 impl Simulation {
@@ -99,79 +119,44 @@ impl Simulation {
             })
             .collect();
 
-        let mut source_route = HashMap::new();
-        let mut frag_route = HashMap::new();
-        let mut drivers = Vec::new();
-        let mut coordinators = Vec::new();
-        for q in &scenario.queries {
-            let node_of = |fi: usize| {
-                scenario
-                    .deployment
-                    .node_of(q.id, fi)
-                    .expect("validated deployment")
-                    .index()
-            };
-            for (fi, frag) in q.fragments.iter().enumerate() {
-                let node = node_of(fi);
-                nodes[node].deploy(q, fi);
-                for b in &frag.sources {
-                    source_route.insert(b.source, (node, q.id, fi));
-                }
-                let route = match q.downstream_of(fi) {
-                    Some(down) if fi != q.result_fragment => Some((node_of(down), down)),
-                    // The result fragment, or a dangling one, reports results.
-                    _ => None,
-                };
-                frag_route.insert((q.id, fi), route);
-            }
-            for s in &q.sources {
-                let profile = scenario.profiles[&s.id];
-                drivers.push(SourceDriver::new(
-                    q.id,
-                    s,
-                    profile,
-                    source_seed(scenario.seed, s.id),
-                ));
-            }
-            coordinators.push(QueryCoordinator::new(
-                q.id,
-                scenario.deployment.hosts_of(q.id),
-                scenario.shedding_interval,
-            ));
-        }
-
-        let tracker = ResultSicTracker::new(scenario.stw);
-        let mut sim = Simulation {
-            config,
+        let mut agenda = Agenda {
             queue: BinaryHeap::new(),
             seq: 0,
-            nodes,
-            drivers,
-            source_route,
-            frag_route,
-            coordinators,
-            tracker,
-            sic_samples: scenario.queries.iter().map(|q| (q.id, (0.0, 0))).collect(),
-            sic_series: HashMap::new(),
-            results: HashMap::new(),
             end,
-            scenario,
         };
+        let mut pump = SourcePump::default();
+        let mut frag_route = HashMap::new();
+        let mut coordinator = Coordinator::new(scenario.stw, scenario.shedding_interval);
+        for q in &scenario.queries {
+            let placed = scenario.nodes_of(q);
+            for (fi, &node) in placed.iter().enumerate() {
+                nodes[node].deploy(q, fi);
+                frag_route.insert((q.id, fi), q.downstream_route(fi, &placed));
+            }
+            // A late-arriving query's sources start emitting at its
+            // arrival. Departures are queued ahead of every pump step, so
+            // an emission due at the departure instant never happens.
+            let arrival = scenario.arrival_of(q.id);
+            let departure = scenario.departure_of(q.id);
+            let profile_of = |s: SourceId| scenario.profiles[&s];
+            let bindings = query_bindings(q, &placed, profile_of, scenario.seed);
+            pump.add(arrival, bindings);
+            if let Some(at) = departure {
+                agenda.push(at, Event::Depart { query: q.id });
+            }
+            // Mean statistics only cover a query's active, converged
+            // life: from one STW after arrival to its departure.
+            let hosts = placed.iter().map(|&n| NodeId(n as u32)).collect();
+            coordinator.attach(q.id, hosts, arrival + scenario.stw.window, departure);
+        }
 
-        // Seed the event queue; sources of late-arriving queries start
-        // emitting at the query's arrival time.
-        for d in 0..sim.drivers.len() {
-            let arrival = sim.scenario.arrival_of(sim.drivers[d].query);
-            sim.drivers[d].start_at(arrival);
-            let at = sim.drivers[d].next_time();
-            sim.push(at, Event::SourceEmit { driver: d });
+        agenda.push(Timestamp::ZERO, Event::PumpStep);
+        let interval = scenario.shedding_interval;
+        for n in 0..nodes.len() {
+            agenda.push(Timestamp::ZERO + interval, Event::NodeTick { node: n });
         }
-        let interval = sim.scenario.shedding_interval;
-        for n in 0..sim.nodes.len() {
-            sim.push(Timestamp::ZERO + interval, Event::NodeTick { node: n });
-        }
-        if sim.config.coordinator {
-            sim.push(Timestamp::ZERO + interval, Event::CoordTick);
+        if config.coordinator {
+            agenda.push(coordinator.next_round(), Event::CoordTick);
         }
         // Samples are de-phased off the node-tick grid so they do not alias
         // with the 1 Hz result emissions: results are recorded at node
@@ -179,61 +164,41 @@ impl Simulation {
         // grace), so sampling exactly on those instants would consistently
         // miss the newest record while the oldest just left the STW ring.
         let sample_at = Timestamp::ZERO
-            + sim.scenario.warmup
+            + scenario.warmup
             + TimeDelta::from_micros(
-                sim.config.sample_interval.as_micros() / 2
-                    + sim.scenario.shedding_interval.as_micros() / 2
-                    + 1_000,
+                config.sample_interval.as_micros() / 2 + interval.as_micros() / 2 + 1_000,
             );
-        sim.push(sample_at, Event::Sample);
-        sim
-    }
-
-    fn push(&mut self, at: Timestamp, ev: Event) {
-        self.seq += 1;
-        self.queue.push(Reverse(Queued {
-            at: at.as_micros(),
-            seq: self.seq,
-            ev,
-        }));
+        agenda.push(sample_at, Event::Sample);
+        Simulation {
+            scenario,
+            config,
+            agenda,
+            nodes,
+            pump,
+            frag_route,
+            coordinator,
+            sic_series: HashMap::new(),
+            results: HashMap::new(),
+        }
     }
 
     /// Runs to completion and produces the report.
     pub fn run(mut self) -> SimReport {
         let latency = self.scenario.link_latency;
         let interval = self.scenario.shedding_interval;
-        while let Some(Reverse(q)) = self.queue.pop() {
-            let now = Timestamp(q.at);
-            if now > self.end {
-                break;
-            }
-            match q.ev {
-                Event::SourceEmit { driver } => {
-                    let batch = self.drivers[driver].emit();
-                    let src = self.drivers[driver].source;
-                    // Quiet rate-pattern batches can be empty: nothing to
-                    // route (the engine's pump skips these too).
-                    if batch.is_empty() {
-                        // fall through to reschedule below
-                    } else if let Some(&(node, query, fragment)) = self.source_route.get(&src) {
-                        let rb = RoutedBatch {
-                            query,
-                            fragment,
-                            ingress: Ingress::Source(src),
-                            batch,
-                        };
-                        self.push(now + latency, Event::BatchArrival { node, rb });
-                    }
-                    let next = self.drivers[driver].next_time();
-                    let departed = self
-                        .scenario
-                        .departure_of(self.drivers[driver].query)
-                        .map(|d| next >= d)
-                        .unwrap_or(false);
-                    if next <= self.end && !departed {
-                        self.push(next, Event::SourceEmit { driver });
+        let warmup_end = Timestamp::ZERO + self.scenario.warmup;
+        while let Some(Reverse(Queued { at: now, ev, .. })) = self.agenda.queue.pop() {
+            match ev {
+                Event::PumpStep => {
+                    let agenda = &mut self.agenda;
+                    let next = self.pump.step(now, |node, rb| {
+                        agenda.push(now + latency, Event::BatchArrival { node, rb });
+                    });
+                    if let Some(next) = next {
+                        agenda.push(next, Event::PumpStep);
                     }
                 }
+                Event::Depart { query } => self.pump.remove(query),
                 Event::BatchArrival { node, rb } => {
                     self.nodes[node].on_arrival(now, rb);
                 }
@@ -242,63 +207,31 @@ impl Simulation {
                     for out in outputs {
                         self.route_output(now, out);
                     }
-                    let next = now + interval;
-                    if next <= self.end {
-                        self.push(next, Event::NodeTick { node });
-                    }
+                    self.agenda.push(now + interval, Event::NodeTick { node });
                 }
                 Event::CoordTick => {
-                    for c in 0..self.coordinators.len() {
-                        let query = self.coordinators[c].query();
-                        let sic = self.tracker.query_sic(now, query);
-                        self.coordinators[c].on_result_sic(sic);
-                        for update in self.coordinators[c].tick(now) {
-                            self.push(
-                                now + latency,
-                                Event::SicArrival {
-                                    node: update.node.index(),
-                                    update,
-                                },
-                            );
-                        }
-                    }
-                    let next = now + interval;
-                    if next <= self.end {
-                        self.push(next, Event::CoordTick);
-                    }
+                    let agenda = &mut self.agenda;
+                    self.coordinator.round(now, |update| {
+                        let node = update.node.index();
+                        agenda.push(now + latency, Event::SicArrival { node, update });
+                    });
+                    agenda.push(self.coordinator.next_round(), Event::CoordTick);
                 }
                 Event::SicArrival { node, update } => {
                     self.nodes[node].on_sic_update(&update);
                 }
                 Event::Sample => {
-                    if now >= Timestamp::ZERO + self.scenario.warmup {
-                        for (q, (sum, count)) in self.sic_samples.iter_mut() {
-                            // Mean statistics only cover a query's active,
-                            // converged life: from one STW after arrival to
-                            // its departure.
-                            let settled = self.scenario.arrival_of(*q) + self.scenario.stw.window;
-                            let active = now >= settled
-                                && self
-                                    .scenario
-                                    .departure_of(*q)
-                                    .map(|d| now < d)
-                                    .unwrap_or(true);
-                            if active {
-                                *sum += self.tracker.query_sic(now, *q).value();
-                                *count += 1;
-                            }
-                        }
+                    if now >= warmup_end {
+                        self.coordinator.sample(now);
                     }
                     if self.config.record_series {
                         for q in self.scenario.queries.iter().map(|q| q.id) {
-                            let v = self.tracker.query_sic(now, q).value();
+                            let v = self.coordinator.query_sic(now, q).value();
                             self.sic_series.entry(q).or_default().push((now, v));
                         }
                     }
                     let next = now + self.config.sample_interval;
-                    if next <= self.end {
-                        self.push(next, Event::Sample);
-                    }
+                    self.agenda.push(next, Event::Sample);
                 }
             }
         }
@@ -314,7 +247,7 @@ impl Simulation {
         } = out;
         match self.frag_route.get(&(query, fragment)) {
             Some(None) => {
-                self.tracker.record(now, query, batch.sic_total());
+                self.coordinator.record(now, query, batch.sic_total());
                 if self.config.record_results {
                     // Result rows materialise at the edge only.
                     self.results
@@ -331,7 +264,7 @@ impl Simulation {
                     // Wrap the emission's columns directly — no re-copy.
                     batch: Batch::from_data(query, at, batch),
                 };
-                self.push(
+                self.agenda.push(
                     now + self.scenario.link_latency,
                     Event::BatchArrival { node, rb },
                 );
@@ -341,38 +274,30 @@ impl Simulation {
     }
 
     fn finish(self) -> SimReport {
-        let mut per_query: Vec<QueryStats> = self
-            .scenario
-            .queries
+        let coordinated = self.coordinator.finish();
+        let specs: HashMap<QueryId, &QuerySpec> =
+            self.scenario.queries.iter().map(|q| (q.id, q)).collect();
+        let per_query: Vec<QueryStats> = coordinated
+            .per_query
             .iter()
-            .map(|q| {
-                let (sum, samples) = self.sic_samples[&q.id];
-                let mean = if samples == 0 {
-                    0.0
-                } else {
-                    sum / samples as f64
-                };
-                QueryStats {
-                    query: q.id,
-                    template: q.template.clone(),
-                    fragments: q.n_fragments(),
-                    mean_sic: mean,
-                    samples,
-                }
+            .map(|&(query, mean_sic, samples)| QueryStats {
+                query,
+                template: specs[&query].template.clone(),
+                fragments: specs[&query].n_fragments(),
+                mean_sic,
+                samples,
             })
             .collect();
-        per_query.sort_by_key(|s| s.query);
         let sics: Vec<Sic> = per_query.iter().map(|s| Sic(s.mean_sic)).collect();
         let fairness = FairnessSummary::from_sics(&sics);
         let nodes: Vec<NodeStats> = self.nodes.iter().map(|n| n.stats.clone()).collect();
-        let coordinator_messages = self.coordinators.iter().map(|c| c.messages_sent()).sum();
         SimReport {
             scenario: self.scenario.name.clone(),
             policy: self.config.policy.name().to_string(),
             per_query,
             fairness,
             nodes,
-            coordinator_messages,
+            coordinator_messages: coordinated.messages,
             results: self.results,
             sic_series: self.sic_series,
         }
@@ -487,6 +412,36 @@ mod tests {
         assert!(!any.is_empty());
         // COV emits single-value rows.
         assert_eq!(any[0].1[0].len(), 1);
+    }
+
+    /// A query living `[2 s, 5 s)` alone on its node delivers exactly its
+    /// rate × 3 s there: its sources start at the arrival and stop at the
+    /// departure, while a resident query keeps the run going on the other
+    /// node until 8 s.
+    #[test]
+    fn a_query_emits_only_during_its_lifetime() {
+        let profile = SourceProfile::steady(40, 4, Dataset::Uniform);
+        let scenario = ScenarioBuilder::new("lifetime", 9)
+            .nodes(2)
+            .capacity_tps(100_000)
+            .duration(TimeDelta::from_secs(6))
+            .warmup(TimeDelta::from_secs(2))
+            .add_queries(Template::Avg, 1, profile)
+            .add_queries_with_lifetime(
+                Template::Avg,
+                1,
+                profile,
+                TimeDelta::from_secs(2),
+                Some(TimeDelta::from_secs(5)),
+            )
+            .build()
+            .unwrap();
+        let resident = scenario.nodes_of(&scenario.queries[0])[0];
+        let visitor = scenario.nodes_of(&scenario.queries[1])[0];
+        assert_ne!(resident, visitor, "each query alone on its node");
+        let report = run_scenario(scenario, SimConfig::default());
+        assert_eq!(report.nodes[visitor].arrived_tuples, 40 * 3);
+        assert!(report.nodes[resident].arrived_tuples > 40 * 7);
     }
 
     #[test]

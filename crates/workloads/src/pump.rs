@@ -5,8 +5,9 @@
 //! batch to a sink; the pump never reads a clock, blocks or touches a
 //! channel. The engine's pump thread (sink: the shard channels) and the
 //! remote generator ([`crate::remote::run_remote_sources`], sink: a
-//! socket) step it on the wall clock; tests step it on a virtual one.
-//! Both install the bindings of [`query_bindings`], seeded by
+//! socket) step it on the wall clock; the simulator (sink: its event
+//! queue) and tests step it on a virtual one.
+//! All install the bindings of [`query_bindings`], seeded by
 //! [`source_seed`], so remote partitions together emit the very streams
 //! the in-process pump would.
 

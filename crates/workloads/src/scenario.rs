@@ -45,14 +45,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// True when `query` is active at `t`.
-    pub fn is_active(&self, query: QueryId, t: Timestamp) -> bool {
-        match self.lifetimes.get(&query) {
-            None => true,
-            Some(&(start, end)) => t >= start && end.map(|e| t < e).unwrap_or(true),
-        }
-    }
-
     /// The arrival time of `query` (simulation start when unset).
     pub fn arrival_of(&self, query: QueryId) -> Timestamp {
         self.lifetimes
