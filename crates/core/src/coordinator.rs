@@ -6,16 +6,18 @@
 //!
 //! [`Coordinator`] is that component for both clocks: the simulator steps
 //! it on simulated time, the engine on its wall clock. It reads no clock,
-//! sleeps on nothing and uses no channel. It owns the result-SIC tracker,
-//! one [`QueryCoordinator`] per attached query, the round schedule (250 ms
-//! in §7.6, the shedding interval) and the sampling ledger the fairness
-//! numbers come from. Each update costs 30 bytes on the wire (§7.6).
+//! sleeps on nothing and uses no channel. It owns each attached query's
+//! result SIC window, its [`QueryCoordinator`] and its sampling ledger —
+//! side by side in one entry, so a round and a sample are one sequential
+//! pass with no hashing and no allocation — plus the round schedule
+//! (250 ms in §7.6, the shedding interval). Each update costs 30 bytes on
+//! the wire (§7.6).
 
 use std::collections::HashMap;
 
 use crate::ids::{NodeId, QueryId};
 use crate::sic::Sic;
-use crate::stw::{ResultSicTracker, StwConfig};
+use crate::stw::{SlidingAccumulator, StwConfig};
 use crate::time::{TimeDelta, Timestamp};
 
 /// A result-SIC dissemination message from a coordinator to one node.
@@ -71,40 +73,77 @@ impl QueryCoordinator {
     }
 
     /// Called by the runtime clock once per update interval; emits one
-    /// `SicUpdate` per hosting node. A round is due once at least half an
-    /// interval has passed since the last one: a runtime whose rounds
-    /// jitter (the engine's fire a few ms late or early on the wall clock)
-    /// must not skip every round that lands a hair short of a full
-    /// interval, while a second call within the same round stays silent.
+    /// `SicUpdate` per hosting node ([`QueryCoordinator::tick_into`]).
     pub fn tick(&mut self, now: Timestamp) -> Vec<SicUpdate> {
+        let mut updates = Vec::new();
+        self.tick_into(now, |u| updates.push(u));
+        updates
+    }
+
+    /// [`QueryCoordinator::tick`] without the vector: hands `sink` one
+    /// `SicUpdate` per hosting node and returns how many. A round is due
+    /// once at least half an interval has passed since the last one: a
+    /// runtime whose rounds jitter (the engine's fire a few ms late or
+    /// early on the wall clock) must not skip every round that lands a
+    /// hair short of a full interval, while a second call within the same
+    /// round stays silent.
+    pub fn tick_into(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) -> usize {
         let due = match self.last_update {
             None => true,
             Some(prev) => 2 * now.since(prev).as_micros() >= self.update_interval.as_micros(),
         };
         if !due {
-            return Vec::new();
+            return 0;
         }
         self.last_update = Some(now);
-        self.hosts
-            .iter()
-            .map(|&node| SicUpdate {
+        for &node in &self.hosts {
+            sink(SicUpdate {
                 query: self.query,
                 node,
                 sic: self.latest,
-            })
-            .collect()
+            });
+        }
+        self.hosts.len()
     }
 }
 
-/// One attached query's sampling ledger: its result SIC is sampled while
-/// `from <= now < until`, and only the running sum and count are kept.
-#[derive(Debug, Clone, Copy)]
-struct Ledger {
+/// Everything the [`Coordinator`] keeps about one attached query.
+#[derive(Debug)]
+struct Entry {
     query: QueryId,
+    /// Result SIC mass over the STW (Eq. 4), from the first record on.
+    results: Option<SlidingAccumulator>,
+    /// Result emissions recorded.
+    result_count: usize,
+    /// The last [`Entry::sic`] and the instant it was read at, so the
+    /// sample that follows a round at the same instant sums the window
+    /// once; a record clears it.
+    read: Option<(Timestamp, Sic)>,
+    /// `None` once detached: no more rounds.
+    coordinator: Option<QueryCoordinator>,
+    /// The sampling ledger: the result SIC is sampled while
+    /// `from <= now < until`, and only the running sum and count are kept.
     from: Timestamp,
     until: Option<Timestamp>,
     sum: f64,
     samples: usize,
+}
+
+impl Entry {
+    /// The current result SIC, clamped into `[0, 1]`.
+    fn sic(&mut self, now: Timestamp) -> Sic {
+        match self.read {
+            Some((at, sic)) if at == now => sic,
+            _ => {
+                let sic = self.results.as_mut().map_or(Sic::ZERO, |acc| {
+                    acc.advance_to(now);
+                    Sic(acc.total()).clamp_unit()
+                });
+                self.read = Some((now, sic));
+                sic
+            }
+        }
+    }
 }
 
 /// The logically-centralised query coordinator (§6), stepped by its
@@ -114,12 +153,13 @@ struct Ledger {
 #[derive(Debug)]
 pub struct Coordinator {
     interval: TimeDelta,
-    tracker: ResultSicTracker,
-    /// Per-query coordinators in attach order (detached ones removed).
-    queries: Vec<QueryCoordinator>,
-    /// Sampling ledgers in attach order (detached ones kept).
-    ledgers: Vec<Ledger>,
-    result_counts: HashMap<QueryId, usize>,
+    stw: StwConfig,
+    /// One entry per attach, in attach order (detached ones kept for
+    /// their ledger).
+    entries: Vec<Entry>,
+    /// `query → entries` slot of its latest attach: the only hashing,
+    /// done once per recorded result.
+    slots: HashMap<QueryId, usize>,
     messages: u64,
     next_round: Timestamp,
 }
@@ -142,10 +182,9 @@ impl Coordinator {
     pub fn new(stw: StwConfig, interval: TimeDelta) -> Self {
         Coordinator {
             interval,
-            tracker: ResultSicTracker::new(stw),
-            queries: Vec::new(),
-            ledgers: Vec::new(),
-            result_counts: HashMap::new(),
+            stw,
+            entries: Vec::new(),
+            slots: HashMap::new(),
             messages: 0,
             next_round: Timestamp::ZERO + interval,
         }
@@ -153,7 +192,8 @@ impl Coordinator {
 
     /// Starts coordinating `query`, whose fragments run on `hosts`: it
     /// joins every later round, and its result SIC is sampled over
-    /// `[from, until)` (`until = None`: until it is detached).
+    /// `[from, until)` (`until = None`: until it is detached). A query
+    /// attached again after a detach starts a fresh entry.
     pub fn attach(
         &mut self,
         query: QueryId,
@@ -161,10 +201,13 @@ impl Coordinator {
         from: Timestamp,
         until: Option<Timestamp>,
     ) {
-        self.queries
-            .push(QueryCoordinator::new(query, hosts, self.interval));
-        self.ledgers.push(Ledger {
+        self.slots.insert(query, self.entries.len());
+        self.entries.push(Entry {
             query,
+            results: None,
+            result_count: 0,
+            read: None,
+            coordinator: Some(QueryCoordinator::new(query, hosts, self.interval)),
             from,
             until,
             sum: 0.0,
@@ -175,21 +218,35 @@ impl Coordinator {
     /// Stops coordinating `query` at `now`: it gets no further updates
     /// and no further samples, but its mean so far is still reported.
     pub fn detach(&mut self, query: QueryId, now: Timestamp) {
-        self.queries.retain(|c| c.query() != query);
-        for l in self.ledgers.iter_mut().filter(|l| l.query == query) {
-            l.until = Some(l.until.map_or(now, |u| u.min(now)));
+        if let Some(e) = self.slot(query) {
+            e.coordinator = None;
+            e.until = Some(e.until.map_or(now, |u| u.min(now)));
         }
     }
 
-    /// Records result tuples carrying `sic` aggregate SIC for `query`.
-    pub fn record(&mut self, now: Timestamp, query: QueryId, sic: Sic) {
-        self.tracker.record(now, query, sic);
-        *self.result_counts.entry(query).or_insert(0) += 1;
+    /// The entry of `query`'s latest attach.
+    fn slot(&mut self, query: QueryId) -> Option<&mut Entry> {
+        let &slot = self.slots.get(&query)?;
+        Some(&mut self.entries[slot])
     }
 
-    /// The current result SIC of `query`.
+    /// Records result tuples carrying `sic` aggregate SIC for `query`
+    /// (ignored for a query never attached).
+    pub fn record(&mut self, now: Timestamp, query: QueryId, sic: Sic) {
+        let stw = self.stw;
+        if let Some(e) = self.slot(query) {
+            e.results
+                .get_or_insert_with(|| SlidingAccumulator::new(stw))
+                .add(now, sic.value());
+            e.result_count += 1;
+            e.read = None;
+        }
+    }
+
+    /// The current result SIC of `query` (zero for a query never
+    /// attached).
     pub fn query_sic(&mut self, now: Timestamp, query: QueryId) -> Sic {
-        self.tracker.query_sic(now, query)
+        self.slot(query).map_or(Sic::ZERO, |e| e.sic(now))
     }
 
     /// When the next round is due.
@@ -203,13 +260,14 @@ impl Coordinator {
     /// `now` when the caller fell a whole interval behind — a late call
     /// fires once, it does not storm catch-up rounds.
     pub fn round(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) {
-        for c in self.queries.iter_mut() {
-            let sic = self.tracker.query_sic(now, c.query());
-            c.on_result_sic(sic);
-            for update in c.tick(now) {
-                self.messages += 1;
-                sink(update);
+        for e in &mut self.entries {
+            if e.coordinator.is_none() {
+                continue;
             }
+            let sic = e.sic(now);
+            let c = e.coordinator.as_mut().expect("checked above");
+            c.on_result_sic(sic);
+            self.messages += c.tick_into(now, &mut sink) as u64;
         }
         self.next_round += self.interval;
         if self.next_round <= now {
@@ -220,10 +278,10 @@ impl Coordinator {
     /// Samples the result SIC of every query whose sampling window
     /// covers `now`.
     pub fn sample(&mut self, now: Timestamp) {
-        for l in self.ledgers.iter_mut() {
-            if now >= l.from && l.until.map_or(true, |u| now < u) {
-                l.sum += self.tracker.query_sic(now, l.query).value();
-                l.samples += 1;
+        for e in &mut self.entries {
+            if now >= e.from && e.until.map_or(true, |u| now < u) {
+                e.sum += e.sic(now).value();
+                e.samples += 1;
             }
         }
     }
@@ -231,21 +289,25 @@ impl Coordinator {
     /// The run's per-query means, result counts and message count.
     pub fn finish(self) -> CoordinatorReport {
         let mut per_query: Vec<(QueryId, f64, usize)> = self
-            .ledgers
+            .entries
             .iter()
-            .map(|l| {
-                let mean = if l.samples == 0 {
+            .map(|e| {
+                let mean = if e.samples == 0 {
                     0.0
                 } else {
-                    l.sum / l.samples as f64
+                    e.sum / e.samples as f64
                 };
-                (l.query, mean, l.samples)
+                (e.query, mean, e.samples)
             })
             .collect();
         per_query.sort_by_key(|&(q, _, _)| q);
+        let mut result_counts = HashMap::new();
+        for e in self.entries.iter().filter(|e| e.result_count > 0) {
+            *result_counts.entry(e.query).or_insert(0) += e.result_count;
+        }
         CoordinatorReport {
             per_query,
-            result_counts: self.result_counts,
+            result_counts,
             messages: self.messages,
         }
     }
@@ -431,6 +493,25 @@ mod tests {
         c.sample(Timestamp::from_millis(300));
         let report = c.finish();
         assert_eq!(report.per_query, [(gone, 0.8, 1), (stays, 0.0, 2)]);
+    }
+
+    /// The engine samples at the instant of the round before it: the
+    /// sample reuses the SIC the round read, unless a result was recorded
+    /// in between.
+    #[test]
+    fn a_sample_at_the_round_instant_sees_a_record_made_in_between() {
+        let mut c = coordinator();
+        let q = QueryId(4);
+        c.attach(q, vec![NodeId(0)], Timestamp::ZERO, None);
+        c.record(Timestamp::from_millis(100), q, Sic(0.25));
+        let updates = round_at(&mut c, 250);
+        assert_eq!(updates[0].sic, Sic(0.25));
+        c.sample(Timestamp::from_millis(250));
+        c.record(Timestamp::from_millis(250), q, Sic(0.5));
+        c.sample(Timestamp::from_millis(250));
+        assert_eq!(c.query_sic(Timestamp::from_millis(250), q), Sic(0.75));
+        let report = c.finish();
+        assert_eq!(report.per_query, [(q, 0.5, 2)], "(0.25 + 0.75) / 2");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! timestamps; all other outputs are stamped with the pane's window
 //! timestamp. The hot path never materialises owning [`Tuple`]s, and an
 //! identity operator hands a pane's single drop-free input batch on by
-//! move (re-stamped per Eq. 3 like any output) instead of copying it.
+//! move (re-stamped per Eq. 3 like any output) instead of copying it;
+//! behind a pass-through window it does so as the batch is fed, without
+//! building a pane at all.
 
 use themis_core::prelude::*;
 
@@ -131,6 +133,12 @@ pub struct WindowedOperator {
     logic: Box<dyn PaneLogic>,
     /// [`PaneLogic::forwards_input`], read once.
     forwards: bool,
+    /// A forwarding logic behind a pass-through window: every fed batch is
+    /// its own pane, so it becomes an [`Emission`] at once, without
+    /// building a [`Pane`].
+    direct: bool,
+    /// Emissions of the direct path awaiting the next drain, in feed order.
+    emitted: Vec<Emission>,
     processed_tuples: u64,
 }
 
@@ -142,9 +150,12 @@ impl WindowedOperator {
         ports: usize,
         grace: TimeDelta,
     ) -> Self {
+        let forwards = logic.forwards_input();
         WindowedOperator {
             buffer: WindowBuffer::new(window, ports, grace),
-            forwards: logic.forwards_input(),
+            forwards,
+            direct: forwards && window == WindowSpec::PassThrough,
+            emitted: Vec::new(),
             logic,
             processed_tuples: 0,
         }
@@ -167,7 +178,29 @@ impl WindowedOperator {
     /// [`WindowedOperator::tick`], otherwise a due pane could close with
     /// only part of its input (e.g. a join seeing one side only).
     pub fn feed(&mut self, port: usize, batch: impl Into<TupleBatch>, now: Timestamp) {
-        self.buffer.push(port, batch, now);
+        if !self.direct {
+            self.buffer.push(port, batch, now);
+            return;
+        }
+        // The pane a pass-through window would build holds this one batch,
+        // stamped with its latest timestamp.
+        let batch = batch.into();
+        if batch.is_empty() {
+            return;
+        }
+        let (at, input_sic) = (batch.max_ts(), batch.sic_total());
+        self.processed_tuples += batch.len() as u64;
+        let out = if batch.drops().dropped() == 0 {
+            batch
+        } else {
+            // Dropped rows are compacted out by the copying path.
+            let out = self.logic.apply(&[&batch], at);
+            if let Some(pool) = self.buffer.pool() {
+                pool.recycle(batch);
+            }
+            out
+        };
+        push_stamped(&mut self.emitted, at, input_sic, out);
     }
 
     /// Feeds a batch into `port` and drains immediately; returns emissions
@@ -179,7 +212,7 @@ impl WindowedOperator {
         batch: impl Into<TupleBatch>,
         now: Timestamp,
     ) -> Vec<Emission> {
-        self.buffer.push(port, batch, now);
+        self.feed(port, batch, now);
         self.drain(now)
     }
 
@@ -188,10 +221,21 @@ impl WindowedOperator {
         self.drain(now)
     }
 
+    /// When [`WindowedOperator::tick`] next has a pane to close: at once
+    /// (`Timestamp::ZERO`) when an emission or pane is ready, otherwise
+    /// [`WindowBuffer::next_due`].
+    pub fn next_due(&self) -> Option<Timestamp> {
+        if self.emitted.is_empty() {
+            self.buffer.next_due()
+        } else {
+            Some(Timestamp::ZERO)
+        }
+    }
+
     /// True when [`WindowedOperator::tick`] at `now` has a pane to close
-    /// ([`WindowBuffer::has_due`]).
+    /// ([`WindowedOperator::next_due`] has passed).
     pub fn has_due(&self, now: Timestamp) -> bool {
-        self.buffer.has_due(now)
+        self.next_due().is_some_and(|due| due <= now)
     }
 
     /// Tuples processed by the logic so far (cost-model accounting).
@@ -217,18 +261,22 @@ impl WindowedOperator {
     }
 
     fn drain(&mut self, now: Timestamp) -> Vec<Emission> {
-        let panes = self.buffer.close_up_to(now);
-        let mut out = Vec::with_capacity(panes.len());
-        for mut pane in panes {
+        let mut out = std::mem::take(&mut self.emitted);
+        for mut pane in self.buffer.close_up_to(now) {
             let input_sic = pane.input_sic();
             self.processed_tuples += pane.input_len() as u64;
-            let mut batch = match self.forwarded_port(&pane) {
+            let batch = match self.forwarded_port(&pane) {
                 // The pane's one drop-free input already is the identity
                 // output: hand it on by move instead of copying it.
                 Some(port) => std::mem::take(&mut pane.inputs[port]),
                 None => {
-                    let groups: Vec<&TupleBatch> = pane.inputs.iter().collect();
-                    let batch = self.logic.apply(&groups, pane.at);
+                    let batch = match pane.inputs.as_slice() {
+                        [one] => self.logic.apply(&[one], pane.at),
+                        inputs => {
+                            let groups: Vec<&TupleBatch> = inputs.iter().collect();
+                            self.logic.apply(&groups, pane.at)
+                        }
+                    };
                     // The pane's columns are spent; with a pool attached
                     // they go back for the next emission/pane of the same
                     // schema.
@@ -240,13 +288,7 @@ impl WindowedOperator {
                     batch
                 }
             };
-            // A pane yielding no derived tuples emits nothing (its mass is
-            // lost — the paper's model); otherwise Eq. 3 re-stamps every
-            // output with an equal share of the pane's input mass.
-            if !batch.is_empty() {
-                batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
-                out.push(Emission::new(pane.at, batch));
-            }
+            push_stamped(&mut out, pane.at, input_sic, batch);
         }
         out
     }
@@ -262,6 +304,17 @@ impl WindowedOperator {
         let mut inputs = pane.inputs.iter().enumerate().filter(|(_, b)| b.rows() > 0);
         let (port, batch) = inputs.next()?;
         (inputs.next().is_none() && batch.drops().dropped() == 0).then_some(port)
+    }
+}
+
+/// Appends `batch` to `out` as an emission stamped `at`. A pane yielding
+/// no derived tuples emits nothing (its mass is lost — the paper's model);
+/// otherwise Eq. 3 re-stamps every output with an equal share of the
+/// pane's input mass.
+fn push_stamped(out: &mut Vec<Emission>, at: Timestamp, input_sic: Sic, mut batch: TupleBatch) {
+    if !batch.is_empty() {
+        batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
+        out.push(Emission::new(at, batch));
     }
 }
 

@@ -87,6 +87,17 @@ impl WindowSpec {
             WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. }
         )
     }
+
+    /// End of time pane `idx`, in microseconds (0 for untimed windows).
+    fn pane_end(&self, idx: u64) -> u64 {
+        match *self {
+            WindowSpec::Tumbling { size } => (idx + 1) * size.as_micros().max(1),
+            WindowSpec::Sliding { size, slide } => {
+                idx * slide.as_micros().max(1) + size.as_micros().max(1)
+            }
+            _ => 0,
+        }
+    }
 }
 
 /// A closed pane ready for operator processing.
@@ -127,7 +138,7 @@ pub struct WindowBuffer {
     grace: TimeDelta,
     /// Time windows: pane index -> per-port columnar batches.
     panes: BTreeMap<u64, Vec<TupleBatch>>,
-    /// Count windows: per-port pending columns.
+    /// Count windows: per-port pending columns (empty for other kinds).
     pending: Vec<TupleBatch>,
     /// Pass-through: panes emitted directly on push.
     ready: Vec<Pane>,
@@ -146,7 +157,10 @@ impl WindowBuffer {
             ports: ports.max(1),
             grace,
             panes: BTreeMap::new(),
-            pending: vec![TupleBatch::new(); ports.max(1)],
+            pending: match spec {
+                WindowSpec::Count { .. } => vec![TupleBatch::new(); ports.max(1)],
+                _ => Vec::new(),
+            },
             ready: Vec::new(),
             pool: None,
         }
@@ -260,16 +274,6 @@ impl WindowBuffer {
         }
     }
 
-    fn pane_end(&self, idx: u64) -> u64 {
-        match self.spec {
-            WindowSpec::Tumbling { size } => (idx + 1) * size.as_micros().max(1),
-            WindowSpec::Sliding { size, slide } => {
-                idx * slide.as_micros().max(1) + size.as_micros().max(1)
-            }
-            _ => 0,
-        }
-    }
-
     /// Exports every buffered pane for checkpointing: one
     /// `(key, port, batch)` entry per non-empty per-port column store.
     /// The transient `ready` queue is not exported — pass-through and
@@ -298,25 +302,29 @@ impl WindowBuffer {
         let port = port.min(self.ports - 1);
         match key {
             PaneKey::Time(idx) => *pane_port(&mut self.panes, self.ports, idx, port) = batch,
-            PaneKey::Pending => self.pending[port] = batch,
+            // Only a count window exports pending columns.
+            PaneKey::Pending => {
+                if let Some(pending) = self.pending.get_mut(port) {
+                    *pending = batch;
+                }
+            }
         }
     }
 
-    /// True when [`WindowBuffer::close_up_to`] at `now` has a pane to
-    /// close: a pass-through or count pane is ready, or the oldest time
-    /// pane's end plus grace has passed. Lets an idle tick skip the close
-    /// (and its allocations) altogether.
-    pub fn has_due(&self, now: Timestamp) -> bool {
+    /// When [`WindowBuffer::close_up_to`] next has a pane to close: at
+    /// once (`Timestamp::ZERO`) when a pass-through or count pane is
+    /// ready, at the oldest time pane's end plus grace otherwise, and
+    /// never (`None`) while the buffer holds no pane. Lets an idle tick
+    /// skip the close (and its allocations) altogether.
+    pub fn next_due(&self) -> Option<Timestamp> {
         if !self.ready.is_empty() {
-            return true;
+            return Some(Timestamp::ZERO);
         }
-        let deadline = now.as_micros().saturating_sub(self.grace.as_micros());
-        self.spec.is_timed()
-            && self
-                .panes
-                .keys()
-                .next()
-                .is_some_and(|&idx| self.pane_end(idx) <= deadline)
+        if !self.spec.is_timed() {
+            return None;
+        }
+        let (&idx, _) = self.panes.first_key_value()?;
+        Some(Timestamp(self.spec.pane_end(idx) + self.grace.as_micros()))
     }
 
     /// Closes every time pane whose end (plus grace) has passed `now` and
@@ -327,21 +335,20 @@ impl WindowBuffer {
         if !self.spec.is_timed() {
             return out;
         }
+        let spec = self.spec;
         let deadline = now.as_micros().saturating_sub(self.grace.as_micros());
-        let closed: Vec<u64> = self
-            .panes
-            .keys()
-            .copied()
-            .take_while(|&idx| self.pane_end(idx) <= deadline)
-            .collect();
-        for idx in closed {
-            let inputs = self.panes.remove(&idx).expect("pane exists");
+        while let Some(entry) = self.panes.first_entry() {
+            let idx = *entry.key();
+            if spec.pane_end(idx) > deadline {
+                break;
+            }
+            let inputs = entry.remove();
             if inputs.iter().all(TupleBatch::is_empty) {
                 continue;
             }
             // Stamp 1 us before the end so downstream windows assign the
             // derived tuples to this same window index.
-            let at = Timestamp(self.pane_end(idx).saturating_sub(1));
+            let at = Timestamp(spec.pane_end(idx).saturating_sub(1));
             out.push(Pane { at, inputs });
         }
         out

@@ -9,7 +9,8 @@
 //! fragment emissions through callbacks. Sim↔engine parity therefore holds
 //! by construction: both run this one tick.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::time::Instant;
 
 use themis_core::prelude::*;
@@ -60,6 +61,9 @@ pub struct NodeReport {
     /// overrunning predecessor); the skipped periods are dropped, not
     /// replayed.
     pub late_ticks: u64,
+    /// Fragments a tick visited for a due pane; idle fragments are not
+    /// visited, so this stays near the due count, not hosted × ticks.
+    pub fragment_visits: u64,
 }
 
 impl NodeReport {
@@ -96,6 +100,7 @@ impl NodeReport {
         self.sic_updates += other.sic_updates;
         self.ticks += other.ticks;
         self.late_ticks += other.late_ticks;
+        self.fragment_visits += other.fragment_visits;
     }
 }
 
@@ -113,7 +118,29 @@ impl<'a> std::iter::Sum<&'a NodeReport> for NodeReport {
 struct Hosted {
     runtime: FragmentRuntime,
     downstream: Option<(usize, usize)>,
+    /// The due time of the fragment's one live entry in [`Node::due`];
+    /// `None` when it has none (no pane buffered).
+    scheduled: Option<Timestamp>,
 }
+
+impl Hosted {
+    /// Gives the fragment a live `due` entry at its runtime's next due
+    /// time, unless its live entry already falls no later. The entry it
+    /// replaces stays in the heap as a stale one: its time no longer
+    /// matches `scheduled`, so the tick discards it.
+    fn schedule(&mut self, key: (QueryId, usize), due: &mut DueHeap) {
+        let Some(at) = self.runtime.next_due() else {
+            return;
+        };
+        if self.scheduled.map_or(true, |s| at < s) {
+            self.scheduled = Some(at);
+            due.push(Reverse((at, key.0, key.1)));
+        }
+    }
+}
+
+/// A min-heap of `(due time, query, fragment)` entries.
+type DueHeap = BinaryHeap<Reverse<(Timestamp, QueryId, usize)>>;
 
 /// The Figure-5 node: input buffer (IB), SIC assigners and table, overload
 /// detector and cost model, tuple shedder, and the operators (fragment
@@ -121,6 +148,12 @@ struct Hosted {
 pub struct Node {
     /// Hosted fragments, ordered for deterministic tick iteration.
     fragments: BTreeMap<(QueryId, usize), Hosted>,
+    /// When each fragment next has a due pane: the tick visits only the
+    /// fragments whose entry has come due, not every hosted one.
+    due: DueHeap,
+    /// The fragments the current tick visits, sorted into `fragments`
+    /// order (kept across ticks for its capacity).
+    visit: Vec<(QueryId, usize)>,
     assigners: HashMap<QueryId, SourceSicAssigner>,
     buffer: Vec<RoutedBatch>,
     /// Latest coordinator-disseminated result SIC per query.
@@ -143,6 +176,8 @@ impl Node {
     pub fn new(shedder: Box<dyn Shedder>, stw: StwConfig, detector: OverloadDetector) -> Self {
         Node {
             fragments: BTreeMap::new(),
+            due: BinaryHeap::new(),
+            visit: Vec::new(),
             assigners: HashMap::new(),
             buffer: Vec::new(),
             sic_table: SicTable::new(),
@@ -187,18 +222,24 @@ impl Node {
         let hosted = Hosted {
             runtime: FragmentRuntime::new(&query.fragments[fragment]),
             downstream,
+            scheduled: None,
         };
         self.fragments.insert(key, hosted);
         &mut self.fragments.get_mut(&key).expect("just inserted").runtime
     }
 
-    /// Removes every fragment of `query`, its SIC assigner and table
-    /// entry, and purges its buffered batches, counting them as shed.
-    /// Returns the number of fragments still hosted.
+    /// Removes every fragment of `query`, its SIC assigner, table entry
+    /// and local SIC accumulator, and purges its buffered batches,
+    /// counting them as shed. Returns the number of fragments still
+    /// hosted. Its `due` entries turn stale and are discarded when they
+    /// come due.
     pub fn detach(&mut self, query: QueryId) -> usize {
         self.fragments.retain(|&(q, _), _| q != query);
         self.assigners.remove(&query);
         self.sic_table.remove(query);
+        if let Some(local) = &mut self.local_sic {
+            local.remove(&query);
+        }
         let stats = &mut self.stats;
         self.buffer.retain(|rb| {
             let purge = rb.query == query;
@@ -287,10 +328,12 @@ impl Node {
             self.sic_table.set(query, sic);
         }
         for pane in &snap.panes {
-            if let Some(hosted) = self.fragments.get_mut(&(pane.query, pane.fragment)) {
+            let key = (pane.query, pane.fragment);
+            if let Some(hosted) = self.fragments.get_mut(&key) {
                 hosted
                     .runtime
                     .restore_window(pane.op, pane.key, pane.port, pane.batch.clone());
+                hosted.schedule(key, &mut self.due);
             }
         }
     }
@@ -298,11 +341,12 @@ impl Node {
     /// Runs one shedding interval at logical time `now`: capacity →
     /// per-query buffer states with §6's projected base SIC → the shedder →
     /// a shed bitmap over buffer slots → the kept batches into their
-    /// fragments → every fragment's windows advanced. Shed batches go to
-    /// `shed`; each hosted fragment's root emissions go to `emit` as
-    /// `(query, fragment, downstream, emissions)`, `downstream` being what
-    /// the fragment was attached with. Returns the tuples admitted, for the
-    /// caller's cost-model observation.
+    /// fragments → the windows of every fragment with a due pane advanced,
+    /// in `(query, fragment)` order. Shed batches go to `shed`; fragment
+    /// root emissions go to `emit` as `(query, fragment, downstream,
+    /// emissions)`, `downstream` being what the fragment was attached
+    /// with. Returns the tuples admitted, for the caller's cost-model
+    /// observation.
     pub fn tick(
         &mut self,
         now: Timestamp,
@@ -353,16 +397,43 @@ impl Node {
             if let Some(acc) = self.local_sic.as_mut().and_then(|l| l.get_mut(&rb.query)) {
                 acc.add(now, rb.batch.sic().value());
             }
-            if let Some(hosted) = self.fragments.get_mut(&(rb.query, rb.fragment)) {
+            let key = (rb.query, rb.fragment);
+            if let Some(hosted) = self.fragments.get_mut(&key) {
                 // The batch's columns move into the fragment: no per-tuple
                 // materialisation.
                 let emissions = hosted.runtime.ingest(rb.ingress, rb.batch.into_data(), now);
                 emit(rb.query, rb.fragment, hosted.downstream, emissions);
+                hosted.schedule(key, &mut self.due);
             }
         }
-        for (&(query, fragment), hosted) in self.fragments.iter_mut() {
-            emit(query, fragment, hosted.downstream, hosted.runtime.tick(now));
+        // Pop the due entries; a stale one (its fragment detached, re-
+        // attached or rescheduled earlier) no longer matches `scheduled`.
+        let mut visit = std::mem::take(&mut self.visit);
+        while let Some(&Reverse((at, query, fragment))) = self.due.peek() {
+            if at > now {
+                break;
+            }
+            self.due.pop();
+            if let Some(hosted) = self.fragments.get_mut(&(query, fragment)) {
+                if hosted.scheduled == Some(at) {
+                    hosted.scheduled = None;
+                    visit.push((query, fragment));
+                }
+            }
         }
+        // Fragments that were not due emit nothing, so visiting the due
+        // ones in map order emits what a walk over all of them would.
+        visit.sort_unstable();
+        self.stats.fragment_visits += visit.len() as u64;
+        for key in visit.drain(..) {
+            let hosted = self
+                .fragments
+                .get_mut(&key)
+                .expect("visited fragments are hosted");
+            emit(key.0, key.1, hosted.downstream, hosted.runtime.tick(now));
+            hosted.schedule(key, &mut self.due);
+        }
+        self.visit = visit;
         kept
     }
 }
@@ -572,6 +643,152 @@ mod tests {
         assert_eq!(fresh.sic_table.get(q.id), Sic(0.4));
         fresh.set_sic(q.id, Sic(0.1));
         assert_eq!(fresh.sic_table.get(q.id), Sic(0.1));
+    }
+
+    #[test]
+    fn detach_forgets_the_local_sic_accumulator() {
+        let (q0, q1) = (avg_query(0), avg_query(1));
+        let mut n = node();
+        n.use_local_sic(true);
+        n.attach(&q0, 0, None);
+        n.attach(&q1, 0, None);
+        n.enqueue(source_batch(&q0, 10, 5), Timestamp::from_millis(10));
+        n.enqueue(source_batch(&q1, 10, 5), Timestamp::from_millis(10));
+        tick(&mut n, 250);
+        let local = |n: &Node, q: QueryId| n.local_sic.as_ref().unwrap().contains_key(&q);
+        assert!(local(&n, q0.id) && local(&n, q1.id));
+        n.detach(q0.id);
+        assert!(!local(&n, q0.id), "a detached query's accumulator lingered");
+        assert!(local(&n, q1.id));
+    }
+
+    /// 64 AVG queries at 1 t/s each, ticked every 250 ms: only the
+    /// fragments with a due pane are visited — one visit per closed pane,
+    /// a quarter of the hosted fragments per tick on average, not all 64
+    /// on every tick.
+    #[test]
+    fn a_tick_visits_only_fragments_with_a_due_pane() {
+        let queries: Vec<QuerySpec> = (0..64).map(avg_query).collect();
+        let mut n = node();
+        for q in &queries {
+            n.attach(q, 0, None);
+        }
+        let (mut ticks, mut results) = (0u64, 0u64);
+        for t in (250..=8_000u64).step_by(250) {
+            // Query k's tuple of second s arrives at s + 10 + 15·k ms; enqueue
+            // those of the interval (t − 250 ms, t].
+            for (k, q) in queries.iter().enumerate() {
+                for s in (t / 1_000).saturating_sub(1)..=t / 1_000 {
+                    let ms = 1_000 * s + 10 + 15 * k as u64;
+                    if ms + 250 > t && ms <= t && ms < 8_000 {
+                        n.enqueue(source_batch(q, ms, 1), Timestamp::from_millis(ms));
+                    }
+                }
+            }
+            n.tick(Timestamp::from_millis(t), drop, |_, _, _, e| {
+                results += e.len() as u64;
+            });
+            ticks += 1;
+        }
+        // Panes [0, 1 s) … [6 s, 7 s) close 500 ms after their end, by 8 s.
+        assert_eq!(results, 64 * 7);
+        assert_eq!(n.stats.fragment_visits, 64 * 7, "one visit per closed pane");
+        assert_eq!(n.stats.fragment_visits / ticks, 14, "≈16 per tick, not 64");
+        let total: NodeReport = [n.stats.clone(), n.stats.clone()].iter().sum();
+        assert_eq!(total.fragment_visits, 2 * 64 * 7, "absorb sums visits");
+    }
+
+    #[test]
+    fn a_restored_pane_emits_on_its_first_due_tick() {
+        let q = avg_query(0);
+        let mut n = node();
+        n.attach(&q, 0, None);
+        n.enqueue(source_batch(&q, 100, 4), Timestamp::from_millis(100));
+        tick(&mut n, 250);
+        let snap = n.checkpoint(0);
+        assert_eq!(snap.panes.len(), 1, "the open [0, 1 s) pane");
+        let mut fresh = node();
+        fresh.attach(&q, 0, None);
+        fresh.restore(&snap);
+        let mut emitted = Vec::new();
+        for t in [500u64, 1_000, 1_250, 1_500] {
+            fresh.tick(Timestamp::from_millis(t), drop, |_, _, _, e| {
+                emitted.extend(e.into_iter().map(|e| (t, e)));
+            });
+        }
+        assert_eq!(emitted.len(), 1, "the restored pane closed");
+        let (t, e) = &emitted[0];
+        assert_eq!(*t, 1_500, "on the first tick past end + grace");
+        assert_eq!(e.batch().row(0).f64(0), 50.0);
+    }
+
+    mod active_set {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Queries of a few shapes: one- and multi-operator fragments,
+        /// one and two sources.
+        fn queries() -> Vec<QuerySpec> {
+            let mut gen = IdGen::new();
+            [
+                Template::Avg,
+                Template::Max,
+                Template::Count,
+                Template::Cov { fragments: 1 },
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| t.build(QueryId(i as u32), &mut gen))
+            .collect()
+        }
+
+        proptest! {
+            /// Under any schedule of attach, enqueue (late tuples
+            /// included), tick, detach and re-attach, a tick leaves no
+            /// hosted fragment with a due pane: every due fragment had a
+            /// live entry in the due heap.
+            #[test]
+            fn no_fragment_is_left_due_after_a_tick(
+                steps in prop::collection::vec((0u8..8, 0usize..4, 0u64..400, 0u64..2_000), 1..120)
+            ) {
+                let queries = queries();
+                let mut n = node();
+                let mut now = 0u64;
+                for (action, qi, advance, lateness) in steps {
+                    let q = &queries[qi];
+                    now += advance;
+                    match action {
+                        0 => {
+                            n.attach(q, 0, None);
+                        }
+                        1 => {
+                            n.detach(q.id);
+                        }
+                        2..=5 => {
+                            let src = &q.fragments[0].sources[action as usize % q.fragments[0].sources.len()];
+                            let ts = now.saturating_sub(lateness % 1_200);
+                            let tuples = (0..=lateness % 3)
+                                .map(|k| Tuple::measurement(Timestamp::from_millis(ts), Sic::ZERO, k as f64 * 40.0))
+                                .collect();
+                            let rb = RoutedBatch {
+                                query: q.id,
+                                fragment: 0,
+                                ingress: Ingress::Source(src.source),
+                                batch: Batch::from_source(q.id, src.source, Timestamp::from_millis(ts), tuples),
+                            };
+                            n.enqueue(rb, Timestamp::from_millis(now));
+                        }
+                        _ => {
+                            let at = Timestamp::from_millis(now);
+                            tick(&mut n, now);
+                            for (key, hosted) in &n.fragments {
+                                prop_assert!(!hosted.runtime.has_due(at), "{key:?} still due at {now} ms");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -98,10 +98,23 @@ impl FragmentRuntime {
     /// once — without allocating or running an operator — when no window
     /// has a due pane, which is most ticks of a slow source's fragment.
     pub fn tick(&mut self, now: Timestamp) -> Vec<Emission> {
-        if !self.ops.iter().any(|op| op.has_due(now)) {
+        if !self.has_due(now) {
             return Vec::new();
         }
         self.run(now, None)
+    }
+
+    /// True when [`FragmentRuntime::tick`] at `now` has a pane to close.
+    pub fn has_due(&self, now: Timestamp) -> bool {
+        self.ops.iter().any(|op| op.has_due(now))
+    }
+
+    /// When [`FragmentRuntime::tick`] next has work: the earliest
+    /// [`WindowedOperator::next_due`] over the operators (`Timestamp::ZERO`
+    /// when a pane is ready now), `None` while no operator holds a pane.
+    /// A tick before this instant returns at once.
+    pub fn next_due(&self) -> Option<Timestamp> {
+        self.ops.iter().filter_map(WindowedOperator::next_due).min()
     }
 
     /// Total tuples buffered in open windows across operators.
@@ -136,30 +149,24 @@ impl FragmentRuntime {
         now: Timestamp,
         initial: Option<(usize, usize, TupleBatch)>,
     ) -> Vec<Emission> {
-        // Deliveries `(op, port, batch)` not yet fed, in production order.
-        // Every target lies later in topological order, so one flat list
-        // serves the whole pass.
-        let mut pending: Vec<(usize, usize, TupleBatch)> = initial.into_iter().collect();
+        // A batch is fed to its operator as soon as it exists: every
+        // target lies later in topological order, so each operator holds
+        // all of its input (all ports!) before its turn to drain, and
+        // multi-port operators never close a pane with partial input.
+        // Feeding only buffers, so no pending list is needed.
+        if let Some((op, port, batch)) = initial {
+            self.ops[op].feed(port, batch, now);
+        }
         let mut results = Vec::new();
-        for idx in 0..self.topo.len() {
-            let i = self.topo[idx];
-            // Feed every pending delivery (all ports!) before draining, so
-            // multi-port operators never close a pane with partial input.
-            let mut k = 0;
-            while k < pending.len() {
-                if pending[k].0 == i {
-                    let (_, port, batch) = pending.remove(k);
-                    self.ops[i].feed(port, batch, now);
-                } else {
-                    k += 1;
-                }
-            }
+        for &i in &self.topo {
             let emissions = self.ops[i].tick(now);
             if emissions.is_empty() {
                 continue;
             }
             if i == self.root {
-                results.extend(emissions);
+                // The root runs once per pass: its emissions are the
+                // result, moved rather than copied into a second vector.
+                results = emissions;
                 continue;
             }
             let Some((&(last, last_port), rest)) = self.downstream[i].split_last() else {
@@ -170,9 +177,9 @@ impl FragmentRuntime {
                 // of memcpys, not one allocation per tuple); the last —
                 // usually the only one — takes the batch by move.
                 for &(to, port) in rest {
-                    pending.push((to, port, e.batch().clone()));
+                    self.ops[to].feed(port, e.batch().clone(), now);
                 }
-                pending.push((last, last_port, e.into_batch()));
+                self.ops[last].feed(last_port, e.into_batch(), now);
             }
         }
         results

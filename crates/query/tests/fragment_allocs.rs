@@ -5,7 +5,8 @@
 //!
 //! Pinned:
 //! - a one-tuple AVG `ingest` (the `many-sources` shape: one tuple per
-//!   batch, each in its own 1 s pane) costs at most 12 allocations;
+//!   batch, each in its own 1 s pane) costs at most 7 allocations;
+//! - the `tick` that closes such a pane costs at most 9 per emission;
 //! - a `tick` with no due pane costs none;
 //! - every emission of a move-forwarded batch equals the copy path's bit
 //!   for bit, for every window kind and for whole template fragments (a
@@ -78,7 +79,7 @@ fn batch(schema: &Schema, ms: u64, sic: f64, values: &[f64]) -> TupleBatch {
 }
 
 #[test]
-fn one_tuple_avg_ingest_stays_under_twelve_allocations() {
+fn one_tuple_avg_ingest_stays_under_seven_allocations() {
     let q = avg_query();
     let src = &q.sources[0];
     let mut rt = FragmentRuntime::new(&q.fragments[0]);
@@ -97,7 +98,29 @@ fn one_tuple_avg_ingest_stays_under_twelve_allocations() {
         rt.tick(Timestamp::from_millis(ms + 600));
     }
     let mean = total as f64 / N as f64;
-    assert!(mean <= 12.0, "{mean} allocations per one-tuple ingest");
+    assert!(mean <= 7.0, "{mean} allocations per one-tuple ingest");
+}
+
+#[test]
+fn one_tuple_avg_pane_close_stays_under_nine_allocations() {
+    let q = avg_query();
+    let src = &q.sources[0];
+    let mut rt = FragmentRuntime::new(&q.fragments[0]);
+    const N: u64 = 64;
+    let (mut total, mut emissions) = (0, 0);
+    for k in 0..N {
+        let ms = 1_000 * k + 100;
+        let b = batch(&src.schema(), ms, 0.5, &[k as f64]);
+        rt.ingest(Ingress::Source(src.id), b, Timestamp::from_millis(ms));
+        // [k s, k+1 s) closes 500 ms of grace after its end.
+        let close = Timestamp::from_millis(1_000 * k + 1_500);
+        let (out, n) = counted(|| rt.tick(close));
+        assert_eq!(out.len(), 1, "pane {k} closed");
+        total += n;
+        emissions += out.len() as u64;
+    }
+    let mean = total as f64 / emissions as f64;
+    assert!(mean <= 9.0, "{mean} allocations per closed AVG pane");
 }
 
 #[test]
