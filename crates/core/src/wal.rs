@@ -1089,6 +1089,32 @@ mod tests {
         }
     }
 
+    /// A whole record stream (a typed snapshot with dropped rows, then a
+    /// delta) pinned by length and CRC-32, plus the checkpoint file the
+    /// shard log writes for the same snapshot. Round-trip tests cannot see
+    /// a format change made to the encoder and decoder at once; this can.
+    #[test]
+    fn record_stream_bytes_are_pinned() {
+        let mut buf = Vec::new();
+        encode_record(&WalRecord::Snapshot(snapshot()), &mut buf);
+        let snapshot_len = buf.len();
+        encode_record(
+            &WalRecord::SicDelta(SicDelta {
+                node: 3,
+                query: QueryId(1),
+                sic: Sic(0.75),
+            }),
+            &mut buf,
+        );
+        assert_eq!((buf.len(), crc32(&buf)), (281, 0xd3a5_ca92));
+        let root = tmp_root("pinned");
+        let mut log = ShardLog::create(&root, 0).unwrap();
+        log.checkpoint(&[snapshot()]).unwrap();
+        let ckpt = fs::read(checkpoint_path(&shard_dir(&root, 0), 0)).unwrap();
+        assert_eq!(ckpt, buf[..snapshot_len]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".

@@ -492,6 +492,40 @@ mod tests {
         }
     }
 
+    /// A whole session (hello, batch, bye) pinned by length and CRC-32.
+    /// Round-trip tests cannot see a format change made to the encoder
+    /// and decoder at once; this can.
+    #[test]
+    fn session_bytes_are_pinned() {
+        let mut buf = Vec::new();
+        encode_msg(
+            &NetMsg::Hello {
+                version: PROTOCOL_VERSION,
+                peer: "pump-0".into(),
+            },
+            &mut buf,
+        );
+        encode_msg(
+            &NetMsg::Batch(WireBatch {
+                node: 3,
+                query: QueryId(7),
+                fragment: 1,
+                source: SourceId(9),
+                created: Timestamp(12345),
+                batch: batch(),
+            }),
+            &mut buf,
+        );
+        encode_msg(
+            &NetMsg::Bye {
+                sent_batches: 41,
+                shed_batches: 1,
+            },
+            &mut buf,
+        );
+        assert_eq!((buf.len(), crc32(&buf)), (216, 0x9dbd_b755));
+    }
+
     #[test]
     fn retired_payload_tag_is_located_corruption() {
         // A batch frame whose payload carries tag 0, the retired
