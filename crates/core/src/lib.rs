@@ -51,6 +51,7 @@ pub mod bits;
 pub mod capacity;
 pub mod coordinator;
 pub mod fairness;
+pub mod frame;
 pub mod ids;
 pub mod metrics;
 pub mod schema;

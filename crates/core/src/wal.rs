@@ -7,15 +7,9 @@
 //! bound away from its checkpointed value keeps post-restore divergence
 //! bounded without replaying every tuple.
 //!
-//! The on-disk unit is a **frame**:
-//!
-//! ```text
-//! [len: u32 LE] [crc: u32 LE] [kind: u8] [payload: len-1 bytes]
-//! ```
-//!
-//! `len` counts the kind byte plus the payload; `crc` is CRC-32 (IEEE) over
-//! the kind byte and payload, computed 16 bytes per step ([`crc32`], the
-//! one checksum the wire codec shares). Two record kinds exist:
+//! The on-disk unit is a **frame** of [`crate::frame`], the one format the
+//! wire codec shares (`[len][crc][kind][payload]`, CRC-32 via [`crc32`]).
+//! Two record kinds exist:
 //!
 //! * [`NodeSnapshot`] (`kind = 1`) — one node's full recoverable state:
 //!   its SIC table and every buffered window pane as a columnar
@@ -42,89 +36,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::batch::{DropBitmap, TupleBatch};
+use crate::frame::{
+    corrupt, put_str, put_u32, put_u64, read_frame, truncated, unknown_kind, write_frame, Reader,
+};
 use crate::ids::QueryId;
 use crate::schema::{BoolColumn, Column, FieldType, Schema, TagColumn, TagInterner};
 use crate::sic::Sic;
 use crate::time::Timestamp;
 
+pub use crate::frame::{crc32, FRAME_HEADER_BYTES};
+
 /// Record kind byte of a [`NodeSnapshot`] frame.
 pub const REC_NODE_SNAPSHOT: u8 = 1;
 /// Record kind byte of a [`SicDelta`] frame.
 pub const REC_SIC_DELTA: u8 = 2;
-
-/// Bytes of frame header (`len` + `crc`) preceding every record.
-pub const FRAME_HEADER_BYTES: usize = 8;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), slicing-by-16 over tables generated at compile time —
-// no dependency.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// `tables[k][b]` is the CRC register contribution of byte `b` followed by
-/// `k` zero bytes, so one step can fold 16 input bytes independently.
-/// `tables[0]` is the classic bytewise table.
-const fn crc32_tables() -> [[u32; 256]; 16] {
-    let mut tables = [[0u32; 256]; 16];
-    tables[0] = crc32_table();
-    let mut k = 1;
-    while k < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
-
-/// CRC-32 (IEEE) of `data` — the checksum of every WAL frame, checkpoint
-/// and wire frame. Folds 16 bytes per step (slicing-by-16) and finishes
-/// the sub-16-byte tail bytewise; the output is the standard CRC-32, so
-/// the bytes on disk and on the wire are those of a bytewise CRC.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(16);
-    for block in &mut blocks {
-        let mut bytes: [u8; 16] = block.try_into().expect("16-byte block");
-        // The register overlaps the block's first four bytes; the other
-        // twelve enter unmixed.
-        let head = c ^ u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        bytes[..4].copy_from_slice(&head.to_le_bytes());
-        c = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            c ^= t[15 - i][b as usize];
-        }
-    }
-    for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Records
@@ -236,13 +161,6 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-fn corrupt(offset: u64, detail: impl Into<String>) -> WalError {
-    WalError::Corrupt {
-        offset,
-        detail: detail.into(),
-    }
-}
-
 /// Prefixes a [`WalError::Corrupt`] detail with the file it came from.
 fn in_file(err: WalError, path: &Path) -> WalError {
     match err {
@@ -251,114 +169,6 @@ fn in_file(err: WalError, path: &Path) -> WalError {
             detail: format!("{}: {detail}", path.display()),
         },
         other => other,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive writers/readers
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked little-endian reader over one frame body. `base` is
-/// the body's absolute offset, so errors name file positions.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Reader { buf, pos: 0, base }
-    }
-
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WalError> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt(
-                self.offset(),
-                format!(
-                    "truncated {what}: need {n} bytes, {} left in record",
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WalError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WalError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WalError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, WalError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// A length guarded against the bytes actually remaining, so corrupt
-    /// counts fail as "truncated" instead of attempting huge allocations.
-    fn count(&mut self, per_item: usize, what: &str) -> Result<usize, WalError> {
-        let n = self.u32(what)? as usize;
-        let need = n.saturating_mul(per_item.max(1));
-        if self.buf.len() - self.pos < need {
-            return Err(corrupt(
-                self.offset(),
-                format!(
-                    "implausible {what} count {n}: needs ≥{need} bytes, {} left in record",
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, WalError> {
-        let n = self.count(1, what)?;
-        let at = self.offset();
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| corrupt(at, format!("{what} is not valid utf-8")))
-    }
-
-    fn done(&self, what: &str) -> Result<(), WalError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt(
-                self.offset(),
-                format!(
-                    "{} trailing bytes after {what} record",
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -389,7 +199,12 @@ fn field_type_from(code: u8, at: u64) -> Result<FieldType, WalError> {
     }
 }
 
-fn encode_batch(out: &mut Vec<u8>, batch: &TupleBatch) {
+/// Encodes one [`TupleBatch`] in the WAL's columnar batch layout
+/// (timestamps, bit-exact SIC values, drop-bitmap words, then the typed
+/// payload: schema, code-ordered tag-dictionary snapshot, columns).
+/// Exposed so the wire codec frames the exact same bytes the durability
+/// layer does; see [`decode_batch_bytes`] for the inverse.
+pub fn encode_batch_bytes(out: &mut Vec<u8>, batch: &TupleBatch) {
     let rows = batch.rows();
     put_u32(out, rows as u32);
     for ts in batch.ts_column() {
@@ -462,15 +277,6 @@ fn encode_batch(out: &mut Vec<u8>, batch: &TupleBatch) {
 /// remote source ships for the same query resolves into one shared
 /// schema and tag dictionary.
 pub type SchemaCache = HashMap<(QueryId, Vec<(String, FieldType)>), Schema>;
-
-/// Encodes one [`TupleBatch`] in the WAL's columnar batch layout
-/// (timestamps, bit-exact SIC values, drop-bitmap words, then the typed
-/// payload: schema, code-ordered tag-dictionary snapshot, columns).
-/// Exposed so the wire codec frames the exact same bytes the durability
-/// layer does; see [`decode_batch_bytes`] for the inverse.
-pub fn encode_batch_bytes(out: &mut Vec<u8>, batch: &TupleBatch) {
-    encode_batch(out, batch);
-}
 
 /// Decodes one batch that occupies *exactly* `buf` (trailing bytes are a
 /// [`WalError::Corrupt`]). `base` is `buf`'s absolute offset within the
@@ -634,7 +440,7 @@ fn encode_pane(out: &mut Vec<u8>, pane: &PaneRecord) {
         }
         PaneKey::Pending => out.push(1),
     }
-    encode_batch(out, &pane.batch);
+    encode_batch_bytes(out, &pane.batch);
 }
 
 fn decode_pane(r: &mut Reader<'_>, schemas: &mut SchemaCache) -> Result<PaneRecord, WalError> {
@@ -688,6 +494,7 @@ fn decode_snapshot(
     for _ in 0..n_panes {
         panes.push(decode_pane(r, schemas)?);
     }
+    r.done("snapshot")?;
     Ok(NodeSnapshot { node, sic, panes })
 }
 
@@ -698,32 +505,23 @@ fn encode_delta(out: &mut Vec<u8>, delta: &SicDelta) {
 }
 
 fn decode_delta(r: &mut Reader<'_>) -> Result<SicDelta, WalError> {
-    Ok(SicDelta {
+    let delta = SicDelta {
         node: r.u32("delta node")? as usize,
         query: QueryId(r.u32("delta query")?),
         sic: Sic(r.f64("delta sic")?),
-    })
+    };
+    r.done("sic delta")?;
+    Ok(delta)
 }
 
 /// Appends one framed record to `out`.
 pub fn encode_record(record: &WalRecord, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
     match record {
         WalRecord::Snapshot(s) => {
-            out.push(REC_NODE_SNAPSHOT);
-            encode_snapshot(out, s);
+            write_frame(out, REC_NODE_SNAPSHOT, |out| encode_snapshot(out, s))
         }
-        WalRecord::SicDelta(d) => {
-            out.push(REC_SIC_DELTA);
-            encode_delta(out, d);
-        }
+        WalRecord::SicDelta(d) => write_frame(out, REC_SIC_DELTA, |out| encode_delta(out, d)),
     }
-    let body = start + FRAME_HEADER_BYTES;
-    let len = (out.len() - body) as u32;
-    let crc = crc32(&out[body..]);
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn decode_stream(buf: &[u8], tolerate_torn_tail: bool) -> Result<(Vec<WalRecord>, bool), WalError> {
@@ -731,63 +529,22 @@ fn decode_stream(buf: &[u8], tolerate_torn_tail: bool) -> Result<(Vec<WalRecord>
     let mut schemas = SchemaCache::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        let remaining = buf.len() - pos;
-        if remaining < FRAME_HEADER_BYTES {
-            if tolerate_torn_tail {
-                return Ok((records, true));
-            }
-            return Err(corrupt(
-                pos as u64,
-                format!("truncated frame header: {remaining} bytes"),
-            ));
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len == 0 {
-            return Err(corrupt(pos as u64, "empty frame"));
-        }
-        if remaining - FRAME_HEADER_BYTES < len {
+        let at = pos as u64;
+        let Some((kind, mut r, len)) = read_frame(&buf[pos..], at)? else {
             // The record the crash interrupted: its bytes simply end
             // early. Only ever tolerated as the *final* frame.
             if tolerate_torn_tail {
                 return Ok((records, true));
             }
-            return Err(corrupt(
-                pos as u64,
-                format!(
-                    "truncated frame body: header declares {len} bytes, {} present",
-                    remaining - FRAME_HEADER_BYTES
-                ),
-            ));
-        }
-        let body = &buf[pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len];
-        let computed = crc32(body);
-        if computed != stored_crc {
-            // A complete frame that fails its checksum is damage, not a
-            // torn write — always a hard error.
-            return Err(corrupt(
-                pos as u64,
-                format!("checksum mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"),
-            ));
-        }
-        let base = (pos + FRAME_HEADER_BYTES) as u64;
-        let mut r = Reader::new(&body[1..], base + 1);
-        match body[0] {
-            REC_NODE_SNAPSHOT => {
-                let snap = decode_snapshot(&mut r, &mut schemas)?;
-                r.done("snapshot")?;
-                records.push(WalRecord::Snapshot(snap));
-            }
-            REC_SIC_DELTA => {
-                let delta = decode_delta(&mut r)?;
-                r.done("sic delta")?;
-                records.push(WalRecord::SicDelta(delta));
-            }
-            other => {
-                return Err(corrupt(base, format!("unknown record kind {other}")));
-            }
-        }
-        pos += FRAME_HEADER_BYTES + len;
+            return Err(truncated(&buf[pos..], at));
+        };
+        let record = match kind {
+            REC_NODE_SNAPSHOT => WalRecord::Snapshot(decode_snapshot(&mut r, &mut schemas)?),
+            REC_SIC_DELTA => WalRecord::SicDelta(decode_delta(&mut r)?),
+            other => return Err(unknown_kind(at, "record", other)),
+        };
+        records.push(record);
+        pos += len;
     }
     Ok((records, false))
 }
@@ -879,15 +636,9 @@ impl ShardLog {
     pub fn checkpoint(&mut self, snapshots: &[NodeSnapshot]) -> Result<(), WalError> {
         let mut buf = Vec::new();
         for snap in snapshots {
-            let start = buf.len();
-            buf.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
-            buf.push(REC_NODE_SNAPSHOT);
-            encode_snapshot(&mut buf, snap);
-            let body = start + FRAME_HEADER_BYTES;
-            let len = (buf.len() - body) as u32;
-            let crc = crc32(&buf[body..]);
-            buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-            buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+            write_frame(&mut buf, REC_NODE_SNAPSHOT, |out| {
+                encode_snapshot(out, snap)
+            });
         }
         let seq = self.next_seq;
         let tmp = self.dir.join("checkpoint.tmp");
@@ -947,31 +698,25 @@ pub fn restore_shard(root: &Path, shard: usize) -> Result<Option<ShardRestore>, 
         return Ok(None);
     }
     let mut restore = ShardRestore::default();
+    let mut records = Vec::new();
     let mut found = false;
     if let Some(seq) = checkpoint_seqs(&dir)?.into_iter().max() {
         let path = checkpoint_path(&dir, seq);
-        let bytes = fs::read(&path)?;
-        for record in decode_records(&bytes).map_err(|e| in_file(e, &path))? {
-            match record {
-                WalRecord::Snapshot(s) => restore.snapshots.push(s),
-                WalRecord::SicDelta(d) => restore.deltas.push(d),
-            }
-        }
+        records = decode_records(&fs::read(&path)?).map_err(|e| in_file(e, &path))?;
         found = true;
     }
     let tail = tail_path(&dir);
     if tail.is_file() {
         let bytes = fs::read(&tail)?;
-        if !bytes.is_empty() {
-            found = true;
-        }
-        let (records, torn) = decode_records_tolerant(&bytes).map_err(|e| in_file(e, &tail))?;
+        found |= !bytes.is_empty();
+        let (logged, torn) = decode_records_tolerant(&bytes).map_err(|e| in_file(e, &tail))?;
+        records.extend(logged);
         restore.torn_tail = torn;
-        for record in records {
-            match record {
-                WalRecord::Snapshot(s) => restore.snapshots.push(s),
-                WalRecord::SicDelta(d) => restore.deltas.push(d),
-            }
+    }
+    for record in records {
+        match record {
+            WalRecord::Snapshot(s) => restore.snapshots.push(s),
+            WalRecord::SicDelta(d) => restore.deltas.push(d),
         }
     }
     Ok(found.then_some(restore))

@@ -213,8 +213,12 @@ impl std::error::Error for EngineError {}
 struct IngestStats {
     remote_sent_batches: u64,
     remote_shed_batches: u64,
-    /// `(peer, detail)` per failed connection.
+    /// `(peer, detail)` per failed connection, plus the first misrouted
+    /// batch per peer.
     errors: Vec<(String, String)>,
+    /// Peers already reported for a batch routed to an unknown node: the
+    /// connection keeps going, so only its first such batch is recorded.
+    misrouted: HashSet<Arc<str>>,
 }
 
 /// Coordinator-side progress of the configured [`FaultPlan`].
@@ -521,16 +525,20 @@ impl Engine {
             let server = IngestServer::bind(
                 listen,
                 Arc::new(move |ev| match ev {
-                    IngestEvent::Batch(wb) => {
+                    IngestEvent::Batch { peer, batch: wb } => {
                         let node = wb.node as usize;
                         if node >= txs.len() {
-                            handler_stats.lock().unwrap().errors.push((
-                                wb.source.to_string(),
-                                format!(
-                                    "batch routed to unknown node {node} (engine hosts {})",
+                            let mut s = handler_stats
+                                .lock()
+                                .expect("ingest stats lock poisoned by a panicked handler");
+                            if s.misrouted.insert(peer.clone()) {
+                                let detail = format!(
+                                    "batch from {} routed to unknown node {node} (engine hosts {})",
+                                    wb.source,
                                     txs.len()
-                                ),
-                            ));
+                                );
+                                s.errors.push((peer.to_string(), detail));
+                            }
                             return;
                         }
                         let batch =
@@ -1099,6 +1107,55 @@ mod tests {
         for &(q, s) in &report.per_query_sic {
             assert!(s > 0.3, "query {q} sic {s}");
         }
+    }
+
+    /// A peer that keeps sending batches addressed to a node the engine
+    /// does not host gets one error for the connection, not one per batch.
+    #[test]
+    fn misrouted_batches_report_one_ingest_error_per_peer() {
+        use themis_net::prelude::{NetConfig, PeerSender, WireBatch};
+        let cfg = EngineConfig {
+            ingest_listen: Some("127.0.0.1:0".to_string()),
+            ..Default::default()
+        };
+        let engine = Engine::start(&scenario(2, 10, 3), cfg);
+        let addr = engine.ingest_addr().expect("listener bound").to_string();
+        let sender = PeerSender::connect(&addr, "misrouter", &NetConfig::default()).unwrap();
+        let mut batch = TupleBatch::new();
+        batch.push_row(Timestamp(1), Sic(0.5), &[Value::F64(1.0)]);
+        for i in 0..200 {
+            sender.send_batch(&WireBatch {
+                node: 99,
+                query: QueryId(0),
+                fragment: 0,
+                source: SourceId(0),
+                created: Timestamp(i),
+                batch: batch.clone(),
+            });
+        }
+        assert_eq!(sender.close().unwrap().sent_batches, 200);
+        // The bye is handled after every batch of the connection: wait for
+        // it before shutting the listener down.
+        let stats = engine.ingest.as_ref().expect("listener bound").1.clone();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while stats.lock().unwrap().remote_sent_batches < 200 {
+            assert!(Instant::now() < deadline, "the listener never saw the bye");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let report = engine.finish();
+        assert_eq!(report.remote_batches, 200);
+        let ingest: Vec<_> = report
+            .errors
+            .iter()
+            .filter(|e| matches!(e, EngineError::Ingest { .. }))
+            .collect();
+        assert_eq!(ingest.len(), 1, "first: {:?}", ingest.first());
+        assert!(matches!(ingest[0], EngineError::Ingest { peer, .. } if peer == "misrouter"));
+        assert!(
+            ingest[0].to_string().contains("unknown node 99"),
+            "{}",
+            ingest[0]
+        );
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Wire codec: the WAL's framing discipline applied to a socket.
+//! Wire codec: WAL frames on a socket.
 //!
-//! Every message is one frame, `[len: u32 LE][crc: u32 LE][kind: u8]
-//! [payload]`, exactly like a WAL record: `len` counts the kind byte
-//! plus payload, `crc` is the same CRC-32 (IEEE) over those bytes. A
-//! batch payload is the WAL batch layout verbatim
-//! ([`themis_core::wal::encode_batch_bytes`]), prefixed by its routing
-//! header. Decode errors are always actionable [`NetError::Corrupt`]
-//! values naming the absolute stream offset — never panics — so a
-//! flipped byte on the wire reads like a corrupt WAL file, not a crash.
+//! Every message is one frame of [`themis_core::frame`], the format WAL
+//! records use (`[len][crc][kind][payload]`); this module only adds the
+//! message kinds and [`MAX_FRAME_BYTES`]. A batch payload is the WAL
+//! batch layout verbatim ([`themis_core::wal::encode_batch_bytes`]),
+//! prefixed by its routing header. Decode errors are always actionable
+//! [`NetError::Corrupt`] values naming the absolute stream offset — never
+//! panics — so a flipped byte on the wire reads like a corrupt WAL file,
+//! not a crash.
 
 use std::collections::HashMap;
 use std::fmt;
 
+// The whole frame toolkit: messages are frames, and the tests below build
+// raw ones from the same primitives.
+use themis_core::frame::*;
 use themis_core::prelude::{QueryId, SourceId, Timestamp, TupleBatch};
-use themis_core::wal::{
-    crc32, decode_batch_bytes, encode_batch_bytes, SchemaCache, WalError, FRAME_HEADER_BYTES,
-};
+use themis_core::wal::{decode_batch_bytes, encode_batch_bytes, SchemaCache, WalError};
 
 /// Wire protocol version carried in every [`NetMsg::Hello`].
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -98,13 +99,6 @@ impl From<WalError> for NetError {
     }
 }
 
-fn corrupt(offset: u64, detail: impl Into<String>) -> NetError {
-    NetError::Corrupt {
-        offset,
-        detail: detail.into(),
-    }
-}
-
 /// A batch in flight: the routing header the pump would have attached
 /// in-process, plus the columnar payload.
 #[derive(Debug, Clone)]
@@ -146,136 +140,35 @@ pub enum NetMsg {
     },
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends one framed message to `out` (same backfilled-header scheme as
-/// the WAL's `encode_record`).
+/// Appends one framed message to `out`.
 pub fn encode_msg(msg: &NetMsg, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
     match msg {
-        NetMsg::Hello { version, peer } => {
-            out.push(MSG_HELLO);
+        NetMsg::Hello { version, peer } => write_frame(out, MSG_HELLO, |out| {
             put_u32(out, *version);
             put_str(out, peer);
-        }
-        NetMsg::Batch(wb) => {
-            out.push(MSG_BATCH);
-            put_u32(out, wb.node);
-            put_u32(out, wb.query.0);
-            put_u32(out, wb.fragment);
-            put_u32(out, wb.source.0);
-            put_u64(out, wb.created.0);
-            encode_batch_bytes(out, &wb.batch);
-        }
+        }),
+        NetMsg::Batch(wb) => encode_batch_msg(wb, out),
         NetMsg::Bye {
             sent_batches,
             shed_batches,
-        } => {
-            out.push(MSG_BYE);
+        } => write_frame(out, MSG_BYE, |out| {
             put_u64(out, *sent_batches);
             put_u64(out, *shed_batches);
-        }
+        }),
     }
-    let body = start + FRAME_HEADER_BYTES;
-    let len = (out.len() - body) as u32;
-    let crc = crc32(&out[body..]);
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Bounds-checked little-endian reader over one frame body (the net-side
-/// twin of the WAL's private reader). `base` is the body's absolute
-/// stream offset, so errors name real positions.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Reader { buf, pos: 0, base }
-    }
-
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], NetError> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt(
-                self.offset(),
-                format!(
-                    "truncated {what}: need {n} bytes, {} left in frame",
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, NetError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, NetError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, NetError> {
-        let n = self.u32(what)? as usize;
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt(
-                self.offset(),
-                format!(
-                    "implausible {what} length {n}: {} bytes left in frame",
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        let at = self.offset();
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| corrupt(at, format!("{what} is not valid utf-8")))
-    }
-
-    fn done(&self, what: &str) -> Result<(), NetError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt(
-                self.offset(),
-                format!(
-                    "{} trailing bytes after {what} frame",
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn rest(&mut self) -> (&'a [u8], u64) {
-        let at = self.offset();
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        (s, at)
-    }
+/// Appends the frame `encode_msg(&NetMsg::Batch(wb.clone()), out)` would,
+/// encoded from the borrowed batch (no copy of its columns).
+pub(crate) fn encode_batch_msg(wb: &WireBatch, out: &mut Vec<u8>) {
+    write_frame(out, MSG_BATCH, |out| {
+        put_u32(out, wb.node);
+        put_u32(out, wb.query.0);
+        put_u32(out, wb.fragment);
+        put_u32(out, wb.source.0);
+        put_u64(out, wb.created.0);
+        encode_batch_bytes(out, &wb.batch);
+    });
 }
 
 /// Incremental frame decoder for one connection. Feeds on the front of a
@@ -308,35 +201,15 @@ impl Decoder {
     /// message plus the frame's byte length for the caller to drain;
     /// `Ok(None)` means the frame is still incomplete — read more.
     pub fn next(&mut self, buf: &[u8]) -> Result<Option<(NetMsg, usize)>, NetError> {
-        if buf.len() < FRAME_HEADER_BYTES {
-            return Ok(None);
-        }
         let at = self.consumed;
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if len == 0 {
-            return Err(corrupt(at, "empty frame"));
+        if let Some(len) = frame_len(buf).filter(|&len| len > MAX_FRAME_BYTES) {
+            let detail = format!("implausible frame length {len} (max {MAX_FRAME_BYTES})");
+            return Err(corrupt(at, detail).into());
         }
-        if len > MAX_FRAME_BYTES {
-            return Err(corrupt(
-                at,
-                format!("implausible frame length {len} (max {MAX_FRAME_BYTES})"),
-            ));
-        }
-        if buf.len() - FRAME_HEADER_BYTES < len {
+        let Some((kind, mut r, frame)) = read_frame(buf, at)? else {
             return Ok(None);
-        }
-        let body = &buf[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len];
-        let computed = crc32(body);
-        if computed != stored_crc {
-            return Err(corrupt(
-                at,
-                format!("checksum mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"),
-            ));
-        }
-        let base = at + FRAME_HEADER_BYTES as u64;
-        let mut r = Reader::new(&body[1..], base + 1);
-        let msg = match body[0] {
+        };
+        let msg = match kind {
             MSG_HELLO => {
                 let version = r.u32("hello version")?;
                 let peer = r.str("hello peer name")?;
@@ -369,9 +242,8 @@ impl Decoder {
                     shed_batches,
                 }
             }
-            other => return Err(corrupt(base, format!("unknown message kind {other}"))),
+            other => return Err(unknown_kind(at, "message", other).into()),
         };
-        let frame = FRAME_HEADER_BYTES + len;
         self.consumed += frame as u64;
         Ok(Some((msg, frame)))
     }
@@ -392,29 +264,11 @@ pub fn decode_frames(buf: &[u8]) -> Result<Vec<NetMsg>, NetError> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        match dec.next(&buf[pos..])? {
-            Some((msg, used)) => {
-                out.push(msg);
-                pos += used;
-            }
-            None => {
-                let remaining = buf.len() - pos;
-                if remaining < FRAME_HEADER_BYTES {
-                    return Err(corrupt(
-                        pos as u64,
-                        format!("truncated frame header: {remaining} bytes"),
-                    ));
-                }
-                let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-                return Err(corrupt(
-                    pos as u64,
-                    format!(
-                        "truncated frame body: header declares {len} bytes, {} present",
-                        remaining - FRAME_HEADER_BYTES
-                    ),
-                ));
-            }
-        }
+        let Some((msg, used)) = dec.next(&buf[pos..])? else {
+            return Err(truncated(&buf[pos..], pos as u64).into());
+        };
+        out.push(msg);
+        pos += used;
     }
     Ok(out)
 }

@@ -5,10 +5,11 @@
 //! wire layer that turns the in-process prototype into communicating
 //! processes:
 //!
-//! - [`codec`] — a length-prefixed, CRC-checked frame codec for tuple
-//!   batches that reuses the WAL's columnar batch layout byte-for-byte
-//!   (typed column payloads, drop bitmaps, tag dictionaries shipped as
-//!   code-ordered snapshots re-interned per connection).
+//! - [`codec`] — the wire messages, carried in the WAL's length-prefixed,
+//!   CRC-checked frames (`themis_core::frame`, the one frame codec) with
+//!   the WAL's columnar batch layout byte-for-byte (typed column
+//!   payloads, drop bitmaps, tag dictionaries shipped as code-ordered
+//!   snapshots re-interned per connection).
 //! - [`transport`] — outbound side: bounded-retry connects with backoff
 //!   and per-peer send queues that **shed oldest-first instead of
 //!   blocking** when full. Shedding at the socket mirrors shedding at

@@ -19,7 +19,12 @@ use crate::codec::{Decoder, NetError, NetMsg, WireBatch, PROTOCOL_VERSION};
 #[derive(Debug)]
 pub enum IngestEvent {
     /// A decoded, routed batch from some source process.
-    Batch(WireBatch),
+    Batch {
+        /// Peer name from its handshake (or its socket address).
+        peer: Arc<str>,
+        /// The batch.
+        batch: WireBatch,
+    },
     /// A peer finished cleanly: its final send-side accounting.
     Closed {
         /// Peer name from its handshake (or its socket address).
@@ -155,7 +160,7 @@ fn serve_conn(
     let _ = stream.set_nodelay(true);
     // Short read timeouts keep the reader responsive to shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut peer = peer_addr.to_string();
+    let mut peer: Arc<str> = Arc::from(peer_addr.to_string());
     let mut dec = Decoder::new();
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 64 * 1024];
@@ -170,7 +175,7 @@ fn serve_conn(
             Ok(0) => {
                 if !saw_bye {
                     handler(IngestEvent::Error {
-                        peer,
+                        peer: peer.to_string(),
                         detail: format!(
                             "connection closed without bye at stream byte {}",
                             dec.consumed() + buf.len() as u64
@@ -188,7 +193,7 @@ fn serve_conn(
             }
             Err(e) => {
                 handler(IngestEvent::Error {
-                    peer,
+                    peer: peer.to_string(),
                     detail: format!("socket read failed: {e}"),
                 });
                 return;
@@ -214,11 +219,14 @@ fn serve_conn(
                                 });
                                 return;
                             }
-                            peer = name;
+                            peer = Arc::from(name);
                         }
                         NetMsg::Batch(wb) => {
                             batches.fetch_add(1, Ordering::Relaxed);
-                            handler(IngestEvent::Batch(wb));
+                            handler(IngestEvent::Batch {
+                                peer: peer.clone(),
+                                batch: wb,
+                            });
                         }
                         NetMsg::Bye {
                             sent_batches,
@@ -226,7 +234,7 @@ fn serve_conn(
                         } => {
                             saw_bye = true;
                             handler(IngestEvent::Closed {
-                                peer: peer.clone(),
+                                peer: peer.to_string(),
                                 sent_batches,
                                 shed_batches,
                             });
@@ -236,7 +244,7 @@ fn serve_conn(
                 Ok(None) => break,
                 Err(e) => {
                     handler(IngestEvent::Error {
-                        peer,
+                        peer: peer.to_string(),
                         detail: e.to_string(),
                     });
                     return;

@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::codec::{encode_msg, NetError, NetMsg, WireBatch, PROTOCOL_VERSION};
+use crate::codec::{encode_batch_msg, encode_msg, NetError, NetMsg, WireBatch, PROTOCOL_VERSION};
 
 /// Transport tuning knobs.
 #[derive(Debug, Clone)]
@@ -157,7 +157,7 @@ impl PeerSender {
     /// the queue is full. Never blocks on the socket.
     pub fn send_batch(&self, wb: &WireBatch) {
         let mut frame = Vec::new();
-        encode_msg(&NetMsg::Batch(wb.clone()), &mut frame);
+        encode_batch_msg(wb, &mut frame);
         let (lock, cv) = &*self.queue;
         let mut q = lock.lock().unwrap();
         if q.closed {
