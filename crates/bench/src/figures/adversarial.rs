@@ -35,7 +35,7 @@ use crate::table::{f, TextTable};
 pub const ADVERSARIAL_EPSILON: f64 = 0.15;
 
 /// One policy's outcome under the attack.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AdversarialRow {
     /// Policy name (registry key).
     pub policy: String,
@@ -74,7 +74,7 @@ impl AdversarialRow {
 }
 
 /// Outcome across all registered policies.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AdversarialOutcome {
     /// Honest peers per run.
     pub honest: usize,
@@ -246,4 +246,48 @@ pub fn to_json(out: &AdversarialOutcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(policy: &str, strategic_sic: f64, shed_fraction: f64) -> AdversarialRow {
+        AdversarialRow {
+            policy: policy.to_string(),
+            sic_aware: policy.starts_with("balance-sic"),
+            strategic_sic,
+            honest_mean_sic: 1.0,
+            shed_fraction,
+            ..Default::default()
+        }
+    }
+
+    fn passes(rows: Vec<AdversarialRow>) -> bool {
+        let out = AdversarialOutcome {
+            rows,
+            ..Default::default()
+        };
+        out.sic_policies_hold()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        let edge = 1.0 + ADVERSARIAL_EPSILON;
+        assert!(passes(vec![row("balance-sic", edge - 1e-6, 0.5)]));
+        assert!(!passes(vec![row("balance-sic", edge + 1e-6, 0.5)]));
+        assert!(passes(vec![row("balance-sic", 1.0, 0.1 + 1e-9)]));
+        assert!(!passes(vec![row("balance-sic", 1.0, 0.1)]));
+        // Only the balance-sic family is asserted; baselines are documented.
+        let lowest = "balance-sic-lowest-first";
+        assert!(passes(vec![row(lowest, 1.0, 0.5), row("fifo", 3.0, 0.5)]));
+        assert!(!passes(vec![
+            row("fifo", 1.0, 0.5),
+            row(lowest, edge + 1e-6, 0.5)
+        ]));
+        // Honest peers keeping nothing: an infinite advantage fails.
+        let mut starved = row("balance-sic", 0.5, 0.5);
+        starved.honest_mean_sic = 0.0;
+        assert!(!passes(vec![starved]));
+    }
 }

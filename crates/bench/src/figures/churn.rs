@@ -34,7 +34,7 @@ use crate::table::{f, TextTable};
 pub const JAIN_RECOVERY_SLACK: f64 = 0.05;
 
 /// One measured phase of the churn run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChurnPhase {
     /// Phase name (`baseline`, `churn`, `recovery`).
     pub name: &'static str,
@@ -51,7 +51,7 @@ pub struct ChurnPhase {
 }
 
 /// Outcome of the churn experiment.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ChurnOutcome {
     /// Nodes in the engine.
     pub nodes: usize,
@@ -268,4 +268,33 @@ pub fn to_json(out: &ChurnOutcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passes(baseline: f64, recovery: f64, shed_fraction: f64) -> bool {
+        let phase = |name, resident_jain| ChurnPhase {
+            name,
+            resident_jain,
+            ..Default::default()
+        };
+        let phases = vec![phase("baseline", baseline), phase("recovery", recovery)];
+        let out = ChurnOutcome {
+            phases,
+            shed_fraction,
+            ..Default::default()
+        };
+        out.fairness_recovered()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        let edge = 0.9 - JAIN_RECOVERY_SLACK;
+        assert!(passes(0.9, edge + 1e-6, 0.2));
+        assert!(!passes(0.9, edge - 1e-6, 0.2));
+        assert!(passes(0.9, 0.9, 1e-9));
+        assert!(!passes(0.9, 0.9, 0.0));
+    }
 }

@@ -31,7 +31,7 @@ use crate::table::{f, TextTable};
 pub const CORRELATED_JAIN_SLACK: f64 = 0.05;
 
 /// One arm of the comparison.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CorrelatedArm {
     /// Arm name (`correlated` or `independent`).
     pub name: &'static str,
@@ -46,7 +46,7 @@ pub struct CorrelatedArm {
 }
 
 /// Outcome of the correlated-burst experiment.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CorrelatedOutcome {
     /// Nodes in each engine run.
     pub nodes: usize,
@@ -206,4 +206,35 @@ pub fn to_json(out: &CorrelatedOutcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passes(correlated_jain: f64, shed_fraction: f64) -> bool {
+        let arm = |name, jain, shed_fraction| CorrelatedArm {
+            name,
+            jain,
+            shed_fraction,
+            ..Default::default()
+        };
+        let out = CorrelatedOutcome {
+            arms: vec![
+                arm("correlated", correlated_jain, shed_fraction),
+                arm("independent", 0.9, 0.1),
+            ],
+            ..Default::default()
+        };
+        out.fair_under_correlation()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        let edge = 0.9 - CORRELATED_JAIN_SLACK;
+        assert!(passes(edge + 1e-6, 0.2));
+        assert!(!passes(edge - 1e-6, 0.2));
+        assert!(passes(0.9, 1e-9));
+        assert!(!passes(0.9, 0.0));
+    }
 }

@@ -51,7 +51,7 @@ const SHARDS: usize = 2;
 const MAX_TRIALS: usize = 3;
 
 /// One policy's pair of runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FederatedArm {
     /// Policy name (registry spelling).
     pub policy: String,
@@ -94,7 +94,7 @@ impl FederatedArm {
 }
 
 /// Outcome of the federated parity experiment.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FederatedOutcome {
     /// The canonical scenario parameters both sides rebuilt.
     pub params: FederatedParams,
@@ -397,4 +397,48 @@ pub fn to_json(out: &FederatedOutcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A clean arm with `edit` moving one clause towards its bound.
+    fn arm(edit: impl FnOnce(&mut FederatedArm)) -> FederatedArm {
+        let mut a = FederatedArm {
+            control_sic: 1.0,
+            control_jain: 0.9,
+            federated_sic: 1.0,
+            federated_jain: 0.9,
+            remote_batches: 10,
+            ..Default::default()
+        };
+        edit(&mut a);
+        a
+    }
+
+    fn passes(arms: Vec<FederatedArm>) -> bool {
+        let out = FederatedOutcome {
+            arms,
+            ..Default::default()
+        };
+        out.passed()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        let (sic, jain) = (SIC_REL_BOUND, JAIN_ABS_BOUND);
+        assert!(passes(vec![arm(|a| a.federated_sic = 1.0 + sic - 1e-6)]));
+        assert!(!passes(vec![arm(|a| a.federated_sic = 1.0 + sic + 1e-6)]));
+        assert!(passes(vec![arm(|a| a.federated_sic = 1.0 - sic + 1e-6)]));
+        assert!(!passes(vec![arm(|a| a.federated_sic = 1.0 - sic - 1e-6)]));
+        assert!(passes(vec![arm(|a| a.federated_jain = 0.9 + jain - 1e-6)]));
+        assert!(!passes(vec![arm(|a| a.federated_jain = 0.9 + jain + 1e-6)]));
+        assert!(!passes(vec![arm(|a| a.federated_jain = 0.9 - jain - 1e-6)]));
+        assert!(!passes(vec![arm(|a| a.engine_errors = 1)]));
+        assert!(passes(vec![arm(|a| a.remote_batches = 1)]));
+        assert!(!passes(vec![arm(|a| a.remote_batches = 0)]));
+        assert!(!passes(vec![arm(|_| {}), arm(|a| a.engine_errors = 1)]));
+        assert!(!passes(vec![]));
+    }
 }

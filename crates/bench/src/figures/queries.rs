@@ -37,7 +37,7 @@ use crate::table::{f, TextTable};
 pub const GROUP_BY_QUERY: &str = "SELECT host, SUM(value) FROM sensors[4] GROUP BY host";
 
 /// One template x policy simulator comparison.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PolicyCell {
     /// Registry policy name.
     pub policy: String,
@@ -56,7 +56,7 @@ impl PolicyCell {
 }
 
 /// Parity verdict for one Table-1 template.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TemplateParityRow {
     /// Template name (Table 1 row).
     pub template: String,
@@ -76,7 +76,7 @@ impl TemplateParityRow {
 }
 
 /// Result of the live-engine `GROUP BY` dispatch probe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupByProbe {
     /// The query text attached.
     pub query: String,
@@ -95,7 +95,7 @@ impl GroupByProbe {
 }
 
 /// Full outcome of the `queries` experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueriesOutcome {
     /// Per-template parity rows.
     pub parity: Vec<TemplateParityRow>,
@@ -404,4 +404,48 @@ pub fn to_json(out: &QueriesOutcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fully matching outcome with `edit` breaking one clause.
+    fn passes(edit: impl FnOnce(&mut QueriesOutcome)) -> bool {
+        let cell = PolicyCell {
+            template_sic: (0.5, 0.9),
+            spec_sic: (0.5, 0.9),
+            ..Default::default()
+        };
+        let row = TemplateParityRow {
+            structural_match: true,
+            policies: vec![cell.clone(), cell],
+            ..Default::default()
+        };
+        let mut out = QueriesOutcome {
+            parity: vec![row.clone(), row],
+            group_by: GroupByProbe {
+                kernel_calls: 1,
+                results: 1,
+                ..Default::default()
+            },
+        };
+        edit(&mut out);
+        out.all_match()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        let next_up = |v: &mut f64| *v = f64::from_bits(v.to_bits() + 1);
+        assert!(passes(|_| {}));
+        assert!(!passes(|o| next_up(
+            &mut o.parity[1].policies[1].spec_sic.0
+        )));
+        assert!(!passes(|o| next_up(
+            &mut o.parity[0].policies[0].spec_sic.1
+        )));
+        assert!(!passes(|o| o.parity[0].structural_match = false));
+        assert!(!passes(|o| o.group_by.kernel_calls = 0));
+        assert!(!passes(|o| o.group_by.results = 0));
+    }
 }

@@ -48,7 +48,7 @@ pub const SIC_ERROR_BOUND: f64 = 0.25;
 pub const JAIN_DIFF_BOUND: f64 = 0.12;
 
 /// One arm of the experiment (control or faulted).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryArm {
     /// Arm name (`control`, `faulted`).
     pub name: &'static str,
@@ -68,7 +68,7 @@ pub struct RecoveryArm {
 }
 
 /// Outcome of the recovery experiment.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RecoveryOutcome {
     /// Nodes in the engine.
     pub nodes: usize,
@@ -391,4 +391,43 @@ pub fn to_json(out: &RecoveryOutcome) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A clean outcome with `edit` moving one clause towards its bound.
+    fn passes(edit: impl FnOnce(&mut RecoveryOutcome)) -> bool {
+        let arm = |name| RecoveryArm {
+            name,
+            jain: 0.9,
+            shed_fraction: 0.3,
+            ..Default::default()
+        };
+        let mut out = RecoveryOutcome {
+            arms: vec![arm("control"), arm("faulted")],
+            mean_abs_error: 0.1,
+            checkpoint_snapshots: 2,
+            wal_deltas: 5,
+            ..Default::default()
+        };
+        edit(&mut out);
+        out.recovered()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        assert!(passes(|o| o.mean_abs_error = SIC_ERROR_BOUND - 1e-6));
+        assert!(!passes(|o| o.mean_abs_error = SIC_ERROR_BOUND + 1e-6));
+        assert!(passes(|o| o.arms[1].jain = 0.9 - JAIN_DIFF_BOUND + 1e-6));
+        assert!(!passes(|o| o.arms[1].jain = 0.9 - JAIN_DIFF_BOUND - 1e-6));
+        assert!(passes(|o| o.checkpoint_snapshots = 0));
+        assert!(passes(|o| o.wal_deltas = 0));
+        assert!(!passes(|o| (o.checkpoint_snapshots, o.wal_deltas) = (0, 0)));
+        assert!(passes(|o| o.arms[1].shed_fraction = 1e-9));
+        assert!(!passes(|o| o.arms[1].shed_fraction = 0.0));
+        assert!(!passes(|o| o.arms[0].engine_errors = 1));
+        assert!(!passes(|o| o.arms[1].engine_errors = 1));
+    }
 }

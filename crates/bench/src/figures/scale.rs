@@ -21,7 +21,7 @@ use themis_workloads::prelude::*;
 use crate::table::{f, TextTable};
 
 /// Outcome of one scale run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScaleRow {
     /// Nodes in the scenario.
     pub nodes: usize,
@@ -158,4 +158,26 @@ pub fn render(row: &ScaleRow) -> TextTable {
         row.results.to_string(),
     ]);
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passes(peak_threads: Option<usize>) -> bool {
+        let row = ScaleRow {
+            peak_threads,
+            thread_budget: 5,
+            ..Default::default()
+        };
+        row.within_budget()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        assert!(passes(Some(5)));
+        assert!(!passes(Some(6)));
+        // No `/proc` sample (off Linux): nothing measured, nothing failed.
+        assert!(passes(None));
+    }
 }

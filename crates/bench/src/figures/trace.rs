@@ -40,7 +40,7 @@ pub const TRACE_ACCURACY_TOLERANCE: f64 = 0.15;
 pub const TRACE_JAIN_FLOOR: f64 = 0.90;
 
 /// Outcome of the trace-replay experiment.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceOutcome {
     /// Trace file replayed.
     pub file: String,
@@ -207,4 +207,34 @@ pub fn to_json(out: &TraceOutcome) -> String {
         out.fair()
     ));
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passes(arrived_tuples: u64, jain: f64, shed_fraction: f64) -> bool {
+        let out = TraceOutcome {
+            expected_tuples: 1_000_000.0,
+            arrived_tuples,
+            jain,
+            shed_fraction,
+            ..Default::default()
+        };
+        out.accurate() && out.fair()
+    }
+
+    #[test]
+    fn gate_boundaries() {
+        let high = (1_000_000.0 * (1.0 + TRACE_ACCURACY_TOLERANCE)) as u64;
+        let low = (1_000_000.0 * (1.0 - TRACE_ACCURACY_TOLERANCE)) as u64;
+        assert!(passes(high - 1, 0.95, 0.2));
+        assert!(!passes(high + 1, 0.95, 0.2));
+        assert!(passes(low + 1, 0.95, 0.2));
+        assert!(!passes(low - 1, 0.95, 0.2));
+        assert!(passes(1_000_000, TRACE_JAIN_FLOOR + 1e-6, 0.2));
+        assert!(!passes(1_000_000, TRACE_JAIN_FLOOR - 1e-6, 0.2));
+        assert!(passes(1_000_000, 0.95, 1e-9));
+        assert!(!passes(1_000_000, 0.95, 0.0));
+    }
 }
