@@ -15,54 +15,38 @@
 //! experiments (`themis_bench::cli`): an unknown flag, or one that none
 //! of the selected experiments accepts, exits 2 listing the valid flags
 //! for the selection. `--quick` switches to the reduced scale used for
-//! smoke runs. `--policy=<name>` restricts the `policies` parity
-//! experiment to one policy looked up in the shedding
-//! registry (e.g. `balance-sic`, `fifo`, or any name registered at
-//! startup); an unknown name exits 2 listing the registered policies.
-//! `--nodes`/`--shards`/`--secs` size the `scale` experiment (default
-//! 1024 nodes on the machine's parallelism); `scale` exits non-zero when
-//! the process's peak thread count exceeds the sharded engine's
-//! `shards + 3` budget, which is what the CI smoke asserts — for that
-//! reason it only runs when named explicitly, never as part of `all`.
-//! `churn` runs a 512+-node engine scenario (sized by `--nodes`/
-//! `--shards`/`--secs`) with a flash-crowd query cohort attaching and
-//! detaching mid-run, writes `results/BENCH_churn.json`, and exits
-//! non-zero if resident Jain fairness fails to recover after the cohort
-//! departs — the CI churn smoke. `queries` runs the declarative
-//! frontend parity gate: every Table-1 template's canonical query text
-//! must compile to the same graph and simulate to bitwise-identical
-//! SIC/Jain numbers as the preset path under every registry policy, and
-//! a declarative `GROUP BY` attached to the live engine must dispatch
-//! the dictionary group-by kernel; it writes
-//! `results/BENCH_queries.json` and exits non-zero on any mismatch —
-//! the CI queries smoke. `--query='<text>'` additionally runs one
-//! ad-hoc declarative query end-to-end on the engine (parse errors exit
-//! 2 with the frontend's message). `trace` replays an arrival-trace file
-//! (`--file=<path>`, default `traces/flashcrowd-spike.json`; `.csv` or
-//! `.json`, validated with actionable errors; `--beat-ms` rescales the
-//! replay beat) through the engine and gates on replay accuracy against
-//! the trace-declared mean plus Jain under `balance-sic`, writing
-//! `results/BENCH_trace.json`. `correlated` races one shared
-//! (simultaneous) burst process against the independent-burst control at
-//! identical declared demand and gates the correlated run's Jain within
-//! a slack of the control, writing `results/BENCH_correlated.json`.
-//! `adversarial` runs a strategic tick-phase-locked source against
-//! honest peers under every registered policy and gates the strategic
-//! SIC advantage ≤ epsilon under the `balance-sic` family (non-SIC
-//! baselines are documented, not asserted), writing
-//! `results/BENCH_adversarial.json`. `recovery` kills a shard
-//! mid-overload under balance-sic, restores it from checkpoint + WAL
-//! tail, and gates the post-recovery SIC error and Jain difference
-//! against an uninterrupted same-seed control, writing
-//! `results/BENCH_recovery.json`. `federated` forks
-//! `--sources-procs=<n>` source subprocesses (this same binary,
-//! re-executed in a hidden child mode) that ship their batches to the
-//! engine's TCP ingest listener over loopback, and gates every
-//! registered policy's federated SIC/Jain within 2% of the in-process
-//! control, writing `results/BENCH_federated.json`. All five are
-//! explicit-only CI smokes, like `churn`. Built to be run with
-//! `--release`. Performance is not measured here: `BENCHMARK.json` and
-//! `cargo run --release -p themis-benchmark` are the one perf harness.
+//! smoke runs. `--policy=<name>` restricts `policies` and `federated`
+//! to one policy looked up in the shedding registry (e.g. `balance-sic`,
+//! `fifo`, or any name registered at startup); an unknown name exits 2
+//! listing the registered policies. `--nodes`/`--shards` size the
+//! `scale` and `churn` engine runs, `--secs` the engine gates' measured
+//! time. `--query='<text>'` additionally runs one ad-hoc declarative
+//! query end-to-end on the engine after `queries` (parse errors exit 2
+//! with the frontend's message). `trace` replays an arrival-trace file
+//! (`--file=<path>`, default `traces/flashcrowd-spike.json`; `--beat-ms`
+//! rescales the replay beat); `federated` forks `--sources-procs=<n>`
+//! source subprocesses (this same binary, re-executed in a hidden child
+//! mode) that feed the engine's TCP ingest listener over loopback.
+//!
+//! Eight experiments are gates and run only when named explicitly, never
+//! as part of `all`: `scale` (the sharded engine's `shards + 3` thread
+//! budget), `churn` (resident Jain recovers after a flash-crowd cohort
+//! departs), `queries` (declarative text matches the Table-1 presets
+//! bitwise under every policy, and a `GROUP BY` reaches the dictionary
+//! kernel), `trace` (replay volume and Jain under a recorded shape),
+//! `correlated` (simultaneous bursts cost little Jain against an
+//! independent control), `adversarial` (tick-gaming held to epsilon
+//! under `balance-sic*`), `recovery` (a shard killed mid-overload and
+//! restored from checkpoint + WAL stays within SIC/Jain bounds of a
+//! control) and `federated` (forked source processes over TCP reproduce
+//! every policy's in-process SIC/Jain within 2%). Each figure module's
+//! `claims` turns the outcome into [`Claim`]s; every named gate runs,
+//! prints one `pass`/`FAIL` line per claim, writes its table to
+//! `results/<name>.csv` and `results/BENCH_<name>.json`, and the process
+//! exits 1 at the end if any claim failed (2 on bad input). Built to be
+//! run with `--release`. Performance is not measured here:
+//! `BENCHMARK.json` and `cargo run --release -p themis-benchmark` are
+//! the one perf harness.
 
 use std::time::Instant;
 
@@ -80,7 +64,7 @@ use themis_bench::figures::scale as engine_scale;
 use themis_bench::figures::{ablation, dynamics, tables};
 use themis_bench::figures::{adversarial, churn, correlated, trace as trace_fig};
 use themis_bench::scenarios::Scale;
-use themis_bench::table::TextTable;
+use themis_bench::table::{Claim, TextTable};
 use themis_core::shedder::{lookup_policy, registered_policies, Policy};
 
 const SEED: u64 = 20160626; // SIGMOD'16 started June 26.
@@ -93,11 +77,19 @@ fn emit(name: &str, table: TextTable) {
     }
 }
 
-/// Writes `results/BENCH_<name>.json` atomically: the payload lands in a
-/// temp file first and is renamed into place, so a reader (CI collecting
-/// artifacts, a dashboard tailing results) never observes a half-written
-/// JSON document even if the process dies mid-write.
-fn write_bench_json(name: &str, json: &str) {
+/// The one output path of a gated experiment: prints the table and one
+/// `pass`/`FAIL` line per claim (observed vs bound), writes the CSV, and
+/// writes `results/BENCH_<name>.json` atomically (temp file, then
+/// rename, so a reader never sees a half-written document even if the
+/// process dies mid-write). True when every claim held.
+fn gate(name: &str, table: TextTable, claims: &[Claim]) -> bool {
+    let json = table.to_json(claims);
+    emit(name, table);
+    for c in claims {
+        let verdict = if c.holds { "pass" } else { "FAIL" };
+        let (id, observed, cmp, bound) = (&c.id, c.observed, c.cmp.symbol(), c.bound);
+        eprintln!("{verdict} {name}.{id}: {observed:.4} {cmp} {bound}");
+    }
     let json_path = format!("{RESULTS_DIR}/BENCH_{name}.json");
     let tmp_path = format!("{json_path}.tmp");
     if let Err(e) = std::fs::create_dir_all(RESULTS_DIR)
@@ -106,6 +98,7 @@ fn write_bench_json(name: &str, json: &str) {
     {
         eprintln!("(could not write {json_path}: {e})");
     }
+    claims.iter().all(|c| c.holds)
 }
 
 fn main() {
@@ -279,44 +272,21 @@ fn main() {
         let (pts, arrive, depart) = dynamics::dynamics(&scale, SEED);
         emit("dynamics", dynamics::render(&pts, arrive, depart));
     }
-    // Explicit-only (not part of `all`), like `scale`: a CI smoke whose
-    // fairness-recovery gate exits non-zero. Runs a 512+-node engine
-    // scenario wall-clock with a flash-crowd cohort attaching and
-    // detaching mid-run, and asserts resident Jain fairness recovers.
+    // The gates below are explicit-only (never part of `all`): each
+    // returns claims, `gate` prints and records them, and the run exits 1
+    // at the end if any claim failed, so one run reports every gate.
+    let mut passed = true;
     if opts.named("churn") {
         let nodes = nodes_arg.unwrap_or(512) as usize;
         let shards = shards_arg.map(|k| k as usize);
         let secs = secs_arg.unwrap_or(if quick { 2 } else { 4 });
-        let outcome = churn::churn(nodes, shards, secs, SEED);
-        emit("churn", churn::render(&outcome));
-        write_bench_json("churn", &churn::to_json(&outcome));
-        let baseline = outcome.phase("baseline").resident_jain;
-        let recovery = outcome.phase("recovery").resident_jain;
-        if outcome.fairness_recovered() {
-            eprintln!(
-                "churn: resident Jain recovered to {recovery:.4} \
-                 (baseline {baseline:.4}, shed {:.1}%)",
-                outcome.shed_fraction * 100.0
-            );
-        } else {
-            eprintln!(
-                "FAIL: resident Jain did not recover after the cohort departed \
-                 (baseline {baseline:.4}, recovery {recovery:.4}, shed {:.3}) ",
-                outcome.shed_fraction
-            );
-            std::process::exit(1);
-        }
+        let out = churn::churn(nodes, shards, secs, SEED);
+        passed &= gate("churn", churn::render(&out), &churn::claims(&out));
     }
-    // Explicit-only (not part of `all`), like `churn`: a CI smoke whose
-    // parity gate exits non-zero — the declarative frontend must match
-    // the Table-1 presets structurally and behaviourally, and a
-    // declarative GROUP BY must reach the dictionary kernel on the live
-    // engine.
     if opts.named("queries") {
         let secs = secs_arg.unwrap_or(if quick { 2 } else { 4 });
-        let outcome = queries::queries(secs, SEED);
-        emit("queries", queries::render(&outcome));
-        write_bench_json("queries", &queries::to_json(&outcome));
+        let out = queries::queries(secs, SEED);
+        passed &= gate("queries", queries::render(&out), &queries::claims(&out));
         if let Some(text) = query_arg {
             match queries::run_declarative(text, secs, SEED) {
                 Ok(run) => emit("query_adhoc", queries::render_declarative(&run)),
@@ -326,51 +296,18 @@ fn main() {
                 }
             }
         }
-        if outcome.all_match() {
-            eprintln!(
-                "queries: all {} templates match under {} policies; GROUP BY \
-                 dispatched {} kernel calls",
-                outcome.parity.len(),
-                outcome.parity.first().map_or(0, |r| r.policies.len()),
-                outcome.group_by.kernel_calls
-            );
-        } else {
-            let bad: Vec<&str> = outcome
-                .parity
-                .iter()
-                .filter(|r| !r.matches())
-                .map(|r| r.template.as_str())
-                .collect();
-            eprintln!(
-                "FAIL: declarative parity gate (mismatched templates: [{}], group-by \
-                 dispatched: {})",
-                bad.join(", "),
-                outcome.group_by.dispatched()
-            );
-            std::process::exit(1);
-        }
     }
-    // Explicit-only (not part of `all`): a CI smoke with a thread-budget
-    // assertion that exits non-zero, not an evaluation figure — it must
-    // not fail a figure-regeneration run on a machine with a stray thread.
     if opts.named("scale") {
         let nodes = nodes_arg.unwrap_or(1024) as usize;
         let shards = shards_arg.map(|k| k as usize);
         let secs = secs_arg.unwrap_or(if quick { 2 } else { 6 });
         let row = engine_scale::scale(nodes, shards, secs, SEED);
-        emit("scale", engine_scale::render(&row));
-        if !row.within_budget() {
-            eprintln!(
-                "FAIL: peak thread count {} exceeds the shards+3 budget of {}",
-                row.peak_threads.unwrap_or(0),
-                row.thread_budget
-            );
-            std::process::exit(1);
-        }
+        passed &= gate(
+            "scale",
+            engine_scale::render(&row),
+            &engine_scale::claims(&row),
+        );
     }
-    // Explicit-only (not part of `all`), like `churn`: a CI smoke whose
-    // replay-accuracy and fairness gates exit non-zero. Replays a
-    // validated arrival-trace file through the engine under balance-sic.
     if opts.named("trace") {
         let file = opts
             .file
@@ -392,199 +329,54 @@ fn main() {
             Some(ms) => data.with_beat(themis_core::prelude::TimeDelta::from_millis(ms)),
             None => data,
         };
-        let mut outcome = trace_fig::trace_replay(std::sync::Arc::new(data), secs, SEED);
-        outcome.file = file;
-        emit("trace", trace_fig::render(&outcome));
-        write_bench_json("trace", &trace_fig::to_json(&outcome));
-        let mut failed = false;
-        if !outcome.accurate() {
-            eprintln!(
-                "FAIL: replayed volume off by {:.1}% from the trace-declared expectation \
-                 (expected {:.0}, arrived {}, tolerance {:.0}%)",
-                outcome.accuracy_error() * 100.0,
-                outcome.expected_tuples,
-                outcome.arrived_tuples,
-                trace_fig::TRACE_ACCURACY_TOLERANCE * 100.0
-            );
-            failed = true;
-        }
-        if !outcome.fair() {
-            eprintln!(
-                "FAIL: Jain {:.4} under the trace shape (floor {}, shed {:.1}%)",
-                outcome.jain,
-                trace_fig::TRACE_JAIN_FLOOR,
-                outcome.shed_fraction * 100.0
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "trace: `{}` replayed within {:.1}% of declared volume, Jain {:.4}, shed {:.1}%",
-            outcome.trace_name,
-            outcome.accuracy_error() * 100.0,
-            outcome.jain,
-            outcome.shed_fraction * 100.0
-        );
+        let mut out = trace_fig::trace_replay(std::sync::Arc::new(data), secs, SEED);
+        out.file = file;
+        passed &= gate("trace", trace_fig::render(&out), &trace_fig::claims(&out));
     }
-    // Explicit-only (not part of `all`), like `trace`: a CI smoke whose
-    // correlated-fairness gate exits non-zero. Races one shared burst
-    // process against the independent-burst control at identical
-    // declared demand.
     if opts.named("correlated") {
         let secs = secs_arg.unwrap_or(if quick { 3 } else { 8 });
-        let outcome = correlated::correlated(secs, SEED);
-        emit("correlated", correlated::render(&outcome));
-        write_bench_json("correlated", &correlated::to_json(&outcome));
-        let corr = outcome.arm("correlated");
-        let indep = outcome.arm("independent");
-        if outcome.fair_under_correlation() {
-            eprintln!(
-                "correlated: Jain {:.4} under simultaneous bursts vs {:.4} independent \
-                 (shed {:.1}% vs {:.1}%)",
-                corr.jain,
-                indep.jain,
-                corr.shed_fraction * 100.0,
-                indep.shed_fraction * 100.0
-            );
-        } else {
-            eprintln!(
-                "FAIL: correlated-burst Jain {:.4} fell more than {} below the \
-                 independent control {:.4} (correlated shed {:.1}%)",
-                corr.jain,
-                correlated::CORRELATED_JAIN_SLACK,
-                indep.jain,
-                corr.shed_fraction * 100.0
-            );
-            std::process::exit(1);
-        }
+        let out = correlated::correlated(secs, SEED);
+        passed &= gate(
+            "correlated",
+            correlated::render(&out),
+            &correlated::claims(&out),
+        );
     }
-    // Explicit-only (not part of `all`), like `churn`: a CI smoke whose
-    // durability gate exits non-zero. Kills a shard mid-overload,
-    // restores it from checkpoint + WAL tail, and asserts the
-    // post-recovery SIC/Jain numbers stay within bounds of an
-    // uninterrupted control run with the same seed.
     if opts.named("recovery") {
         let secs = secs_arg.unwrap_or(if quick { 5 } else { 8 });
-        let outcome = recovery::recovery(secs, SEED);
-        emit("recovery", recovery::render(&outcome));
-        write_bench_json("recovery", &recovery::to_json(&outcome));
-        if outcome.recovered() {
-            eprintln!(
-                "recovery: shard {} restored from {} snapshots + {} WAL deltas; \
-                 post-recovery SIC error {:.4} (bound {}), Jain diff {:.4} (bound {}), \
-                 shed {:.1}%",
-                outcome.killed_shard,
-                outcome.checkpoint_snapshots,
-                outcome.wal_deltas,
-                outcome.mean_abs_error,
-                recovery::SIC_ERROR_BOUND,
-                outcome.jain_diff(),
-                recovery::JAIN_DIFF_BOUND,
-                outcome.arm("faulted").shed_fraction * 100.0
-            );
-        } else {
-            eprintln!(
-                "FAIL: recovery gate (SIC error {:.4} vs bound {}, Jain diff {:.4} vs \
-                 bound {}, snapshots {}, deltas {}, shed {:.3}, engine errors {})",
-                outcome.mean_abs_error,
-                recovery::SIC_ERROR_BOUND,
-                outcome.jain_diff(),
-                recovery::JAIN_DIFF_BOUND,
-                outcome.checkpoint_snapshots,
-                outcome.wal_deltas,
-                outcome.arm("faulted").shed_fraction,
-                outcome.arms.iter().map(|a| a.engine_errors).sum::<usize>()
-            );
-            std::process::exit(1);
-        }
+        let out = recovery::recovery(secs, SEED);
+        passed &= gate("recovery", recovery::render(&out), &recovery::claims(&out));
     }
-    // Explicit-only (not part of `all`), like `trace`: a CI smoke whose
-    // strategic-advantage gate exits non-zero. Runs the tick-phase-locked
-    // attacker under every registered policy; only the balance-sic family
-    // is asserted, the baselines' leak is documented.
     if opts.named("adversarial") {
         let secs = secs_arg.unwrap_or(if quick { 2 } else { 4 });
-        let outcome = adversarial::adversarial(secs, SEED);
-        emit("adversarial", adversarial::render(&outcome));
-        write_bench_json("adversarial", &adversarial::to_json(&outcome));
-        if outcome.sic_policies_hold() {
-            for r in outcome.rows.iter().filter(|r| r.sic_aware) {
-                eprintln!(
-                    "adversarial: {} holds the strategic source to {:+.1}% \
-                     (epsilon {:.0}%, shed {:.1}%)",
-                    r.policy,
-                    r.advantage() * 100.0,
-                    adversarial::ADVERSARIAL_EPSILON * 100.0,
-                    r.shed_fraction * 100.0
-                );
-            }
-        } else {
-            for r in outcome
-                .rows
-                .iter()
-                .filter(|r| r.sic_aware && !r.within_epsilon())
-            {
-                eprintln!(
-                    "FAIL: {} let the strategic source take {:+.1}% over its honest peers \
-                     (epsilon {:.0}%, shed {:.1}%)",
-                    r.policy,
-                    r.advantage() * 100.0,
-                    adversarial::ADVERSARIAL_EPSILON * 100.0,
-                    r.shed_fraction * 100.0
-                );
-            }
-            std::process::exit(1);
-        }
+        let out = adversarial::adversarial(secs, SEED);
+        passed &= gate(
+            "adversarial",
+            adversarial::render(&out),
+            &adversarial::claims(&out),
+        );
     }
-
-    // Explicit-only (not part of `all`), like `recovery`: a CI smoke
-    // whose multi-process parity gate exits non-zero. Forks
-    // `--sources-procs` source subprocesses feeding the engine's TCP
-    // ingest listener over loopback and asserts every policy's federated
-    // SIC/Jain lands within 2% of the in-process control.
     if opts.named("federated") {
         let procs = opts.sources_procs.unwrap_or(4) as usize;
         let secs = secs_arg.unwrap_or(if quick { 3 } else { 5 });
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("federated: cannot locate own binary to fork pumps: {e}");
-                std::process::exit(1);
-            }
-        };
-        let outcome = federated_fig::federated(&policies, procs.max(1), secs, SEED, &exe);
-        emit("federated", federated_fig::render(&outcome));
-        write_bench_json("federated", &federated_fig::to_json(&outcome));
-        if outcome.passed() {
-            eprintln!(
-                "federated: {} policies within {:.0}% SIC / {:.2} Jain of in-process \
-                 parity across {} source processes",
-                outcome.arms.len(),
-                federated_fig::SIC_REL_BOUND * 100.0,
-                federated_fig::JAIN_ABS_BOUND,
-                outcome.sources_procs
-            );
-        } else {
-            for a in outcome.arms.iter().filter(|a| !a.within_bounds()) {
-                eprintln!(
-                    "FAIL: {}: sic {:.4} vs {:.4} (rel {:.2}%), jain {:.4} vs {:.4} \
-                     (diff {:.4}), wire batches {}, engine errors {}",
-                    a.policy,
-                    a.federated_sic,
-                    a.control_sic,
-                    a.sic_rel_diff() * 100.0,
-                    a.federated_jain,
-                    a.control_jain,
-                    a.jain_diff(),
-                    a.remote_batches,
-                    a.engine_errors
+        match std::env::current_exe() {
+            Ok(exe) => {
+                let out = federated_fig::federated(&policies, procs.max(1), secs, SEED, &exe);
+                passed &= gate(
+                    "federated",
+                    federated_fig::render(&out),
+                    &federated_fig::claims(&out),
                 );
             }
-            std::process::exit(1);
+            Err(e) => {
+                eprintln!("FAIL federated: cannot locate own binary to fork pumps: {e}");
+                passed = false;
+            }
         }
     }
 
     eprintln!("total time: {:.1}s", t0.elapsed().as_secs_f64());
+    if !passed {
+        std::process::exit(1);
+    }
 }

@@ -1,5 +1,5 @@
-//! Ablations beyond the paper's figures (flagged as extensions in
-//! DESIGN.md §6): the `updateSIC` dissemination switch (Figure 4's
+//! Ablations beyond the paper's figures (extensions: the paper plots
+//! neither): the `updateSIC` dissemination switch (Figure 4's
 //! pathology at scale) and the batch-admission order of Algorithm 1
 //! line 16.
 

@@ -12,23 +12,21 @@
 //! spike epochs the cohort departs ([`Engine::detach_query`]) and the
 //! empty incarnations tear down.
 //!
-//! The gate asserted when the experiment runs by name (and by the CI
-//! smoke): Jain's index over the **resident** queries must *recover*
-//! after the cohort departs — within [`JAIN_RECOVERY_SLACK`] of its
-//! pre-churn baseline — and the churn phase must actually have shed
-//! tuples (otherwise the transition stressed nothing). The phases and
-//! verdict are written to `results/BENCH_churn.json` so CI tracks the
-//! trajectory per PR.
+//! The gate ([`claims`]): Jain's index over the **resident** queries must
+//! *recover* after the cohort departs — within [`JAIN_RECOVERY_SLACK`] of
+//! its pre-churn baseline — and the churn phase must actually have shed
+//! tuples (otherwise the transition stressed nothing).
 
-use std::collections::HashMap;
 use std::time::Duration;
 
+use themis_core::fairness::mean;
 use themis_core::prelude::*;
 use themis_engine::prelude::*;
 use themis_query::prelude::Template;
 use themis_workloads::prelude::*;
 
-use crate::table::{f, TextTable};
+use super::window_means;
+use crate::table::{f, Claim, TextTable};
 
 /// Allowed Jain-index drop from the pre-churn baseline after recovery.
 pub const JAIN_RECOVERY_SLACK: f64 = 0.05;
@@ -77,36 +75,22 @@ impl ChurnOutcome {
             .find(|p| p.name == name)
             .expect("phase present")
     }
-
-    /// The fairness-recovery gate: resident Jain after the cohort departs
-    /// is within [`JAIN_RECOVERY_SLACK`] of the pre-churn baseline, and
-    /// the churn actually shed tuples.
-    pub fn fairness_recovered(&self) -> bool {
-        let baseline = self.phase("baseline").resident_jain;
-        let recovery = self.phase("recovery").resident_jain;
-        recovery >= baseline - JAIN_RECOVERY_SLACK && self.shed_fraction > 0.0
-    }
 }
 
-/// Mean per-query SIC over the series samples inside `[from, to)`;
-/// queries without samples in the window are skipped.
-fn window_means(
-    series: &HashMap<QueryId, Vec<(Timestamp, f64)>>,
-    ids: &[QueryId],
-    from: Timestamp,
-    to: Timestamp,
-) -> Vec<f64> {
-    ids.iter()
-        .filter_map(|q| {
-            let samples: Vec<f64> = series
-                .get(q)?
-                .iter()
-                .filter(|&&(t, _)| t >= from && t < to)
-                .map(|&(_, v)| v)
-                .collect();
-            (!samples.is_empty()).then(|| samples.iter().sum::<f64>() / samples.len() as f64)
-        })
-        .collect()
+/// The fairness-recovery gate: resident Jain after the cohort departs
+/// drops at most [`JAIN_RECOVERY_SLACK`] below the pre-churn baseline,
+/// and the churn actually shed tuples.
+pub fn claims(out: &ChurnOutcome) -> Vec<Claim> {
+    let baseline = out.phase("baseline").resident_jain;
+    let recovery = out.phase("recovery").resident_jain;
+    vec![
+        Claim::at_most(
+            "resident_jain_drop",
+            baseline - recovery,
+            JAIN_RECOVERY_SLACK,
+        ),
+        Claim::above("shed_fraction", out.shed_fraction, 0.0),
+    ]
 }
 
 /// Runs the churn scenario on the engine: `nodes` resident AVG queries
@@ -181,15 +165,18 @@ pub fn churn(nodes: usize, shards: Option<usize>, secs_per_phase: u64, seed: u64
         ("churn", churn_from, churn_to),
         ("recovery", recovery_from, recovery_to),
     ] {
-        let resident_means = window_means(&report.sic_series, &residents, from, to);
-        let cohort_means = window_means(&report.sic_series, &cohort, from, to);
+        let means = window_means(&report.sic_series, from, to);
+        let of = |ids: &[QueryId]| -> Vec<f64> {
+            ids.iter().filter_map(|q| means.get(q).copied()).collect()
+        };
+        let (resident_means, cohort_means) = (of(&residents), of(&cohort));
         phases.push(ChurnPhase {
             name,
             from_s: from.as_secs_f64(),
             to_s: to.as_secs_f64(),
             resident_jain: jain_index(&resident_means),
-            resident_mean: mean_of(&resident_means),
-            cohort_mean: mean_of(&cohort_means),
+            resident_mean: mean(&resident_means),
+            cohort_mean: mean(&cohort_means),
         });
     }
 
@@ -204,20 +191,12 @@ pub fn churn(nodes: usize, shards: Option<usize>, secs_per_phase: u64, seed: u64
     }
 }
 
-fn mean_of(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 /// Renders the churn phases.
 pub fn render(out: &ChurnOutcome) -> TextTable {
     let mut t = TextTable::new(
         format!(
-            "Engine churn: {} residents + {} flash-crowd arrivals on {} nodes ({} shards)",
-            out.residents, out.cohort, out.nodes, out.shards
+            "Engine churn: {} residents + {} flash-crowd arrivals on {} nodes ({} shards, {} ticks)",
+            out.residents, out.cohort, out.nodes, out.shards, out.ticks
         ),
         &[
             "phase",
@@ -239,37 +218,6 @@ pub fn render(out: &ChurnOutcome) -> TextTable {
     t
 }
 
-/// Serialises the outcome for `results/BENCH_churn.json`.
-pub fn to_json(out: &ChurnOutcome) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"nodes\": {},\n  \"shards\": {},\n  \"residents\": {},\n  \"cohort\": {},\n",
-        out.nodes, out.shards, out.residents, out.cohort
-    ));
-    s.push_str(&format!(
-        "  \"shed_fraction\": {:.6},\n  \"ticks\": {},\n  \"jain_recovery_slack\": {JAIN_RECOVERY_SLACK},\n",
-        out.shed_fraction, out.ticks
-    ));
-    s.push_str(&format!(
-        "  \"fairness_recovered\": {},\n  \"phases\": [\n",
-        out.fairness_recovered()
-    ));
-    for (i, p) in out.phases.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"from_s\": {:.2}, \"to_s\": {:.2}, \"resident_jain\": {:.6}, \"resident_mean\": {:.6}, \"cohort_mean\": {:.6}}}{}\n",
-            p.name,
-            p.from_s,
-            p.to_s,
-            p.resident_jain,
-            p.resident_mean,
-            p.cohort_mean,
-            if i + 1 < out.phases.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +234,7 @@ mod tests {
             shed_fraction,
             ..Default::default()
         };
-        out.fairness_recovered()
+        claims(&out).iter().all(|c| c.holds)
     }
 
     #[test]

@@ -11,21 +11,21 @@
 //! (the shared and per-source patterns are the same process), so any
 //! fairness difference is attributable to the correlation alone.
 //!
-//! Gates asserted when the experiment runs by name (and by any CI
-//! smoke): under `balance-sic` the correlated run's Jain index must stay
-//! within [`CORRELATED_JAIN_SLACK`] of the independent-burst control,
-//! and the correlated run must actually shed — a declared-fairness
-//! property under simultaneous overload, not just steady state. The
-//! outcome is written to `results/BENCH_correlated.json`.
+//! The gate ([`claims`]): under `balance-sic` the correlated run's Jain
+//! index must stay within [`CORRELATED_JAIN_SLACK`] of the
+//! independent-burst control, and the correlated run must actually shed
+//! — a declared-fairness property under simultaneous overload, not just
+//! steady state.
 
 use std::time::Duration;
 
+use themis_core::fairness::mean;
 use themis_core::prelude::*;
 use themis_engine::prelude::*;
 use themis_query::prelude::Template;
 use themis_workloads::prelude::*;
 
-use crate::table::{f, TextTable};
+use crate::table::{f, Claim, TextTable};
 
 /// Allowed Jain drop of the correlated run below the independent control.
 pub const CORRELATED_JAIN_SLACK: f64 = 0.05;
@@ -65,15 +65,21 @@ impl CorrelatedOutcome {
     pub fn arm(&self, name: &str) -> &CorrelatedArm {
         self.arms.iter().find(|a| a.name == name).expect("arm")
     }
+}
 
-    /// The fairness gate: correlated Jain within
-    /// [`CORRELATED_JAIN_SLACK`] of the independent control, with real
-    /// shedding in the correlated arm.
-    pub fn fair_under_correlation(&self) -> bool {
-        let corr = self.arm("correlated");
-        corr.jain >= self.arm("independent").jain - CORRELATED_JAIN_SLACK
-            && corr.shed_fraction > 0.0
-    }
+/// The fairness gate: correlated Jain at most [`CORRELATED_JAIN_SLACK`]
+/// below the independent control, with real shedding in the correlated
+/// arm.
+pub fn claims(out: &CorrelatedOutcome) -> Vec<Claim> {
+    let corr = out.arm("correlated");
+    vec![
+        Claim::at_most(
+            "jain_drop_vs_independent",
+            out.arm("independent").jain - corr.jain,
+            CORRELATED_JAIN_SLACK,
+        ),
+        Claim::above("shed_fraction", corr.shed_fraction, 0.0),
+    ]
 }
 
 /// Runs both arms: 16 AVG queries over 4 nodes, flash-crowd pattern
@@ -142,11 +148,7 @@ pub fn correlated(secs: u64, seed: u64) -> CorrelatedOutcome {
                 "independent"
             },
             jain: jain_index(&sics),
-            mean_sic: if sics.is_empty() {
-                0.0
-            } else {
-                sics.iter().sum::<f64>() / sics.len() as f64
-            },
+            mean_sic: mean(&sics),
             shed_fraction: report.shed_fraction(),
             arrived_tuples: report.nodes.iter().map(|n| n.arrived_tuples).sum(),
         }
@@ -182,32 +184,6 @@ pub fn render(out: &CorrelatedOutcome) -> TextTable {
     t
 }
 
-/// Serialises the outcome for `results/BENCH_correlated.json`.
-pub fn to_json(out: &CorrelatedOutcome) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"nodes\": {},\n  \"queries\": {},\n  \"capacity_tps\": {},\n  \"jain_slack\": {CORRELATED_JAIN_SLACK},\n",
-        out.nodes, out.queries, out.capacity_tps
-    ));
-    s.push_str(&format!(
-        "  \"fair_under_correlation\": {},\n  \"arms\": [\n",
-        out.fair_under_correlation()
-    ));
-    for (i, a) in out.arms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"jain\": {:.6}, \"mean_sic\": {:.6}, \"shed_fraction\": {:.6}, \"arrived_tuples\": {}}}{}\n",
-            a.name,
-            a.jain,
-            a.mean_sic,
-            a.shed_fraction,
-            a.arrived_tuples,
-            if i + 1 < out.arms.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +202,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        out.fair_under_correlation()
+        claims(&out).iter().all(|c| c.holds)
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! This is the *simulator* (model-time) churn run; the wall-clock engine
 //! analogue at 512+ nodes is [`crate::figures::churn`].
 
+use themis_core::fairness::mean;
 use themis_core::prelude::*;
 use themis_query::prelude::*;
 use themis_sim::prelude::*;
@@ -86,11 +87,7 @@ pub fn dynamics(scale: &Scale, seed: u64) -> (Vec<DynamicsPoint>, Timestamp, Tim
                         .map(|&(_, v)| v)
                 })
                 .collect();
-            if vals.is_empty() {
-                0.0
-            } else {
-                vals.iter().sum::<f64>() / vals.len() as f64
-            }
+            mean(&vals)
         };
         let active: Vec<f64> = resident
             .iter()

@@ -16,11 +16,10 @@
 //! Because the remote pump enumerates and seeds sources exactly like
 //! the engine's installer, the federation collectively offers the same
 //! tuple streams; the arms may differ only by transport timing. The
-//! gate requires, per policy: relative mean-SIC difference within
-//! [`SIC_REL_BOUND`], absolute Jain difference within
+//! gate ([`claims`]) requires, per policy: relative mean-SIC difference
+//! within [`SIC_REL_BOUND`], absolute Jain difference within
 //! [`JAIN_ABS_BOUND`], no engine errors, and a non-zero remote batch
-//! count (the wire actually carried the load). The verdict and measured
-//! values go to `results/BENCH_federated.json`.
+//! count (the wire actually carried the load).
 
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -30,7 +29,7 @@ use themis_core::shedder::Policy;
 use themis_engine::prelude::*;
 use themis_workloads::remote::{build_federated_scenario, FederatedParams};
 
-use crate::table::{f, TextTable};
+use crate::table::{f, Claim, TextTable};
 
 /// Allowed relative difference in mean settled SIC between the
 /// federated arm and the in-process control, per policy.
@@ -83,14 +82,17 @@ impl FederatedArm {
     pub fn jain_diff(&self) -> f64 {
         (self.federated_jain - self.control_jain).abs()
     }
+}
 
-    /// This policy's slice of the gate.
-    pub fn within_bounds(&self) -> bool {
-        self.sic_rel_diff() <= SIC_REL_BOUND
-            && self.jain_diff() <= JAIN_ABS_BOUND
-            && self.engine_errors == 0
-            && self.remote_batches > 0
-    }
+/// One policy's slice of the gate.
+fn arm_claims(a: &FederatedArm) -> [Claim; 4] {
+    let id = |what: &str| format!("{}.{what}", a.policy);
+    [
+        Claim::at_most(id("sic_rel_diff"), a.sic_rel_diff(), SIC_REL_BOUND),
+        Claim::at_most(id("jain_diff"), a.jain_diff(), JAIN_ABS_BOUND),
+        Claim::at_most(id("engine_errors"), a.engine_errors as f64, 0.0),
+        Claim::above(id("remote_batches"), a.remote_batches as f64, 0.0),
+    ]
 }
 
 /// Outcome of the federated parity experiment.
@@ -104,11 +106,11 @@ pub struct FederatedOutcome {
     pub arms: Vec<FederatedArm>,
 }
 
-impl FederatedOutcome {
-    /// The gate: every policy within bounds.
-    pub fn passed(&self) -> bool {
-        !self.arms.is_empty() && self.arms.iter().all(|a| a.within_bounds())
-    }
+/// The gate: at least one policy ran, and every policy is within bounds.
+pub fn claims(out: &FederatedOutcome) -> Vec<Claim> {
+    let mut claims = vec![Claim::above("arms", out.arms.len() as f64, 0.0)];
+    claims.extend(out.arms.iter().flat_map(arm_claims));
+    claims
 }
 
 fn engine_config(policy: Policy) -> EngineConfig {
@@ -292,7 +294,7 @@ pub fn federated(
                 remote_shed_batches,
                 engine_errors,
             };
-            let done = arm.within_bounds();
+            let done = arm_claims(&arm).iter().all(|c| c.holds);
             let better = match &best {
                 Some(b) => arm.sic_rel_diff() < b.sic_rel_diff(),
                 None => true,
@@ -342,7 +344,6 @@ pub fn render(out: &FederatedOutcome) -> TextTable {
             "jain-fed",
             "wire-batches",
             "wire-shed",
-            "ok",
         ],
     );
     for a in &out.arms {
@@ -355,48 +356,9 @@ pub fn render(out: &FederatedOutcome) -> TextTable {
             f(a.federated_jain),
             a.remote_batches.to_string(),
             a.remote_shed_batches.to_string(),
-            if a.within_bounds() { "yes" } else { "NO" }.to_string(),
         ]);
     }
     t
-}
-
-/// Serialises the outcome for `results/BENCH_federated.json`.
-pub fn to_json(out: &FederatedOutcome) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"sources_procs\": {},\n  \"nodes\": {},\n  \"queries\": {},\n",
-        out.sources_procs, out.params.nodes, out.params.queries
-    ));
-    s.push_str(&format!(
-        "  \"rate_tps\": {},\n  \"capacity_tps\": {},\n  \"duration_ms\": {},\n",
-        out.params.rate_tps, out.params.capacity_tps, out.params.duration_ms
-    ));
-    s.push_str(&format!(
-        "  \"sic_rel_bound\": {SIC_REL_BOUND},\n  \"jain_abs_bound\": {JAIN_ABS_BOUND},\n"
-    ));
-    s.push_str(&format!("  \"passed\": {},\n  \"arms\": [\n", out.passed()));
-    for (i, a) in out.arms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"control_sic\": {:.6}, \"federated_sic\": {:.6}, \
-             \"sic_rel_diff\": {:.6}, \"control_jain\": {:.6}, \"federated_jain\": {:.6}, \
-             \"remote_batches\": {}, \"remote_shed_batches\": {}, \"engine_errors\": {}, \
-             \"ok\": {}}}{}\n",
-            a.policy,
-            a.control_sic,
-            a.federated_sic,
-            a.sic_rel_diff(),
-            a.control_jain,
-            a.federated_jain,
-            a.remote_batches,
-            a.remote_shed_batches,
-            a.engine_errors,
-            a.within_bounds(),
-            if i + 1 < out.arms.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -422,7 +384,7 @@ mod tests {
             arms,
             ..Default::default()
         };
-        out.passed()
+        claims(&out).iter().all(|c| c.holds)
     }
 
     #[test]

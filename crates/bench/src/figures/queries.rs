@@ -19,8 +19,7 @@
 //! group-by kernel ([`group_kernel_invocations`]) actually fired —
 //! proving text reaches the typed columnar hot path, not a row fallback.
 //!
-//! The outcome is written to `results/BENCH_queries.json`; the
-//! `experiments queries` smoke exits non-zero when any gate fails.
+//! [`claims`] turns both checks into the `experiments queries` gate.
 
 use std::time::Duration;
 
@@ -31,7 +30,7 @@ use themis_query::prelude::*;
 use themis_sim::prelude::*;
 use themis_workloads::prelude::*;
 
-use crate::table::{f, TextTable};
+use crate::table::{f, Claim, TextTable};
 
 /// The declarative `GROUP BY` query the engine probe attaches.
 pub const GROUP_BY_QUERY: &str = "SELECT host, SUM(value) FROM sensors[4] GROUP BY host";
@@ -69,9 +68,9 @@ pub struct TemplateParityRow {
 }
 
 impl TemplateParityRow {
-    /// Structural and every behavioural cell match.
-    pub fn matches(&self) -> bool {
-        self.structural_match && self.policies.iter().all(PolicyCell::matches)
+    /// Structural plus behavioural mismatches (0 = full parity).
+    pub fn mismatches(&self) -> usize {
+        usize::from(!self.structural_match) + self.policies.iter().filter(|c| !c.matches()).count()
     }
 }
 
@@ -86,14 +85,6 @@ pub struct GroupByProbe {
     pub results: usize,
 }
 
-impl GroupByProbe {
-    /// The query demonstrably ran through the dictionary kernel and
-    /// emitted grouped results.
-    pub fn dispatched(&self) -> bool {
-        self.kernel_calls > 0 && self.results > 0
-    }
-}
-
 /// Full outcome of the `queries` experiment.
 #[derive(Debug, Clone, Default)]
 pub struct QueriesOutcome {
@@ -103,12 +94,32 @@ pub struct QueriesOutcome {
     pub group_by: GroupByProbe,
 }
 
-impl QueriesOutcome {
-    /// The CI gate: every template matches on both axes and the
-    /// declarative `GROUP BY` reached the kernel.
-    pub fn all_match(&self) -> bool {
-        self.parity.iter().all(TemplateParityRow::matches) && self.group_by.dispatched()
-    }
+/// The parity gate: every template matches on both axes, and the
+/// declarative `GROUP BY` ran through the dictionary kernel and emitted
+/// grouped results.
+pub fn claims(out: &QueriesOutcome) -> Vec<Claim> {
+    let mut claims: Vec<Claim> = out
+        .parity
+        .iter()
+        .map(|r| {
+            Claim::at_most(
+                format!("{}.mismatches", r.template),
+                r.mismatches() as f64,
+                0.0,
+            )
+        })
+        .collect();
+    claims.push(Claim::above(
+        "group_by.kernel_calls",
+        out.group_by.kernel_calls as f64,
+        0.0,
+    ));
+    claims.push(Claim::above(
+        "group_by.results",
+        out.group_by.results as f64,
+        0.0,
+    ));
+    claims
 }
 
 /// The Table-1 presets the parity gate sweeps (complex templates at the
@@ -333,12 +344,7 @@ pub fn render(out: &QueriesOutcome) -> TextTable {
         "-".to_string(),
         format!("{} kernel calls", out.group_by.kernel_calls),
         format!("{} results", out.group_by.results),
-        if out.group_by.dispatched() {
-            "yes"
-        } else {
-            "NO"
-        }
-        .to_string(),
+        "-".to_string(),
     ]);
     t
 }
@@ -367,45 +373,6 @@ pub fn render_declarative(run: &DeclarativeRun) -> TextTable {
     t
 }
 
-/// Serialises the outcome for `results/BENCH_queries.json`.
-pub fn to_json(out: &QueriesOutcome) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"all_match\": {},\n", out.all_match()));
-    s.push_str(&format!(
-        "  \"group_by\": {{\"query\": \"{}\", \"kernel_calls\": {}, \"results\": {}, \"dispatched\": {}}},\n",
-        out.group_by.query,
-        out.group_by.kernel_calls,
-        out.group_by.results,
-        out.group_by.dispatched()
-    ));
-    s.push_str("  \"templates\": [\n");
-    for (i, row) in out.parity.iter().enumerate() {
-        let policies: Vec<String> = row
-            .policies
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"policy\": \"{}\", \"match\": {}, \"sic\": {:.6}, \"jain\": {:.6}}}",
-                    c.policy,
-                    c.matches(),
-                    c.spec_sic.0,
-                    c.spec_sic.1
-                )
-            })
-            .collect();
-        s.push_str(&format!(
-            "    {{\"template\": \"{}\", \"text\": \"{}\", \"structural_match\": {}, \"policies\": [{}]}}{}\n",
-            row.template,
-            row.text,
-            row.structural_match,
-            policies.join(", "),
-            if i + 1 < out.parity.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,7 +398,7 @@ mod tests {
             },
         };
         edit(&mut out);
-        out.all_match()
+        claims(&out).iter().all(|c| c.holds)
     }
 
     #[test]

@@ -14,29 +14,30 @@
 //! **faulted** arm whose [`FaultPlan`] kills one shard mid-overload
 //! (~45% into the run) and restarts it (~55% in) with a restore from the
 //! durable log. Both arms record per-query SIC series; the gate compares
-//! the tail window (the last 20% of the run, well after recovery):
+//! the tail window (the last 20% of the run, well after recovery), in
+//! [`claims`]:
 //!
 //! * mean absolute per-query SIC error between the arms must stay within
 //!   [`SIC_ERROR_BOUND`];
 //! * the Jain fairness difference must stay within [`JAIN_DIFF_BOUND`];
 //! * the killed shard must have left a readable durable log (inspected
-//!   post-run with `wal::restore_shard` and recorded in the JSON);
+//!   post-run with `wal::restore_shard`);
 //! * neither arm may report an [`EngineError`], and the faulted arm must
 //!   actually have shed tuples (otherwise the crash hit an idle system).
-//!
-//! The verdict and measured values go to `results/BENCH_recovery.json`.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use themis_core::fairness::mean;
 use themis_core::prelude::*;
 use themis_core::wal;
 use themis_engine::prelude::*;
 use themis_query::prelude::Template;
 use themis_workloads::prelude::*;
 
-use crate::table::{f, TextTable};
+use super::window_means;
+use crate::table::{f, Claim, TextTable};
 
 /// Allowed mean absolute per-query SIC error between the faulted arm and
 /// the uninterrupted control, over the post-recovery window. Both arms
@@ -114,46 +115,28 @@ impl RecoveryOutcome {
     pub fn jain_diff(&self) -> f64 {
         (self.arm("faulted").jain - self.arm("control").jain).abs()
     }
-
-    /// The recovery gate: post-recovery SIC error and Jain difference
-    /// within bounds, a readable durable log, genuine overload, and no
-    /// shard-thread failures in either arm.
-    pub fn recovered(&self) -> bool {
-        self.mean_abs_error <= SIC_ERROR_BOUND
-            && self.jain_diff() <= JAIN_DIFF_BOUND
-            && (self.checkpoint_snapshots > 0 || self.wal_deltas > 0)
-            && self.arm("faulted").shed_fraction > 0.0
-            && self.arms.iter().all(|a| a.engine_errors == 0)
-    }
 }
 
-/// Mean per-query SIC over the series samples inside `[from, to)`, keyed
-/// by query id; queries without samples in the window are skipped.
-fn window_means(
-    series: &HashMap<QueryId, Vec<(Timestamp, f64)>>,
-    from: Timestamp,
-    to: Timestamp,
-) -> HashMap<QueryId, f64> {
-    series
-        .iter()
-        .filter_map(|(&q, samples)| {
-            let vals: Vec<f64> = samples
-                .iter()
-                .filter(|&&(t, _)| t >= from && t < to)
-                .map(|&(_, v)| v)
-                .collect();
-            (!vals.is_empty()).then(|| (q, vals.iter().sum::<f64>() / vals.len() as f64))
-        })
-        .collect()
-}
-
-fn mean_of(values: impl Iterator<Item = f64>) -> f64 {
-    let vals: Vec<f64> = values.collect();
-    if vals.is_empty() {
-        0.0
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    }
+/// The recovery gate: post-recovery SIC error and Jain difference within
+/// bounds, a readable durable log, genuine overload, and no shard-thread
+/// failures in either arm.
+pub fn claims(out: &RecoveryOutcome) -> Vec<Claim> {
+    let engine_errors: usize = out.arms.iter().map(|a| a.engine_errors).sum();
+    vec![
+        Claim::at_most("mean_abs_sic_error", out.mean_abs_error, SIC_ERROR_BOUND),
+        Claim::at_most("jain_diff", out.jain_diff(), JAIN_DIFF_BOUND),
+        Claim::above(
+            "durable_records",
+            (out.checkpoint_snapshots + out.wal_deltas) as f64,
+            0.0,
+        ),
+        Claim::above(
+            "faulted.shed_fraction",
+            out.arm("faulted").shed_fraction,
+            0.0,
+        ),
+        Claim::at_most("engine_errors", engine_errors as f64, 0.0),
+    ]
 }
 
 /// One arm's run: the overloaded scenario under balance-sic with
@@ -188,10 +171,11 @@ fn run_arm(
     let measure_to = engine.now();
     let report = engine.finish();
     let means = window_means(&report.sic_series, measure_from, measure_to);
+    let window: Vec<f64> = means.values().copied().collect();
     let arm = RecoveryArm {
         name,
-        jain: jain_index(&means.values().copied().collect::<Vec<f64>>()),
-        mean_sic: mean_of(means.values().copied()),
+        jain: jain_index(&window),
+        mean_sic: mean(&window),
         shed_fraction: report.shed_fraction(),
         engine_errors: report.errors.len(),
         checkpoints: report.checkpoints,
@@ -261,11 +245,15 @@ pub fn recovery(secs: u64, seed: u64) -> RecoveryOutcome {
         .chain(faulted_means.keys())
         .copied()
         .collect();
-    let mean_abs_error = mean_of(ids.iter().map(|q| {
-        (control_means.get(q).copied().unwrap_or(0.0)
-            - faulted_means.get(q).copied().unwrap_or(0.0))
-        .abs()
-    }));
+    let errors: Vec<f64> = ids
+        .iter()
+        .map(|q| {
+            (control_means.get(q).copied().unwrap_or(0.0)
+                - faulted_means.get(q).copied().unwrap_or(0.0))
+            .abs()
+        })
+        .collect();
+    let mean_abs_error = mean(&errors);
 
     // Post-hoc artifact inspection: the killed shard's durable log must
     // still be readable after the run.
@@ -306,7 +294,7 @@ pub fn render(out: &RecoveryOutcome) -> TextTable {
     let mut t = TextTable::new(
         format!(
             "Kill-mid-overload recovery: shard {} of {} killed at {:.1}s, restored at {:.1}s \
-             ({} queries on {} nodes; window {:.1}s-{:.1}s)",
+             ({} queries on {} nodes; window {:.1}s-{:.1}s; log {} snapshots + {} deltas{})",
             out.killed_shard,
             out.shards,
             out.kill_s,
@@ -314,7 +302,10 @@ pub fn render(out: &RecoveryOutcome) -> TextTable {
             out.queries,
             out.nodes,
             out.measure_from_s,
-            out.measure_to_s
+            out.measure_to_s,
+            out.checkpoint_snapshots,
+            out.wal_deltas,
+            if out.torn_tail { ", torn tail" } else { "" }
         ),
         &[
             "arm",
@@ -349,50 +340,6 @@ pub fn render(out: &RecoveryOutcome) -> TextTable {
     t
 }
 
-/// Serialises the outcome for `results/BENCH_recovery.json`.
-pub fn to_json(out: &RecoveryOutcome) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"nodes\": {},\n  \"shards\": {},\n  \"queries\": {},\n  \"killed_shard\": {},\n",
-        out.nodes, out.shards, out.queries, out.killed_shard
-    ));
-    s.push_str(&format!(
-        "  \"kill_s\": {:.2},\n  \"restart_s\": {:.2},\n  \"measure_from_s\": {:.2},\n  \"measure_to_s\": {:.2},\n",
-        out.kill_s, out.restart_s, out.measure_from_s, out.measure_to_s
-    ));
-    s.push_str(&format!(
-        "  \"sic_error_bound\": {SIC_ERROR_BOUND},\n  \"jain_diff_bound\": {JAIN_DIFF_BOUND},\n"
-    ));
-    s.push_str(&format!(
-        "  \"mean_abs_error\": {:.6},\n  \"jain_diff\": {:.6},\n",
-        out.mean_abs_error,
-        out.jain_diff()
-    ));
-    s.push_str(&format!(
-        "  \"checkpoint_snapshots\": {},\n  \"wal_deltas\": {},\n  \"torn_tail\": {},\n",
-        out.checkpoint_snapshots, out.wal_deltas, out.torn_tail
-    ));
-    s.push_str(&format!(
-        "  \"recovered\": {},\n  \"arms\": [\n",
-        out.recovered()
-    ));
-    for (i, a) in out.arms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"jain\": {:.6}, \"mean_sic\": {:.6}, \"shed_fraction\": {:.6}, \"engine_errors\": {}, \"checkpoints\": {}, \"early_checkpoints\": {}}}{}\n",
-            a.name,
-            a.jain,
-            a.mean_sic,
-            a.shed_fraction,
-            a.engine_errors,
-            a.checkpoints,
-            a.early_checkpoints,
-            if i + 1 < out.arms.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,7 +360,7 @@ mod tests {
             ..Default::default()
         };
         edit(&mut out);
-        out.recovered()
+        claims(&out).iter().all(|c| c.holds)
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! N-node federation wall-clock, samples the process's peak thread count
 //! from `/proc/self/status`, and reports it next to the shed/tick
 //! counters — CI runs it at `--nodes=1024` as a smoke against the
-//! bounded-thread property regressing.
+//! bounded-thread property regressing ([`claims`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use themis_engine::prelude::*;
 use themis_query::prelude::Template;
 use themis_workloads::prelude::*;
 
-use crate::table::{f, TextTable};
+use crate::table::{f, Claim, TextTable};
 
 /// Outcome of one scale run.
 #[derive(Debug, Clone, Default)]
@@ -47,14 +47,14 @@ pub struct ScaleRow {
     pub results: usize,
 }
 
-impl ScaleRow {
-    /// True when the peak thread count stayed within the budget (always
-    /// true where `/proc` is unavailable and no sample was taken).
-    pub fn within_budget(&self) -> bool {
-        self.peak_threads
-            .map(|p| p <= self.thread_budget)
-            .unwrap_or(true)
-    }
+/// The thread-budget gate: the peak thread count stays within
+/// `shards + 3`. Where `/proc` is unavailable nothing was sampled, so
+/// there is no claim to fail.
+pub fn claims(row: &ScaleRow) -> Vec<Claim> {
+    row.peak_threads
+        .map(|p| Claim::at_most("peak_threads", p as f64, row.thread_budget as f64))
+        .into_iter()
+        .collect()
 }
 
 /// Reads the current thread count of this process from `/proc/self/status`
@@ -170,7 +170,7 @@ mod tests {
             thread_budget: 5,
             ..Default::default()
         };
-        row.within_budget()
+        claims(&row).iter().all(|c| c.holds)
     }
 
     #[test]

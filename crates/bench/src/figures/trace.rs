@@ -8,8 +8,7 @@
 //! cohort on one node, with the node's capacity pinned *below* the
 //! trace's peaks so the shape actually forces shedding.
 //!
-//! Gates asserted when the experiment runs by name (and by the CI
-//! smoke):
+//! The gate ([`claims`]):
 //!
 //! 1. **replay accuracy** — tuples arriving at the node must match the
 //!    trace-declared expectation (`rate × horizon ×
@@ -19,8 +18,6 @@
 //!    stays ≥ [`TRACE_JAIN_FLOOR`] under `balance-sic`;
 //! 3. the replay must have **shed something** (a trace that never
 //!    overloads gates nothing).
-//!
-//! The outcome is written to `results/BENCH_trace.json`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +27,7 @@ use themis_engine::prelude::*;
 use themis_query::prelude::Template;
 use themis_workloads::prelude::*;
 
-use crate::table::{f, TextTable};
+use crate::table::{f, Claim, TextTable};
 
 /// Allowed relative error between arrived tuples and the trace-declared
 /// expectation.
@@ -73,16 +70,19 @@ impl TraceOutcome {
     pub fn accuracy_error(&self) -> f64 {
         (self.arrived_tuples as f64 - self.expected_tuples).abs() / self.expected_tuples.max(1.0)
     }
+}
 
-    /// The replay-accuracy gate.
-    pub fn accurate(&self) -> bool {
-        self.accuracy_error() <= TRACE_ACCURACY_TOLERANCE
-    }
-
-    /// The fairness-under-shape gate.
-    pub fn fair(&self) -> bool {
-        self.jain >= TRACE_JAIN_FLOOR && self.shed_fraction > 0.0
-    }
+/// The replay-accuracy and fairness-under-shape gate.
+pub fn claims(out: &TraceOutcome) -> Vec<Claim> {
+    vec![
+        Claim::at_most(
+            "accuracy_error",
+            out.accuracy_error(),
+            TRACE_ACCURACY_TOLERANCE,
+        ),
+        Claim::at_least("jain", out.jain, TRACE_JAIN_FLOOR),
+        Claim::above("shed_fraction", out.shed_fraction, 0.0),
+    ]
 }
 
 /// Replays `data` (already loaded/validated) through `queries` AVG
@@ -153,8 +153,8 @@ pub fn trace_replay(data: Arc<TraceData>, secs: u64, seed: u64) -> TraceOutcome 
 pub fn render(out: &TraceOutcome) -> TextTable {
     let mut t = TextTable::new(
         format!(
-            "Trace replay: `{}` ({} beats x {:.0} ms, mean factor {:.3}) x {} queries",
-            out.trace_name, out.beats, out.beat_ms, out.mean_factor, out.queries
+            "Trace replay: `{}` from {} ({} beats x {:.0} ms, mean factor {:.3}) x {} queries",
+            out.trace_name, out.file, out.beats, out.beat_ms, out.mean_factor, out.queries
         ),
         &[
             "horizon",
@@ -178,37 +178,6 @@ pub fn render(out: &TraceOutcome) -> TextTable {
     t
 }
 
-/// Serialises the outcome for `results/BENCH_trace.json`.
-pub fn to_json(out: &TraceOutcome) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"file\": \"{}\",\n  \"trace\": \"{}\",\n  \"beat_ms\": {:.3},\n  \"beats\": {},\n",
-        out.file, out.trace_name, out.beat_ms, out.beats
-    ));
-    s.push_str(&format!(
-        "  \"mean_factor\": {:.6},\n  \"queries\": {},\n  \"horizon_s\": {:.3},\n",
-        out.mean_factor, out.queries, out.horizon_s
-    ));
-    s.push_str(&format!(
-        "  \"expected_tuples\": {:.1},\n  \"arrived_tuples\": {},\n  \"accuracy_error\": {:.6},\n",
-        out.expected_tuples,
-        out.arrived_tuples,
-        out.accuracy_error()
-    ));
-    s.push_str(&format!(
-        "  \"accuracy_tolerance\": {TRACE_ACCURACY_TOLERANCE},\n  \"jain\": {:.6},\n  \"jain_floor\": {TRACE_JAIN_FLOOR},\n",
-        out.jain
-    ));
-    s.push_str(&format!(
-        "  \"shed_fraction\": {:.6},\n  \"ticks\": {},\n  \"accurate\": {},\n  \"fair\": {}\n}}\n",
-        out.shed_fraction,
-        out.ticks,
-        out.accurate(),
-        out.fair()
-    ));
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +190,7 @@ mod tests {
             shed_fraction,
             ..Default::default()
         };
-        out.accurate() && out.fair()
+        claims(&out).iter().all(|c| c.holds)
     }
 
     #[test]

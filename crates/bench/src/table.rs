@@ -1,4 +1,8 @@
-//! Minimal text-table and CSV output for the experiment harness.
+//! Minimal text-table, CSV and gate output for the experiment harness.
+//!
+//! A gated experiment returns its table plus a list of [`Claim`]s: an
+//! observed value checked against a stated bound. [`TextTable::to_json`]
+//! is the one serialiser for `results/BENCH_<name>.json`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -79,6 +83,138 @@ impl TextTable {
         }
         fs::write(dir.join(format!("{name}.csv")), s)
     }
+
+    /// Serialises the table and its gate verdict as one JSON document:
+    /// `{"title", "header", "rows" (string cells), "claims", "passed"}`.
+    /// Non-finite numbers become `null`, so the document stays valid even
+    /// when a gate fails hardest.
+    pub fn to_json(&self, claims: &[Claim]) -> String {
+        let strings = |cells: &[String]| {
+            let quoted: Vec<String> = cells.iter().map(|c| json_str(c)).collect();
+            format!("[{}]", quoted.join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(|r| strings(r)).collect();
+        let claims_json: Vec<String> = claims
+            .iter()
+            .map(|c| {
+                format!(
+                    "{{\"id\": {}, \"observed\": {}, \"cmp\": \"{}\", \"bound\": {}, \"holds\": {}}}",
+                    json_str(&c.id),
+                    json_num(c.observed),
+                    c.cmp.symbol(),
+                    json_num(c.bound),
+                    c.holds
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"title\": {},\n  \"header\": {},\n  \"rows\": [\n    {}\n  ],\n  \"claims\": [\n    {}\n  ],\n  \"passed\": {}\n}}\n",
+            json_str(&self.title),
+            strings(&self.header),
+            rows.join(",\n    "),
+            claims_json.join(",\n    "),
+            claims.iter().all(|c| c.holds)
+        )
+    }
+}
+
+/// How a claim's observed value must compare with its bound. `Above` is
+/// for the strict floors (`shed > 0`); boolean facts are counts of
+/// violations held `AtMost` 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    /// `observed <= bound`.
+    AtMost,
+    /// `observed >= bound`.
+    AtLeast,
+    /// `observed > bound`.
+    Above,
+}
+
+impl Cmp {
+    /// The operator as printed and serialised.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Cmp::AtMost => "<=",
+            Cmp::AtLeast => ">=",
+            Cmp::Above => ">",
+        }
+    }
+}
+
+/// One gate clause: an observed value checked against a stated bound.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// What was measured, e.g. `balance-sic.advantage`.
+    pub id: String,
+    /// The measured value.
+    pub observed: f64,
+    /// How `observed` must compare with `bound`.
+    pub cmp: Cmp,
+    /// The stated threshold.
+    pub bound: f64,
+    /// The verdict (a NaN observation never holds).
+    pub holds: bool,
+}
+
+impl Claim {
+    fn new(id: impl Into<String>, observed: f64, cmp: Cmp, bound: f64) -> Claim {
+        let holds = match cmp {
+            Cmp::AtMost => observed <= bound,
+            Cmp::AtLeast => observed >= bound,
+            Cmp::Above => observed > bound,
+        };
+        Claim {
+            id: id.into(),
+            observed,
+            cmp,
+            bound,
+            holds,
+        }
+    }
+
+    /// `observed <= bound`.
+    pub fn at_most(id: impl Into<String>, observed: f64, bound: f64) -> Claim {
+        Claim::new(id, observed, Cmp::AtMost, bound)
+    }
+
+    /// `observed >= bound`.
+    pub fn at_least(id: impl Into<String>, observed: f64, bound: f64) -> Claim {
+        Claim::new(id, observed, Cmp::AtLeast, bound)
+    }
+
+    /// `observed > bound`.
+    pub fn above(id: impl Into<String>, observed: f64, bound: f64) -> Claim {
+        Claim::new(id, observed, Cmp::Above, bound)
+    }
+}
+
+/// A JSON string literal: quotes, backslashes and control characters
+/// escaped.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A JSON number, or `null` for NaN and ±infinity (JSON has neither).
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
 }
 
 /// Formats a float with 4 decimals.
@@ -110,5 +246,34 @@ mod tests {
         t.write_csv(&dir, "demo").unwrap();
         let content = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         assert_eq!(content, "x,y\n1,2\n");
+    }
+
+    #[test]
+    fn json_escapes_strings_and_nulls_non_finite_numbers() {
+        let mut t = TextTable::new("say \"hi\"\\now", &["a\nb"]);
+        t.row(vec!["tab\there\u{1}".into()]);
+        let claims = [
+            Claim::at_most("inf", f64::INFINITY, 0.15),
+            Claim::above("nan", f64::NAN, f64::NEG_INFINITY),
+            Claim::at_least("ok", 1.0, 1.0),
+        ];
+        assert!(claims.iter().map(|c| c.holds).eq([false, false, true]));
+        assert_eq!(
+            t.to_json(&claims),
+            r#"{
+  "title": "say \"hi\"\\now",
+  "header": ["a\u000ab"],
+  "rows": [
+    ["tab\u0009here\u0001"]
+  ],
+  "claims": [
+    {"id": "inf", "observed": null, "cmp": "<=", "bound": 0.15, "holds": false},
+    {"id": "nan", "observed": null, "cmp": ">", "bound": null, "holds": false},
+    {"id": "ok", "observed": 1, "cmp": ">=", "bound": 1, "holds": true}
+  ],
+  "passed": false
+}
+"#
+        );
     }
 }

@@ -226,17 +226,6 @@ impl SourceSicAssigner {
         let sic = Sic::source_tuple(per_stw, self.n_sources);
         batch.assign_uniform_sic(sic);
     }
-
-    /// Current per-tuple SIC estimate for `source` without stamping anything.
-    pub fn current_sic(&mut self, now: Timestamp, source: SourceId) -> Sic {
-        let cfg = self.cfg;
-        let n_sources = self.n_sources;
-        let est = self
-            .rates
-            .entry(source)
-            .or_insert_with(|| SourceRateEstimator::new(cfg));
-        Sic::source_tuple(est.tuples_per_stw(now), n_sources)
-    }
 }
 
 /// Tracks the result SIC of queries per Eq. 4: the sum of result-tuple SIC

@@ -93,13 +93,6 @@ impl TimeDelta {
     pub fn div(self, other: TimeDelta) -> u64 {
         self.0.checked_div(other.0).unwrap_or(0)
     }
-
-    /// Scales the delta by an integer factor.
-    /// (Deliberately not `std::ops::Mul`: the factor is a plain count.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, k: u64) -> TimeDelta {
-        TimeDelta(self.0 * k)
-    }
 }
 
 impl Add<TimeDelta> for Timestamp {

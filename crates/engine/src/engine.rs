@@ -429,12 +429,10 @@ pub struct Engine {
     /// The coordinator, stepped by `run_for` on the calling thread.
     coordinator: Coordinator,
     sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
-    // Placement state for runtime attaches.
-    active: HashSet<QueryId>,
-    placements: HashMap<QueryId, Vec<usize>>,
-    /// Retained specs of attached queries, so a fault-plan restart can
-    /// rebuild and re-attach the dead shard's fragments.
-    specs: HashMap<QueryId, Arc<QuerySpec>>,
+    /// Attached queries: the spec (kept so a fault-plan restart can
+    /// rebuild and re-attach the dead shard's fragments) and the node of
+    /// each fragment.
+    attached: HashMap<QueryId, (Arc<QuerySpec>, Vec<usize>)>,
     /// Progress of the configured fault plan (driven by `run_for`).
     fault: Option<FaultState>,
     node_load: Vec<usize>,
@@ -612,9 +610,7 @@ impl Engine {
             pump_handle,
             coordinator: Coordinator::new(scenario.stw, scenario.shedding_interval),
             sic_series: HashMap::new(),
-            active: HashSet::new(),
-            placements: HashMap::new(),
-            specs: HashMap::new(),
+            attached: HashMap::new(),
             fault,
             node_load: vec![0; scenario.n_nodes],
             query_ids: IdGen::starting_at(max_query),
@@ -666,7 +662,7 @@ impl Engine {
 
     /// Queries currently attached.
     pub fn active_queries(&self) -> usize {
-        self.active.len()
+        self.attached.len()
     }
 
     /// Shard threads in the pool.
@@ -753,9 +749,7 @@ impl Engine {
         }
         let hosts = nodes.iter().map(|&n| NodeId(n as u32)).collect();
         self.coordinator.attach(query.id, hosts, settle_at, None);
-        self.active.insert(query.id);
-        self.placements.insert(query.id, nodes);
-        self.specs.insert(query.id, query);
+        self.attached.insert(query.id, (query, nodes));
     }
 
     /// Attaches a fresh query built from `template` at runtime: fragments
@@ -828,11 +822,11 @@ impl Engine {
     /// kept for the final report. Returns `false` when the query is not
     /// attached.
     pub fn detach_query(&mut self, query: QueryId) -> bool {
-        if !self.active.remove(&query) {
+        let Some((_, nodes)) = self.attached.remove(&query) else {
             return false;
-        }
+        };
         let _ = self.pump_tx.send(PumpMsg::Remove(query));
-        for node in self.placements.remove(&query).unwrap_or_default() {
+        for node in nodes {
             let _ = self.node_txs[node].send(ShardMsg {
                 node,
                 msg: EngineMsg::Detach { query },
@@ -840,7 +834,6 @@ impl Engine {
             self.node_load[node] = self.node_load[node].saturating_sub(1);
         }
         self.coordinator.detach(query, self.now());
-        self.specs.remove(&query);
         true
     }
 
@@ -872,10 +865,7 @@ impl Engine {
     /// its latest checkpoint and replays its WAL tail. Without a
     /// configured durability directory the shard restarts cold.
     fn restart_shard(&self, shard: usize) {
-        for (qid, nodes) in &self.placements {
-            let Some(query) = self.specs.get(qid) else {
-                continue;
-            };
+        for (query, nodes) in self.attached.values() {
             for (fi, &node) in nodes.iter().enumerate() {
                 if shard_of(node, self.n_shards) == shard {
                     self.attach_fragment(query, nodes, fi);
@@ -952,7 +942,7 @@ impl Engine {
                 if self.sampling && now >= self.warmup_end {
                     self.coordinator.sample(now);
                     if self.config.record_series {
-                        for &q in &self.active {
+                        for &q in self.attached.keys() {
                             let sic = self.coordinator.query_sic(now, q).value();
                             self.sic_series.entry(q).or_default().push((now, sic));
                         }

@@ -184,12 +184,6 @@ impl PeerSender {
         self.sent.load(Ordering::Relaxed)
     }
 
-    /// Whether the writer thread hit a socket error (subsequent sends
-    /// are silently discarded; [`PeerSender::close`] returns the error).
-    pub fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
-    }
-
     /// Drains the queue, sends the final [`NetMsg::Bye`] carrying exact
     /// sent/shed counts, and joins the writer. Returns the accounting,
     /// or the writer's socket error if the connection died.

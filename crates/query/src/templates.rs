@@ -16,8 +16,8 @@
 //!   1 join, 1 top-k, 1 output).
 //! * `COV` — covariance of the CPU usage of two nodes; fragments form a
 //!   chain; the final value is the mean of the per-fragment covariances
-//!   (incremental-equivalent processing, see DESIGN.md). 5 operators per
-//!   fragment.
+//!   (each fragment reduces its own pair of streams, so no raw tuples
+//!   cross fragments). 5 operators per fragment.
 //!
 //! Each template is a [`QueryDef`] draft ([`Template::def`]) pushed
 //! through the staged `validate → compile` pipeline, so templates and

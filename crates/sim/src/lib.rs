@@ -2,7 +2,9 @@
 //!
 //! A deterministic discrete-event simulator of a federated stream
 //! processing system — this repo's substitute for the paper's Emulab
-//! test-bed (Table 2; see DESIGN.md for the substitution argument).
+//! test-bed (Table 2). The shedding decisions under study depend on
+//! arrival order and load, not on real hardware, so a seeded event clock
+//! reproduces them while making every run bit-for-bit repeatable.
 //!
 //! The simulation wires a [`themis_workloads::scenario::Scenario`] into:
 //!

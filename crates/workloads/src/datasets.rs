@@ -6,8 +6,7 @@
 //! nodes (CoTop); since that trace is not distributable, we substitute a
 //! regime-switching synthetic trace with drift, spikes and heavy tails that
 //! reproduces the property the evaluation depends on: its AVG/MAX/COV
-//! change when tuples are dropped, unlike the stationary synthetic sets
-//! (see DESIGN.md, substitutions).
+//! change when tuples are dropped, unlike the stationary synthetic sets.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

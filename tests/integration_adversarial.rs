@@ -1,5 +1,6 @@
-//! Regression: adversarial tick-gaming across the whole policy registry —
-//! the test twin of `experiments adversarial`.
+//! Regression: adversarial tick-gaming across the whole policy registry,
+//! through the `experiments adversarial` figure's own per-policy run
+//! ([`run_policy`]).
 //!
 //! One strategic source phase-locks its bursts against the shedding tick
 //! ([`RatePattern::Adversarial`]): it dumps its entire per-tick volume in
@@ -8,137 +9,49 @@
 //! demand is identical to its 7 honest steady peers. Under every
 //! registered policy the run must complete and shed hard; for the
 //! SIC-aware (`balance-sic*`) policies the strategic source's SIC
-//! advantage over the honest mean must stay within [`EPSILON`] — timing
-//! must buy it nothing. For the timing-sensitive baselines (`fifo`,
-//! `priority`, `random`) the leak is *documented* (printed, visible under
-//! `--nocapture`), not asserted: how much an attacker extracts from them
-//! is an observation, not a contract.
-
-use std::time::Duration;
+//! advantage over the honest mean must stay within
+//! [`ADVERSARIAL_EPSILON`] — timing must buy it nothing. For the
+//! timing-sensitive baselines (`fifo`, `priority`, `random`) the leak is
+//! *documented* (printed, visible under `--nocapture`), not asserted: how
+//! much an attacker extracts from them is an observation, not a contract.
 
 use themis::prelude::*;
-
-/// Maximum tolerated relative SIC advantage of the strategic source over
-/// the mean of its honest peers, under `balance-sic*`. Mirrors
-/// `ADVERSARIAL_EPSILON` in the `experiments adversarial` gate.
-const EPSILON: f64 = 0.15;
-
-struct Attack {
-    strategic_sic: f64,
-    honest_mean: f64,
-    honest_jain: f64,
-    shed_fraction: f64,
-}
-
-impl Attack {
-    fn advantage(&self) -> f64 {
-        if self.honest_mean <= 0.0 {
-            return if self.strategic_sic > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-        }
-        (self.strategic_sic - self.honest_mean) / self.honest_mean
-    }
-}
-
-/// One overloaded node: the attacker attached first (QueryId 0 — the most
-/// favourable spot an id-ordered baseline can hand it), 7 honest peers at
-/// the same mean rate, capacity at half the demand. The STW window and
-/// warm-up match the `experiments adversarial` geometry: a shorter SIC
-/// window makes the lowest-first variant's estimates jumpy enough to
-/// flake.
-fn run_attack(policy: Policy) -> Attack {
-    let honest = 7usize;
-    let rate = 200u32;
-    let tick = TimeDelta::from_millis(250);
-    // 20 batches/s: the 50 ms emission beat divides the 250 ms tick, so
-    // the adversarial pattern's mean factor is exactly 1 (honest-looking).
-    let strategic = SourceProfile::steady(rate, 20, Dataset::Uniform)
-        .with_pattern(RatePattern::Adversarial { tick });
-    let peers = SourceProfile::steady(rate, 20, Dataset::Uniform);
-    let stw = TimeDelta::from_secs(2);
-
-    let scenario = ScenarioBuilder::new("adversarial-regression", 42)
-        .nodes(1)
-        .capacity_tps((honest + 1) as u32 * rate / 2)
-        .shedding_interval(tick)
-        .stw_window(stw)
-        .warmup(TimeDelta::from_millis(2500))
-        .add_queries(Template::Avg, 1, strategic)
-        .add_queries(Template::Avg, honest, peers)
-        .build()
-        .unwrap();
-    let strategic_id = scenario.queries[0].id;
-
-    let mut engine = Engine::start(
-        &scenario,
-        EngineConfig {
-            policy,
-            enforce_capacity: true,
-            record_series: true,
-            ..Default::default()
-        },
-    );
-    engine.run_for(Duration::from_millis(2500));
-    engine.run_for(Duration::from_millis(2500));
-    let report = engine.finish();
-
-    let strategic_sic = report
-        .per_query_sic
-        .iter()
-        .find(|&&(q, _)| q == strategic_id)
-        .map(|&(_, s)| s)
-        .unwrap();
-    let honest_sics: Vec<f64> = report
-        .per_query_sic
-        .iter()
-        .filter(|&&(q, _)| q != strategic_id)
-        .map(|&(_, s)| s)
-        .collect();
-    assert_eq!(honest_sics.len(), honest);
-    Attack {
-        strategic_sic,
-        honest_mean: honest_sics.iter().sum::<f64>() / honest_sics.len() as f64,
-        honest_jain: jain_index(&honest_sics),
-        shed_fraction: report.shed_fraction(),
-    }
-}
+use themis_bench::figures::adversarial::{run_policy, ADVERSARIAL_EPSILON};
 
 #[test]
 fn tick_gaming_buys_nothing_under_sic_aware_policies() {
     for policy in registered_policies() {
-        let name = policy.name().to_string();
-        let sic_aware = name.starts_with("balance-sic");
-        let attack = run_attack(policy);
+        // Seed 42; 2.5 s warm-up (one STW plus half a second), then 3 s
+        // measured.
+        let row = run_policy(policy, 3, 42);
+        let name = &row.policy;
 
         // Every policy must face a genuinely overloaded node: capacity is
         // half the demand, so roughly every other tuple has to go.
         assert!(
-            attack.shed_fraction > 0.3,
+            row.shed_fraction > 0.3,
             "{name}: the attack run must overload the node (shed {:.1}%)",
-            attack.shed_fraction * 100.0
+            row.shed_fraction * 100.0
         );
         assert!(
-            attack.strategic_sic > 0.0 && attack.honest_mean > 0.0,
+            row.strategic_sic > 0.0 && row.honest_mean_sic > 0.0,
             "{name}: both sides must retain some information"
         );
 
-        let advantage = attack.advantage();
-        if sic_aware {
+        let advantage = row.advantage();
+        if row.sic_aware {
             assert!(
-                advantage <= EPSILON,
+                advantage <= ADVERSARIAL_EPSILON,
                 "{name}: strategic source extracted {:+.1}% over its honest peers \
                  (epsilon {:.0}%)",
                 advantage * 100.0,
-                EPSILON * 100.0
+                ADVERSARIAL_EPSILON * 100.0
             );
             // The honest cohort must not pay for the defence unevenly.
             assert!(
-                attack.honest_jain > 0.9,
+                row.honest_jain > 0.9,
                 "{name}: honest peers stay mutually fair (Jain {:.4})",
-                attack.honest_jain
+                row.honest_jain
             );
         } else {
             // Documented, not asserted: what a timing attack extracts
