@@ -88,7 +88,7 @@ fn gate(name: &str, table: TextTable, claims: &[Claim]) -> bool {
     for c in claims {
         let verdict = if c.holds { "pass" } else { "FAIL" };
         let (id, observed, cmp, bound) = (&c.id, c.observed, c.cmp.symbol(), c.bound);
-        eprintln!("{verdict} {name}.{id}: {observed:.4} {cmp} {bound}");
+        eprintln!("{verdict} {name}.{id}: {observed} {cmp} {bound}");
     }
     let json_path = format!("{RESULTS_DIR}/BENCH_{name}.json");
     let tmp_path = format!("{json_path}.tmp");

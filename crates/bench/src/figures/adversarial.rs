@@ -49,6 +49,9 @@ pub struct AdversarialRow {
     pub honest_mean_sic: f64,
     /// Jain's index over the honest peers.
     pub honest_jain: f64,
+    /// How many honest queries the run reported a SIC for: a starved
+    /// query must show up with SIC 0, not vanish from the report.
+    pub honest_reported: usize,
     /// Fraction of arrived tuples shed.
     pub shed_fraction: f64,
 }
@@ -166,6 +169,7 @@ pub fn run_policy(policy: Policy, secs: u64, seed: u64) -> AdversarialRow {
         strategic_sic,
         honest_mean_sic: mean(&honest_sics),
         honest_jain: jain_index(&honest_sics),
+        honest_reported: honest_sics.len(),
         shed_fraction: report.shed_fraction(),
     }
 }

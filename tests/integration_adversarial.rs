@@ -25,6 +25,10 @@ fn tick_gaming_buys_nothing_under_sic_aware_policies() {
         // measured.
         let row = run_policy(policy, 3, 42);
         let name = &row.policy;
+        assert_eq!(
+            row.honest_reported, 7,
+            "{name}: every honest query reports a SIC"
+        );
 
         // Every policy must face a genuinely overloaded node: capacity is
         // half the demand, so roughly every other tuple has to go.
