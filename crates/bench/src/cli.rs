@@ -1,153 +1,64 @@
 //! Table-driven CLI parsing for the `experiments` binary.
 //!
-//! Every flag declares which experiments it applies to; a flag passed
-//! alongside experiments none of which accept it is an error (exit 2 in
-//! the binary), **listing the valid flags** for the selection — the PR 7
-//! `--policy=<unknown>` convention extended to the whole command line.
-//! `experiments churn --file=x.csv` does not silently ignore `--file` and
-//! run with the default trace; it is rejected.
+//! Each row of the experiment table ([`EXPERIMENTS`]) declares the value
+//! flags it accepts; a flag passed alongside experiments none of which
+//! accept it is an error (exit 2 in the binary), **listing the valid
+//! flags** for the selection — the `--policy=<unknown>` convention
+//! extended to the whole command line. `experiments churn --file=x.csv`
+//! does not silently ignore `--file` and run with the default trace; it
+//! is rejected.
 
-/// Every experiment the binary knows, in help order.
-pub const EXPERIMENTS: &[&str] = &[
-    "all",
-    "table1",
-    "table2",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "related",
-    "overhead",
-    "ablation",
-    "policies",
-    "dynamics",
-    "scale",
-    "churn",
-    "queries",
-    "trace",
-    "correlated",
-    "adversarial",
-    "recovery",
-    "federated",
+use themis_core::shedder::{lookup_policy, registered_policies, Policy};
+
+use crate::experiments::{lookup, Experiment, EXPERIMENTS};
+use crate::scenarios::Scale;
+
+/// Every flag the parser knows, in usage order: name (a trailing `=`
+/// marks a value flag matched by prefix) and value placeholder. `--quick`
+/// applies to every experiment; the table says who takes the others.
+pub(crate) const FLAGS: &[(&str, &str)] = &[
+    ("--quick", ""),
+    ("--policy=", "<name>"),
+    ("--query=", "'<text>'"),
+    ("--nodes=", "<n>"),
+    ("--shards=", "<k>"),
+    ("--secs=", "<s>"),
+    ("--sources-procs=", "<n>"),
+    ("--file=", "<path>"),
+    ("--beat-ms=", "<ms>"),
 ];
 
-/// The experiments `all` expands to. The rest are explicit-only CI
-/// smokes/gates: their exit codes or machine-sensitive timings must not
-/// fail (or be polluted by) a full figure-regeneration run.
-const ALL_MEMBERS: &[&str] = &[
-    "table1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "fig14", "related", "overhead", "ablation", "policies", "dynamics",
-];
-
-/// Which experiments accept a flag.
-enum Applies {
-    /// Any selection.
-    Global,
-    /// Only these experiments.
-    To(&'static [&'static str]),
-}
-
-struct FlagSpec {
-    /// Flag name; a trailing `=` marks a value flag matched by prefix.
-    name: &'static str,
-    /// Value placeholder for usage strings (`<n>`, `<path>`, …).
-    placeholder: &'static str,
-    applies: Applies,
-}
-
-const FLAGS: &[FlagSpec] = &[
-    FlagSpec {
-        name: "--quick",
-        placeholder: "",
-        applies: Applies::Global,
-    },
-    FlagSpec {
-        name: "--policy=",
-        placeholder: "<name>",
-        applies: Applies::To(&["policies", "federated"]),
-    },
-    FlagSpec {
-        name: "--query=",
-        placeholder: "'<text>'",
-        applies: Applies::To(&["queries"]),
-    },
-    FlagSpec {
-        name: "--nodes=",
-        placeholder: "<n>",
-        applies: Applies::To(&["churn", "scale"]),
-    },
-    FlagSpec {
-        name: "--shards=",
-        placeholder: "<k>",
-        applies: Applies::To(&["churn", "scale"]),
-    },
-    FlagSpec {
-        name: "--secs=",
-        placeholder: "<s>",
-        applies: Applies::To(&[
-            "churn",
-            "queries",
-            "scale",
-            "trace",
-            "correlated",
-            "adversarial",
-            "recovery",
-            "federated",
-        ]),
-    },
-    FlagSpec {
-        name: "--sources-procs=",
-        placeholder: "<n>",
-        applies: Applies::To(&["federated"]),
-    },
-    FlagSpec {
-        name: "--file=",
-        placeholder: "<path>",
-        applies: Applies::To(&["trace"]),
-    },
-    FlagSpec {
-        name: "--beat-ms=",
-        placeholder: "<ms>",
-        applies: Applies::To(&["trace"]),
-    },
-];
-
-/// Parsed command line of the `experiments` binary.
+/// Parsed command line of the `experiments` binary: what every runner
+/// of the experiment table sees.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Options {
     /// The selected experiments (defaults to `["all"]`).
     pub what: Vec<String>,
     /// `--quick`: reduced bench scale for smoke runs.
     pub quick: bool,
-    /// `--policy=<name>` for the policies parity experiment.
+    /// `--policy=<name>`: run one registered shedding policy, not all.
     pub policy: Option<String>,
-    /// `--query='<text>'` ad-hoc declarative query (queries).
+    /// `--query='<text>'`: an ad-hoc declarative query.
     pub query: Option<String>,
-    /// `--nodes=<n>` for churn/scale.
+    /// `--nodes=<n>`: engine nodes.
     pub nodes: Option<u64>,
-    /// `--shards=<k>` for churn/scale.
+    /// `--shards=<k>`: engine shard threads.
     pub shards: Option<u64>,
-    /// `--secs=<s>` run length for the engine experiments.
+    /// `--secs=<s>`: measured run length of an engine gate.
     pub secs: Option<u64>,
-    /// `--sources-procs=<n>` source processes for the federated gate.
+    /// `--sources-procs=<n>`: forked source processes.
     pub sources_procs: Option<u64>,
-    /// `--file=<path>` trace file for the trace experiment.
+    /// `--file=<path>`: the arrival trace to replay.
     pub file: Option<String>,
-    /// `--beat-ms=<ms>` trace replay-beat rescale for the trace experiment.
+    /// `--beat-ms=<ms>`: trace replay-beat rescale.
     pub beat_ms: Option<u64>,
 }
 
 impl Options {
-    /// True when `name` should run: named explicitly, or a member of an
-    /// explicit (or defaulted) `all`.
+    /// True when `name` should run: named explicitly, or a figure (not a
+    /// gate) under an explicit (or defaulted) `all`.
     pub fn selected(&self, name: &str) -> bool {
-        self.what.iter().any(|w| w == name)
-            || (self.what.iter().any(|w| w == "all") && ALL_MEMBERS.contains(&name))
+        self.named(name) || (self.named("all") && lookup(name).is_some_and(|e| !e.gate))
     }
 
     /// True when `name` was named explicitly on the command line (how
@@ -155,29 +66,45 @@ impl Options {
     pub fn named(&self, name: &str) -> bool {
         self.what.iter().any(|w| w == name)
     }
-}
 
-fn usage_of(spec: &FlagSpec) -> String {
-    format!("{}{}", spec.name, spec.placeholder)
-}
+    /// The simulator scale: `--quick` selects the reduced one.
+    pub(crate) fn scale(&self) -> Scale {
+        if self.quick {
+            Scale::quick()
+        } else {
+            Scale::default_scale()
+        }
+    }
 
-/// The flags valid for a selection, as a usage string for error messages.
-fn valid_flags_for(what: &[String]) -> String {
-    FLAGS
-        .iter()
-        .filter(|s| applies(s, what))
-        .map(usage_of)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
+    /// `--policy` from the shedding registry ([`parse`] rejects unknown
+    /// names), else every registered policy.
+    pub(crate) fn policies(&self) -> Vec<Policy> {
+        match &self.policy {
+            Some(name) => vec![lookup_policy(name).expect("parse checked the policy")],
+            None => registered_policies(),
+        }
+    }
 
-fn applies(spec: &FlagSpec, what: &[String]) -> bool {
-    match spec.applies {
-        Applies::Global => true,
-        Applies::To(experiments) => what.iter().any(|w| {
-            experiments.contains(&w.as_str())
-                || (w == "all" && experiments.iter().any(|e| ALL_MEMBERS.contains(e)))
-        }),
+    /// `--secs`, else `quick` under `--quick` and `full` without.
+    pub(crate) fn run_secs(&self, quick: u64, full: u64) -> u64 {
+        self.secs.unwrap_or(if self.quick { quick } else { full })
+    }
+
+    /// Whether any selected experiment accepts `flag`.
+    fn applies(&self, flag: &str) -> bool {
+        let accepts = |e: &Experiment| self.selected(e.name) && e.flags.contains(&flag);
+        flag == "--quick" || EXPERIMENTS.iter().any(accepts)
+    }
+
+    /// The flags valid for the selection, as a usage string for error
+    /// messages.
+    fn valid_flags(&self) -> String {
+        FLAGS
+            .iter()
+            .filter(|(flag, _)| self.applies(flag))
+            .map(|(flag, placeholder)| format!("{flag}{placeholder}"))
+            .collect::<Vec<_>>()
+            .join(", ")
     }
 }
 
@@ -194,10 +121,11 @@ where
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .collect();
-    if let Some(unknown) = what.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+    if let Some(unknown) = what.iter().find(|w| *w != "all" && lookup(w).is_none()) {
+        let menu: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         return Err(format!(
-            "unknown experiment `{unknown}` (expected one of: {})",
-            EXPERIMENTS.join(", ")
+            "unknown experiment `{unknown}` (expected one of: all, {})",
+            menu.join(", ")
         ));
     }
     if what.is_empty() {
@@ -208,42 +136,41 @@ where
         ..Options::default()
     };
     for arg in args.iter().filter(|a| a.starts_with("--")) {
-        let spec = FLAGS.iter().find(|s| {
-            if s.name.ends_with('=') {
-                arg.starts_with(s.name)
-            } else {
-                arg == s.name
-            }
-        });
-        let Some(spec) = spec else {
+        let matches = |flag: &&str| arg == flag || (flag.ends_with('=') && arg.starts_with(flag));
+        let spec = FLAGS.iter().find(|(flag, _)| matches(flag));
+        let Some(&(flag, placeholder)) = spec else {
             return Err(format!(
                 "unknown option `{arg}` (valid flags for [{}]: {})",
                 what.join(", "),
-                valid_flags_for(&what)
+                opts.valid_flags()
             ));
         };
-        if !applies(spec, &what) {
-            let Applies::To(experiments) = spec.applies else {
-                unreachable!("global flags always apply");
-            };
+        if !opts.applies(flag) {
+            let owners: Vec<&str> = EXPERIMENTS
+                .iter()
+                .filter(|e| e.flags.contains(&flag))
+                .map(|e| e.name)
+                .collect();
             return Err(format!(
-                "`{}` only applies to [{}], none of which is selected by [{}] \
+                "`{flag}{placeholder}` only applies to [{}], none of which is selected by [{}] \
                  (valid flags for this selection: {})",
-                usage_of(spec),
-                experiments.join(", "),
+                owners.join(", "),
                 what.join(", "),
-                valid_flags_for(&what)
+                opts.valid_flags()
             ));
         }
-        let value = || arg[spec.name.len()..].to_string();
+        let value = || arg[flag.len()..].to_string();
         let uint = || -> Result<u64, String> {
             value()
                 .parse()
-                .map_err(|_| format!("invalid value `{}` for {}", value(), usage_of(spec)))
+                .map_err(|_| format!("invalid value `{}` for {flag}{placeholder}", value()))
         };
-        match spec.name {
+        match flag {
             "--quick" => opts.quick = true,
-            "--policy=" => opts.policy = Some(value()),
+            "--policy=" => {
+                lookup_policy(&value()).map_err(|e| e.to_string())?;
+                opts.policy = Some(value());
+            }
             "--query=" => opts.query = Some(value()),
             "--nodes=" => opts.nodes = Some(uint()?),
             "--shards=" => opts.shards = Some(uint()?),
@@ -309,7 +236,7 @@ mod tests {
                 "{err}"
             );
             assert!(err.contains("expected one of: all, table1"), "{err}");
-            assert!(!EXPERIMENTS.contains(&gone));
+            assert!(lookup(gone).is_none());
         }
         for flag in ["--profile", "--sources=5"] {
             let err = parse_strs(&["scale", flag]).unwrap_err();

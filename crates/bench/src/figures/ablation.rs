@@ -7,9 +7,8 @@ use themis_query::prelude::PlacementPolicy;
 use themis_sim::prelude::*;
 use themis_workloads::prelude::*;
 
-use crate::figures::fairness::FairnessPoint;
+use crate::figures::fairness::{point, FairnessPoint};
 use crate::scenarios::{add_complex_mix, capacity_for_overload, mix_sources_per_fragment, Scale};
-use crate::table::{f, TextTable};
 
 /// An asymmetric deployment — single-fragment queries co-located with
 /// 3-fragment spanning queries — which is where the Figure-4 pathology
@@ -44,13 +43,7 @@ pub fn update_sic_ablation(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
             ..Default::default()
         };
         let report = run_scenario(base_scenario(label, scale, seed), cfg);
-        out.push(FairnessPoint {
-            x: label.into(),
-            policy: report.policy.clone(),
-            mean_sic: report.fairness.mean,
-            jain: report.fairness.jain,
-            std: report.fairness.std,
-        });
+        out.push(point(label.into(), &report));
     }
     out
 }
@@ -71,13 +64,7 @@ pub fn batch_order_ablation(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
             base_scenario(label, scale, seed),
             SimConfig::with_policy(policy),
         );
-        out.push(FairnessPoint {
-            x: label.into(),
-            policy: report.policy.clone(),
-            mean_sic: report.fairness.mean,
-            jain: report.fairness.jain,
-            std: report.fairness.std,
-        });
+        out.push(point(label.into(), &report));
     }
     out
 }
@@ -94,22 +81,7 @@ pub fn policy_comparison(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
             base_scenario(name, scale, seed),
             SimConfig::with_policy(policy),
         );
-        out.push(FairnessPoint {
-            x: name.into(),
-            policy: report.policy.clone(),
-            mean_sic: report.fairness.mean,
-            jain: report.fairness.jain,
-            std: report.fairness.std,
-        });
+        out.push(point(name.into(), &report));
     }
     out
-}
-
-/// Renders ablation points.
-pub fn render(title: &str, points: &[FairnessPoint]) -> TextTable {
-    let mut t = TextTable::new(title, &["variant", "mean-sic", "jain", "std"]);
-    for p in points {
-        t.row(vec![p.x.clone(), f(p.mean_sic), f(p.jain), f(p.std)]);
-    }
-    t
 }

@@ -27,7 +27,8 @@ pub struct FairnessPoint {
     pub std: f64,
 }
 
-fn point(x: String, report: &SimReport) -> FairnessPoint {
+/// The sweep point a simulator run contributes at `x`.
+pub(crate) fn point(x: String, report: &SimReport) -> FairnessPoint {
     FairnessPoint {
         x,
         policy: report.policy.clone(),
@@ -152,7 +153,8 @@ pub fn fig11(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
     out
 }
 
-/// Renders fairness points.
+/// Renders a fairness sweep: one row per point, `x_name` heading the
+/// x-axis column (every sweep of Figures 8–14 and the ablations).
 pub fn render(title: &str, x_name: &str, points: &[FairnessPoint]) -> TextTable {
     let mut t = TextTable::new(title, &[x_name, "policy", "mean-sic", "jain", "std"]);
     for p in points {

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use themis_core::shedder::Policy;
 use themis_engine::prelude::*;
-use themis_workloads::remote::{build_federated_scenario, FederatedParams};
+use themis_workloads::remote::{build_federated_scenario, FederatedParams, PumpArgs};
 
 use crate::table::{f, Claim, TextTable};
 
@@ -164,22 +164,18 @@ fn run_federated(
     let run_ms = params.warmup_ms + params.duration_ms;
     let mut children: Vec<Child> = Vec::with_capacity(procs);
     for part in 0..procs {
+        let args = PumpArgs {
+            addr: addr.to_string(),
+            run_ms,
+            part,
+            parts: procs,
+            peer: None,
+            start_unix_us: Some(start_unix_us),
+            params: *params,
+        };
         let child = Command::new(exe)
             .arg("--source-pump-child")
-            .arg(format!("--addr={addr}"))
-            .arg(format!("--part={part}"))
-            .arg(format!("--parts={procs}"))
-            .arg(format!("--run-ms={run_ms}"))
-            .arg(format!("--start-unix-us={start_unix_us}"))
-            .arg(format!("--seed={}", params.seed))
-            .arg(format!("--nodes={}", params.nodes))
-            .arg(format!("--queries={}", params.queries))
-            .arg(format!("--rate={}", params.rate_tps))
-            .arg(format!("--batches={}", params.batches_per_sec))
-            .arg(format!("--capacity={}", params.capacity_tps))
-            .arg(format!("--stw-ms={}", params.stw_ms))
-            .arg(format!("--warmup-ms={}", params.warmup_ms))
-            .arg(format!("--duration-ms={}", params.duration_ms))
+            .args(args.to_args())
             .stdin(Stdio::null())
             .spawn()
             .map_err(|e| format!("fork source pump {part}: {e}"))?;

@@ -11,9 +11,10 @@
 //!
 //! This experiment runs the same overloaded balance-sic scenario twice
 //! with the same seed: a **control** arm that runs uninterrupted, and a
-//! **faulted** arm whose [`FaultPlan`] kills one shard mid-overload
-//! (~45% into the run) and restarts it (~55% in) with a restore from the
-//! durable log. Both arms record per-query SIC series; the gate compares
+//! **faulted** arm that kills one shard mid-overload
+//! ([`Engine::kill_shard`], 45% into the run) and restarts it
+//! ([`Engine::restart_shard`], 55% in) with a restore from the durable
+//! log. Both arms record per-query SIC series; the gate compares
 //! the tail window (the last 20% of the run, well after recovery), in
 //! [`claims`]:
 //!
@@ -77,7 +78,7 @@ pub struct RecoveryOutcome {
     pub shards: usize,
     /// Queries attached (2 per node).
     pub queries: usize,
-    /// The shard the fault plan killed.
+    /// The shard the faulted arm killed.
     pub killed_shard: usize,
     /// Kill time (seconds after warm-up ends).
     pub kill_s: f64,
@@ -140,15 +141,15 @@ pub fn claims(out: &RecoveryOutcome) -> Vec<Claim> {
 }
 
 /// One arm's run: the overloaded scenario under balance-sic with
-/// durability into `dir`, optionally with the fault plan. Returns the
-/// per-query window means over the last 20% of the run plus the arm
-/// summary.
+/// durability into `dir`; with `kill`, that shard dies at 45% of the run
+/// and restarts at 55%. Returns the per-query window means over the last
+/// 20% of the run plus the arm summary.
 fn run_arm(
     name: &'static str,
     scenario: &Scenario,
     dir: &std::path::Path,
     secs: u64,
-    fault: Option<FaultPlan>,
+    kill: Option<usize>,
 ) -> (RecoveryArm, HashMap<QueryId, f64>, f64, f64) {
     let total = Duration::from_secs(secs);
     let warmup = Duration::from_micros(scenario.warmup.as_micros());
@@ -159,13 +160,20 @@ fn run_arm(
         checkpoint_every: Some(Duration::from_millis(250)),
         durability_dir: Some(dir.to_path_buf()),
         sic_divergence_bound: SIC_ERROR_BOUND,
-        fault_plan: fault,
         ..Default::default()
     };
     let mut engine = Engine::start(scenario, cfg);
     engine.run_for(warmup);
     let t0 = engine.now();
-    engine.run_for(total.mul_f64(0.8));
+    engine.run_for(total.mul_f64(0.45));
+    if let Some(shard) = kill {
+        engine.kill_shard(shard);
+    }
+    engine.run_for(total.mul_f64(0.1));
+    if let Some(shard) = kill {
+        engine.restart_shard(shard);
+    }
+    engine.run_for(total.mul_f64(0.25));
     let measure_from = engine.now();
     engine.run_for(total.mul_f64(0.2));
     let measure_to = engine.now();
@@ -219,23 +227,10 @@ pub fn recovery(secs: u64, seed: u64) -> RecoveryOutcome {
     let control_dir: PathBuf = root.join("control");
     let faulted_dir: PathBuf = root.join("faulted");
 
-    let warmup = Duration::from_micros(scenario.warmup.as_micros());
     let total = Duration::from_secs(secs);
-    let kill_after = warmup + total.mul_f64(0.45);
-    let restart_after = warmup + total.mul_f64(0.55);
-
     let (control, control_means, _, _) = run_arm("control", &scenario, &control_dir, secs, None);
-    let (faulted, faulted_means, from_s, to_s) = run_arm(
-        "faulted",
-        &scenario,
-        &faulted_dir,
-        secs,
-        Some(FaultPlan {
-            shard: killed_shard,
-            kill_after,
-            restart_after,
-        }),
-    );
+    let (faulted, faulted_means, from_s, to_s) =
+        run_arm("faulted", &scenario, &faulted_dir, secs, Some(killed_shard));
 
     // Per-query error between the arms over the measurement window, for
     // every query either arm sampled (a query missing from one arm counts

@@ -6,21 +6,10 @@ use themis_query::prelude::*;
 use themis_sim::prelude::*;
 use themis_workloads::prelude::*;
 
-use crate::figures::fairness::FairnessPoint;
+use crate::figures::fairness::{point, FairnessPoint};
 use crate::scenarios::{
     add_complex_mix_varied, capacity_for_overload, complex_mix, mix_sources_per_fragment, Scale,
 };
-use crate::table::{f, TextTable};
-
-fn point(x: String, report: &SimReport) -> FairnessPoint {
-    FairnessPoint {
-        x,
-        policy: report.policy.clone(),
-        mean_sic: report.fairness.mean,
-        jain: report.fairness.jain,
-        std: report.fairness.std,
-    }
-}
 
 /// Figure 12: a fixed set of queries over a growing number of nodes, Zipf
 /// fragment placement. Mean SIC grows with capacity, Jain stays near 1.
@@ -122,19 +111,4 @@ pub fn fig14(scale: &Scale, seed: u64) -> Vec<FairnessPoint> {
         }
     }
     out
-}
-
-/// Renders scalability points (same columns as the fairness figures).
-pub fn render(title: &str, x_name: &str, points: &[FairnessPoint]) -> TextTable {
-    let mut t = TextTable::new(title, &[x_name, "policy", "mean-sic", "jain", "std"]);
-    for p in points {
-        t.row(vec![
-            p.x.clone(),
-            p.policy.to_string(),
-            f(p.mean_sic),
-            f(p.jain),
-            f(p.std),
-        ]);
-    }
-    t
 }

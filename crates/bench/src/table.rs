@@ -76,6 +76,8 @@ impl TextTable {
 
     /// Serialises the table and its gate verdict as one JSON document:
     /// `{"title", "header", "rows" (string cells), "claims", "passed"}`.
+    /// A table without claims (a paper figure) has `"claims": []` and
+    /// passes.
     /// Non-finite numbers become `null`, so the document stays valid even
     /// when a gate fails hardest.
     pub fn to_json(&self, claims: &[Claim]) -> String {
@@ -97,12 +99,20 @@ impl TextTable {
                 )
             })
             .collect();
+        // One element per line; an empty list (a figure's claims) is `[]`.
+        let list = |items: Vec<String>| {
+            if items.is_empty() {
+                "[]".to_string()
+            } else {
+                format!("[\n    {}\n  ]", items.join(",\n    "))
+            }
+        };
         format!(
-            "{{\n  \"title\": {},\n  \"header\": {},\n  \"rows\": [\n    {}\n  ],\n  \"claims\": [\n    {}\n  ],\n  \"passed\": {}\n}}\n",
+            "{{\n  \"title\": {},\n  \"header\": {},\n  \"rows\": {},\n  \"claims\": {},\n  \"passed\": {}\n}}\n",
             json_str(&self.title),
             strings(&self.header),
-            rows.join(",\n    "),
-            claims_json.join(",\n    "),
+            list(rows),
+            list(claims_json),
             claims.iter().all(|c| c.holds)
         )
     }
@@ -234,6 +244,12 @@ mod tests {
         t.write_csv(&dir, "demo").unwrap();
         let content = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         assert_eq!(content, "x,y\n1,2\n");
+    }
+
+    #[test]
+    fn a_figure_without_claims_passes() {
+        let json = TextTable::new("fig", &["x"]).to_json(&[]);
+        assert!(json.ends_with("\"rows\": [],\n  \"claims\": [],\n  \"passed\": true\n}\n"));
     }
 
     #[test]

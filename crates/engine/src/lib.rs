@@ -37,7 +37,7 @@ pub mod shard;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::engine::{
-        default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport, FaultPlan,
+        default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport,
     };
     pub use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
     pub use crate::node_state::{NodeConfig, NodeState};

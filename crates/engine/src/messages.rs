@@ -46,18 +46,20 @@ pub enum EngineMsg {
         /// The departing query.
         query: QueryId,
     },
-    /// Simulate a crash of the receiving shard: every node's state is
+    /// Simulate a crash of the receiving shard
+    /// ([`crate::engine::Engine::kill_shard`]): every node's state is
     /// dropped on the floor (reports are preserved for final accounting)
     /// and durability writes stop — a dead process writes nothing — until
     /// [`EngineMsg::Recover`] arrives. The thread and its channel stay up,
     /// so in-flight traffic drains exactly like messages addressed to a
     /// torn-down node.
     Crash,
-    /// Restore the shard from its durable log under `dir` (fault-injection
-    /// restart, or engine-wide [`crate::engine::Engine::restore_from`]). Arrives
-    /// after the crashed nodes' fragments have been re-attached; overlays
-    /// checkpointed SIC tables and window panes, then replays the WAL
-    /// tail. Re-enables durability writes.
+    /// Restore the shard from its durable log under `dir`
+    /// ([`crate::engine::Engine::restart_shard`], or engine-wide
+    /// [`crate::engine::Engine::restore_from`]). Arrives after the crashed
+    /// nodes' fragments have been re-attached; overlays checkpointed SIC
+    /// tables and window panes, then replays the WAL tail. Re-enables
+    /// durability writes.
     Recover {
         /// Durability root directory (the shard reads `dir/shard-<i>/`).
         dir: std::path::PathBuf,

@@ -31,5 +31,5 @@ pub mod prelude {
         decode_frames, encode_msg, Decoder, NetError, NetMsg, WireBatch, PROTOCOL_VERSION,
     };
     pub use crate::listener::{IngestEvent, IngestServer};
-    pub use crate::transport::{connect_with_retry, FragmentRouter, NetConfig, PeerSender};
+    pub use crate::transport::{connect_with_retry, NetConfig, PeerSender};
 }

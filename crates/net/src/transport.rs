@@ -281,53 +281,3 @@ fn writer_loop(
         cv.notify_all();
     }
 }
-
-/// Routes batches to the peer hosting their destination node. With one
-/// engine process this is a single connection; the mapping (`node mod
-/// peers`) is the hook real multi-engine deployments would replace with
-/// a placement-driven table.
-pub struct FragmentRouter {
-    peers: Vec<PeerSender>,
-}
-
-impl FragmentRouter {
-    /// Connects one [`PeerSender`] per ingest address.
-    pub fn connect(addrs: &[String], peer: &str, cfg: &NetConfig) -> Result<Self, NetError> {
-        let mut peers = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            peers.push(PeerSender::connect(addr, peer, cfg)?);
-        }
-        Ok(FragmentRouter { peers })
-    }
-
-    /// Sends `wb` to the peer responsible for its destination node.
-    pub fn send_batch(&self, wb: &WireBatch) {
-        let peer = &self.peers[wb.node as usize % self.peers.len()];
-        peer.send_batch(wb);
-    }
-
-    /// Total batches shed across all peers so far.
-    pub fn shed_count(&self) -> u64 {
-        self.peers.iter().map(|p| p.shed_count()).sum()
-    }
-
-    /// Closes every peer; sums their accounting, returning the first
-    /// error after all have been closed.
-    pub fn close(self) -> Result<SendStats, NetError> {
-        let mut total = SendStats::default();
-        let mut first_err = None;
-        for peer in self.peers {
-            match peer.close() {
-                Ok(s) => {
-                    total.sent_batches += s.sent_batches;
-                    total.shed_batches += s.shed_batches;
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
-    }
-}

@@ -22,8 +22,6 @@ pub struct SimConfig {
     /// Record per-query result values (needed by the §7.1 correlation
     /// experiments; memory-heavy for large runs).
     pub record_results: bool,
-    /// How often per-query SIC values are sampled for the report.
-    pub sample_interval: TimeDelta,
     /// Record the full per-query SIC time series (for the dynamics
     /// experiment); means are always recorded.
     pub record_series: bool,
@@ -35,7 +33,6 @@ impl Default for SimConfig {
             policy: Policy::default(),
             coordinator: true,
             record_results: false,
-            sample_interval: TimeDelta::from_secs(1),
             record_series: false,
         }
     }

@@ -26,6 +26,9 @@ use crate::config::SimConfig;
 use crate::node::{NodeOutput, SimNode};
 use crate::report::{NodeStats, QueryStats, SimReport};
 
+/// How often per-query SIC values are sampled for the report.
+const SAMPLE_INTERVAL: TimeDelta = TimeDelta::from_secs(1);
+
 /// Simulator events.
 enum Event {
     /// The source pump's next batch is due.
@@ -166,7 +169,7 @@ impl Simulation {
         let sample_at = Timestamp::ZERO
             + scenario.warmup
             + TimeDelta::from_micros(
-                config.sample_interval.as_micros() / 2 + interval.as_micros() / 2 + 1_000,
+                SAMPLE_INTERVAL.as_micros() / 2 + interval.as_micros() / 2 + 1_000,
             );
         agenda.push(sample_at, Event::Sample);
         Simulation {
@@ -230,7 +233,7 @@ impl Simulation {
                             self.sic_series.entry(q).or_default().push((now, v));
                         }
                     }
-                    let next = now + self.config.sample_interval;
+                    let next = now + SAMPLE_INTERVAL;
                     self.agenda.push(next, Event::Sample);
                 }
             }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use themis_core::prelude::Timestamp;
 use themis_net::codec::{NetError, WireBatch};
-use themis_net::transport::FragmentRouter;
+use themis_net::transport::PeerSender;
 
 use crate::datasets::Dataset;
 use crate::pump::{scenario_bindings, SourceBinding, SourcePump};
@@ -105,82 +105,122 @@ pub fn build_federated_scenario(p: &FederatedParams) -> Scenario {
         .expect("valid federated scenario")
 }
 
-/// Parses the `--key=value` flags of a source-pump process and runs the
-/// remote pump to completion. Shared by the standalone `source-pump`
-/// binary and the hidden child mode of the bench `experiments` binary,
-/// so a forked child behaves identically whichever binary hosts it.
-///
-/// Required: `--addr=HOST:PORT`, `--run-ms=N`. Optional: `--part=`,
-/// `--parts=` (`--part` must be below `--parts`), `--peer=`,
-/// `--start-unix-us=` (a shared wall-clock timeline anchor,
-/// microseconds since the Unix epoch — see [`run_remote_sources`]'s
-/// `start_at`), and every [`FederatedParams`] field as `--seed= --nodes=
-/// --queries= --rate= --batches= --capacity= --stw-ms= --warmup-ms=
-/// --duration-ms=`. The send queue holds two shedding intervals of the
-/// partition's frames ([`NetConfig::send_queue`], at least the default).
-pub fn pump_main(args: &[String]) -> Result<RemotePumpStats, String> {
-    let mut addr: Option<String> = None;
-    let mut run_ms: Option<u64> = None;
-    let mut part = 0usize;
-    let mut parts = 1usize;
-    let mut peer: Option<String> = None;
-    let mut start_unix_us: Option<u64> = None;
-    let mut p = FederatedParams::default();
-    for arg in args {
-        let (key, value) = match arg.split_once('=') {
-            Some((k, v)) => (k, v),
-            None => return Err(format!("malformed pump flag {arg} (expected --key=value)")),
-        };
-        let uint = || {
-            value
-                .parse::<u64>()
-                .map_err(|_| format!("flag {key} needs an unsigned integer, got {value}"))
-        };
-        match key {
-            "--addr" => addr = Some(value.to_string()),
-            "--peer" => peer = Some(value.to_string()),
-            "--run-ms" => run_ms = Some(uint()?),
-            "--part" => part = uint()? as usize,
-            "--parts" => parts = (uint()? as usize).max(1),
-            "--start-unix-us" => start_unix_us = Some(uint()?),
-            "--seed" => p.seed = uint()?,
-            "--nodes" => p.nodes = uint()? as usize,
-            "--queries" => p.queries = uint()? as usize,
-            "--rate" => p.rate_tps = uint()? as u32,
-            "--batches" => p.batches_per_sec = uint()? as u32,
-            "--capacity" => p.capacity_tps = uint()? as u32,
-            "--stw-ms" => p.stw_ms = uint()?,
-            "--warmup-ms" => p.warmup_ms = uint()?,
-            "--duration-ms" => p.duration_ms = uint()?,
-            other => return Err(format!("unknown pump flag {other}")),
+/// The `--key=value` command line of one source-pump process:
+/// [`PumpArgs::parse`] reads it and [`PumpArgs::to_args`] writes it, so
+/// whoever forks a pump and the pump itself agree on every flag.
+/// `--addr` and `--run-ms` are required.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PumpArgs {
+    /// The engine's ingest listener, `HOST:PORT`.
+    pub addr: String,
+    /// Wall time to pump for, from the timeline epoch, in milliseconds.
+    pub run_ms: u64,
+    /// This process's partition of the scenario's sources.
+    pub part: usize,
+    /// Partitions in the federation.
+    pub parts: usize,
+    /// Name in the engine's error reports (default `source-pump-<part>`).
+    pub peer: Option<String>,
+    /// Shared timeline anchor, microseconds since the Unix epoch (see
+    /// [`run_remote_sources`]).
+    pub start_unix_us: Option<u64>,
+    /// The canonical scenario every side rebuilds.
+    pub params: FederatedParams,
+}
+
+impl PumpArgs {
+    /// Parses the `--key=value` flags of a source-pump process.
+    pub fn parse(args: &[String]) -> Result<PumpArgs, String> {
+        let mut addr: Option<String> = None;
+        let mut run_ms: Option<u64> = None;
+        let (mut part, mut parts) = (0usize, 1usize);
+        let mut peer: Option<String> = None;
+        let mut start_unix_us: Option<u64> = None;
+        let mut p = FederatedParams::default();
+        for arg in args {
+            let malformed = || format!("malformed pump flag {arg} (expected --key=value)");
+            let (key, value) = arg.split_once('=').ok_or_else(malformed)?;
+            let uint = || {
+                value
+                    .parse::<u64>()
+                    .map_err(|_| format!("flag {key} needs an unsigned integer, got {value}"))
+            };
+            match key {
+                "--addr" => addr = Some(value.to_string()),
+                "--peer" => peer = Some(value.to_string()),
+                "--run-ms" => run_ms = Some(uint()?),
+                "--part" => part = uint()? as usize,
+                "--parts" => parts = (uint()? as usize).max(1),
+                "--start-unix-us" => start_unix_us = Some(uint()?),
+                "--seed" => p.seed = uint()?,
+                "--nodes" => p.nodes = uint()? as usize,
+                "--queries" => p.queries = uint()? as usize,
+                "--rate" => p.rate_tps = uint()? as u32,
+                "--batches" => p.batches_per_sec = uint()? as u32,
+                "--capacity" => p.capacity_tps = uint()? as u32,
+                "--stw-ms" => p.stw_ms = uint()?,
+                "--warmup-ms" => p.warmup_ms = uint()?,
+                "--duration-ms" => p.duration_ms = uint()?,
+                other => return Err(format!("unknown pump flag {other}")),
+            }
         }
+        if part >= parts {
+            return Err(format!(
+                "pump flag --part={part} is out of range for --parts={parts} \
+                 (partitions are numbered 0..{parts})"
+            ));
+        }
+        Ok(PumpArgs {
+            addr: addr.ok_or("missing required pump flag --addr=HOST:PORT")?,
+            run_ms: run_ms.ok_or("missing required pump flag --run-ms=N")?,
+            part,
+            parts,
+            peer,
+            start_unix_us,
+            params: p,
+        })
     }
-    if part >= parts {
-        return Err(format!(
-            "pump flag --part={part} is out of range for --parts={parts} \
-             (partitions are numbered 0..{parts})"
-        ));
+
+    /// The flags [`PumpArgs::parse`] reads back as `self`.
+    pub fn to_args(&self) -> Vec<String> {
+        let p = &self.params;
+        let mut args = vec![
+            format!("--addr={}", self.addr),
+            format!("--run-ms={}", self.run_ms),
+            format!("--part={}", self.part),
+            format!("--parts={}", self.parts),
+        ];
+        args.extend(self.peer.iter().map(|peer| format!("--peer={peer}")));
+        args.extend(self.start_unix_us.map(|at| format!("--start-unix-us={at}")));
+        args.extend([
+            format!("--seed={}", p.seed),
+            format!("--nodes={}", p.nodes),
+            format!("--queries={}", p.queries),
+            format!("--rate={}", p.rate_tps),
+            format!("--batches={}", p.batches_per_sec),
+            format!("--capacity={}", p.capacity_tps),
+            format!("--stw-ms={}", p.stw_ms),
+            format!("--warmup-ms={}", p.warmup_ms),
+            format!("--duration-ms={}", p.duration_ms),
+        ]);
+        args
     }
-    let addr = addr.ok_or("missing required pump flag --addr=HOST:PORT")?;
-    let run_ms = run_ms.ok_or("missing required pump flag --run-ms=N")?;
-    let peer = peer.unwrap_or_else(|| format!("source-pump-{part}"));
-    let start_at = start_unix_us.map(|at| std::time::UNIX_EPOCH + Duration::from_micros(at));
-    let scenario = build_federated_scenario(&p);
+}
+
+/// Parses a source-pump command line ([`PumpArgs`]) and runs the remote
+/// pump to completion. Shared by the standalone `source-pump` binary and
+/// the hidden child mode of the bench `experiments` binary, so a forked
+/// child behaves identically whichever binary hosts it. The send queue
+/// holds two shedding intervals of the partition's frames
+/// ([`NetConfig::send_queue`], at least the default).
+pub fn pump_main(args: &[String]) -> Result<RemotePumpStats, String> {
+    let args = PumpArgs::parse(args)?;
+    let scenario = build_federated_scenario(&args.params);
     let cfg = NetConfig {
-        send_queue: send_queue_frames(&scenario, part, parts),
+        send_queue: send_queue_frames(&scenario, args.part, args.parts),
         ..NetConfig::default()
     };
-    run_remote_sources(
-        &scenario,
-        part,
-        parts,
-        &addr,
-        &peer,
-        &cfg,
-        Duration::from_millis(run_ms),
-        start_at,
-    )
-    .map_err(|e| e.to_string())
+    run_remote_sources(&scenario, &args, &cfg).map_err(|e| e.to_string())
 }
 
 /// Final accounting of one remote pump run.
@@ -217,14 +257,14 @@ fn send_queue_frames(scenario: &Scenario, part: usize, parts: usize) -> usize {
     (frames as usize).max(NetConfig::default().send_queue)
 }
 
-/// Drives partition `part` of `parts` of the scenario's sources against
-/// the engine ingest listener at `addr` for `run_for` wall time (from
-/// the timeline epoch), then closes with a bye carrying the exact
-/// sent/shed accounting. `peer` names this process in the engine's
-/// error reports.
+/// Drives partition `args.part` of `args.parts` of the scenario's
+/// sources against the engine ingest listener at `args.addr` for
+/// `args.run_ms` of wall time (from the timeline epoch), then closes with
+/// a bye carrying the exact sent/shed accounting. `args.peer` names this
+/// process in the engine's error reports.
 ///
-/// `start_at`, when given, anchors the pump's timeline epoch to a
-/// shared wall-clock instant — typically the moment the engine process
+/// `args.start_unix_us`, when given, anchors the pump's timeline epoch to
+/// a shared wall-clock instant — typically the moment the engine process
 /// started. An anchor still in the future is slept to; one already in
 /// the past back-dates the epoch and the drivers fast-forward over the
 /// missed emissions. Either way every pump in a federation (and the
@@ -237,22 +277,24 @@ fn send_queue_frames(scenario: &Scenario, part: usize, parts: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics when `part >= parts` (that partition is empty).
-#[allow(clippy::too_many_arguments)]
+/// Panics when `args.part >= args.parts` (that partition is empty).
 pub fn run_remote_sources(
     scenario: &Scenario,
-    part: usize,
-    parts: usize,
-    addr: &str,
-    peer: &str,
+    args: &PumpArgs,
     cfg: &NetConfig,
-    run_for: Duration,
-    start_at: Option<std::time::SystemTime>,
 ) -> Result<RemotePumpStats, NetError> {
+    let (part, parts) = (args.part, args.parts);
     assert!(part < parts, "partition {part} of {parts} is empty");
     let mut pump = SourcePump::default();
     pump.add(Timestamp::ZERO, partition_sources(scenario, part, parts));
-    let router = FragmentRouter::connect(&[addr.to_string()], peer, cfg)?;
+    let peer = args
+        .peer
+        .clone()
+        .unwrap_or_else(|| format!("source-pump-{part}"));
+    let start_at = args
+        .start_unix_us
+        .map(|at| std::time::UNIX_EPOCH + Duration::from_micros(at));
+    let link = PeerSender::connect(&args.addr, &peer, cfg)?;
     let epoch = match start_at {
         Some(target) => {
             while let Ok(rem) = target.duration_since(std::time::SystemTime::now()) {
@@ -271,7 +313,7 @@ pub fn run_remote_sources(
         }
         None => Instant::now(),
     };
-    let deadline = epoch + run_for;
+    let deadline = epoch + Duration::from_millis(args.run_ms);
     let mut emitted = 0u64;
     loop {
         let now_wall = Instant::now();
@@ -281,7 +323,7 @@ pub fn run_remote_sources(
         let now = Timestamp(now_wall.duration_since(epoch).as_micros() as u64);
         let next = pump.step(now, |node, rb| {
             emitted += 1;
-            router.send_batch(&WireBatch {
+            link.send_batch(&WireBatch {
                 node: node as u32,
                 query: rb.query,
                 fragment: rb.fragment as u32,
@@ -299,7 +341,7 @@ pub fn run_remote_sources(
             .min(deadline);
         thread::sleep(next.saturating_duration_since(Instant::now()));
     }
-    let send = router.close()?;
+    let send = link.close()?;
     Ok(RemotePumpStats {
         emitted_batches: emitted,
         sent_batches: send.sent_batches,
@@ -405,6 +447,32 @@ mod tests {
             err.contains("--part=4") && err.contains("--parts=4"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn pump_args_round_trip_through_writer_and_parser() {
+        // Every field off its default, so a field the writer drops, and
+        // the parser then defaults, fails the comparison.
+        let every = PumpArgs {
+            addr: "10.0.0.2:9".to_string(),
+            run_ms: 1,
+            part: 2,
+            parts: 3,
+            peer: Some("pump-x".to_string()),
+            start_unix_us: Some(1_700_000_000_000_000),
+            params: FederatedParams {
+                seed: 7,
+                nodes: 5,
+                queries: 11,
+                rate_tps: 13,
+                batches_per_sec: 17,
+                capacity_tps: 19,
+                stw_ms: 23,
+                warmup_ms: 29,
+                duration_ms: 31,
+            },
+        };
+        assert_eq!(PumpArgs::parse(&every.to_args()), Ok(every));
     }
 
     #[test]

@@ -3,57 +3,6 @@
 
 use themis::prelude::*;
 
-fn scenario(n_queries: usize, rate: u32, seed: u64) -> Scenario {
-    ScenarioBuilder::new("engine-int", seed)
-        .nodes(2)
-        .capacity_tps(1_000_000)
-        .duration(TimeDelta::from_millis(2500))
-        .warmup(TimeDelta::from_millis(1200))
-        .stw_window(TimeDelta::from_secs(2))
-        .add_queries(
-            Template::Avg,
-            n_queries,
-            SourceProfile::steady(rate, 5, Dataset::Uniform),
-        )
-        .build()
-        .unwrap()
-}
-
-/// Without synthetic cost the engine keeps everything and results flow.
-#[test]
-fn engine_processes_everything_without_overload() {
-    let report = run_engine(&scenario(4, 200, 1), EngineConfig::default());
-    assert_eq!(report.shed_fraction(), 0.0);
-    assert_eq!(
-        report.result_counts.len(),
-        4,
-        "all queries produced results"
-    );
-    let total_results: usize = report.result_counts.values().sum();
-    assert!(total_results >= 4, "results {total_results}");
-    assert!(report.coordinator_messages > 0);
-}
-
-/// Synthetic per-tuple cost turns the same workload into an overloaded
-/// one: tuples are shed, the shedder's execution time is measured.
-#[test]
-fn engine_sheds_under_synthetic_cost() {
-    // Per node: 2 queries x 400 t/s = 800 t/s demand vs 1/(2 ms) = 500 t/s.
-    let cfg = EngineConfig {
-        synthetic_cost: TimeDelta::from_micros(2000),
-        ..Default::default()
-    };
-    let report = run_engine(&scenario(4, 400, 2), cfg);
-    assert!(
-        report.shed_fraction() > 0.1,
-        "shed {}",
-        report.shed_fraction()
-    );
-    assert!(report.mean_shed_time_us() > 0.0);
-    // Overload does not stop results entirely.
-    assert!(!report.result_counts.is_empty());
-}
-
 /// Multi-fragment queries traverse real channels between worker threads.
 #[test]
 fn engine_routes_multi_fragment_queries() {
@@ -116,18 +65,4 @@ fn engine_scales_nodes_onto_bounded_shard_pool() {
         "all queries produced results: got {}",
         report.result_counts.len()
     );
-}
-
-/// The random-shedding engine also runs to completion (used by the §7.6
-/// overhead comparison).
-#[test]
-fn engine_random_policy_runs() {
-    let cfg = EngineConfig {
-        policy: lookup_policy("random").unwrap(),
-        synthetic_cost: TimeDelta::from_micros(2000),
-        ..Default::default()
-    };
-    let report = run_engine(&scenario(4, 400, 4), cfg);
-    assert_eq!(report.policy, "random");
-    assert!(report.shed_fraction() > 0.05);
 }

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use themis::engine::prelude::EngineError;
 use themis::prelude::*;
-use themis::workloads::remote::{build_federated_scenario, pump_main, FederatedParams};
+use themis::workloads::remote::{build_federated_scenario, pump_main, FederatedParams, PumpArgs};
 
 /// Child-process hook: when `THEMIS_PUMP_ARGS` is set this "test" runs a
 /// remote source pump to completion and the surrounding harness exit
@@ -63,31 +63,10 @@ fn engine_config() -> EngineConfig {
     }
 }
 
-fn spawn_pump(
-    addr: &str,
-    part: usize,
-    parts: usize,
-    start_unix_us: u64,
-    p: &FederatedParams,
-) -> Child {
-    let args = format!(
-        "--addr={addr} --part={part} --parts={parts} --run-ms={} --start-unix-us={start_unix_us} \
-         --peer=itest-pump-{part} --seed={} --nodes={} --queries={} --rate={} --batches={} \
-         --capacity={} --stw-ms={} --warmup-ms={} --duration-ms={}",
-        p.warmup_ms + p.duration_ms,
-        p.seed,
-        p.nodes,
-        p.queries,
-        p.rate_tps,
-        p.batches_per_sec,
-        p.capacity_tps,
-        p.stw_ms,
-        p.warmup_ms,
-        p.duration_ms,
-    );
+fn spawn_pump(args: &PumpArgs) -> Child {
     Command::new(std::env::current_exe().expect("test binary path"))
         .args(["--exact", "source_pump_child_mode", "--nocapture"])
-        .env("THEMIS_PUMP_ARGS", args)
+        .env("THEMIS_PUMP_ARGS", args.to_args().join(" "))
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .spawn()
@@ -125,8 +104,17 @@ fn run_federated(p: &FederatedParams, parts: usize, kill_first: bool) -> EngineR
         .expect("ingest listener bound")
         .to_string();
     let start_unix_us = engine.epoch_unix_us();
+    let pump = |part| PumpArgs {
+        addr: addr.clone(),
+        run_ms: p.warmup_ms + p.duration_ms,
+        part,
+        parts,
+        peer: Some(format!("itest-pump-{part}")),
+        start_unix_us: Some(start_unix_us),
+        params: *p,
+    };
     let mut children: Vec<Option<Child>> = (0..parts)
-        .map(|part| Some(spawn_pump(&addr, part, parts, start_unix_us, p)))
+        .map(|part| Some(spawn_pump(&pump(part))))
         .collect();
     engine.run_for(Duration::from_millis(p.warmup_ms));
     if kill_first {

@@ -98,9 +98,11 @@ fn every_policy_runs_in_the_engine() {
             report.nodes.iter().any(|n| n.arrived_tuples > 0),
             "{p}: tuples flowed"
         );
+        // 800 t/s offered per node against 500 t/s sheds about 37%.
         assert!(
-            report.shed_fraction() > 0.0,
-            "{p}: synthetic cost must force shedding"
+            report.shed_fraction() > 0.05,
+            "{p}: synthetic cost must force shedding (got {})",
+            report.shed_fraction()
         );
     }
 }

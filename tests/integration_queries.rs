@@ -3,8 +3,8 @@
 //! shedding policy driving the engine, and a `GROUP BY` query attached
 //! at runtime dispatching the dictionary group-by kernel.
 
-use themis::operators::kernels::group_kernel_invocations;
 use themis::prelude::*;
+use themis_bench::figures::queries::group_by_probe;
 
 /// The Table-1 presets at their quoted fragment counts.
 fn table1() -> Vec<Template> {
@@ -191,38 +191,11 @@ fn externally_registered_policy_drives_the_engine() {
 
 /// A declarative `GROUP BY` query attached to the live engine
 /// ([`Engine::attach_spec`]) dispatches the typed dictionary group-by
-/// kernel and produces grouped results.
+/// kernel and produces grouped results. The run is the `experiments
+/// queries` gate's own probe.
 #[test]
 fn attached_group_by_query_dispatches_the_kernel() {
-    let scenario = ScenarioBuilder::new("attach-group-by", 29)
-        .nodes(2)
-        .capacity_tps(1_000_000)
-        .stw_window(TimeDelta::from_secs(1))
-        .duration(TimeDelta::from_secs(4))
-        .warmup(TimeDelta::from_millis(500))
-        .add_queries(
-            Template::Avg,
-            1,
-            SourceProfile::steady(200, 5, Dataset::Uniform),
-        )
-        .build()
-        .unwrap();
-    let validated = QueryDef::parse("SELECT host, SUM(value) FROM sensors[4] GROUP BY host")
-        .unwrap()
-        .validate()
-        .unwrap();
-
-    let mut engine = Engine::start(&scenario, EngineConfig::default());
-    engine.run_for(std::time::Duration::from_millis(500));
-    let calls_before = group_kernel_invocations();
-    let attached = engine.attach_spec(&validated, SourceProfile::steady(200, 5, Dataset::Uniform));
-    engine.run_for(std::time::Duration::from_secs(3));
-    let kernel_calls = group_kernel_invocations() - calls_before;
-    let report = engine.finish();
-
-    assert!(kernel_calls > 0, "group kernel never fired");
-    assert!(
-        report.result_counts.get(&attached).copied().unwrap_or(0) > 0,
-        "attached GROUP BY query produced no results"
-    );
+    let probe = group_by_probe(3, 29);
+    assert!(probe.kernel_calls > 0, "group kernel never fired");
+    assert!(probe.results > 0, "GROUP BY query produced no results");
 }
