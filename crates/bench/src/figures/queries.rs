@@ -1,10 +1,9 @@
-//! Declarative-query parity: the gate behind the spec-compilation
-//! refactor.
+//! Declarative-query parity: text-compiled queries match the presets.
 //!
 //! Every Table-1 template is rendered to its canonical query text
 //! ([`Template::text`]), re-parsed through the declarative frontend, and
-//! compiled through the staged `QueryDef -> ValidatedQuery ->
-//! CompiledQuery` pipeline. The gate asserts two things per template:
+//! compiled through the staged `QueryDef -> ValidatedQuery -> QuerySpec`
+//! pipeline. The gate asserts two things per template:
 //!
 //! 1. **Structural parity** — the parsed-text path produces an
 //!    operator-for-operator identical [`QuerySpec`] to the preset path.
@@ -162,8 +161,8 @@ pub fn queries_parity(seed: u64) -> Vec<TemplateParityRow> {
                 .expect("template text validates");
             let mut preset_ids = IdGen::new();
             let mut parsed_ids = IdGen::new();
-            let structural_match = parsed.compile(QueryId(0), &mut parsed_ids).into_spec()
-                == t.build(QueryId(0), &mut preset_ids);
+            let structural_match =
+                parsed.compile(QueryId(0), &mut parsed_ids) == t.build(QueryId(0), &mut preset_ids);
             let policies = registered_policies()
                 .into_iter()
                 .map(|policy| {

@@ -735,7 +735,7 @@ impl Engine {
     /// nodes (fragments of one query must land on distinct nodes).
     pub fn attach_spec(&mut self, spec: &ValidatedQuery, profile: SourceProfile) -> QueryId {
         let id: QueryId = self.query_ids.next();
-        let query = spec.compile(id, &mut self.source_ids).into_spec();
+        let query = spec.compile(id, &mut self.source_ids);
         self.attach_built(query, profile)
     }
 

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::placement::{place, Deployment, PlacementError, PlacementPolicy};
     pub use crate::runtime::{FragmentRuntime, Ingress};
     pub use crate::spec::{
-        AggFunc, CompiledQuery, MergeShape, QueryDef, Select, SpecError, StreamDef, ValidatedQuery,
+        AggFunc, MergeShape, QueryDef, Select, SpecError, StreamDef, ValidatedQuery,
     };
     pub use crate::templates::Template;
 }

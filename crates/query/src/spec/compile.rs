@@ -1,19 +1,24 @@
 //! The *Compiled* stage: infallible lowering of a [`ValidatedQuery`]
 //! into the [`QuerySpec`] operator graph the runtimes execute.
 //!
-//! The lowerings generalise the hand-built Table-1 graphs (the
-//! pre-refactor `templates.rs` constructors) over the draft's window,
+//! The lowerings generalise the Table-1 graphs over the draft's window,
 //! stream counts and fragment count — at the Table-1 parameter values
-//! they reproduce those graphs *exactly*, operator for operator and
-//! grace for grace, which the template parity tests pin. The `GROUP BY`
-//! lowering is new: it compiles a shared tag dictionary into every
-//! source so the window panes dispatch to the columnar grouped sum/count
-//! kernel at runtime.
+//! they build those graphs *exactly*, operator for operator and grace
+//! for grace, which the template parity tests and `tests/graph_pins.rs`
+//! pin. The `GROUP BY` lowering compiles a shared tag dictionary into
+//! every source so the window panes dispatch to the columnar grouped
+//! sum/count kernel at runtime.
+//!
+//! Every fragment is built through one [`Frag`] and every source is
+//! drawn through [`Lowering::source`], so a lowering only says which
+//! operators a fragment holds and how they connect.
+
+use std::ops::Range;
 
 use themis_core::prelude::*;
 use themis_operators::prelude::*;
 
-use super::def::QueryDef;
+use super::def::{AggFunc, QueryDef};
 use super::validate::{Plan, ValidatedQuery};
 use crate::graph::{
     FragmentSpec, LocalEdge, QuerySpec, SourceBinding, SourceSpec, TagSource, UpstreamBinding,
@@ -26,59 +31,149 @@ pub const GRACE_BASE: TimeDelta = TimeDelta(500_000);
 /// for partials that crossed the network and a shedding queue.
 pub const GRACE_STEP: TimeDelta = TimeDelta(500_000);
 
-pub(crate) fn chain_grace(pos: usize) -> TimeDelta {
+fn chain_grace(pos: usize) -> TimeDelta {
     TimeDelta(GRACE_BASE.as_micros() + GRACE_STEP.as_micros() * pos as u64)
 }
 
-/// A compiled query — the final stage. Wraps the lowered
-/// [`QuerySpec`]; construction is private to the spec module, so every
-/// `CompiledQuery` went through parsing/building *and* validation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledQuery {
-    spec: QuerySpec,
+/// One fragment under construction: operators, edges, source bindings
+/// and upstreams, each kept in push order.
+#[derive(Default)]
+struct Frag {
+    operators: Vec<OperatorSpec>,
+    edges: Vec<LocalEdge>,
+    sources: Vec<SourceBinding>,
+    upstreams: Vec<UpstreamBinding>,
 }
 
-impl CompiledQuery {
-    /// The lowered operator graph.
-    pub fn spec(&self) -> &QuerySpec {
-        &self.spec
+impl Frag {
+    /// Appends an operator and returns its local index.
+    fn op(&mut self, spec: OperatorSpec) -> usize {
+        self.operators.push(spec);
+        self.operators.len() - 1
     }
 
-    /// Unwraps into the operator graph for deployment.
-    pub fn into_spec(self) -> QuerySpec {
-        self.spec
+    /// Appends a pass-through (unwindowed) operator.
+    fn pass(&mut self, logic: LogicSpec) -> usize {
+        self.op(OperatorSpec::new(WindowSpec::PassThrough, logic))
+    }
+
+    /// Appends `n` identity receivers for source inputs.
+    fn receivers(&mut self, n: usize) -> Range<usize> {
+        let start = self.operators.len();
+        self.operators
+            .resize_with(start + n, OperatorSpec::identity);
+        start..start + n
+    }
+
+    fn edge(&mut self, from: usize, to: usize, port: usize) {
+        self.edges.push(LocalEdge { from, to, port });
+    }
+
+    /// Connects every operator in `from` to port 0 of `to`.
+    fn fan_in(&mut self, from: Range<usize>, to: usize) {
+        for op in from {
+            self.edge(op, to, 0);
+        }
+    }
+
+    /// Connects each operator of `path` to port 0 of the next.
+    fn line(&mut self, path: &[usize]) {
+        for pair in path.windows(2) {
+            self.edge(pair[0], pair[1], 0);
+        }
+    }
+
+    /// Feeds the output of upstream fragment `fragment` into port 0 of
+    /// `op`.
+    fn upstream(&mut self, fragment: usize, op: usize) {
+        self.upstreams.push(UpstreamBinding {
+            fragment,
+            op,
+            port: 0,
+        });
+    }
+
+    /// The finished fragment, emitting from `root`.
+    fn done(self, root: usize) -> FragmentSpec {
+        FragmentSpec {
+            operators: self.operators,
+            edges: self.edges,
+            sources: self.sources,
+            upstreams: self.upstreams,
+            root,
+        }
     }
 }
 
-pub(super) fn compile(vq: &ValidatedQuery, id: QueryId, sources: &mut IdGen) -> CompiledQuery {
+/// One query under construction: the draft, the source-id generator
+/// and the sources declared so far, in draw order.
+struct Lowering<'a> {
+    def: &'a QueryDef,
+    ids: &'a mut IdGen,
+    sources: Vec<SourceSpec>,
+}
+
+impl Lowering<'_> {
+    /// A tumbling window of the draft's length.
+    fn window(&self, logic: LogicSpec, grace: TimeDelta) -> OperatorSpec {
+        OperatorSpec::with_grace(WindowSpec::tumbling(self.def.window), logic, grace)
+    }
+
+    /// Draws one fresh source id, declares the source `make` builds for
+    /// it and binds it to port 0 of `op` in `frag`.
+    fn source(&mut self, frag: &mut Frag, op: usize, make: impl FnOnce(SourceId) -> SourceSpec) {
+        let source: SourceId = self.ids.next();
+        self.sources.push(make(source));
+        frag.sources.push(SourceBinding {
+            source,
+            op,
+            port: 0,
+        });
+    }
+
+    /// Assembles the query from its fragments.
+    fn compile(
+        self,
+        id: QueryId,
+        fragments: Vec<FragmentSpec>,
+        result_fragment: usize,
+    ) -> QuerySpec {
+        QuerySpec {
+            id,
+            template: self.def.name.clone(),
+            fragments,
+            result_fragment,
+            sources: self.sources,
+        }
+    }
+}
+
+pub(super) fn compile(vq: &ValidatedQuery, id: QueryId, ids: &mut IdGen) -> QuerySpec {
     let def = vq.def();
-    let spec = match vq.plan() {
-        Plan::Simple { func, predicate } => lower_simple(def, *func, *predicate, id, sources),
-        Plan::Tree => lower_tree(def, id, sources),
-        Plan::TopK { k, threshold } => lower_top_k(def, *k, *threshold, id, sources),
-        Plan::CovChain => lower_cov(def, id, sources),
-        Plan::GroupBy { group } => lower_group_by(def, group, id, sources),
+    let mut l = Lowering {
+        def,
+        ids,
+        sources: Vec::new(),
     };
+    // Chains report from their last fragment, trees from their root.
+    let last = def.fragments - 1;
+    let (fragments, result_fragment) = match vq.plan() {
+        Plan::Simple { func, predicate } => (vec![lower_simple(&mut l, *func, *predicate)], 0),
+        Plan::Tree => (lower_tree(&mut l), 0),
+        Plan::TopK { k, threshold } => (lower_top_k(&mut l, *k, *threshold), last),
+        Plan::CovChain => (lower_cov(&mut l), last),
+        Plan::GroupBy { group } => (vec![lower_group_by(&mut l, group)], 0),
+    };
+    let spec = l.compile(id, fragments, result_fragment);
     debug_assert_eq!(spec.validate(), Ok(()));
-    CompiledQuery { spec }
-}
-
-fn window_op(def: &QueryDef, logic: LogicSpec, grace: TimeDelta) -> OperatorSpec {
-    OperatorSpec::with_grace(WindowSpec::tumbling(def.window), logic, grace)
+    spec
 }
 
 /// `AVG`/`MAX`/`MIN`/`SUM`/`COUNT`: receivers -> optional filter ->
 /// windowed aggregate -> output, in one fragment.
-fn lower_simple(
-    def: &QueryDef,
-    func: super::AggFunc,
-    predicate: Option<Predicate>,
-    id: QueryId,
-    sources: &mut IdGen,
-) -> QuerySpec {
-    use super::AggFunc;
-    let stream = &def.streams[0];
-    let n = stream.count;
+fn lower_simple(l: &mut Lowering<'_>, func: AggFunc, predicate: Option<Predicate>) -> FragmentSpec {
+    let stream = &l.def.streams[0];
+    let kind = stream.kind;
     // COUNT absorbs the predicate as its HAVING clause (Table 1's
     // `Count ... Having t.v >= 50`); other aggregates get a filter op.
     let (logic, filter) = match func {
@@ -89,402 +184,145 @@ fn lower_simple(
         AggFunc::Count => (LogicSpec::Count { predicate }, None),
         AggFunc::Cov => unreachable!("COV lowers via Plan::CovChain"),
     };
-
-    let mut operators: Vec<OperatorSpec> = (0..n).map(|_| OperatorSpec::identity()).collect();
-    let mut edges = Vec::new();
-    let mut next = n;
-    if let Some(p) = filter {
-        operators.push(OperatorSpec::new(
-            WindowSpec::PassThrough,
-            LogicSpec::Filter(p),
-        ));
-        for i in 0..n {
-            edges.push(LocalEdge {
-                from: i,
-                to: next,
-                port: 0,
-            });
-        }
-        let win = next + 1;
-        edges.push(LocalEdge {
-            from: next,
-            to: win,
-            port: 0,
-        });
-        next = win;
-    } else {
-        for i in 0..n {
-            edges.push(LocalEdge {
-                from: i,
-                to: next,
-                port: 0,
-            });
-        }
+    let mut f = Frag::default();
+    let rx = f.receivers(stream.count);
+    let filter = filter.map(|p| f.pass(LogicSpec::Filter(p)));
+    let win = f.op(l.window(logic, GRACE_BASE));
+    let out = f.op(OperatorSpec::identity());
+    f.fan_in(rx.clone(), filter.unwrap_or(win));
+    if let Some(filter) = filter {
+        f.edge(filter, win, 0);
     }
-    operators.push(window_op(def, logic, GRACE_BASE));
-    let out = next + 1;
-    operators.push(OperatorSpec::identity());
-    edges.push(LocalEdge {
-        from: next,
-        to: out,
-        port: 0,
-    });
-
-    let mut declared = Vec::with_capacity(n);
-    let mut bindings = Vec::with_capacity(n);
-    for i in 0..n {
-        let sid: SourceId = sources.next();
-        declared.push(SourceSpec::plain(sid, None, stream.kind));
-        bindings.push(SourceBinding {
-            source: sid,
-            op: i,
-            port: 0,
-        });
+    f.edge(win, out, 0);
+    for op in rx {
+        l.source(&mut f, op, |id| SourceSpec::plain(id, None, kind));
     }
-    QuerySpec {
-        id,
-        template: def.name.clone(),
-        fragments: vec![FragmentSpec {
-            operators,
-            edges,
-            sources: bindings,
-            upstreams: vec![],
-            root: out,
-        }],
-        result_fragment: 0,
-        sources: declared,
-    }
+    f.done(out)
 }
 
 /// `MERGE TREE` average (`AVG-all`): every fragment computes a
 /// `[sum, count]` partial over its receivers; fragment 0 merges.
-fn lower_tree(def: &QueryDef, id: QueryId, sources: &mut IdGen) -> QuerySpec {
+fn lower_tree(l: &mut Lowering<'_>) -> Vec<FragmentSpec> {
+    let def = l.def;
     let stream = &def.streams[0];
-    let n = stream.count;
-    let fragments = def.fragments;
-    let mut specs = Vec::with_capacity(fragments);
-    let mut declared = Vec::new();
-    for f in 0..fragments {
-        let mut operators: Vec<OperatorSpec> = (0..n).map(|_| OperatorSpec::identity()).collect();
-        // Window grouping all local sources.
-        operators.push(window_op(def, LogicSpec::Identity, GRACE_BASE));
-        // Partial [sum, count] over the grouped pane.
-        operators.push(OperatorSpec::new(
-            WindowSpec::PassThrough,
-            LogicSpec::PartialAvg { field: 0 },
-        ));
-        // Leaf output (identity) or root merge (tree depth 1).
-        if f == 0 {
-            operators.push(window_op(def, LogicSpec::MergeAvg, chain_grace(1)));
-        } else {
-            operators.push(OperatorSpec::identity());
-        }
-        let mut edges: Vec<LocalEdge> = (0..n)
-            .map(|i| LocalEdge {
-                from: i,
-                to: n,
-                port: 0,
-            })
-            .collect();
-        edges.push(LocalEdge {
-            from: n,
-            to: n + 1,
-            port: 0,
-        });
-        edges.push(LocalEdge {
-            from: n + 1,
-            to: n + 2,
-            port: 0,
-        });
-        let mut bindings = Vec::with_capacity(n);
-        for i in 0..n {
-            let sid: SourceId = sources.next();
-            declared.push(SourceSpec::plain(sid, None, stream.kind));
-            bindings.push(SourceBinding {
-                source: sid,
-                op: i,
-                port: 0,
+    (0..def.fragments)
+        .map(|fi| {
+            let mut f = Frag::default();
+            let rx = f.receivers(stream.count);
+            // Window grouping all local sources, then the partial.
+            let pane = f.op(l.window(LogicSpec::Identity, GRACE_BASE));
+            let partial = f.pass(LogicSpec::PartialAvg { field: 0 });
+            // Leaf output, or the root's merge of every leaf (depth 1).
+            let out = f.op(if fi == 0 {
+                l.window(LogicSpec::MergeAvg, chain_grace(1))
+            } else {
+                OperatorSpec::identity()
             });
-        }
-        specs.push(FragmentSpec {
-            operators,
-            edges,
-            sources: bindings,
-            upstreams: Vec::new(),
-            root: n + 2,
-        });
-    }
-    for f in 1..fragments {
-        specs[0].upstreams.push(UpstreamBinding {
-            fragment: f,
-            op: n + 2,
-            port: 0,
-        });
-    }
-    QuerySpec {
-        id,
-        template: def.name.clone(),
-        fragments: specs,
-        result_fragment: 0,
-        sources: declared,
-    }
+            f.fan_in(rx.clone(), pane);
+            f.line(&[pane, partial, out]);
+            for op in rx {
+                l.source(&mut f, op, |id| SourceSpec::plain(id, None, stream.kind));
+            }
+            if fi == 0 {
+                for leaf in 1..def.fragments {
+                    f.upstream(leaf, out);
+                }
+            }
+            f.done(out)
+        })
+        .collect()
 }
 
 /// `TOP k .. BY` over a keyed two-stream join (`TOP-5`): chained
 /// fragments each merge their local candidates with the upstream
 /// partial list.
-fn lower_top_k(
-    def: &QueryDef,
-    k: usize,
-    threshold: Option<Predicate>,
-    id: QueryId,
-    sources: &mut IdGen,
-) -> QuerySpec {
+fn lower_top_k(l: &mut Lowering<'_>, k: usize, threshold: Option<Predicate>) -> Vec<FragmentSpec> {
+    let def = l.def;
     let (left, right) = (&def.streams[0], &def.streams[1]);
     let c = left.count;
-    let fragments = def.fragments;
-    let mut specs = Vec::with_capacity(fragments);
-    let mut declared = Vec::new();
-    for f in 0..fragments {
-        // Receivers: left stream at 0..c, right stream at c..2c.
-        let mut operators: Vec<OperatorSpec> =
-            (0..2 * c).map(|_| OperatorSpec::identity()).collect();
-        // Optional per-batch filter on the joined stream.
-        let filter = threshold.map(|p| {
-            operators.push(OperatorSpec::new(
-                WindowSpec::PassThrough,
-                LogicSpec::Filter(p),
-            ));
-            operators.len() - 1
-        });
-        let left_win = operators.len();
-        operators.push(window_op(def, LogicSpec::Identity, GRACE_BASE));
-        let right_win = operators.len();
-        operators.push(window_op(def, LogicSpec::Identity, GRACE_BASE));
-        // Per-key averages over the window panes.
-        let left_avg = operators.len();
-        operators.push(OperatorSpec::new(
-            WindowSpec::PassThrough,
-            LogicSpec::GroupAvg {
-                key_field: 0,
-                value_field: 1,
-            },
-        ));
-        let right_avg = operators.len();
-        operators.push(OperatorSpec::new(
-            WindowSpec::PassThrough,
-            LogicSpec::GroupAvg {
-                key_field: 0,
-                value_field: 1,
-            },
-        ));
-        // Join both streams on the key.
-        let join = operators.len();
-        operators.push(window_op(
-            def,
-            LogicSpec::Join {
+    let group_avg = LogicSpec::GroupAvg {
+        key_field: 0,
+        value_field: 1,
+    };
+    (0..def.fragments)
+        .map(|fi| {
+            let mut f = Frag::default();
+            let (left_rx, right_rx) = (f.receivers(c), f.receivers(c));
+            // Optional per-batch filter on the joined stream.
+            let filter = threshold.map(|p| f.pass(LogicSpec::Filter(p)));
+            let left_win = f.op(l.window(LogicSpec::Identity, GRACE_BASE));
+            let right_win = f.op(l.window(LogicSpec::Identity, GRACE_BASE));
+            // Per-key averages over the window panes, joined on the key.
+            let left_avg = f.pass(group_avg.clone());
+            let right_avg = f.pass(group_avg.clone());
+            let join = LogicSpec::Join {
                 left_key: 0,
                 right_key: 0,
-            },
-            GRACE_BASE,
-        ));
-        // Merge window combining local candidates and the upstream list.
-        let merge = operators.len();
-        operators.push(window_op(def, LogicSpec::Identity, chain_grace(f)));
-        let top = operators.len();
-        operators.push(OperatorSpec::new(
-            WindowSpec::PassThrough,
-            LogicSpec::TopK {
+            };
+            let join = f.op(l.window(join, GRACE_BASE));
+            // Merge window combining local candidates and the upstream list.
+            let merge = f.op(l.window(LogicSpec::Identity, chain_grace(fi)));
+            let top = f.pass(LogicSpec::TopK {
                 k,
                 id_field: 0,
                 value_field: 1,
-            },
-        ));
-        let out = operators.len();
-        operators.push(OperatorSpec::identity());
-
-        let mut edges: Vec<LocalEdge> = Vec::new();
-        for i in 0..c {
-            edges.push(LocalEdge {
-                from: i,
-                to: left_win,
-                port: 0,
             });
-        }
-        let right_sink = filter.unwrap_or(right_win);
-        for i in c..2 * c {
-            edges.push(LocalEdge {
-                from: i,
-                to: right_sink,
-                port: 0,
-            });
-        }
-        if let Some(fi) = filter {
-            edges.push(LocalEdge {
-                from: fi,
-                to: right_win,
-                port: 0,
-            });
-        }
-        edges.push(LocalEdge {
-            from: left_win,
-            to: left_avg,
-            port: 0,
-        });
-        edges.push(LocalEdge {
-            from: right_win,
-            to: right_avg,
-            port: 0,
-        });
-        edges.push(LocalEdge {
-            from: left_avg,
-            to: join,
-            port: 0,
-        });
-        edges.push(LocalEdge {
-            from: right_avg,
-            to: join,
-            port: 1,
-        });
-        edges.push(LocalEdge {
-            from: join,
-            to: merge,
-            port: 0,
-        });
-        edges.push(LocalEdge {
-            from: merge,
-            to: top,
-            port: 0,
-        });
-        edges.push(LocalEdge {
-            from: top,
-            to: out,
-            port: 0,
-        });
-
-        let mut bindings = Vec::with_capacity(2 * c);
-        for i in 0..c {
-            let node_key = (f * c + i) as i64;
-            let l: SourceId = sources.next();
-            declared.push(SourceSpec::plain(l, Some(node_key), left.kind));
-            bindings.push(SourceBinding {
-                source: l,
-                op: i,
-                port: 0,
-            });
-            let r: SourceId = sources.next();
-            declared.push(SourceSpec::plain(r, Some(node_key), right.kind));
-            bindings.push(SourceBinding {
-                source: r,
-                op: c + i,
-                port: 0,
-            });
-        }
-        let upstreams = if f > 0 {
-            vec![UpstreamBinding {
-                fragment: f - 1,
-                op: merge,
-                port: 0,
-            }]
-        } else {
-            Vec::new()
-        };
-        specs.push(FragmentSpec {
-            operators,
-            edges,
-            sources: bindings,
-            upstreams,
-            root: out,
-        });
-    }
-    QuerySpec {
-        id,
-        template: def.name.clone(),
-        fragments: specs,
-        result_fragment: fragments - 1,
-        sources: declared,
-    }
+            let out = f.op(OperatorSpec::identity());
+            f.fan_in(left_rx.clone(), left_win);
+            f.fan_in(right_rx.clone(), filter.unwrap_or(right_win));
+            if let Some(filter) = filter {
+                f.edge(filter, right_win, 0);
+            }
+            f.edge(left_win, left_avg, 0);
+            f.edge(right_win, right_avg, 0);
+            f.edge(left_avg, join, 0);
+            f.edge(right_avg, join, 1);
+            f.line(&[join, merge, top, out]);
+            // One left and one right source per key, drawn in that order.
+            for (i, (lop, rop)) in left_rx.zip(right_rx).enumerate() {
+                let key = Some((fi * c + i) as i64);
+                l.source(&mut f, lop, |id| SourceSpec::plain(id, key, left.kind));
+                l.source(&mut f, rop, |id| SourceSpec::plain(id, key, right.kind));
+            }
+            if fi > 0 {
+                f.upstream(fi - 1, merge);
+            }
+            f.done(out)
+        })
+        .collect()
 }
 
 /// `COV`: chained fragments, each windowing the covariance of its two
 /// sources and averaging in the upstream partial.
-fn lower_cov(def: &QueryDef, id: QueryId, sources: &mut IdGen) -> QuerySpec {
-    let stream = &def.streams[0];
-    let fragments = def.fragments;
-    let mut specs = Vec::with_capacity(fragments);
-    let mut declared = Vec::new();
-    for f in 0..fragments {
-        let operators = vec![
-            OperatorSpec::identity(),
-            OperatorSpec::identity(),
-            window_op(def, LogicSpec::Cov { field: 0 }, GRACE_BASE),
-            window_op(def, LogicSpec::Identity, chain_grace(f)),
-            OperatorSpec::new(WindowSpec::PassThrough, LogicSpec::Avg { field: 0 }),
-        ];
-        let edges = vec![
-            LocalEdge {
-                from: 0,
-                to: 2,
-                port: 0,
-            },
-            LocalEdge {
-                from: 1,
-                to: 2,
-                port: 1,
-            },
-            LocalEdge {
-                from: 2,
-                to: 3,
-                port: 0,
-            },
-            LocalEdge {
-                from: 3,
-                to: 4,
-                port: 0,
-            },
-        ];
-        let mut bindings = Vec::with_capacity(2);
-        for i in 0..2 {
-            let sid: SourceId = sources.next();
-            declared.push(SourceSpec::plain(sid, None, stream.kind));
-            bindings.push(SourceBinding {
-                source: sid,
-                op: i,
-                port: 0,
-            });
-        }
-        let upstreams = if f > 0 {
-            vec![UpstreamBinding {
-                fragment: f - 1,
-                op: 3,
-                port: 0,
-            }]
-        } else {
-            Vec::new()
-        };
-        specs.push(FragmentSpec {
-            operators,
-            edges,
-            sources: bindings,
-            upstreams,
-            root: 4,
-        });
-    }
-    QuerySpec {
-        id,
-        template: def.name.clone(),
-        fragments: specs,
-        result_fragment: fragments - 1,
-        sources: declared,
-    }
+fn lower_cov(l: &mut Lowering<'_>) -> Vec<FragmentSpec> {
+    let def = l.def;
+    let kind = def.streams[0].kind;
+    (0..def.fragments)
+        .map(|fi| {
+            let mut f = Frag::default();
+            let rx = f.receivers(2);
+            let cov = f.op(l.window(LogicSpec::Cov { field: 0 }, GRACE_BASE));
+            let merge = f.op(l.window(LogicSpec::Identity, chain_grace(fi)));
+            let avg = f.pass(LogicSpec::Avg { field: 0 });
+            f.edge(rx.start, cov, 0);
+            f.edge(rx.start + 1, cov, 1);
+            f.line(&[cov, merge, avg]);
+            for op in rx {
+                l.source(&mut f, op, |id| SourceSpec::plain(id, None, kind));
+            }
+            if fi > 0 {
+                f.upstream(fi - 1, merge);
+            }
+            f.done(avg)
+        })
+        .collect()
 }
 
 /// `GROUP BY` on a tag column: receivers -> window -> grouped
 /// sum/count -> output, with every source sharing one tag dictionary
 /// so the window panes hit `kernels::group_sum_count_f64`.
-fn lower_group_by(def: &QueryDef, group: &str, id: QueryId, sources: &mut IdGen) -> QuerySpec {
-    let stream = &def.streams[0];
-    let n = stream.count;
+fn lower_group_by(l: &mut Lowering<'_>, group: &str) -> FragmentSpec {
+    let stream = &l.def.streams[0];
     // One schema (and thus one interner) for the whole query: panes can
     // only take the columnar group path when all their tag columns
     // resolve against the same dictionary.
@@ -496,70 +334,32 @@ fn lower_group_by(def: &QueryDef, group: &str, id: QueryId, sources: &mut IdGen)
         .interner()
         .expect("tag field implies an interner")
         .clone();
-
-    let mut operators: Vec<OperatorSpec> = (0..n).map(|_| OperatorSpec::identity()).collect();
-    operators.push(window_op(def, LogicSpec::Identity, GRACE_BASE));
-    operators.push(OperatorSpec::new(
-        WindowSpec::PassThrough,
-        LogicSpec::GroupAggregate {
-            key_field: 0,
-            value_field: 1,
-        },
-    ));
-    operators.push(OperatorSpec::identity());
-    let mut edges: Vec<LocalEdge> = (0..n)
-        .map(|i| LocalEdge {
-            from: i,
-            to: n,
-            port: 0,
-        })
-        .collect();
-    edges.push(LocalEdge {
-        from: n,
-        to: n + 1,
-        port: 0,
+    let mut f = Frag::default();
+    let rx = f.receivers(stream.count);
+    let pane = f.op(l.window(LogicSpec::Identity, GRACE_BASE));
+    let agg = f.pass(LogicSpec::GroupAggregate {
+        key_field: 0,
+        value_field: 1,
     });
-    edges.push(LocalEdge {
-        from: n + 1,
-        to: n + 2,
-        port: 0,
-    });
-
-    let mut declared = Vec::with_capacity(n);
-    let mut bindings = Vec::with_capacity(n);
-    for i in 0..n {
-        let sid: SourceId = sources.next();
+    let out = f.op(OperatorSpec::identity());
+    f.fan_in(rx.clone(), pane);
+    f.line(&[pane, agg, out]);
+    for (i, op) in rx.enumerate() {
         let label = format!("{}-{i}", stream.name);
         let code = dict.intern(&label);
-        declared.push(SourceSpec {
-            id: sid,
+        let tag = TagSource {
+            label,
+            code,
+            schema: schema.clone(),
+        };
+        l.source(&mut f, op, |id| SourceSpec {
+            id,
             key: None,
             kind: stream.kind,
-            tag: Some(TagSource {
-                label,
-                code,
-                schema: schema.clone(),
-            }),
-        });
-        bindings.push(SourceBinding {
-            source: sid,
-            op: i,
-            port: 0,
+            tag: Some(tag),
         });
     }
-    QuerySpec {
-        id,
-        template: def.name.clone(),
-        fragments: vec![FragmentSpec {
-            operators,
-            edges,
-            sources: bindings,
-            upstreams: vec![],
-            root: n + 2,
-        }],
-        result_fragment: 0,
-        sources: declared,
-    }
+    f.done(out)
 }
 
 #[cfg(test)]
@@ -574,7 +374,6 @@ mod tests {
             .validate()
             .unwrap()
             .compile(QueryId(0), &mut gen)
-            .into_spec()
     }
 
     #[test]

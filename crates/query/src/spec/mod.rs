@@ -1,9 +1,9 @@
 //! Declarative query frontend: text or builder → staged compilation
 //! into the [`QuerySpec`](crate::graph::QuerySpec) operator graph.
 //!
-//! Queries move through three stages, and each transition is the only
-//! way to obtain the next stage's type, so invalid states are
-//! unrepresentable downstream:
+//! Queries move through three stages. Validation is the only way to
+//! obtain a [`ValidatedQuery`], so compilation never sees an invalid
+//! draft and cannot fail:
 //!
 //! ```text
 //! text ── QueryDef::parse ──┐
@@ -13,7 +13,7 @@
 //!                           ValidatedQuery            — plan chosen, no public constructor
 //!                                  │ .compile(id, &mut IdGen)   — infallible
 //!                                  ▼
-//!                           CompiledQuery ── .into_spec() ──▶ QuerySpec
+//!                           QuerySpec                 — the operator graph
 //! ```
 //!
 //! # Surface syntax
@@ -60,8 +60,7 @@
 //! .named("AVG-all")
 //! .validate()
 //! .unwrap()
-//! .compile(QueryId(7), &mut a)
-//! .into_spec();
+//! .compile(QueryId(7), &mut a);
 //! assert_eq!(parsed, Template::AvgAll { fragments: 4 }.build(QueryId(7), &mut b));
 //! ```
 
@@ -70,7 +69,7 @@ mod def;
 mod parse;
 mod validate;
 
-pub use compile::{CompiledQuery, GRACE_BASE, GRACE_STEP};
+pub use compile::{GRACE_BASE, GRACE_STEP};
 pub use def::{AggFunc, FilterDef, MergeShape, QueryDef, Select, StreamDef};
 pub use validate::{SpecError, ValidatedQuery};
 

@@ -9,11 +9,11 @@
 
 use std::fmt;
 
-use themis_core::prelude::{IdGen, QueryId};
+use themis_core::prelude::{IdGen, QueryId, TimeDelta};
 use themis_operators::prelude::Predicate;
 
-use super::compile::CompiledQuery;
 use super::def::{AggFunc, FilterDef, MergeShape, QueryDef, Select};
+use crate::graph::QuerySpec;
 
 /// Everything that can go wrong turning text or a draft into a query
 /// graph.
@@ -102,8 +102,7 @@ fn invalid(message: impl Into<String>) -> SpecError {
 }
 
 /// The lowering chosen for a validated query. Private to the spec
-/// module: external code only observes the compiled [`QuerySpec`]
-/// (`crate::graph::QuerySpec`).
+/// module: external code only observes the compiled [`QuerySpec`].
 #[derive(Debug, Clone, PartialEq)]
 pub(super) enum Plan {
     /// Single-fragment windowed aggregate (Table 1's `AVG`/`MAX`/`COUNT`
@@ -147,10 +146,10 @@ impl ValidatedQuery {
         &self.plan
     }
 
-    /// Lowers the query to a [`crate::graph::QuerySpec`] graph, drawing
-    /// fresh source ids from `sources` — the *Compiled* stage. This is
+    /// Lowers the query to its [`QuerySpec`] graph, drawing fresh
+    /// source ids from `sources` — the *Compiled* stage. This is
     /// infallible: every failure mode was ruled out by validation.
-    pub fn compile(&self, id: QueryId, sources: &mut IdGen) -> CompiledQuery {
+    pub fn compile(&self, id: QueryId, sources: &mut IdGen) -> QuerySpec {
         super::compile::compile(self, id, sources)
     }
 }
@@ -159,6 +158,15 @@ impl ValidatedQuery {
 const VALUE: &str = "value";
 /// Key column of the keyed measurement schema (`[key: i64, value: f64]`).
 const KEY: &str = "key";
+
+/// Most sources one query may declare (stream counts × fragments).
+const MAX_SOURCES: usize = 65_536;
+/// Most fragments one query may declare: each is deployed on its own
+/// node, and the largest deployment the experiments run (the scale
+/// smoke) has 1 024 nodes.
+const MAX_FRAGMENTS: usize = 1_024;
+/// Longest window a query may declare.
+const MAX_WINDOW: TimeDelta = TimeDelta(86_400_000_000);
 
 pub(super) fn validate(def: QueryDef) -> Result<ValidatedQuery, SpecError> {
     if def.streams.is_empty() {
@@ -175,8 +183,32 @@ pub(super) fn validate(def: QueryDef) -> Result<ValidatedQuery, SpecError> {
     if def.fragments == 0 {
         return Err(invalid("FRAGMENTS must be at least 1"));
     }
+    if def.fragments > MAX_FRAGMENTS {
+        return Err(invalid(format!(
+            "FRAGMENTS {} exceeds the limit of {MAX_FRAGMENTS} (one node per fragment)",
+            def.fragments
+        )));
+    }
+    let per_fragment = def
+        .streams
+        .iter()
+        .fold(0usize, |n, s| n.saturating_add(s.count));
+    let sources = per_fragment.saturating_mul(def.fragments);
+    if sources > MAX_SOURCES {
+        return Err(invalid(format!(
+            "the query declares {sources} sources (stream counts × fragments), \
+             over the limit of {MAX_SOURCES}"
+        )));
+    }
     if def.window.is_zero() {
         return Err(invalid("WINDOW must be positive"));
+    }
+    if def.window > MAX_WINDOW {
+        return Err(invalid(format!(
+            "WINDOW {} s exceeds the limit of one day ({} s)",
+            def.window.as_micros() / 1_000_000,
+            MAX_WINDOW.as_micros() / 1_000_000
+        )));
     }
 
     let plan = match &def.select {
@@ -555,6 +587,68 @@ mod tests {
         ] {
             let e = QueryDef::parse(text).unwrap().validate().unwrap_err();
             assert!(e.to_string().contains(needle), "{text}: {e}");
+        }
+    }
+
+    /// Asserts `text` validates when `ok`, and otherwise fails with a
+    /// [`SpecError::Invalid`] naming `limit`.
+    fn bounded(text: &str, ok: bool, limit: &str) {
+        match QueryDef::parse(text).unwrap().validate() {
+            Ok(_) => assert!(ok, "{text}: accepted past the limit"),
+            Err(e) => {
+                assert!(!ok, "{text}: {e}");
+                assert!(matches!(e, SpecError::Invalid { .. }), "{text}: {e:?}");
+                assert!(e.to_string().contains(limit), "{text}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn source_count_is_bounded() {
+        for (text, ok) in [
+            ("SELECT AVG(value) FROM src[65536]", true),
+            ("SELECT AVG(value) FROM src[65537]", false),
+            ("SELECT AVG(value) FROM src[100000000000]", false),
+            (
+                "SELECT TOP 5 key BY AVG(value) FROM cpu[16384] JOIN mem[16384] ON key \
+                 FRAGMENTS 2",
+                true,
+            ),
+            (
+                "SELECT TOP 5 key BY AVG(value) FROM cpu[16384] JOIN mem[16385] ON key \
+                 FRAGMENTS 2",
+                false,
+            ),
+        ] {
+            bounded(text, ok, "limit of 65536");
+        }
+    }
+
+    #[test]
+    fn fragment_count_is_bounded() {
+        for (text, ok) in [
+            ("SELECT COV(value) FROM cpu[2] FRAGMENTS 1024", true),
+            ("SELECT COV(value) FROM cpu[2] FRAGMENTS 1025", false),
+            (
+                "SELECT AVG(value) FROM src FRAGMENTS 100000000000 MERGE TREE",
+                false,
+            ),
+        ] {
+            bounded(text, ok, "limit of 1024");
+        }
+    }
+
+    #[test]
+    fn window_length_is_bounded() {
+        for (text, ok) in [
+            ("SELECT AVG(value) FROM src WINDOW 86400s", true),
+            ("SELECT AVG(value) FROM src WINDOW 86400000001us", false),
+            (
+                "SELECT AVG(value) FROM src WINDOW 100000000000000000000000s",
+                false,
+            ),
+        ] {
+            bounded(text, ok, "limit of one day");
         }
     }
 

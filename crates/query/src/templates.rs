@@ -159,7 +159,6 @@ impl Template {
             .validate()
             .expect("Table-1 templates are valid by construction")
             .compile(id, sources)
-            .into_spec()
     }
 }
 
@@ -338,11 +337,7 @@ mod tests {
             assert_eq!(reparsed, t.def(), "{}", t.name());
             let mut a = IdGen::new();
             let mut b = IdGen::new();
-            let via_text = reparsed
-                .validate()
-                .unwrap()
-                .compile(QueryId(0), &mut a)
-                .into_spec();
+            let via_text = reparsed.validate().unwrap().compile(QueryId(0), &mut a);
             assert_eq!(via_text, t.build(QueryId(0), &mut b), "{}", t.name());
         }
     }

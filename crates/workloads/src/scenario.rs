@@ -244,7 +244,7 @@ impl ScenarioBuilder {
     ) -> Self {
         for _ in 0..count {
             let id: QueryId = self.query_ids.next();
-            let q = query.compile(id, &mut self.sources).into_spec();
+            let q = query.compile(id, &mut self.sources);
             for s in &q.sources {
                 self.profiles.insert(s.id, profile);
             }

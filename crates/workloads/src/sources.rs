@@ -51,7 +51,7 @@ pub enum CycleShape {
 ///
 /// All patterns are deterministic functions of `(elapsed time, seed)`;
 /// the stochastic ones ([`RatePattern::Bursty`], the spike placement of
-/// [`RatePattern::FlashCrowd`]) draw from seeded generators, so a run
+/// [`RatePattern::FlashCrowd`]) draw seeded hash coins, so a run
 /// replays exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RatePattern {
@@ -59,8 +59,8 @@ pub enum RatePattern {
     Steady,
     /// For a fraction of 1-second periods, the emission rate is multiplied
     /// by `factor` (the paper's bursty sources: `fraction = 0.1`,
-    /// `factor = 10`). Periods burst independently, decided by the
-    /// driver's seeded generator.
+    /// `factor = 10`). Periods burst independently, each decided by a
+    /// hash coin of `(seed, period)`.
     Bursty {
         /// Fraction of periods that burst.
         fraction: f64,
@@ -209,8 +209,9 @@ fn period_unit(seed: u64, period: u64) -> f64 {
     (period_mix(seed, period) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Stateless evaluation of `pattern`'s rate factor at `now`: a pure
-/// function of `(pattern, seed, now)`, so every driver sharing the pair
+/// Stateless evaluation of `pattern`'s rate factor at `now`, for a
+/// source's own pattern and for a shared load alike: a pure function of
+/// `(pattern, seed, now)`, so every driver sharing the pair
 /// computes the *same* factor at the same instant — the property that
 /// lets one hidden load process modulate many sources coherently
 /// ([`SourceProfile::with_shared_load`]). Stochastic decisions come from
@@ -418,9 +419,6 @@ pub struct SourceDriver {
     profile: SourceProfile,
     values: ValueGen,
     seed: u64,
-    burst_rng: SmallRng,
-    /// Periods (seconds) currently decided: (period index, bursting?).
-    current_period: (u64, bool),
     /// Registry entries resolved once at construction, so the emit path
     /// never takes the trace-registry lock: the source's own pattern's
     /// trace and the shared load's trace (when either is
@@ -457,8 +455,6 @@ impl SourceDriver {
             profile,
             values: ValueGen::new(profile.dataset, seed),
             seed,
-            burst_rng: SmallRng::seed_from_u64(seed.wrapping_mul(0x2545_F491_4F6C_DD1D)),
-            current_period: (u64::MAX, false),
             own_trace: resolve(profile.pattern),
             shared_trace: profile.shared.and_then(|s| resolve(s.pattern)),
             carry: 0.0,
@@ -514,41 +510,20 @@ impl SourceDriver {
         self.next_emission += TimeDelta::from_micros(beats * iv);
     }
 
-    /// The source's own pattern's rate factor at `now`. Bursty keeps its
-    /// historical seeded RNG *stream* (mutating per-period state) so
-    /// pre-existing replays stay bit-identical; every other pattern is a
-    /// pure function of `(pattern, seed, now)` and delegates to the
-    /// stateless evaluator shared with correlated loads.
-    fn factor_at(&mut self, now: Timestamp) -> f64 {
-        match self.profile.pattern {
-            RatePattern::Bursty { fraction, factor } => {
-                let period = now.as_micros() / 1_000_000;
-                if self.current_period.0 != period {
-                    self.current_period = (period, self.burst_rng.gen::<f64>() < fraction);
-                }
-                if self.current_period.1 {
-                    factor as f64
-                } else {
-                    1.0
-                }
-            }
-            pattern => stateless_factor(
-                pattern,
-                self.seed,
-                now,
-                self.profile.interval(),
-                self.own_trace.as_ref(),
-            ),
-        }
-    }
-
     /// Emits the batch due at `next_time()` and schedules the next one.
     /// The batch size is the base size scaled by the pattern factor and
     /// the source multiplier, with fractional tuples carried forward (a
     /// quiet diurnal trough can yield empty batches).
     pub fn emit(&mut self) -> Batch {
         let now = self.next_emission;
-        let mut factor = self.factor_at(now).max(0.0);
+        let mut factor = stateless_factor(
+            self.profile.pattern,
+            self.seed,
+            now,
+            self.profile.interval(),
+            self.own_trace.as_ref(),
+        )
+        .max(0.0);
         if let Some(shared) = self.profile.shared {
             factor *= stateless_factor(
                 shared.pattern,
@@ -643,8 +618,7 @@ mod tests {
             .unwrap()
             .validate()
             .unwrap()
-            .compile(QueryId(1), &mut IdGen::new())
-            .into_spec();
+            .compile(QueryId(1), &mut IdGen::new());
         let profile = SourceProfile::local(Dataset::Uniform);
         for (i, s) in spec.sources.iter().enumerate() {
             let mut d = SourceDriver::new(QueryId(1), s, profile, 9 + i as u64);

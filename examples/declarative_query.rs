@@ -54,8 +54,7 @@ fn main() {
             .named(t.name())
             .validate()
             .unwrap()
-            .compile(QueryId(0), &mut parsed_ids)
-            .into_spec();
+            .compile(QueryId(0), &mut parsed_ids);
         assert_eq!(via_text, t.build(QueryId(0), &mut preset_ids));
     }
 

@@ -30,8 +30,7 @@ fn template_text_compiles_to_identical_graphs() {
             .named(t.name())
             .validate()
             .expect("template text validates")
-            .compile(QueryId(3), &mut parsed_ids)
-            .into_spec();
+            .compile(QueryId(3), &mut parsed_ids);
         assert_eq!(
             via_text,
             t.build(QueryId(3), &mut preset_ids),
