@@ -2,10 +2,9 @@
 //!
 //! Workload generation for the THEMIS evaluation (§7): the five dataset
 //! distributions of Figures 6/7 ([`datasets`]), Table-2 source models
-//! under programmable rate patterns — steady, paper-bursty, diurnal
-//! cycles, flash-crowd replays, arrival-trace replay ([`traces`]),
-//! correlated shared loads, a tick-gaming adversarial source,
-//! heterogeneous per-source multipliers ([`sources`], [`testbed`]) — the
+//! under programmable rate patterns — steady, paper-bursty, flash-crowd
+//! replays, arrival-trace replay ([`traces`]), correlated shared loads
+//! and a tick-gaming adversarial source ([`sources`], [`testbed`]) — the
 //! scenario builder that assembles queries, placement and capacities
 //! into a simulator-ready [`scenario::Scenario`], and the one source
 //! pacer ([`pump`]) that the engine's pump thread and the remote
@@ -45,7 +44,7 @@ pub mod prelude {
     pub use crate::datasets::{Dataset, ValueGen};
     pub use crate::remote::{run_remote_sources, RemotePumpStats};
     pub use crate::scenario::{Scenario, ScenarioBuilder};
-    pub use crate::sources::{CycleShape, RatePattern, SharedLoad, SourceDriver, SourceProfile};
+    pub use crate::sources::{RatePattern, SharedLoad, SourceDriver, SourceProfile};
     pub use crate::testbed::{Testbed, EMULAB, LOCAL, WAN};
     pub use crate::traces::{load_trace, TraceData, TraceError, TraceId};
 }

@@ -12,7 +12,7 @@
 //! the in-process pump would.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use themis_core::prelude::*;
 use themis_query::prelude::{Ingress, QuerySpec, RoutedBatch, SourceSpec};
@@ -24,11 +24,6 @@ use crate::sources::{SourceDriver, SourceProfile};
 /// perpetually due) still returns to its driver, so control messages are
 /// not starved by a catch-up storm.
 pub const MAX_SWEEP: usize = 4096;
-
-/// Carry-stash entries kept across remove/re-add cycles; beyond this the
-/// stash is cleared wholesale (each entry is one `f64`, so the cap only
-/// matters under unbounded churn of never-returning sources).
-const CARRY_STASH_CAP: usize = 1 << 16;
 
 /// The seed of `source`'s driver in a scenario seeded `scenario_seed` —
 /// the one formula the engine, the remote generator and the simulator
@@ -108,10 +103,6 @@ pub struct SourcePump {
     slots: Vec<Slot>,
     free: Vec<usize>,
     due: BinaryHeap<Reverse<(Timestamp, usize, u64)>>,
-    /// Fractional-tuple balances of removed drivers, keyed by source: a
-    /// re-added source resumes its carry instead of restarting at zero,
-    /// so remove/re-add churn does not bias its realised long-run rate.
-    carry_stash: HashMap<SourceId, f64>,
     /// Where emitted batches are acquired from, when set.
     pool: Option<BatchPool>,
 }
@@ -126,16 +117,13 @@ impl SourcePump {
     }
 
     /// Starts driving `bindings`. Their schedules begin at `now` (plus
-    /// each source's de-phasing offset); a source removed earlier
-    /// resumes its fractional-tuple carry.
+    /// each source's de-phasing offset), each from a fresh driver: a
+    /// source's fractional-tuple carry starts at zero.
     pub fn add(&mut self, now: Timestamp, bindings: impl IntoIterator<Item = SourceBinding>) {
         for b in bindings {
             let mut driver = SourceDriver::new(b.query, &b.spec, b.profile, b.seed);
             if let Some(pool) = &self.pool {
                 driver.set_pool(pool.clone());
-            }
-            if let Some(carry) = self.carry_stash.remove(&driver.source) {
-                driver.set_carry(carry);
             }
             driver.start_at(now);
             let slot = self.free.pop().unwrap_or_else(|| {
@@ -151,17 +139,14 @@ impl SourcePump {
         }
     }
 
-    /// Stops every driver of `query`, stashing each one's carry.
+    /// Stops every driver of `query`. Its slots are freed for reuse and
+    /// their pending schedule entries turn stale.
     pub fn remove(&mut self, query: QueryId) {
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             if !slot.driver.as_ref().is_some_and(|d| d.query == query) {
                 continue;
             }
-            let driver = slot.driver.take().expect("checked live");
-            if self.carry_stash.len() >= CARRY_STASH_CAP {
-                self.carry_stash.clear();
-            }
-            self.carry_stash.insert(driver.source, driver.carry());
+            slot.driver = None;
             slot.generation += 1;
             self.free.push(idx);
         }
@@ -242,41 +227,6 @@ mod tests {
             now = next;
         }
         out
-    }
-
-    /// Steps `pump` from `now` until a step emits; returns the emitted
-    /// batch sizes and the next due time.
-    fn step_until_emission(pump: &mut SourcePump, mut now: Timestamp) -> (Vec<usize>, Timestamp) {
-        let mut sizes = Vec::new();
-        while sizes.is_empty() {
-            now = pump
-                .step(now, |_, rb| sizes.push(rb.batch.len()))
-                .expect("a live source");
-        }
-        (sizes, now)
-    }
-
-    /// Regression: removing a source used to discard its fractional-tuple
-    /// carry, so every remove/re-add of a source whose rate does not
-    /// divide its cadence rounded the lost fraction down — a systematic
-    /// under-delivery under churn.
-    #[test]
-    fn carry_survives_remove_and_readd() {
-        // 5 t/s in 2 batches/s: 2.5 tuples per batch — sizes alternate
-        // 2, 3 deterministically via the carry.
-        let profile = SourceProfile::steady(5, 2, Dataset::Uniform);
-        let mut pump = SourcePump::default();
-        pump.add(Timestamp::ZERO, [binding(0, 0, profile)]);
-        let (sizes, now) = step_until_emission(&mut pump, Timestamp::ZERO);
-        assert_eq!(sizes, [2], "first emission floors 2.5");
-        pump.remove(QueryId(0));
-        assert_eq!(
-            pump.step(now, |_, _| panic!("removed source emitted")),
-            None
-        );
-        pump.add(now, [binding(0, 0, profile)]);
-        let (sizes, _) = step_until_emission(&mut pump, now);
-        assert_eq!(sizes, [3], "restored carry rounds up");
     }
 
     #[test]

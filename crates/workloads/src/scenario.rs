@@ -71,7 +71,8 @@ impl Scenario {
     }
 
     /// Total long-run source demand in tuples/second (each source's
-    /// declared mean rate: base rate × multiplier × pattern mean factor).
+    /// declared mean rate: base rate × pattern mean factor × shared-load
+    /// mean factor).
     pub fn total_demand_tps(&self) -> f64 {
         self.profiles.values().map(|p| p.mean_rate_tps()).sum()
     }
@@ -253,30 +254,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Adds `count` queries whose sources emit at heterogeneous rates
-    /// *inside each query*: source `j` of every query uses
-    /// `profile.with_multiplier(multipliers[j % multipliers.len()])`.
-    /// An empty slice behaves like [`ScenarioBuilder::add_queries`].
-    pub fn add_queries_with_multipliers(
-        mut self,
-        template: Template,
-        count: usize,
-        profile: SourceProfile,
-        multipliers: &[f64],
-    ) -> Self {
-        for _ in 0..count {
-            let id: QueryId = self.query_ids.next();
-            let q = template.build(id, &mut self.sources);
-            for (j, s) in q.sources.iter().enumerate() {
-                let m = multipliers.get(j % multipliers.len().max(1)).copied();
-                self.profiles
-                    .insert(s.id, profile.with_multiplier(m.unwrap_or(1.0)));
-            }
-            self.queries.push(q);
-        }
-        self
-    }
-
     /// Adds `count` queries that arrive at `start` and (optionally) depart
     /// at `end`, both relative to simulation start — the paper's query
     /// arrival/departure dynamics.
@@ -421,25 +398,6 @@ mod tests {
         srcs.sort_unstable();
         srcs.dedup();
         assert_eq!(srcs.len(), n);
-    }
-
-    #[test]
-    fn heterogeneous_multipliers_cycle_per_query() {
-        let s = ScenarioBuilder::new("hetero-rates", 4)
-            .nodes(2)
-            .add_queries_with_multipliers(Template::Cov { fragments: 1 }, 2, profile(), &[1.0, 4.0])
-            .build()
-            .unwrap();
-        for q in &s.queries {
-            let rates: Vec<f64> = q
-                .sources
-                .iter()
-                .map(|src| s.profiles[&src.id].mean_rate_tps())
-                .collect();
-            assert_eq!(rates, vec![150.0, 600.0], "per-source rates in {q:?}");
-        }
-        // Demand accounting uses the multiplied mean rates.
-        assert_eq!(s.total_demand_tps(), 2.0 * (150.0 + 600.0));
     }
 
     #[test]

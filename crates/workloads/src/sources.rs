@@ -2,20 +2,16 @@
 //!
 //! The paper's evaluation only exercises two arrival processes — constant
 //! rate and §7.4's bursty sources ("10% of the time they generate tuples
-//! at 10× their normal rate"). Real federated deployments see much richer
-//! workload dynamics, and load-shedding evaluations traditionally stress
-//! exactly those: diurnal cycles, flash crowds, heterogeneous per-source
-//! rates. [`RatePattern`] makes the arrival process a first-class,
-//! composable model:
+//! at 10× their normal rate"). [`RatePattern`] adds flash crowds, trace
+//! replay (any cyclic shape, a diurnal one included) and a tick-gaming
+//! adversary, and a [`SharedLoad`] correlates bursts across sources. A
+//! source's rate is its profile's base rate
+//! ([`SourceProfile::tuples_per_sec`]) times those factors:
 //!
 //! * every pattern declares its **long-run mean rate factor**
 //!   ([`RatePattern::mean_factor`]), so demand accounting
 //!   ([`crate::scenario::Scenario::total_demand_tps`]) stays correct under
 //!   any dynamics;
-//! * patterns compose with a per-source **multiplier**
-//!   ([`SourceProfile::multiplier`]), so one query can feed from
-//!   heterogeneous-rate sources
-//!   ([`crate::scenario::ScenarioBuilder::add_queries_with_multipliers`]);
 //! * every pattern is **deterministic for a fixed seed**: replaying a
 //!   driver with the same seed reproduces the exact batch-size sequence
 //!   (the property tests in `crates/workloads/tests/proptests.rs` pin
@@ -31,20 +27,6 @@ use themis_query::prelude::{SourceKind, SourceSpec};
 
 use crate::datasets::{Dataset, ValueGen};
 use crate::traces::{TraceData, TraceId};
-
-/// Waveform of a [`RatePattern::Diurnal`] cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CycleShape {
-    /// Smooth sinusoid from trough to peak and back over one period
-    /// (starts at the trough).
-    Sine,
-    /// Two-level square wave: the first `duty` fraction of each period
-    /// runs at the peak factor, the rest at the trough.
-    Square {
-        /// Fraction of the period spent at the peak, in `[0, 1]`.
-        duty: f64,
-    },
-}
 
 /// The emission-rate pattern of a source: a time-varying multiplier over
 /// the profile's base rate.
@@ -66,18 +48,6 @@ pub enum RatePattern {
         fraction: f64,
         /// Rate multiplier while bursting.
         factor: u32,
-    },
-    /// Day/night cycle: the rate factor oscillates between `trough` and
-    /// `peak` with the given `period` and waveform.
-    Diurnal {
-        /// Cycle length.
-        period: TimeDelta,
-        /// Low rate factor (`0.0` = fully quiet).
-        trough: f64,
-        /// High rate factor.
-        peak: f64,
-        /// Waveform of the cycle.
-        shape: CycleShape,
     },
     /// Flash crowds replayed from a seeded spike trace: each epoch of
     /// length `every` contains one spike of length `width`, placed at a
@@ -124,7 +94,7 @@ impl RatePattern {
     };
 
     /// The declared long-run mean of the pattern's rate factor; a source
-    /// with base rate `r` emits `r * multiplier * mean_factor()` tuples
+    /// with base rate `r` emits `r * mean_factor()` tuples
     /// per second on average.
     pub fn mean_factor(&self) -> f64 {
         match *self {
@@ -133,18 +103,6 @@ impl RatePattern {
                 let f = fraction.clamp(0.0, 1.0);
                 (1.0 - f) + f * factor as f64
             }
-            RatePattern::Diurnal {
-                trough,
-                peak,
-                shape,
-                ..
-            } => match shape {
-                CycleShape::Sine => (trough + peak) / 2.0,
-                CycleShape::Square { duty } => {
-                    let d = duty.clamp(0.0, 1.0);
-                    d * peak + (1.0 - d) * trough
-                }
-            },
             RatePattern::FlashCrowd {
                 every,
                 width,
@@ -237,28 +195,6 @@ fn stateless_factor(
                 1.0
             }
         }
-        RatePattern::Diurnal {
-            period,
-            trough,
-            peak,
-            shape,
-        } => {
-            let period_us = period.as_micros().max(1);
-            let phase = (now.as_micros() % period_us) as f64 / period_us as f64;
-            match shape {
-                CycleShape::Sine => {
-                    trough
-                        + (peak - trough) * 0.5 * (1.0 - (2.0 * std::f64::consts::PI * phase).cos())
-                }
-                CycleShape::Square { duty } => {
-                    if phase < duty.clamp(0.0, 1.0) {
-                        peak
-                    } else {
-                        trough
-                    }
-                }
-            }
-        }
         RatePattern::FlashCrowd {
             every,
             width,
@@ -305,20 +241,15 @@ pub struct SharedLoad {
     pub seed: u64,
 }
 
-/// Rate/batching profile of a source (per Table 2), plus its rate pattern
-/// and heterogeneity multiplier.
+/// Rate/batching profile of a source (per Table 2), plus its rate pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceProfile {
-    /// Tuples per second under the steady regime (before pattern and
-    /// multiplier).
+    /// Tuples per second under the steady regime (before the pattern).
     pub tuples_per_sec: u32,
     /// Batches per second (steady batch size = rate / batches).
     pub batches_per_sec: u32,
     /// Rate pattern modulating the base rate over time.
     pub pattern: RatePattern,
-    /// Per-source rate multiplier (heterogeneous rates inside one query);
-    /// `1.0` leaves the base rate unchanged.
-    pub multiplier: f64,
     /// Value distribution.
     pub dataset: Dataset,
     /// Optional shared (correlated) load process multiplying the
@@ -333,7 +264,6 @@ impl SourceProfile {
             tuples_per_sec,
             batches_per_sec,
             pattern: RatePattern::Steady,
-            multiplier: 1.0,
             dataset,
             shared: None,
         }
@@ -355,12 +285,6 @@ impl SourceProfile {
         self
     }
 
-    /// This profile with a per-source rate multiplier.
-    pub fn with_multiplier(mut self, multiplier: f64) -> Self {
-        self.multiplier = multiplier.max(0.0);
-        self
-    }
-
     /// This profile modulated by a **shared** load process: the seeded
     /// `pattern` is evaluated statelessly at each emission instant and
     /// multiplied into the source's own factor, so every source given the
@@ -375,7 +299,7 @@ impl SourceProfile {
         self
     }
 
-    /// Steady batch size (before pattern and multiplier).
+    /// Steady batch size (before the pattern).
     pub fn batch_size(&self) -> usize {
         (self.tuples_per_sec / self.batches_per_sec.max(1)).max(1) as usize
     }
@@ -387,11 +311,11 @@ impl SourceProfile {
     }
 
     /// The declared long-run mean emission rate in tuples/second:
-    /// base rate × multiplier × the pattern's mean factor × the shared
+    /// base rate × the pattern's mean factor × the shared
     /// load's mean factor (if any).
     pub fn mean_rate_tps(&self) -> f64 {
         let shared = self.shared.map_or(1.0, |s| s.pattern.mean_factor());
-        self.tuples_per_sec as f64 * self.multiplier * self.pattern.mean_factor() * shared
+        self.tuples_per_sec as f64 * self.pattern.mean_factor() * shared
     }
 }
 
@@ -469,18 +393,6 @@ impl SourceDriver {
         self.pool = Some(pool);
     }
 
-    /// The fractional tuples currently owed to the next emission.
-    pub fn carry(&self) -> f64 {
-        self.carry
-    }
-
-    /// Restores a fractional-tuple balance, e.g. one stashed across a
-    /// pump-slot remove/re-add of the same source, so the realised
-    /// long-run rate stays unbiased over the source's whole lifetime.
-    pub fn set_carry(&mut self, carry: f64) {
-        self.carry = carry.clamp(0.0, 1.0);
-    }
-
     /// When the next batch is due.
     pub fn next_time(&self) -> Timestamp {
         self.next_emission
@@ -511,9 +423,9 @@ impl SourceDriver {
     }
 
     /// Emits the batch due at `next_time()` and schedules the next one.
-    /// The batch size is the base size scaled by the pattern factor and
-    /// the source multiplier, with fractional tuples carried forward (a
-    /// quiet diurnal trough can yield empty batches).
+    /// The batch size is the base size scaled by the pattern factor, with
+    /// fractional tuples carried forward (a quiet beat can yield an empty
+    /// batch).
     pub fn emit(&mut self) -> Batch {
         let now = self.next_emission;
         let mut factor = stateless_factor(
@@ -538,7 +450,7 @@ impl SourceDriver {
         // cadence) accumulate through the carry, so the realised rate
         // always matches `mean_rate_tps()`.
         let base = self.profile.tuples_per_sec as f64 / self.profile.batches_per_sec.max(1) as f64;
-        let exact = base * self.profile.multiplier * factor + self.carry;
+        let exact = base * factor + self.carry;
         let n = exact.floor().max(0.0) as usize;
         self.carry = exact - n as f64;
         // Typed column construction: rows append straight into the
@@ -685,71 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_sine_cycles_between_trough_and_peak() {
-        let pattern = RatePattern::Diurnal {
-            period: TimeDelta::from_secs(10),
-            trough: 0.0,
-            peak: 2.0,
-            shape: CycleShape::Sine,
-        };
-        assert_eq!(pattern.mean_factor(), 1.0);
-        let profile = SourceProfile::steady(100, 5, Dataset::Uniform).with_pattern(pattern);
-        let mut d = SourceDriver::new(QueryId(0), &spec(SourceKind::Cpu), profile, 11);
-        let mut sizes: Vec<(f64, usize)> = Vec::new();
-        while d.next_time() < Timestamp::from_secs(10) {
-            let t = d.next_time().as_secs_f64();
-            sizes.push((t, d.emit().len()));
-        }
-        // Quiet near the trough (cycle start), maximal near mid-period.
-        let near = |t0: f64| {
-            sizes
-                .iter()
-                .filter(|&&(t, _)| (t - t0).abs() < 1.0)
-                .map(|&(_, n)| n)
-                .sum::<usize>()
-        };
-        assert!(
-            near(0.5) < near(5.0),
-            "trough {} peak {}",
-            near(0.5),
-            near(5.0)
-        );
-        // The peak reaches ~2x the steady batch size.
-        assert!(sizes.iter().any(|&(_, n)| n >= 38), "peak batches missing");
-        // Long-run mean ≈ declared mean rate (100 t/s).
-        let total: usize = sizes.iter().map(|&(_, n)| n).sum();
-        let rate = total as f64 / 10.0;
-        assert!((rate - 100.0).abs() < 10.0, "mean rate {rate}");
-    }
-
-    #[test]
-    fn diurnal_square_holds_two_levels() {
-        let pattern = RatePattern::Diurnal {
-            period: TimeDelta::from_secs(4),
-            trough: 0.5,
-            peak: 1.5,
-            shape: CycleShape::Square { duty: 0.25 },
-        };
-        assert!((pattern.mean_factor() - 0.75).abs() < 1e-12);
-        let profile = SourceProfile::steady(400, 4, Dataset::Uniform).with_pattern(pattern);
-        let mut d = SourceDriver::new(QueryId(0), &spec(SourceKind::Cpu), profile, 3);
-        let mut high = 0;
-        let mut low = 0;
-        while d.next_time() < Timestamp::from_secs(8) {
-            let in_duty = (d.next_time().as_micros() % 4_000_000) < 1_000_000;
-            let n = d.emit().len();
-            if in_duty {
-                assert!(n >= 149, "peak batch {n}");
-                high += 1;
-            } else {
-                assert!(n <= 51, "trough batch {n}");
-                low += 1;
-            }
-        }
-        assert!(high >= 4 && low >= 12, "high {high} low {low}");
-    }
-
-    #[test]
     fn flash_crowd_replays_its_seeded_trace() {
         let pattern = RatePattern::FlashCrowd {
             every: TimeDelta::from_secs(5),
@@ -778,17 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn multiplier_scales_rate_and_composes_with_patterns() {
-        let profile = SourceProfile::emulab(Dataset::Uniform).with_multiplier(3.0);
-        assert_eq!(profile.mean_rate_tps(), 450.0);
-        let mut d = SourceDriver::new(QueryId(0), &spec(SourceKind::Cpu), profile, 5);
-        assert_eq!(d.emit().len(), 150, "3x the 50-tuple Emulab batch");
-        // Composed with the paper's bursty pattern the mean multiplies.
-        let bursty = profile.with_pattern(RatePattern::PAPER_BURSTY);
-        assert!((bursty.mean_rate_tps() - 450.0 * 1.9).abs() < 1e-9);
-    }
-
-    #[test]
     fn fractional_rates_carry_over() {
         // 10 t/s in 4 batches/s: 2.5 tuples per batch alternates 2 and 3.
         let profile = SourceProfile::steady(10, 4, Dataset::Uniform);
@@ -796,25 +632,6 @@ mod tests {
         let sizes: Vec<usize> = (0..8).map(|_| d.emit().len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 20, "mean rate preserved");
         assert!(sizes.iter().all(|&n| n == 2 || n == 3), "{sizes:?}");
-    }
-
-    #[test]
-    fn carry_survives_a_stash_and_restore() {
-        // 10 t/s in 4 batches/s: 2.5 per batch — sizes alternate 2, 3.
-        let profile = SourceProfile::steady(10, 4, Dataset::Uniform);
-        let mut d = SourceDriver::new(QueryId(0), &spec(SourceKind::Cpu), profile, 8);
-        assert_eq!(d.emit().len(), 2);
-        let owed = d.carry();
-        assert!((owed - 0.5).abs() < 1e-12, "carry {owed}");
-        // A rebuilt driver (pump slot removed and re-added) starts at
-        // carry 0; restoring the stash resumes the 2/3 alternation.
-        let mut d2 = SourceDriver::new(QueryId(0), &spec(SourceKind::Cpu), profile, 8);
-        assert_eq!(d2.carry(), 0.0);
-        d2.set_carry(owed);
-        assert_eq!(d2.emit().len(), 3, "restored carry rounds up");
-        // Restores are clamped to a legal fractional balance.
-        d2.set_carry(7.5);
-        assert_eq!(d2.carry(), 1.0);
     }
 
     #[test]
@@ -946,14 +763,12 @@ mod tests {
 
     #[test]
     fn shared_load_composes_with_own_pattern() {
-        let diurnal = RatePattern::Diurnal {
-            period: TimeDelta::from_secs(10),
-            trough: 0.5,
-            peak: 1.5,
-            shape: CycleShape::Sine,
-        };
+        // A 10 s two-level cycle: 5 s at half rate, 5 s at 1.5x.
+        let cycle = TraceData::from_factors("compose", TimeDelta::from_secs(5), vec![0.5, 1.5])
+            .unwrap()
+            .register();
         let profile = SourceProfile::steady(200, 10, Dataset::Uniform)
-            .with_pattern(diurnal)
+            .with_pattern(RatePattern::Trace { trace: cycle })
             .with_shared_load(
                 RatePattern::Bursty {
                     fraction: 0.5,
@@ -961,7 +776,7 @@ mod tests {
                 },
                 77,
             );
-        // 200 × 1.0 (diurnal mean) × 2.5 (bursty mean) = 500 t/s.
+        // 200 × 1.0 (cycle mean) × 2.5 (bursty mean) = 500 t/s.
         assert!((profile.mean_rate_tps() - 500.0).abs() < 1e-9);
         let mut d = SourceDriver::new(QueryId(0), &spec(SourceKind::Cpu), profile, 3);
         let mut total = 0usize;
