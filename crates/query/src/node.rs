@@ -255,9 +255,17 @@ impl Node {
     /// Buffers an arriving batch. Source batches get their Eq.-1 SIC values
     /// stamped *before* buffering, so the rate estimator observes every
     /// arriving tuple (shed ones included) and the shedder sees final SIC
-    /// values.
+    /// values. A batch for a fragment this node does not host (a stray
+    /// wire batch, or one in flight when its query was detached) is
+    /// counted as arrived and shed on the spot: it never takes buffer
+    /// room or a shedding decision from the hosted queries.
     pub fn enqueue(&mut self, mut rb: RoutedBatch, now: Timestamp) {
         self.stats.arrived_tuples += rb.batch.len() as u64;
+        if !self.fragments.contains_key(&(rb.query, rb.fragment)) {
+            self.stats.shed_tuples += rb.batch.len() as u64;
+            self.stats.shed_batches += 1;
+            return;
+        }
         if rb.batch.source().is_some() {
             if let Some(assigner) = self.assigners.get_mut(&rb.query) {
                 assigner.stamp(now, &mut rb.batch);
