@@ -136,13 +136,11 @@ pub fn run_policy(policy: Policy, secs: u64, seed: u64) -> AdversarialRow {
         .expect("placement");
     let strategic = scenario.queries[0].id;
 
-    let policy_name = policy.name().to_string();
     let mut engine = Engine::start(
         &scenario,
         EngineConfig {
             policy,
             enforce_capacity: true,
-            record_series: true,
             ..Default::default()
         },
     );
@@ -164,8 +162,8 @@ pub fn run_policy(policy: Policy, secs: u64, seed: u64) -> AdversarialRow {
         .collect();
 
     AdversarialRow {
-        sic_aware: policy_name.starts_with("balance-sic"),
-        policy: policy_name,
+        sic_aware: report.policy.starts_with("balance-sic"),
+        policy: report.policy.clone(),
         strategic_sic,
         honest_mean_sic: mean(&honest_sics),
         honest_jain: jain_index(&honest_sics),

@@ -133,7 +133,6 @@ pub fn correlated(secs: u64, seed: u64) -> CorrelatedOutcome {
             &scenario,
             EngineConfig {
                 enforce_capacity: true,
-                record_series: true,
                 ..Default::default()
             },
         );

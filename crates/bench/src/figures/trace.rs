@@ -119,7 +119,6 @@ pub fn trace_replay(data: Arc<TraceData>, secs: u64, seed: u64) -> TraceOutcome 
         &scenario,
         EngineConfig {
             enforce_capacity: true,
-            record_series: true,
             ..Default::default()
         },
     );

@@ -7,7 +7,8 @@
 //! the first emission beat after each tick boundary, so by the time the
 //! next tick fires its batches are the oldest in the buffer. Long-run
 //! demand is identical to its 7 honest steady peers. Under every
-//! registered policy the run must complete and shed hard; for the
+//! registered policy the engine must report the policy's registry name
+//! and the run must complete and shed hard; for the
 //! SIC-aware (`balance-sic*`) policies the strategic source's SIC
 //! advantage over the honest mean must stay within
 //! [`ADVERSARIAL_EPSILON`] — timing must buy it nothing. For the
@@ -23,8 +24,9 @@ fn tick_gaming_buys_nothing_under_sic_aware_policies() {
     for policy in registered_policies() {
         // Seed 42; 2.5 s warm-up (one STW plus half a second), then 3 s
         // measured.
+        let name = policy.name().to_string();
         let row = run_policy(policy, 3, 42);
-        let name = &row.policy;
+        assert_eq!(row.policy, name, "the engine reports the registry name");
         assert_eq!(
             row.honest_reported, 7,
             "{name}: every honest query reports a SIC"
