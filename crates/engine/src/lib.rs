@@ -6,13 +6,15 @@
 //! online cost model, tuple shedder, fragment runtimes — alongside a
 //! source pump and a coordinator loop disseminating result SIC values.
 //!
-//! Each shard multiplexes message draining, per-node shedding deadlines
-//! (a min-heap of `(Instant, node)` entries) and fragment execution on
-//! one OS thread, so 1000+-node scenarios run in a single process with
-//! `shards + 2` threads (pool + source pump + the coordinator on the
-//! calling thread). Ticks fire whenever their deadline has
-//! passed — a message flood cannot starve the overload detector — and an
-//! overrunning tick skips its missed periods instead of storming.
+//! Each shard is a clock-free state machine ([`shard::Shard`]: nodes,
+//! their shedding deadlines, the rest of a bundle, durability bookkeeping)
+//! that reads time only from the `now` its driver passes in;
+//! [`shard::run_shard`] drives one per OS thread on the wall clock, so
+//! 1000+-node scenarios run in a single process with `shards + 2` threads
+//! (pool + source pump + the coordinator on the calling thread). Ticks
+//! fire whenever their deadline has passed — a message flood cannot
+//! starve the overload detector — and an overrunning tick skips its
+//! missed periods instead of storming.
 //!
 //! Queries **churn at runtime**: [`engine::Engine::attach_query`] installs
 //! a fresh query's fragments on the least-loaded running nodes (shards
@@ -41,7 +43,7 @@ pub mod prelude {
     };
     pub use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
     pub use crate::node_state::{NodeConfig, NodeState};
-    pub use crate::shard::{run_shard, shard_assignment, shard_of, ShardDurability, ShardRouting};
+    pub use crate::shard::{run_shard, shard_of, Shard, ShardDurability, ShardRouting};
     pub use themis_core::shedder::{lookup_policy, Policy};
     pub use themis_query::node::{NodeReport, RoutedBatch};
 }

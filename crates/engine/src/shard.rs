@@ -1,23 +1,26 @@
-//! Shard threads: a bounded pool of OS threads, each owning a slice of
-//! node states and multiplexing message draining, per-node shedding
-//! deadlines (a `BinaryHeap` of `(Instant, node)` entries) and fragment
-//! execution.
+//! Shards: a bounded pool of OS threads, each owning a slice of node
+//! states, in two layers. [`Shard`] is a clock-free state machine over
+//! the nodes, their shedding deadlines (a min-heap of `Reverse((Instant,
+//! node, generation))` entries), the rest of a bundle and the durability
+//! bookkeeping; it reads time only from the `now` passed to
+//! [`Shard::handle`] and [`Shard::service`], so its tests run on virtual
+//! `Instant`s. [`run_shard`] is its one wall-clock driver.
 //!
 //! Where the seed engine spawned one OS thread per FSPS node — capping
 //! experiments at a few dozen nodes — a shard interleaves thousands of
-//! [`NodeState`]s on one thread. The event loop fires every due deadline
-//! *before* each channel receive, so a sustained input flood can never
-//! starve the overload detector (the seed worker's drain loop `continue`d
-//! on every message and postponed the tick indefinitely under exactly the
-//! overload it was meant to detect).
+//! [`NodeState`]s on one thread. [`Shard::service`] fires every due
+//! deadline *before* the driver takes the next message, so a sustained
+//! input flood can never starve the overload detector (the seed worker's
+//! drain loop `continue`d on every message and postponed the tick
+//! indefinitely under exactly the overload it was meant to detect).
 //!
 //! Bulk traffic arrives **bundled**: the source pump sends each shard one
 //! [`EngineMsg::Bundle`] of batches per 1 ms beat, and the coordinator one
-//! bundle of SIC updates per round, so the loop wakes per beat and per
-//! round rather than per item. A shard unpacks a bundle entry by entry
-//! and services its deadlines (and checkpoint cadence) between bundles and
-//! every `MAX_SWEEP` entries inside one, which keeps the flood guarantee
-//! for a bundle of any size.
+//! bundle of SIC updates per round, so the driver wakes per beat and per
+//! round rather than per item. Each [`Shard::service`] handles at most
+//! `MAX_SWEEP` entries of a pending bundle, after the due ticks, and the
+//! driver takes no new message until the bundle is done: message order
+//! and the flood guarantee hold for a bundle of any size.
 //!
 //! Shards start **empty**: nodes install on first
 //! [`EngineMsg::Attach`] and tear down when an [`EngineMsg::Detach`]
@@ -27,10 +30,11 @@
 //! teardown or re-install is discarded instead of ticking — no heap
 //! leak: a detached node never ticks again).
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use std::vec::IntoIter;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
@@ -40,17 +44,13 @@ use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
 use crate::engine::EngineError;
-use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
+use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeState;
 
-/// How long an idle shard (no nodes, or all deadlines far out) sleeps per
-/// loop iteration while waiting for messages.
-const IDLE_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// Bundle entries a shard handles between two services of its deadline
-/// heap: a coordinator round's bundle carries thousands of updates, and a
-/// tick due meanwhile waits for at most this many (the tick-starvation fix,
-/// kept inside a bundle).
+/// Bundle entries a shard handles per [`Shard::service`]: a coordinator
+/// round's bundle carries thousands of updates, and a tick due meanwhile
+/// waits for at most this many (the tick-starvation fix, kept inside a
+/// bundle).
 const MAX_SWEEP: usize = 512;
 
 /// First-tick stagger slots: the `i`-th node installed on a shard fires
@@ -133,41 +133,7 @@ pub fn shard_of(node: usize, n_shards: usize) -> usize {
     node % n_shards.max(1)
 }
 
-/// Round-robin node→shard assignment for `n_nodes` nodes.
-pub fn shard_assignment(n_nodes: usize, n_shards: usize) -> Vec<usize> {
-    (0..n_nodes).map(|n| shard_of(n, n_shards)).collect()
-}
-
-/// Entry in a shard's deadline heap (min-heap by `(at, node)`), tagged
-/// with the node's install generation so entries of torn-down or
-/// re-installed nodes are discarded on pop.
-struct Deadline {
-    at: Instant,
-    node: usize,
-    generation: u64,
-}
-impl PartialEq for Deadline {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.node == other.node && self.generation == other.generation
-    }
-}
-impl Eq for Deadline {}
-impl PartialOrd for Deadline {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deadline {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first. The
-        // generation is a final tiebreak so Ord agrees with PartialEq
-        // (a stale entry and its re-install successor can share an
-        // instant).
-        (other.at, other.node, other.generation).cmp(&(self.at, self.node, self.generation))
-    }
-}
-
-/// What a shard thread returns when its event loop ends.
+/// What a shard returns when it finishes.
 #[derive(Debug, Default)]
 pub struct ShardOutcome {
     /// `(global node, counters)` per node that was ever installed (one
@@ -176,18 +142,19 @@ pub struct ShardOutcome {
     /// The durability failures the shard served through
     /// ([`EngineError::Durability`], the first of each operation).
     pub errors: Vec<EngineError>,
-    /// Checkpoints cut (every hosted node snapshotted), on cadence or
-    /// early.
+    /// Checkpoints written (every hosted node snapshotted), on cadence or
+    /// early. A checkpoint whose log failed to open or write is not
+    /// counted; its failure is in [`ShardOutcome::errors`].
     pub checkpoints: u64,
     /// Of [`ShardOutcome::checkpoints`], those the divergence bound cut
     /// before the cadence was due.
     pub early_checkpoints: u64,
-    /// Messages taken off the shard's channel (a bundle counts once).
+    /// Messages handed to [`Shard::handle`] (a bundle counts once).
     pub mailbox_messages: u64,
 }
 
-/// Runs a shard's event loop until an [`EngineMsg::Shutdown`] arrives (or
-/// every sender is gone) and returns its [`ShardOutcome`].
+/// Runs a shard on the wall clock until an [`EngineMsg::Shutdown`] arrives
+/// (or every sender is gone) and returns its [`ShardOutcome`].
 ///
 /// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
 /// (the engine pre-loads the initial scenario's attaches before spawning
@@ -198,22 +165,24 @@ pub fn run_shard(
     epoch: Instant,
     durability: Option<ShardDurability>,
 ) -> ShardOutcome {
-    let mut shard = Shard::new(routing, epoch, durability);
+    let mut shard = Shard::new(routing, epoch, durability, Instant::now());
     loop {
         // Due ticks (and a due checkpoint) come before every receive: the
         // deadline, not channel pressure, decides when the detector runs.
-        // With deadlines still pending after a capped pass, the timeout
-        // below is zero and the receive acts as a poll.
-        let now = shard.service();
-        let timeout = shard
-            .heap
-            .peek()
-            .map(|d| d.at.saturating_duration_since(now))
-            .unwrap_or(IDLE_TIMEOUT);
+        let now = Instant::now();
+        let next = shard.service(now);
+        if next == Some(now) {
+            // A bundle is partly handled: finish it before the next message.
+            continue;
+        }
+        // With no node installed nothing is due until a message arrives: a
+        // timeout past any representable instant blocks.
+        let timeout = next.map_or(Duration::MAX, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
         match rx.recv_timeout(timeout) {
             Ok(msg) => {
-                shard.out.mailbox_messages += 1;
-                if !shard.handle(msg) {
+                if !shard.handle(Instant::now(), msg) {
                     break;
                 }
             }
@@ -224,19 +193,22 @@ pub fn run_shard(
     shard.finish()
 }
 
-/// A shard's state between messages: its nodes and their deadline heap,
-/// plus the durability bookkeeping. [`run_shard`] is the thread around
-/// it: receive, [`Shard::handle`], [`Shard::service`].
-struct Shard {
+/// A shard's state machine, on the caller's clock: [`Shard::handle`] takes
+/// one message, [`Shard::service`] does the work due at `now`, and
+/// [`Shard::finish`] returns the counters. [`run_shard`] drives it on the
+/// wall clock.
+pub struct Shard {
     routing: ShardRouting,
     epoch: Instant,
     durability: Option<ShardDurability>,
     out: ShardOutcome,
-    states: HashMap<usize, NodeState>,
-    generations: HashMap<usize, u64>,
-    heap: BinaryHeap<Deadline>,
-    /// Frozen counters of torn-down (or crashed) node incarnations.
-    finished: HashMap<usize, NodeReport>,
+    /// Every node ever installed here, by global index.
+    slots: HashMap<usize, Slot>,
+    /// Tick deadlines `(at, node, generation)`, earliest first and the
+    /// lower node first on a tie. An entry whose generation is not its
+    /// slot's current one is stale and discarded on pop.
+    heap: BinaryHeap<Reverse<(Instant, usize, u64)>>,
+    pending: Option<Pending>,
     installed_seq: u64,
     log: Option<wal::ShardLog>,
     next_checkpoint: Option<Instant>,
@@ -250,18 +222,49 @@ struct Shard {
     diverged: bool,
 }
 
+/// The unhandled rest of a bundle: its SIC updates, then its batches.
+type Pending = (IntoIter<SicUpdate>, IntoIter<(usize, RoutedBatch)>);
+
+/// One global node on a shard: its live incarnation (if installed), the
+/// generation tagging that incarnation's deadline, and the merged counters
+/// of its retired incarnations.
+#[derive(Default)]
+struct Slot {
+    state: Option<NodeState>,
+    generation: u64,
+    retired: NodeReport,
+}
+
+impl Slot {
+    /// Tears the live incarnation down (churn, crash, finish): its counters
+    /// fold into the node's total, and the generation bump invalidates its
+    /// pending deadline.
+    fn retire(&mut self) {
+        if let Some(state) = self.state.take() {
+            self.retired.absorb(&state.core.stats);
+        }
+        self.generation += 1;
+    }
+}
+
 impl Shard {
-    fn new(routing: ShardRouting, epoch: Instant, durability: Option<ShardDurability>) -> Self {
+    /// An empty shard whose node logical clocks count from `epoch`, with
+    /// its first checkpoint (when durable) one cadence after `now`.
+    pub fn new(
+        routing: ShardRouting,
+        epoch: Instant,
+        durability: Option<ShardDurability>,
+        now: Instant,
+    ) -> Self {
         Shard {
             routing,
             epoch,
-            next_checkpoint: durability.as_ref().map(|d| Instant::now() + d.every),
+            next_checkpoint: durability.as_ref().map(|d| now + d.every),
             durability,
             out: ShardOutcome::default(),
-            states: HashMap::new(),
-            generations: HashMap::new(),
+            slots: HashMap::new(),
             heap: BinaryHeap::new(),
-            finished: HashMap::new(),
+            pending: None,
             installed_seq: 0,
             log: None,
             crashed: false,
@@ -269,119 +272,156 @@ impl Shard {
         }
     }
 
-    /// Fires every due tick, then checkpoints when the cadence is due or a
-    /// SIC update diverged; returns the clock reading it ended on.
+    /// Fires every tick due at `now` in deadline order, handles up to
+    /// `MAX_SWEEP` entries of a pending bundle, then checkpoints when the
+    /// cadence is due or a SIC update diverged. Returns `Some(now)` while
+    /// bundle entries remain (call again before the next
+    /// [`Shard::handle`]), else the earliest tick deadline (`None` with no
+    /// node installed).
     ///
-    /// Firings are capped at the shard's node count per call so degenerate
-    /// intervals (shorter than the tick's own work) cannot livelock the
-    /// loop and starve the channel. Rescheduling always lands strictly
-    /// after `now` (NodeState clamps the interval to >= 1 us), so within a
-    /// call due nodes fire in deadline order and no node re-fires ahead of
-    /// a due shard-mate.
-    fn service(&mut self) -> Instant {
-        let mut now = Instant::now();
+    /// A ticked node's deadline moves strictly past `now` (NodeState
+    /// clamps the interval to >= 1 us), so each node fires at most once per
+    /// call and no node re-fires ahead of a due shard-mate. The cap of one
+    /// firing per installed node still ends the call should a deadline
+    /// fail to move (the reschedule saturates at `u32::MAX` periods).
+    pub fn service(&mut self, now: Instant) -> Option<Instant> {
         let mut fired = 0;
-        let cap = self.states.len().max(1);
-        while let Some(d) = self.heap.peek() {
-            if d.at > now || fired >= cap {
+        while fired < self.slots.len() {
+            let Some(&Reverse((at, node, generation))) = self.heap.peek() else {
+                break;
+            };
+            if at > now {
                 break;
             }
-            let d = self.heap.pop().expect("peeked");
+            self.heap.pop();
             // Stale entry (node torn down or re-installed): discard — the
             // lazy-deletion arm of the churn path.
-            let live = self.generations.get(&d.node) == Some(&d.generation);
-            let Some(state) = (live).then(|| self.states.get_mut(&d.node)).flatten() else {
+            let slot = self
+                .slots
+                .get_mut(&node)
+                .filter(|s| s.generation == generation);
+            let Some(state) = slot.and_then(|s| s.state.as_mut()) else {
                 continue;
             };
             state.tick(now, self.epoch, &self.routing);
-            self.heap.push(Deadline {
-                at: state.next_tick(),
-                node: d.node,
-                generation: d.generation,
-            });
+            self.heap
+                .push(Reverse((state.next_tick(), node, generation)));
             fired += 1;
-            now = Instant::now();
         }
-        // Checkpoint on cadence, or early when a SIC update left some
-        // query further than the divergence bound from its checkpointed
-        // value (AF-Stream: bound the deviation instead of logging
-        // everything).
-        let early = std::mem::take(&mut self.diverged);
-        let Some(d) = &self.durability else {
-            return now;
-        };
-        if self.crashed || self.states.is_empty() {
-            return now;
+        let pending = self.sweep(now, MAX_SWEEP);
+        self.checkpoint(now);
+        if pending {
+            Some(now)
+        } else {
+            self.heap.peek().map(|&Reverse((at, ..))| at)
         }
-        let due = self.next_checkpoint.is_some_and(|t| now >= t);
-        if due || early {
-            let snapshots: Vec<wal::NodeSnapshot> = self
-                .states
-                .values_mut()
-                .map(NodeState::checkpoint)
-                .collect();
-            if self.log.is_none() {
-                self.log = open_log(d, &mut self.out.errors);
-            }
-            if let Some(l) = &mut self.log {
-                if let Err(e) = l.checkpoint(&snapshots) {
-                    durability_error(&mut self.out.errors, d.shard, "checkpoint", &e);
-                }
-            }
-            self.next_checkpoint = Some(now + d.every);
-            self.out.checkpoints += 1;
-            self.out.early_checkpoints += u64::from(!due);
-        }
-        now
     }
 
-    /// Handles one message; `false` when the shard must stop.
-    fn handle(&mut self, msg: ShardMsg) -> bool {
+    /// Handles one message at `now`; `false` when the shard must stop. A
+    /// bundle is only stored: [`Shard::service`] handles its entries. A
+    /// message handed while a bundle is still pending first finishes that
+    /// bundle, without the ticks in between.
+    pub fn handle(&mut self, now: Instant, msg: ShardMsg) -> bool {
+        self.out.mailbox_messages += 1;
+        self.sweep(now, usize::MAX);
         let ShardMsg { node, msg } = msg;
         match msg {
             EngineMsg::Shutdown => return false,
-            EngineMsg::Batch(rb) => self.enqueue(node, rb),
+            EngineMsg::Batch(rb) => self.enqueue(now, node, rb),
             EngineMsg::Sic(update) => self.apply_sic(node, &update),
-            EngineMsg::Bundle(bundle) => self.unbundle(bundle),
+            EngineMsg::Bundle(bundle) => {
+                self.pending = Some((bundle.sic.into_iter(), bundle.batches.into_iter()));
+            }
             EngineMsg::Attach(attach) => {
                 debug_assert_eq!(node, attach.node, "attach addressed to its node");
-                self.attach(attach);
+                self.attach(now, attach);
             }
             EngineMsg::Detach { query } => self.detach(node, query),
             EngineMsg::Crash => self.crash(),
-            EngineMsg::Recover { dir, shard } => self.recover(&dir, shard),
+            EngineMsg::Recover { dir, shard } => self.recover(now, &dir, shard),
         }
         true
     }
 
-    /// Handles a bundle's entries in order, servicing due ticks every
-    /// [`MAX_SWEEP`] entries so a coordinator round's thousands of updates
-    /// cannot hold the detector back.
-    fn unbundle(&mut self, bundle: Bundle) {
-        let mut handled = 0;
-        let mut sweep = |shard: &mut Shard| {
-            if handled == MAX_SWEEP {
-                shard.service();
-                handled = 0;
-            }
-            handled += 1;
+    /// Retires every node still installed and returns the outcome. Entries
+    /// of a bundle still pending are dropped, like messages left in the
+    /// channel.
+    pub fn finish(self) -> ShardOutcome {
+        let mut out = self.out;
+        for (node, mut slot) in self.slots {
+            slot.retire();
+            out.reports.push((node, slot.retired));
+        }
+        out
+    }
+
+    /// Handles up to `limit` entries of the pending bundle in order;
+    /// `true` while some remain.
+    fn sweep(&mut self, now: Instant, limit: usize) -> bool {
+        let Some((mut sic, mut batches)) = self.pending.take() else {
+            return false;
         };
-        for update in &bundle.sic {
-            sweep(self);
-            self.apply_sic(update.node.index(), update);
+        for _ in 0..limit {
+            if let Some(update) = sic.next() {
+                self.apply_sic(update.node.index(), &update);
+            } else if let Some((node, rb)) = batches.next() {
+                self.enqueue(now, node, rb);
+            } else {
+                return false;
+            }
         }
-        for (node, rb) in bundle.batches {
-            sweep(self);
-            self.enqueue(node, rb);
+        let more = sic.len() + batches.len() > 0;
+        if more {
+            self.pending = Some((sic, batches));
         }
+        more
+    }
+
+    /// Checkpoints every hosted node on cadence, or early when a SIC
+    /// update left some query further than the divergence bound from its
+    /// checkpointed value (AF-Stream: bound the deviation instead of
+    /// logging everything). Only a written checkpoint counts.
+    fn checkpoint(&mut self, now: Instant) {
+        let early = std::mem::take(&mut self.diverged);
+        let Some(d) = self.durability.as_ref().filter(|_| !self.crashed) else {
+            return;
+        };
+        let due = self.next_checkpoint.is_some_and(|t| now >= t);
+        if !due && !early {
+            return;
+        }
+        let snapshots: Vec<wal::NodeSnapshot> = self
+            .slots
+            .values_mut()
+            .filter_map(|s| s.state.as_mut())
+            .map(NodeState::checkpoint)
+            .collect();
+        if snapshots.is_empty() {
+            return;
+        }
+        self.next_checkpoint = Some(now + d.every);
+        let Some(log) = open_log(&mut self.log, d, &mut self.out.errors) else {
+            return;
+        };
+        match log.checkpoint(&snapshots) {
+            Ok(()) => {
+                self.out.checkpoints += 1;
+                self.out.early_checkpoints += u64::from(!due);
+            }
+            Err(e) => durability_error(&mut self.out.errors, d.shard, "checkpoint", &e),
+        }
+    }
+
+    fn state_mut(&mut self, node: usize) -> Option<&mut NodeState> {
+        self.slots.get_mut(&node).and_then(|s| s.state.as_mut())
     }
 
     /// Buffers a data batch on `node`, stamped with its arrival time.
     /// Traffic for a node this shard does not host (torn down, crashed)
     /// is dropped — equivalent to shedding it.
-    fn enqueue(&mut self, node: usize, rb: RoutedBatch) {
-        if let Some(state) = self.states.get_mut(&node) {
-            let ts = Timestamp(self.epoch.elapsed().as_micros() as u64);
+    fn enqueue(&mut self, now: Instant, node: usize, rb: RoutedBatch) {
+        let ts = Timestamp(now.saturating_duration_since(self.epoch).as_micros() as u64);
+        if let Some(state) = self.state_mut(node) {
             state.enqueue(rb, ts);
         }
     }
@@ -389,30 +429,29 @@ impl Shard {
     /// Applies a coordinator update to `node`, logs it as a WAL delta, and
     /// flags an early checkpoint when it crossed the divergence bound.
     fn apply_sic(&mut self, node: usize, update: &SicUpdate) {
-        let Some(state) = self.states.get_mut(&node) else {
+        let Some(state) = self.state_mut(node) else {
             return;
         };
         state.apply_sic(update);
+        let drift = state.sic_drift();
         let Some(d) = self.durability.as_ref().filter(|_| !self.crashed) else {
             return;
         };
-        self.diverged |= d.sic_bound > 0.0 && state.sic_drift() > d.sic_bound;
-        if self.log.is_none() {
-            self.log = open_log(d, &mut self.out.errors);
-        }
+        self.diverged |= d.sic_bound > 0.0 && drift > d.sic_bound;
         let delta = wal::SicDelta {
             node,
             query: update.query,
             sic: update.sic,
         };
-        if let Some(Err(e)) = self.log.as_mut().map(|l| l.append(&delta)) {
+        let log = open_log(&mut self.log, d, &mut self.out.errors);
+        if let Some(Err(e)) = log.map(|l| l.append(&delta)) {
             durability_error(&mut self.out.errors, d.shard, "append", &e);
         }
     }
 
     /// Installs a fragment, installing its node first when absent (with a
     /// staggered first deadline).
-    fn attach(&mut self, attach: AttachFragment) {
+    fn attach(&mut self, now: Instant, attach: AttachFragment) {
         let AttachFragment {
             node,
             config,
@@ -420,70 +459,61 @@ impl Shard {
             fragment,
             downstream,
         } = attach;
-        let state = self.states.entry(node).or_insert_with(|| {
+        let slot = self.slots.entry(node).or_default();
+        if slot.state.is_none() {
             let interval = Duration::from_micros(config.interval.as_micros().max(1));
-            let slot = self.installed_seq % STAGGER_SLOTS;
+            let stagger = self.installed_seq % STAGGER_SLOTS;
             self.installed_seq += 1;
             let first_tick =
-                Instant::now() + interval + interval.mul_f64(slot as f64 / STAGGER_SLOTS as f64);
-            let state = NodeState::new(config, node, first_tick);
-            let generation = self.generations.get(&node).copied().unwrap_or(0) + 1;
-            self.generations.insert(node, generation);
-            self.heap.push(Deadline {
-                at: state.next_tick(),
-                node,
-                generation,
-            });
-            state
-        });
+                now + interval + interval.mul_f64(stagger as f64 / STAGGER_SLOTS as f64);
+            slot.generation += 1;
+            self.heap.push(Reverse((first_tick, node, slot.generation)));
+            slot.state = Some(NodeState::new(config, node, first_tick));
+        }
+        let state = slot.state.as_mut().expect("installed above");
         state.attach_fragment(&query, fragment, downstream);
     }
 
     /// Removes `query`'s fragments from `node`, tearing the node down when
-    /// it hosts nothing else: its counters freeze and the generation bump
-    /// invalidates its pending deadline.
+    /// it hosts nothing else.
     fn detach(&mut self, node: usize, query: QueryId) {
-        let empty = self
-            .states
-            .get_mut(&node)
-            .is_some_and(|s| s.core.detach(query) == 0);
-        if empty {
-            if let Some(state) = self.states.remove(&node) {
-                retire(&mut self.finished, node, &state);
-            }
-            *self.generations.entry(node).or_insert(0) += 1;
+        let Some(slot) = self.slots.get_mut(&node) else {
+            return;
+        };
+        if slot
+            .state
+            .as_mut()
+            .is_some_and(|s| s.core.detach(query) == 0)
+        {
+            slot.retire();
         }
     }
 
     /// Simulated process death: every node's live state is gone (counters
     /// survive for final accounting, as for a torn-down node) and no
-    /// durability write happens again until Recover. Pending deadlines are
-    /// invalidated by the generation bump; in-flight traffic to the dead
-    /// nodes is silently discarded.
+    /// durability write happens again until Recover. In-flight traffic to
+    /// the dead nodes is silently discarded.
     fn crash(&mut self) {
         self.crashed = true;
         self.log = None;
         self.heap.clear();
-        for (node, state) in self.states.drain() {
-            retire(&mut self.finished, node, &state);
-            *self.generations.entry(node).or_insert(0) += 1;
-        }
+        self.slots.values_mut().for_each(Slot::retire);
     }
 
     /// Arrives after the engine re-attached the dead nodes' fragments:
     /// overlays the checkpointed state, replays the delta tail (absolute
     /// values; last write wins), and resumes durability writes.
-    fn recover(&mut self, dir: &std::path::Path, shard: usize) {
+    fn recover(&mut self, now: Instant, dir: &std::path::Path, shard: usize) {
         self.crashed = false;
         match wal::restore_shard(dir, shard) {
             Ok(Some(restore)) => {
                 for snap in &restore.snapshots {
-                    if let Some(state) = self.states.get_mut(&snap.node) {
+                    if let Some(state) = self.state_mut(snap.node) {
                         state.core.restore(snap);
                     }
                 }
                 for delta in &restore.deltas {
-                    if let Some(state) = self.states.get_mut(&delta.node) {
+                    if let Some(state) = self.state_mut(delta.node) {
                         state.core.set_sic(delta.query, delta.sic);
                     }
                 }
@@ -491,37 +521,25 @@ impl Shard {
             Ok(None) => {}
             Err(e) => durability_error(&mut self.out.errors, shard, "restore", &e),
         }
-        if let Some(d) = &self.durability {
-            self.next_checkpoint = Some(Instant::now() + d.every);
-        }
-    }
-
-    /// Retires every node still installed and returns the outcome.
-    fn finish(mut self) -> ShardOutcome {
-        for (node, state) in self.states.drain() {
-            retire(&mut self.finished, node, &state);
-        }
-        self.out.reports = self.finished.into_iter().collect();
-        self.out
+        self.next_checkpoint = self.durability.as_ref().map(|d| now + d.every);
     }
 }
 
-/// Folds a departing node incarnation's counters into the node's total, so
-/// the final report covers every incarnation (churn, crash) of it.
-fn retire(finished: &mut HashMap<usize, NodeReport>, node: usize, state: &NodeState) {
-    finished.entry(node).or_default().absorb(&state.core.stats);
-}
-
-/// Opens a shard's durable log, recording a failure instead of failing
-/// the shard — an undurable engine keeps serving traffic.
-fn open_log(d: &ShardDurability, errors: &mut Vec<EngineError>) -> Option<wal::ShardLog> {
-    match wal::ShardLog::create(&d.dir, d.shard) {
-        Ok(log) => Some(log),
-        Err(e) => {
-            durability_error(errors, d.shard, "open", &e);
-            None
+/// The shard's durable log, opened on first use. A failed open is
+/// recorded instead of failing the shard (an undurable engine keeps
+/// serving traffic) and retried on the next write.
+fn open_log<'a>(
+    log: &'a mut Option<wal::ShardLog>,
+    d: &ShardDurability,
+    errors: &mut Vec<EngineError>,
+) -> Option<&'a mut wal::ShardLog> {
+    if log.is_none() {
+        match wal::ShardLog::create(&d.dir, d.shard) {
+            Ok(opened) => *log = Some(opened),
+            Err(e) => durability_error(errors, d.shard, "open", &e),
         }
     }
+    log.as_mut()
 }
 
 /// Records a failed durability operation, once per operation: a failing
@@ -548,23 +566,22 @@ fn durability_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::Bundle;
     use crate::node_state::NodeConfig;
-    use std::sync::Arc;
+    use crossbeam::channel::unbounded;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn every_node_lands_on_exactly_one_shard() {
         for (n_nodes, n_shards) in [(1usize, 1usize), (7, 3), (1024, 8), (5, 16)] {
-            let assignment = shard_assignment(n_nodes, n_shards);
-            assert_eq!(assignment.len(), n_nodes);
             // Each node has exactly one shard, and it is in range.
-            assert!(assignment.iter().all(|&s| s < n_shards));
-            // Round-robin balance: shard sizes differ by at most one.
             let mut counts = vec![0usize; n_shards];
-            for &s in &assignment {
-                counts[s] += 1;
+            for n in 0..n_nodes {
+                counts[shard_of(n, n_shards)] += 1;
             }
-            let used: Vec<usize> = counts.iter().copied().filter(|&c| c > 0).collect();
-            let max = *used.iter().max().unwrap();
+            assert_eq!(counts.iter().sum::<usize>(), n_nodes);
+            // Round-robin balance: shard sizes differ by at most one.
+            let max = *counts.iter().max().unwrap();
             let min = *counts.iter().min().unwrap();
             assert!(max - min <= 1, "{n_nodes}x{n_shards}: {counts:?}");
         }
@@ -575,320 +592,285 @@ mod tests {
         assert_eq!(shard_of(5, 0), 0);
     }
 
-    fn node_config(
-        interval_ms: u64,
-        synthetic_cost: TimeDelta,
-        initial_capacity: usize,
-    ) -> NodeConfig {
+    const MS: Duration = Duration::from_millis(1);
+
+    /// A node shedding every `interval_ms` with its threshold pinned to
+    /// `capacity` tuples, so no count depends on measured cost.
+    fn config(interval_ms: u64, capacity: usize) -> NodeConfig {
         NodeConfig {
             id: NodeId(0),
             interval: TimeDelta::from_millis(interval_ms),
             stw: StwConfig::PAPER_DEFAULT,
             shedder: Policy::default().build(11),
-            synthetic_cost,
-            initial_capacity,
-            fixed_capacity: None,
+            synthetic_cost: TimeDelta::ZERO,
+            initial_capacity: capacity,
+            fixed_capacity: Some(capacity),
             pool: None,
         }
     }
 
-    fn attach_msg(node: usize, config: NodeConfig, query: &Arc<QuerySpec>) -> ShardMsg {
-        ShardMsg {
+    /// An empty shard for `nodes` global nodes whose clock starts at the
+    /// returned `t0`.
+    fn shard(nodes: usize, durability: Option<ShardDurability>) -> (Shard, Instant) {
+        let (tx, _) = unbounded();
+        let (results_tx, _) = unbounded();
+        let routing = ShardRouting {
+            node_txs: vec![tx; nodes],
+            results_tx,
+        };
+        let t0 = Instant::now();
+        (Shard::new(routing, t0, durability, t0), t0)
+    }
+
+    /// One single-fragment AVG query per id.
+    fn queries(n: u32) -> Vec<Arc<QuerySpec>> {
+        let mut ids = IdGen::new();
+        (0..n)
+            .map(|q| Arc::new(Template::Avg.build(QueryId(q), &mut ids)))
+            .collect()
+    }
+
+    fn msg(node: usize, msg: EngineMsg) -> ShardMsg {
+        ShardMsg { node, msg }
+    }
+
+    fn attach(node: usize, config: NodeConfig, query: &Arc<QuerySpec>) -> ShardMsg {
+        let fragment = AttachFragment {
             node,
-            msg: EngineMsg::Attach(AttachFragment {
-                node,
-                config,
-                query: query.clone(),
-                fragment: 0,
-                downstream: None,
-            }),
+            config,
+            query: query.clone(),
+            fragment: 0,
+            downstream: None,
+        };
+        msg(node, EngineMsg::Attach(fragment))
+    }
+
+    /// A source batch of `tuples` tuples for `query`'s only fragment.
+    fn batch(query: &QuerySpec, tuples: usize) -> RoutedBatch {
+        let src = query.sources[0].id;
+        let tuples = (0..tuples)
+            .map(|j| Tuple::measurement(Timestamp(0), Sic(0.001), j as f64))
+            .collect();
+        RoutedBatch {
+            query: query.id,
+            fragment: 0,
+            ingress: Ingress::Source(src),
+            batch: Batch::from_source(query.id, src, Timestamp(0), tuples),
         }
     }
 
-    fn flood_harness(
-        interval_ms: u64,
-        synthetic_cost: TimeDelta,
-        initial_capacity: usize,
-        batches: usize,
-        tuples_per_batch: usize,
-        linger_ms: u64,
-    ) -> NodeReport {
-        let mut ids = IdGen::new();
-        let query = Arc::new(Template::Avg.build(QueryId(0), &mut ids));
-        let src = query.sources[0].id;
-        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
-        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
-        let routing = ShardRouting {
-            node_txs: vec![tx.clone()],
-            results_tx,
-        };
-        // The node installs through the same Attach path the engine uses,
-        // pre-loaded ahead of the flood.
-        tx.send(attach_msg(
-            0,
-            node_config(interval_ms, synthetic_cost, initial_capacity),
-            &query,
-        ))
-        .unwrap();
-        // Pre-load the whole flood *and* the shutdown before the shard
-        // starts: the channel is never empty until the shard has drained
-        // every batch, which is exactly the situation that starved the
-        // seed worker's tick (recv_timeout returned Ok on every poll).
-        for i in 0..batches {
-            let tuples: Vec<Tuple> = (0..tuples_per_batch)
-                .map(|j| Tuple::measurement(Timestamp(i as u64), Sic(0.001), j as f64))
-                .collect();
-            tx.send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Batch(RoutedBatch {
-                    query: query.id,
-                    fragment: 0,
-                    ingress: Ingress::Source(src),
-                    batch: Batch::from_source(query.id, src, Timestamp(i as u64), tuples),
-                }),
-            })
-            .unwrap();
+    fn sic(query: QueryId, node: usize, sic: f64) -> SicUpdate {
+        SicUpdate {
+            query,
+            node: NodeId(node as u32),
+            sic: Sic(sic),
         }
-        // linger_ms == 0: the shutdown is queued behind the flood, so the
-        // channel never empties while the shard runs. Otherwise the shard
-        // is left running for `linger_ms` past the flood before stopping.
-        if linger_ms == 0 {
-            tx.send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Shutdown,
-            })
-            .unwrap();
-        }
-        let epoch = Instant::now();
-        let handle = std::thread::spawn(move || run_shard(routing, rx, epoch, None));
-        if linger_ms > 0 {
-            std::thread::sleep(Duration::from_millis(linger_ms));
-            tx.send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Shutdown,
-            })
-            .unwrap();
-        }
-        let mut reports = handle.join().expect("shard panicked").reports;
-        assert_eq!(reports.len(), 1);
-        reports.pop().unwrap().1
+    }
+
+    fn reports(shard: Shard) -> HashMap<usize, NodeReport> {
+        shard.finish().reports.into_iter().collect()
     }
 
     /// Regression (tick starvation): the seed worker `continue`d on every
     /// received message, so a queue that never emptied postponed the
-    /// detector/shedder tick indefinitely — it would drain this entire
-    /// flood, hit `Shutdown`, and exit with zero ticks and zero sheds.
-    /// The shard loop fires the tick whenever its deadline has passed,
-    /// messages pending or not.
+    /// detector tick until the flood was over. Here 1 000 five-tuple
+    /// batches arrive one per 100 us, each followed by a service as the
+    /// driver does: the 5 ms deadline fires 19 times while the flood is
+    /// still arriving, each time over the pinned 100-tuple capacity.
     #[test]
     fn flooded_shard_still_sheds() {
-        // ~60k batches of 5 tuples take well over one 5 ms interval to
-        // drain, so deadlines pass while the queue is still non-empty.
-        let report = flood_harness(5, TimeDelta::ZERO, 100, 60_000, 5, 0);
-        assert_eq!(report.arrived_tuples, 300_000);
-        assert!(report.ticks >= 1, "starved: no tick fired mid-flood");
-        assert!(
-            report.shed_invocations >= 1,
-            "first due tick saw {} buffered tuples over capacity 100 but never shed",
-            report.arrived_tuples,
-        );
-        assert!(report.shed_tuples > 0);
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(1, None);
+        shard.handle(t0, attach(0, config(5, 100), q));
+        for i in 0..1_000 {
+            let now = t0 + i * Duration::from_micros(100);
+            shard.handle(now, msg(0, EngineMsg::Batch(batch(q, 5))));
+            shard.service(now);
+        }
+        let report = &reports(shard)[&0];
+        assert_eq!(report.arrived_tuples, 5_000);
+        // Ticks at 5, 10, ..., 95 ms: the first sees 51 batches, the
+        // rest 50 each; 49 batches arrive after the last.
+        assert_eq!(report.ticks, 19);
+        assert_eq!(report.shed_invocations, 19);
+        assert_eq!(report.kept_tuples, 19 * 100);
+        assert_eq!(report.shed_tuples, 255 - 100 + 18 * (250 - 100));
     }
 
-    /// Bundles keep the tick-starvation fix: the whole flood arrives as
-    /// one bundle of batches (after a bundle of SIC updates), queued with
-    /// the shutdown before the shard starts. Draining it takes many 5 ms
-    /// intervals, while the pass between the bundle and the shutdown fires
-    /// at most one tick (firings are capped at the node count), so a
-    /// second tick proves the service every [`MAX_SWEEP`] entries inside
-    /// the bundle.
+    /// Bundles keep the tick-starvation fix: a bundle of 2 000 SIC
+    /// updates, then one of 5 120 five-tuple batches, each served
+    /// `MAX_SWEEP` entries per service at one service per millisecond.
+    /// Both 5 ms ticks fire while the batch bundle is still pending.
     #[test]
     fn bundled_flood_still_ticks_and_sheds() {
-        let mut ids = IdGen::new();
-        let query = Arc::new(Template::Avg.build(QueryId(0), &mut ids));
-        let src = query.sources[0].id;
-        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
-        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
-        let routing = ShardRouting {
-            node_txs: vec![tx.clone()],
-            results_tx,
-        };
-        tx.send(attach_msg(0, node_config(5, TimeDelta::ZERO, 100), &query))
-            .unwrap();
-        let sic = (0..2_000)
-            .map(|i| SicUpdate {
-                query: query.id,
-                node: NodeId(0),
-                sic: Sic(f64::from(i % 100) / 100.0),
-            })
-            .collect();
-        let batches = (0..60_000u64)
-            .map(|i| {
-                let tuples: Vec<Tuple> = (0..5)
-                    .map(|j| Tuple::measurement(Timestamp(i), Sic(0.001), f64::from(j)))
-                    .collect();
-                let rb = RoutedBatch {
-                    query: query.id,
-                    fragment: 0,
-                    ingress: Ingress::Source(src),
-                    batch: Batch::from_source(query.id, src, Timestamp(i), tuples),
-                };
-                (0, rb)
-            })
-            .collect();
-        for bundle in [
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(1, None);
+        let updates = (0..2_000).map(|i| sic(q.id, 0, f64::from(i % 100) / 100.0));
+        let bundles = [
             Bundle {
-                sic,
+                sic: updates.collect(),
                 ..Bundle::default()
             },
             Bundle {
-                batches,
+                batches: (0..5_120).map(|_| (0, batch(q, 5))).collect(),
                 ..Bundle::default()
             },
-        ] {
-            tx.send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Bundle(bundle),
-            })
-            .unwrap();
+        ];
+        let mut now = t0;
+        shard.handle(now, attach(0, config(5, 100), q));
+        let mut services = 0;
+        for bundle in bundles {
+            shard.handle(now, msg(0, EngineMsg::Bundle(bundle)));
+            while shard.service(now) == Some(now) {
+                now += MS;
+                services += 1;
+            }
         }
-        tx.send(ShardMsg {
-            node: 0,
-            msg: EngineMsg::Shutdown,
-        })
-        .unwrap();
-        let out = run_shard(routing, rx, Instant::now(), None);
+        // 2 000 updates take four sweeps, 5 120 batches ten.
+        assert_eq!(services, 3 + 9);
+        assert_eq!(now, t0 + 12 * MS);
+        assert!(!shard.handle(now, msg(0, EngineMsg::Shutdown)));
+        let out = shard.finish();
         assert_eq!(out.mailbox_messages, 4, "attach, two bundles, shutdown");
         let report = &out.reports[0].1;
-        assert_eq!(report.arrived_tuples, 300_000);
+        assert_eq!(report.arrived_tuples, 25_600);
         assert_eq!(report.sic_updates, 2_000);
-        assert!(report.ticks >= 2, "starved: no tick fired mid-bundle");
-        assert!(report.shed_invocations >= 1, "{report:?}");
+        // At 5 ms 1 024 batches are in, at 10 ms 2 560 more.
+        assert_eq!(report.ticks, 2, "{report:?}");
+        assert_eq!(report.shed_invocations, 2);
+        assert_eq!(report.shed_tuples, 5_120 + 12_800 - 2 * 100);
     }
 
-    /// Regression (tick drift/storm): a tick that overruns its period must
-    /// not leave a backlog of past deadlines. The seed worker's
-    /// `next_tick += interval` scheduled a burst of zero-timeout ticks
-    /// after the overrun; fixed, the tick count stays bounded by wall
-    /// time / interval and the skipped periods are counted as late.
+    /// Regression (tick drift/storm): a tick served long after its
+    /// deadline — an overrunning shard-mate or a flood held it up — fires
+    /// once, counts as one late tick and reschedules to the first period
+    /// boundary after `now`; the seed's `next_tick += interval` left five
+    /// deadlines in the past and stormed.
     #[test]
     fn overrunning_tick_does_not_storm() {
-        // 400 batches x 20 tuples; capacity 500 kept x 200 us spin
-        // = a ~100 ms tick against a 20 ms interval: 5 periods overrun.
-        let t0 = Instant::now();
-        let report = flood_harness(20, TimeDelta::from_micros(200), 500, 400, 20, 300);
-        let elapsed_ms = t0.elapsed().as_millis() as u64;
-        assert!(report.late_ticks >= 1, "overrun not recorded: {report:?}");
-        assert!(report.shed_invocations >= 1);
-        let max_ticks = elapsed_ms / 20 + 2;
-        assert!(
-            report.ticks <= max_ticks,
-            "tick storm: {} ticks in {elapsed_ms} ms at a 20 ms interval",
-            report.ticks,
-        );
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(1, None);
+        shard.handle(t0, attach(0, config(20, 100), q));
+        assert_eq!(shard.service(t0), Some(t0 + 20 * MS));
+        // 105 ms late: the next boundary past 125 ms is 140 ms.
+        assert_eq!(shard.service(t0 + 125 * MS), Some(t0 + 140 * MS));
+        assert_eq!(shard.service(t0 + 125 * MS), Some(t0 + 140 * MS));
+        assert_eq!(shard.service(t0 + 140 * MS), Some(t0 + 160 * MS));
+        let report = &reports(shard)[&0];
+        assert_eq!((report.ticks, report.late_ticks), (2, 1));
     }
 
-    /// A degenerate zero shedding interval must not livelock the shard
-    /// loop: due-tick firings are capped per pass, so the channel still
-    /// drains and `Shutdown` is honored.
+    /// A zero shedding interval cannot livelock the shard: it is clamped
+    /// to 1 us, so each service fires the node once and returns a deadline
+    /// strictly after `now`.
     #[test]
     fn zero_interval_still_terminates() {
-        let report = flood_harness(0, TimeDelta::ZERO, 100, 100, 1, 0);
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(1, None);
+        shard.handle(t0, attach(0, config(0, 100), q));
+        let us = Duration::from_micros(1);
+        for i in 0..100 {
+            let now = t0 + i * us;
+            shard.handle(now, msg(0, EngineMsg::Batch(batch(q, 1))));
+            assert_eq!(shard.service(now), Some(now + us));
+        }
+        let report = &reports(shard)[&0];
         assert_eq!(report.arrived_tuples, 100);
-        assert!(report.ticks >= 1);
+        assert_eq!(report.ticks, 99, "one per service from 1 us on");
     }
 
-    /// A zero-interval node sharing a shard must not monopolize the
-    /// deadline heap: its rescheduled deadline lands strictly in the
-    /// future (the interval is clamped to 1 us), so shard-mates with
-    /// ordinary intervals still reach their ticks.
+    /// A zero-interval node sharing a shard does not monopolize the
+    /// deadline heap: its rescheduled deadline lands after `now`, so a
+    /// 5 ms shard-mate (first deadline 5 ms + 1/32 stagger) still ticks
+    /// on every period.
     #[test]
     fn zero_interval_node_does_not_starve_shard_mates() {
-        let mut ids = IdGen::new();
-        let q0 = Arc::new(Template::Avg.build(QueryId(0), &mut ids));
-        let q1 = Arc::new(Template::Avg.build(QueryId(1), &mut ids));
-        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
-        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
-        let routing = ShardRouting {
-            node_txs: vec![tx.clone(), tx.clone()],
-            results_tx,
-        };
-        tx.send(attach_msg(0, node_config(0, TimeDelta::ZERO, 100), &q0))
-            .unwrap();
-        tx.send(attach_msg(1, node_config(5, TimeDelta::ZERO, 100), &q1))
-            .unwrap();
-        let epoch = Instant::now();
-        let handle = std::thread::spawn(move || run_shard(routing, rx, epoch, None));
-        std::thread::sleep(Duration::from_millis(60));
-        tx.send(ShardMsg {
-            node: 0,
-            msg: EngineMsg::Shutdown,
-        })
-        .unwrap();
-        let reports = handle.join().expect("shard panicked").reports;
-        let by_node: HashMap<usize, &NodeReport> = reports.iter().map(|(n, r)| (*n, r)).collect();
-        assert!(by_node[&0].ticks >= 1);
-        assert!(
-            by_node[&1].ticks >= 2,
-            "5 ms node starved by zero-interval shard-mate: {} ticks in 60 ms",
-            by_node[&1].ticks
-        );
+        let qs = queries(2);
+        let (mut shard, t0) = shard(2, None);
+        shard.handle(t0, attach(0, config(0, 100), &qs[0]));
+        shard.handle(t0, attach(1, config(5, 100), &qs[1]));
+        for ms in 1..=60 {
+            shard.service(t0 + ms * MS);
+        }
+        let reports = reports(shard);
+        assert_eq!(reports[&0].ticks, 60);
+        assert_eq!(reports[&1].ticks, 11, "6, 11, ..., 56 ms");
     }
 
     /// Churn on one shard: a detached node's state is torn down, its
-    /// report freezes, and its abandoned deadline never ticks it again;
-    /// a later re-attach starts a fresh incarnation whose counters merge
-    /// into the same per-node report.
+    /// counters freeze, and its abandoned deadline never ticks it again; a
+    /// re-attach starts a fresh incarnation whose counters merge into the
+    /// same per-node report. The last re-attach comes before the old
+    /// incarnation's deadline is popped, so only its generation keeps that
+    /// stale entry from ticking the new one.
     #[test]
     fn detach_tears_down_and_reattach_merges() {
-        let mut ids = IdGen::new();
-        let q0 = Arc::new(Template::Avg.build(QueryId(0), &mut ids));
-        let q1 = Arc::new(Template::Avg.build(QueryId(1), &mut ids));
-        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
-        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
-        let routing = ShardRouting {
-            node_txs: vec![tx.clone(), tx.clone()],
-            results_tx,
+        let qs = queries(2);
+        let (mut shard, t0) = shard(2, None);
+        let run = |shard: &mut Shard, ms: std::ops::RangeInclusive<u32>| {
+            for ms in ms {
+                shard.service(t0 + ms * MS);
+            }
         };
-        // Node 0 hosts the resident query; node 1 hosts the churn query.
-        tx.send(attach_msg(0, node_config(5, TimeDelta::ZERO, 100), &q0))
-            .unwrap();
-        tx.send(attach_msg(1, node_config(5, TimeDelta::ZERO, 100), &q1))
-            .unwrap();
-        let epoch = Instant::now();
-        let handle = std::thread::spawn(move || run_shard(routing, rx, epoch, None));
-        std::thread::sleep(Duration::from_millis(40));
-        // The churn query departs; node 1 empties and is torn down.
-        tx.send(ShardMsg {
-            node: 1,
-            msg: EngineMsg::Detach { query: q1.id },
-        })
-        .unwrap();
-        std::thread::sleep(Duration::from_millis(80));
-        // Re-attach on the same node index: a fresh incarnation.
-        tx.send(attach_msg(1, node_config(5, TimeDelta::ZERO, 100), &q1))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        tx.send(ShardMsg {
-            node: 0,
-            msg: EngineMsg::Shutdown,
-        })
-        .unwrap();
-        let reports = handle.join().expect("shard panicked").reports;
-        let by_node: HashMap<usize, NodeReport> = reports.into_iter().collect();
-        let resident = &by_node[&0];
-        let churned = &by_node[&1];
-        assert!(resident.ticks >= 20, "resident ticked throughout");
-        // Node 1 was live for ~80 of ~160 ms; had its deadline leaked it
-        // would have kept ticking through the 80 ms gap too. Allow slack
-        // for scheduling, but the gap must be visible.
-        assert!(
-            churned.ticks <= resident.ticks * 3 / 4,
-            "torn-down node kept ticking: {} vs resident {}",
-            churned.ticks,
-            resident.ticks
-        );
-        assert!(churned.ticks >= 2, "both incarnations ticked");
+        // Node 0 hosts the resident query; node 1 the churn query.
+        shard.handle(t0, attach(0, config(5, 100), &qs[0]));
+        shard.handle(t0, attach(1, config(5, 100), &qs[1]));
+        shard.handle(t0, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
+        run(&mut shard, 1..=40);
+        shard.handle(t0 + 40 * MS, msg(1, EngineMsg::Detach { query: qs[1].id }));
+        // Traffic for the torn-down node is dropped.
+        shard.handle(t0 + 40 * MS, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
+        run(&mut shard, 41..=120);
+        shard.handle(t0 + 120 * MS, attach(1, config(5, 100), &qs[1]));
+        shard.handle(t0 + 120 * MS, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
+        run(&mut shard, 121..=160);
+        shard.handle(t0 + 160 * MS, msg(1, EngineMsg::Detach { query: qs[1].id }));
+        shard.handle(t0 + 160 * MS, attach(1, config(5, 100), &qs[1]));
+        run(&mut shard, 161..=200);
+        let reports = reports(shard);
+        assert_eq!(reports[&0].ticks, 40, "resident ticked throughout");
+        // 6, 11, ..., 36 ms; then (stagger 2/32) 126, 131, ..., 156 ms; then
+        // (stagger 3/32) 166, 171, ..., 196 ms. A leaked deadline would add
+        // 16 ticks across the gap.
+        assert_eq!(reports[&1].ticks, 7 + 7 + 7);
+        assert_eq!(reports[&1].arrived_tuples, 3 + 3);
+    }
+
+    /// Due nodes fire in deadline order, and a tie goes to the lower node
+    /// index whatever the install order. The shedders record the order:
+    /// every node holds one tuple over a zero capacity.
+    #[test]
+    fn due_nodes_fire_in_deadline_order() {
+        struct Recording(usize, Arc<Mutex<Vec<usize>>>, Box<dyn Shedder>);
+        impl Shedder for Recording {
+            fn select_to_keep(&mut self, c: usize, qs: &[QueryBufferState]) -> ShedDecision {
+                self.1.lock().unwrap().push(self.0);
+                self.2.select_to_keep(c, qs)
+            }
+        }
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let qs = queries(4);
+        let (mut shard, t0) = shard(4, None);
+        // `(node, interval)` in install order; install `i` is staggered by
+        // i/32 of its interval: deadlines 33, 33, 17 and 26.25 ms.
+        for (node, interval_ms) in [(2, 33), (1, 32), (0, 16), (3, 24)] {
+            let mut config = config(interval_ms, 0);
+            config.shedder = Box::new(Recording(node, fired.clone(), config.shedder));
+            shard.handle(t0, attach(node, config, &qs[node]));
+            shard.handle(t0, msg(node, EngineMsg::Batch(batch(&qs[node], 1))));
+        }
+        // Node 0 served 23 ms late skips to 17 + 2 x 16 ms, the earliest.
+        assert_eq!(shard.service(t0 + 40 * MS), Some(t0 + 49 * MS));
+        assert_eq!(*fired.lock().unwrap(), vec![0, 3, 1, 2]);
+    }
+
+    fn durability(dir: &std::path::Path, every: Duration) -> ShardDurability {
+        ShardDurability {
+            dir: dir.to_path_buf(),
+            shard: 0,
+            every,
+            sic_bound: 0.5,
+        }
     }
 
     /// Regression (checkpoint storm): the early trigger used to sum SIC
@@ -896,52 +878,22 @@ mod tests {
     /// 0.01 per coordinator round crossed a 0.5 bound every round and cut
     /// a full checkpoint each time. Divergence is per query and measured
     /// from the checkpoint: small moves never fire, one large move fires
-    /// once. The hour-long cadence leaves only early cuts, and the whole
-    /// message stream is queued before the shard starts, so nothing here
-    /// depends on timing.
+    /// once. The hour-long cadence leaves only early cuts.
     #[test]
     fn many_small_sic_moves_do_not_storm_checkpoints() {
         let dir = std::env::temp_dir().join(format!("themis-shard-storm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut ids = IdGen::new();
-        let (tx, rx) = crossbeam::channel::unbounded::<ShardMsg>();
-        let (results_tx, _results_rx) = crossbeam::channel::unbounded();
-        let routing = ShardRouting {
-            node_txs: vec![tx.clone()],
-            results_tx,
-        };
-        let queries: Vec<QueryId> = (0..64).map(QueryId).collect();
-        for &q in &queries {
-            let query = Arc::new(Template::Avg.build(q, &mut ids));
-            tx.send(attach_msg(0, node_config(50, TimeDelta::ZERO, 100), &query))
-                .unwrap();
+        let qs = queries(64);
+        let (mut shard, t0) = shard(1, Some(durability(&dir, Duration::from_secs(3600))));
+        for q in &qs {
+            shard.handle(t0, attach(0, config(50, 100), q));
         }
-        let sic = |query: QueryId, sic: f64| ShardMsg {
-            node: 0,
-            msg: EngineMsg::Sic(SicUpdate {
-                query,
-                node: NodeId(0),
-                sic: Sic(sic),
-            }),
-        };
-        for round in 1..=20 {
-            for &q in &queries {
-                tx.send(sic(q, 0.01 * round as f64)).unwrap();
-            }
+        let moves = (1..=20).flat_map(|round| qs.iter().map(move |q| (q.id, 0.01 * round as f64)));
+        for (query, to) in moves.chain([(qs[0].id, 0.2 + 0.6)]) {
+            shard.handle(t0, msg(0, EngineMsg::Sic(sic(query, 0, to))));
+            shard.service(t0);
         }
-        tx.send(sic(queries[0], 0.2 + 0.6)).unwrap();
-        tx.send(ShardMsg {
-            node: 0,
-            msg: EngineMsg::Shutdown,
-        })
-        .unwrap();
-        let durability = ShardDurability {
-            dir: dir.clone(),
-            shard: 0,
-            every: Duration::from_secs(3600),
-            sic_bound: 0.5,
-        };
-        let out = run_shard(routing, rx, Instant::now(), Some(durability));
+        let out = shard.finish();
         let restore = wal::restore_shard(&dir, 0).expect("readable log");
         let _ = std::fs::remove_dir_all(&dir);
         assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
@@ -955,21 +907,27 @@ mod tests {
         );
     }
 
+    /// Only a written checkpoint counts: with the durability root a
+    /// regular file, neither the five due cadences nor a diverged update
+    /// write anything, and the failed open is reported once.
     #[test]
-    fn deadlines_fire_in_order() {
-        let base = Instant::now();
-        let mut heap: BinaryHeap<Deadline> = BinaryHeap::new();
-        // Push out of order, with a tie at 30 ms.
-        for (ms, node) in [(30u64, 2usize), (10, 0), (30, 1), (20, 3)] {
-            heap.push(Deadline {
-                at: base + Duration::from_millis(ms),
-                node,
-                generation: 1,
-            });
+    fn unwritten_checkpoints_are_not_counted() {
+        let file = std::env::temp_dir().join(format!("themis-shard-file-{}", std::process::id()));
+        std::fs::write(&file, b"a file, not a directory").unwrap();
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(1, Some(durability(&file, 100 * MS)));
+        shard.handle(t0, attach(0, config(50, 100), q));
+        shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
+        for ms in (0..=500).step_by(100) {
+            shard.service(t0 + ms * MS);
         }
-        let fired: Vec<(u64, usize)> = std::iter::from_fn(|| heap.pop())
-            .map(|d| (d.at.duration_since(base).as_millis() as u64, d.node))
-            .collect();
-        assert_eq!(fired, vec![(10, 0), (20, 3), (30, 1), (30, 2)]);
+        let out = shard.finish();
+        let _ = std::fs::remove_file(&file);
+        assert_eq!((out.checkpoints, out.early_checkpoints), (0, 0));
+        assert_eq!(out.errors.len(), 1, "errors: {:?}", out.errors);
+        assert!(matches!(
+            out.errors[0],
+            EngineError::Durability { op: "open", .. }
+        ));
     }
 }
