@@ -491,10 +491,10 @@ impl TupleBatch {
         &self.drops
     }
 
-    /// The raw timestamp column, dropped rows included (checkpoint codec
-    /// read path).
+    /// The raw timestamp column, dropped rows included (the checkpoint
+    /// codec, and windows assigning a whole batch to one pane).
     #[inline]
-    pub(crate) fn ts_column(&self) -> &[Timestamp] {
+    pub fn ts_column(&self) -> &[Timestamp] {
         &self.ts
     }
 
@@ -795,11 +795,23 @@ pub struct PoolStats {
 
 #[derive(Debug, Default)]
 struct Slots {
-    /// Cleared batches waiting for a producer.
-    idle: Vec<TupleBatch>,
-    /// One schema per structurally distinct layout some producer has
+    /// One stack per structurally distinct schema some producer has
     /// acquired; only batches of these schemas are worth keeping.
-    acquired: Vec<Schema>,
+    stacks: Vec<Stack>,
+    /// Batches over all stacks.
+    idle: usize,
+}
+
+/// The cleared batches of one schema, waiting for a producer.
+#[derive(Debug)]
+struct Stack {
+    schema: Schema,
+    /// The most rows a producer of this schema has asked for. A batch
+    /// that grew past it (a pane that gathered many batches' rows) is
+    /// freed rather than kept: handed to a producer, it would carry a
+    /// pane's memory through every later use.
+    rows: usize,
+    idle: Vec<TupleBatch>,
 }
 
 #[derive(Debug, Default)]
@@ -841,8 +853,12 @@ pub struct BatchPool {
     inner: Arc<PoolInner>,
 }
 
-/// Pool slots kept per pool; beyond this, recycled batches are dropped
-/// (the cap bounds idle memory after a load spike).
+/// Idle batches a pool keeps at least. Beyond this it keeps no more than it
+/// has built ([`PoolStats::fresh`]), so idle memory stays within what its
+/// producers once held at a time. Windows that adopt source batches hand
+/// a whole second's worth back in one burst as their panes close; a
+/// fixed cap would drop most of it and make the producers allocate it
+/// again.
 const POOL_CAP: usize = 256;
 
 impl BatchPool {
@@ -856,14 +872,24 @@ impl BatchPool {
     /// [`TupleBatch::with_schema_capacity`].
     pub fn acquire(&self, schema: &Schema, rows: usize) -> TupleBatch {
         let mut slots = self.inner.slots.lock().expect("batch pool lock poisoned");
-        if let Some(pos) = slots.idle.iter().position(|b| b.schema() == Some(schema)) {
-            let batch = slots.idle.swap_remove(pos);
+        let at = match slots.stacks.iter().position(|s| s.schema == *schema) {
+            Some(at) => at,
+            None => {
+                slots.stacks.push(Stack {
+                    schema: schema.clone(),
+                    rows: 0,
+                    idle: Vec::new(),
+                });
+                slots.stacks.len() - 1
+            }
+        };
+        let stack = &mut slots.stacks[at];
+        stack.rows = stack.rows.max(rows);
+        if let Some(batch) = stack.idle.pop() {
+            slots.idle -= 1;
             drop(slots);
             self.inner.reused.fetch_add(1, Ordering::Relaxed);
             return batch;
-        }
-        if !slots.acquired.contains(schema) {
-            slots.acquired.push(schema.clone());
         }
         drop(slots);
         self.inner.fresh.fetch_add(1, Ordering::Relaxed);
@@ -871,16 +897,27 @@ impl BatchPool {
     }
 
     /// Returns a batch to the pool: rows are cleared, allocations kept.
-    /// Batches of a schema no producer has acquired, and overflow beyond
-    /// the pool cap, are simply dropped.
+    /// Batches of a schema no producer has acquired, batches with room
+    /// for more rows than any producer of their schema asked for, and
+    /// overflow beyond the pool's cap (256 idle batches, or as many as the
+    /// pool has built if that is more), are simply dropped.
     pub fn recycle(&self, mut batch: TupleBatch) {
+        let cap = POOL_CAP.max(self.inner.fresh.load(Ordering::Relaxed) as usize);
         let mut slots = self.inner.slots.lock().expect("batch pool lock poisoned");
-        let wanted = batch.schema().is_some_and(|s| slots.acquired.contains(s));
-        if wanted && slots.idle.len() < POOL_CAP {
-            batch.clear_rows();
-            slots.idle.push(batch);
-            self.inner.recycled.fetch_add(1, Ordering::Relaxed);
+        if slots.idle >= cap {
+            return;
         }
+        let schema = batch.schema();
+        let Some(stack) = slots.stacks.iter_mut().find(|s| Some(&s.schema) == schema) else {
+            return;
+        };
+        if batch.ts.capacity() > stack.rows {
+            return;
+        }
+        batch.clear_rows();
+        stack.idle.push(batch);
+        slots.idle += 1;
+        self.inner.recycled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of idle batches currently pooled.
@@ -890,7 +927,6 @@ impl BatchPool {
             .lock()
             .expect("batch pool lock poisoned")
             .idle
-            .len()
     }
 
     /// Traffic counters since construction.
@@ -1359,6 +1395,52 @@ mod tests {
         // Once a producer acquires the derived schema, its batches pool.
         drop(pool.acquire(&derived, 1));
         pool.recycle(TupleBatch::with_schema(derived));
+        assert_eq!(pool.idle(), 1);
+    }
+
+    /// Regression (burst drop): with a fixed 256-slot cap, a burst of
+    /// batches coming back at once — panes closing together — was mostly
+    /// dropped, and the producer built it again. The pool keeps as many
+    /// as it built, and no more.
+    #[test]
+    fn pool_keeps_a_burst_it_built() {
+        let pool = BatchPool::new();
+        let schema = keyed_schema();
+        let burst: Vec<TupleBatch> = (0..300).map(|_| pool.acquire(&schema, 1)).collect();
+        for b in burst {
+            pool.recycle(b);
+        }
+        assert_eq!(pool.idle(), 300);
+        // Batches the pool did not build do not grow it further.
+        pool.recycle(TupleBatch::with_schema(schema.clone()));
+        assert_eq!(pool.idle(), 300);
+        for _ in 0..300 {
+            drop(pool.acquire(&schema, 1));
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.fresh, stats.reused, stats.recycled), (300, 300, 300));
+    }
+
+    /// Regression (pane memory through the pump): a pane that gathered
+    /// many batches' rows came back with a pane's capacity, and kept in
+    /// the pool it carried that memory through every later source batch.
+    /// The pool frees a batch with room for more rows than any producer
+    /// of its schema asked for.
+    #[test]
+    fn pool_frees_a_batch_grown_past_its_producers() {
+        let pool = BatchPool::new();
+        let schema = keyed_schema();
+        let mut grown = pool.acquire(&schema, 2);
+        for i in 0..9 {
+            grown.push_row(Timestamp(i), Sic(0.1), &[Value::I64(1), Value::F64(1.0)]);
+        }
+        pool.recycle(grown);
+        assert_eq!((pool.idle(), pool.stats().recycled), (0, 0));
+        // Once a producer asks for that many rows, such a batch is kept.
+        drop(pool.acquire(&schema, 16));
+        let mut b = TupleBatch::with_schema_capacity(schema.clone(), 16);
+        b.push_row(Timestamp(0), Sic(0.1), &[Value::I64(1), Value::F64(1.0)]);
+        pool.recycle(b);
         assert_eq!(pool.idle(), 1);
     }
 

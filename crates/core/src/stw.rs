@@ -188,7 +188,8 @@ impl SourceRateEstimator {
 pub struct SourceSicAssigner {
     cfg: StwConfig,
     n_sources: usize,
-    rates: HashMap<SourceId, SourceRateEstimator>,
+    /// One rate estimator per source seen so far, sorted by source id.
+    rates: Vec<(SourceId, SourceRateEstimator)>,
 }
 
 impl SourceSicAssigner {
@@ -198,7 +199,7 @@ impl SourceSicAssigner {
         SourceSicAssigner {
             cfg,
             n_sources: n_sources.max(1),
-            rates: HashMap::new(),
+            rates: Vec::new(),
         }
     }
 
@@ -216,11 +217,19 @@ impl SourceSicAssigner {
         let Some(source) = batch.source() else {
             return;
         };
-        let cfg = self.cfg;
-        let est = self
-            .rates
-            .entry(source)
-            .or_insert_with(|| SourceRateEstimator::new(cfg));
+        let at = match self.rates.binary_search_by_key(&source, |&(s, _)| s) {
+            Ok(at) => at,
+            Err(at) => {
+                // Room for every declared source at once, and not before
+                // the first one shows up.
+                let missing = self.n_sources.saturating_sub(self.rates.len());
+                self.rates.reserve_exact(missing);
+                let est = SourceRateEstimator::new(self.cfg);
+                self.rates.insert(at, (source, est));
+                at
+            }
+        };
+        let est = &mut self.rates[at].1;
         est.observe(now, batch.len() as u64);
         let per_stw = est.tuples_per_stw(now);
         let sic = Sic::source_tuple(per_stw, self.n_sources);

@@ -70,8 +70,8 @@ pub struct NodeState {
     next_tick: Instant,
     last_tick: Instant,
     pool: Option<BatchPool>,
-    /// The SIC table the last [`NodeState::checkpoint`] captured (empty
-    /// before the first one).
+    /// The SIC table of the last checkpoint written to disk (empty before
+    /// the first one; see [`NodeState::mark_checkpointed`]).
     checkpointed: HashMap<QueryId, Sic>,
     /// Largest distance of any updated query's SIC from its checkpointed
     /// value since the last checkpoint — the AF-Stream divergence measure
@@ -160,12 +160,27 @@ impl NodeState {
         self.sic_drift
     }
 
-    /// Captures the node's recoverable state — SIC table plus every
-    /// buffered window pane — and measures divergence from it afresh.
-    pub fn checkpoint(&mut self) -> NodeSnapshot {
-        let snapshot = self.core.checkpoint(self.node);
+    /// Captures the node's recoverable state: SIC table plus every
+    /// buffered window pane.
+    pub fn snapshot(&self) -> NodeSnapshot {
+        self.core.checkpoint(self.node)
+    }
+
+    /// Measures divergence afresh from `snapshot`, this node's
+    /// [`NodeState::snapshot`] that is now on disk. A snapshot whose write
+    /// failed must not be marked: divergence keeps counting from the last
+    /// one that was written, so the early trigger still fires.
+    pub fn mark_checkpointed(&mut self, snapshot: &NodeSnapshot) {
+        debug_assert_eq!(snapshot.node, self.node, "another node's snapshot");
         self.checkpointed = snapshot.sic.iter().copied().collect();
         self.sic_drift = 0.0;
+    }
+
+    /// [`NodeState::snapshot`], marked checkpointed at once: for a caller
+    /// whose write cannot fail, or that takes a failure as fatal.
+    pub fn checkpoint(&mut self) -> NodeSnapshot {
+        let snapshot = self.snapshot();
+        self.mark_checkpointed(&snapshot);
         snapshot
     }
 

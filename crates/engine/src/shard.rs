@@ -380,7 +380,8 @@ impl Shard {
     /// Checkpoints every hosted node on cadence, or early when a SIC
     /// update left some query further than the divergence bound from its
     /// checkpointed value (AF-Stream: bound the deviation instead of
-    /// logging everything). Only a written checkpoint counts.
+    /// logging everything). Only a written checkpoint counts, and only a
+    /// written one resets the nodes' divergence.
     fn checkpoint(&mut self, now: Instant) {
         let early = std::mem::take(&mut self.diverged);
         let Some(d) = self.durability.as_ref().filter(|_| !self.crashed) else {
@@ -392,9 +393,9 @@ impl Shard {
         }
         let snapshots: Vec<wal::NodeSnapshot> = self
             .slots
-            .values_mut()
-            .filter_map(|s| s.state.as_mut())
-            .map(NodeState::checkpoint)
+            .values()
+            .filter_map(|s| s.state.as_ref())
+            .map(NodeState::snapshot)
             .collect();
         if snapshots.is_empty() {
             return;
@@ -405,6 +406,11 @@ impl Shard {
         };
         match log.checkpoint(&snapshots) {
             Ok(()) => {
+                for snapshot in &snapshots {
+                    if let Some(state) = self.state_mut(snapshot.node) {
+                        state.mark_checkpointed(snapshot);
+                    }
+                }
                 self.out.checkpoints += 1;
                 self.out.early_checkpoints += u64::from(!due);
             }
@@ -905,6 +911,39 @@ mod tests {
             restore.deltas.is_empty(),
             "the checkpoint truncated the tail"
         );
+    }
+
+    /// Regression (AF-Stream early checkpoint): a checkpoint whose write
+    /// failed used to reset the nodes' divergence anyway, so once the disk
+    /// recovered the early trigger measured from a checkpoint that was
+    /// never written and stayed quiet. Here the first early checkpoint
+    /// fails (the durability root is a regular file); after the root is
+    /// removed, the next update still diverges from the last written
+    /// state (none) and cuts the checkpoint.
+    #[test]
+    fn a_failed_checkpoint_keeps_the_divergence() {
+        let root = std::env::temp_dir().join(format!("themis-shard-heal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::write(&root, b"a file, not a directory").unwrap();
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(1, Some(durability(&root, Duration::from_secs(3600))));
+        shard.handle(t0, attach(0, config(50, 100), q));
+        shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
+        shard.service(t0);
+        std::fs::remove_file(&root).unwrap();
+        shard.handle(t0 + MS, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.95))));
+        shard.service(t0 + MS);
+        let out = shard.finish();
+        let restore = wal::restore_shard(&root, 0).expect("readable log");
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!((out.checkpoints, out.early_checkpoints), (1, 1));
+        let restore = restore.expect("the shard logged state");
+        assert_eq!(
+            restore.snapshots.len(),
+            1,
+            "the recovered disk holds a snapshot"
+        );
+        assert_eq!(restore.snapshots[0].sic, vec![(q.id, Sic(0.95))]);
     }
 
     /// Only a written checkpoint counts: with the durability root a

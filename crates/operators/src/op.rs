@@ -9,9 +9,12 @@
 //! timestamps; all other outputs are stamped with the pane's window
 //! timestamp. The hot path never materialises owning [`Tuple`]s, and an
 //! identity operator hands a pane's single drop-free input batch on by
-//! move (re-stamped per Eq. 3 like any output) instead of copying it;
-//! behind a pass-through window it does so as the batch is fed, without
-//! building a pane at all.
+//! move (re-stamped per Eq. 3 like any output) instead of copying it.
+//! Behind a pass-through window such an operator is *direct*: feeding it
+//! returns its emission at once, with no pane built and nothing parked
+//! for a later drain, so the caller hands it straight to the operator's
+//! targets. Panes close one at a time ([`WindowedOperator::next_emission`]),
+//! so a caller routing emissions collects none of them.
 
 use themis_core::prelude::*;
 
@@ -137,8 +140,6 @@ pub struct WindowedOperator {
     /// its own pane, so it becomes an [`Emission`] at once, without
     /// building a [`Pane`].
     direct: bool,
-    /// Emissions of the direct path awaiting the next drain, in feed order.
-    emitted: Vec<Emission>,
     processed_tuples: u64,
 }
 
@@ -155,7 +156,6 @@ impl WindowedOperator {
             buffer: WindowBuffer::new(window, ports, grace),
             forwards,
             direct: forwards && window == WindowSpec::PassThrough,
-            emitted: Vec::new(),
             logic,
             processed_tuples: 0,
         }
@@ -167,26 +167,34 @@ impl WindowedOperator {
     }
 
     /// Attaches a [`BatchPool`]: spent input batches (after their rows
-    /// slice into panes) and processed pane batches (after the logic
+    /// are copied into panes) and processed pane batches (after the logic
     /// runs) recycle into it instead of round-tripping the allocator.
     pub fn set_pool(&mut self, pool: BatchPool) {
         self.buffer.set_pool(pool);
     }
 
-    /// Feeds a batch into `port` without draining. Callers delivering to
-    /// multi-port operators must feed *all* ports before calling
-    /// [`WindowedOperator::tick`], otherwise a due pane could close with
-    /// only part of its input (e.g. a join seeing one side only).
-    pub fn feed(&mut self, port: usize, batch: impl Into<TupleBatch>, now: Timestamp) {
+    /// Feeds a batch into `port`. A direct operator (forwarding logic
+    /// behind a pass-through window) returns the batch's emission at once
+    /// and keeps nothing; every other operator buffers the batch and
+    /// returns `None`. Callers delivering to multi-port operators must feed
+    /// *all* ports before calling [`WindowedOperator::tick`], otherwise a
+    /// due pane could close with only part of its input (e.g. a join
+    /// seeing one side only).
+    pub fn feed(
+        &mut self,
+        port: usize,
+        batch: impl Into<TupleBatch>,
+        now: Timestamp,
+    ) -> Option<Emission> {
         if !self.direct {
             self.buffer.push(port, batch, now);
-            return;
+            return None;
         }
         // The pane a pass-through window would build holds this one batch,
         // stamped with its latest timestamp.
         let batch = batch.into();
         if batch.is_empty() {
-            return;
+            return None;
         }
         let (at, input_sic) = (batch.max_ts(), batch.sic_total());
         self.processed_tuples += batch.len() as u64;
@@ -200,7 +208,7 @@ impl WindowedOperator {
             }
             out
         };
-        push_stamped(&mut self.emitted, at, input_sic, out);
+        stamped(at, input_sic, out)
     }
 
     /// Feeds a batch into `port` and drains immediately; returns emissions
@@ -212,24 +220,20 @@ impl WindowedOperator {
         batch: impl Into<TupleBatch>,
         now: Timestamp,
     ) -> Vec<Emission> {
-        self.feed(port, batch, now);
-        self.drain(now)
+        let fed = self.feed(port, batch, now);
+        fed.into_iter().chain(self.tick(now)).collect()
     }
 
     /// Advances logical time, closing due panes.
     pub fn tick(&mut self, now: Timestamp) -> Vec<Emission> {
-        self.drain(now)
+        std::iter::from_fn(|| self.next_emission(now)).collect()
     }
 
-    /// When [`WindowedOperator::tick`] next has a pane to close: at once
-    /// (`Timestamp::ZERO`) when an emission or pane is ready, otherwise
-    /// [`WindowBuffer::next_due`].
+    /// When [`WindowedOperator::tick`] next has a pane to close
+    /// ([`WindowBuffer::next_due`]; never for a direct operator, which
+    /// holds nothing).
     pub fn next_due(&self) -> Option<Timestamp> {
-        if self.emitted.is_empty() {
-            self.buffer.next_due()
-        } else {
-            Some(Timestamp::ZERO)
-        }
+        self.buffer.next_due()
     }
 
     /// True when [`WindowedOperator::tick`] at `now` has a pane to close
@@ -260,9 +264,11 @@ impl WindowedOperator {
         self.buffer.import_state(key, port, batch);
     }
 
-    fn drain(&mut self, now: Timestamp) -> Vec<Emission> {
-        let mut out = std::mem::take(&mut self.emitted);
-        for mut pane in self.buffer.close_up_to(now) {
+    /// Closes due panes until one yields an emission and returns it;
+    /// `None` once no due pane is left. A pane whose logic derives no
+    /// tuple emits nothing (its mass is lost — the paper's model).
+    pub fn next_emission(&mut self, now: Timestamp) -> Option<Emission> {
+        while let Some(mut pane) = self.buffer.close_next(now) {
             let input_sic = pane.input_sic();
             self.processed_tuples += pane.input_len() as u64;
             let batch = match self.forwarded_port(&pane) {
@@ -288,9 +294,11 @@ impl WindowedOperator {
                     batch
                 }
             };
-            push_stamped(&mut out, pane.at, input_sic, batch);
+            if let Some(e) = stamped(pane.at, input_sic, batch) {
+                return Some(e);
+            }
         }
-        out
+        None
     }
 
     /// The port of `pane`'s only non-empty input when the logic forwards
@@ -307,15 +315,15 @@ impl WindowedOperator {
     }
 }
 
-/// Appends `batch` to `out` as an emission stamped `at`. A pane yielding
-/// no derived tuples emits nothing (its mass is lost — the paper's model);
-/// otherwise Eq. 3 re-stamps every output with an equal share of the
-/// pane's input mass.
-fn push_stamped(out: &mut Vec<Emission>, at: Timestamp, input_sic: Sic, mut batch: TupleBatch) {
-    if !batch.is_empty() {
-        batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
-        out.push(Emission::new(at, batch));
+/// `batch` as an emission stamped `at`, every output re-stamped by Eq. 3
+/// with an equal share of the pane's input mass; `None` for a pane that
+/// yields no derived tuples.
+fn stamped(at: Timestamp, input_sic: Sic, mut batch: TupleBatch) -> Option<Emission> {
+    if batch.is_empty() {
+        return None;
     }
+    batch.set_uniform_sic(Sic::derived_tuple(input_sic, batch.len()));
+    Some(Emission::new(at, batch))
 }
 
 impl std::fmt::Debug for WindowedOperator {
@@ -443,14 +451,36 @@ mod tests {
         batch.push_row(Timestamp::from_millis(100), Sic(0.25), &[Value::F64(10.0)]);
         batch.push_row(Timestamp::from_millis(600), Sic(0.25), &[Value::F64(30.0)]);
         op.push(0, batch, Timestamp::from_millis(600));
-        // The spent input batch pooled at push time.
-        assert_eq!(pool.idle(), 1);
+        // One pane holds both rows: the pane adopted the batch, so nothing
+        // is spent at push time.
+        assert_eq!(pool.idle(), 0);
         let out = op.tick(Timestamp::from_secs(1));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tuples()[0].f64(0), 20.0);
-        // The processed pane (the source's schema) joined it at drain; the
-        // emission's derived `[avg]` schema is not pooled.
-        assert_eq!(pool.idle(), 2);
+        // The adopted batch recycles when its pane closes; the emission's
+        // derived `[avg]` schema is not pooled.
+        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.stats().recycled, 1);
+
+        // A batch spanning two panes is copied into both and recycles at
+        // push. Each closed pane is a copy of the source's schema grown
+        // to room for 4 rows, more than the 2 its producer asks for: it
+        // is freed, not pooled.
+        let mut batch = pool.acquire(&schema, 2);
+        batch.push_row(Timestamp::from_millis(1_100), Sic(0.25), &[Value::F64(1.0)]);
+        batch.push_row(Timestamp::from_millis(2_100), Sic(0.25), &[Value::F64(3.0)]);
+        assert!(op.feed(0, batch, Timestamp::from_millis(2_100)).is_none());
+        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.stats().recycled, 2);
+        assert_eq!(op.tick(Timestamp::from_secs(3)).len(), 2);
+        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.stats().recycled, 2);
+
+        // A batch of a schema no producer acquires is adopted and closes
+        // like any other, but never enters the pool.
+        op.push(0, vec![t(3_100, 0.1, 2.0)], Timestamp::from_millis(3_100));
+        assert_eq!(op.tick(Timestamp::from_secs(4)).len(), 1);
+        assert_eq!(pool.idle(), 1);
         assert_eq!(pool.stats().recycled, 2);
     }
 

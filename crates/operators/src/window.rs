@@ -5,11 +5,15 @@
 //! window therefore defines the *atomic input group* (`T_in` of Eq. 3); the
 //! operator distributes the group's SIC mass over its outputs.
 //!
-//! Panes are stored as columnar [`TupleBatch`]es, one per input port:
-//! pushing a batch into a window *slices* its columns into the target
-//! panes (contiguous copies of `Copy` values), instead of re-allocating a
-//! `Vec<Tuple>` — and its per-tuple payload vectors — per pane as the row
-//! path did.
+//! Panes are stored as columnar [`TupleBatch`]es, one per input port, and
+//! time panes sit in one deque ordered by pane index. A drop-free batch
+//! whose rows all fall into one tumbling pane, pushed into a port that has
+//! no rows in that pane yet, *becomes* that port's batch by move — the
+//! common case of a slow source, whose every batch opens its own pane.
+//! Every other push (sliding and count windows, a batch spanning panes or
+//! joining rows already buffered, a batch with shed rows) copies the live
+//! rows column to column into the target panes. The two paths hold the
+//! same rows, so closed panes and checkpoints are bit for bit the same.
 //!
 //! Two timing details matter for multi-fragment queries:
 //!
@@ -22,7 +26,7 @@
 //!   downstream windows of the same length assign derived results to the
 //!   same window index instead of cascading one window of latency per hop.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use themis_core::prelude::*;
 
@@ -136,15 +140,17 @@ pub struct WindowBuffer {
     spec: WindowSpec,
     ports: usize,
     grace: TimeDelta,
-    /// Time windows: pane index -> per-port columnar batches.
-    panes: BTreeMap<u64, Vec<TupleBatch>>,
+    /// Time windows: open panes in ascending index order, each with its
+    /// per-port columnar batches.
+    panes: VecDeque<(u64, Vec<TupleBatch>)>,
     /// Count windows: per-port pending columns (empty for other kinds).
     pending: Vec<TupleBatch>,
-    /// Pass-through: panes emitted directly on push.
-    ready: Vec<Pane>,
-    /// Recycles spent input batches after their rows are sliced into
+    /// Pass-through and count windows: panes ready to close, in order.
+    ready: VecDeque<Pane>,
+    /// Recycles spent input batches after their rows are copied into
     /// panes (time windows) or appended to pending columns (count
-    /// windows); `None` drops them as before.
+    /// windows); `None` drops them. An adopted batch is not spent: it
+    /// recycles with its pane.
     pool: Option<BatchPool>,
 }
 
@@ -156,12 +162,12 @@ impl WindowBuffer {
             spec,
             ports: ports.max(1),
             grace,
-            panes: BTreeMap::new(),
+            panes: VecDeque::new(),
             pending: match spec {
                 WindowSpec::Count { .. } => vec![TupleBatch::new(); ports.max(1)],
                 _ => Vec::new(),
             },
-            ready: Vec::new(),
+            ready: VecDeque::new(),
             pool: None,
         }
     }
@@ -196,8 +202,8 @@ impl WindowBuffer {
     pub fn buffered(&self) -> usize {
         let in_panes: usize = self
             .panes
-            .values()
-            .map(|ps| ps.iter().map(TupleBatch::len).sum::<usize>())
+            .iter()
+            .map(|(_, ps)| ps.iter().map(TupleBatch::len).sum::<usize>())
             .sum();
         let in_pending: usize = self.pending.iter().map(TupleBatch::len).sum();
         in_panes + in_pending
@@ -214,17 +220,31 @@ impl WindowBuffer {
                     inputs[port] = batch;
                     let mut pane = Pane { at: now, inputs };
                     pane.at = pane.max_ts();
-                    self.ready.push(pane);
+                    self.ready.push_back(pane);
                 }
             }
             WindowSpec::Tumbling { size } => {
                 let size_us = size.as_micros().max(1);
-                let ports = self.ports;
-                for r in batch.iter() {
-                    let idx = r.ts.as_micros() / size_us;
-                    // push_ref keeps typed batches typed: the pane adopts
-                    // the batch's schema and copies column-to-column.
-                    pane_port(&mut self.panes, ports, idx, port).push_ref(r);
+                if let Some(idx) = single_pane(&batch, size_us) {
+                    let slot = self.pane_port(idx, port);
+                    if slot.schema().is_none() && batch.drops().words().is_empty() {
+                        // A fresh port store would adopt this schema and
+                        // copy exactly these rows: take the batch instead.
+                        // (An all-live bitmap would reach checkpoints,
+                        // where a copied pane has none.)
+                        *slot = batch;
+                        return;
+                    }
+                    // The same rows push_ref would copy one by one.
+                    slot.append_batch(&batch);
+                } else {
+                    for r in batch.iter() {
+                        let idx = r.ts.as_micros() / size_us;
+                        // push_ref keeps typed batches typed: the pane
+                        // adopts the batch's schema and copies
+                        // column-to-column.
+                        self.pane_port(idx, port).push_ref(r);
+                    }
                 }
                 self.recycle_spent(batch);
             }
@@ -234,7 +254,6 @@ impl WindowBuffer {
                 // the overlap to conserve mass (§6).
                 let slide_us = slide.as_micros().max(1);
                 let overlap = self.spec.overlap();
-                let ports = self.ports;
                 for r in batch.iter() {
                     let last = r.ts.as_micros() / slide_us;
                     let first = last.saturating_sub(overlap - 1);
@@ -245,7 +264,7 @@ impl WindowBuffer {
                     let n_panes = last - first + 1;
                     let shared = Sic(r.sic.value() / n_panes as f64);
                     for idx in first..=last {
-                        pane_port(&mut self.panes, ports, idx, port).push_ref_sic(r, shared);
+                        self.pane_port(idx, port).push_ref_sic(r, shared);
                     }
                 }
                 self.recycle_spent(batch);
@@ -260,10 +279,26 @@ impl WindowBuffer {
                     inputs[port] = full;
                     let mut pane = Pane { at: now, inputs };
                     pane.at = pane.max_ts();
-                    self.ready.push(pane);
+                    self.ready.push_back(pane);
                 }
             }
         }
+    }
+
+    /// The per-port column store of time pane `idx`, inserted in index
+    /// order on demand.
+    fn pane_port(&mut self, idx: u64, port: usize) -> &mut TupleBatch {
+        // Rows land in the newest pane almost always.
+        let pos = match self.panes.back() {
+            Some(&(last, _)) if last < idx => Err(self.panes.len()),
+            _ => self.panes.binary_search_by_key(&idx, |&(i, _)| i),
+        };
+        let pos = pos.unwrap_or_else(|pos| {
+            let pane = (idx, vec![TupleBatch::new(); self.ports]);
+            self.panes.insert(pos, pane);
+            pos
+        });
+        &mut self.panes[pos].1[port]
     }
 
     /// Returns a spent input batch to the pool (no-op without one; the
@@ -281,10 +316,10 @@ impl WindowBuffer {
     /// bounded divergence the checkpoint accepts (AF-Stream style).
     pub fn export_state(&self) -> Vec<(PaneKey, usize, TupleBatch)> {
         let mut out = Vec::new();
-        for (&idx, ports) in &self.panes {
+        for (idx, ports) in &self.panes {
             for (port, batch) in ports.iter().enumerate() {
                 if !batch.is_empty() {
-                    out.push((PaneKey::Time(idx), port, batch.clone()));
+                    out.push((PaneKey::Time(*idx), port, batch.clone()));
                 }
             }
         }
@@ -301,7 +336,7 @@ impl WindowBuffer {
     pub fn import_state(&mut self, key: PaneKey, port: usize, batch: TupleBatch) {
         let port = port.min(self.ports - 1);
         match key {
-            PaneKey::Time(idx) => *pane_port(&mut self.panes, self.ports, idx, port) = batch,
+            PaneKey::Time(idx) => *self.pane_port(idx, port) = batch,
             // Only a count window exports pending columns.
             PaneKey::Pending => {
                 if let Some(pending) = self.pending.get_mut(port) {
@@ -311,7 +346,7 @@ impl WindowBuffer {
         }
     }
 
-    /// When [`WindowBuffer::close_up_to`] next has a pane to close: at
+    /// When [`WindowBuffer::close_next`] next has a pane to close: at
     /// once (`Timestamp::ZERO`) when a pass-through or count pane is
     /// ready, at the oldest time pane's end plus grace otherwise, and
     /// never (`None`) while the buffer holds no pane. Lets an idle tick
@@ -323,48 +358,57 @@ impl WindowBuffer {
         if !self.spec.is_timed() {
             return None;
         }
-        let (&idx, _) = self.panes.first_key_value()?;
+        let &(idx, _) = self.panes.front()?;
         Some(Timestamp(self.spec.pane_end(idx) + self.grace.as_micros()))
+    }
+
+    /// Closes the next due pane: a ready pass-through/count pane first,
+    /// else the oldest time pane whose end (plus grace) has passed `now`;
+    /// `None` once nothing is due. Closing pane by pane lets the caller
+    /// hand each one on without collecting them.
+    pub fn close_next(&mut self, now: Timestamp) -> Option<Pane> {
+        if let Some(pane) = self.ready.pop_front() {
+            return Some(pane);
+        }
+        if !self.spec.is_timed() {
+            return None;
+        }
+        let deadline = now.as_micros().saturating_sub(self.grace.as_micros());
+        while let Some(&(idx, _)) = self.panes.front() {
+            let end = self.spec.pane_end(idx);
+            if end > deadline {
+                break;
+            }
+            let (_, inputs) = self.panes.pop_front().expect("front pane exists");
+            if inputs.iter().all(TupleBatch::is_empty) {
+                continue;
+            }
+            // Stamp 1 us before the end so downstream windows assign the
+            // derived tuples to this same window index.
+            let at = Timestamp(end.saturating_sub(1));
+            return Some(Pane { at, inputs });
+        }
+        None
     }
 
     /// Closes every time pane whose end (plus grace) has passed `now` and
     /// returns them in order, together with any pass-through/count panes
     /// accumulated since the last call.
     pub fn close_up_to(&mut self, now: Timestamp) -> Vec<Pane> {
-        let mut out = std::mem::take(&mut self.ready);
-        if !self.spec.is_timed() {
-            return out;
-        }
-        let spec = self.spec;
-        let deadline = now.as_micros().saturating_sub(self.grace.as_micros());
-        while let Some(entry) = self.panes.first_entry() {
-            let idx = *entry.key();
-            if spec.pane_end(idx) > deadline {
-                break;
-            }
-            let inputs = entry.remove();
-            if inputs.iter().all(TupleBatch::is_empty) {
-                continue;
-            }
-            // Stamp 1 us before the end so downstream windows assign the
-            // derived tuples to this same window index.
-            let at = Timestamp(spec.pane_end(idx).saturating_sub(1));
-            out.push(Pane { at, inputs });
-        }
-        out
+        std::iter::from_fn(|| self.close_next(now)).collect()
     }
 }
 
-/// The per-port column store of time pane `idx`, created on demand.
-fn pane_port(
-    panes: &mut BTreeMap<u64, Vec<TupleBatch>>,
-    ports: usize,
-    idx: u64,
-    port: usize,
-) -> &mut TupleBatch {
-    &mut panes
-        .entry(idx)
-        .or_insert_with(|| vec![TupleBatch::new(); ports])[port]
+/// The tumbling pane (of `size_us` microseconds) holding every row of a
+/// non-empty `batch` with no shed row; `None` when the batch is empty,
+/// has shed rows or spans panes.
+fn single_pane(batch: &TupleBatch, size_us: u64) -> Option<u64> {
+    if batch.drops().dropped() != 0 {
+        return None;
+    }
+    let mut panes = batch.ts_column().iter().map(|t| t.as_micros() / size_us);
+    let idx = panes.next()?;
+    panes.all(|i| i == idx).then_some(idx)
 }
 
 #[cfg(test)]
@@ -522,14 +566,29 @@ mod tests {
         let mut w = buf(WindowSpec::tumbling(TimeDelta::from_secs(1)), 1);
         w.set_pool(pool.clone());
         w.push(0, batch, Timestamp::from_millis(100));
-        assert_eq!(pool.idle(), 1, "spent input batch pooled");
-        // The pane itself keeps the copied row.
+        // The batch fits one pane: the pane adopted it, nothing is spent.
+        assert_eq!(pool.idle(), 0, "adopted batch pooled at push");
+        // It leaves with its pane; the operator closing the pane recycles
+        // it.
         let panes = w.close_up_to(Timestamp::from_secs(1));
         assert_eq!(panes[0].input_len(), 1);
+        assert_eq!(pool.idle(), 0);
+        // A batch spanning two panes is copied into both and is spent.
+        let mut batch = pool.acquire(&schema, 2);
+        batch.push_row(Timestamp::from_millis(1_100), Sic(0.1), &[Value::F64(2.0)]);
+        batch.push_row(Timestamp::from_millis(2_100), Sic(0.1), &[Value::F64(3.0)]);
+        w.push(0, batch, Timestamp::from_millis(2_100));
+        assert_eq!(pool.idle(), 1, "spent spanning batch pooled");
+        assert_eq!(w.close_up_to(Timestamp::from_secs(3)).len(), 2);
         // Batches of a schema no producer acquires pass the recycle
         // point without pooling.
-        w.push(0, vec![t(1100, 0.1, 2.0)], Timestamp::from_millis(1100));
+        w.push(
+            0,
+            vec![t(3_100, 0.1, 2.0), t(4_100, 0.1, 2.0)],
+            Timestamp::from_millis(4_100),
+        );
         assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.stats().recycled, 1);
     }
 
     #[test]

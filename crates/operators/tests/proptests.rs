@@ -1,11 +1,13 @@
 //! Property-based tests: Eq.-3 SIC propagation invariants over arbitrary
 //! tuple streams and operator configurations, plus kernel and logic
 //! parity with plain scalar folds over the generated rows, across random
-//! schemas, drop patterns and all six shedding policies.
+//! schemas, drop patterns and all six shedding policies, and pane
+//! adoption's bit-for-bit parity with copying rows into panes.
 
 use proptest::prelude::*;
 
 use themis_core::prelude::*;
+use themis_core::wal::{decode_batch_bytes, encode_batch_bytes, SchemaCache};
 use themis_operators::kernels;
 use themis_operators::logic::{FilterLogic, GroupAggregateLogic};
 use themis_operators::prelude::*;
@@ -517,5 +519,158 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+/// A keyed row `(ms, sic, key, value)`.
+type PaneRow = (u64, f64, i64, f64);
+
+/// Strategy: 1–40 keyed rows with timestamps below `span_ms`.
+fn arb_pane_rows(span_ms: u64) -> impl Strategy<Value = Vec<PaneRow>> {
+    prop::collection::vec(
+        (0..span_ms, 1e-6f64..0.01, 0i64..8, -100.0f64..100.0),
+        1..40,
+    )
+}
+
+/// A typed `[key, value]` batch of `rows` (no drop bitmap: adoptable when
+/// its rows fall into one pane).
+fn pane_batch(rows: &[PaneRow]) -> TupleBatch {
+    let schema = Schema::new([("key", FieldType::I64), ("value", FieldType::F64)]);
+    let mut b = TupleBatch::with_schema_capacity(schema, rows.len());
+    for &(ms, sic, key, v) in rows {
+        b.push_row(
+            Timestamp::from_millis(ms),
+            Sic(sic),
+            &[Value::I64(key), Value::F64(v)],
+        );
+    }
+    b
+}
+
+/// `b` plus one shed row: the same live rows, but a batch with a drop
+/// bitmap always takes the copying path.
+fn copied(b: &TupleBatch) -> TupleBatch {
+    let mut out = b.clone();
+    let values = b.row(0).values.to_vec();
+    out.push_row(Timestamp::from_secs(7), Sic(0.5), &values);
+    out.drop_row(out.rows() - 1);
+    out
+}
+
+/// `b` through the batch codec, as a wire batch arrives: the same rows
+/// with an all-live drop bitmap, which a copied pane does not carry.
+fn decoded(b: &TupleBatch) -> TupleBatch {
+    let mut bytes = Vec::new();
+    encode_batch_bytes(&mut bytes, b);
+    decode_batch_bytes(&bytes, 0, QueryId(0), &mut SchemaCache::new()).expect("own encoding")
+}
+
+/// The live rows of `b` as a fresh drop-free batch.
+fn compacted(b: &TupleBatch) -> TupleBatch {
+    let mut out = TupleBatch::new();
+    for r in b.iter() {
+        out.push_ref(r);
+    }
+    out
+}
+
+/// A tumbling 1 s window running `logic` after `feeds` of `(port,
+/// batch)`, as bytes: its checkpoint export, then every emission once all
+/// panes have closed.
+fn window_bytes(logic: &LogicSpec, feeds: Vec<(usize, TupleBatch)>) -> (Vec<u8>, Vec<u8>) {
+    let window = WindowSpec::tumbling(TimeDelta::from_secs(1));
+    let mut op = OperatorSpec::with_grace(window, logic.clone(), TimeDelta::ZERO).build();
+    for (port, b) in feeds {
+        assert!(op.feed(port, b, Timestamp::ZERO).is_none());
+    }
+    let mut state = Vec::new();
+    for (key, port, batch) in op.export_window() {
+        state.extend(format!("{key:?}/{port}:").bytes());
+        encode_batch_bytes(&mut state, &batch);
+    }
+    let mut emitted = Vec::new();
+    for e in op.tick(Timestamp::from_secs(60)) {
+        emitted.extend(e.at.as_micros().to_le_bytes());
+        encode_batch_bytes(&mut emitted, e.batch());
+    }
+    (state, emitted)
+}
+
+/// Single-port logic: an aggregate, the forwarding identity (which hands
+/// the adopted batch itself on) and a row-preserving filter.
+fn pane_logic(i: usize) -> LogicSpec {
+    match i {
+        0 => LogicSpec::Avg { field: 1 },
+        1 => LogicSpec::Identity,
+        _ => LogicSpec::Filter(Predicate::new(1, CmpOp::Ge, 0.0)),
+    }
+}
+
+proptest! {
+    /// A drop-free batch whose rows all fall into one pane becomes that
+    /// pane's port batch by move; the pane holds, checkpoints and emits
+    /// exactly what copying its rows would.
+    #[test]
+    fn adopted_pane_equals_copied_pane(rows in arb_pane_rows(1_000), logic in 0usize..3) {
+        let (logic, b) = (pane_logic(logic), pane_batch(&rows));
+        let adopted = window_bytes(&logic, vec![(0, b.clone())]);
+        prop_assert_eq!(&adopted, &window_bytes(&logic, vec![(0, copied(&b))]));
+        // A decoded batch's all-live bitmap never reaches the pane.
+        prop_assert_eq!(&adopted, &window_bytes(&logic, vec![(0, decoded(&b))]));
+    }
+
+    /// A batch spanning two panes is copied into both, bit for bit like
+    /// one carrying a drop bitmap.
+    #[test]
+    fn spanning_batch_equals_copied_batch(rows in arb_pane_rows(2_000), logic in 0usize..3) {
+        let (logic, b) = (pane_logic(logic), pane_batch(&rows));
+        let direct = window_bytes(&logic, vec![(0, b.clone())]);
+        prop_assert_eq!(direct, window_bytes(&logic, vec![(0, copied(&b))]));
+    }
+
+    /// A late batch into an open pane is appended to the adopted batch
+    /// exactly as to a copied one.
+    #[test]
+    fn late_batch_joins_an_adopted_pane(
+        first in arb_pane_rows(1_000),
+        late in arb_pane_rows(1_000),
+        logic in 0usize..3,
+    ) {
+        let logic = pane_logic(logic);
+        let (first, late) = (pane_batch(&first), pane_batch(&late));
+        let adopted = window_bytes(&logic, vec![(0, first.clone()), (0, late.clone())]);
+        let copy = window_bytes(&logic, vec![(0, copied(&first)), (0, copied(&late))]);
+        prop_assert_eq!(adopted, copy);
+    }
+
+    /// A batch with shed rows is copied, live rows only: the same pane as
+    /// adopting its compacted live rows.
+    #[test]
+    fn shed_batch_equals_its_adopted_live_rows(
+        rows in arb_pane_rows(1_000),
+        shed in prop::collection::vec(0u8..2, 40),
+        logic in 0usize..3,
+    ) {
+        let logic = pane_logic(logic);
+        let mut b = pane_batch(&rows);
+        for (i, _) in shed.iter().enumerate().filter(|&(i, &s)| s == 1 && i < rows.len()) {
+            b.drop_row(i);
+        }
+        let live = compacted(&b);
+        prop_assert_eq!(window_bytes(&logic, vec![(0, b)]), window_bytes(&logic, vec![(0, live)]));
+    }
+
+    /// Both ports of a join adopt their batches, bit for bit like copying.
+    #[test]
+    fn two_port_join_adopts_both_sides(
+        left in arb_pane_rows(1_000),
+        right in arb_pane_rows(1_000),
+    ) {
+        let join = LogicSpec::Join { left_key: 0, right_key: 0 };
+        let (left, right) = (pane_batch(&left), pane_batch(&right));
+        let adopted = window_bytes(&join, vec![(0, left.clone()), (1, right.clone())]);
+        let copy = window_bytes(&join, vec![(0, copied(&left)), (1, copied(&right))]);
+        prop_assert_eq!(adopted, copy);
     }
 }

@@ -6,12 +6,13 @@
 //! are [`FragmentRuntime::ingest`]ed (a move of the batch's columns, not a
 //! per-tuple copy), and logical time advances via
 //! [`FragmentRuntime::tick`]. An emission moves to its sole downstream
-//! operator (only fan-out clones), and a tick with no due pane does no
-//! work at all. Emissions of the fragment's root operator are
-//! returned to the caller, which routes them to the downstream fragment (or
-//! to the user as query results).
-
-use std::collections::HashMap;
+//! operator (only fan-out clones) as soon as it exists: a pass-through
+//! identity operator (a receiver or an output) hands each fed batch on at
+//! once, and a windowed operator each pane as it closes, so no operator
+//! parks emissions and a pass collects none but the root's. A tick with
+//! no due pane does no work at all. Emissions of the fragment's root
+//! operator are returned to the caller, which routes them to the
+//! downstream fragment (or to the user as query results).
 
 use themis_core::prelude::*;
 use themis_operators::prelude::*;
@@ -19,7 +20,7 @@ use themis_operators::prelude::*;
 use crate::graph::FragmentSpec;
 
 /// Where an injected batch enters the fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Ingress {
     /// A batch from a data source.
     Source(SourceId),
@@ -33,7 +34,9 @@ pub struct FragmentRuntime {
     /// Per-operator downstream targets `(op, port)`.
     downstream: Vec<Vec<(usize, usize)>>,
     topo: Vec<usize>,
-    ingress: HashMap<Ingress, (usize, usize)>,
+    /// Entry `(op, port)` per ingress, sorted by ingress for binary search
+    /// (a fragment may bind up to 65 536 sources).
+    ingress: Vec<(Ingress, (usize, usize))>,
     root: usize,
 }
 
@@ -46,13 +49,21 @@ impl FragmentRuntime {
         for e in &spec.edges {
             downstream[e.from].push((e.to, e.port));
         }
-        let mut ingress = HashMap::new();
-        for s in &spec.sources {
-            ingress.insert(Ingress::Source(s.source), (s.op, s.port));
-        }
-        for u in &spec.upstreams {
-            ingress.insert(Ingress::Upstream(u.fragment), (u.op, u.port));
-        }
+        let mut ingress: Vec<(Ingress, (usize, usize))> = spec
+            .sources
+            .iter()
+            .map(|s| (Ingress::Source(s.source), (s.op, s.port)))
+            .chain(
+                spec.upstreams
+                    .iter()
+                    .map(|u| (Ingress::Upstream(u.fragment), (u.op, u.port))),
+            )
+            .collect();
+        // A repeated binding keeps its last entry: reversed, the stable
+        // sort puts it first among its equals, where dedup keeps it.
+        ingress.reverse();
+        ingress.sort_by_key(|&(i, _)| i);
+        ingress.dedup_by_key(|&mut (i, _)| i);
         let topo = spec.topo_order().expect("fragment spec must be acyclic");
         FragmentRuntime {
             ops,
@@ -85,11 +96,12 @@ impl FragmentRuntime {
         batch: impl Into<TupleBatch>,
         now: Timestamp,
     ) -> Vec<Emission> {
-        let Some(&(op, port)) = self.ingress.get(&ingress) else {
+        let Ok(at) = self.ingress.binary_search_by_key(&ingress, |&(i, _)| i) else {
             // Unroutable data (e.g. a stale batch after reconfiguration) is
             // dropped; its SIC mass is lost like any shed tuple.
             return Vec::new();
         };
+        let (op, port) = self.ingress[at].1;
         self.run(now, Some((op, port, batch.into())))
     }
 
@@ -151,38 +163,53 @@ impl FragmentRuntime {
     ) -> Vec<Emission> {
         // A batch is fed to its operator as soon as it exists: every
         // target lies later in topological order, so each operator holds
-        // all of its input (all ports!) before its turn to drain, and
-        // multi-port operators never close a pane with partial input.
-        // Feeding only buffers, so no pending list is needed.
-        if let Some((op, port, batch)) = initial {
-            self.ops[op].feed(port, batch, now);
-        }
+        // all of its input (all ports!) before its turn to close panes,
+        // and multi-port operators never close a pane with partial input.
         let mut results = Vec::new();
-        for &i in &self.topo {
-            let emissions = self.ops[i].tick(now);
-            if emissions.is_empty() {
-                continue;
-            }
-            if i == self.root {
-                // The root runs once per pass: its emissions are the
-                // result, moved rather than copied into a second vector.
-                results = emissions;
-                continue;
-            }
-            let Some((&(last, last_port), rest)) = self.downstream[i].split_last() else {
-                continue;
-            };
-            for e in emissions {
-                // Columnar clones for all but the last target (a handful
-                // of memcpys, not one allocation per tuple); the last —
-                // usually the only one — takes the batch by move.
-                for &(to, port) in rest {
-                    self.ops[to].feed(port, e.batch().clone(), now);
-                }
-                self.ops[last].feed(last_port, e.into_batch(), now);
+        if let Some((op, port, batch)) = initial {
+            self.deliver(op, port, batch, now, &mut results);
+        }
+        for t in 0..self.topo.len() {
+            let i = self.topo[t];
+            while let Some(e) = self.ops[i].next_emission(now) {
+                self.route(i, e, now, &mut results);
             }
         }
         results
+    }
+
+    /// Feeds `batch` into `port` of operator `op`, routing on at once what
+    /// a direct (pass-through identity) operator emits for it.
+    fn deliver(
+        &mut self,
+        op: usize,
+        port: usize,
+        batch: TupleBatch,
+        now: Timestamp,
+        results: &mut Vec<Emission>,
+    ) {
+        if let Some(e) = self.ops[op].feed(port, batch, now) {
+            self.route(op, e, now, results);
+        }
+    }
+
+    /// Hands an emission of operator `from` to the fragment's results (the
+    /// root's) or to its downstream targets: columnar clones for all but
+    /// the last target (a handful of memcpys, not one allocation per
+    /// tuple); the last — usually the only one — takes the batch by move.
+    fn route(&mut self, from: usize, e: Emission, now: Timestamp, results: &mut Vec<Emission>) {
+        if from == self.root {
+            results.push(e);
+            return;
+        }
+        let Some(&(last, last_port)) = self.downstream[from].last() else {
+            return;
+        };
+        for k in 0..self.downstream[from].len() - 1 {
+            let (to, port) = self.downstream[from][k];
+            self.deliver(to, port, e.batch().clone(), now, results);
+        }
+        self.deliver(last, last_port, e.into_batch(), now, results);
     }
 }
 
@@ -366,10 +393,11 @@ mod tests {
         rt.ingest(Ingress::Source(src.id), b, Timestamp::from_millis(100));
         let out = rt.tick(Timestamp::from_millis(1500));
         assert_eq!(out.len(), 1);
-        // The ingested batch and the closed pane's columns came back.
+        // The ingested batch fit one pane, which adopted it; it came back
+        // when the pane closed.
         let stats = pool.stats();
-        assert!(stats.recycled >= 2, "{stats:?}");
-        assert!(pool.idle() >= 1);
+        assert_eq!(stats.recycled, 1, "{stats:?}");
+        assert_eq!(pool.idle(), 1);
         // A later acquisition of the same schema reuses a pooled slot.
         let _ = pool.acquire(&src.schema(), 2);
         assert!(pool.stats().reused >= 1);
