@@ -2,12 +2,12 @@
 //!
 //! The seed engine burned one OS thread per FSPS node, capping experiments
 //! at a few dozen nodes; the sharded engine multiplexes every node onto a
-//! fixed pool, so the whole process runs on `shards + 3` threads (pool +
-//! source pump + coordinator + a sampler here). This experiment runs an
-//! N-node federation wall-clock, samples the process's peak thread count
-//! from `/proc/self/status`, and reports it next to the shed/tick
-//! counters — CI runs it at `--nodes=1024` as a smoke against the
-//! bounded-thread property regressing ([`claims`]).
+//! fixed pool, so the whole process runs on `shards + 2` threads (pool +
+//! the calling thread, which runs the engine's control loop, + a sampler
+//! here). This experiment runs an N-node federation wall-clock, samples
+//! the process's peak thread count from `/proc/self/status`, and reports
+//! it next to the shed/tick counters — CI runs it at `--nodes=1024` as a
+//! smoke against the bounded-thread property regressing ([`claims`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,8 +30,8 @@ pub struct ScaleRow {
     /// Peak OS threads observed in the process (`None` off Linux);
     /// includes the sampler thread itself.
     pub peak_threads: Option<usize>,
-    /// The bound the sharded engine must hold: pool + pump + coordinator
-    /// + sampler.
+    /// The bound the sharded engine must hold: pool + control loop (the
+    /// calling thread) + sampler.
     pub thread_budget: usize,
     /// Wall time of the run in seconds.
     pub wall_secs: f64,
@@ -48,7 +48,7 @@ pub struct ScaleRow {
 }
 
 /// The thread-budget gate: the peak thread count stays within
-/// `shards + 3`. Where `/proc` is unavailable nothing was sampled, so
+/// `shards + 2`. Where `/proc` is unavailable nothing was sampled, so
 /// there is no claim to fail.
 pub fn claims(row: &ScaleRow) -> Vec<Claim> {
     row.peak_threads
@@ -114,9 +114,8 @@ pub fn scale(n_nodes: usize, shards: Option<usize>, secs: u64, seed: u64) -> Sca
         nodes: n_nodes,
         shards: report.shards,
         peak_threads,
-        // Shard pool + source pump + coordinator (calling thread) + the
-        // sampler itself.
-        thread_budget: report.shards + 3,
+        // Shard pool + control loop (calling thread) + the sampler itself.
+        thread_budget: report.shards + 2,
         wall_secs,
         arrived: report.nodes.iter().map(|n| n.arrived_tuples).sum(),
         shed: report.shed_fraction(),

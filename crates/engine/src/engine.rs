@@ -1,6 +1,6 @@
 //! The multi-threaded THEMIS prototype: a bounded pool of shard threads
-//! hosting all FSPS nodes, a source pump, and a coordinator loop
-//! disseminating result SIC values.
+//! hosting all FSPS nodes, and one control loop that paces the sources
+//! and disseminates result SIC values.
 //!
 //! Where the simulator models time, the engine *is* real: ticks fire on the
 //! wall clock, the cost model measures actual processing time, and the
@@ -16,17 +16,17 @@
 //! shedding deadlines never fire again. [`run_engine`] is the one-shot
 //! wrapper: start, run for `warmup + duration`, finish.
 //!
-//! [`Engine::start`] spawns `shards + 1` OS threads regardless of node
-//! count (the shard pool plus the source pump; the coordinator runs on the
-//! calling thread via [`Engine::run_for`]), so 1000+-node scenarios fit
-//! one process. The `scale` experiment budgets `shards + 3` for the whole
-//! process: pool + pump + coordinator/main + its own thread-count sampler.
-//! The pump thread and the coordinator loop are wall-clock drivers over
-//! the clock-free [`SourcePump`] and [`Coordinator`] the simulator also
-//! steps, so sources are paced and `updateSIC` rounds and SIC samples run
-//! identically on both clocks. The pump sweeps at most once per 1 ms
-//! beat and sends each shard one [`EngineMsg::Bundle`] per sweep; a
-//! coordinator round likewise sends each shard one bundle of SIC updates.
+//! [`Engine::start`] spawns `shards` OS threads regardless of node count;
+//! the control loop runs on the calling thread inside [`Engine::run_for`],
+//! so 1000+-node scenarios fit one process. The `scale` experiment budgets
+//! `shards + 2` for the whole process: pool + main + its own thread-count
+//! sampler. `run_for` is the wall-clock driver of the clock-free
+//! [`SourcePump`] and [`Coordinator`] the simulator also steps, so sources
+//! are paced and `updateSIC` rounds and SIC samples run identically on
+//! both clocks, and neither advances outside `run_for`. Each pass sweeps
+//! the pump (at most once per 1 ms beat), runs a due coordinator round,
+//! and sends each shard at most one [`EngineMsg::Bundle`] carrying both;
+//! it then waits for results until the next sweep, round or deadline.
 //! [`EngineReport::pump_sweeps`] and [`EngineReport::mailbox_messages`]
 //! count the resulting wake-ups.
 
@@ -37,13 +37,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use themis_net::listener::{IngestEvent, IngestServer};
 
 use themis_core::prelude::*;
 use themis_query::prelude::{NodeReport, QuerySpec, RoutedBatch, Template, ValidatedQuery};
 use themis_workloads::prelude::*;
-use themis_workloads::pump::{query_bindings, SourceBinding, SourcePump};
+use themis_workloads::pump::{query_bindings, SourcePump};
 
 use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeConfig;
@@ -250,13 +250,13 @@ pub struct EngineReport {
     /// Of [`EngineReport::checkpoints`], those cut early by
     /// [`EngineConfig::sic_divergence_bound`] rather than on cadence.
     pub early_checkpoints: u64,
-    /// Sweeps of the in-process source pump: its wake-ups that stepped
-    /// the sources (at most one per pump beat of 1 ms).
+    /// Sweeps of the in-process source pump: the control loop's passes
+    /// that stepped the sources (at most one per pump beat of 1 ms).
     pub pump_sweeps: u64,
     /// Messages the shard threads took off their channels, summed over
-    /// shards. A pump beat's or coordinator round's bundle counts once;
-    /// every other batch (routed between fragments, or received over the
-    /// ingest listener) and control message counts once each.
+    /// shards. A control-loop pass's bundle counts once; every other
+    /// batch (routed between fragments, or received over the ingest
+    /// listener) and control message counts once each.
     pub mailbox_messages: u64,
 }
 
@@ -272,88 +272,14 @@ impl EngineReport {
     }
 }
 
-/// Control messages for the source pump thread.
-enum PumpMsg {
-    /// Start driving these sources (a query attached).
-    Add(Vec<SourceBinding>),
-    /// Stop every driver of this query (it detached).
-    Remove(QueryId),
-    /// Shut the pump down.
-    Stop,
-}
-
-/// The source pump's sweep beat: the pump steps its [`SourcePump`] at
-/// most once per beat and sends each shard one [`EngineMsg::Bundle`] of
-/// everything that came due meanwhile, so shards wake once per beat
-/// instead of once per batch. A batch waits at most one beat, ≤ 0.5 % of
-/// the paper's 250 ms shedding interval.
+/// The source pump's sweep beat: [`Engine::run_for`] steps the
+/// [`SourcePump`] at most once per beat and sends each shard one
+/// [`EngineMsg::Bundle`] of everything that came due meanwhile, so shards
+/// wake once per beat instead of once per batch. A batch waits at most
+/// one beat, ≤ 0.5 % of the paper's 250 ms shedding interval.
 const PUMP_BEAT: Duration = Duration::from_millis(1);
 
-/// The source pump thread: steps a [`SourcePump`] drawing batches from
-/// the engine-wide `pool` on the engine clock, one sweep per
-/// [`PUMP_BEAT`] at most (later when nothing is due sooner), and sends
-/// each shard one bundle per sweep. Between sweeps it waits on the
-/// control channel, so `Stop` and `Remove` are never starved by a
-/// catch-up storm. Returns the number of sweeps.
-fn run_pump(
-    rx: Receiver<PumpMsg>,
-    shard_txs: Vec<Sender<ShardMsg>>,
-    epoch: Instant,
-    pool: BatchPool,
-) -> u64 {
-    const IDLE: Duration = Duration::from_millis(50);
-    let now = || Timestamp(epoch.elapsed().as_micros() as u64);
-    let mut pump = SourcePump::with_pool(pool);
-    let mut sweeps = 0;
-    let mut last_sweep = Instant::now();
-    let mut next_sweep = last_sweep;
-    loop {
-        if Instant::now() >= next_sweep {
-            sweeps += 1;
-            last_sweep = Instant::now();
-            let mut bundles: Vec<Bundle> = shard_txs.iter().map(|_| Bundle::default()).collect();
-            let next = pump.step(now(), |node, batch| {
-                bundles[shard_of(node, shard_txs.len())]
-                    .batches
-                    .push((node, batch));
-            });
-            send_bundles(&shard_txs, bundles);
-            let due = next.map_or(last_sweep + IDLE, |at| {
-                epoch + Duration::from_micros(at.as_micros())
-            });
-            next_sweep = due.max(last_sweep + PUMP_BEAT);
-        }
-        match rx.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
-            // Sources of queries attached mid-run start emitting now
-            // (plus their de-phasing offset), not at t=0: swept on the
-            // next beat, not after an idle wait.
-            Ok(PumpMsg::Add(bindings)) => {
-                pump.add(now(), bindings);
-                next_sweep = next_sweep.min(last_sweep + PUMP_BEAT);
-            }
-            Ok(PumpMsg::Remove(query)) => pump.remove(query),
-            Ok(PumpMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-    sweeps
-}
-
-/// Sends shard `i` the non-empty `bundles[i]`. A closed shard channel
-/// means shutdown is racing; dropping the bundle is equivalent to
-/// shedding it.
-fn send_bundles(shard_txs: &[Sender<ShardMsg>], bundles: Vec<Bundle>) {
-    for (tx, bundle) in shard_txs.iter().zip(bundles) {
-        if !bundle.is_empty() {
-            let _ = tx.send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Bundle(bundle),
-            });
-        }
-    }
-}
-
-/// A live THEMIS engine: shard pool + source pump running, coordinator
+/// A live THEMIS engine: shard pool running, source pump and coordinator
 /// driven by [`Engine::run_for`] on the calling thread, queries arriving
 /// and departing at runtime.
 ///
@@ -391,9 +317,18 @@ pub struct Engine {
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
     results_rx: Receiver<ResultEvent>,
+    /// Kept so `run_for`'s wait on `results_rx` still blocks once every
+    /// shard thread has died.
+    _results_tx: Sender<ResultEvent>,
     shard_handles: Vec<JoinHandle<ShardOutcome>>,
-    pump_tx: Sender<PumpMsg>,
-    pump_handle: JoinHandle<u64>,
+    /// The sources, stepped by `run_for` on the calling thread.
+    pump: SourcePump,
+    /// When the pump last swept (the epoch before its first sweep).
+    last_sweep: Instant,
+    /// When the pump sweeps next; `None` while no source is live.
+    next_sweep: Option<Instant>,
+    /// Sweeps so far ([`EngineReport::pump_sweeps`]).
+    pump_sweeps: u64,
     /// The coordinator, stepped by `run_for` on the calling thread.
     coordinator: Coordinator,
     sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
@@ -418,11 +353,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawns the shard pool and source pump and installs the scenario's
-    /// queries (every deployment takes the same attach path runtime churn
-    /// uses). Scenario `lifetimes` are ignored here — drive arrivals and
-    /// departures explicitly with [`Engine::attach_query`] /
-    /// [`Engine::detach_query`] between [`Engine::run_for`] slices.
+    /// Spawns the shard pool and installs the scenario's queries (every
+    /// deployment takes the same attach path runtime churn uses). Their
+    /// sources emit only inside [`Engine::run_for`]. Scenario `lifetimes`
+    /// are ignored here — drive arrivals and departures explicitly with
+    /// [`Engine::attach_query`] / [`Engine::detach_query`] between
+    /// [`Engine::run_for`] slices.
     pub fn start(scenario: &Scenario, config: EngineConfig) -> Engine {
         let epoch = Instant::now();
         let epoch_sys = std::time::SystemTime::now();
@@ -468,16 +404,7 @@ impl Engine {
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
-        drop(results_tx);
-
         let pool = BatchPool::new();
-        let (pump_tx, pump_rx) = unbounded::<PumpMsg>();
-        let pump_txs = shard_txs.clone();
-        let pump_pool = pool.clone();
-        let pump_handle = thread::Builder::new()
-            .name("source-pump".into())
-            .spawn(move || run_pump(pump_rx, pump_txs, epoch, pump_pool))
-            .expect("spawn pump thread");
 
         // Ingest listener: remote source processes feed the exact same
         // shard channels the in-process pump does — a wire batch and a
@@ -561,9 +488,12 @@ impl Engine {
             shard_txs,
             node_txs,
             results_rx,
+            _results_tx: results_tx,
             shard_handles,
-            pump_tx,
-            pump_handle,
+            pump: SourcePump::with_pool(pool.clone()),
+            last_sweep: epoch,
+            next_sweep: None,
+            pump_sweeps: 0,
             coordinator: Coordinator::new(scenario.stw, scenario.shedding_interval),
             sic_series: HashMap::new(),
             attached: HashMap::new(),
@@ -695,12 +625,16 @@ impl Engine {
             self.node_load[node] += 1;
         }
         // Sources: the pump drives each fragment's bindings on their
-        // emission schedule. With remote sources the drivers live in
-        // other processes; the fragments above still attach, only the
-        // local pump stays idle.
+        // emission schedule, starting now (plus their de-phasing offset);
+        // the pump sweeps again one beat after its last sweep at the
+        // latest. With remote sources the drivers live in other
+        // processes; the fragments above still attach, only the local
+        // pump stays idle.
         if !self.config.remote_sources {
             let bindings = query_bindings(&query, &nodes, profile_of, self.seed);
-            let _ = self.pump_tx.send(PumpMsg::Add(bindings));
+            self.pump.add(self.now(), bindings);
+            let beat = self.last_sweep + PUMP_BEAT;
+            self.next_sweep = Some(self.next_sweep.map_or(beat, |at| at.min(beat)));
         }
         let hosts = nodes.iter().map(|&n| NodeId(n as u32)).collect();
         self.coordinator.attach(query.id, hosts, settle_at, None);
@@ -709,9 +643,9 @@ impl Engine {
 
     /// Attaches a fresh query built from `template` at runtime: fragments
     /// go to the least-loaded distinct nodes, all of its sources emit
-    /// with `profile`. Returns the new query's id. Its SIC samples start
-    /// one STW after arrival (the settle period), like the simulator's
-    /// churn accounting.
+    /// with `profile` from the next [`Engine::run_for`] on. Returns the
+    /// new query's id. Its SIC samples start one STW after arrival (the
+    /// settle period), like the simulator's churn accounting.
     ///
     /// # Panics
     ///
@@ -770,17 +704,17 @@ impl Engine {
             .collect()
     }
 
-    /// Detaches `query` at runtime: its sources stop emitting, every
-    /// hosting node purges its fragments and buffered batches, nodes left
-    /// empty are torn down (their shedding deadlines are abandoned), and
-    /// its coordinator stops disseminating. Samples collected so far are
-    /// kept for the final report. Returns `false` when the query is not
-    /// attached.
+    /// Detaches `query` at runtime: its sources stop emitting (no batch
+    /// of it is emitted after this returns), every hosting node purges
+    /// its fragments and buffered batches, nodes left empty are torn down
+    /// (their shedding deadlines are abandoned), and its coordinator
+    /// stops disseminating. Samples collected so far are kept for the
+    /// final report. Returns `false` when the query is not attached.
     pub fn detach_query(&mut self, query: QueryId) -> bool {
         let Some((_, nodes)) = self.attached.remove(&query) else {
             return false;
         };
-        let _ = self.pump_tx.send(PumpMsg::Remove(query));
+        self.pump.remove(query);
         for node in nodes {
             let _ = self.node_txs[node].send(ShardMsg {
                 node,
@@ -856,35 +790,41 @@ impl Engine {
         self.sampling = false;
     }
 
-    /// Drives the coordinator loop on the calling thread for `wall` time:
-    /// records result emissions in the [`Coordinator`], runs its
-    /// `updateSIC` round whenever one is due (one bundle per shard), and
-    /// then samples per-query SIC values — after warm-up, unless
-    /// [`Engine::pause_sampling`] was called; each query's own sampling
-    /// window starts once it has settled.
+    /// Runs the engine's control loop on the calling thread for `wall`
+    /// time; sources and the coordinator advance only in here. Each pass
+    /// sweeps the source pump when its beat is due (at most once per
+    /// 1 ms beat), runs the coordinator's `updateSIC` round when one
+    /// is due and then samples per-query SIC values — after warm-up,
+    /// unless [`Engine::pause_sampling`] was called; each query's own
+    /// sampling window starts once it has settled. The pass sends each
+    /// shard at most one bundle carrying its batches and SIC updates, then
+    /// records result emissions as they arrive until the next sweep, the
+    /// next round or the deadline.
     pub fn run_for(&mut self, wall: Duration) {
         let deadline = Instant::now() + wall;
-        loop {
-            let now_wall = Instant::now();
-            if now_wall >= deadline {
-                break;
-            }
-            // Drain pending results.
-            while let Ok(ev) = self.results_rx.try_recv() {
-                self.coordinator.record(self.now(), ev.query, ev.sic);
+        while Instant::now() < deadline {
+            let mut bundles: Vec<Bundle> =
+                self.shard_txs.iter().map(|_| Bundle::default()).collect();
+            let swept = Instant::now();
+            if self.next_sweep.is_some_and(|at| swept >= at) {
+                self.pump_sweeps += 1;
+                self.last_sweep = swept;
+                let next = self.pump.step(self.now(), |node, batch| {
+                    bundles[shard_of(node, self.n_shards)]
+                        .batches
+                        .push((node, batch));
+                });
+                // A sweep cut short at `MAX_SWEEP` returns `now`: it
+                // resumes one beat later.
+                self.next_sweep = next.map(|at| self.instant(at).max(swept + PUMP_BEAT));
             }
             let now = self.now();
             if now >= self.coordinator.next_round() {
-                // One bundle of updates per shard per round, not one
-                // message per (query, host) pair.
-                let mut bundles: Vec<Bundle> =
-                    self.shard_txs.iter().map(|_| Bundle::default()).collect();
                 self.coordinator.round(now, |update| {
                     bundles[shard_of(update.node.index(), self.n_shards)]
                         .sic
                         .push(update);
                 });
-                send_bundles(&self.shard_txs, bundles);
                 if self.sampling && now >= self.warmup_end {
                     self.coordinator.sample(now);
                     if self.config.record_series {
@@ -895,11 +835,38 @@ impl Engine {
                     }
                 }
             }
-            thread::sleep(Duration::from_millis(5));
+            // A closed shard channel means shutdown is racing; dropping
+            // the bundle is equivalent to shedding it.
+            for (tx, bundle) in self.shard_txs.iter().zip(bundles) {
+                if !bundle.is_empty() {
+                    let _ = tx.send(ShardMsg {
+                        node: 0,
+                        msg: EngineMsg::Bundle(bundle),
+                    });
+                }
+            }
+            let wake = self
+                .next_sweep
+                .map_or(deadline, |at| at.min(deadline))
+                .min(self.instant(self.coordinator.next_round()));
+            if let Ok(ev) = self
+                .results_rx
+                .recv_timeout(wake.saturating_duration_since(Instant::now()))
+            {
+                self.coordinator.record(self.now(), ev.query, ev.sic);
+                while let Ok(ev) = self.results_rx.try_recv() {
+                    self.coordinator.record(self.now(), ev.query, ev.sic);
+                }
+            }
         }
     }
 
-    /// Shuts the pump and shard pool down and assembles the report.
+    /// The wall-clock instant of logical time `at`.
+    fn instant(&self, at: Timestamp) -> Instant {
+        self.epoch + Duration::from_micros(at.as_micros())
+    }
+
+    /// Shuts the shard pool down and assembles the report.
     pub fn finish(self) -> EngineReport {
         // Ingest first: stop reading sockets before the shards shut
         // down, and fold the listener's accounting into the report.
@@ -918,7 +885,6 @@ impl Engine {
                 }
                 None => (0, 0, 0, Vec::new()),
             };
-        let _ = self.pump_tx.send(PumpMsg::Stop);
         // Shutdown: one message per shard stops all of its nodes.
         for tx in &self.shard_txs {
             let _ = tx.send(ShardMsg {
@@ -926,7 +892,6 @@ impl Engine {
                 msg: EngineMsg::Shutdown,
             });
         }
-        let pump_sweeps = self.pump_handle.join().unwrap_or(0);
         let policy_name = self.config.policy.name().to_string();
         let mut nodes: Vec<NodeReport> = vec![NodeReport::default(); self.n_nodes];
         let mut errors: Vec<EngineError> = Vec::new();
@@ -987,7 +952,7 @@ impl Engine {
             remote_shed_batches,
             checkpoints,
             early_checkpoints,
-            pump_sweeps,
+            pump_sweeps: self.pump_sweeps,
             mailbox_messages,
         }
     }
@@ -1033,9 +998,8 @@ mod tests {
             ..Default::default()
         };
         let mut engine = Engine::start(&scn, cfg);
-        engine.run_for(Duration::from_micros(
-            (scn.warmup + scn.duration).as_micros(),
-        ));
+        let wall = Duration::from_micros((scn.warmup + scn.duration).as_micros());
+        engine.run_for(wall);
         // The engine-wide recycle loop closes: sources acquire from the
         // pool the same batches nodes return after processing them.
         let stats = engine.batch_pool().stats();
@@ -1052,13 +1016,28 @@ mod tests {
         // Results flowed for every query.
         assert_eq!(report.result_counts.len(), 4);
         assert!(report.coordinator_messages > 0);
-        // The work counters are wired: the pump swept, the shards received.
+        // The work counters are wired: the pump swept, at most once per
+        // beat, and the shards received.
         assert!(report.pump_sweeps > 0);
+        assert!(
+            u128::from(report.pump_sweeps) <= 1 + wall.as_millis(),
+            "{} sweeps in {wall:?}",
+            report.pump_sweeps
+        );
         assert!(report.mailbox_messages > 0);
         // SIC should be positive (timing jitter keeps it below perfect).
         for &(q, s) in &report.per_query_sic {
             assert!(s > 0.3, "query {q} sic {s}");
         }
+    }
+
+    /// Sources advance only inside `run_for`: an engine started and
+    /// finished without one never sweeps its pump, so no tuple arrives.
+    #[test]
+    fn nothing_runs_on_the_control_side_outside_run_for() {
+        let report = Engine::start(&scenario(4, 100, 5), EngineConfig::default()).finish();
+        assert_eq!(report.pump_sweeps, 0);
+        assert!(report.nodes.iter().all(|n| n.arrived_tuples == 0));
     }
 
     /// A peer that keeps sending batches addressed to a node the engine

@@ -3,18 +3,19 @@
 //! The multi-threaded THEMIS prototype (Figure 5 of the paper), sharded:
 //! a bounded pool of shard threads ([`shard`]) hosts every FSPS node's
 //! state ([`node_state`]) — input buffer, wall-clock overload detector,
-//! online cost model, tuple shedder, fragment runtimes — alongside a
-//! source pump and a coordinator loop disseminating result SIC values.
+//! online cost model, tuple shedder, fragment runtimes — alongside one
+//! control loop that paces the sources and disseminates result SIC
+//! values.
 //!
 //! Each shard is a clock-free state machine ([`shard::Shard`]: nodes,
 //! their shedding deadlines, the rest of a bundle, durability bookkeeping)
 //! that reads time only from the `now` its driver passes in;
 //! [`shard::run_shard`] drives one per OS thread on the wall clock, so
-//! 1000+-node scenarios run in a single process with `shards + 2` threads
-//! (pool + source pump + the coordinator on the calling thread). Ticks
-//! fire whenever their deadline has passed — a message flood cannot
-//! starve the overload detector — and an overrunning tick skips its
-//! missed periods instead of storming.
+//! 1000+-node scenarios run in a single process with `shards + 1` threads
+//! (pool + the control loop on the calling thread). Ticks fire whenever
+//! their deadline has passed — a message flood cannot starve the
+//! overload detector — and an overrunning tick skips its missed periods
+//! instead of storming.
 //!
 //! Queries **churn at runtime**: [`engine::Engine::attach_query`] installs
 //! a fresh query's fragments on the least-loaded running nodes (shards

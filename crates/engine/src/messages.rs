@@ -31,8 +31,8 @@ pub enum EngineMsg {
     Batch(RoutedBatch),
     /// A coordinator SIC update.
     Sic(SicUpdate),
-    /// Work for many nodes of one shard in one message: a source-pump
-    /// beat's batches or a coordinator round's SIC updates. The envelope's
+    /// Work for many nodes of one shard in one message: a control-loop
+    /// pass's source batches and coordinator SIC updates. The envelope's
     /// `node` is ignored; every entry names its own.
     Bundle(Bundle),
     /// Install a query fragment on the addressed node (runtime query
@@ -71,8 +71,9 @@ pub enum EngineMsg {
 }
 
 /// The payload of [`EngineMsg::Bundle`]: what would otherwise be one
-/// message per batch or update, so a shard wakes once per source-pump
-/// beat and once per coordinator round instead of once per item.
+/// message per batch or update, so a shard wakes at most once per
+/// control-loop pass (a pump beat, a coordinator round or both) instead
+/// of once per item.
 #[derive(Default)]
 pub struct Bundle {
     /// Data batches, each with its destination global node.
@@ -100,13 +101,11 @@ pub struct ShardMsg {
     pub msg: EngineMsg,
 }
 
-/// A query-result emission observed by the coordinator thread.
+/// A query-result emission observed by the engine's control loop.
 #[derive(Debug, Clone)]
 pub struct ResultEvent {
     /// The emitting query.
     pub query: QueryId,
-    /// Emission timestamp (logical).
-    pub at: Timestamp,
     /// SIC mass of the emission.
     pub sic: Sic,
 }

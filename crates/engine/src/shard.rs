@@ -102,7 +102,6 @@ impl ShardRouting {
                 None => {
                     let _ = self.results_tx.send(ResultEvent {
                         query,
-                        at: e.at,
                         sic: e.sic(),
                     });
                 }
@@ -157,7 +156,7 @@ pub struct ShardOutcome {
 /// (or every sender is gone) and returns its [`ShardOutcome`].
 ///
 /// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
-/// (the engine pre-loads the initial scenario's attaches before spawning
+/// (the engine sends the initial scenario's attaches right after spawning
 /// the thread, so "static" deployments take this same path).
 pub fn run_shard(
     routing: ShardRouting,

@@ -9,7 +9,7 @@
 //! (`updateSIC`).
 //!
 //! The event loop only schedules. Sources are paced by the one
-//! [`SourcePump`] the engine's pump thread and the remote generator also
+//! [`SourcePump`] the engine's control loop and the remote generator also
 //! step, and every `updateSIC` round and SIC sample runs in the one
 //! [`Coordinator`] the engine also drives; the simulator supplies their
 //! clock and delivers what they emit after the link latency.

@@ -7,7 +7,7 @@
 //! and a tick-gaming adversarial source ([`sources`], [`testbed`]) — the
 //! scenario builder that assembles queries, placement and capacities
 //! into a simulator-ready [`scenario::Scenario`], and the one source
-//! pacer ([`pump`]) that the engine's pump thread and the remote
+//! pacer ([`pump`]) that the engine's control loop and the remote
 //! generator ([`remote`]) both drive.
 //!
 //! ```

@@ -3,7 +3,7 @@
 //!
 //! [`SourcePump::step`] takes the time as an argument and hands each due
 //! batch to a sink; the pump never reads a clock, blocks or touches a
-//! channel. The engine's pump thread (sink: the shard channels) and the
+//! channel. The engine's control loop (sink: the shard bundles) and the
 //! remote generator ([`crate::remote::run_remote_sources`], sink: a
 //! socket) step it on the wall clock; the simulator (sink: its event
 //! queue) and tests step it on a virtual one.
