@@ -10,11 +10,13 @@
 //! result SIC window, its [`QueryCoordinator`] and its sampling ledger —
 //! side by side in one entry, so a round and a sample are one sequential
 //! pass with no hashing and no allocation — plus the round schedule
-//! (250 ms in §7.6, the shedding interval). Each update costs 30 bytes on
-//! the wire (§7.6).
+//! (250 ms in §7.6, the shedding interval) and the sample schedule, so a
+//! driver only says when it is. Each update costs 30 bytes on the wire
+//! (§7.6).
 
 use std::collections::HashMap;
 
+use crate::fairness::FairnessSummary;
 use crate::ids::{NodeId, QueryId};
 use crate::sic::Sic;
 use crate::stw::{SlidingAccumulator, StwConfig};
@@ -115,11 +117,7 @@ struct Entry {
     results: Option<SlidingAccumulator>,
     /// Result emissions recorded.
     result_count: usize,
-    /// The last [`Entry::sic`] and the instant it was read at, so the
-    /// sample that follows a round at the same instant sums the window
-    /// once; a record clears it.
-    read: Option<(Timestamp, Sic)>,
-    /// `None` once detached: no more rounds.
+    /// `None` once detached: no more rounds and no more series points.
     coordinator: Option<QueryCoordinator>,
     /// The sampling ledger: the result SIC is sampled while
     /// `from <= now < until`, and only the running sum and count are kept.
@@ -127,33 +125,28 @@ struct Entry {
     until: Option<Timestamp>,
     sum: f64,
     samples: usize,
+    /// `(sample instant, SIC)` while live, when the series is recorded.
+    series: Vec<(Timestamp, f64)>,
 }
 
-impl Entry {
-    /// The current result SIC, clamped into `[0, 1]`.
-    fn sic(&mut self, now: Timestamp) -> Sic {
-        match self.read {
-            Some((at, sic)) if at == now => sic,
-            _ => {
-                let sic = self.results.as_mut().map_or(Sic::ZERO, |acc| {
-                    acc.advance_to(now);
-                    Sic(acc.total()).clamp_unit()
-                });
-                self.read = Some((now, sic));
-                sic
-            }
-        }
-    }
+/// The current result SIC of an entry's `results`, clamped into `[0, 1]`.
+fn result_sic(results: &mut Option<SlidingAccumulator>, now: Timestamp) -> Sic {
+    results.as_mut().map_or(Sic::ZERO, |acc| {
+        acc.advance_to(now);
+        Sic(acc.total()).clamp_unit()
+    })
 }
 
 /// The logically-centralised query coordinator (§6), stepped by its
 /// caller's clock: the caller records result emissions, runs a
 /// [`Coordinator::round`] whenever [`Coordinator::next_round`] is due and
-/// calls [`Coordinator::sample`] on its own cadence and gates.
+/// a [`Coordinator::sample`] whenever [`Coordinator::next_sample`] is.
 #[derive(Debug)]
 pub struct Coordinator {
     interval: TimeDelta,
     stw: StwConfig,
+    warmup_end: Timestamp,
+    sample_every: TimeDelta,
     /// One entry per attach, in attach order (detached ones kept for
     /// their ledger).
     entries: Vec<Entry>,
@@ -162,43 +155,75 @@ pub struct Coordinator {
     slots: HashMap<QueryId, usize>,
     messages: u64,
     next_round: Timestamp,
+    /// `None` once sampling stopped.
+    next_sample: Option<Timestamp>,
+    record_series: bool,
 }
 
 /// What a [`Coordinator`] reports at the end of a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CoordinatorReport {
     /// `(query, mean sampled SIC, samples)` for every query ever
     /// attached, sorted by query; the mean is `0` without samples.
     pub per_query: Vec<(QueryId, f64, usize)>,
+    /// Fairness over the per-query means, in `per_query` order.
+    pub fairness: FairnessSummary,
     /// Result emissions recorded per query.
     pub result_counts: HashMap<QueryId, usize>,
     /// `SicUpdate`s delivered: Σ hosts × rounds.
     pub messages: u64,
+    /// `(sample instant, SIC)` per query and sample while attached
+    /// (empty unless [`Coordinator::with_series`]).
+    pub sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
 }
 
 impl Coordinator {
-    /// A coordinator whose result SIC windows follow `stw` and whose
-    /// rounds fall every `interval`, the first at `interval`.
-    pub fn new(stw: StwConfig, interval: TimeDelta) -> Self {
+    /// A coordinator whose result SIC windows follow `stw`, whose rounds
+    /// fall every `interval` (the first at `interval`) and whose samples
+    /// fall every `sample_every`. The first sample is due half a period
+    /// after `warmup`, half an interval plus 1 ms after a round (so is
+    /// every later one when the period is a multiple of the interval): on
+    /// the node-tick grid results are recorded on, a sample would miss the
+    /// newest record while the oldest has just left the STW ring.
+    pub fn new(
+        stw: StwConfig,
+        interval: TimeDelta,
+        sample_every: TimeDelta,
+        warmup: TimeDelta,
+    ) -> Self {
+        let grid = interval.as_micros().max(1);
+        let phase = interval.as_micros() / 2 + 1_000;
+        let lead = warmup.as_micros() + sample_every.as_micros() / 2;
+        let first = lead.saturating_sub(phase).div_ceil(grid) * grid + phase;
         Coordinator {
             interval,
             stw,
+            warmup_end: Timestamp::ZERO + warmup,
+            sample_every,
             entries: Vec::new(),
             slots: HashMap::new(),
             messages: 0,
             next_round: Timestamp::ZERO + interval,
+            next_sample: Some(Timestamp(first)),
+            record_series: false,
         }
     }
 
-    /// Starts coordinating `query`, whose fragments run on `hosts`: it
-    /// joins every later round, and its result SIC is sampled over
-    /// `[from, until)` (`until = None`: until it is detached). A query
-    /// attached again after a detach starts a fresh entry.
+    /// With `on`, charts each live query's SIC at every sample.
+    pub fn with_series(mut self, on: bool) -> Self {
+        self.record_series = on;
+        self
+    }
+
+    /// Starts coordinating `query`, arrived at `arrival`, whose fragments
+    /// run on `hosts`: it joins every later round, and its result SIC is
+    /// sampled from `max(arrival + STW, warm-up end)` until `until` or its
+    /// detach. A query attached again after a detach starts a fresh entry.
     pub fn attach(
         &mut self,
         query: QueryId,
         hosts: Vec<NodeId>,
-        from: Timestamp,
+        arrival: Timestamp,
         until: Option<Timestamp>,
     ) {
         self.slots.insert(query, self.entries.len());
@@ -206,12 +231,12 @@ impl Coordinator {
             query,
             results: None,
             result_count: 0,
-            read: None,
             coordinator: Some(QueryCoordinator::new(query, hosts, self.interval)),
-            from,
+            from: (arrival + self.stw.window).max(self.warmup_end),
             until,
             sum: 0.0,
             samples: 0,
+            series: Vec::new(),
         });
     }
 
@@ -239,14 +264,7 @@ impl Coordinator {
                 .get_or_insert_with(|| SlidingAccumulator::new(stw))
                 .add(now, sic.value());
             e.result_count += 1;
-            e.read = None;
         }
-    }
-
-    /// The current result SIC of `query` (zero for a query never
-    /// attached).
-    pub fn query_sic(&mut self, now: Timestamp, query: QueryId) -> Sic {
-        self.slot(query).map_or(Sic::ZERO, |e| e.sic(now))
     }
 
     /// When the next round is due.
@@ -261,13 +279,10 @@ impl Coordinator {
     /// fires once, it does not storm catch-up rounds.
     pub fn round(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) {
         for e in &mut self.entries {
-            if e.coordinator.is_none() {
-                continue;
+            if let Some(c) = &mut e.coordinator {
+                c.on_result_sic(result_sic(&mut e.results, now));
+                self.messages += c.tick_into(now, &mut sink) as u64;
             }
-            let sic = e.sic(now);
-            let c = e.coordinator.as_mut().expect("checked above");
-            c.on_result_sic(sic);
-            self.messages += c.tick_into(now, &mut sink) as u64;
         }
         self.next_round += self.interval;
         if self.next_round <= now {
@@ -275,40 +290,69 @@ impl Coordinator {
         }
     }
 
+    /// When the next sample is due; `None` once sampling stopped.
+    pub fn next_sample(&self) -> Option<Timestamp> {
+        self.next_sample
+    }
+
     /// Samples the result SIC of every query whose sampling window
-    /// covers `now`.
+    /// covers `now` (and charts every live one), then moves
+    /// [`Coordinator::next_sample`] past `now` on its period: a late call
+    /// samples once. Does nothing once sampling stopped.
     pub fn sample(&mut self, now: Timestamp) {
+        let Some(next) = self.next_sample else {
+            return;
+        };
         for e in &mut self.entries {
-            if now >= e.from && e.until.map_or(true, |u| now < u) {
-                e.sum += e.sic(now).value();
+            let counted = now >= e.from && e.until.map_or(true, |u| now < u);
+            let charted = self.record_series && e.coordinator.is_some();
+            let sic = result_sic(&mut e.results, now).value();
+            if counted {
+                e.sum += sic;
                 e.samples += 1;
             }
+            if charted {
+                e.series.push((now, sic));
+            }
+        }
+        if next <= now {
+            let period = self.sample_every.as_micros().max(1);
+            let behind = now.since(next).as_micros() / period + 1;
+            self.next_sample = Some(next + TimeDelta::from_micros(behind * period));
         }
     }
 
-    /// The run's per-query means, result counts and message count.
+    /// Stops sampling for good; rounds go on.
+    pub fn stop_sampling(&mut self) {
+        self.next_sample = None;
+    }
+
+    /// The run's per-query means and their fairness, result counts,
+    /// message count and series.
     pub fn finish(self) -> CoordinatorReport {
         let mut per_query: Vec<(QueryId, f64, usize)> = self
             .entries
             .iter()
-            .map(|e| {
-                let mean = if e.samples == 0 {
-                    0.0
-                } else {
-                    e.sum / e.samples as f64
-                };
-                (e.query, mean, e.samples)
-            })
+            .map(|e| (e.query, e.sum / e.samples.max(1) as f64, e.samples))
             .collect();
         per_query.sort_by_key(|&(q, _, _)| q);
+        let sics: Vec<Sic> = per_query.iter().map(|&(_, mean, _)| Sic(mean)).collect();
         let mut result_counts = HashMap::new();
-        for e in self.entries.iter().filter(|e| e.result_count > 0) {
-            *result_counts.entry(e.query).or_insert(0) += e.result_count;
+        let mut sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>> = HashMap::new();
+        for e in self.entries {
+            if e.result_count > 0 {
+                *result_counts.entry(e.query).or_insert(0) += e.result_count;
+            }
+            if !e.series.is_empty() {
+                sic_series.entry(e.query).or_default().extend(e.series);
+            }
         }
         CoordinatorReport {
             per_query,
+            fairness: FairnessSummary::from_sics(&sics),
             result_counts,
             messages: self.messages,
+            sic_series,
         }
     }
 }
@@ -348,16 +392,6 @@ impl SicTable {
     /// returns the last known value, if any.
     pub fn remove(&mut self, query: QueryId) -> Option<Sic> {
         self.values.remove(&query)
-    }
-
-    /// Number of tracked queries.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no query has been updated yet.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Iterates over all `(query, sic)` entries (checkpointing reads the
@@ -433,9 +467,16 @@ mod tests {
         StwConfig::new(TimeDelta::from_secs(1), TimeDelta::from_millis(250))
     }
 
-    /// A coordinator with 250 ms rounds and 1 s result windows.
+    const INTERVAL: TimeDelta = TimeDelta::from_millis(250);
+
+    /// A coordinator with 250 ms rounds, 1 s result windows and the
+    /// engine's sample period (one interval), warmed up after `warmup_ms`.
+    fn coordinator_after(warmup_ms: u64) -> Coordinator {
+        Coordinator::new(stw(), INTERVAL, INTERVAL, TimeDelta::from_millis(warmup_ms))
+    }
+
     fn coordinator() -> Coordinator {
-        Coordinator::new(stw(), TimeDelta::from_millis(250))
+        coordinator_after(0)
     }
 
     /// Runs one round at `ms` and returns what reached the sink.
@@ -443,6 +484,18 @@ mod tests {
         let mut out = Vec::new();
         c.round(Timestamp::from_millis(ms), |u| out.push(u));
         out
+    }
+
+    /// Takes the next `n` samples at their scheduled instants and
+    /// returns those instants in ms.
+    fn take_samples(c: &mut Coordinator, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                let at = c.next_sample().expect("sampling");
+                c.sample(at);
+                at.as_micros() / 1_000
+            })
+            .collect()
     }
 
     #[test]
@@ -459,24 +512,58 @@ mod tests {
         assert_eq!(c.finish().messages, 2);
     }
 
+    /// Engine (one interval) and simulator (1 s) periods: samples fall on
+    /// the period, after warm-up, and at least a quarter interval from
+    /// every round instant — a late sample keeps the phase.
+    #[test]
+    fn samples_fall_on_the_period_off_the_round_grid() {
+        for period in [INTERVAL, TimeDelta::from_secs(1)] {
+            let mut c = Coordinator::new(stw(), INTERVAL, period, TimeDelta::from_millis(3_100));
+            let at = take_samples(&mut c, 40);
+            assert!(at[0] >= 3_100, "{at:?}");
+            for pair in at.windows(2) {
+                assert_eq!(pair[1] - pair[0], period.as_micros() / 1_000, "{at:?}");
+            }
+            for ms in &at {
+                let off = ms % 250;
+                assert!(
+                    off.min(250 - off) >= 250 / 4,
+                    "{ms} ms is {off} ms past a round"
+                );
+            }
+        }
+        let mut c = coordinator();
+        let first = c.next_sample().unwrap();
+        c.sample(first + TimeDelta::from_millis(1_000));
+        assert_eq!(c.next_sample(), Some(first + TimeDelta::from_millis(1_250)));
+    }
+
+    /// The simulator's instants from before the schedule moved here:
+    /// warm-up + 500 ms + interval / 2 + 1 ms + k · 1 s.
+    #[test]
+    fn the_simulator_period_keeps_its_sample_instants() {
+        let second = TimeDelta::from_secs(1);
+        let mut c = Coordinator::new(stw(), INTERVAL, second, TimeDelta::from_secs(3));
+        let at = take_samples(&mut c, 5);
+        assert_eq!(at, [3_626, 4_626, 5_626, 6_626, 7_626]);
+    }
+
+    /// A query is sampled from `max(arrival + STW, warm-up end)` until
+    /// `until`.
     #[test]
     fn sampling_counts_only_the_window() {
-        let mut c = coordinator();
-        let q = QueryId(7);
-        c.attach(
-            q,
-            vec![NodeId(0)],
-            Timestamp::from_secs(1),
-            Some(Timestamp::from_secs(3)),
-        );
-        c.record(Timestamp::from_millis(900), q, Sic(0.5));
-        // 0.5, 1.0, …, 3.5 s: only 1.0 ≤ t < 3.0 counts.
-        for ms in (500..=3_500).step_by(500) {
+        let mut c = coordinator_after(2_000);
+        let (early, late, leaves) = (QueryId(0), QueryId(1), QueryId(2));
+        c.attach(early, vec![NodeId(0)], Timestamp::ZERO, None);
+        c.attach(late, vec![NodeId(0)], Timestamp::from_millis(3_000), None);
+        let until = Some(Timestamp::from_millis(3_999));
+        c.attach(leaves, vec![NodeId(0)], Timestamp::ZERO, until);
+        for ms in [1_500, 1_999, 2_000, 3_998, 3_999, 4_000] {
             c.sample(Timestamp::from_millis(ms));
         }
-        let report = c.finish();
-        let (query, _, samples) = report.per_query[0];
-        assert_eq!((query, samples), (q, 4));
+        let samples: Vec<usize> = c.finish().per_query.iter().map(|&(_, _, n)| n).collect();
+        // Warm-up end (not 1 s), arrival + STW, and `[from, until)`.
+        assert_eq!(samples, [4, 1, 2]);
     }
 
     #[test]
@@ -485,33 +572,101 @@ mod tests {
         let (gone, stays) = (QueryId(1), QueryId(2));
         c.attach(gone, vec![NodeId(0), NodeId(1)], Timestamp::ZERO, None);
         c.attach(stays, vec![NodeId(1)], Timestamp::ZERO, None);
-        c.record(Timestamp::from_millis(100), gone, Sic(0.8));
-        c.sample(Timestamp::from_millis(200));
-        c.detach(gone, Timestamp::from_millis(250));
-        let updates = round_at(&mut c, 250);
+        c.record(Timestamp::from_millis(1_100), gone, Sic(0.8));
+        c.sample(Timestamp::from_millis(1_200));
+        c.detach(gone, Timestamp::from_millis(1_250));
+        let updates = round_at(&mut c, 1_250);
         assert!(updates.iter().all(|u| u.query == stays), "{updates:?}");
-        c.sample(Timestamp::from_millis(300));
+        c.sample(Timestamp::from_millis(1_300));
         let report = c.finish();
         assert_eq!(report.per_query, [(gone, 0.8, 1), (stays, 0.0, 2)]);
     }
 
-    /// The engine samples at the instant of the round before it: the
-    /// sample reuses the SIC the round read, unless a result was recorded
-    /// in between.
     #[test]
-    fn a_sample_at_the_round_instant_sees_a_record_made_in_between() {
+    fn no_sample_after_a_stop() {
         let mut c = coordinator();
-        let q = QueryId(4);
-        c.attach(q, vec![NodeId(0)], Timestamp::ZERO, None);
-        c.record(Timestamp::from_millis(100), q, Sic(0.25));
-        let updates = round_at(&mut c, 250);
-        assert_eq!(updates[0].sic, Sic(0.25));
-        c.sample(Timestamp::from_millis(250));
-        c.record(Timestamp::from_millis(250), q, Sic(0.5));
-        c.sample(Timestamp::from_millis(250));
-        assert_eq!(c.query_sic(Timestamp::from_millis(250), q), Sic(0.75));
+        c.attach(QueryId(0), vec![NodeId(0)], Timestamp::ZERO, None);
+        c.sample(Timestamp::from_millis(1_200));
+        c.stop_sampling();
+        assert_eq!(c.next_sample(), None);
+        c.sample(Timestamp::from_millis(1_400));
+        assert_eq!(round_at(&mut c, 1_500).len(), 1, "rounds go on");
+        assert_eq!(c.finish().per_query, [(QueryId(0), 0.0, 1)]);
+    }
+
+    /// One point per live query per sample: none before attach, none
+    /// after detach, none after a stop, and none at all without the series.
+    #[test]
+    fn the_series_holds_one_point_per_live_query_per_sample() {
+        let mut c = coordinator().with_series(true);
+        let (resident, visitor) = (QueryId(0), QueryId(1));
+        c.attach(resident, vec![NodeId(0)], Timestamp::ZERO, None);
+        take_samples(&mut c, 2);
+        c.attach(visitor, vec![NodeId(1)], Timestamp::from_millis(600), None);
+        take_samples(&mut c, 3);
+        c.detach(visitor, Timestamp::from_millis(1_300));
+        take_samples(&mut c, 1);
+        c.stop_sampling();
+        c.sample(Timestamp::from_millis(2_000));
         let report = c.finish();
-        assert_eq!(report.per_query, [(q, 0.5, 2)], "(0.25 + 0.75) / 2");
+        let instants = |q| -> Vec<u64> {
+            report.sic_series[&q]
+                .iter()
+                .map(|&(t, _)| t.as_micros() / 1_000)
+                .collect()
+        };
+        assert_eq!(instants(resident), [126, 376, 626, 876, 1_126, 1_376]);
+        assert_eq!(instants(visitor), [626, 876, 1_126]);
+        let mut c = coordinator();
+        c.attach(resident, vec![NodeId(0)], Timestamp::ZERO, None);
+        take_samples(&mut c, 1);
+        assert!(c.finish().sic_series.is_empty());
+    }
+
+    /// Steps `c` on a 1 ms virtual clock up to 5 s like a driver whose
+    /// node ticks in stagger slot 0: a round when one is due, `q`'s result
+    /// of 0.25 1 ms after every round, and a sample either when
+    /// `next_sample()` is due or, `at_round`, right after each round.
+    fn drive(c: &mut Coordinator, q: QueryId, at_round: bool) {
+        for ms in 0..=5_000 {
+            let now = Timestamp::from_millis(ms);
+            if now >= c.next_round() {
+                c.round(now, |_| {});
+                if at_round {
+                    c.sample(now);
+                }
+            }
+            if ms % 250 == 1 {
+                c.record(now, q, Sic(0.25));
+            }
+            if !at_round && c.next_sample().is_some_and(|at| now >= at) {
+                c.sample(now);
+            }
+        }
+    }
+
+    /// Regression: with results recorded 1 ms after every round, every
+    /// `next_sample()` instant reads the full window. Sampling at the
+    /// round instant instead reads one slide short: the slide the next
+    /// result lands in has just been cleared.
+    #[test]
+    fn samples_off_the_round_instant_read_the_full_window() {
+        let q = QueryId(0);
+        let mut c = coordinator_after(2_000).with_series(true);
+        c.attach(q, vec![NodeId(0)], Timestamp::ZERO, None);
+        drive(&mut c, q, false);
+        let report = c.finish();
+        assert_eq!(report.per_query, [(q, 1.0, 12)]);
+        let series = &report.sic_series[&q];
+        let mut full = series
+            .iter()
+            .filter(|&&(t, _)| t >= Timestamp::from_secs(1));
+        assert!(full.all(|&(_, sic)| sic == 1.0), "{series:?}");
+
+        let mut c = coordinator_after(2_000);
+        c.attach(q, vec![NodeId(0)], Timestamp::ZERO, None);
+        drive(&mut c, q, true);
+        assert_eq!(c.finish().per_query, [(q, 0.75, 13)]);
     }
 
     #[test]
@@ -540,7 +695,6 @@ mod tests {
     #[test]
     fn sic_table_roundtrip() {
         let mut t = SicTable::new();
-        assert!(t.is_empty());
         assert_eq!(t.get(QueryId(5)), Sic::ZERO);
         t.apply(&SicUpdate {
             query: QueryId(5),
@@ -550,6 +704,6 @@ mod tests {
         assert_eq!(t.get(QueryId(5)), Sic(0.7));
         t.set(QueryId(5), Sic(0.2));
         assert_eq!(t.get(QueryId(5)), Sic(0.2));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.entries().count(), 1);
     }
 }

@@ -57,11 +57,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 const QUERIES: u32 = 1_000;
 
-/// A coordinator with 250 ms rounds over 1 000 queries on two hosts
-/// each, every one with a recorded result.
+/// A coordinator with 250 ms rounds and samples over 1 000 queries on
+/// two hosts each, every one with a recorded result. Its samples count
+/// once the 10 s STW has passed.
 fn coordinator() -> Coordinator {
     let stw = StwConfig::new(TimeDelta::from_secs(10), TimeDelta::from_millis(250));
-    let mut c = Coordinator::new(stw, TimeDelta::from_millis(250));
+    let interval = TimeDelta::from_millis(250);
+    let mut c = Coordinator::new(stw, interval, interval, TimeDelta::ZERO);
     for q in 0..QUERIES {
         let hosts = vec![NodeId(q % 64), NodeId(q % 64 + 1)];
         c.attach(QueryId(q), hosts, Timestamp::ZERO, None);
@@ -87,7 +89,7 @@ fn a_round_over_a_thousand_queries_allocates_nothing() {
 fn a_sample_over_a_thousand_queries_allocates_nothing() {
     let mut c = coordinator();
     for k in 1..=4u64 {
-        let ((), n) = counted(|| c.sample(Timestamp::from_millis(250 * k + 10)));
+        let ((), n) = counted(|| c.sample(Timestamp::from_millis(10_000 + 250 * k + 10)));
         assert_eq!(n, 0, "sample {k} allocated");
     }
     let report = c.finish();

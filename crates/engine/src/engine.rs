@@ -24,9 +24,10 @@
 //! [`SourcePump`] and [`Coordinator`] the simulator also steps, so sources
 //! are paced and `updateSIC` rounds and SIC samples run identically on
 //! both clocks, and neither advances outside `run_for`. Each pass sweeps
-//! the pump (at most once per 1 ms beat), runs a due coordinator round,
-//! and sends each shard at most one [`EngineMsg::Bundle`] carrying both;
-//! it then waits for results until the next sweep, round or deadline.
+//! the pump (at most once per 1 ms beat), runs a due coordinator round
+//! and sample, and sends each shard at most one [`EngineMsg::Bundle`];
+//! it then waits for results until the next sweep, round, sample or
+//! deadline.
 //! [`EngineReport::pump_sweeps`] and [`EngineReport::mailbox_messages`]
 //! count the resulting wake-ups.
 
@@ -72,7 +73,7 @@ pub struct EngineConfig {
     /// synthetic-cost spin, which is what lets churn/fairness experiments
     /// run genuinely overloaded 512+-node scenarios on a small machine.
     pub enforce_capacity: bool,
-    /// Record a per-query SIC time series (sampled every shedding
+    /// Record the coordinator's per-query SIC samples (one per shedding
     /// interval after warm-up) into [`EngineReport::sic_series`] — the
     /// engine analogue of the simulator's `record_series`.
     pub record_series: bool,
@@ -225,9 +226,9 @@ pub struct EngineReport {
     /// Shard threads the node states ran on.
     pub shards: usize,
     /// Per-query SIC time series (empty unless
-    /// [`EngineConfig::record_series`]): `(logical time, SIC)` samples,
-    /// one per coordinator tick after warm-up, covering each query's
-    /// attached lifetime.
+    /// [`EngineConfig::record_series`]): `(logical time, SIC)` at every
+    /// coordinator sample while the query is attached, half an interval
+    /// off the rounds.
     pub sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
     /// Non-fatal failures observed during the run: shard threads lost to
     /// panics and failed ingest connections. Empty on a clean run. The
@@ -312,7 +313,6 @@ pub struct Engine {
     seed: u64,
     stw: StwConfig,
     shedding_interval: TimeDelta,
-    warmup_end: Timestamp,
     node_capacity_tps: Vec<u32>,
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
@@ -331,7 +331,6 @@ pub struct Engine {
     pump_sweeps: u64,
     /// The coordinator, stepped by `run_for` on the calling thread.
     coordinator: Coordinator,
-    sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
     /// Attached queries: the spec (kept so [`Engine::restart_shard`] can
     /// rebuild and re-attach the dead shard's fragments) and the node of
     /// each fragment.
@@ -345,11 +344,6 @@ pub struct Engine {
     /// The TCP ingest listener plus its accounting, when
     /// [`EngineConfig::ingest_listen`] bound one.
     ingest: Option<(IngestServer, Arc<Mutex<IngestStats>>)>,
-    /// Whether `run_for` pushes per-query SIC samples. Normally true for
-    /// the engine's whole life; a federated bench pauses it for the
-    /// drain tail after remote pumps finish, so the windowed SIC decay
-    /// of an intentionally idle wire does not dilute the measured mean.
-    sampling: bool,
 }
 
 impl Engine {
@@ -474,6 +468,10 @@ impl Engine {
             .flat_map(|q| q.sources.iter().map(|s| s.id.0 + 1))
             .max()
             .unwrap_or(0);
+        // The coordinator samples once per shedding interval.
+        let interval = scenario.shedding_interval;
+        let coordinator = Coordinator::new(scenario.stw, interval, interval, scenario.warmup)
+            .with_series(config.record_series);
         let mut engine = Engine {
             config,
             epoch,
@@ -482,8 +480,7 @@ impl Engine {
             n_nodes: scenario.n_nodes,
             seed: scenario.seed,
             stw: scenario.stw,
-            shedding_interval: scenario.shedding_interval,
-            warmup_end: Timestamp::ZERO + scenario.warmup,
+            shedding_interval: interval,
             node_capacity_tps: scenario.node_capacity_tps.clone(),
             shard_txs,
             node_txs,
@@ -494,28 +491,19 @@ impl Engine {
             last_sweep: epoch,
             next_sweep: None,
             pump_sweeps: 0,
-            coordinator: Coordinator::new(scenario.stw, scenario.shedding_interval),
-            sic_series: HashMap::new(),
+            coordinator,
             attached: HashMap::new(),
             node_load: vec![0; scenario.n_nodes],
             query_ids: IdGen::starting_at(max_query),
             source_ids: IdGen::starting_at(max_source),
             pool,
             ingest,
-            sampling: true,
         };
 
-        // Install the scenario's queries at their validated placement;
-        // their sampling settles at the end of warm-up.
-        let warmup_end = engine.warmup_end;
+        // Install the scenario's queries at their validated placement.
         for q in &scenario.queries {
             let profile_of = |s: SourceId| scenario.profiles[&s];
-            engine.install(
-                Arc::new(q.clone()),
-                scenario.nodes_of(q),
-                profile_of,
-                warmup_end,
-            );
+            engine.install(Arc::new(q.clone()), scenario.nodes_of(q), profile_of);
         }
         engine
     }
@@ -612,13 +600,12 @@ impl Engine {
 
     /// Installs `query` with fragment `fi` on `nodes[fi]`, wires its
     /// sources into the pump (each emitting with `profile_of(source)`)
-    /// and attaches it to the coordinator, sampled from `settle_at`.
+    /// and attaches it to the coordinator, arriving now.
     fn install(
         &mut self,
         query: Arc<QuerySpec>,
         nodes: Vec<usize>,
         profile_of: impl Fn(SourceId) -> SourceProfile,
-        settle_at: Timestamp,
     ) {
         for (fi, &node) in nodes.iter().enumerate() {
             self.attach_fragment(&query, &nodes, fi);
@@ -637,7 +624,7 @@ impl Engine {
             self.next_sweep = Some(self.next_sweep.map_or(beat, |at| at.min(beat)));
         }
         let hosts = nodes.iter().map(|&n| NodeId(n as u32)).collect();
-        self.coordinator.attach(query.id, hosts, settle_at, None);
+        self.coordinator.attach(query.id, hosts, self.now(), None);
         self.attached.insert(query.id, (query, nodes));
     }
 
@@ -645,7 +632,7 @@ impl Engine {
     /// go to the least-loaded distinct nodes, all of its sources emit
     /// with `profile` from the next [`Engine::run_for`] on. Returns the
     /// new query's id. Its SIC samples start one STW after arrival (the
-    /// settle period), like the simulator's churn accounting.
+    /// settle period), and not before warm-up ends, as in the simulator.
     ///
     /// # Panics
     ///
@@ -686,8 +673,7 @@ impl Engine {
         let mut order: Vec<usize> = (0..self.n_nodes).collect();
         order.sort_by_key(|&n| (self.node_load[n], n));
         let nodes: Vec<usize> = order[..query.n_fragments()].to_vec();
-        let settle_at = self.now() + self.stw.window;
-        self.install(Arc::new(query), nodes, |_| profile, settle_at);
+        self.install(Arc::new(query), nodes, |_| profile);
         id
     }
 
@@ -780,26 +766,23 @@ impl Engine {
         }
     }
 
-    /// Stops pushing per-query SIC samples for the rest of the engine's
-    /// life; the coordinator loop, shards and ingest keep running. A
-    /// federated bench calls this before its drain tail — the wall-clock
-    /// slack it grants remote pumps to finish and say bye — so the
-    /// windowed SIC decay of an intentionally idle wire does not dilute
-    /// the measured mean the parity gate compares.
+    /// Stops the coordinator's SIC sampling for the rest of the engine's
+    /// life; rounds, shards and ingest keep running. A federated bench
+    /// calls this before its drain tail — the wall-clock slack it grants
+    /// remote pumps to finish and say bye — so the windowed SIC decay of
+    /// an intentionally idle wire does not dilute the measured mean.
     pub fn pause_sampling(&mut self) {
-        self.sampling = false;
+        self.coordinator.stop_sampling();
     }
 
     /// Runs the engine's control loop on the calling thread for `wall`
     /// time; sources and the coordinator advance only in here. Each pass
     /// sweeps the source pump when its beat is due (at most once per
     /// 1 ms beat), runs the coordinator's `updateSIC` round when one
-    /// is due and then samples per-query SIC values — after warm-up,
-    /// unless [`Engine::pause_sampling`] was called; each query's own
-    /// sampling window starts once it has settled. The pass sends each
-    /// shard at most one bundle carrying its batches and SIC updates, then
-    /// records result emissions as they arrive until the next sweep, the
-    /// next round or the deadline.
+    /// is due and its SIC sample when one is due (the coordinator keeps
+    /// the schedules). The pass sends each shard at most one bundle of
+    /// its batches and SIC updates, then records result emissions as they
+    /// arrive until the next sweep, round, sample or the deadline.
     pub fn run_for(&mut self, wall: Duration) {
         let deadline = Instant::now() + wall;
         while Instant::now() < deadline {
@@ -825,15 +808,9 @@ impl Engine {
                         .sic
                         .push(update);
                 });
-                if self.sampling && now >= self.warmup_end {
-                    self.coordinator.sample(now);
-                    if self.config.record_series {
-                        for &q in self.attached.keys() {
-                            let sic = self.coordinator.query_sic(now, q).value();
-                            self.sic_series.entry(q).or_default().push((now, sic));
-                        }
-                    }
-                }
+            }
+            if self.coordinator.next_sample().is_some_and(|at| now >= at) {
+                self.coordinator.sample(now);
             }
             // A closed shard channel means shutdown is racing; dropping
             // the bundle is equivalent to shedding it.
@@ -845,10 +822,15 @@ impl Engine {
                     });
                 }
             }
+            let round = self.coordinator.next_round();
+            let due = self
+                .coordinator
+                .next_sample()
+                .map_or(round, |at| at.min(round));
             let wake = self
                 .next_sweep
                 .map_or(deadline, |at| at.min(deadline))
-                .min(self.instant(self.coordinator.next_round()));
+                .min(self.instant(due));
             if let Ok(ev) = self
                 .results_rx
                 .recv_timeout(wake.saturating_duration_since(Instant::now()))
@@ -936,16 +918,15 @@ impl Engine {
             .iter()
             .map(|&(q, mean, _)| (q, mean))
             .collect();
-        let sics: Vec<Sic> = per_query_sic.iter().map(|&(_, s)| Sic(s)).collect();
         EngineReport {
             nodes,
-            fairness: FairnessSummary::from_sics(&sics),
+            fairness: coordinated.fairness,
             per_query_sic,
             result_counts: coordinated.result_counts,
             coordinator_messages: coordinated.messages,
             policy: policy_name,
             shards: self.n_shards,
-            sic_series: self.sic_series,
+            sic_series: coordinated.sic_series,
             errors,
             remote_batches,
             remote_sent_batches,

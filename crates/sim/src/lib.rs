@@ -18,7 +18,8 @@
 //! * the shared coordinator ([`themis_core::coordinator::Coordinator`])
 //!   disseminating result SIC values (`updateSIC`), with an ablation
 //!   switch to disable it, and sampling every query's `qSIC` for the
-//!   report.
+//!   report on its own schedule (once per simulated second, off the
+//!   round grid).
 //!
 //! ```
 //! use themis_core::prelude::*;

@@ -11,8 +11,11 @@
 //! The event loop only schedules. Sources are paced by the one
 //! [`SourcePump`] the engine's control loop and the remote generator also
 //! step, and every `updateSIC` round and SIC sample runs in the one
-//! [`Coordinator`] the engine also drives; the simulator supplies their
-//! clock and delivers what they emit after the link latency.
+//! [`Coordinator`] the engine also drives, on the coordinator's own
+//! schedule: a `CoordTick` event fires at its `next_round()`, a `Sample`
+//! event at its `next_sample()` (once per simulated second). The
+//! simulator supplies their clock and delivers what they emit after the
+//! link latency.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -25,9 +28,6 @@ use themis_workloads::pump::{query_bindings, SourcePump};
 use crate::config::SimConfig;
 use crate::node::{NodeOutput, SimNode};
 use crate::report::{NodeStats, QueryStats, SimReport};
-
-/// How often per-query SIC values are sampled for the report.
-const SAMPLE_INTERVAL: TimeDelta = TimeDelta::from_secs(1);
 
 /// Simulator events.
 enum Event {
@@ -43,7 +43,7 @@ enum Event {
     CoordTick,
     /// A coordinator update reaches a node.
     SicArrival { node: usize, update: SicUpdate },
-    /// Periodic metric sampling.
+    /// The coordinator's next SIC sample is due.
     Sample,
 }
 
@@ -101,7 +101,6 @@ pub struct Simulation {
     /// `None` when it emits the query result.
     frag_route: HashMap<(QueryId, usize), Option<(usize, usize)>>,
     coordinator: Coordinator,
-    sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
     results: HashMap<QueryId, Vec<(Timestamp, Vec<Row>)>>,
 }
 
@@ -129,7 +128,10 @@ impl Simulation {
         };
         let mut pump = SourcePump::default();
         let mut frag_route = HashMap::new();
-        let mut coordinator = Coordinator::new(scenario.stw, scenario.shedding_interval);
+        let interval = scenario.shedding_interval;
+        let second = TimeDelta::from_secs(1);
+        let mut coordinator = Coordinator::new(scenario.stw, interval, second, scenario.warmup)
+            .with_series(config.record_series);
         for q in &scenario.queries {
             let placed = scenario.nodes_of(q);
             for (fi, &node) in placed.iter().enumerate() {
@@ -148,30 +150,21 @@ impl Simulation {
                 agenda.push(at, Event::Depart { query: q.id });
             }
             // Mean statistics only cover a query's active, converged
-            // life: from one STW after arrival to its departure.
+            // life, up to its departure.
             let hosts = placed.iter().map(|&n| NodeId(n as u32)).collect();
-            coordinator.attach(q.id, hosts, arrival + scenario.stw.window, departure);
+            coordinator.attach(q.id, hosts, arrival, departure);
         }
 
         agenda.push(Timestamp::ZERO, Event::PumpStep);
-        let interval = scenario.shedding_interval;
         for n in 0..nodes.len() {
             agenda.push(Timestamp::ZERO + interval, Event::NodeTick { node: n });
         }
         if config.coordinator {
             agenda.push(coordinator.next_round(), Event::CoordTick);
         }
-        // Samples are de-phased off the node-tick grid so they do not alias
-        // with the 1 Hz result emissions: results are recorded at node
-        // ticks (multiples of the shedding interval, offset by window
-        // grace), so sampling exactly on those instants would consistently
-        // miss the newest record while the oldest just left the STW ring.
-        let sample_at = Timestamp::ZERO
-            + scenario.warmup
-            + TimeDelta::from_micros(
-                SAMPLE_INTERVAL.as_micros() / 2 + interval.as_micros() / 2 + 1_000,
-            );
-        agenda.push(sample_at, Event::Sample);
+        if let Some(at) = coordinator.next_sample() {
+            agenda.push(at, Event::Sample);
+        }
         Simulation {
             scenario,
             config,
@@ -180,7 +173,6 @@ impl Simulation {
             pump,
             frag_route,
             coordinator,
-            sic_series: HashMap::new(),
             results: HashMap::new(),
         }
     }
@@ -189,7 +181,6 @@ impl Simulation {
     pub fn run(mut self) -> SimReport {
         let latency = self.scenario.link_latency;
         let interval = self.scenario.shedding_interval;
-        let warmup_end = Timestamp::ZERO + self.scenario.warmup;
         while let Some(Reverse(Queued { at: now, ev, .. })) = self.agenda.queue.pop() {
             match ev {
                 Event::PumpStep => {
@@ -224,17 +215,10 @@ impl Simulation {
                     self.nodes[node].on_sic_update(&update);
                 }
                 Event::Sample => {
-                    if now >= warmup_end {
-                        self.coordinator.sample(now);
+                    self.coordinator.sample(now);
+                    if let Some(at) = self.coordinator.next_sample() {
+                        self.agenda.push(at, Event::Sample);
                     }
-                    if self.config.record_series {
-                        for q in self.scenario.queries.iter().map(|q| q.id) {
-                            let v = self.coordinator.query_sic(now, q).value();
-                            self.sic_series.entry(q).or_default().push((now, v));
-                        }
-                    }
-                    let next = now + SAMPLE_INTERVAL;
-                    self.agenda.push(next, Event::Sample);
                 }
             }
         }
@@ -291,18 +275,16 @@ impl Simulation {
                 samples,
             })
             .collect();
-        let sics: Vec<Sic> = per_query.iter().map(|s| Sic(s.mean_sic)).collect();
-        let fairness = FairnessSummary::from_sics(&sics);
         let nodes: Vec<NodeStats> = self.nodes.iter().map(|n| n.stats.clone()).collect();
         SimReport {
             scenario: self.scenario.name.clone(),
             policy: self.config.policy.name().to_string(),
             per_query,
-            fairness,
+            fairness: coordinated.fairness,
             nodes,
             coordinator_messages: coordinated.messages,
             results: self.results,
-            sic_series: self.sic_series,
+            sic_series: coordinated.sic_series,
         }
     }
 }
