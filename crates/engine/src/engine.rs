@@ -27,9 +27,10 @@
 //! the pump (at most once per 1 ms beat), runs a due coordinator round
 //! and sample, and sends each shard at most one [`EngineMsg::Bundle`];
 //! it then waits for results until the next sweep, round, sample or
-//! deadline.
-//! [`EngineReport::pump_sweeps`] and [`EngineReport::mailbox_messages`]
-//! count the resulting wake-ups.
+//! deadline. Results arrive one message per shard service pass, carrying
+//! every result that pass emitted.
+//! [`EngineReport::pump_sweeps`], [`EngineReport::mailbox_messages`] and
+//! [`EngineReport::result_messages`] count the resulting wake-ups.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -48,7 +49,7 @@ use themis_workloads::pump::{query_bindings, SourcePump};
 
 use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
 use crate::node_state::NodeConfig;
-use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome, ShardRouting};
+use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -255,10 +256,15 @@ pub struct EngineReport {
     /// that stepped the sources (at most one per pump beat of 1 ms).
     pub pump_sweeps: u64,
     /// Messages the shard threads took off their channels, summed over
-    /// shards. A control-loop pass's bundle counts once; every other
-    /// batch (routed between fragments, or received over the ingest
-    /// listener) and control message counts once each.
+    /// shards. A bundle counts once: a control-loop pass's batches and SIC
+    /// updates, or the batches one shard service pass routed between
+    /// fragments to the receiving shard. A batch received over the ingest
+    /// listener and a control message count once each.
     pub mailbox_messages: u64,
+    /// Result messages the control loop received (one per shard service
+    /// pass that emitted results, however many it carries), including
+    /// those [`Engine::finish`] drains after the shards stopped.
+    pub result_messages: u64,
 }
 
 impl EngineReport {
@@ -316,10 +322,13 @@ pub struct Engine {
     node_capacity_tps: Vec<u32>,
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
-    results_rx: Receiver<ResultEvent>,
+    /// One message per shard service pass that emitted results.
+    results_rx: Receiver<Vec<ResultEvent>>,
     /// Kept so `run_for`'s wait on `results_rx` still blocks once every
     /// shard thread has died.
-    _results_tx: Sender<ResultEvent>,
+    _results_tx: Sender<Vec<ResultEvent>>,
+    /// Messages received on `results_rx` ([`EngineReport::result_messages`]).
+    result_messages: u64,
     shard_handles: Vec<JoinHandle<ShardOutcome>>,
     /// The sources, stepped by `run_for` on the calling thread.
     pump: SourcePump,
@@ -373,16 +382,13 @@ impl Engine {
         let node_txs: Vec<Sender<ShardMsg>> = (0..scenario.n_nodes)
             .map(|n| shard_txs[shard_of(n, n_shards)].clone())
             .collect();
-        let (results_tx, results_rx) = unbounded::<ResultEvent>();
+        let (results_tx, results_rx) = unbounded::<Vec<ResultEvent>>();
 
         // Threads carry names so `/proc/self/task/*/stat` sampling (the
         // benchmark's thread sampler) can attribute CPU per role.
         let mut shard_handles = Vec::new();
         for (i, rx) in shard_rxs.into_iter().enumerate() {
-            let routing = ShardRouting {
-                node_txs: node_txs.clone(),
-                results_tx: results_tx.clone(),
-            };
+            let (txs, results_tx) = (shard_txs.clone(), results_tx.clone());
             let durability = match (config.checkpoint_every, &config.durability_dir) {
                 (Some(every), Some(dir)) => Some(ShardDurability {
                     dir: dir.clone(),
@@ -394,7 +400,7 @@ impl Engine {
             };
             let handle = thread::Builder::new()
                 .name(format!("shard-{i}"))
-                .spawn(move || run_shard(routing, rx, epoch, durability))
+                .spawn(move || run_shard(txs, results_tx, rx, epoch, durability))
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
@@ -486,6 +492,7 @@ impl Engine {
             node_txs,
             results_rx,
             _results_tx: results_tx,
+            result_messages: 0,
             shard_handles,
             pump: SourcePump::with_pool(pool.clone()),
             last_sweep: epoch,
@@ -781,7 +788,7 @@ impl Engine {
     /// 1 ms beat), runs the coordinator's `updateSIC` round when one
     /// is due and its SIC sample when one is due (the coordinator keeps
     /// the schedules). The pass sends each shard at most one bundle of
-    /// its batches and SIC updates, then records result emissions as they
+    /// its batches and SIC updates, then records result messages as they
     /// arrive until the next sweep, round, sample or the deadline.
     pub fn run_for(&mut self, wall: Duration) {
         let deadline = Instant::now() + wall;
@@ -831,15 +838,24 @@ impl Engine {
                 .next_sweep
                 .map_or(deadline, |at| at.min(deadline))
                 .min(self.instant(due));
-            if let Ok(ev) = self
+            if let Ok(events) = self
                 .results_rx
                 .recv_timeout(wake.saturating_duration_since(Instant::now()))
             {
-                self.coordinator.record(self.now(), ev.query, ev.sic);
-                while let Ok(ev) = self.results_rx.try_recv() {
-                    self.coordinator.record(self.now(), ev.query, ev.sic);
+                self.record(events);
+                while let Ok(events) = self.results_rx.try_recv() {
+                    self.record(events);
                 }
             }
+        }
+    }
+
+    /// Records one results message, every event at its receipt.
+    fn record(&mut self, events: Vec<ResultEvent>) {
+        self.result_messages += 1;
+        let now = self.now();
+        for ev in events {
+            self.coordinator.record(now, ev.query, ev.sic);
         }
     }
 
@@ -848,12 +864,15 @@ impl Engine {
         self.epoch + Duration::from_micros(at.as_micros())
     }
 
-    /// Shuts the shard pool down and assembles the report.
-    pub fn finish(self) -> EngineReport {
+    /// Shuts the shard pool down and assembles the report. Results the
+    /// shards sent before they stopped are recorded too; no sample follows
+    /// (samples run only inside [`Engine::run_for`]), so they count in
+    /// [`EngineReport::result_counts`] but move no per-query mean.
+    pub fn finish(mut self) -> EngineReport {
         // Ingest first: stop reading sockets before the shards shut
         // down, and fold the listener's accounting into the report.
         let (remote_batches, remote_sent_batches, remote_shed_batches, ingest_errors) =
-            match self.ingest {
+            match self.ingest.take() {
                 Some((server, stats)) => {
                     let received = server.batches_received();
                     server.shutdown();
@@ -878,7 +897,10 @@ impl Engine {
         let mut nodes: Vec<NodeReport> = vec![NodeReport::default(); self.n_nodes];
         let mut errors: Vec<EngineError> = Vec::new();
         let (mut checkpoints, mut early_checkpoints, mut mailbox_messages) = (0, 0, 0);
-        for (shard, h) in self.shard_handles.into_iter().enumerate() {
+        for (shard, h) in std::mem::take(&mut self.shard_handles)
+            .into_iter()
+            .enumerate()
+        {
             match h.join() {
                 Ok(outcome) => {
                     for (node, report) in outcome.reports {
@@ -907,6 +929,10 @@ impl Engine {
             }
         }
 
+        // Every shard has sent its last outbox and stopped.
+        while let Ok(events) = self.results_rx.try_recv() {
+            self.record(events);
+        }
         let coordinated = self.coordinator.finish();
         errors.extend(
             ingest_errors
@@ -935,6 +961,7 @@ impl Engine {
             early_checkpoints,
             pump_sweeps: self.pump_sweeps,
             mailbox_messages,
+            result_messages: self.result_messages,
         }
     }
 }
@@ -1019,6 +1046,59 @@ mod tests {
         let report = Engine::start(&scenario(4, 100, 5), EngineConfig::default()).finish();
         assert_eq!(report.pump_sweeps, 0);
         assert!(report.nodes.iter().all(|n| n.arrived_tuples == 0));
+    }
+
+    /// Regression: `finish` never drained the results channel, so results
+    /// a shard had sent but the control loop had not yet received — a
+    /// shard's last outbox among them — were dropped from
+    /// `result_counts`. A message sent straight onto the channel before
+    /// `finish` stands in for one here.
+    #[test]
+    fn finish_records_results_sent_before_it() {
+        let engine = Engine::start(&scenario(2, 100, 4), EngineConfig::default());
+        let event = ResultEvent {
+            query: QueryId(1),
+            sic: Sic(0.5),
+        };
+        engine._results_tx.send(vec![event; 3]).unwrap();
+        let report = engine.finish();
+        assert_eq!(report.result_counts.get(&QueryId(1)), Some(&3));
+        assert_eq!(report.result_messages, 1);
+    }
+
+    /// A service pass's results reach the control loop as one message:
+    /// one node hosting 64 AVG queries, whose one-second panes close
+    /// together, sends at most one message per tick and 64 results per
+    /// pane-closing tick.
+    #[test]
+    fn results_arrive_one_message_per_pass() {
+        let scn = ScenarioBuilder::new("engine-results", 6)
+            .nodes(1)
+            .capacity_tps(1_000_000)
+            .duration(TimeDelta::from_millis(2500))
+            .warmup(TimeDelta::from_millis(500))
+            .stw_window(TimeDelta::from_secs(1))
+            .add_queries(
+                Template::Avg,
+                64,
+                SourceProfile::steady(20, 1, Dataset::Uniform),
+            )
+            .build()
+            .unwrap();
+        let report = run_engine(&scn, EngineConfig::default());
+        let results: usize = report.result_counts.values().sum();
+        assert!(report.result_messages > 0, "no result arrived");
+        assert!(
+            report.result_messages <= report.nodes[0].ticks,
+            "{} messages for {} ticks",
+            report.result_messages,
+            report.nodes[0].ticks
+        );
+        assert!(
+            results as u64 >= 32 * report.result_messages,
+            "{results} results in {} messages",
+            report.result_messages
+        );
     }
 
     /// A peer that keeps sending batches addressed to a node the engine

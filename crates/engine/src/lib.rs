@@ -43,8 +43,8 @@ pub mod prelude {
         default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport,
     };
     pub use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
-    pub use crate::node_state::{NodeConfig, NodeState};
-    pub use crate::shard::{run_shard, shard_of, Shard, ShardDurability, ShardRouting};
+    pub use crate::node_state::{EmissionSink, NodeConfig, NodeState, ShardRouting};
+    pub use crate::shard::{run_shard, shard_of, Outgoing, Shard, ShardDurability};
     pub use themis_core::shedder::{lookup_policy, Policy};
     pub use themis_query::node::{NodeReport, RoutedBatch};
 }

@@ -32,7 +32,8 @@ pub enum EngineMsg {
     /// A coordinator SIC update.
     Sic(SicUpdate),
     /// Work for many nodes of one shard in one message: a control-loop
-    /// pass's source batches and coordinator SIC updates. The envelope's
+    /// pass's source batches and coordinator SIC updates, or the batches
+    /// one shard service pass routed to this shard's nodes. The envelope's
     /// `node` is ignored; every entry names its own.
     Bundle(Bundle),
     /// Install a query fragment on the addressed node (runtime query
@@ -72,9 +73,9 @@ pub enum EngineMsg {
 
 /// The payload of [`EngineMsg::Bundle`]: what would otherwise be one
 /// message per batch or update, so a shard wakes at most once per
-/// control-loop pass (a pump beat, a coordinator round or both) instead
-/// of once per item.
-#[derive(Default)]
+/// control-loop pass (a pump beat, a coordinator round or both) and once
+/// per sending shard's service pass, instead of once per item.
+#[derive(Debug, Default)]
 pub struct Bundle {
     /// Data batches, each with its destination global node.
     pub batches: Vec<(usize, RoutedBatch)>,

@@ -4,9 +4,13 @@
 //! What [`NodeState`] adds is only what a real clock needs: `Instant`
 //! deadlines with the drift/late-tick reschedule below, measured busy time
 //! for [`CostModel::observe_windowed`], pool recycling of shed batches, the
-//! synthetic-cost spin, emission routing over [`ShardRouting`], and the
-//! per-query SIC divergence from the last checkpoint that triggers early
-//! checkpoints.
+//! synthetic-cost spin, and the per-query SIC divergence from the last
+//! checkpoint that triggers early checkpoints.
+//!
+//! A tick hands its fragments' emissions to the [`EmissionSink`] its caller
+//! supplies: the shard's outbox, which leaves a service pass as one
+//! message per destination, or [`ShardRouting`], the benchmark replay's
+//! per-emission channel sink.
 //!
 //! Extracting the node from the seed engine's one-OS-thread-per-node
 //! worker lets one shard thread interleave thousands of nodes (see
@@ -23,10 +27,84 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::Sender;
+
 use themis_core::prelude::*;
+use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
-use crate::shard::ShardRouting;
+use crate::messages::{EngineMsg, ResultEvent, ShardMsg};
+
+/// Where a tick's fragment emissions go: `route` receives each emitting
+/// fragment's emissions with the `downstream` it was attached with
+/// (`None` = the query-result sink).
+pub trait EmissionSink {
+    /// Takes `fragment` of `query`'s emissions, bound for `downstream`.
+    fn route(
+        &mut self,
+        query: QueryId,
+        fragment: usize,
+        downstream: Option<(usize, usize)>,
+        emissions: Vec<Emission>,
+    );
+}
+
+/// A per-emission channel sink: one message per emission. It serves only
+/// the benchmark's replay harness, which builds it around its own
+/// channels; engine shards collect a pass's emissions in their outbox
+/// instead and send one message per destination.
+pub struct ShardRouting {
+    /// Senders addressing every node (index = global node).
+    pub node_txs: Vec<Sender<ShardMsg>>,
+    /// Sink for query results.
+    pub results_tx: Sender<ResultEvent>,
+}
+
+/// The routed batch a downstream emission becomes: `query`'s fragment
+/// `fragment` feeding fragment `to` of the same query.
+pub(crate) fn downstream_batch(
+    query: QueryId,
+    fragment: usize,
+    to: usize,
+    emission: Emission,
+) -> RoutedBatch {
+    let at = emission.at;
+    RoutedBatch {
+        query,
+        fragment: to,
+        ingress: Ingress::Upstream(fragment),
+        // Wrap the emission's columns directly — no per-tuple
+        // re-materialisation between fragments.
+        batch: Batch::from_data(query, at, emission.into_batch()),
+    }
+}
+
+impl EmissionSink for ShardRouting {
+    /// Sends each emission to `downstream`'s node as one
+    /// [`EngineMsg::Batch`], or to the results sink when `None`.
+    fn route(
+        &mut self,
+        query: QueryId,
+        fragment: usize,
+        downstream: Option<(usize, usize)>,
+        emissions: Vec<Emission>,
+    ) {
+        for e in emissions {
+            // A closed peer means shutdown is racing; dropping the
+            // emission is equivalent to shedding it.
+            match downstream {
+                Some((node, to)) => {
+                    let msg = EngineMsg::Batch(downstream_batch(query, fragment, to, e));
+                    let _ = self.node_txs[node].send(ShardMsg { node, msg });
+                }
+                None => {
+                    let sic = e.sic();
+                    let _ = self.results_tx.send(ResultEvent { query, sic });
+                }
+            }
+        }
+    }
+}
 
 /// Per-node static configuration.
 pub struct NodeConfig {
@@ -185,9 +263,9 @@ impl NodeState {
     }
 
     /// Fires one shedding tick at wall time `now` (see [`Node::tick`]),
-    /// feeds the cost model the measured processing time, then reschedules
-    /// the deadline past `now`.
-    pub fn tick(&mut self, now: Instant, epoch: Instant, routing: &ShardRouting) {
+    /// hands the fragments' emissions to `sink`, feeds the cost model the
+    /// measured processing time, then reschedules the deadline past `now`.
+    pub fn tick(&mut self, now: Instant, epoch: Instant, sink: &mut impl EmissionSink) {
         let window = TimeDelta::from_micros(
             now.saturating_duration_since(self.last_tick).as_micros() as u64,
         );
@@ -209,7 +287,7 @@ impl NodeState {
                 }
             },
             |query, fragment, downstream, emissions| {
-                routing.route(query, fragment, downstream, emissions);
+                sink.route(query, fragment, downstream, emissions);
             },
         );
         if !self.synthetic_cost.is_zero() {
@@ -405,11 +483,11 @@ mod tests {
         );
         let (tx, _rx) = crossbeam::channel::unbounded();
         let (results_tx, _results_rx) = crossbeam::channel::unbounded();
-        let routing = ShardRouting {
+        let mut routing = ShardRouting {
             node_txs: vec![tx],
             results_tx,
         };
-        s.tick(base, base, &routing);
+        s.tick(base, base, &mut routing);
         // 10 buffered > 3 fixed capacity, despite the cost model having
         // no reason to shed (zero synthetic cost).
         assert_eq!(s.report().shed_invocations, 1);

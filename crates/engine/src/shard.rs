@@ -1,10 +1,11 @@
 //! Shards: a bounded pool of OS threads, each owning a slice of node
 //! states, in two layers. [`Shard`] is a clock-free state machine over
 //! the nodes, their shedding deadlines (a min-heap of `Reverse((Instant,
-//! node, generation))` entries), the rest of a bundle and the durability
-//! bookkeeping; it reads time only from the `now` passed to
+//! node, generation))` entries), the rest of a bundle, the outbox and the
+//! durability bookkeeping; it reads time only from the `now` passed to
 //! [`Shard::handle`] and [`Shard::service`], so its tests run on virtual
-//! `Instant`s. [`run_shard`] is its one wall-clock driver.
+//! `Instant`s, and it holds no channel sender. [`run_shard`] is its one
+//! wall-clock driver, and the only code here that receives or sends.
 //!
 //! Where the seed engine spawned one OS thread per FSPS node — capping
 //! experiments at a few dozen nodes — a shard interleaves thousands of
@@ -21,6 +22,12 @@
 //! `MAX_SWEEP` entries of a pending bundle, after the due ticks, and the
 //! driver takes no new message until the bundle is done: message order
 //! and the flood guarantee hold for a bundle of any size.
+//!
+//! Bulk traffic also **leaves** bundled: the ticks of a service pass emit
+//! into the shard's outbox, and [`Shard::outbox`] hands the driver at most
+//! one message per destination — one [`Outgoing::Results`] of every
+//! result the pass emitted, for the engine's control loop, and one
+//! [`Outgoing::Bundle`] per shard whose nodes the pass routed batches to.
 //!
 //! Shards start **empty**: nodes install on first
 //! [`EngineMsg::Attach`] and tear down when an [`EngineMsg::Detach`]
@@ -44,8 +51,8 @@ use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
 use crate::engine::EngineError;
-use crate::messages::{AttachFragment, EngineMsg, ResultEvent, ShardMsg};
-use crate::node_state::NodeState;
+use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
+use crate::node_state::{downstream_batch, EmissionSink, NodeState};
 
 /// Bundle entries a shard handles per [`Shard::service`]: a coordinator
 /// round's bundle carries thousands of updates, and a tick due meanwhile
@@ -58,23 +65,28 @@ const MAX_SWEEP: usize = 512;
 /// so thousands of co-located nodes do not all tick at the same instant.
 const STAGGER_SLOTS: u64 = 32;
 
-/// What a shard needs to route fragment outputs. Fragment-level routing
-/// (which downstream node a fragment feeds) travels with the fragment
-/// itself (installed by [`EngineMsg::Attach`]), so attaching a query at
-/// runtime needs no shard-wide routing updates.
-pub struct ShardRouting {
-    /// Senders addressing every node (index = global node; each entry is a
-    /// clone of the owning shard's channel).
-    pub node_txs: Vec<Sender<ShardMsg>>,
-    /// Sink for query results.
-    pub results_tx: Sender<ResultEvent>,
+/// A message a service pass leaves for its driver to send.
+#[derive(Debug)]
+pub enum Outgoing {
+    /// Every result the pass emitted, in emission order, for the engine's
+    /// control loop.
+    Results(Vec<ResultEvent>),
+    /// Every batch the pass routed to nodes of shard `.0`, to be sent
+    /// there as one [`EngineMsg::Bundle`].
+    Bundle(usize, Bundle),
 }
 
-impl ShardRouting {
-    /// Forwards fragment emissions to `downstream` (or to the results
-    /// sink when `None`).
-    pub fn route(
-        &self,
+/// What a shard's ticks emitted since the driver last took it: results,
+/// and downstream batches by destination shard.
+struct Outbox {
+    results: Vec<ResultEvent>,
+    /// Index = destination shard.
+    bundles: Vec<Bundle>,
+}
+
+impl EmissionSink for Outbox {
+    fn route(
+        &mut self,
         query: QueryId,
         fragment: usize,
         downstream: Option<(usize, usize)>,
@@ -82,29 +94,15 @@ impl ShardRouting {
     ) {
         for e in emissions {
             match downstream {
-                Some((node, df)) => {
-                    let at = e.at;
-                    let rb = RoutedBatch {
-                        query,
-                        fragment: df,
-                        ingress: Ingress::Upstream(fragment),
-                        // Wrap the emission's columns directly — no
-                        // per-tuple re-materialisation between fragments.
-                        batch: Batch::from_data(query, at, e.into_batch()),
-                    };
-                    // A closed peer means shutdown is racing; dropping the
-                    // batch is equivalent to shedding it.
-                    let _ = self.node_txs[node].send(ShardMsg {
-                        node,
-                        msg: EngineMsg::Batch(rb),
-                    });
+                Some((node, to)) => {
+                    let shard = shard_of(node, self.bundles.len());
+                    let rb = downstream_batch(query, fragment, to, e);
+                    self.bundles[shard].batches.push((node, rb));
                 }
-                None => {
-                    let _ = self.results_tx.send(ResultEvent {
-                        query,
-                        sic: e.sic(),
-                    });
-                }
+                None => self.results.push(ResultEvent {
+                    query,
+                    sic: e.sic(),
+                }),
             }
         }
     }
@@ -153,23 +151,44 @@ pub struct ShardOutcome {
 }
 
 /// Runs a shard on the wall clock until an [`EngineMsg::Shutdown`] arrives
-/// (or every sender is gone) and returns its [`ShardOutcome`].
+/// (or every sender is gone) and returns its [`ShardOutcome`]. After each
+/// service pass it sends the pass's [`Shard::outbox`]: results on
+/// `results_tx`, each bundle on its shard's sender in `shard_txs` (index =
+/// shard; this shard's own sender included, for fragments feeding a
+/// shard-mate).
 ///
 /// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
 /// (the engine sends the initial scenario's attaches right after spawning
 /// the thread, so "static" deployments take this same path).
 pub fn run_shard(
-    routing: ShardRouting,
+    shard_txs: Vec<Sender<ShardMsg>>,
+    results_tx: Sender<Vec<ResultEvent>>,
     rx: Receiver<ShardMsg>,
     epoch: Instant,
     durability: Option<ShardDurability>,
 ) -> ShardOutcome {
-    let mut shard = Shard::new(routing, epoch, durability, Instant::now());
+    // A closed peer means shutdown is racing; dropping a message is
+    // equivalent to shedding what it carries.
+    let send = |shard: &mut Shard| {
+        for out in shard.outbox() {
+            match out {
+                Outgoing::Results(events) => {
+                    let _ = results_tx.send(events);
+                }
+                Outgoing::Bundle(to, bundle) => {
+                    let msg = EngineMsg::Bundle(bundle);
+                    let _ = shard_txs[to].send(ShardMsg { node: 0, msg });
+                }
+            }
+        }
+    };
+    let mut shard = Shard::new(shard_txs.len(), epoch, durability, Instant::now());
     loop {
         // Due ticks (and a due checkpoint) come before every receive: the
         // deadline, not channel pressure, decides when the detector runs.
         let now = Instant::now();
         let next = shard.service(now);
+        send(&mut shard);
         if next == Some(now) {
             // A bundle is partly handled: finish it before the next message.
             continue;
@@ -193,11 +212,11 @@ pub fn run_shard(
 }
 
 /// A shard's state machine, on the caller's clock: [`Shard::handle`] takes
-/// one message, [`Shard::service`] does the work due at `now`, and
+/// one message, [`Shard::service`] does the work due at `now`,
+/// [`Shard::outbox`] hands over what that work emitted, and
 /// [`Shard::finish`] returns the counters. [`run_shard`] drives it on the
 /// wall clock.
 pub struct Shard {
-    routing: ShardRouting,
     epoch: Instant,
     durability: Option<ShardDurability>,
     out: ShardOutcome,
@@ -208,6 +227,7 @@ pub struct Shard {
     /// slot's current one is stale and discarded on pop.
     heap: BinaryHeap<Reverse<(Instant, usize, u64)>>,
     pending: Option<Pending>,
+    outbox: Outbox,
     installed_seq: u64,
     log: Option<wal::ShardLog>,
     next_checkpoint: Option<Instant>,
@@ -247,16 +267,18 @@ impl Slot {
 }
 
 impl Shard {
-    /// An empty shard whose node logical clocks count from `epoch`, with
-    /// its first checkpoint (when durable) one cadence after `now`.
+    /// An empty shard of a pool of `shards` (so the outbox can bundle
+    /// downstream batches by destination shard) whose node logical clocks
+    /// count from `epoch`, with its first checkpoint (when durable) one
+    /// cadence after `now`.
     pub fn new(
-        routing: ShardRouting,
+        shards: usize,
         epoch: Instant,
         durability: Option<ShardDurability>,
         now: Instant,
     ) -> Self {
+        let bundles = (0..shards.max(1)).map(|_| Bundle::default()).collect();
         Shard {
-            routing,
             epoch,
             next_checkpoint: durability.as_ref().map(|d| now + d.every),
             durability,
@@ -264,6 +286,10 @@ impl Shard {
             slots: HashMap::new(),
             heap: BinaryHeap::new(),
             pending: None,
+            outbox: Outbox {
+                results: Vec::new(),
+                bundles,
+            },
             installed_seq: 0,
             log: None,
             crashed: false,
@@ -302,7 +328,7 @@ impl Shard {
             let Some(state) = slot.and_then(|s| s.state.as_mut()) else {
                 continue;
             };
-            state.tick(now, self.epoch, &self.routing);
+            state.tick(now, self.epoch, &mut self.outbox);
             self.heap
                 .push(Reverse((state.next_tick(), node, generation)));
             fired += 1;
@@ -314,6 +340,21 @@ impl Shard {
         } else {
             self.heap.peek().map(|&Reverse((at, ..))| at)
         }
+    }
+
+    /// Takes what the ticks since the last call emitted, as at most one
+    /// message per destination: one [`Outgoing::Results`] when any result
+    /// was emitted, then one [`Outgoing::Bundle`] per shard that any
+    /// downstream batch is bound for. Empty when nothing was emitted.
+    /// [`Shard::handle`] never emits, so taking the outbox after each
+    /// [`Shard::service`] takes everything.
+    pub fn outbox(&mut self) -> impl Iterator<Item = Outgoing> + '_ {
+        let Outbox { results, bundles } = &mut self.outbox;
+        let results = (!results.is_empty()).then(|| Outgoing::Results(std::mem::take(results)));
+        let bundles = bundles.iter_mut().enumerate().filter_map(|(to, bundle)| {
+            (!bundle.is_empty()).then(|| Outgoing::Bundle(to, std::mem::take(bundle)))
+        });
+        results.into_iter().chain(bundles)
     }
 
     /// Handles one message at `now`; `false` when the shard must stop. A
@@ -573,7 +614,6 @@ mod tests {
     use super::*;
     use crate::messages::Bundle;
     use crate::node_state::NodeConfig;
-    use crossbeam::channel::unbounded;
     use std::sync::{Arc, Mutex};
 
     #[test]
@@ -614,17 +654,11 @@ mod tests {
         }
     }
 
-    /// An empty shard for `nodes` global nodes whose clock starts at the
+    /// The only shard of its pool, empty, whose clock starts at the
     /// returned `t0`.
-    fn shard(nodes: usize, durability: Option<ShardDurability>) -> (Shard, Instant) {
-        let (tx, _) = unbounded();
-        let (results_tx, _) = unbounded();
-        let routing = ShardRouting {
-            node_txs: vec![tx; nodes],
-            results_tx,
-        };
+    fn shard(durability: Option<ShardDurability>) -> (Shard, Instant) {
         let t0 = Instant::now();
-        (Shard::new(routing, t0, durability, t0), t0)
+        (Shard::new(1, t0, durability, t0), t0)
     }
 
     /// One single-fragment AVG query per id.
@@ -685,7 +719,7 @@ mod tests {
     #[test]
     fn flooded_shard_still_sheds() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(1, None);
+        let (mut shard, t0) = shard(None);
         shard.handle(t0, attach(0, config(5, 100), q));
         for i in 0..1_000 {
             let now = t0 + i * Duration::from_micros(100);
@@ -709,7 +743,7 @@ mod tests {
     #[test]
     fn bundled_flood_still_ticks_and_sheds() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(1, None);
+        let (mut shard, t0) = shard(None);
         let updates = (0..2_000).map(|i| sic(q.id, 0, f64::from(i % 100) / 100.0));
         let bundles = [
             Bundle {
@@ -754,7 +788,7 @@ mod tests {
     #[test]
     fn overrunning_tick_does_not_storm() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(1, None);
+        let (mut shard, t0) = shard(None);
         shard.handle(t0, attach(0, config(20, 100), q));
         assert_eq!(shard.service(t0), Some(t0 + 20 * MS));
         // 105 ms late: the next boundary past 125 ms is 140 ms.
@@ -771,7 +805,7 @@ mod tests {
     #[test]
     fn zero_interval_still_terminates() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(1, None);
+        let (mut shard, t0) = shard(None);
         shard.handle(t0, attach(0, config(0, 100), q));
         let us = Duration::from_micros(1);
         for i in 0..100 {
@@ -791,7 +825,7 @@ mod tests {
     #[test]
     fn zero_interval_node_does_not_starve_shard_mates() {
         let qs = queries(2);
-        let (mut shard, t0) = shard(2, None);
+        let (mut shard, t0) = shard(None);
         shard.handle(t0, attach(0, config(0, 100), &qs[0]));
         shard.handle(t0, attach(1, config(5, 100), &qs[1]));
         for ms in 1..=60 {
@@ -811,7 +845,7 @@ mod tests {
     #[test]
     fn detach_tears_down_and_reattach_merges() {
         let qs = queries(2);
-        let (mut shard, t0) = shard(2, None);
+        let (mut shard, t0) = shard(None);
         let run = |shard: &mut Shard, ms: std::ops::RangeInclusive<u32>| {
             for ms in ms {
                 shard.service(t0 + ms * MS);
@@ -855,7 +889,7 @@ mod tests {
         }
         let fired = Arc::new(Mutex::new(Vec::new()));
         let qs = queries(4);
-        let (mut shard, t0) = shard(4, None);
+        let (mut shard, t0) = shard(None);
         // `(node, interval)` in install order; install `i` is staggered by
         // i/32 of its interval: deadlines 33, 33, 17 and 26.25 ms.
         for (node, interval_ms) in [(2, 33), (1, 32), (0, 16), (3, 24)] {
@@ -867,6 +901,106 @@ mod tests {
         // Node 0 served 23 ms late skips to 17 + 2 x 16 ms, the earliest.
         assert_eq!(shard.service(t0 + 40 * MS), Some(t0 + 49 * MS));
         assert_eq!(*fired.lock().unwrap(), vec![0, 3, 1, 2]);
+    }
+
+    /// Shard 0 of a pool of two whose node clocks count from two seconds
+    /// before the returned `t0`. A tick stamps its logical time from the
+    /// wall clock, so at any `now` a pane holding tuples stamped 0 (the
+    /// first second's window) closes on the node's next tick.
+    fn late_shard() -> (Shard, Instant) {
+        let t0 = Instant::now();
+        let epoch = t0
+            .checked_sub(Duration::from_secs(2))
+            .expect("host up for two seconds");
+        (Shard::new(2, epoch, None, t0), t0)
+    }
+
+    /// Installs `query` on `node` (shedding every 5 ms, never overloaded)
+    /// feeding `downstream`, and buffers one three-tuple batch for it.
+    fn feed(
+        shard: &mut Shard,
+        t0: Instant,
+        node: usize,
+        q: &Arc<QuerySpec>,
+        downstream: Option<(usize, usize)>,
+    ) {
+        let fragment = AttachFragment {
+            node,
+            config: config(5, 1_000),
+            query: q.clone(),
+            fragment: 0,
+            downstream,
+        };
+        shard.handle(t0, msg(node, EngineMsg::Attach(fragment)));
+        shard.handle(t0, msg(node, EngineMsg::Batch(batch(q, 3))));
+    }
+
+    /// One service pass in which two nodes close 40 and 24 result panes
+    /// leaves one results message of 64 events, one per query; the next
+    /// pass emits nothing and leaves nothing.
+    #[test]
+    fn a_pass_sends_its_results_as_one_message() {
+        let qs = queries(64);
+        let (mut shard, t0) = late_shard();
+        for (i, q) in qs.iter().enumerate() {
+            feed(&mut shard, t0, if i < 40 { 0 } else { 2 }, q, None);
+        }
+        shard.service(t0 + 10 * MS);
+        let out: Vec<Outgoing> = shard.outbox().collect();
+        assert_eq!(out.len(), 1, "{out:?}");
+        let Outgoing::Results(events) = &out[0] else {
+            panic!("expected results, got {out:?}");
+        };
+        let mut queries: Vec<QueryId> = events.iter().map(|e| e.query).collect();
+        queries.sort();
+        assert_eq!(queries, qs.iter().map(|q| q.id).collect::<Vec<_>>());
+        shard.service(t0 + 20 * MS);
+        assert_eq!(shard.outbox().count(), 0);
+        let reports = reports(shard);
+        assert_eq!((reports[&0].ticks, reports[&2].ticks), (2, 2));
+    }
+
+    /// Twelve fragments on node 0 closing one pane each in one pass, eight
+    /// feeding nodes 1 and 3 (shard 1) and four feeding node 2 (shard 0),
+    /// leave one bundle per destination shard: 4 batches for shard 0 and
+    /// 8 for shard 1, and no results message.
+    #[test]
+    fn routed_batches_leave_as_one_bundle_per_shard() {
+        let qs = queries(12);
+        let (mut shard, t0) = late_shard();
+        for (i, q) in qs.iter().enumerate() {
+            let to = [1, 3, 2][i % 3];
+            feed(&mut shard, t0, 0, q, Some((to, 0)));
+        }
+        shard.service(t0 + 10 * MS);
+        let mut sizes = Vec::new();
+        for out in shard.outbox() {
+            let Outgoing::Bundle(to, bundle) = out else {
+                panic!("expected bundles only, got {out:?}");
+            };
+            assert!(bundle.sic.is_empty());
+            for (node, rb) in &bundle.batches {
+                assert_eq!(shard_of(*node, 2), to);
+                assert_eq!((rb.fragment, rb.ingress), (0, Ingress::Upstream(0)));
+            }
+            sizes.push((to, bundle.batches.len()));
+        }
+        assert_eq!(sizes, vec![(0, 4), (1, 8)]);
+    }
+
+    /// Ticks that close no pane emit nothing, so the pass leaves nothing
+    /// to send: here the node clock counts from `t0`, so the buffered
+    /// tuples' one-second window stays open through 50 ms of ticks.
+    #[test]
+    fn a_pass_without_emissions_sends_nothing() {
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(None);
+        feed(&mut shard, t0, 0, q, None);
+        for ms in 1..=50 {
+            shard.service(t0 + ms * MS);
+            assert_eq!(shard.outbox().count(), 0, "at {ms} ms");
+        }
+        assert_eq!(reports(shard)[&0].ticks, 10);
     }
 
     fn durability(dir: &std::path::Path, every: Duration) -> ShardDurability {
@@ -889,7 +1023,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("themis-shard-storm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let qs = queries(64);
-        let (mut shard, t0) = shard(1, Some(durability(&dir, Duration::from_secs(3600))));
+        let (mut shard, t0) = shard(Some(durability(&dir, Duration::from_secs(3600))));
         for q in &qs {
             shard.handle(t0, attach(0, config(50, 100), q));
         }
@@ -925,7 +1059,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::write(&root, b"a file, not a directory").unwrap();
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(1, Some(durability(&root, Duration::from_secs(3600))));
+        let (mut shard, t0) = shard(Some(durability(&root, Duration::from_secs(3600))));
         shard.handle(t0, attach(0, config(50, 100), q));
         shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
         shard.service(t0);
@@ -953,7 +1087,7 @@ mod tests {
         let file = std::env::temp_dir().join(format!("themis-shard-file-{}", std::process::id()));
         std::fs::write(&file, b"a file, not a directory").unwrap();
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(1, Some(durability(&file, 100 * MS)));
+        let (mut shard, t0) = shard(Some(durability(&file, 100 * MS)));
         shard.handle(t0, attach(0, config(50, 100), q));
         shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
         for ms in (0..=500).step_by(100) {
