@@ -1,6 +1,8 @@
 //! §7.6 — the overhead of BALANCE-SIC shedding: mean shedder execution
 //! time per invocation (fair vs random), batch-header bytes and
-//! coordinator traffic.
+//! coordinator traffic. The coordinator feeds a node only once its
+//! shedder has run, so the traffic is ∝ shedding hosts × their queries
+//! per round; here every node is overloaded, so that is every host.
 
 use themis_core::prelude::*;
 use themis_engine::prelude::*;
@@ -18,7 +20,8 @@ pub struct OverheadRow {
     pub mean_shed_us: f64,
     /// Fraction of tuples shed.
     pub shed_fraction: f64,
-    /// Coordinator messages sent during the run.
+    /// Coordinator SIC updates sent during the run, to nodes that had
+    /// shed.
     pub coordinator_messages: u64,
     /// Coordinator bytes (30 B per message).
     pub coordinator_bytes: u64,

@@ -13,6 +13,15 @@
 //! (250 ms in §7.6, the shedding interval) and the sample schedule, so a
 //! driver only says when it is. Each update costs 30 bytes on the wire
 //! (§7.6).
+//!
+//! Who gets updates: Algorithm 1 reads a node's SIC table only when the
+//! node is overloaded and its shedder runs, so a host joins the rounds
+//! the first time its driver reports a shedder run
+//! ([`Coordinator::overloaded`]) and stays in them for the run. A round
+//! visits only the queries of joined hosts, in attach order, and sends a
+//! query's SIC only to its joined hosts: with no shedding host a round
+//! does no per-query work, and a host that ever shed gets every round's
+//! update from then on.
 
 use std::collections::HashMap;
 
@@ -74,22 +83,32 @@ impl QueryCoordinator {
         self.latest = sic;
     }
 
+    /// The nodes hosting the query's fragments, ascending.
+    pub fn hosts(&self) -> &[NodeId] {
+        &self.hosts
+    }
+
     /// Called by the runtime clock once per update interval; emits one
     /// `SicUpdate` per hosting node ([`QueryCoordinator::tick_into`]).
     pub fn tick(&mut self, now: Timestamp) -> Vec<SicUpdate> {
         let mut updates = Vec::new();
-        self.tick_into(now, |u| updates.push(u));
+        self.tick_into(now, |_| true, |u| updates.push(u));
         updates
     }
 
     /// [`QueryCoordinator::tick`] without the vector: hands `sink` one
-    /// `SicUpdate` per hosting node and returns how many. A round is due
-    /// once at least half an interval has passed since the last one: a
-    /// runtime whose rounds jitter (the engine's fire a few ms late or
-    /// early on the wall clock) must not skip every round that lands a
-    /// hair short of a full interval, while a second call within the same
-    /// round stays silent.
-    pub fn tick_into(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) -> usize {
+    /// `SicUpdate` per hosting node that `to` accepts and returns how
+    /// many. A round is due once at least half an interval has passed
+    /// since the last one: a runtime whose rounds jitter (the engine's
+    /// fire a few ms late or early on the wall clock) must not skip every
+    /// round that lands a hair short of a full interval, while a second
+    /// call within the same round stays silent.
+    pub fn tick_into(
+        &mut self,
+        now: Timestamp,
+        to: impl Fn(NodeId) -> bool,
+        mut sink: impl FnMut(SicUpdate),
+    ) -> usize {
         let due = match self.last_update {
             None => true,
             Some(prev) => 2 * now.since(prev).as_micros() >= self.update_interval.as_micros(),
@@ -98,14 +117,16 @@ impl QueryCoordinator {
             return 0;
         }
         self.last_update = Some(now);
-        for &node in &self.hosts {
+        let mut sent = 0;
+        for &node in self.hosts.iter().filter(|&&n| to(n)) {
             sink(SicUpdate {
                 query: self.query,
                 node,
                 sic: self.latest,
             });
+            sent += 1;
         }
-        self.hosts.len()
+        sent
     }
 }
 
@@ -127,14 +148,31 @@ struct Entry {
     samples: usize,
     /// `(sample instant, SIC)` while live, when the series is recorded.
     series: Vec<(Timestamp, f64)>,
+    /// Whether the entry is in [`Coordinator::round`]'s list: some host of
+    /// it has shed.
+    joined: bool,
 }
 
-/// The current result SIC of an entry's `results`, clamped into `[0, 1]`.
-fn result_sic(results: &mut Option<SlidingAccumulator>, now: Timestamp) -> Sic {
-    results.as_mut().map_or(Sic::ZERO, |acc| {
+/// The current result SIC of an entry's `results`, before the clamp into
+/// `[0, 1]` (Eq. 1 can overshoot it).
+fn raw_result_sic(results: &mut Option<SlidingAccumulator>, now: Timestamp) -> f64 {
+    results.as_mut().map_or(0.0, |acc| {
         acc.advance_to(now);
-        Sic(acc.total()).clamp_unit()
+        acc.total()
     })
+}
+
+/// A raw result SIC above this counts as a [`CoordinatorReport::sic_overshoot`].
+const OVERSHOOT: f64 = 1.0 + 1e-9;
+
+/// What the [`Coordinator`] keeps about one node.
+#[derive(Debug, Default)]
+struct Host {
+    /// Whether the node's shedder ever ran ([`Coordinator::overloaded`]).
+    shed: bool,
+    /// The entries the node hosts a fragment of, until it sheds: then they
+    /// join the rounds and the list is dropped.
+    entries: Vec<usize>,
 }
 
 /// The logically-centralised query coordinator (§6), stepped by its
@@ -153,7 +191,13 @@ pub struct Coordinator {
     /// `query → entries` slot of its latest attach: the only hashing,
     /// done once per recorded result.
     slots: HashMap<QueryId, usize>,
+    /// Index = node.
+    hosts: Vec<Host>,
+    /// The entries a round visits, ascending (attach order): those with a
+    /// host that has shed. Detached ones leave at the next round.
+    joined: Vec<usize>,
     messages: u64,
+    sic_overshoot: u64,
     next_round: Timestamp,
     /// `None` once sampling stopped.
     next_sample: Option<Timestamp>,
@@ -170,8 +214,12 @@ pub struct CoordinatorReport {
     pub fairness: FairnessSummary,
     /// Result emissions recorded per query.
     pub result_counts: HashMap<QueryId, usize>,
-    /// `SicUpdate`s delivered: Σ hosts × rounds.
+    /// `SicUpdate`s delivered: Σ over rounds of the hosts that had shed
+    /// by then.
     pub messages: u64,
+    /// Counted samples whose raw result SIC exceeded 1 (by more than
+    /// 1e-9) before the clamp into `[0, 1]`: Eq. 1 overshooting.
+    pub sic_overshoot: u64,
     /// `(sample instant, SIC)` per query and sample while attached
     /// (empty unless [`Coordinator::with_series`]).
     pub sic_series: HashMap<QueryId, Vec<(Timestamp, f64)>>,
@@ -202,7 +250,10 @@ impl Coordinator {
             sample_every,
             entries: Vec::new(),
             slots: HashMap::new(),
+            hosts: Vec::new(),
+            joined: Vec::new(),
             messages: 0,
+            sic_overshoot: 0,
             next_round: Timestamp::ZERO + interval,
             next_sample: Some(Timestamp(first)),
             record_series: false,
@@ -216,9 +267,10 @@ impl Coordinator {
     }
 
     /// Starts coordinating `query`, arrived at `arrival`, whose fragments
-    /// run on `hosts`: it joins every later round, and its result SIC is
-    /// sampled from `max(arrival + STW, warm-up end)` until `until` or its
-    /// detach. A query attached again after a detach starts a fresh entry.
+    /// run on `hosts`: it joins the rounds once one of its hosts has shed
+    /// (at once when one already has), and its result SIC is sampled from
+    /// `max(arrival + STW, warm-up end)` until `until` or its detach. A
+    /// query attached again after a detach starts a fresh entry.
     pub fn attach(
         &mut self,
         query: QueryId,
@@ -226,18 +278,60 @@ impl Coordinator {
         arrival: Timestamp,
         until: Option<Timestamp>,
     ) {
-        self.slots.insert(query, self.entries.len());
+        let slot = self.entries.len();
+        let coordinator = QueryCoordinator::new(query, hosts, self.interval);
+        let mut joined = false;
+        for &node in coordinator.hosts() {
+            let host = self.host(node);
+            joined |= host.shed;
+            if !host.shed {
+                host.entries.push(slot);
+            }
+        }
+        if joined {
+            // The newest entry is the largest slot: the list stays sorted.
+            self.joined.push(slot);
+        }
+        self.slots.insert(query, slot);
         self.entries.push(Entry {
             query,
             results: None,
             result_count: 0,
-            coordinator: Some(QueryCoordinator::new(query, hosts, self.interval)),
+            coordinator: Some(coordinator),
             from: (arrival + self.stw.window).max(self.warmup_end),
             until,
             sum: 0.0,
             samples: 0,
             series: Vec::new(),
+            joined,
         });
+    }
+
+    fn host(&mut self, node: NodeId) -> &mut Host {
+        let i = node.index();
+        if i >= self.hosts.len() {
+            self.hosts.resize_with(i + 1, Host::default);
+        }
+        &mut self.hosts[i]
+    }
+
+    /// Records that `node`'s shedder ran: from the next round on, it gets
+    /// the SIC of every query it hosts, now or later. Only the first call
+    /// per node does anything.
+    pub fn overloaded(&mut self, node: NodeId) {
+        let host = self.host(node);
+        if host.shed {
+            return;
+        }
+        host.shed = true;
+        for slot in std::mem::take(&mut host.entries) {
+            let e = &mut self.entries[slot];
+            if !e.joined && e.coordinator.is_some() {
+                e.joined = true;
+                self.joined.push(slot);
+            }
+        }
+        self.joined.sort_unstable();
     }
 
     /// Stops coordinating `query` at `now`: it gets no further updates
@@ -273,17 +367,29 @@ impl Coordinator {
     }
 
     /// Runs one `updateSIC` round at `now`: hands `sink` one update per
-    /// host of every attached query, in attach order. The next round is
-    /// due one interval after this one's due time, or one interval after
-    /// `now` when the caller fell a whole interval behind — a late call
-    /// fires once, it does not storm catch-up rounds.
+    /// host that has shed, for every attached query it hosts, in attach
+    /// order. The next round is due one interval after this one's due
+    /// time, or one interval after `now` when the caller fell a whole
+    /// interval behind — a late call fires once, it does not storm
+    /// catch-up rounds.
     pub fn round(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) {
-        for e in &mut self.entries {
-            if let Some(c) = &mut e.coordinator {
-                c.on_result_sic(result_sic(&mut e.results, now));
-                self.messages += c.tick_into(now, &mut sink) as u64;
-            }
-        }
+        let Coordinator {
+            entries,
+            hosts,
+            joined,
+            messages,
+            ..
+        } = self;
+        let shed = |n: NodeId| hosts.get(n.index()).is_some_and(|h| h.shed);
+        joined.retain(|&slot| {
+            let e = &mut entries[slot];
+            let Some(c) = &mut e.coordinator else {
+                return false;
+            };
+            c.on_result_sic(Sic(raw_result_sic(&mut e.results, now)).clamp_unit());
+            *messages += c.tick_into(now, shed, &mut sink) as u64;
+            true
+        });
         self.next_round += self.interval;
         if self.next_round <= now {
             self.next_round = now + self.interval;
@@ -306,10 +412,12 @@ impl Coordinator {
         for e in &mut self.entries {
             let counted = now >= e.from && e.until.map_or(true, |u| now < u);
             let charted = self.record_series && e.coordinator.is_some();
-            let sic = result_sic(&mut e.results, now).value();
+            let raw = raw_result_sic(&mut e.results, now);
+            let sic = Sic(raw).clamp_unit().value();
             if counted {
                 e.sum += sic;
                 e.samples += 1;
+                self.sic_overshoot += u64::from(raw > OVERSHOOT);
             }
             if charted {
                 e.series.push((now, sic));
@@ -352,6 +460,7 @@ impl Coordinator {
             fairness: FairnessSummary::from_sics(&sics),
             result_counts,
             messages: self.messages,
+            sic_overshoot: self.sic_overshoot,
             sic_series,
         }
     }
@@ -502,6 +611,7 @@ mod tests {
     fn a_late_round_fires_once_and_skips_ahead() {
         let mut c = coordinator();
         c.attach(QueryId(0), vec![NodeId(0)], Timestamp::ZERO, None);
+        c.overloaded(NodeId(0));
         assert_eq!(c.next_round(), Timestamp::from_millis(250));
         assert_eq!(round_at(&mut c, 250).len(), 1);
         assert_eq!(c.next_round(), Timestamp::from_millis(500));
@@ -572,10 +682,12 @@ mod tests {
         let (gone, stays) = (QueryId(1), QueryId(2));
         c.attach(gone, vec![NodeId(0), NodeId(1)], Timestamp::ZERO, None);
         c.attach(stays, vec![NodeId(1)], Timestamp::ZERO, None);
+        c.overloaded(NodeId(1));
         c.record(Timestamp::from_millis(1_100), gone, Sic(0.8));
         c.sample(Timestamp::from_millis(1_200));
         c.detach(gone, Timestamp::from_millis(1_250));
         let updates = round_at(&mut c, 1_250);
+        assert_eq!(nodes(&updates), [NodeId(1)]);
         assert!(updates.iter().all(|u| u.query == stays), "{updates:?}");
         c.sample(Timestamp::from_millis(1_300));
         let report = c.finish();
@@ -586,6 +698,7 @@ mod tests {
     fn no_sample_after_a_stop() {
         let mut c = coordinator();
         c.attach(QueryId(0), vec![NodeId(0)], Timestamp::ZERO, None);
+        c.overloaded(NodeId(0));
         c.sample(Timestamp::from_millis(1_200));
         c.stop_sampling();
         assert_eq!(c.next_sample(), None);
@@ -679,6 +792,7 @@ mod tests {
             None,
         );
         c.attach(QueryId(1), vec![NodeId(2)], Timestamp::ZERO, None);
+        (0..3).for_each(|n| c.overloaded(NodeId(n)));
         let mut delivered = 0;
         for k in 1..=4 {
             c.record(Timestamp::from_millis(250 * k), QueryId(1), Sic(0.1));
@@ -690,6 +804,134 @@ mod tests {
         assert_eq!(report.messages, delivered);
         assert_eq!(report.result_counts[&QueryId(0)], 1);
         assert_eq!(report.result_counts[&QueryId(1)], 4);
+    }
+
+    /// Which `(query, node)` pairs a round at `ms` delivers to.
+    fn pairs_at(c: &mut Coordinator, ms: u64) -> Vec<(u32, u32)> {
+        let updates = round_at(c, ms);
+        updates.iter().map(|u| (u.query.0, u.node.0)).collect()
+    }
+
+    #[test]
+    fn a_host_that_never_sheds_gets_no_update() {
+        let mut c = coordinator();
+        c.attach(
+            QueryId(0),
+            vec![NodeId(0), NodeId(1)],
+            Timestamp::ZERO,
+            None,
+        );
+        c.attach(QueryId(1), vec![NodeId(1)], Timestamp::ZERO, None);
+        for k in 1..=8 {
+            c.record(Timestamp::from_millis(250 * k), QueryId(0), Sic(0.3));
+            assert!(round_at(&mut c, 250 * k).is_empty(), "round {k}");
+        }
+        assert_eq!(c.finish().messages, 0);
+    }
+
+    /// A host marked between two rounds gets the SIC of every query it
+    /// hosts from the next round on, every round, the current value each
+    /// time.
+    #[test]
+    fn a_host_gets_every_hosted_query_from_the_round_after_its_mark() {
+        let mut c = coordinator();
+        c.attach(QueryId(0), vec![NodeId(0)], Timestamp::ZERO, None);
+        c.attach(QueryId(1), vec![NodeId(1)], Timestamp::ZERO, None);
+        c.attach(
+            QueryId(2),
+            vec![NodeId(1), NodeId(2)],
+            Timestamp::ZERO,
+            None,
+        );
+        assert!(round_at(&mut c, 250).is_empty());
+        c.overloaded(NodeId(1));
+        c.overloaded(NodeId(1));
+        for ms in [500, 750, 1_000] {
+            assert_eq!(pairs_at(&mut c, ms), [(1, 1), (2, 1)], "at {ms} ms");
+        }
+        c.record(Timestamp::from_millis(1_050), QueryId(2), Sic(0.4));
+        c.record(Timestamp::from_millis(1_100), QueryId(2), Sic(0.2));
+        let updates = round_at(&mut c, 1_250);
+        assert_eq!(updates[0].sic, Sic::ZERO, "no result yet");
+        assert!((updates[1].sic.value() - 0.6).abs() < 1e-12, "{updates:?}");
+        assert_eq!(c.finish().messages, 8);
+    }
+
+    #[test]
+    fn a_query_attached_to_a_marked_host_joins_the_next_round() {
+        let mut c = coordinator();
+        c.attach(QueryId(0), vec![NodeId(3)], Timestamp::ZERO, None);
+        c.overloaded(NodeId(3));
+        assert_eq!(pairs_at(&mut c, 250), [(0, 3)]);
+        c.attach(
+            QueryId(1),
+            vec![NodeId(3)],
+            Timestamp::from_millis(300),
+            None,
+        );
+        c.attach(
+            QueryId(2),
+            vec![NodeId(4)],
+            Timestamp::from_millis(300),
+            None,
+        );
+        assert_eq!(pairs_at(&mut c, 500), [(0, 3), (1, 3)]);
+    }
+
+    /// A query whose fragments span a shedding and a quiet host updates
+    /// only the shedding one, and joins the rounds once, in attach order,
+    /// however many of its hosts shed.
+    #[test]
+    fn a_query_on_a_marked_and_an_unmarked_host_updates_only_the_marked_one() {
+        let mut c = coordinator();
+        c.attach(
+            QueryId(0),
+            vec![NodeId(0), NodeId(1)],
+            Timestamp::ZERO,
+            None,
+        );
+        c.attach(QueryId(1), vec![NodeId(1)], Timestamp::ZERO, None);
+        c.overloaded(NodeId(1));
+        assert_eq!(pairs_at(&mut c, 250), [(0, 1), (1, 1)]);
+        c.overloaded(NodeId(0));
+        assert_eq!(pairs_at(&mut c, 500), [(0, 0), (0, 1), (1, 1)]);
+        assert_eq!(c.joined, [0, 1]);
+    }
+
+    /// With no host marked, a round over a thousand queries visits none of
+    /// them; a mark adds exactly that host's queries to the round.
+    #[test]
+    fn an_unmarked_round_visits_no_entry() {
+        let mut c = coordinator();
+        for q in 0..1_000 {
+            c.attach(QueryId(q), vec![NodeId(q % 10)], Timestamp::ZERO, None);
+        }
+        assert!(round_at(&mut c, 250).is_empty());
+        assert!(c.joined.is_empty());
+        c.overloaded(NodeId(7));
+        assert_eq!(round_at(&mut c, 500).len(), 100);
+        assert!(c.joined.iter().all(|&slot| slot % 10 == 7));
+        assert_eq!(c.joined.len(), 100);
+    }
+
+    /// Eq. 1 can put more than a whole window of SIC into the STW: such a
+    /// counted sample reads 1 and counts one overshoot; an uncounted one
+    /// (before warm-up ends) does not count.
+    #[test]
+    fn a_sample_over_one_counts_an_overshoot() {
+        let mut c = coordinator_after(1_000);
+        let q = QueryId(0);
+        c.attach(q, vec![NodeId(0)], Timestamp::ZERO, None);
+        c.record(Timestamp::from_millis(500), q, Sic(0.7));
+        c.record(Timestamp::from_millis(600), q, Sic(0.5));
+        c.sample(Timestamp::from_millis(900));
+        c.sample(Timestamp::from_millis(1_000));
+        // The 1 s window at 1.8 s holds only this result.
+        c.record(Timestamp::from_millis(1_300), q, Sic(0.6));
+        c.sample(Timestamp::from_millis(1_800));
+        let report = c.finish();
+        assert_eq!(report.sic_overshoot, 1);
+        assert_eq!(report.per_query, [(q, (1.0 + 0.6) / 2.0, 2)]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! Pinned: an `updateSIC` round and a SIC sample over 1 000 attached
 //! queries allocate nothing — the round hands every update to the
 //! caller's sink, and neither pass builds a vector or hashes a query.
+//! The round's hosts are all marked as shedding in setup, so it visits
+//! and feeds every query.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,6 +77,9 @@ fn coordinator() -> Coordinator {
 #[test]
 fn a_round_over_a_thousand_queries_allocates_nothing() {
     let mut c = coordinator();
+    for node in 0..=64 {
+        c.overloaded(NodeId(node));
+    }
     for k in 1..=4u64 {
         let now = Timestamp::from_millis(250 * k);
         let mut delivered = 0u64;

@@ -28,7 +28,8 @@
 //! and sample, and sends each shard at most one [`EngineMsg::Bundle`];
 //! it then waits for results until the next sweep, round, sample or
 //! deadline. Results arrive one message per shard service pass, carrying
-//! every result that pass emitted.
+//! every result that pass emitted and the nodes whose shedder first ran
+//! in it; only those nodes get the coordinator's SIC updates.
 //! [`EngineReport::pump_sweeps`], [`EngineReport::mailbox_messages`] and
 //! [`EngineReport::result_messages`] count the resulting wake-ups.
 
@@ -47,7 +48,7 @@ use themis_query::prelude::{NodeReport, QuerySpec, RoutedBatch, Template, Valida
 use themis_workloads::prelude::*;
 use themis_workloads::pump::{query_bindings, SourcePump};
 
-use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
+use crate::messages::{AttachFragment, Bundle, EngineMsg, PassResults, ShardMsg};
 use crate::node_state::NodeConfig;
 use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome};
 
@@ -220,8 +221,12 @@ pub struct EngineReport {
     pub fairness: FairnessSummary,
     /// Result emissions observed per query.
     pub result_counts: HashMap<QueryId, usize>,
-    /// Coordinator updates sent.
+    /// Coordinator SIC updates sent: Σ over rounds of the hosts that had
+    /// shed by then (0 when no node ever shed).
     pub coordinator_messages: u64,
+    /// Counted coordinator samples whose raw result SIC exceeded 1 before
+    /// the clamp ([`CoordinatorReport::sic_overshoot`]).
+    pub sic_overshoot: u64,
     /// Shedding policy used.
     pub policy: String,
     /// Shard threads the node states ran on.
@@ -262,7 +267,8 @@ pub struct EngineReport {
     /// listener and a control message count once each.
     pub mailbox_messages: u64,
     /// Result messages the control loop received (one per shard service
-    /// pass that emitted results, however many it carries), including
+    /// pass that emitted results or in which a node first shed, however
+    /// many results it carries), including
     /// those [`Engine::finish`] drains after the shards stopped.
     pub result_messages: u64,
 }
@@ -322,11 +328,12 @@ pub struct Engine {
     node_capacity_tps: Vec<u32>,
     shard_txs: Vec<Sender<ShardMsg>>,
     node_txs: Vec<Sender<ShardMsg>>,
-    /// One message per shard service pass that emitted results.
-    results_rx: Receiver<Vec<ResultEvent>>,
+    /// One message per shard service pass that emitted results or in
+    /// which a node first shed.
+    results_rx: Receiver<PassResults>,
     /// Kept so `run_for`'s wait on `results_rx` still blocks once every
     /// shard thread has died.
-    _results_tx: Sender<Vec<ResultEvent>>,
+    _results_tx: Sender<PassResults>,
     /// Messages received on `results_rx` ([`EngineReport::result_messages`]).
     result_messages: u64,
     shard_handles: Vec<JoinHandle<ShardOutcome>>,
@@ -382,7 +389,7 @@ impl Engine {
         let node_txs: Vec<Sender<ShardMsg>> = (0..scenario.n_nodes)
             .map(|n| shard_txs[shard_of(n, n_shards)].clone())
             .collect();
-        let (results_tx, results_rx) = unbounded::<Vec<ResultEvent>>();
+        let (results_tx, results_rx) = unbounded::<PassResults>();
 
         // Threads carry names so `/proc/self/task/*/stat` sampling (the
         // benchmark's thread sampler) can attribute CPU per role.
@@ -838,23 +845,27 @@ impl Engine {
                 .next_sweep
                 .map_or(deadline, |at| at.min(deadline))
                 .min(self.instant(due));
-            if let Ok(events) = self
+            if let Ok(results) = self
                 .results_rx
                 .recv_timeout(wake.saturating_duration_since(Instant::now()))
             {
-                self.record(events);
-                while let Ok(events) = self.results_rx.try_recv() {
-                    self.record(events);
+                self.record(results);
+                while let Ok(results) = self.results_rx.try_recv() {
+                    self.record(results);
                 }
             }
         }
     }
 
-    /// Records one results message, every event at its receipt.
-    fn record(&mut self, events: Vec<ResultEvent>) {
+    /// Records one results message, every event at its receipt, and
+    /// marks the nodes that first shed in it for the coordinator's rounds.
+    fn record(&mut self, results: PassResults) {
         self.result_messages += 1;
         let now = self.now();
-        for ev in events {
+        for node in results.first_shed {
+            self.coordinator.overloaded(NodeId(node as u32));
+        }
+        for ev in results.events {
             self.coordinator.record(now, ev.query, ev.sic);
         }
     }
@@ -930,8 +941,8 @@ impl Engine {
         }
 
         // Every shard has sent its last outbox and stopped.
-        while let Ok(events) = self.results_rx.try_recv() {
-            self.record(events);
+        while let Ok(results) = self.results_rx.try_recv() {
+            self.record(results);
         }
         let coordinated = self.coordinator.finish();
         errors.extend(
@@ -950,6 +961,7 @@ impl Engine {
             per_query_sic,
             result_counts: coordinated.result_counts,
             coordinator_messages: coordinated.messages,
+            sic_overshoot: coordinated.sic_overshoot,
             policy: policy_name,
             shards: self.n_shards,
             sic_series: coordinated.sic_series,
@@ -1023,7 +1035,10 @@ mod tests {
         assert_eq!(report.shed_fraction(), 0.0);
         // Results flowed for every query.
         assert_eq!(report.result_counts.len(), 4);
-        assert!(report.coordinator_messages > 0);
+        // No node shed, so no node reads a SIC table: the coordinator
+        // sent nothing and no node applied an update.
+        assert_eq!(report.coordinator_messages, 0);
+        assert!(report.nodes.iter().all(|n| n.sic_updates == 0));
         // The work counters are wired: the pump swept, at most once per
         // beat, and the shards received.
         assert!(report.pump_sweeps > 0);
@@ -1056,11 +1071,15 @@ mod tests {
     #[test]
     fn finish_records_results_sent_before_it() {
         let engine = Engine::start(&scenario(2, 100, 4), EngineConfig::default());
-        let event = ResultEvent {
+        let event = crate::messages::ResultEvent {
             query: QueryId(1),
             sic: Sic(0.5),
         };
-        engine._results_tx.send(vec![event; 3]).unwrap();
+        let results = PassResults {
+            events: vec![event; 3],
+            first_shed: Vec::new(),
+        };
+        engine._results_tx.send(results).unwrap();
         let report = engine.finish();
         assert_eq!(report.result_counts.get(&QueryId(1)), Some(&3));
         assert_eq!(report.result_messages, 1);

@@ -42,7 +42,9 @@ pub mod prelude {
     pub use crate::engine::{
         default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport,
     };
-    pub use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
+    pub use crate::messages::{
+        AttachFragment, Bundle, EngineMsg, PassResults, ResultEvent, ShardMsg,
+    };
     pub use crate::node_state::{EmissionSink, NodeConfig, NodeState, ShardRouting};
     pub use crate::shard::{run_shard, shard_of, Outgoing, Shard, ShardDurability};
     pub use themis_core::shedder::{lookup_policy, Policy};

@@ -79,7 +79,8 @@ pub enum EngineMsg {
 pub struct Bundle {
     /// Data batches, each with its destination global node.
     pub batches: Vec<(usize, RoutedBatch)>,
-    /// Coordinator SIC updates; each names its destination node.
+    /// Coordinator SIC updates; each names its destination node, a node
+    /// whose shedder has run (the coordinator feeds no other).
     pub sic: Vec<SicUpdate>,
 }
 
@@ -109,4 +110,23 @@ pub struct ResultEvent {
     pub query: QueryId,
     /// SIC mass of the emission.
     pub sic: Sic,
+}
+
+/// What one shard service pass reports to the engine's control loop, as
+/// one message.
+#[derive(Debug, Default)]
+pub struct PassResults {
+    /// Every result the pass emitted, in emission order.
+    pub events: Vec<ResultEvent>,
+    /// Nodes whose shedder ran for the first time in their incarnation
+    /// during the pass: from then on the coordinator sends them SIC
+    /// updates.
+    pub first_shed: Vec<usize>,
+}
+
+impl PassResults {
+    /// True when the pass has nothing to report.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty() && self.first_shed.is_empty()
+    }
 }

@@ -28,6 +28,9 @@
 //! one message per destination — one [`Outgoing::Results`] of every
 //! result the pass emitted, for the engine's control loop, and one
 //! [`Outgoing::Bundle`] per shard whose nodes the pass routed batches to.
+//! The results message also names each node whose shedder ran for the
+//! first time in its incarnation during the pass: the coordinator sends
+//! SIC updates only to nodes that have shed.
 //!
 //! Shards start **empty**: nodes install on first
 //! [`EngineMsg::Attach`] and tear down when an [`EngineMsg::Detach`]
@@ -51,7 +54,7 @@ use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
 use crate::engine::EngineError;
-use crate::messages::{AttachFragment, Bundle, EngineMsg, ResultEvent, ShardMsg};
+use crate::messages::{AttachFragment, Bundle, EngineMsg, PassResults, ResultEvent, ShardMsg};
 use crate::node_state::{downstream_batch, EmissionSink, NodeState};
 
 /// Bundle entries a shard handles per [`Shard::service`]: a coordinator
@@ -68,18 +71,19 @@ const STAGGER_SLOTS: u64 = 32;
 /// A message a service pass leaves for its driver to send.
 #[derive(Debug)]
 pub enum Outgoing {
-    /// Every result the pass emitted, in emission order, for the engine's
-    /// control loop.
-    Results(Vec<ResultEvent>),
+    /// Every result the pass emitted, in emission order, and the nodes
+    /// whose shedder first ran in it, for the engine's control loop.
+    Results(PassResults),
     /// Every batch the pass routed to nodes of shard `.0`, to be sent
     /// there as one [`EngineMsg::Bundle`].
     Bundle(usize, Bundle),
 }
 
-/// What a shard's ticks emitted since the driver last took it: results,
-/// and downstream batches by destination shard.
+/// What a shard's ticks emitted since the driver last took it: results
+/// (with the nodes that first shed), and downstream batches by destination
+/// shard.
 struct Outbox {
-    results: Vec<ResultEvent>,
+    results: PassResults,
     /// Index = destination shard.
     bundles: Vec<Bundle>,
 }
@@ -99,7 +103,7 @@ impl EmissionSink for Outbox {
                     let rb = downstream_batch(query, fragment, to, e);
                     self.bundles[shard].batches.push((node, rb));
                 }
-                None => self.results.push(ResultEvent {
+                None => self.results.events.push(ResultEvent {
                     query,
                     sic: e.sic(),
                 }),
@@ -162,7 +166,7 @@ pub struct ShardOutcome {
 /// the thread, so "static" deployments take this same path).
 pub fn run_shard(
     shard_txs: Vec<Sender<ShardMsg>>,
-    results_tx: Sender<Vec<ResultEvent>>,
+    results_tx: Sender<PassResults>,
     rx: Receiver<ShardMsg>,
     epoch: Instant,
     durability: Option<ShardDurability>,
@@ -172,8 +176,8 @@ pub fn run_shard(
     let send = |shard: &mut Shard| {
         for out in shard.outbox() {
             match out {
-                Outgoing::Results(events) => {
-                    let _ = results_tx.send(events);
+                Outgoing::Results(results) => {
+                    let _ = results_tx.send(results);
                 }
                 Outgoing::Bundle(to, bundle) => {
                     let msg = EngineMsg::Bundle(bundle);
@@ -287,7 +291,7 @@ impl Shard {
             heap: BinaryHeap::new(),
             pending: None,
             outbox: Outbox {
-                results: Vec::new(),
+                results: PassResults::default(),
                 bundles,
             },
             installed_seq: 0,
@@ -328,7 +332,11 @@ impl Shard {
             let Some(state) = slot.and_then(|s| s.state.as_mut()) else {
                 continue;
             };
+            let shed_before = state.report().shed_invocations;
             state.tick(now, self.epoch, &mut self.outbox);
+            if shed_before == 0 && state.report().shed_invocations > 0 {
+                self.outbox.results.first_shed.push(node);
+            }
             self.heap
                 .push(Reverse((state.next_tick(), node, generation)));
             fired += 1;
@@ -344,8 +352,9 @@ impl Shard {
 
     /// Takes what the ticks since the last call emitted, as at most one
     /// message per destination: one [`Outgoing::Results`] when any result
-    /// was emitted, then one [`Outgoing::Bundle`] per shard that any
-    /// downstream batch is bound for. Empty when nothing was emitted.
+    /// was emitted or any node first shed, then one [`Outgoing::Bundle`]
+    /// per shard that any downstream batch is bound for. Empty when
+    /// nothing was emitted.
     /// [`Shard::handle`] never emits, so taking the outbox after each
     /// [`Shard::service`] takes everything.
     pub fn outbox(&mut self) -> impl Iterator<Item = Outgoing> + '_ {
@@ -948,10 +957,11 @@ mod tests {
         shard.service(t0 + 10 * MS);
         let out: Vec<Outgoing> = shard.outbox().collect();
         assert_eq!(out.len(), 1, "{out:?}");
-        let Outgoing::Results(events) = &out[0] else {
+        let Outgoing::Results(results) = &out[0] else {
             panic!("expected results, got {out:?}");
         };
-        let mut queries: Vec<QueryId> = events.iter().map(|e| e.query).collect();
+        assert!(results.first_shed.is_empty(), "nothing shed");
+        let mut queries: Vec<QueryId> = results.events.iter().map(|e| e.query).collect();
         queries.sort();
         assert_eq!(queries, qs.iter().map(|q| q.id).collect::<Vec<_>>());
         shard.service(t0 + 20 * MS);
@@ -1001,6 +1011,44 @@ mod tests {
             assert_eq!(shard.outbox().count(), 0, "at {ms} ms");
         }
         assert_eq!(reports(shard)[&0].ticks, 10);
+    }
+
+    /// The pass of a node's first shedding tick names it once in its
+    /// results message, and only that pass: node 0 (capacity 100 per 5 ms
+    /// tick) gets 50 tuples before its 5 ms tick and 300 before its 10 ms
+    /// one, then 300 more; node 1 never exceeds its capacity. No pane
+    /// closes, so every other pass leaves nothing to send.
+    #[test]
+    fn a_first_shedding_tick_is_reported_once_in_its_pass() {
+        let qs = queries(2);
+        let (mut shard, t0) = shard(None);
+        shard.handle(t0, attach(0, config(5, 100), &qs[0]));
+        shard.handle(t0, attach(1, config(5, 1_000), &qs[1]));
+        let mut first_shed = Vec::new();
+        for ms in 1..=30 {
+            let now = t0 + ms * MS;
+            let tuples = match ms {
+                1 => 50,
+                6 | 11 => 300,
+                _ => 0,
+            };
+            if tuples > 0 {
+                shard.handle(now, msg(0, EngineMsg::Batch(batch(&qs[0], tuples))));
+                shard.handle(now, msg(1, EngineMsg::Batch(batch(&qs[1], 50))));
+            }
+            shard.service(now);
+            for out in shard.outbox() {
+                let Outgoing::Results(results) = out else {
+                    panic!("expected results only, got {out:?}");
+                };
+                assert!(results.events.is_empty(), "no pane closed");
+                first_shed.push((ms, results.first_shed));
+            }
+        }
+        assert_eq!(first_shed, [(10, vec![0])]);
+        let reports = reports(shard);
+        assert_eq!(reports[&0].shed_invocations, 2, "at 10 and 15 ms");
+        assert_eq!(reports[&1].shed_invocations, 0);
     }
 
     fn durability(dir: &std::path::Path, every: Duration) -> ShardDurability {
@@ -1101,5 +1149,75 @@ mod tests {
             out.errors[0],
             EngineError::Durability { op: "open", .. }
         ));
+    }
+
+    /// The coordinator feeds only nodes that have shed, so a durable
+    /// shard whose node never sheds logs no SIC delta and cuts no early
+    /// checkpoint, however tight the divergence bound. A virtual-time
+    /// control loop drives a quiet durable shard (node 0) and a flooded
+    /// one (node 1) and one coordinator, which marks the nodes the
+    /// shards' results name: four 250 ms rounds reach node 1 only.
+    #[test]
+    fn a_durable_node_that_never_sheds_logs_no_sic() {
+        let dir = std::env::temp_dir().join(format!("themis-shard-quiet-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let qs = queries(2);
+        let t0 = Instant::now();
+        let quiet = ShardDurability {
+            sic_bound: 1e-6,
+            ..durability(&dir, Duration::from_secs(3600))
+        };
+        let mut shards = [
+            Shard::new(2, t0, Some(quiet), t0),
+            Shard::new(2, t0, None, t0),
+        ];
+        let interval = TimeDelta::from_millis(250);
+        let mut c = Coordinator::new(StwConfig::PAPER_DEFAULT, interval, interval, interval);
+        for (node, capacity) in [(0, 1_000_000), (1, 10)] {
+            let q = &qs[node];
+            shards[node].handle(t0, attach(node, config(50, capacity), q));
+            c.attach(q.id, vec![NodeId(node as u32)], Timestamp::ZERO, None);
+        }
+        for ms in 1..=1_000 {
+            let (now, ts) = (t0 + ms * MS, Timestamp::from_millis(u64::from(ms)));
+            for (node, shard) in shards.iter_mut().enumerate() {
+                if ms % 10 == 0 {
+                    shard.handle(now, msg(node, EngineMsg::Batch(batch(&qs[node], 5))));
+                }
+                shard.service(now);
+                for out in shard.outbox() {
+                    if let Outgoing::Results(results) = out {
+                        for n in results.first_shed {
+                            c.overloaded(NodeId(n as u32));
+                        }
+                        for ev in results.events {
+                            c.record(ts, ev.query, ev.sic);
+                        }
+                    }
+                }
+            }
+            if ts >= c.next_round() {
+                let mut bundles = [Bundle::default(), Bundle::default()];
+                c.round(ts, |u| bundles[u.node.index()].sic.push(u));
+                for (shard, bundle) in shards.iter_mut().zip(bundles) {
+                    shard.handle(now, msg(0, EngineMsg::Bundle(bundle)));
+                }
+            }
+        }
+        // The last round's bundle is handled by the next service.
+        for shard in &mut shards {
+            shard.service(t0 + 1_001 * MS);
+        }
+        let [quiet, flooded] = shards.map(Shard::finish);
+        let restore = wal::restore_shard(&dir, 0).expect("readable root");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(c.finish().messages, 4);
+        assert_eq!(flooded.reports[0].1.sic_updates, 4);
+        assert!(flooded.reports[0].1.shed_invocations > 0);
+        let node = &quiet.reports[0].1;
+        assert_eq!((node.shed_invocations, node.sic_updates), (0, 0));
+        assert_eq!((quiet.checkpoints, quiet.early_checkpoints), (0, 0));
+        assert!(quiet.errors.is_empty(), "errors: {:?}", quiet.errors);
+        assert!(restore.is_none(), "the quiet shard logged {restore:?}");
     }
 }

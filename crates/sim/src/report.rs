@@ -41,8 +41,12 @@ pub struct SimReport {
     pub fairness: FairnessSummary,
     /// Per-node counters.
     pub nodes: Vec<NodeStats>,
-    /// Total coordinator messages (30 B each, §7.6).
+    /// Total coordinator messages (30 B each, §7.6): Σ over rounds of the
+    /// nodes that had shed by then.
     pub coordinator_messages: u64,
+    /// Counted SIC samples whose raw result SIC exceeded 1 before the
+    /// clamp (`CoordinatorReport::sic_overshoot`).
+    pub sic_overshoot: u64,
     /// Result values per query (only when `record_results`).
     pub results: HashMap<QueryId, Vec<ResultRecord>>,
     /// Per-query SIC time series (only when `record_series`).
@@ -106,6 +110,7 @@ mod tests {
                 ..Default::default()
             }],
             coordinator_messages: 10,
+            sic_overshoot: 0,
             results: HashMap::new(),
             sic_series: HashMap::new(),
         };

@@ -15,7 +15,9 @@
 //! schedule: a `CoordTick` event fires at its `next_round()`, a `Sample`
 //! event at its `next_sample()` (once per simulated second). The
 //! simulator supplies their clock and delivers what they emit after the
-//! link latency.
+//! link latency. A node's first tick that runs its shedder marks it for
+//! the coordinator, which feeds only marked nodes; node ticks are queued
+//! ahead of a round at the same instant, so that round already feeds it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -197,7 +199,11 @@ impl Simulation {
                     self.nodes[node].on_arrival(now, rb);
                 }
                 Event::NodeTick { node } => {
+                    let shed_before = self.nodes[node].stats.shed_invocations;
                     let outputs = self.nodes[node].tick(now);
+                    if shed_before == 0 && self.nodes[node].stats.shed_invocations > 0 {
+                        self.coordinator.overloaded(NodeId(node as u32));
+                    }
                     for out in outputs {
                         self.route_output(now, out);
                     }
@@ -283,6 +289,7 @@ impl Simulation {
             fairness: coordinated.fairness,
             nodes,
             coordinator_messages: coordinated.messages,
+            sic_overshoot: coordinated.sic_overshoot,
             results: self.results,
             sic_series: coordinated.sic_series,
         }
