@@ -18,8 +18,7 @@
 //! node is overloaded and its shedder runs, so a host joins the rounds
 //! the first time its driver reports a shedder run
 //! ([`Coordinator::overloaded`]) and stays in them for the run. A round
-//! visits only the queries of joined hosts, in attach order, and sends a
-//! query's SIC only to its joined hosts: with no shedding host a round
+//! sends a query's SIC only to its joined hosts: with no joined host it
 //! does no per-query work, and a host that ever shed gets every round's
 //! update from then on.
 
@@ -83,32 +82,22 @@ impl QueryCoordinator {
         self.latest = sic;
     }
 
-    /// The nodes hosting the query's fragments, ascending.
-    pub fn hosts(&self) -> &[NodeId] {
-        &self.hosts
-    }
-
     /// Called by the runtime clock once per update interval; emits one
     /// `SicUpdate` per hosting node ([`QueryCoordinator::tick_into`]).
     pub fn tick(&mut self, now: Timestamp) -> Vec<SicUpdate> {
         let mut updates = Vec::new();
-        self.tick_into(now, |_| true, |u| updates.push(u));
+        self.tick_into(now, |u| updates.push(u));
         updates
     }
 
     /// [`QueryCoordinator::tick`] without the vector: hands `sink` one
-    /// `SicUpdate` per hosting node that `to` accepts and returns how
-    /// many. A round is due once at least half an interval has passed
-    /// since the last one: a runtime whose rounds jitter (the engine's
-    /// fire a few ms late or early on the wall clock) must not skip every
-    /// round that lands a hair short of a full interval, while a second
-    /// call within the same round stays silent.
-    pub fn tick_into(
-        &mut self,
-        now: Timestamp,
-        to: impl Fn(NodeId) -> bool,
-        mut sink: impl FnMut(SicUpdate),
-    ) -> usize {
+    /// `SicUpdate` per hosting node and returns how many. A round is due
+    /// once at least half an interval has passed since the last one: a
+    /// runtime whose rounds jitter (the engine's fire a few ms late or
+    /// early on the wall clock) must not skip every round that lands a
+    /// hair short of a full interval, while a second call within the same
+    /// round stays silent.
+    pub fn tick_into(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) -> usize {
         let due = match self.last_update {
             None => true,
             Some(prev) => 2 * now.since(prev).as_micros() >= self.update_interval.as_micros(),
@@ -117,16 +106,14 @@ impl QueryCoordinator {
             return 0;
         }
         self.last_update = Some(now);
-        let mut sent = 0;
-        for &node in self.hosts.iter().filter(|&&n| to(n)) {
+        for &node in &self.hosts {
             sink(SicUpdate {
                 query: self.query,
                 node,
                 sic: self.latest,
             });
-            sent += 1;
         }
-        sent
+        self.hosts.len()
     }
 }
 
@@ -148,9 +135,6 @@ struct Entry {
     samples: usize,
     /// `(sample instant, SIC)` while live, when the series is recorded.
     series: Vec<(Timestamp, f64)>,
-    /// Whether the entry is in [`Coordinator::round`]'s list: some host of
-    /// it has shed.
-    joined: bool,
 }
 
 /// The current result SIC of an entry's `results`, before the clamp into
@@ -164,16 +148,6 @@ fn raw_result_sic(results: &mut Option<SlidingAccumulator>, now: Timestamp) -> f
 
 /// A raw result SIC above this counts as a [`CoordinatorReport::sic_overshoot`].
 const OVERSHOOT: f64 = 1.0 + 1e-9;
-
-/// What the [`Coordinator`] keeps about one node.
-#[derive(Debug, Default)]
-struct Host {
-    /// Whether the node's shedder ever ran ([`Coordinator::overloaded`]).
-    shed: bool,
-    /// The entries the node hosts a fragment of, until it sheds: then they
-    /// join the rounds and the list is dropped.
-    entries: Vec<usize>,
-}
 
 /// The logically-centralised query coordinator (§6), stepped by its
 /// caller's clock: the caller records result emissions, runs a
@@ -191,11 +165,11 @@ pub struct Coordinator {
     /// `query → entries` slot of its latest attach: the only hashing,
     /// done once per recorded result.
     slots: HashMap<QueryId, usize>,
-    /// Index = node.
-    hosts: Vec<Host>,
-    /// The entries a round visits, ascending (attach order): those with a
-    /// host that has shed. Detached ones leave at the next round.
-    joined: Vec<usize>,
+    /// Index = node: whether its shedder ever ran
+    /// ([`Coordinator::overloaded`]).
+    shed: Vec<bool>,
+    /// How many entries of `shed` are set.
+    shed_hosts: usize,
     messages: u64,
     sic_overshoot: u64,
     next_round: Timestamp,
@@ -250,8 +224,8 @@ impl Coordinator {
             sample_every,
             entries: Vec::new(),
             slots: HashMap::new(),
-            hosts: Vec::new(),
-            joined: Vec::new(),
+            shed: Vec::new(),
+            shed_hosts: 0,
             messages: 0,
             sic_overshoot: 0,
             next_round: Timestamp::ZERO + interval,
@@ -267,8 +241,8 @@ impl Coordinator {
     }
 
     /// Starts coordinating `query`, arrived at `arrival`, whose fragments
-    /// run on `hosts`: it joins the rounds once one of its hosts has shed
-    /// (at once when one already has), and its result SIC is sampled from
+    /// run on `hosts`: every round sends its SIC to those of its hosts
+    /// that have shed by then, and its result SIC is sampled from
     /// `max(arrival + STW, warm-up end)` until `until` or its detach. A
     /// query attached again after a detach starts a fresh entry.
     pub fn attach(
@@ -278,60 +252,32 @@ impl Coordinator {
         arrival: Timestamp,
         until: Option<Timestamp>,
     ) {
-        let slot = self.entries.len();
-        let coordinator = QueryCoordinator::new(query, hosts, self.interval);
-        let mut joined = false;
-        for &node in coordinator.hosts() {
-            let host = self.host(node);
-            joined |= host.shed;
-            if !host.shed {
-                host.entries.push(slot);
-            }
-        }
-        if joined {
-            // The newest entry is the largest slot: the list stays sorted.
-            self.joined.push(slot);
-        }
-        self.slots.insert(query, slot);
+        self.slots.insert(query, self.entries.len());
         self.entries.push(Entry {
             query,
             results: None,
             result_count: 0,
-            coordinator: Some(coordinator),
+            coordinator: Some(QueryCoordinator::new(query, hosts, self.interval)),
             from: (arrival + self.stw.window).max(self.warmup_end),
             until,
             sum: 0.0,
             samples: 0,
             series: Vec::new(),
-            joined,
         });
-    }
-
-    fn host(&mut self, node: NodeId) -> &mut Host {
-        let i = node.index();
-        if i >= self.hosts.len() {
-            self.hosts.resize_with(i + 1, Host::default);
-        }
-        &mut self.hosts[i]
     }
 
     /// Records that `node`'s shedder ran: from the next round on, it gets
     /// the SIC of every query it hosts, now or later. Only the first call
     /// per node does anything.
     pub fn overloaded(&mut self, node: NodeId) {
-        let host = self.host(node);
-        if host.shed {
-            return;
+        let i = node.index();
+        if i >= self.shed.len() {
+            self.shed.resize(i + 1, false);
         }
-        host.shed = true;
-        for slot in std::mem::take(&mut host.entries) {
-            let e = &mut self.entries[slot];
-            if !e.joined && e.coordinator.is_some() {
-                e.joined = true;
-                self.joined.push(slot);
-            }
+        if !self.shed[i] {
+            self.shed[i] = true;
+            self.shed_hosts += 1;
         }
-        self.joined.sort_unstable();
     }
 
     /// Stops coordinating `query` at `now`: it gets no further updates
@@ -371,25 +317,28 @@ impl Coordinator {
     /// order. The next round is due one interval after this one's due
     /// time, or one interval after `now` when the caller fell a whole
     /// interval behind — a late call fires once, it does not storm
-    /// catch-up rounds.
+    /// catch-up rounds. With no host that has shed, the round visits no
+    /// query.
     pub fn round(&mut self, now: Timestamp, mut sink: impl FnMut(SicUpdate)) {
-        let Coordinator {
-            entries,
-            hosts,
-            joined,
-            messages,
-            ..
-        } = self;
-        let shed = |n: NodeId| hosts.get(n.index()).is_some_and(|h| h.shed);
-        joined.retain(|&slot| {
-            let e = &mut entries[slot];
-            let Some(c) = &mut e.coordinator else {
-                return false;
-            };
-            c.on_result_sic(Sic(raw_result_sic(&mut e.results, now)).clamp_unit());
-            *messages += c.tick_into(now, shed, &mut sink) as u64;
-            true
-        });
+        if self.shed_hosts > 0 {
+            let Coordinator {
+                entries,
+                shed,
+                messages,
+                ..
+            } = self;
+            for e in entries {
+                if let Some(c) = &mut e.coordinator {
+                    c.on_result_sic(Sic(raw_result_sic(&mut e.results, now)).clamp_unit());
+                    c.tick_into(now, |u| {
+                        if shed.get(u.node.index()).copied().unwrap_or(false) {
+                            *messages += 1;
+                            sink(u);
+                        }
+                    });
+                }
+            }
+        }
         self.next_round += self.interval;
         if self.next_round <= now {
             self.next_round = now + self.interval;
@@ -879,8 +828,7 @@ mod tests {
     }
 
     /// A query whose fragments span a shedding and a quiet host updates
-    /// only the shedding one, and joins the rounds once, in attach order,
-    /// however many of its hosts shed.
+    /// only the shedding one, in attach order.
     #[test]
     fn a_query_on_a_marked_and_an_unmarked_host_updates_only_the_marked_one() {
         let mut c = coordinator();
@@ -895,11 +843,11 @@ mod tests {
         assert_eq!(pairs_at(&mut c, 250), [(0, 1), (1, 1)]);
         c.overloaded(NodeId(0));
         assert_eq!(pairs_at(&mut c, 500), [(0, 0), (0, 1), (1, 1)]);
-        assert_eq!(c.joined, [0, 1]);
     }
 
-    /// With no host marked, a round over a thousand queries visits none of
-    /// them; a mark adds exactly that host's queries to the round.
+    /// With no host marked, a round over a thousand queries delivers
+    /// nothing and still moves the schedule on; a mark adds exactly that
+    /// host's queries to the round.
     #[test]
     fn an_unmarked_round_visits_no_entry() {
         let mut c = coordinator();
@@ -907,11 +855,14 @@ mod tests {
             c.attach(QueryId(q), vec![NodeId(q % 10)], Timestamp::ZERO, None);
         }
         assert!(round_at(&mut c, 250).is_empty());
-        assert!(c.joined.is_empty());
+        assert_eq!(c.next_round(), Timestamp::from_millis(500));
         c.overloaded(NodeId(7));
-        assert_eq!(round_at(&mut c, 500).len(), 100);
-        assert!(c.joined.iter().all(|&slot| slot % 10 == 7));
-        assert_eq!(c.joined.len(), 100);
+        let updates = round_at(&mut c, 500);
+        assert_eq!(updates.len(), 100);
+        assert!(updates
+            .iter()
+            .all(|u| u.node == NodeId(7) && u.query.0 % 10 == 7));
+        assert_eq!(c.finish().messages, 100);
     }
 
     /// Eq. 1 can put more than a whole window of SIC into the STW: such a

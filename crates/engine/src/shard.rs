@@ -332,9 +332,8 @@ impl Shard {
             let Some(state) = slot.and_then(|s| s.state.as_mut()) else {
                 continue;
             };
-            let shed_before = state.report().shed_invocations;
             state.tick(now, self.epoch, &mut self.outbox);
-            if shed_before == 0 && state.report().shed_invocations > 0 {
+            if state.core.first_shed() {
                 self.outbox.results.first_shed.push(node);
             }
             self.heap
@@ -1151,6 +1150,93 @@ mod tests {
         ));
     }
 
+    /// Steps one shard per node (node `i` alone on shard `i`, hosting
+    /// `qs[i]`) and one coordinator on a 1 ms virtual clock up to
+    /// `until_ms`, as the engine's control loop does: every 10 ms node `i`
+    /// gets `load(i, ms)` tuples, the coordinator marks the nodes a pass's
+    /// results name and records its results, and each due round reaches
+    /// every shard as one bundle, handled by its next service.
+    fn control_loop(
+        shards: &mut [Shard],
+        qs: &[Arc<QuerySpec>],
+        c: &mut Coordinator,
+        t0: Instant,
+        until_ms: u32,
+        load: impl Fn(usize, u32) -> usize,
+    ) {
+        for ms in 1..=until_ms + 1 {
+            let (now, ts) = (t0 + ms * MS, Timestamp::from_millis(u64::from(ms)));
+            for (node, shard) in shards.iter_mut().enumerate() {
+                let tuples = load(node, ms);
+                if ms % 10 == 0 && ms <= until_ms && tuples > 0 {
+                    shard.handle(now, msg(node, EngineMsg::Batch(batch(&qs[node], tuples))));
+                }
+                shard.service(now);
+                for out in shard.outbox() {
+                    if let Outgoing::Results(results) = out {
+                        for n in results.first_shed {
+                            c.overloaded(NodeId(n as u32));
+                        }
+                        for ev in results.events {
+                            c.record(ts, ev.query, ev.sic);
+                        }
+                    }
+                }
+            }
+            if ms <= until_ms && ts >= c.next_round() {
+                let mut bundles: Vec<Bundle> = shards.iter().map(|_| Bundle::default()).collect();
+                c.round(ts, |u| bundles[u.node.index()].sic.push(u));
+                for (shard, bundle) in shards.iter_mut().zip(bundles) {
+                    shard.handle(now, msg(0, EngineMsg::Bundle(bundle)));
+                }
+            }
+        }
+    }
+
+    /// A node whose overload starts mid-run makes its first shed decisions
+    /// on an empty SIC table (every query's reported SIC reads 0) only
+    /// until the next round's update reaches it: at most one round's worth
+    /// of its ticks, after which every decision sees the fed value. Node 0
+    /// ticks every 50 ms at a pinned 100 tuples per tick; it gets 25
+    /// tuples a tick until 2 s, then 200. The query's result SIC reads 0.9
+    /// from the start (one result inside the 10 s STW).
+    #[test]
+    fn a_mid_run_onset_sheds_on_an_empty_table_for_at_most_one_round() {
+        struct Recording(Arc<Mutex<Vec<f64>>>, Box<dyn Shedder>);
+        impl Shedder for Recording {
+            fn select_to_keep(&mut self, c: usize, qs: &[QueryBufferState]) -> ShedDecision {
+                self.0.lock().unwrap().push(qs[0].base_sic.value());
+                self.1.select_to_keep(c, qs)
+            }
+        }
+        let base_sics = Arc::new(Mutex::new(Vec::new()));
+        let qs = queries(1);
+        let t0 = Instant::now();
+        let mut shards = [Shard::new(1, t0, None, t0)];
+        let interval = TimeDelta::from_millis(250);
+        let mut c = Coordinator::new(StwConfig::PAPER_DEFAULT, interval, interval, interval);
+        let mut config = config(50, 100);
+        config.shedder = Box::new(Recording(base_sics.clone(), config.shedder));
+        shards[0].handle(t0, attach(0, config, &qs[0]));
+        c.attach(qs[0].id, vec![NodeId(0)], Timestamp::ZERO, None);
+        c.record(Timestamp::ZERO, qs[0].id, Sic(0.9));
+        control_loop(&mut shards, &qs, &mut c, t0, 4_000, |_, ms| {
+            if ms <= 2_000 {
+                5
+            } else {
+                40
+            }
+        });
+        let [shard] = shards.map(Shard::finish);
+        let base_sics = base_sics.lock().unwrap().clone();
+        let empty = base_sics.iter().take_while(|&&b| b == 0.0).count();
+        let ticks_per_round = 250 / 50;
+        assert!((1..=ticks_per_round + 1).contains(&empty), "{base_sics:?}");
+        assert!(base_sics[empty..].iter().all(|&b| b > 0.0), "{base_sics:?}");
+        assert_eq!(shard.reports[0].1.shed_invocations, base_sics.len() as u64);
+        assert!(base_sics.len() > 30, "{base_sics:?}");
+    }
+
     /// The coordinator feeds only nodes that have shed, so a durable
     /// shard whose node never sheds logs no SIC delta and cuts no early
     /// checkpoint, however tight the divergence bound. A virtual-time
@@ -1178,36 +1264,7 @@ mod tests {
             shards[node].handle(t0, attach(node, config(50, capacity), q));
             c.attach(q.id, vec![NodeId(node as u32)], Timestamp::ZERO, None);
         }
-        for ms in 1..=1_000 {
-            let (now, ts) = (t0 + ms * MS, Timestamp::from_millis(u64::from(ms)));
-            for (node, shard) in shards.iter_mut().enumerate() {
-                if ms % 10 == 0 {
-                    shard.handle(now, msg(node, EngineMsg::Batch(batch(&qs[node], 5))));
-                }
-                shard.service(now);
-                for out in shard.outbox() {
-                    if let Outgoing::Results(results) = out {
-                        for n in results.first_shed {
-                            c.overloaded(NodeId(n as u32));
-                        }
-                        for ev in results.events {
-                            c.record(ts, ev.query, ev.sic);
-                        }
-                    }
-                }
-            }
-            if ts >= c.next_round() {
-                let mut bundles = [Bundle::default(), Bundle::default()];
-                c.round(ts, |u| bundles[u.node.index()].sic.push(u));
-                for (shard, bundle) in shards.iter_mut().zip(bundles) {
-                    shard.handle(now, msg(0, EngineMsg::Bundle(bundle)));
-                }
-            }
-        }
-        // The last round's bundle is handled by the next service.
-        for shard in &mut shards {
-            shard.service(t0 + 1_001 * MS);
-        }
+        control_loop(&mut shards, &qs, &mut c, t0, 1_000, |_, _| 5);
         let [quiet, flooded] = shards.map(Shard::finish);
         let restore = wal::restore_shard(&dir, 0).expect("readable root");
         let _ = std::fs::remove_dir_all(&dir);

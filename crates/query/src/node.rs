@@ -166,6 +166,8 @@ pub struct Node {
     cost_model: CostModel,
     detector: OverloadDetector,
     pinned_capacity: Option<usize>,
+    /// Whether the last tick was the first to run the shedder.
+    first_shed: bool,
     /// Counters since creation.
     pub stats: NodeReport,
 }
@@ -187,6 +189,7 @@ impl Node {
             cost_model: CostModel::default(),
             detector,
             pinned_capacity: None,
+            first_shed: false,
             stats: NodeReport::default(),
         }
     }
@@ -346,6 +349,14 @@ impl Node {
         }
     }
 
+    /// Whether the last [`Node::tick`] was the first since the node's
+    /// creation to run the shedder: from then on it reads its SIC table,
+    /// so its driver marks it for the coordinator's rounds
+    /// ([`themis_core::coordinator::Coordinator::overloaded`]).
+    pub fn first_shed(&self) -> bool {
+        self.first_shed
+    }
+
     /// Runs one shedding interval at logical time `now`: capacity →
     /// per-query buffer states with §6's projected base SIC → the shedder →
     /// a shed bitmap over buffer slots → the kept batches into their
@@ -374,6 +385,7 @@ impl Node {
 
         let c = self.threshold();
         let buffered = self.buffered_tuples();
+        self.first_shed = buffered > c && self.stats.shed_invocations == 0;
         // Shed batches get a bit flipped instead of having their tuples
         // spliced out.
         let dropped = if buffered > c {
@@ -535,6 +547,27 @@ mod tests {
         assert_eq!(n.stats.shed_invocations, 1);
         assert_eq!(n.stats.shed_decisions, 1);
         assert_eq!(shed, 3, "shed batches reach the callback");
+    }
+
+    /// Only the tick that runs the shedder for the first time reports a
+    /// first shed: not a quiet tick before it, nor a shedding or quiet
+    /// one after it.
+    #[test]
+    fn first_shed_marks_only_the_first_shedding_tick() {
+        let q = avg_query(0);
+        let mut n = node();
+        n.attach(&q, 0, None);
+        let mut firsts = Vec::new();
+        for (ms, tuples) in [(250, 50), (500, 250), (750, 250), (1_000, 50)] {
+            n.enqueue(
+                source_batch(&q, ms - 10, tuples),
+                Timestamp::from_millis(ms - 10),
+            );
+            tick(&mut n, ms);
+            firsts.push(n.first_shed());
+        }
+        assert_eq!(firsts, [false, true, false, false]);
+        assert_eq!(n.stats.shed_invocations, 2);
     }
 
     #[test]

@@ -199,9 +199,8 @@ impl Simulation {
                     self.nodes[node].on_arrival(now, rb);
                 }
                 Event::NodeTick { node } => {
-                    let shed_before = self.nodes[node].stats.shed_invocations;
                     let outputs = self.nodes[node].tick(now);
-                    if shed_before == 0 && self.nodes[node].stats.shed_invocations > 0 {
+                    if self.nodes[node].first_shed() {
                         self.coordinator.overloaded(NodeId(node as u32));
                     }
                     for out in outputs {
