@@ -41,7 +41,7 @@
 //! leak: a detached node never ticks again).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use std::vec::IntoIter;
@@ -224,8 +224,9 @@ pub struct Shard {
     epoch: Instant,
     durability: Option<ShardDurability>,
     out: ShardOutcome,
-    /// Every node ever installed here, by global index.
-    slots: HashMap<usize, Slot>,
+    /// Every node ever installed here at `node / shards` (the nodes
+    /// [`shard_of`] maps to one shard index it densely), in node order.
+    slots: Vec<Slot>,
     /// Tick deadlines `(at, node, generation)`, earliest first and the
     /// lower node first on a tie. An entry whose generation is not its
     /// slot's current one is stale and discarded on pop.
@@ -249,10 +250,11 @@ pub struct Shard {
 type Pending = (IntoIter<SicUpdate>, IntoIter<(usize, RoutedBatch)>);
 
 /// One global node on a shard: its live incarnation (if installed), the
-/// generation tagging that incarnation's deadline, and the merged counters
-/// of its retired incarnations.
+/// generation tagging that incarnation's deadline (0 until first
+/// installed), and the merged counters of its retired incarnations.
 #[derive(Default)]
 struct Slot {
+    node: usize,
     state: Option<NodeState>,
     generation: u64,
     retired: NodeReport,
@@ -287,7 +289,7 @@ impl Shard {
             next_checkpoint: durability.as_ref().map(|d| now + d.every),
             durability,
             out: ShardOutcome::default(),
-            slots: HashMap::new(),
+            slots: Vec::new(),
             heap: BinaryHeap::new(),
             pending: None,
             outbox: Outbox {
@@ -325,9 +327,10 @@ impl Shard {
             self.heap.pop();
             // Stale entry (node torn down or re-installed): discard — the
             // lazy-deletion arm of the churn path.
+            let at = self.slot_index(node);
             let slot = self
                 .slots
-                .get_mut(&node)
+                .get_mut(at)
                 .filter(|s| s.generation == generation);
             let Some(state) = slot.and_then(|s| s.state.as_mut()) else {
                 continue;
@@ -396,9 +399,9 @@ impl Shard {
     /// channel.
     pub fn finish(self) -> ShardOutcome {
         let mut out = self.out;
-        for (node, mut slot) in self.slots {
+        for mut slot in self.slots.into_iter().filter(|s| s.generation > 0) {
             slot.retire();
-            out.reports.push((node, slot.retired));
+            out.reports.push((slot.node, slot.retired));
         }
         out
     }
@@ -441,7 +444,7 @@ impl Shard {
         }
         let snapshots: Vec<wal::NodeSnapshot> = self
             .slots
-            .values()
+            .iter()
             .filter_map(|s| s.state.as_ref())
             .map(NodeState::snapshot)
             .collect();
@@ -466,8 +469,22 @@ impl Shard {
         }
     }
 
+    /// Where `node`'s slot sits in `slots`: the pool deals nodes to its
+    /// shards round-robin ([`shard_of`]), one bundle per shard.
+    fn slot_index(&self, node: usize) -> usize {
+        node / self.outbox.bundles.len()
+    }
+
+    /// `node`'s slot, once it was ever installed here.
+    fn slot_mut(&mut self, node: usize) -> Option<&mut Slot> {
+        let at = self.slot_index(node);
+        self.slots
+            .get_mut(at)
+            .filter(|s| s.node == node && s.generation > 0)
+    }
+
     fn state_mut(&mut self, node: usize) -> Option<&mut NodeState> {
-        self.slots.get_mut(&node).and_then(|s| s.state.as_mut())
+        self.slot_mut(node).and_then(|s| s.state.as_mut())
     }
 
     /// Buffers a data batch on `node`, stamped with its arrival time.
@@ -513,7 +530,17 @@ impl Shard {
             fragment,
             downstream,
         } = attach;
-        let slot = self.slots.entry(node).or_default();
+        let at = self.slot_index(node);
+        if self.slots.len() <= at {
+            self.slots.resize_with(at + 1, Slot::default);
+        }
+        let slot = &mut self.slots[at];
+        debug_assert!(
+            slot.generation == 0 || slot.node == node,
+            "node {node} shares a slot with node {}: routed to the wrong shard",
+            slot.node
+        );
+        slot.node = node;
         if slot.state.is_none() {
             let interval = Duration::from_micros(config.interval.as_micros().max(1));
             let stagger = self.installed_seq % STAGGER_SLOTS;
@@ -531,7 +558,7 @@ impl Shard {
     /// Removes `query`'s fragments from `node`, tearing the node down when
     /// it hosts nothing else.
     fn detach(&mut self, node: usize, query: QueryId) {
-        let Some(slot) = self.slots.get_mut(&node) else {
+        let Some(slot) = self.slot_mut(node) else {
             return;
         };
         if slot
@@ -551,7 +578,10 @@ impl Shard {
         self.crashed = true;
         self.log = None;
         self.heap.clear();
-        self.slots.values_mut().for_each(Slot::retire);
+        self.slots
+            .iter_mut()
+            .filter(|s| s.generation > 0)
+            .for_each(Slot::retire);
     }
 
     /// Arrives after the engine re-attached the dead nodes' fragments:
@@ -622,6 +652,7 @@ mod tests {
     use super::*;
     use crate::messages::Bundle;
     use crate::node_state::NodeConfig;
+    use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
     #[test]
@@ -1091,6 +1122,40 @@ mod tests {
             restore.deltas.is_empty(),
             "the checkpoint truncated the tail"
         );
+    }
+
+    /// Nodes sit in a vector by `node / shards`: installed out of order
+    /// on shard 0 of two, a checkpoint lists their snapshots and `finish`
+    /// their reports in node order, and traffic for a node never
+    /// installed here (node 1 is shard 1's; node 8 was never attached) is
+    /// dropped.
+    #[test]
+    fn checkpoints_and_reports_list_nodes_in_node_order() {
+        let dir = std::env::temp_dir().join(format!("themis-shard-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let qs = queries(3);
+        let t0 = Instant::now();
+        let mut shard = Shard::new(2, t0, Some(durability(&dir, 10 * MS)), t0);
+        for (q, node) in qs.iter().zip([6, 0, 2]) {
+            shard.handle(t0, attach(node, config(5, 1_000), q));
+        }
+        for node in [1, 8] {
+            shard.handle(t0, msg(node, EngineMsg::Batch(batch(&qs[0], 3))));
+        }
+        shard.service(t0 + 10 * MS);
+        let out = shard.finish();
+        let restore = wal::restore_shard(&dir, 0).expect("readable log");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(out.errors.is_empty(), "errors: {:?}", out.errors);
+        let snapshots = restore.expect("the shard checkpointed").snapshots;
+        let nodes: Vec<usize> = snapshots.iter().map(|s| s.node).collect();
+        assert_eq!(nodes, [0, 2, 6]);
+        let reports: Vec<(usize, u64)> = out
+            .reports
+            .iter()
+            .map(|(node, r)| (*node, r.arrived_tuples))
+            .collect();
+        assert_eq!(reports, [(0, 0), (2, 0), (6, 0)]);
     }
 
     /// Regression (AF-Stream early checkpoint): a checkpoint whose write

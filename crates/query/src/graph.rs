@@ -6,6 +6,7 @@
 //! query result stream.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use themis_core::prelude::*;
 use themis_operators::prelude::*;
@@ -56,14 +57,24 @@ pub enum SourceKind {
 }
 
 /// The declared row schema of unkeyed measurement sources: `[value: f64]`.
+/// Every call hands out the one process-wide declaration, so batches of
+/// any two such sources share it (`Schema::same_as`) and a schema check
+/// on them is a pointer compare.
 pub fn measurement_schema() -> Schema {
-    Schema::new([("value", FieldType::F64)])
+    static SCHEMA: OnceLock<Schema> = OnceLock::new();
+    SCHEMA
+        .get_or_init(|| Schema::new([("value", FieldType::F64)]))
+        .clone()
 }
 
 /// The declared row schema of keyed sources: `[key: i64, value: f64]`
-/// (the TOP-5 workload's node-id-tagged CPU and memory readings).
+/// (the TOP-5 workload's node-id-tagged CPU and memory readings), shared
+/// process-wide like [`measurement_schema`]'s.
 pub fn keyed_measurement_schema() -> Schema {
-    Schema::new([("key", FieldType::I64), ("value", FieldType::F64)])
+    static SCHEMA: OnceLock<Schema> = OnceLock::new();
+    SCHEMA
+        .get_or_init(|| Schema::new([("key", FieldType::I64), ("value", FieldType::F64)]))
+        .clone()
 }
 
 /// Dictionary-tag identity of a group-by source: the source stamps every

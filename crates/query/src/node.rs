@@ -10,7 +10,7 @@
 //! by construction: both run this one tick.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 use themis_core::prelude::*;
@@ -114,8 +114,14 @@ impl<'a> std::iter::Sum<&'a NodeReport> for NodeReport {
     }
 }
 
-/// One hosted query fragment plus where its emissions go.
+/// One hosted query fragment plus where its emissions go, in its slot of
+/// [`Node::fragments`].
 struct Hosted {
+    /// `(query, fragment)`: which fragment this is, and its place in the
+    /// tick's visiting order.
+    key: (QueryId, usize),
+    /// The slot of the next fragment of the same query hosted here.
+    next: Option<usize>,
     runtime: FragmentRuntime,
     downstream: Option<(usize, usize)>,
     /// The due time of the fragment's one live entry in [`Node::due`];
@@ -124,38 +130,70 @@ struct Hosted {
 }
 
 impl Hosted {
-    /// Gives the fragment a live `due` entry at its runtime's next due
-    /// time, unless its live entry already falls no later. The entry it
-    /// replaces stays in the heap as a stale one: its time no longer
-    /// matches `scheduled`, so the tick discards it.
-    fn schedule(&mut self, key: (QueryId, usize), due: &mut DueHeap) {
+    /// Gives the fragment in `slot` a live `due` entry at its runtime's
+    /// next due time, unless its live entry already falls no later. The
+    /// entry it replaces stays in the heap as a stale one: its time no
+    /// longer matches `scheduled`, so the tick discards it.
+    fn schedule(&mut self, slot: usize, due: &mut DueHeap) {
         let Some(at) = self.runtime.next_due() else {
             return;
         };
         if self.scheduled.map_or(true, |s| at < s) {
             self.scheduled = Some(at);
-            due.push(Reverse((at, key.0, key.1)));
+            due.push(Reverse((at, slot)));
         }
     }
 }
 
-/// A min-heap of `(due time, query, fragment)` entries.
-type DueHeap = BinaryHeap<Reverse<(Timestamp, QueryId, usize)>>;
+/// A min-heap of `(due time, fragment slot)` entries.
+type DueHeap = BinaryHeap<Reverse<(Timestamp, usize)>>;
+
+/// A query with fragments on the node: its SIC assigner, and where its
+/// fragments are — the first one's `(fragment, slot)`, the rest chained
+/// through [`Hosted::next`].
+struct HostedQuery {
+    assigner: SourceSicAssigner,
+    first: (usize, usize),
+}
+
+/// The slot of `fragment` among the fragments of the query `first` heads.
+fn find_slot(slab: &[Option<Hosted>], first: (usize, usize), fragment: usize) -> Option<usize> {
+    if first.0 == fragment {
+        return Some(first.1);
+    }
+    let mut at = slab[first.1].as_ref()?.next;
+    while let Some(slot) = at {
+        let hosted = slab[slot].as_ref()?;
+        if hosted.key.1 == fragment {
+            return Some(slot);
+        }
+        at = hosted.next;
+    }
+    None
+}
 
 /// The Figure-5 node: input buffer (IB), SIC assigners and table, overload
 /// detector and cost model, tuple shedder, and the operators (fragment
 /// runtimes executed at tick granularity).
 pub struct Node {
-    /// Hosted fragments, ordered for deterministic tick iteration.
-    fragments: BTreeMap<(QueryId, usize), Hosted>,
+    /// Hosted fragments in a dense slab: a slot is taken by attach and
+    /// freed by detach, and everything else names a fragment by its slot.
+    fragments: Vec<Option<Hosted>>,
+    /// Free slots of `fragments`, reused first.
+    free: Vec<usize>,
+    /// The index from a query to its SIC assigner and its fragments'
+    /// slots: the one lookup a batch pays, on arrival.
+    queries: HashMap<QueryId, HostedQuery>,
     /// When each fragment next has a due pane: the tick visits only the
     /// fragments whose entry has come due, not every hosted one.
     due: DueHeap,
-    /// The fragments the current tick visits, sorted into `fragments`
-    /// order (kept across ticks for its capacity).
-    visit: Vec<(QueryId, usize)>,
-    assigners: HashMap<QueryId, SourceSicAssigner>,
-    buffer: Vec<RoutedBatch>,
+    /// The fragments the current tick visits with their slots, sorted
+    /// into `(query, fragment)` order (kept across ticks for its
+    /// capacity).
+    visit: Vec<((QueryId, usize), usize)>,
+    /// Arrived batches with their fragments' slots, awaiting the tick
+    /// (drained in place, so it keeps its capacity).
+    buffer: Vec<(usize, RoutedBatch)>,
     /// Latest coordinator-disseminated result SIC per query.
     sic_table: SicTable,
     /// With `updateSIC` off: locally accepted SIC mass per query over the
@@ -177,10 +215,11 @@ impl Node {
     /// buffer exceeds `detector`'s threshold.
     pub fn new(shedder: Box<dyn Shedder>, stw: StwConfig, detector: OverloadDetector) -> Self {
         Node {
-            fragments: BTreeMap::new(),
+            fragments: Vec::new(),
+            free: Vec::new(),
+            queries: HashMap::new(),
             due: BinaryHeap::new(),
             visit: Vec::new(),
-            assigners: HashMap::new(),
             buffer: Vec::new(),
             sic_table: SicTable::new(),
             local_sic: None,
@@ -209,26 +248,56 @@ impl Node {
 
     /// Installs one fragment of `query`, routing its emissions to
     /// `downstream` (`None` = the query-result sink). Re-attaching an
-    /// already-hosted fragment resets its runtime.
+    /// already-hosted fragment resets its runtime in its slot, so batches
+    /// already buffered for it feed the new runtime.
     pub fn attach(
         &mut self,
         query: &QuerySpec,
         fragment: usize,
         downstream: Option<(usize, usize)>,
     ) -> &mut FragmentRuntime {
-        let stw = self.stw;
-        let n_sources = query.n_sources();
-        self.assigners
-            .entry(query.id)
-            .or_insert_with(|| SourceSicAssigner::new(stw, n_sources));
-        let key = (query.id, fragment);
-        let hosted = Hosted {
-            runtime: FragmentRuntime::new(&query.fragments[fragment]),
-            downstream,
-            scheduled: None,
+        let runtime = FragmentRuntime::new(&query.fragments[fragment]);
+        let found = self
+            .queries
+            .get(&query.id)
+            .and_then(|q| find_slot(&self.fragments, q.first, fragment));
+        let slot = match found {
+            Some(slot) => {
+                let hosted = self.fragments[slot]
+                    .as_mut()
+                    .expect("indexed slots are hosted");
+                hosted.runtime = runtime;
+                hosted.downstream = downstream;
+                hosted.scheduled = None;
+                slot
+            }
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.fragments.push(None);
+                    self.fragments.len() - 1
+                });
+                let stw = self.stw;
+                let next = match self.queries.get_mut(&query.id) {
+                    Some(q) => Some(std::mem::replace(&mut q.first, (fragment, slot)).1),
+                    None => {
+                        let assigner = SourceSicAssigner::new(stw, query.n_sources());
+                        let first = (fragment, slot);
+                        self.queries
+                            .insert(query.id, HostedQuery { assigner, first });
+                        None
+                    }
+                };
+                self.fragments[slot] = Some(Hosted {
+                    key: (query.id, fragment),
+                    next,
+                    runtime,
+                    downstream,
+                    scheduled: None,
+                });
+                slot
+            }
         };
-        self.fragments.insert(key, hosted);
-        &mut self.fragments.get_mut(&key).expect("just inserted").runtime
+        &mut self.fragments[slot].as_mut().expect("just hosted").runtime
     }
 
     /// Removes every fragment of `query`, its SIC assigner, table entry
@@ -237,14 +306,19 @@ impl Node {
     /// hosted. Its `due` entries turn stale and are discarded when they
     /// come due.
     pub fn detach(&mut self, query: QueryId) -> usize {
-        self.fragments.retain(|&(q, _), _| q != query);
-        self.assigners.remove(&query);
+        if let Some(q) = self.queries.remove(&query) {
+            let mut at = Some(q.first.1);
+            while let Some(slot) = at {
+                at = self.fragments[slot].take().and_then(|h| h.next);
+                self.free.push(slot);
+            }
+        }
         self.sic_table.remove(query);
         if let Some(local) = &mut self.local_sic {
             local.remove(&query);
         }
         let stats = &mut self.stats;
-        self.buffer.retain(|rb| {
+        self.buffer.retain(|(_, rb)| {
             let purge = rb.query == query;
             if purge {
                 stats.shed_tuples += rb.batch.len() as u64;
@@ -252,7 +326,7 @@ impl Node {
             }
             !purge
         });
-        self.fragments.len()
+        self.fragments.len() - self.free.len()
     }
 
     /// Buffers an arriving batch. Source batches get their Eq.-1 SIC values
@@ -264,22 +338,25 @@ impl Node {
     /// room or a shedding decision from the hosted queries.
     pub fn enqueue(&mut self, mut rb: RoutedBatch, now: Timestamp) {
         self.stats.arrived_tuples += rb.batch.len() as u64;
-        if !self.fragments.contains_key(&(rb.query, rb.fragment)) {
+        let fragments = &self.fragments;
+        let slot = self.queries.get_mut(&rb.query).and_then(|q| {
+            let slot = find_slot(fragments, q.first, rb.fragment)?;
+            if rb.batch.source().is_some() {
+                q.assigner.stamp(now, &mut rb.batch);
+            }
+            Some(slot)
+        });
+        let Some(slot) = slot else {
             self.stats.shed_tuples += rb.batch.len() as u64;
             self.stats.shed_batches += 1;
             return;
-        }
-        if rb.batch.source().is_some() {
-            if let Some(assigner) = self.assigners.get_mut(&rb.query) {
-                assigner.stamp(now, &mut rb.batch);
-            }
-        }
-        self.buffer.push(rb);
+        };
+        self.buffer.push((slot, rb));
     }
 
     /// Buffered tuples awaiting the next tick.
     pub fn buffered_tuples(&self) -> usize {
-        self.buffer.iter().map(|rb| rb.batch.len()).sum()
+        self.buffer.iter().map(|(_, rb)| rb.batch.len()).sum()
     }
 
     /// The capacity threshold `c` (tuples per interval): the pinned
@@ -310,12 +387,16 @@ impl Node {
     }
 
     /// Captures the recoverable state of global node `node`: the SIC table
-    /// plus every buffered window pane.
+    /// plus every buffered window pane, fragments in `(query, fragment)`
+    /// order whatever their slots.
     pub fn checkpoint(&self, node: usize) -> NodeSnapshot {
         let mut sic: Vec<(QueryId, Sic)> = self.sic_table.entries().collect();
         sic.sort_by_key(|&(q, _)| q);
+        let mut hosted: Vec<&Hosted> = self.fragments.iter().flatten().collect();
+        hosted.sort_unstable_by_key(|h| h.key);
         let mut panes = Vec::new();
-        for (&(query, fragment), hosted) in &self.fragments {
+        for hosted in hosted {
+            let (query, fragment) = hosted.key;
             for (op, key, port, batch) in hosted.runtime.snapshot_windows() {
                 panes.push(PaneRecord {
                     query,
@@ -339,12 +420,18 @@ impl Node {
             self.sic_table.set(query, sic);
         }
         for pane in &snap.panes {
-            let key = (pane.query, pane.fragment);
-            if let Some(hosted) = self.fragments.get_mut(&key) {
+            let slot = self
+                .queries
+                .get(&pane.query)
+                .and_then(|q| find_slot(&self.fragments, q.first, pane.fragment));
+            if let Some(slot) = slot {
+                let hosted = self.fragments[slot]
+                    .as_mut()
+                    .expect("indexed slots are hosted");
                 hosted
                     .runtime
                     .restore_window(pane.op, pane.key, pane.port, pane.batch.clone());
-                hosted.schedule(key, &mut self.due);
+                hosted.schedule(slot, &mut self.due);
             }
         }
     }
@@ -374,7 +461,7 @@ impl Node {
     ) -> u64 {
         self.stats.ticks += 1;
         if let Some(local) = &mut self.local_sic {
-            for rb in &self.buffer {
+            for (_, rb) in &self.buffer {
                 let acc = local
                     .entry(rb.query)
                     .or_insert_with(|| SlidingAccumulator::new(self.stw));
@@ -391,8 +478,9 @@ impl Node {
         let dropped = if buffered > c {
             self.stats.shed_invocations += 1;
             let table = &self.sic_table;
-            let states =
-                build_buffer_states(self.buffer.iter().map(|rb| &rb.batch), |q| table.get(q));
+            let states = build_buffer_states(self.buffer.iter().map(|(_, rb)| &rb.batch), |q| {
+                table.get(q)
+            });
             let start = Instant::now();
             let decision = self.shedder.select_to_keep(c, &states);
             self.stats.shed_time_ns += start.elapsed().as_nanos() as u64;
@@ -407,7 +495,7 @@ impl Node {
         };
 
         let mut kept = 0u64;
-        for (idx, rb) in std::mem::take(&mut self.buffer).into_iter().enumerate() {
+        for (idx, (slot, rb)) in self.buffer.drain(..).enumerate() {
             if dropped.is_dropped(idx) {
                 shed(rb);
                 continue;
@@ -417,41 +505,45 @@ impl Node {
             if let Some(acc) = self.local_sic.as_mut().and_then(|l| l.get_mut(&rb.query)) {
                 acc.add(now, rb.batch.sic().value());
             }
-            let key = (rb.query, rb.fragment);
-            if let Some(hosted) = self.fragments.get_mut(&key) {
+            // A buffered batch's fragment is hosted: detach purges the
+            // buffer and re-attach keeps the slot.
+            if let Some(hosted) = self.fragments[slot].as_mut() {
                 // The batch's columns move into the fragment: no per-tuple
                 // materialisation.
                 let emissions = hosted.runtime.ingest(rb.ingress, rb.batch.into_data(), now);
                 emit(rb.query, rb.fragment, hosted.downstream, emissions);
-                hosted.schedule(key, &mut self.due);
+                hosted.schedule(slot, &mut self.due);
             }
         }
         // Pop the due entries; a stale one (its fragment detached, re-
         // attached or rescheduled earlier) no longer matches `scheduled`.
+        // Should a stale entry match a later occupant of its slot, that
+        // fragment is due at the entry's time anyway, and its own entry
+        // turns stale once it is visited.
         let mut visit = std::mem::take(&mut self.visit);
-        while let Some(&Reverse((at, query, fragment))) = self.due.peek() {
+        while let Some(&Reverse((at, slot))) = self.due.peek() {
             if at > now {
                 break;
             }
             self.due.pop();
-            if let Some(hosted) = self.fragments.get_mut(&(query, fragment)) {
+            if let Some(hosted) = self.fragments[slot].as_mut() {
                 if hosted.scheduled == Some(at) {
                     hosted.scheduled = None;
-                    visit.push((query, fragment));
+                    visit.push((hosted.key, slot));
                 }
             }
         }
         // Fragments that were not due emit nothing, so visiting the due
-        // ones in map order emits what a walk over all of them would.
+        // ones in `(query, fragment)` order emits what a walk over all of
+        // them in that order would.
         visit.sort_unstable();
         self.stats.fragment_visits += visit.len() as u64;
-        for key in visit.drain(..) {
-            let hosted = self
-                .fragments
-                .get_mut(&key)
+        for ((query, fragment), slot) in visit.drain(..) {
+            let hosted = self.fragments[slot]
+                .as_mut()
                 .expect("visited fragments are hosted");
-            emit(key.0, key.1, hosted.downstream, hosted.runtime.tick(now));
-            hosted.schedule(key, &mut self.due);
+            emit(query, fragment, hosted.downstream, hosted.runtime.tick(now));
+            hosted.schedule(slot, &mut self.due);
         }
         self.visit = visit;
         kept
@@ -517,7 +609,7 @@ mod tests {
         assert_eq!(n.buffered_tuples(), 100);
         assert_eq!(n.stats.arrived_tuples, 100);
         // The batch now carries Eq.-1 SIC mass.
-        assert!(n.buffer[0].batch.sic().value() > 0.0);
+        assert!(n.buffer[0].1.batch.sic().value() > 0.0);
     }
 
     #[test]
@@ -662,8 +754,8 @@ mod tests {
         n.enqueue(source_batch(&q1, 0, 1), Timestamp(0));
         assert_eq!(n.detach(q0.id), 1);
         assert_eq!(n.buffer.len(), 1, "q0's buffered batch purged");
-        assert_eq!(n.buffer[0].query, q1.id);
-        assert!(!n.assigners.contains_key(&q0.id));
+        assert_eq!(n.buffer[0].1.query, q1.id);
+        assert!(!n.queries.contains_key(&q0.id));
         assert_eq!(n.sic_table.get(q0.id), Sic::ZERO);
         // Detaching the last query empties the node.
         assert_eq!(n.detach(q1.id), 0);
@@ -822,8 +914,8 @@ mod tests {
                         _ => {
                             let at = Timestamp::from_millis(now);
                             tick(&mut n, now);
-                            for (key, hosted) in &n.fragments {
-                                prop_assert!(!hosted.runtime.has_due(at), "{key:?} still due at {now} ms");
+                            for hosted in n.fragments.iter().flatten() {
+                                prop_assert!(!hosted.runtime.has_due(at), "{:?} still due at {now} ms", hosted.key);
                             }
                         }
                     }

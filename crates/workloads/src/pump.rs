@@ -10,6 +10,33 @@
 //! All install the bindings of [`query_bindings`], seeded by
 //! [`source_seed`], so remote partitions together emit the very streams
 //! the in-process pump would.
+//!
+//! # Schedule
+//!
+//! Every live source has one entry `(due time, slot, generation)`; the
+//! pump emits entries in that order, so equal times emit in install
+//! order. The entries sit on a hashed timing wheel (Varghese & Lauck,
+//! SOSP 1987) of 2 048 buckets of 1 ms:
+//!
+//! - the *current* bucket's entries (and any due time before it) sit in a
+//!   small heap ordered as above, so ties within a millisecond keep the
+//!   exact order;
+//! - the next 2 047 milliseconds each hold an unsorted list, found
+//!   through an occupancy bitmap; the lists share one arena of nodes that
+//!   loading a bucket frees for the next pushes, so a steady pump
+//!   allocates nothing;
+//! - due times past that span wait in an ordered overflow heap and move
+//!   onto the wheel as the current bucket approaches them.
+//!
+//! A profile's interval is at most 1 s, inside the 2.048 s span, so a
+//! steady pump only ever touches the overflow for sources re-anchored far
+//! ahead (a late step) or added far past the current bucket. Emitting one
+//! batch then costs a sift through the few entries of its own
+//! millisecond, not through every live source; an idle stretch jumps
+//! straight to the next occupied bucket (a bitmap scan, or the overflow's
+//! head) instead of walking the empty ones. Removed sources' entries turn
+//! stale (their slot's generation moved on) and are dropped when their
+//! bucket loads.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -95,6 +122,179 @@ struct Slot {
     generation: u64,
 }
 
+/// Buckets on the schedule's timing wheel, each 1 ms wide: due times less
+/// than this many milliseconds past the current bucket sit on the wheel,
+/// later ones in its overflow.
+const WHEEL_BUCKETS: usize = 2048;
+
+/// Width of one wheel bucket, in microseconds.
+const BUCKET_US: u64 = 1_000;
+
+/// One source's schedule entry: `(due time, slot, generation)`.
+type Entry = (Timestamp, usize, u64);
+
+/// The index of the 1 ms bucket `at` falls in.
+fn bucket(at: Timestamp) -> u64 {
+    at.0 / BUCKET_US
+}
+
+/// No node: the end of a bucket's list.
+const NIL: u32 = u32::MAX;
+
+/// The pump's schedule: a timing wheel of 1 ms buckets around a current
+/// one, with an ordered overflow past its span (see the module doc).
+/// Invariant: `near` holds buckets up to `cursor`, the wheel buckets in
+/// `(cursor, cursor + WHEEL_BUCKETS)`, the overflow the rest.
+struct Schedule {
+    /// Entries of the current bucket and earlier, in emission order.
+    near: BinaryHeap<Reverse<Entry>>,
+    /// Bucket `b` on the wheel is the list starting at node
+    /// `heads[b % WHEEL_BUCKETS]` (`NIL`: empty).
+    heads: Vec<u32>,
+    /// The wheel's entries, each with the next node of its bucket; freed
+    /// nodes chain from `free` and are reused first, so a steady pump
+    /// allocates nothing.
+    nodes: Vec<(Entry, u32)>,
+    free: u32,
+    /// One bit per wheel bucket: set when its list is non-empty.
+    occupied: Vec<u64>,
+    /// Entries at or past bucket `cursor + WHEEL_BUCKETS`.
+    overflow: BinaryHeap<Reverse<Entry>>,
+    /// The current bucket.
+    cursor: u64,
+    /// Bitmap words scanned and buckets loaded so far: what finding the
+    /// next due entry has cost.
+    probes: u64,
+}
+
+impl Default for Schedule {
+    fn default() -> Self {
+        Schedule {
+            near: BinaryHeap::new(),
+            heads: vec![NIL; WHEEL_BUCKETS],
+            nodes: Vec::new(),
+            free: NIL,
+            occupied: vec![0; WHEEL_BUCKETS / 64],
+            overflow: BinaryHeap::new(),
+            cursor: 0,
+            probes: 0,
+        }
+    }
+}
+
+impl Schedule {
+    fn push(&mut self, entry: Entry) {
+        let b = bucket(entry.0);
+        if b <= self.cursor {
+            self.near.push(Reverse(entry));
+        } else if b - self.cursor < WHEEL_BUCKETS as u64 {
+            let i = (b % WHEEL_BUCKETS as u64) as usize;
+            let node = (entry, self.heads[i]);
+            self.heads[i] = if self.free == NIL {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 scheduled sources")
+            } else {
+                let at = self.free;
+                self.free = std::mem::replace(&mut self.nodes[at as usize], node).1;
+                at
+            };
+            self.occupied[i / 64] |= 1 << (i % 64);
+        } else {
+            self.overflow.push(Reverse(entry));
+        }
+    }
+
+    /// The earliest entry `live` accepts, dropping the stale ones before
+    /// it; `None` when no live entry is left.
+    fn first(&mut self, live: impl Fn(&Entry) -> bool) -> Option<Entry> {
+        loop {
+            while let Some(&Reverse(entry)) = self.near.peek() {
+                if live(&entry) {
+                    return Some(entry);
+                }
+                self.near.pop();
+            }
+            if !self.advance(&live) {
+                return None;
+            }
+        }
+    }
+
+    /// Removes the entry [`Schedule::first`] returned.
+    fn pop(&mut self) {
+        self.near.pop();
+    }
+
+    /// With `near` empty: moves the cursor to the next occupied bucket —
+    /// the wheel's, else the overflow's earliest live entry's — loads its
+    /// live entries into `near`, and moves the overflow entries the wheel
+    /// now spans onto it. `false` when nothing live is scheduled.
+    fn advance(&mut self, live: &impl Fn(&Entry) -> bool) -> bool {
+        let next = match self.next_occupied() {
+            Some(b) => b,
+            None => loop {
+                // The wheel is empty: jump to the overflow's head.
+                let &Reverse(entry) = match self.overflow.peek() {
+                    Some(head) => head,
+                    None => return false,
+                };
+                if live(&entry) {
+                    break bucket(entry.0);
+                }
+                self.overflow.pop();
+            },
+        };
+        self.probes += 1;
+        self.cursor = next;
+        let i = (next % WHEEL_BUCKETS as u64) as usize;
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        let mut at = std::mem::replace(&mut self.heads[i], NIL);
+        while at != NIL {
+            let (entry, next) = self.nodes[at as usize];
+            if live(&entry) {
+                self.near.push(Reverse(entry));
+            }
+            self.nodes[at as usize].1 = self.free;
+            self.free = at;
+            at = next;
+        }
+        while let Some(&Reverse(entry)) = self.overflow.peek() {
+            if bucket(entry.0) - self.cursor >= WHEEL_BUCKETS as u64 {
+                break;
+            }
+            self.overflow.pop();
+            if live(&entry) {
+                self.push(entry);
+            }
+        }
+        true
+    }
+
+    /// The first occupied wheel bucket after the cursor, by a circular
+    /// scan of the occupancy bitmap from the cursor's successor.
+    fn next_occupied(&mut self) -> Option<u64> {
+        let words = self.occupied.len();
+        let base = (self.cursor % WHEEL_BUCKETS as u64) as usize;
+        let start = (base + 1) % WHEEL_BUCKETS;
+        let mut word = start / 64;
+        let mut mask = !0u64 << (start % 64);
+        // One extra word: the scan ends where it began, on that word's
+        // low bits.
+        for _ in 0..=words {
+            self.probes += 1;
+            let bits = self.occupied[word] & mask;
+            if bits != 0 {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                let ahead = (i + WHEEL_BUCKETS - base) % WHEEL_BUCKETS;
+                return Some(self.cursor + ahead as u64);
+            }
+            word = (word + 1) % words;
+            mask = !0;
+        }
+        None
+    }
+}
+
 /// The emission schedule of every live source, stepped by its caller's
 /// clock. Due entries are ordered `(time, slot, generation)`, so equal
 /// times emit in install order.
@@ -102,7 +302,7 @@ struct Slot {
 pub struct SourcePump {
     slots: Vec<Slot>,
     free: Vec<usize>,
-    due: BinaryHeap<Reverse<(Timestamp, usize, u64)>>,
+    due: Schedule,
     /// Where emitted batches are acquired from, when set.
     pool: Option<BatchPool>,
 }
@@ -131,8 +331,7 @@ impl SourcePump {
                 self.slots.len() - 1
             });
             let s = &mut self.slots[slot];
-            self.due
-                .push(Reverse((driver.next_time(), slot, s.generation)));
+            self.due.push((driver.next_time(), slot, s.generation));
             s.driver = Some(driver);
             s.node = b.node;
             s.fragment = b.fragment;
@@ -167,22 +366,22 @@ impl SourcePump {
         mut sink: F,
     ) -> Option<Timestamp> {
         let mut swept = 0;
-        while let Some(&Reverse((at, slot, generation))) = self.due.peek() {
-            let s = &mut self.slots[slot];
-            if s.generation != generation {
-                self.due.pop(); // removed (or reused): abandon the stale entry
-                continue;
-            }
+        loop {
+            // An entry whose slot was removed (or reused) is stale.
+            let slots = &self.slots;
+            let (at, slot, generation) = self
+                .due
+                .first(|&(_, slot, generation)| slots[slot].generation == generation)?;
             if at > now || swept == MAX_SWEEP {
                 return Some(at.max(now));
             }
             self.due.pop();
             swept += 1;
+            let s = &mut self.slots[slot];
             let driver = s.driver.as_mut().expect("live generation has a driver");
             driver.fast_forward(now);
             let batch = driver.emit();
-            self.due
-                .push(Reverse((driver.next_time(), slot, generation)));
+            self.due.push((driver.next_time(), slot, generation));
             // Quiet-pattern batches can be empty; nothing to route then.
             if !batch.is_empty() {
                 let routed = RoutedBatch {
@@ -194,7 +393,6 @@ impl SourcePump {
                 sink(s.node, routed);
             }
         }
-        None
     }
 }
 
@@ -277,6 +475,30 @@ mod tests {
             .take_while(|&t| t <= Timestamp::from_secs(2))
             .collect();
         assert_eq!(created, expected, "one emission per beat, no duplicates");
+    }
+
+    /// Five idle hours between two emissions are eighteen million empty
+    /// buckets; finding the next due entry across them costs a bounded
+    /// bitmap scan and a jump to the overflow, not a walk.
+    #[test]
+    fn an_idle_stretch_does_not_walk_its_buckets() {
+        let profile = SourceProfile::steady(1, 1, Dataset::Uniform);
+        let mut pump = SourcePump::default();
+        pump.add(Timestamp::ZERO, [binding(0, 0, profile)]);
+        let mut now = Timestamp::ZERO;
+        for _ in 0..10 {
+            now = pump.step(now, |_, _| {}).expect("live");
+        }
+        let before = pump.due.probes;
+        let mut emitted = 0;
+        let late = now + TimeDelta::from_secs(5 * 3_600);
+        let next = pump.step(late, |_, _| emitted += 1).expect("live");
+        assert!(next > late && next - late <= profile.interval());
+        pump.step(next, |_, _| emitted += 1);
+        assert_eq!(emitted, 2, "one re-anchored emission, then the next beat");
+        let probes = pump.due.probes - before;
+        let words = (WHEEL_BUCKETS / 64) as u64;
+        assert!(probes <= 3 * (words + 2), "{probes} probes");
     }
 
     #[test]

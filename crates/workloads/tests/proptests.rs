@@ -1,13 +1,19 @@
 //! Property-based tests over the programmable rate patterns: every
 //! [`RatePattern`] realises its declared long-run mean rate under seeded
 //! [`SourceDriver`] runs, and pattern state is exactly reproducible for a
-//! fixed seed.
+//! fixed seed. Plus the source pump's schedule: under any sequence of
+//! adds, removes and steps its emissions and `step` return values equal a
+//! plain binary-heap schedule's.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
 use themis_core::prelude::*;
-use themis_query::prelude::{SourceKind, SourceSpec};
+use themis_query::prelude::{Ingress, SourceKind, SourceSpec};
 use themis_workloads::prelude::*;
+use themis_workloads::pump::{source_seed, SourceBinding, SourcePump, MAX_SWEEP};
 
 fn spec() -> SourceSpec {
     SourceSpec::plain(SourceId(1), None, SourceKind::Generic)
@@ -188,6 +194,242 @@ proptest! {
             let (ba, bb) = (a.emit(), b.emit());
             prop_assert_eq!(ba.len(), bb.len(), "batch {} size diverged", i);
             prop_assert_eq!(ba, bb, "batch {} payload diverged", i);
+        }
+    }
+}
+
+/// What one emission is observed as: `(query, source, created, node,
+/// tuples)`.
+type Emitted = (QueryId, SourceId, Timestamp, usize, usize);
+
+fn emitted(node: usize, rb: themis_query::prelude::RoutedBatch) -> Emitted {
+    let Ingress::Source(source) = rb.ingress else {
+        panic!("the pump emits source batches only");
+    };
+    (rb.query, source, rb.batch.created(), node, rb.batch.len())
+}
+
+/// The pump's schedule spelled out the plain way: one binary heap of
+/// `(due time, slot, generation)` entries over every live source, stale
+/// entries dropped when they surface, slots reused last-freed first.
+#[derive(Default)]
+struct ReferencePump {
+    /// `(driver, node, generation)` per slot.
+    slots: Vec<(Option<SourceDriver>, usize, u64)>,
+    free: Vec<usize>,
+    due: BinaryHeap<Reverse<(Timestamp, usize, u64)>>,
+}
+
+impl ReferencePump {
+    fn add(&mut self, now: Timestamp, bindings: &[SourceBinding]) {
+        for b in bindings {
+            let mut driver = SourceDriver::new(b.query, &b.spec, b.profile, b.seed);
+            driver.start_at(now);
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.slots.push((None, 0, 0));
+                self.slots.len() - 1
+            });
+            let s = &mut self.slots[slot];
+            self.due.push(Reverse((driver.next_time(), slot, s.2)));
+            *s = (Some(driver), b.node, s.2);
+        }
+    }
+
+    fn remove(&mut self, query: QueryId) {
+        for (idx, s) in self.slots.iter_mut().enumerate() {
+            if s.0.as_ref().is_some_and(|d| d.query == query) {
+                s.0 = None;
+                s.2 += 1;
+                self.free.push(idx);
+            }
+        }
+    }
+
+    fn step(&mut self, now: Timestamp, out: &mut Vec<Emitted>) -> Option<Timestamp> {
+        let mut swept = 0;
+        while let Some(&Reverse((at, slot, generation))) = self.due.peek() {
+            let (driver, node, current) = &mut self.slots[slot];
+            if *current != generation {
+                self.due.pop();
+                continue;
+            }
+            if at > now || swept == MAX_SWEEP {
+                return Some(at.max(now));
+            }
+            self.due.pop();
+            swept += 1;
+            let driver = driver.as_mut().expect("live slot");
+            driver.fast_forward(now);
+            let batch = driver.emit();
+            self.due
+                .push(Reverse((driver.next_time(), slot, generation)));
+            if !batch.is_empty() {
+                out.push((
+                    driver.query,
+                    driver.source,
+                    batch.created(),
+                    *node,
+                    batch.len(),
+                ));
+            }
+        }
+        None
+    }
+}
+
+/// Source profiles from 20 000 batches/s (50 µs apart) to one a second,
+/// the longest interval a profile has; rates below the batch cadence
+/// leave quiet beats that reach no sink.
+const PROFILES: [(u32, u32); 10] = [
+    (1, 1),
+    (3, 2),
+    (1, 3),
+    (10, 7),
+    (5, 40),
+    (999, 999),
+    (1_000, 1_000),
+    (2, 1_500),
+    (4_000, 4_000),
+    (20_000, 20_000),
+];
+
+/// The pump and the reference, fed the same operations.
+struct Twins {
+    pump: SourcePump,
+    reference: ReferencePump,
+    next_source: u32,
+}
+
+impl Twins {
+    fn new() -> Self {
+        Twins {
+            pump: SourcePump::default(),
+            reference: ReferencePump::default(),
+            next_source: 0,
+        }
+    }
+
+    /// Installs `n` fresh sources of `query` at `now`.
+    fn add(&mut self, now: Timestamp, query: u32, n: usize, profile: usize) {
+        let (tps, bps) = PROFILES[profile % PROFILES.len()];
+        let bindings: Vec<SourceBinding> = (0..n)
+            .map(|i| {
+                let id = SourceId(self.next_source);
+                self.next_source += 1;
+                SourceBinding {
+                    query: QueryId(query),
+                    spec: SourceSpec::plain(id, None, SourceKind::Generic),
+                    profile: SourceProfile::steady(tps, bps, Dataset::Uniform),
+                    seed: source_seed(11, id),
+                    node: (query as usize + i) % 5,
+                    fragment: 0,
+                }
+            })
+            .collect();
+        self.pump.add(now, bindings.iter().cloned());
+        self.reference.add(now, &bindings);
+    }
+
+    fn remove(&mut self, query: u32) {
+        self.pump.remove(QueryId(query));
+        self.reference.remove(QueryId(query));
+    }
+
+    /// Steps both at `now`; returns the pump's answer after checking it
+    /// and the emissions against the reference's.
+    fn step(&mut self, now: Timestamp) -> Option<Timestamp> {
+        let mut got = Vec::new();
+        let next = self.pump.step(now, |node, rb| got.push(emitted(node, rb)));
+        let mut want = Vec::new();
+        let expected = self.reference.step(now, &mut want);
+        assert_eq!(got, want, "emissions at {now}");
+        assert_eq!(next, expected, "next due time after stepping at {now}");
+        next
+    }
+}
+
+/// Hours of virtual time a jump covers.
+const HOUR_US: u64 = 3_600_000_000;
+
+proptest! {
+    /// Any sequence of adds (at the pump's time or later), removes (slots
+    /// freed and reused) and steps (on schedule, a little or a lot late,
+    /// hours later) emits exactly the reference's batches in the
+    /// reference's order, and every step returns the reference's next due
+    /// time.
+    #[test]
+    fn the_pump_keeps_the_reference_schedule(
+        ops in prop::collection::vec((0u8..16, 0u32..6, 0usize..16, 0u64..u64::MAX / 2), 1..70)
+    ) {
+        let mut twins = Twins::new();
+        let mut now = Timestamp::ZERO;
+        let mut next = None;
+        for (kind, query, n, param) in ops {
+            match kind {
+                0..=2 => twins.add(now, query, 1 + n % 4, param as usize),
+                3 => {
+                    // Added past the current bucket: seconds to hours ahead.
+                    let ahead = param % (if n % 2 == 0 { 10_000_000 } else { 3 * HOUR_US });
+                    twins.add(now + TimeDelta::from_micros(ahead), query, 1 + n % 3, n);
+                }
+                4 | 5 => twins.remove(query),
+                6..=10 => {
+                    // The driver's own beat: step at the returned due time.
+                    now = now.max(next.unwrap_or(now));
+                    next = twins.step(now);
+                }
+                11 | 12 => {
+                    now += TimeDelta::from_micros(param % 2_500);
+                    next = twins.step(now);
+                }
+                13 | 14 => {
+                    now += TimeDelta::from_micros(param % 3_000_000);
+                    next = twins.step(now);
+                }
+                _ => {
+                    now += TimeDelta::from_micros(HOUR_US * (1 + param % 6));
+                    next = twins.step(now);
+                }
+            }
+        }
+        // Drain a few more beats on the returned schedule.
+        for _ in 0..20 {
+            let Some(at) = next else { break };
+            now = now.max(at);
+            next = twins.step(now);
+        }
+    }
+}
+
+/// More sources due at once than one step may emit: each step stops at
+/// [`MAX_SWEEP`] where the reference does and returns the same time,
+/// whether stepped late, mid-storm after a remove, or hours later.
+#[test]
+fn sweep_capped_storms_keep_the_reference_schedule() {
+    for seed in 0..3u32 {
+        let mut twins = Twins::new();
+        twins.add(Timestamp::ZERO, 0, 2_500, 0);
+        twins.add(Timestamp::ZERO, 1, 2_000, 0);
+        twins.add(Timestamp::ZERO, 2, 200, 6 + seed as usize);
+        let mut now = Timestamp::from_millis(999 + 700 * seed as u64);
+        assert_eq!(twins.step(now), Some(now), "cut short");
+        if seed == 1 {
+            twins.remove(0);
+            twins.add(now, 3, 300, 1);
+        }
+        for _ in 0..6 {
+            twins.step(now);
+        }
+        now += TimeDelta::from_micros(HOUR_US * (1 + seed as u64));
+        let storm = twins.step(now);
+        if seed != 1 {
+            assert_eq!(storm, Some(now), "a storm again, hours later");
+        }
+        let mut next = twins.step(now);
+        for _ in 0..50 {
+            let Some(at) = next else { break };
+            now = at;
+            next = twins.step(now);
         }
     }
 }
