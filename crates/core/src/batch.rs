@@ -392,6 +392,42 @@ impl TupleBatch {
         }
     }
 
+    /// Appends `n` rows stamped `ts` and `sic`, a column at a time: the
+    /// leading fields take `n` copies of `lead`'s values, the next field
+    /// the `n` floats `draw` yields in row order, and any further field
+    /// its type's zero. The rows equal `n` [`TupleBatch::push_row`] calls
+    /// with `[lead.., Value::F64(draw())]` (same coercion, padding and
+    /// truncation), and `draw` runs exactly `n` times even when no field
+    /// is left for its values. The batch must have a schema.
+    pub fn extend_rows(
+        &mut self,
+        n: usize,
+        ts: Timestamp,
+        sic: Sic,
+        lead: &[Value],
+        mut draw: impl FnMut() -> f64,
+    ) {
+        debug_assert!(self.schema.is_some(), "extend_rows needs a schema");
+        self.ts.resize(self.ts.len() + n, ts);
+        self.sic.resize(self.sic.len() + n, sic);
+        let mut drawn = false;
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            match lead.get(i) {
+                Some(&v) => col.extend_repeat(v, n),
+                None if i == lead.len() => {
+                    col.extend_drawn(n, &mut draw);
+                    drawn = true;
+                }
+                None => col.extend_repeat(col.field_type().default_value(), n),
+            }
+        }
+        if !drawn {
+            (0..n).for_each(|_| {
+                draw();
+            });
+        }
+    }
+
     /// Appends an owning tuple's row.
     #[inline]
     pub fn push_tuple(&mut self, t: &Tuple) {
@@ -1174,6 +1210,51 @@ mod tests {
         assert_eq!(b.i64_column(0), Some(&[7i64, 1, 2][..]));
         assert_eq!(b.f64_column(1), Some(&[4.0, 0.0, 5.0][..]));
         assert_eq!(b.row(2).values.len(), 2);
+    }
+
+    /// Column-at-a-time rows equal `push_row` rows under coercion,
+    /// padding and truncation, and the draws happen even when no field is
+    /// left for them.
+    #[test]
+    fn extend_rows_equals_push_row() {
+        let wide = Schema::new([
+            ("flag", FieldType::Bool),
+            ("n", FieldType::I64),
+            ("tag", FieldType::Tag),
+            ("v", FieldType::F64),
+        ]);
+        let leads: [&[Value]; 4] = [
+            &[],
+            &[Value::I64(3)],
+            &[Value::Bool(true), Value::F64(2.5)],
+            &[
+                Value::I64(1),
+                Value::I64(2),
+                Value::Tag(4),
+                Value::F64(9.0),
+                Value::I64(5),
+            ],
+        ];
+        for schema in [wide, keyed_schema(), tagged_schema()] {
+            for lead in leads {
+                let (mut col, mut row) = (0.0, 0.0);
+                let mut by_col = TupleBatch::with_schema(schema.clone());
+                by_col.push_row(Timestamp(1), Sic(0.5), &[Value::I64(8)]);
+                let mut by_row = by_col.clone();
+                by_col.extend_rows(5, Timestamp(2), Sic(0.25), lead, || {
+                    col += 1.5;
+                    col
+                });
+                for _ in 0..5 {
+                    row += 1.5;
+                    let values: Vec<Value> =
+                        lead.iter().copied().chain([Value::F64(row)]).collect();
+                    by_row.push_row(Timestamp(2), Sic(0.25), &values);
+                }
+                assert_eq!(by_col, by_row, "{schema} lead {lead:?}");
+                assert_eq!(col, row, "one draw per row");
+            }
+        }
     }
 
     #[test]

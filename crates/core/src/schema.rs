@@ -596,6 +596,27 @@ impl Column {
         }
     }
 
+    /// Appends `n` copies of `v`, coerced as [`Column::push_value`]
+    /// coerces it, with one fill instead of `n` pushes.
+    pub(crate) fn extend_repeat(&mut self, v: Value, n: usize) {
+        match self {
+            Column::F64(c) => c.resize(c.len() + n, v.as_f64()),
+            Column::I64(c) => c.resize(c.len() + n, v.as_i64()),
+            Column::Bool(c) => (0..n).for_each(|_| c.push(v.as_bool())),
+            Column::Tag(c) => c.codes.resize(c.codes.len() + n, v.as_i64().max(0) as u32),
+        }
+    }
+
+    /// Appends `n` floats, `draw`'s results in call order, coerced as
+    /// [`Column::push_value`] coerces a [`Value::F64`]; `draw` runs exactly
+    /// `n` times.
+    pub(crate) fn extend_drawn(&mut self, n: usize, mut draw: impl FnMut() -> f64) {
+        match self {
+            Column::F64(c) => c.extend((0..n).map(|_| draw())),
+            other => (0..n).for_each(|_| other.push_value(Value::F64(draw()))),
+        }
+    }
+
     /// Entry `i` as a [`Value`] (panics if out of range).
     #[inline]
     pub fn value(&self, i: usize) -> Value {

@@ -3,9 +3,10 @@
 //! model, tuple shedder, operator execution, counters) on a wall clock.
 //! What [`NodeState`] adds is only what a real clock needs: `Instant`
 //! deadlines with the drift/late-tick reschedule below, measured busy time
-//! for [`CostModel::observe_windowed`], pool recycling of shed batches, the
-//! synthetic-cost spin, and the per-query SIC divergence from the last
-//! checkpoint that triggers early checkpoints.
+//! for [`CostModel::observe_windowed`], the synthetic-cost spin, and the
+//! per-query SIC divergence from the last checkpoint that triggers early
+//! checkpoints. The batch pool of [`NodeConfig::pool`] goes to the node,
+//! which recycles its fragments' spent batches and its shed ones.
 //!
 //! A tick hands its fragments' emissions to the [`EmissionSink`] its caller
 //! supplies: the shard's outbox, which leaves a service pass as one
@@ -147,7 +148,6 @@ pub struct NodeState {
     interval_delta: TimeDelta,
     next_tick: Instant,
     last_tick: Instant,
-    pool: Option<BatchPool>,
     /// The SIC table of the last checkpoint written to disk (empty before
     /// the first one; see [`NodeState::mark_checkpointed`]).
     checkpointed: HashMap<QueryId, Sic>,
@@ -169,6 +169,9 @@ impl NodeState {
         let detector = OverloadDetector::new(config.interval, config.initial_capacity);
         let mut core = Node::new(config.shedder, config.stw, detector);
         core.pin_capacity(config.fixed_capacity);
+        if let Some(pool) = config.pool {
+            core.set_pool(pool);
+        }
         NodeState {
             node,
             core,
@@ -177,7 +180,6 @@ impl NodeState {
             interval_delta: config.interval,
             next_tick: first_tick,
             last_tick: first_tick.checked_sub(interval).unwrap_or(first_tick),
-            pool: config.pool,
             checkpointed: HashMap::new(),
             sic_drift: 0.0,
         }
@@ -192,10 +194,7 @@ impl NodeState {
         fragment: usize,
         downstream: Option<(usize, usize)>,
     ) {
-        let runtime = self.core.attach(query, fragment, downstream);
-        if let Some(pool) = &self.pool {
-            runtime.set_pool(pool);
-        }
+        self.core.attach(query, fragment, downstream);
     }
 
     /// The node's next shedding deadline.
@@ -273,23 +272,13 @@ impl NodeState {
         self.reschedule(now);
 
         let now_ts = Timestamp(epoch.elapsed().as_micros() as u64);
-        let pool = self.pool.as_ref();
         let select_ns = self.core.stats.shed_time_ns;
         let start = Instant::now();
-        let kept = self.core.tick(
-            now_ts,
-            |rb| {
-                // A shed batch's columns are as reusable as processed
-                // ones — under sustained overload this is the busiest
-                // recycle point of all.
-                if let Some(pool) = pool {
-                    pool.recycle(rb.batch.into_data());
-                }
-            },
-            |query, fragment, downstream, emissions| {
-                sink.route(query, fragment, downstream, emissions);
-            },
-        );
+        let kept = self
+            .core
+            .tick(now_ts, |query, fragment, downstream, emissions| {
+                sink.route(query, fragment, downstream, emissions)
+            });
         if !self.synthetic_cost.is_zero() {
             spin_for(self.synthetic_cost.as_micros() * kept);
         }

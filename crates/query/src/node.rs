@@ -5,9 +5,10 @@
 //!
 //! [`Node`] knows no clock. Callers hand it logical timestamps, feed its
 //! cost model with whatever "busy" means on their clock (a simulated
-//! per-tuple cost, or measured wall time), and receive shed batches and
-//! fragment emissions through callbacks. Sim↔engine parity therefore holds
-//! by construction: both run this one tick.
+//! per-tuple cost, or measured wall time), and receive fragment emissions
+//! through a callback; spent and shed batches go back to the node's
+//! [`BatchPool`] when it has one. Sim↔engine parity therefore holds by
+//! construction: both run this one tick.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -206,6 +207,9 @@ pub struct Node {
     pinned_capacity: Option<usize>,
     /// Whether the last tick was the first to run the shedder.
     first_shed: bool,
+    /// Where spent batches go: the fragments' spent inputs and panes, and
+    /// the batches the shedder drops. `None` frees them.
+    pool: Option<BatchPool>,
     /// Counters since creation.
     pub stats: NodeReport,
 }
@@ -229,8 +233,19 @@ impl Node {
             detector,
             pinned_capacity: None,
             first_shed: false,
+            pool: None,
             stats: NodeReport::default(),
         }
+    }
+
+    /// Recycles the node's spent batches into `pool`: every hosted and
+    /// later attached fragment's spent inputs and panes, and the batches
+    /// each tick sheds.
+    pub fn set_pool(&mut self, pool: BatchPool) {
+        for hosted in self.fragments.iter_mut().flatten() {
+            hosted.runtime.set_pool(&pool);
+        }
+        self.pool = Some(pool);
     }
 
     /// Pins the shedding threshold to `capacity` tuples per interval
@@ -256,7 +271,10 @@ impl Node {
         fragment: usize,
         downstream: Option<(usize, usize)>,
     ) -> &mut FragmentRuntime {
-        let runtime = FragmentRuntime::new(&query.fragments[fragment]);
+        let mut runtime = FragmentRuntime::new(&query.fragments[fragment]);
+        if let Some(pool) = &self.pool {
+            runtime.set_pool(pool);
+        }
         let found = self
             .queries
             .get(&query.id)
@@ -448,15 +466,14 @@ impl Node {
     /// per-query buffer states with §6's projected base SIC → the shedder →
     /// a shed bitmap over buffer slots → the kept batches into their
     /// fragments → the windows of every fragment with a due pane advanced,
-    /// in `(query, fragment)` order. Shed batches go to `shed`; fragment
-    /// root emissions go to `emit` as `(query, fragment, downstream,
-    /// emissions)`, `downstream` being what the fragment was attached
-    /// with. Returns the tuples admitted, for the caller's cost-model
-    /// observation.
+    /// in `(query, fragment)` order. Shed batches go back to the node's
+    /// pool ([`Node::set_pool`]); fragment root emissions go to `emit` as
+    /// `(query, fragment, downstream, emissions)`, `downstream` being what
+    /// the fragment was attached with. Returns the tuples admitted, for
+    /// the caller's cost-model observation.
     pub fn tick(
         &mut self,
         now: Timestamp,
-        mut shed: impl FnMut(RoutedBatch),
         mut emit: impl FnMut(QueryId, usize, Option<(usize, usize)>, Vec<Emission>),
     ) -> u64 {
         self.stats.ticks += 1;
@@ -497,7 +514,12 @@ impl Node {
         let mut kept = 0u64;
         for (idx, (slot, rb)) in self.buffer.drain(..).enumerate() {
             if dropped.is_dropped(idx) {
-                shed(rb);
+                // A shed batch's columns are as reusable as processed
+                // ones: under sustained overload this is the busiest
+                // recycle point of all.
+                if let Some(pool) = &self.pool {
+                    pool.recycle(rb.batch.into_data());
+                }
                 continue;
             }
             kept += rb.batch.len() as u64;
@@ -557,7 +579,7 @@ mod tests {
 
     /// Ticks `n`, discarding its output.
     fn tick(n: &mut Node, ms: u64) -> u64 {
-        n.tick(Timestamp::from_millis(ms), drop, |_, _, _, _| {})
+        n.tick(Timestamp::from_millis(ms), |_, _, _, _| {})
     }
 
     /// A node at 400 t/s over 250 ms intervals: threshold 100 tuples.
@@ -628,17 +650,32 @@ mod tests {
     fn overload_sheds_down_to_threshold() {
         let q = avg_query(0);
         let mut n = node();
+        let pool = BatchPool::new();
+        n.set_pool(pool.clone());
         n.attach(&q, 0, None);
+        let src = q.sources[0].id;
+        let at = Timestamp::from_millis(10);
         for k in 0..5 {
-            n.enqueue(source_batch(&q, 10, 50), Timestamp::from_millis(10 + k));
+            // Acquired like a source's, so the pool takes a shed one back.
+            let mut data = pool.acquire(&q.sources[0].schema(), 50);
+            data.extend_rows(50, at, Sic::ZERO, &[], || 50.0);
+            let rb = RoutedBatch {
+                query: q.id,
+                fragment: 0,
+                ingress: Ingress::Source(src),
+                batch: Batch::from_source_data(q.id, src, at, data),
+            };
+            n.enqueue(rb, Timestamp::from_millis(10 + k));
         }
-        let mut shed = 0;
-        n.tick(Timestamp::from_millis(250), |_| shed += 1, |_, _, _, _| {});
+        tick(&mut n, 250);
         assert_eq!(n.stats.kept_tuples, 100);
         assert_eq!(n.stats.shed_tuples, 150);
         assert_eq!(n.stats.shed_invocations, 1);
         assert_eq!(n.stats.shed_decisions, 1);
-        assert_eq!(shed, 3, "shed batches reach the callback");
+        assert_eq!(n.stats.shed_batches, 3);
+        // The kept batches: the pane adopts one, copies and spends one.
+        let recycled = pool.stats().recycled;
+        assert_eq!(recycled, 3 + 1, "shed batches go to the pool");
     }
 
     /// Only the tick that runs the shedder for the first time reports a
@@ -685,7 +722,7 @@ mod tests {
         n.enqueue(source_batch(&q, 10, 100), Timestamp::from_millis(10));
         let mut emitted = Vec::new();
         for t in [250u64, 500, 750, 1000, 1250, 1500, 1750] {
-            n.tick(Timestamp::from_millis(t), drop, |query, _, _, e| {
+            n.tick(Timestamp::from_millis(t), |query, _, _, e| {
                 emitted.extend(e.into_iter().map(|e| (query, e)));
             });
         }
@@ -818,7 +855,7 @@ mod tests {
                     }
                 }
             }
-            n.tick(Timestamp::from_millis(t), drop, |_, _, _, e| {
+            n.tick(Timestamp::from_millis(t), |_, _, _, e| {
                 results += e.len() as u64;
             });
             ticks += 1;
@@ -845,7 +882,7 @@ mod tests {
         fresh.restore(&snap);
         let mut emitted = Vec::new();
         for t in [500u64, 1_000, 1_250, 1_500] {
-            fresh.tick(Timestamp::from_millis(t), drop, |_, _, _, e| {
+            fresh.tick(Timestamp::from_millis(t), |_, _, _, e| {
                 emitted.extend(e.into_iter().map(|e| (t, e)));
             });
         }

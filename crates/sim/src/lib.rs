@@ -14,6 +14,9 @@
 //!   simulated per-tuple cost;
 //! * the shared source pump ([`themis_workloads::pump::SourcePump`]),
 //!   each query's sources live from its arrival to its departure;
+//! * one [`themis_core::batch::BatchPool`], as in the engine: the pump
+//!   acquires source batches from it and every node recycles its spent
+//!   and shed batches into it;
 //! * links with configurable one-way latency (LAN 5 ms / WAN 50 ms);
 //! * the shared coordinator ([`themis_core::coordinator::Coordinator`])
 //!   disseminating result SIC values (`updateSIC`), with an ablation

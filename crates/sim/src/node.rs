@@ -69,6 +69,12 @@ impl SimNode {
         self.id
     }
 
+    /// Recycles the node's spent and shed batches into `pool` (see
+    /// [`Node::set_pool`]).
+    pub fn set_pool(&mut self, pool: BatchPool) {
+        self.node.set_pool(pool);
+    }
+
     /// Deploys a fragment on this node.
     pub fn deploy(&mut self, query: &QuerySpec, fragment: usize) {
         self.node.attach(query, fragment, None);
@@ -91,7 +97,7 @@ impl SimNode {
         let mut outputs = Vec::new();
         // The simulation routes outputs by `(query, fragment)`, so the
         // fragment's downstream slot goes unused.
-        let kept = self.node.tick(now, drop, |query, fragment, _, emissions| {
+        let kept = self.node.tick(now, |query, fragment, _, emissions| {
             outputs.extend(emissions.into_iter().map(|e| NodeOutput::FragmentOutput {
                 query,
                 fragment,

@@ -10,7 +10,9 @@
 //!
 //! The event loop only schedules. Sources are paced by the one
 //! [`SourcePump`] the engine's control loop and the remote generator also
-//! step, and every `updateSIC` round and SIC sample runs in the one
+//! step; as in the engine, the pump acquires its batches from one
+//! [`BatchPool`] that every node recycles spent and shed batches into.
+//! Every `updateSIC` round and SIC sample runs in the one
 //! [`Coordinator`] the engine also drives, on the coordinator's own
 //! schedule: a `CoordTick` event fires at its `next_round()`, a `Sample`
 //! event at its `next_sample()` (once per simulated second). The
@@ -99,6 +101,9 @@ pub struct Simulation {
     agenda: Agenda,
     nodes: Vec<SimNode>,
     pump: SourcePump,
+    /// The one batch pool the pump acquires from and every node recycles
+    /// into, as in the engine.
+    pool: BatchPool,
     /// (query, fragment) -> the `(node, fragment)` its output feeds, or
     /// `None` when it emits the query result.
     frag_route: HashMap<(QueryId, usize), Option<(usize, usize)>>,
@@ -110,16 +115,19 @@ impl Simulation {
     /// Wires up the scenario.
     pub fn new(scenario: Scenario, config: SimConfig) -> Self {
         let end = Timestamp::ZERO + scenario.warmup + scenario.duration;
+        let pool = BatchPool::new();
         let mut nodes: Vec<SimNode> = (0..scenario.n_nodes)
             .map(|i| {
-                SimNode::new(
+                let mut node = SimNode::new(
                     NodeId(i as u32),
                     scenario.node_capacity_tps[i],
                     scenario.shedding_interval,
                     scenario.stw,
                     &config,
                     scenario.seed ^ (0xA5A5_0000 + i as u64),
-                )
+                );
+                node.set_pool(pool.clone());
+                node
             })
             .collect();
 
@@ -128,7 +136,7 @@ impl Simulation {
             seq: 0,
             end,
         };
-        let mut pump = SourcePump::default();
+        let mut pump = SourcePump::with_pool(pool.clone());
         let mut frag_route = HashMap::new();
         let interval = scenario.shedding_interval;
         let second = TimeDelta::from_secs(1);
@@ -173,10 +181,17 @@ impl Simulation {
             agenda,
             nodes,
             pump,
+            pool,
             frag_route,
             coordinator,
             results: HashMap::new(),
         }
+    }
+
+    /// The simulation's batch pool (its [`BatchPool::stats`] show how
+    /// much of the run's batch traffic reused pooled batches).
+    pub fn batch_pool(&self) -> &BatchPool {
+        &self.pool
     }
 
     /// Runs to completion and produces the report.

@@ -352,7 +352,8 @@ impl SourcePump {
     }
 
     /// Emits every batch due at `now`, at most [`MAX_SWEEP`], handing
-    /// each non-empty one to `sink` with the node it is routed to. A
+    /// each non-empty one to `sink` with the node it is routed to (an
+    /// empty one returns to the pump's pool, if it has one). A
     /// driver more than a whole beat behind `now` is first re-anchored
     /// onto the current beat ([`SourceDriver::fast_forward`]), so an
     /// overloaded pump degrades its rate instead of storming catch-up
@@ -382,8 +383,13 @@ impl SourcePump {
             driver.fast_forward(now);
             let batch = driver.emit();
             self.due.push((driver.next_time(), slot, generation));
-            // Quiet-pattern batches can be empty; nothing to route then.
-            if !batch.is_empty() {
+            // Quiet-pattern batches can be empty: nothing to route, and a
+            // pooled one goes straight back for the next beat.
+            if batch.is_empty() {
+                if let Some(pool) = &self.pool {
+                    pool.recycle(batch.into_data());
+                }
+            } else {
                 let routed = RoutedBatch {
                     query: driver.query,
                     fragment: s.fragment,

@@ -321,8 +321,10 @@ impl SourceProfile {
 
 /// Drives one source: emits timestamped, zero-SIC batches for its query
 /// (the hosting node assigns Eq.-1 SIC values on arrival). Batches are
-/// built as **typed columns** against the source's declared [`Schema`] —
-/// appending native column values, never materialising owning tuples.
+/// built **a column at a time** against the source's declared [`Schema`]
+/// ([`TupleBatch::extend_rows`]): one fill per constant column and one
+/// value-generator loop per batch, never a row of [`Value`]s or an owning
+/// tuple.
 ///
 /// The batch cadence is fixed ([`SourceProfile::interval`]); the rate
 /// pattern scales each batch's *size*. Fractional tuples carry over to
@@ -334,10 +336,10 @@ pub struct SourceDriver {
     pub source: SourceId,
     /// The query it feeds.
     pub query: QueryId,
-    key: Option<i64>,
-    /// Dictionary code of the source's tag label, for spec-compiled
-    /// `GROUP BY` queries whose rows lead with a tag column.
-    tag_code: Option<u32>,
+    /// The constant first field of every row: the dictionary code of the
+    /// source's tag label (spec-compiled `GROUP BY` queries), else its
+    /// key; `None` for `[value]` rows.
+    lead: Option<Value>,
     kind: SourceKind,
     schema: Schema,
     profile: SourceProfile,
@@ -372,8 +374,11 @@ impl SourceDriver {
         SourceDriver {
             source: spec.id,
             query,
-            key: spec.key,
-            tag_code: spec.tag.as_ref().map(|t| t.code),
+            lead: match (&spec.tag, spec.key) {
+                (Some(tag), _) => Some(Value::Tag(tag.code)),
+                (None, Some(k)) => Some(Value::I64(k)),
+                (None, None) => None,
+            },
             kind: spec.kind,
             schema: spec.schema(),
             profile,
@@ -453,26 +458,21 @@ impl SourceDriver {
         let exact = base * factor + self.carry;
         let n = exact.floor().max(0.0) as usize;
         self.carry = exact - n as f64;
-        // Typed column construction: rows append straight into the
-        // schema's native columns — no per-tuple `Vec<Value>` allocation.
-        // With a pool attached the backing columns come from recycled
-        // batches.
+        // Built a column at a time: one fill each for the timestamps, the
+        // SIC and a constant lead, one generator loop for the values (in
+        // row order, so the RNG draws what a per-row loop would). With a
+        // pool attached the backing columns come from recycled batches.
         let mut data = match &self.pool {
             Some(pool) => pool.acquire(&self.schema, n),
             None => TupleBatch::with_schema_capacity(self.schema.clone(), n),
         };
-        for _ in 0..n {
-            let v = match self.kind {
-                SourceKind::MemFree => self.values.mem_free_kb(now),
-                _ => self.values.value(now),
-            };
-            match (self.tag_code, self.key) {
-                (Some(code), _) => {
-                    data.push_row(now, Sic::ZERO, &[Value::Tag(code), Value::F64(v)])
-                }
-                (None, Some(k)) => data.push_row(now, Sic::ZERO, &[Value::I64(k), Value::F64(v)]),
-                (None, None) => data.push_row(now, Sic::ZERO, &[Value::F64(v)]),
+        let lead = self.lead.as_slice();
+        let values = &mut self.values;
+        match self.kind {
+            SourceKind::MemFree => {
+                data.extend_rows(n, now, Sic::ZERO, lead, || values.mem_free_kb(now))
             }
+            _ => data.extend_rows(n, now, Sic::ZERO, lead, || values.value(now)),
         }
         self.next_emission = now + self.profile.interval();
         Batch::from_source_data(self.query, self.source, now, data)

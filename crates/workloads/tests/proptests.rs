@@ -1,9 +1,10 @@
 //! Property-based tests over the programmable rate patterns: every
 //! [`RatePattern`] realises its declared long-run mean rate under seeded
 //! [`SourceDriver`] runs, and pattern state is exactly reproducible for a
-//! fixed seed. Plus the source pump's schedule: under any sequence of
-//! adds, removes and steps its emissions and `step` return values equal a
-//! plain binary-heap schedule's.
+//! fixed seed. A driver's column-at-a-time batches equal a row-by-row
+//! reference built in this file, pooled or not. Plus the source pump's
+//! schedule: under any sequence of adds, removes and steps its emissions
+//! and `step` return values equal a plain binary-heap schedule's.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -11,7 +12,7 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 
 use themis_core::prelude::*;
-use themis_query::prelude::{Ingress, SourceKind, SourceSpec};
+use themis_query::prelude::{Ingress, SourceKind, SourceSpec, TagSource};
 use themis_workloads::prelude::*;
 use themis_workloads::pump::{source_seed, SourceBinding, SourcePump, MAX_SWEEP};
 
@@ -194,6 +195,138 @@ proptest! {
             let (ba, bb) = (a.emit(), b.emit());
             prop_assert_eq!(ba.len(), bb.len(), "batch {} size diverged", i);
             prop_assert_eq!(ba, bb, "batch {} payload diverged", i);
+        }
+    }
+}
+
+/// A source of kind `kind` in layout `layout`: 0 plain `[value]`, 1 keyed
+/// `[key, value]`, 2 tagged `[tag, value]` against a fresh tag schema.
+fn layout_spec(layout: usize, kind: SourceKind) -> SourceSpec {
+    let mut spec = SourceSpec::plain(SourceId(5), None, kind);
+    match layout {
+        0 => {}
+        1 => spec.key = Some(-42),
+        _ => {
+            let schema = Schema::new([("host", FieldType::Tag), ("value", FieldType::F64)]);
+            let dict = schema.interner().expect("a tag schema has a dictionary");
+            dict.intern("other-host");
+            let code = dict.intern("sensors-5");
+            spec.tag = Some(TagSource {
+                label: "sensors-5".to_string(),
+                code,
+                schema,
+            });
+        }
+    }
+    spec
+}
+
+/// The row-by-row reference for one emission of `spec`'s driver: `n`
+/// [`TupleBatch::push_row`] calls at `ts`, each drawing its value from
+/// `values` when its row is built.
+fn row_by_row(spec: &SourceSpec, values: &mut ValueGen, ts: Timestamp, n: usize) -> TupleBatch {
+    let mut data = TupleBatch::with_schema_capacity(spec.schema(), n);
+    for _ in 0..n {
+        let v = match spec.kind {
+            SourceKind::MemFree => values.mem_free_kb(ts),
+            _ => values.value(ts),
+        };
+        match (&spec.tag, spec.key) {
+            (Some(tag), _) => data.push_row(ts, Sic::ZERO, &[Value::Tag(tag.code), Value::F64(v)]),
+            (None, Some(k)) => data.push_row(ts, Sic::ZERO, &[Value::I64(k), Value::F64(v)]),
+            (None, None) => data.push_row(ts, Sic::ZERO, &[Value::F64(v)]),
+        }
+    }
+    data
+}
+
+/// Puts a used batch of `spec`'s schema with room for `cap` rows on top
+/// of `pool`'s stack, so the driver's next emission refills it: rows
+/// written and one dropped, then cleared by the recycle.
+fn recycle_used(pool: &BatchPool, spec: &SourceSpec, cap: usize) {
+    let schema = spec.schema();
+    // Lets the pool keep batches with room for `cap`.
+    drop(pool.acquire(&schema, cap));
+    let mut used = TupleBatch::with_schema_capacity(schema, cap);
+    for i in 0..cap.min(3) {
+        used.push_row(
+            Timestamp(7),
+            Sic(0.5),
+            &[Value::I64(9), Value::F64(i as f64)],
+        );
+    }
+    if cap > 0 {
+        used.drop_row(0);
+    }
+    pool.recycle(used);
+}
+
+/// Strategy: `(batches per second, tuples per second)` for base batch
+/// sizes from 0 to 200 tuples, fractional ones (carries) included, small
+/// ones (empty batches among them) drawn more often.
+fn arb_rate() -> impl Strategy<Value = (u32, u32)> {
+    (1u32..11, 0.0f64..1.0).prop_map(|(bps, u)| (bps, (u.powi(3) * (200 * bps + 1) as f64) as u32))
+}
+
+/// Strategy: per emission, the room of a used batch recycled into the
+/// pool just before it (0 to 300 rows), or `None`.
+fn arb_recycled() -> impl Strategy<Value = Vec<Option<usize>>> {
+    prop::collection::vec(0usize..400, 1..12)
+        .prop_map(|caps| caps.into_iter().map(|c| (c <= 300).then_some(c)).collect())
+}
+
+proptest! {
+    /// Column-at-a-time emission equals the row-by-row reference batch for
+    /// batch: timestamps, SIC, schema and every column, for every source
+    /// kind, layout and dataset, with and without a pool whose recycled
+    /// batches have less or more room than the emission needs. The
+    /// reference draws from its own generator, so a later batch matching
+    /// too shows the driver left its generator where the reference did.
+    #[test]
+    fn column_emission_equals_the_row_by_row_reference(
+        kind in prop::sample::select(vec![SourceKind::Generic, SourceKind::Cpu, SourceKind::MemFree]),
+        layout in 0usize..3,
+        dataset in prop::sample::select(Dataset::ALL.to_vec()),
+        rate in arb_rate(),
+        seed in 0u64..10_000,
+        pooled in 0u8..2,
+        recycled in arb_recycled(),
+    ) {
+        let ((bps, tps), pooled) = (rate, pooled == 1);
+        let spec = layout_spec(layout, kind);
+        let profile = SourceProfile::steady(tps, bps, dataset);
+        let mut driver = SourceDriver::new(QueryId(3), &spec, profile, seed);
+        let pool = BatchPool::new();
+        if pooled {
+            driver.set_pool(pool.clone());
+        }
+        let mut reference = ValueGen::new(dataset, seed);
+        for (i, cap) in recycled.into_iter().enumerate() {
+            if let (true, Some(cap)) = (pooled, cap) {
+                recycle_used(&pool, &spec, cap);
+            }
+            let ts = driver.next_time();
+            let got = driver.emit();
+            let want = row_by_row(&spec, &mut reference, ts, got.len());
+            prop_assert_eq!(
+                (got.query(), got.source(), got.created()),
+                (QueryId(3), Some(spec.id), ts),
+                "batch {}", i
+            );
+            let data = got.data();
+            prop_assert_eq!(data.ts_column(), want.ts_column(), "batch {} timestamps", i);
+            let sic = |b: &TupleBatch| (0..b.rows()).map(|r| b.row(r).sic).collect::<Vec<_>>();
+            prop_assert_eq!(sic(data), sic(&want), "batch {} SIC", i);
+            let schema = data.schema().expect("a source batch has a schema");
+            prop_assert!(schema.same_as(&spec.schema()), "batch {} schema", i);
+            prop_assert_eq!(data.width(), want.width());
+            for field in 0..want.width() {
+                prop_assert_eq!(data.column(field), want.column(field), "batch {} field {}", i, field);
+            }
+            prop_assert_eq!(data, &want, "batch {}", i);
+            if pooled {
+                pool.recycle(got.into_data());
+            }
         }
     }
 }
