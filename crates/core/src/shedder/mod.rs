@@ -37,6 +37,7 @@ pub use registry::{
 pub use variants::{FifoShedder, PriorityShedder};
 
 use crate::batch::DropBitmap;
+use crate::bits::BitVec;
 use crate::ids::QueryId;
 use crate::sic::Sic;
 use crate::time::Timestamp;
@@ -92,16 +93,16 @@ pub struct ShedDecision {
 }
 
 impl ShedDecision {
-    /// Builds the decision record from the keep set and the full snapshot.
+    /// Builds the decision record from the keep set and the full snapshot,
+    /// testing each candidate against a bit vector of the kept indices.
     fn from_keep(keep: Vec<usize>, queries: &[QueryBufferState]) -> Self {
-        use std::collections::HashSet;
-        let kept: HashSet<usize> = keep.iter().copied().collect();
+        let kept = kept_bits(&keep, keep.iter().max().map_or(0, |&i| i + 1));
         let mut kept_tuples = 0;
         let mut shed_tuples = 0;
         let mut shed_batches = 0;
         for q in queries {
             for b in &q.batches {
-                if kept.contains(&b.buffer_index) {
+                if kept.get(b.buffer_index) {
                     kept_tuples += b.tuples;
                 } else {
                     shed_tuples += b.tuples;
@@ -124,19 +125,22 @@ impl ShedDecision {
     /// bitmap is pre-sized to `n_batches` so marking bits never grows the
     /// word vector one resize at a time.
     pub fn shed_bitmap(&self, n_batches: usize) -> DropBitmap {
-        let mut keep = self.keep.clone();
-        keep.sort_unstable();
+        let kept = kept_bits(&self.keep, n_batches);
         let mut bm = DropBitmap::with_rows(n_batches);
-        let mut it = keep.into_iter().peekable();
-        for i in 0..n_batches {
-            if it.peek() == Some(&i) {
-                it.next();
-            } else {
-                bm.drop_row(i);
-            }
+        for i in (0..n_batches).filter(|&i| !kept.get(i)) {
+            bm.drop_row(i);
         }
         bm
     }
+}
+
+/// The kept buffer indices below `bits` as a bit vector sized for them.
+fn kept_bits(keep: &[usize], bits: usize) -> BitVec {
+    let mut kept = BitVec::with_bits(bits);
+    for &i in keep.iter().filter(|&&i| i < bits) {
+        kept.set(i);
+    }
+    kept
 }
 
 /// A load-shedding policy: selects which buffered batches to keep, given the
@@ -157,34 +161,42 @@ pub trait Shedder: Send {
 /// `reported_sic` is the latest coordinator-disseminated result SIC per query
 /// (`updateSIC`, Algorithm 1 line 20). The projection heuristic of §6
 /// subtracts the SIC mass of all buffered batches, clamped at zero.
+///
+/// The snapshot lists queries in id order and each query's batches in
+/// buffer order. Each batch finds its query's entry by binary search in
+/// that order, so grouping hashes nothing and holds no copy of the
+/// buffer.
 pub fn build_buffer_states<'a>(
     buffer: impl IntoIterator<Item = &'a Batch>,
     reported_sic: impl Fn(QueryId) -> Sic,
 ) -> Vec<QueryBufferState> {
-    use std::collections::HashMap;
-    let mut by_query: HashMap<QueryId, Vec<CandidateBatch>> = HashMap::new();
+    let mut states: Vec<QueryBufferState> = Vec::new();
     for (idx, b) in buffer.into_iter().enumerate() {
-        by_query.entry(b.query()).or_default().push(CandidateBatch {
+        let query = b.query();
+        let at = match states.binary_search_by_key(&query, |s| s.query) {
+            Ok(at) => at,
+            Err(at) => {
+                let state = QueryBufferState {
+                    query,
+                    base_sic: Sic::ZERO,
+                    batches: Vec::new(),
+                };
+                states.insert(at, state);
+                at
+            }
+        };
+        states[at].batches.push(CandidateBatch {
             buffer_index: idx,
             sic: b.sic(),
             tuples: b.len(),
             created: b.created(),
         });
     }
-    let mut states: Vec<QueryBufferState> = by_query
-        .into_iter()
-        .map(|(query, batches)| {
-            let buffered: Sic = batches.iter().map(|b| b.sic).sum();
-            let base = Sic((reported_sic(query).value() - buffered.value()).max(0.0));
-            QueryBufferState {
-                query,
-                base_sic: base,
-                batches,
-            }
-        })
-        .collect();
-    // Deterministic order regardless of hash-map iteration.
-    states.sort_by_key(|s| s.query);
+    for state in &mut states {
+        let buffered: Sic = state.batches.iter().map(|b| b.sic).sum();
+        let reported = reported_sic(state.query).value();
+        state.base_sic = Sic((reported - buffered.value()).max(0.0));
+    }
     states
 }
 

@@ -385,3 +385,133 @@ proptest! {
         prop_assert!(cf >= cs, "faster node must have >= capacity ({cf} vs {cs})");
     }
 }
+
+/// The shedding pass as it was when it grouped through a hash map and
+/// marked through a hash set and a sorted copy of the keep list: the
+/// reference its hash-free form must match bit for bit.
+mod hashed {
+    use std::collections::{HashMap, HashSet};
+    use themis_core::prelude::*;
+
+    pub fn build_buffer_states<'a>(
+        buffer: impl IntoIterator<Item = &'a Batch>,
+        reported_sic: impl Fn(QueryId) -> Sic,
+    ) -> Vec<QueryBufferState> {
+        let mut by_query: HashMap<QueryId, Vec<CandidateBatch>> = HashMap::new();
+        for (idx, b) in buffer.into_iter().enumerate() {
+            by_query.entry(b.query()).or_default().push(CandidateBatch {
+                buffer_index: idx,
+                sic: b.sic(),
+                tuples: b.len(),
+                created: b.created(),
+            });
+        }
+        let mut states: Vec<QueryBufferState> = by_query
+            .into_iter()
+            .map(|(query, batches)| {
+                let buffered: Sic = batches.iter().map(|b| b.sic).sum();
+                let base = Sic((reported_sic(query).value() - buffered.value()).max(0.0));
+                QueryBufferState {
+                    query,
+                    base_sic: base,
+                    batches,
+                }
+            })
+            .collect();
+        states.sort_by_key(|s| s.query);
+        states
+    }
+
+    /// `(kept_tuples, shed_tuples, shed_batches)` of `keep` over `queries`.
+    pub fn counts(keep: &[usize], queries: &[QueryBufferState]) -> (usize, usize, usize) {
+        let kept: HashSet<usize> = keep.iter().copied().collect();
+        let mut out = (0, 0, 0);
+        for b in queries.iter().flat_map(|q| &q.batches) {
+            if kept.contains(&b.buffer_index) {
+                out.0 += b.tuples;
+            } else {
+                out.1 += b.tuples;
+                out.2 += 1;
+            }
+        }
+        out
+    }
+
+    pub fn shed_bitmap(keep: &[usize], n_batches: usize) -> DropBitmap {
+        let mut keep = keep.to_vec();
+        keep.sort_unstable();
+        let mut bm = DropBitmap::with_rows(n_batches);
+        let mut it = keep.into_iter().peekable();
+        for i in 0..n_batches {
+            if it.peek() == Some(&i) {
+                it.next();
+            } else {
+                bm.drop_row(i);
+            }
+        }
+        bm
+    }
+}
+
+/// Every field of two snapshots, SIC values compared bit for bit.
+fn same_states(a: &[QueryBufferState], b: &[QueryBufferState]) -> bool {
+    let bits = |s: Sic| s.value().to_bits();
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.query == y.query
+                && bits(x.base_sic) == bits(y.base_sic)
+                && x.batches.len() == y.batches.len()
+                && x.batches.iter().zip(&y.batches).all(|(c, d)| {
+                    (c.buffer_index, c.tuples, c.created) == (d.buffer_index, d.tuples, d.created)
+                        && bits(c.sic) == bits(d.sic)
+                })
+        })
+}
+
+proptest! {
+    /// The shedding pass hashes nothing and decides exactly as it did
+    /// when it hashed. Over buffers of up to 60 batches of up to 6
+    /// interleaved queries, with random reported SICs:
+    /// `build_buffer_states` matches the hashed reference bit for bit;
+    /// every registered policy, seeded alike, keeps the same batches in
+    /// the same order from either snapshot (so it drew the same random
+    /// numbers); its tuple and batch counts equal the reference's; and
+    /// its shed bitmap marks the same batches.
+    #[test]
+    fn the_shedding_pass_matches_its_hashed_reference(
+        batches in prop::collection::vec((0u32..6, 1usize..20, 1e-4f64..0.05), 0..60),
+        reported in prop::collection::vec(0.0f64..1.0, 6),
+        cap in 0usize..400,
+        seed in 0u64..500,
+    ) {
+        let buffer: Vec<Batch> = batches
+            .iter()
+            .enumerate()
+            .map(|(i, &(q, n, sic))| {
+                let ts = Timestamp(i as u64);
+                let tuples = (0..n).map(|k| Tuple::measurement(ts, Sic(sic), k as f64)).collect();
+                Batch::new(QueryId(q), ts, tuples)
+            })
+            .collect();
+        let reported_sic = |q: QueryId| Sic(reported[q.0 as usize]);
+        let states = build_buffer_states(&buffer, reported_sic);
+        let reference = hashed::build_buffer_states(&buffer, reported_sic);
+        prop_assert!(same_states(&states, &reference), "{states:?} vs {reference:?}");
+        for policy in registered_policies() {
+            let decision = policy.build(seed).select_to_keep(cap, &states);
+            let expected = policy.build(seed).select_to_keep(cap, &reference);
+            prop_assert_eq!(&decision.keep, &expected.keep, "{}", policy.name());
+            prop_assert_eq!(
+                (decision.kept_tuples, decision.shed_tuples, decision.shed_batches),
+                hashed::counts(&decision.keep, &states),
+                "{}", policy.name()
+            );
+            let bitmap = decision.shed_bitmap(buffer.len());
+            let reference = hashed::shed_bitmap(&decision.keep, buffer.len());
+            prop_assert_eq!(bitmap.dropped(), reference.dropped(), "{}", policy.name());
+            for i in 0..buffer.len() {
+                prop_assert_eq!(bitmap.is_dropped(i), reference.is_dropped(i));
+            }
+        }
+    }
+}

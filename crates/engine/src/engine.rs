@@ -1,6 +1,6 @@
 //! The multi-threaded THEMIS prototype: a bounded pool of shard threads
-//! hosting all FSPS nodes, and one control loop that paces the sources
-//! and disseminates result SIC values.
+//! hosting all FSPS nodes and the sources that feed them, and one control
+//! loop that disseminates result SIC values.
 //!
 //! Where the simulator models time, the engine *is* real: ticks fire on the
 //! wall clock, the cost model measures actual processing time, and the
@@ -10,28 +10,32 @@
 //! The engine is a long-lived [`Engine`] value with **runtime query
 //! churn**: [`Engine::attach_query`] places a new query's fragments onto
 //! the least-loaded nodes and installs them on the running shards (an
-//! [`EngineMsg::Attach`] per fragment plus live source drivers in the
-//! pump), and [`Engine::detach_query`] reverses it — sources stop, shard
-//! buffers purge, and nodes left hosting nothing are torn down so their
-//! shedding deadlines never fire again. [`run_engine`] is the one-shot
-//! wrapper: start, run for `warmup + duration`, finish.
+//! [`EngineMsg::Attach`] per fragment, carrying how the fragment's
+//! sources emit, for the hosting shard's pump), and [`Engine::detach_query`]
+//! reverses it — the shards stop the sources and purge their buffers, and
+//! nodes left hosting nothing are torn down so their shedding deadlines
+//! never fire again. [`run_engine`] is the one-shot wrapper: start, run
+//! for `warmup + duration`, finish.
 //!
 //! [`Engine::start`] spawns `shards` OS threads regardless of node count;
 //! the control loop runs on the calling thread inside [`Engine::run_for`],
 //! so 1000+-node scenarios fit one process. The `scale` experiment budgets
 //! `shards + 2` for the whole process: pool + main + its own thread-count
-//! sampler. `run_for` is the wall-clock driver of the clock-free
-//! [`SourcePump`] and [`Coordinator`] the simulator also steps, so sources
-//! are paced and `updateSIC` rounds and SIC samples run identically on
-//! both clocks, and neither advances outside `run_for`. Each pass sweeps
-//! the pump (at most once per 1 ms beat), runs a due coordinator round
-//! and sample, and sends each shard at most one [`EngineMsg::Bundle`];
-//! it then waits for results until the next sweep, round, sample or
-//! deadline. Results arrive one message per shard service pass, carrying
-//! every result that pass emitted and the nodes whose shedder first ran
-//! in it; only those nodes get the coordinator's SIC updates.
-//! [`EngineReport::pump_sweeps`], [`EngineReport::mailbox_messages`] and
-//! [`EngineReport::result_messages`] count the resulting wake-ups.
+//! sampler. Each shard paces its own sources ([`crate::shard`]): a source
+//! batch is emitted, stamped, shed or windowed and recycled on its shard's
+//! thread, and crosses no channel. `run_for` opens every shard's run
+//! window ([`EngineMsg::Run`]), so sources emit only inside `run_for`, and
+//! it is the wall-clock driver of the clock-free [`Coordinator`] the
+//! simulator also steps, so `updateSIC` rounds and SIC samples run
+//! identically on both clocks. A pass runs a due coordinator round and
+//! sample and sends each shard at most one [`EngineMsg::Bundle`] of SIC
+//! updates; it then waits for results until the next round, sample or
+//! the deadline. Results arrive one message per shard service pass,
+//! carrying every result that pass emitted and the nodes whose shedder
+//! first ran in it; only those nodes get the coordinator's SIC updates.
+//! [`EngineReport::control_wakeups`], [`EngineReport::pump_sweeps`],
+//! [`EngineReport::mailbox_messages`] and [`EngineReport::result_messages`]
+//! count the resulting wake-ups.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -46,9 +50,8 @@ use themis_net::listener::{IngestEvent, IngestServer};
 use themis_core::prelude::*;
 use themis_query::prelude::{NodeReport, QuerySpec, RoutedBatch, Template, ValidatedQuery};
 use themis_workloads::prelude::*;
-use themis_workloads::pump::{query_bindings, SourcePump};
 
-use crate::messages::{AttachFragment, Bundle, EngineMsg, PassResults, ShardMsg};
+use crate::messages::{AttachFragment, Bundle, EngineMsg, FragmentSources, PassResults, ShardMsg};
 use crate::node_state::NodeConfig;
 use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome};
 
@@ -257,8 +260,12 @@ pub struct EngineReport {
     /// Of [`EngineReport::checkpoints`], those cut early by
     /// [`EngineConfig::sic_divergence_bound`] rather than on cadence.
     pub early_checkpoints: u64,
-    /// Sweeps of the in-process source pump: the control loop's passes
-    /// that stepped the sources (at most one per pump beat of 1 ms).
+    /// Passes of the control loop inside [`Engine::run_for`]: one per
+    /// wake-up, for a due coordinator round or sample, a results message
+    /// or the deadline. Sources do not wake it.
+    pub control_wakeups: u64,
+    /// Sweeps of the in-process sources, summed over shards: each shard
+    /// steps its own pump at most once per 1 ms beat, inside a run window.
     pub pump_sweeps: u64,
     /// Messages the shard threads took off their channels, summed over
     /// shards. A bundle counts once: a control-loop pass's batches and SIC
@@ -285,16 +292,9 @@ impl EngineReport {
     }
 }
 
-/// The source pump's sweep beat: [`Engine::run_for`] steps the
-/// [`SourcePump`] at most once per beat and sends each shard one
-/// [`EngineMsg::Bundle`] of everything that came due meanwhile, so shards
-/// wake once per beat instead of once per batch. A batch waits at most
-/// one beat, ≤ 0.5 % of the paper's 250 ms shedding interval.
-const PUMP_BEAT: Duration = Duration::from_millis(1);
-
-/// A live THEMIS engine: shard pool running, source pump and coordinator
-/// driven by [`Engine::run_for`] on the calling thread, queries arriving
-/// and departing at runtime.
+/// A live THEMIS engine: shard pool running (each shard pacing its own
+/// sources), coordinator driven by [`Engine::run_for`] on the calling
+/// thread, queries arriving and departing at runtime.
 ///
 /// ```no_run
 /// use std::time::Duration;
@@ -337,14 +337,8 @@ pub struct Engine {
     /// Messages received on `results_rx` ([`EngineReport::result_messages`]).
     result_messages: u64,
     shard_handles: Vec<JoinHandle<ShardOutcome>>,
-    /// The sources, stepped by `run_for` on the calling thread.
-    pump: SourcePump,
-    /// When the pump last swept (the epoch before its first sweep).
-    last_sweep: Instant,
-    /// When the pump sweeps next; `None` while no source is live.
-    next_sweep: Option<Instant>,
-    /// Sweeps so far ([`EngineReport::pump_sweeps`]).
-    pump_sweeps: u64,
+    /// Passes of `run_for`'s loop so far ([`EngineReport::control_wakeups`]).
+    control_wakeups: u64,
     /// The coordinator, stepped by `run_for` on the calling thread.
     coordinator: Coordinator,
     /// Attached queries: the spec (kept so [`Engine::restart_shard`] can
@@ -354,8 +348,8 @@ pub struct Engine {
     node_load: Vec<usize>,
     query_ids: IdGen,
     source_ids: IdGen,
-    /// Engine-wide batch pool: the pump acquires emission batches from
-    /// it, nodes recycle spent columns back (windows, shed batches).
+    /// Engine-wide batch pool: the shards' pumps acquire emission batches
+    /// from it, nodes recycle spent columns back (windows, shed batches).
     pool: BatchPool,
     /// The TCP ingest listener plus its accounting, when
     /// [`EngineConfig::ingest_listen`] bound one.
@@ -365,10 +359,11 @@ pub struct Engine {
 impl Engine {
     /// Spawns the shard pool and installs the scenario's queries (every
     /// deployment takes the same attach path runtime churn uses). Their
-    /// sources emit only inside [`Engine::run_for`]. Scenario `lifetimes`
-    /// are ignored here — drive arrivals and departures explicitly with
-    /// [`Engine::attach_query`] / [`Engine::detach_query`] between
-    /// [`Engine::run_for`] slices.
+    /// sources emit only inside [`Engine::run_for`]: a shard sweeps its
+    /// sources only inside the run window each `run_for` opens. Scenario
+    /// `lifetimes` are ignored here — drive arrivals and departures
+    /// explicitly with [`Engine::attach_query`] / [`Engine::detach_query`]
+    /// between [`Engine::run_for`] slices.
     pub fn start(scenario: &Scenario, config: EngineConfig) -> Engine {
         let epoch = Instant::now();
         let epoch_sys = std::time::SystemTime::now();
@@ -393,9 +388,10 @@ impl Engine {
 
         // Threads carry names so `/proc/self/task/*/stat` sampling (the
         // benchmark's thread sampler) can attribute CPU per role.
+        let pool = BatchPool::new();
         let mut shard_handles = Vec::new();
         for (i, rx) in shard_rxs.into_iter().enumerate() {
-            let (txs, results_tx) = (shard_txs.clone(), results_tx.clone());
+            let (txs, results_tx, pool) = (shard_txs.clone(), results_tx.clone(), pool.clone());
             let durability = match (config.checkpoint_every, &config.durability_dir) {
                 (Some(every), Some(dir)) => Some(ShardDurability {
                     dir: dir.clone(),
@@ -407,15 +403,14 @@ impl Engine {
             };
             let handle = thread::Builder::new()
                 .name(format!("shard-{i}"))
-                .spawn(move || run_shard(txs, results_tx, rx, epoch, durability))
+                .spawn(move || run_shard(txs, results_tx, rx, epoch, durability, pool))
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
-        let pool = BatchPool::new();
 
-        // Ingest listener: remote source processes feed the exact same
-        // shard channels the in-process pump does — a wire batch and a
-        // pump batch are indistinguishable past this point.
+        // Ingest listener: remote source processes feed the shards' nodes
+        // through their channels — a wire batch and a batch of a shard's
+        // own pump are indistinguishable once enqueued.
         let ingest = config.ingest_listen.as_ref().map(|listen| {
             let stats = Arc::new(Mutex::new(IngestStats::default()));
             let txs = node_txs.clone();
@@ -501,10 +496,7 @@ impl Engine {
             _results_tx: results_tx,
             result_messages: 0,
             shard_handles,
-            pump: SourcePump::with_pool(pool.clone()),
-            last_sweep: epoch,
-            next_sweep: None,
-            pump_sweeps: 0,
+            control_wakeups: 0,
             coordinator,
             attached: HashMap::new(),
             node_load: vec![0; scenario.n_nodes],
@@ -596,9 +588,16 @@ impl Engine {
     }
 
     /// Sends fragment `fi` of `query` (fragments placed on `nodes`) to
-    /// its node with a fresh node configuration — on first install and
-    /// again on a shard restart.
-    fn attach_fragment(&self, query: &Arc<QuerySpec>, nodes: &[usize], fi: usize) {
+    /// its node with a fresh node configuration and the `sources` its
+    /// shard starts driving — on first install, and again (without
+    /// sources) on a shard restart.
+    fn attach_fragment(
+        &self,
+        query: &Arc<QuerySpec>,
+        nodes: &[usize],
+        fi: usize,
+        sources: Option<FragmentSources>,
+    ) {
         let node = nodes[fi];
         let _ = self.node_txs[node].send(ShardMsg {
             node,
@@ -608,37 +607,52 @@ impl Engine {
                 query: query.clone(),
                 fragment: fi,
                 downstream: query.downstream_route(fi, nodes),
+                sources,
             }),
         });
     }
 
-    /// Installs `query` with fragment `fi` on `nodes[fi]`, wires its
-    /// sources into the pump (each emitting with `profile_of(source)`)
-    /// and attaches it to the coordinator, arriving now.
+    /// Installs `query` with fragment `fi` on `nodes[fi]`, each fragment
+    /// with its sources (each emitting with `profile_of(source)`) for its
+    /// shard's pump, and attaches it to the coordinator, arriving now.
+    /// With remote sources the drivers live in other processes: the
+    /// fragments attach without any.
+    ///
+    /// # Panics
+    ///
+    /// Panics when two sources of one fragment have different profiles:
+    /// a shard drives a fragment's sources with one profile, as every
+    /// query a `ScenarioBuilder` or [`Engine::attach_query`] builds has.
     fn install(
         &mut self,
         query: Arc<QuerySpec>,
         nodes: Vec<usize>,
         profile_of: impl Fn(SourceId) -> SourceProfile,
     ) {
+        let arrival = self.now();
         for (fi, &node) in nodes.iter().enumerate() {
-            self.attach_fragment(&query, &nodes, fi);
+            let mut profiles = query.fragments[fi]
+                .sources
+                .iter()
+                .map(|b| profile_of(b.source));
+            let sources = profiles.next().filter(|_| !self.config.remote_sources);
+            let sources = sources.map(|profile| {
+                assert!(
+                    profiles.all(|p| p == profile),
+                    "query {} fragment {fi}: its sources have different profiles",
+                    query.id
+                );
+                FragmentSources {
+                    profile,
+                    seed: self.seed,
+                    arrival,
+                }
+            });
+            self.attach_fragment(&query, &nodes, fi, sources);
             self.node_load[node] += 1;
         }
-        // Sources: the pump drives each fragment's bindings on their
-        // emission schedule, starting now (plus their de-phasing offset);
-        // the pump sweeps again one beat after its last sweep at the
-        // latest. With remote sources the drivers live in other
-        // processes; the fragments above still attach, only the local
-        // pump stays idle.
-        if !self.config.remote_sources {
-            let bindings = query_bindings(&query, &nodes, profile_of, self.seed);
-            self.pump.add(self.now(), bindings);
-            let beat = self.last_sweep + PUMP_BEAT;
-            self.next_sweep = Some(self.next_sweep.map_or(beat, |at| at.min(beat)));
-        }
         let hosts = nodes.iter().map(|&n| NodeId(n as u32)).collect();
-        self.coordinator.attach(query.id, hosts, self.now(), None);
+        self.coordinator.attach(query.id, hosts, arrival, None);
         self.attached.insert(query.id, (query, nodes));
     }
 
@@ -704,17 +718,17 @@ impl Engine {
             .collect()
     }
 
-    /// Detaches `query` at runtime: its sources stop emitting (no batch
-    /// of it is emitted after this returns), every hosting node purges
-    /// its fragments and buffered batches, nodes left empty are torn down
-    /// (their shedding deadlines are abandoned), and its coordinator
-    /// stops disseminating. Samples collected so far are kept for the
-    /// final report. Returns `false` when the query is not attached.
+    /// Detaches `query` at runtime: its coordinator stops disseminating
+    /// at once, and each hosting shard, when it takes the detach (after
+    /// everything sent to it before), stops the query's sources (no batch
+    /// of it is emitted after that), purges its fragments and buffered
+    /// batches, and tears down nodes left empty (their shedding deadlines
+    /// are abandoned). Samples collected so far are kept for the final
+    /// report. Returns `false` when the query is not attached.
     pub fn detach_query(&mut self, query: QueryId) -> bool {
         let Some((_, nodes)) = self.attached.remove(&query) else {
             return false;
         };
-        self.pump.remove(query);
         for node in nodes {
             let _ = self.node_txs[node].send(ShardMsg {
                 node,
@@ -740,7 +754,8 @@ impl Engine {
 
     /// Restarts a shard killed by [`Engine::kill_shard`] (clamped to the
     /// pool): re-attaches every fragment placed on its nodes (the same
-    /// attach path `install` took, with fresh shedder instances), then
+    /// attach path `install` took, with fresh shedder instances, but no
+    /// sources: the shard's pump drove them through the crash), then
     /// sends [`EngineMsg::Recover`] so the shard overlays its latest
     /// checkpoint and replays its WAL tail. Without a configured
     /// durability directory the shard restarts cold.
@@ -749,7 +764,7 @@ impl Engine {
         for (query, nodes) in self.attached.values() {
             for (fi, &node) in nodes.iter().enumerate() {
                 if shard_of(node, self.n_shards) == shard {
-                    self.attach_fragment(query, nodes, fi);
+                    self.attach_fragment(query, nodes, fi, None);
                 }
             }
         }
@@ -789,62 +804,49 @@ impl Engine {
         self.coordinator.stop_sampling();
     }
 
-    /// Runs the engine's control loop on the calling thread for `wall`
-    /// time; sources and the coordinator advance only in here. Each pass
-    /// sweeps the source pump when its beat is due (at most once per
-    /// 1 ms beat), runs the coordinator's `updateSIC` round when one
-    /// is due and its SIC sample when one is due (the coordinator keeps
-    /// the schedules). The pass sends each shard at most one bundle of
-    /// its batches and SIC updates, then records result messages as they
-    /// arrive until the next sweep, round, sample or the deadline.
+    /// Runs the engine for `wall` time: opens every shard's run window
+    /// until the deadline, so the shards sweep their sources meanwhile,
+    /// and runs the control loop on the calling thread. Sources and the
+    /// coordinator advance only in here. Each pass runs the coordinator's
+    /// `updateSIC` round when one is due, sending each shard at most one
+    /// bundle of its updates, and its SIC sample when one is due (the
+    /// coordinator keeps the schedules), then records result messages as
+    /// they arrive until the next round, sample or the deadline.
     pub fn run_for(&mut self, wall: Duration) {
         let deadline = Instant::now() + wall;
+        for tx in &self.shard_txs {
+            let msg = EngineMsg::Run { until: deadline };
+            let _ = tx.send(ShardMsg { node: 0, msg });
+        }
         while Instant::now() < deadline {
-            let mut bundles: Vec<Bundle> =
-                self.shard_txs.iter().map(|_| Bundle::default()).collect();
-            let swept = Instant::now();
-            if self.next_sweep.is_some_and(|at| swept >= at) {
-                self.pump_sweeps += 1;
-                self.last_sweep = swept;
-                let next = self.pump.step(self.now(), |node, batch| {
-                    bundles[shard_of(node, self.n_shards)]
-                        .batches
-                        .push((node, batch));
-                });
-                // A sweep cut short at `MAX_SWEEP` returns `now`: it
-                // resumes one beat later.
-                self.next_sweep = next.map(|at| self.instant(at).max(swept + PUMP_BEAT));
-            }
+            self.control_wakeups += 1;
             let now = self.now();
             if now >= self.coordinator.next_round() {
+                let mut bundles: Vec<Bundle> =
+                    self.shard_txs.iter().map(|_| Bundle::default()).collect();
                 self.coordinator.round(now, |update| {
                     bundles[shard_of(update.node.index(), self.n_shards)]
                         .sic
                         .push(update);
                 });
+                // A closed shard channel means shutdown is racing;
+                // dropping the bundle is equivalent to shedding it.
+                for (tx, bundle) in self.shard_txs.iter().zip(bundles) {
+                    if !bundle.is_empty() {
+                        let msg = EngineMsg::Bundle(bundle);
+                        let _ = tx.send(ShardMsg { node: 0, msg });
+                    }
+                }
             }
             if self.coordinator.next_sample().is_some_and(|at| now >= at) {
                 self.coordinator.sample(now);
-            }
-            // A closed shard channel means shutdown is racing; dropping
-            // the bundle is equivalent to shedding it.
-            for (tx, bundle) in self.shard_txs.iter().zip(bundles) {
-                if !bundle.is_empty() {
-                    let _ = tx.send(ShardMsg {
-                        node: 0,
-                        msg: EngineMsg::Bundle(bundle),
-                    });
-                }
             }
             let round = self.coordinator.next_round();
             let due = self
                 .coordinator
                 .next_sample()
                 .map_or(round, |at| at.min(round));
-            let wake = self
-                .next_sweep
-                .map_or(deadline, |at| at.min(deadline))
-                .min(self.instant(due));
+            let wake = deadline.min(self.instant(due));
             if let Ok(results) = self
                 .results_rx
                 .recv_timeout(wake.saturating_duration_since(Instant::now()))
@@ -907,7 +909,8 @@ impl Engine {
         let policy_name = self.config.policy.name().to_string();
         let mut nodes: Vec<NodeReport> = vec![NodeReport::default(); self.n_nodes];
         let mut errors: Vec<EngineError> = Vec::new();
-        let (mut checkpoints, mut early_checkpoints, mut mailbox_messages) = (0, 0, 0);
+        let (mut checkpoints, mut early_checkpoints) = (0, 0);
+        let (mut mailbox_messages, mut pump_sweeps) = (0, 0);
         for (shard, h) in std::mem::take(&mut self.shard_handles)
             .into_iter()
             .enumerate()
@@ -921,6 +924,7 @@ impl Engine {
                     checkpoints += outcome.checkpoints;
                     early_checkpoints += outcome.early_checkpoints;
                     mailbox_messages += outcome.mailbox_messages;
+                    pump_sweeps += outcome.pump_sweeps;
                 }
                 // A shard thread died to a panic: name it and its policy
                 // instead of propagating — the surviving shards above
@@ -971,7 +975,8 @@ impl Engine {
             remote_shed_batches,
             checkpoints,
             early_checkpoints,
-            pump_sweeps: self.pump_sweeps,
+            control_wakeups: self.control_wakeups,
+            pump_sweeps,
             mailbox_messages,
             result_messages: self.result_messages,
         }
@@ -1039,15 +1044,23 @@ mod tests {
         // sent nothing and no node applied an update.
         assert_eq!(report.coordinator_messages, 0);
         assert!(report.nodes.iter().all(|n| n.sic_updates == 0));
-        // The work counters are wired: the pump swept, at most once per
-        // beat, and the shards received.
+        // The work counters are wired: each shard's pump swept, at most
+        // once per beat, and the shards received.
         assert!(report.pump_sweeps > 0);
         assert!(
-            u128::from(report.pump_sweeps) <= 1 + wall.as_millis(),
-            "{} sweeps in {wall:?}",
+            u128::from(report.pump_sweeps) <= 2 * (1 + wall.as_millis()),
+            "{} sweeps on 2 shards in {wall:?}",
             report.pump_sweeps
         );
         assert!(report.mailbox_messages > 0);
+        // The shards pace their own sources: the control loop wakes for
+        // rounds, samples and results, not once per 1 ms pump beat.
+        assert!(report.control_wakeups > 0);
+        assert!(
+            u128::from(report.control_wakeups) * 10 <= wall.as_millis(),
+            "{} control-loop wake-ups in {wall:?}",
+            report.control_wakeups
+        );
         // SIC should be positive (timing jitter keeps it below perfect).
         for &(q, s) in &report.per_query_sic {
             assert!(s > 0.3, "query {q} sic {s}");
@@ -1055,12 +1068,34 @@ mod tests {
     }
 
     /// Sources advance only inside `run_for`: an engine started and
-    /// finished without one never sweeps its pump, so no tuple arrives.
+    /// finished without one opens no run window, so no shard sweeps its
+    /// pump and no tuple arrives.
     #[test]
     fn nothing_runs_on_the_control_side_outside_run_for() {
         let report = Engine::start(&scenario(4, 100, 5), EngineConfig::default()).finish();
-        assert_eq!(report.pump_sweeps, 0);
+        assert_eq!((report.pump_sweeps, report.control_wakeups), (0, 0));
         assert!(report.nodes.iter().all(|n| n.arrived_tuples == 0));
+    }
+
+    /// A shard drives a fragment's sources with one profile: a scenario
+    /// whose one-fragment covariance query has two differently profiled
+    /// sources is refused at start.
+    #[test]
+    #[should_panic(expected = "fragment 0: its sources have different profiles")]
+    fn a_fragment_with_two_profiles_is_refused() {
+        let mut scn = ScenarioBuilder::new("two-profiles", 1)
+            .nodes(1)
+            .add_queries(
+                Template::Cov { fragments: 1 },
+                1,
+                SourceProfile::steady(10, 5, Dataset::Uniform),
+            )
+            .build()
+            .unwrap();
+        let second = scn.queries[0].sources[1].id;
+        let profile = SourceProfile::steady(20, 5, Dataset::Uniform);
+        scn.profiles.insert(second, profile);
+        Engine::start(&scn, EngineConfig::default());
     }
 
     /// Regression: `finish` never drained the results channel, so results
@@ -1389,6 +1424,11 @@ mod tests {
         assert!(report.nodes[0].ticks > 0);
         // Every query produced results across the crash.
         assert_eq!(report.result_counts.len(), 4);
+        // The restart drives no source twice: 4 sources at 400 t/s bring
+        // at most 4 800 tuples in 3 s, plus one 20-tuple batch each; the
+        // killed shard's sources driven twice would add about 1 000.
+        let arrived: u64 = report.nodes.iter().map(|n| n.arrived_tuples).sum();
+        assert!(arrived <= 4_800 + 4 * 20, "{arrived} tuples arrived");
         // The shard left a durable log we can read back.
         let restore = themis_core::wal::restore_shard(&dir, 0)
             .expect("readable log")

@@ -3,13 +3,14 @@
 //! The multi-threaded THEMIS prototype (Figure 5 of the paper), sharded:
 //! a bounded pool of shard threads ([`shard`]) hosts every FSPS node's
 //! state ([`node_state`]) — input buffer, wall-clock overload detector,
-//! online cost model, tuple shedder, fragment runtimes — alongside one
-//! control loop that paces the sources and disseminates result SIC
-//! values.
+//! online cost model, tuple shedder, fragment runtimes — and paces the
+//! sources that feed them, alongside one control loop that disseminates
+//! result SIC values.
 //!
 //! Each shard is a clock-free state machine ([`shard::Shard`]: nodes,
-//! their shedding deadlines, the rest of a bundle, durability bookkeeping)
-//! that reads time only from the `now` its driver passes in;
+//! their shedding deadlines, its source pump, the rest of a bundle,
+//! durability bookkeeping) that reads time only from the `now` its
+//! driver passes in;
 //! [`shard::run_shard`] drives one per OS thread on the wall clock, so
 //! 1000+-node scenarios run in a single process with `shards + 1` threads
 //! (pool + the control loop on the calling thread). Ticks fire whenever
@@ -43,7 +44,7 @@ pub mod prelude {
         default_shards, run_engine, Engine, EngineConfig, EngineError, EngineReport,
     };
     pub use crate::messages::{
-        AttachFragment, Bundle, EngineMsg, PassResults, ResultEvent, ShardMsg,
+        AttachFragment, Bundle, EngineMsg, FragmentSources, PassResults, ResultEvent, ShardMsg,
     };
     pub use crate::node_state::{EmissionSink, NodeConfig, NodeState, ShardRouting};
     pub use crate::shard::{run_shard, shard_of, Outgoing, Shard, ShardDurability};

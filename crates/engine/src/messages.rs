@@ -1,9 +1,11 @@
 //! Messages and reports exchanged inside the prototype engine.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use themis_core::prelude::*;
 use themis_query::prelude::{QuerySpec, RoutedBatch};
+use themis_workloads::prelude::SourceProfile;
 
 use crate::node_state::NodeConfig;
 
@@ -23,6 +25,28 @@ pub struct AttachFragment {
     /// Where this fragment's emissions go: a downstream `(node, fragment)`
     /// of the same query, or `None` for the query-result sink.
     pub downstream: Option<(usize, usize)>,
+    /// How the sources feeding this fragment emit, for the shard's own
+    /// pump to drive them. `None` when no source feeds it, when remote
+    /// source processes drive them, and on a shard restart's re-attach
+    /// (the pump kept driving them through the crash).
+    pub sources: Option<FragmentSources>,
+}
+
+/// What a shard needs to drive one fragment's sources itself. It derives
+/// their bindings from the attached query
+/// ([`themis_workloads::pump::fragment_bindings`]), so an attach carries
+/// no list that one thread allocates and another frees.
+#[derive(Debug, Clone, Copy)]
+pub struct FragmentSources {
+    /// The profile every source of the fragment emits with.
+    pub profile: SourceProfile,
+    /// The scenario seed the drivers' seeds derive from
+    /// ([`themis_workloads::pump::source_seed`]).
+    pub seed: u64,
+    /// The query's arrival on the engine's logical clock: the sources'
+    /// schedules start here (plus each one's de-phasing offset), so a
+    /// shard that takes the attach late emits on the same timeline.
+    pub arrival: Timestamp,
 }
 
 /// Messages delivered to engine nodes.
@@ -31,10 +55,10 @@ pub enum EngineMsg {
     Batch(RoutedBatch),
     /// A coordinator SIC update.
     Sic(SicUpdate),
-    /// Work for many nodes of one shard in one message: a control-loop
-    /// pass's source batches and coordinator SIC updates, or the batches
-    /// one shard service pass routed to this shard's nodes. The envelope's
-    /// `node` is ignored; every entry names its own.
+    /// Work for many nodes of one shard in one message: a coordinator
+    /// round's SIC updates, or the batches one shard service pass routed
+    /// to this shard's nodes. The envelope's `node` is ignored; every
+    /// entry names its own.
     Bundle(Bundle),
     /// Install a query fragment on the addressed node (runtime query
     /// arrival; installs the node itself if absent).
@@ -67,14 +91,21 @@ pub enum EngineMsg {
         /// The shard's own index under `dir`.
         shard: usize,
     },
+    /// Opens the receiving shard's run window
+    /// ([`crate::engine::Engine::run_for`]): its pump sweeps its sources
+    /// until `until`, and not after. The window replaces any earlier one.
+    Run {
+        /// The end of the window.
+        until: Instant,
+    },
     /// Stop the receiving shard (all of its nodes).
     Shutdown,
 }
 
 /// The payload of [`EngineMsg::Bundle`]: what would otherwise be one
 /// message per batch or update, so a shard wakes at most once per
-/// control-loop pass (a pump beat, a coordinator round or both) and once
-/// per sending shard's service pass, instead of once per item.
+/// coordinator round and once per sending shard's service pass, instead
+/// of once per item.
 #[derive(Debug, Default)]
 pub struct Bundle {
     /// Data batches, each with its destination global node.

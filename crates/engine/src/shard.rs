@@ -1,7 +1,8 @@
 //! Shards: a bounded pool of OS threads, each owning a slice of node
-//! states, in two layers. [`Shard`] is a clock-free state machine over
-//! the nodes, their shedding deadlines (a min-heap of `Reverse((Instant,
-//! node, generation))` entries), the rest of a bundle, the outbox and the
+//! states and the sources that feed them, in two layers. [`Shard`] is a
+//! clock-free state machine over the nodes, their shedding deadlines (a
+//! min-heap of `Reverse((Instant, node, generation))` entries), the
+//! shard's source pump, the rest of a bundle, the outbox and the
 //! durability bookkeeping; it reads time only from the `now` passed to
 //! [`Shard::handle`] and [`Shard::service`], so its tests run on virtual
 //! `Instant`s, and it holds no channel sender. [`run_shard`] is its one
@@ -15,13 +16,28 @@
 //! drain loop `continue`d on every message and postponed the tick
 //! indefinitely under exactly the overload it was meant to detect).
 //!
-//! Bulk traffic arrives **bundled**: the source pump sends each shard one
-//! [`EngineMsg::Bundle`] of batches per 1 ms beat, and the coordinator one
-//! bundle of SIC updates per round, so the driver wakes per beat and per
-//! round rather than per item. Each [`Shard::service`] handles at most
-//! `MAX_SWEEP` entries of a pending bundle, after the due ticks, and the
-//! driver takes no new message until the bundle is done: message order
-//! and the flood guarantee hold for a bundle of any size.
+//! **Sources are local.** Each [`EngineMsg::Attach`] carries how its
+//! fragment's sources emit, and the shard's own [`SourcePump`] drives
+//! them. Inside the run window the last [`EngineMsg::Run`] opened,
+//! [`Shard::service`] sweeps the pump at most once per 1 ms beat
+//! (`PUMP_BEAT`), after the ticks due at the same `now`, and enqueues
+//! each due batch straight into its node, stamped with the sweep's
+//! logical time (`now` minus the epoch). A source batch is therefore
+//! emitted, stamped, shed or windowed and recycled on one thread; a batch
+//! emitted at a tick's instant waits for the node's next tick, as one
+//! that arrived in a message would. An [`EngineMsg::Detach`] stops the
+//! query's sources. A crash keeps them: sources are producers outside the
+//! dead process, so they go on emitting into the dropped nodes, and the
+//! restart's re-attach carries none.
+//!
+//! Other bulk traffic arrives **bundled**: the coordinator sends each
+//! shard one [`EngineMsg::Bundle`] of SIC updates per round, and each
+//! shard service pass one bundle of the batches it routed here, so the
+//! driver wakes per round and per pass rather than per item. Each
+//! [`Shard::service`] handles at most `MAX_SWEEP` entries of a pending
+//! bundle, after the due ticks, and the driver takes no new message
+//! until the bundle is done: message order and the flood guarantee hold
+//! for a bundle of any size.
 //!
 //! Bulk traffic also **leaves** bundled: the ticks of a service pass emit
 //! into the shard's outbox, and [`Shard::outbox`] hands the driver at most
@@ -52,6 +68,7 @@ use themis_core::prelude::*;
 use themis_core::wal;
 use themis_operators::op::Emission;
 use themis_query::prelude::*;
+use themis_workloads::pump::{fragment_bindings, SourcePump};
 
 use crate::engine::EngineError;
 use crate::messages::{AttachFragment, Bundle, EngineMsg, PassResults, ResultEvent, ShardMsg};
@@ -62,6 +79,12 @@ use crate::node_state::{downstream_batch, EmissionSink, NodeState};
 /// waits for at most this many (the tick-starvation fix, kept inside a
 /// bundle).
 const MAX_SWEEP: usize = 512;
+
+/// The source pump's sweep beat: [`Shard::service`] steps the pump at
+/// most once per beat, so a shard whose thousand sources fall due within
+/// one millisecond sweeps once, and a batch waits at most one beat (≤ 0.5 %
+/// of the paper's 250 ms shedding interval).
+const PUMP_BEAT: Duration = Duration::from_millis(1);
 
 /// First-tick stagger slots: the `i`-th node installed on a shard fires
 /// its first tick `(i % SLOTS) / SLOTS` of an interval into the schedule,
@@ -152,6 +175,8 @@ pub struct ShardOutcome {
     pub early_checkpoints: u64,
     /// Messages handed to [`Shard::handle`] (a bundle counts once).
     pub mailbox_messages: u64,
+    /// Sweeps of the shard's source pump (at most one per 1 ms beat).
+    pub pump_sweeps: u64,
 }
 
 /// Runs a shard on the wall clock until an [`EngineMsg::Shutdown`] arrives
@@ -163,13 +188,15 @@ pub struct ShardOutcome {
 ///
 /// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
 /// (the engine sends the initial scenario's attaches right after spawning
-/// the thread, so "static" deployments take this same path).
+/// the thread, so "static" deployments take this same path). Its pump
+/// acquires source batches from `pool`, the pool its nodes recycle into.
 pub fn run_shard(
     shard_txs: Vec<Sender<ShardMsg>>,
     results_tx: Sender<PassResults>,
     rx: Receiver<ShardMsg>,
     epoch: Instant,
     durability: Option<ShardDurability>,
+    pool: BatchPool,
 ) -> ShardOutcome {
     // A closed peer means shutdown is racing; dropping a message is
     // equivalent to shedding what it carries.
@@ -186,10 +213,11 @@ pub fn run_shard(
             }
         }
     };
-    let mut shard = Shard::new(shard_txs.len(), epoch, durability, Instant::now());
+    let mut shard = Shard::new(shard_txs.len(), epoch, durability, Instant::now()).with_pool(pool);
     loop {
-        // Due ticks (and a due checkpoint) come before every receive: the
-        // deadline, not channel pressure, decides when the detector runs.
+        // Due ticks (and a due sweep and checkpoint) come before every
+        // receive: the deadline, not channel pressure, decides when the
+        // detector runs.
         let now = Instant::now();
         let next = shard.service(now);
         send(&mut shard);
@@ -197,8 +225,9 @@ pub fn run_shard(
             // A bundle is partly handled: finish it before the next message.
             continue;
         }
-        // With no node installed nothing is due until a message arrives: a
-        // timeout past any representable instant blocks.
+        // With no node installed and no sweep due in the run window,
+        // nothing is due until a message arrives: a timeout past any
+        // representable instant blocks.
         let timeout = next.map_or(Duration::MAX, |at| {
             at.saturating_duration_since(Instant::now())
         });
@@ -233,6 +262,15 @@ pub struct Shard {
     heap: BinaryHeap<Reverse<(Instant, usize, u64)>>,
     pending: Option<Pending>,
     outbox: Outbox,
+    /// The sources feeding this shard's nodes.
+    pump: SourcePump,
+    /// The end of the run window the last [`EngineMsg::Run`] opened: the
+    /// pump sweeps only before it, and never before the first window.
+    run_until: Option<Instant>,
+    /// When the pump last swept (the epoch before its first sweep).
+    last_sweep: Instant,
+    /// When the pump sweeps next; `None` while no source is live.
+    next_sweep: Option<Instant>,
     installed_seq: u64,
     log: Option<wal::ShardLog>,
     next_checkpoint: Option<Instant>,
@@ -296,6 +334,10 @@ impl Shard {
                 results: PassResults::default(),
                 bundles,
             },
+            pump: SourcePump::default(),
+            run_until: None,
+            last_sweep: epoch,
+            next_sweep: None,
             installed_seq: 0,
             log: None,
             crashed: false,
@@ -303,12 +345,21 @@ impl Shard {
         }
     }
 
-    /// Fires every tick due at `now` in deadline order, handles up to
-    /// `MAX_SWEEP` entries of a pending bundle, then checkpoints when the
+    /// Has the shard's pump acquire its source batches from `pool`, the
+    /// pool its nodes recycle spent and shed batches into. Call before the
+    /// first attach.
+    pub fn with_pool(mut self, pool: BatchPool) -> Self {
+        self.pump = SourcePump::with_pool(pool);
+        self
+    }
+
+    /// Fires every tick due at `now` in deadline order, then sweeps the
+    /// pump when its beat is due inside the run window, handles up to
+    /// `MAX_SWEEP` entries of a pending bundle, and checkpoints when the
     /// cadence is due or a SIC update diverged. Returns `Some(now)` while
     /// bundle entries remain (call again before the next
-    /// [`Shard::handle`]), else the earliest tick deadline (`None` with no
-    /// node installed).
+    /// [`Shard::handle`]), else the earliest of the next tick deadline and
+    /// the next sweep inside the window (`None` when neither exists).
     ///
     /// A ticked node's deadline moves strictly past `now` (NodeState
     /// clamps the interval to >= 1 us), so each node fires at most once per
@@ -343,13 +394,17 @@ impl Shard {
                 .push(Reverse((state.next_tick(), node, generation)));
             fired += 1;
         }
+        self.pump_sources(now);
         let pending = self.sweep(now, MAX_SWEEP);
         self.checkpoint(now);
         if pending {
-            Some(now)
-        } else {
-            self.heap.peek().map(|&Reverse((at, ..))| at)
+            return Some(now);
         }
+        let tick = self.heap.peek().map(|&Reverse((at, ..))| at);
+        let in_window = |at: &Instant| self.run_until.is_some_and(|until| *at < until);
+        tick.into_iter()
+            .chain(self.next_sweep.filter(in_window))
+            .min()
     }
 
     /// Takes what the ticks since the last call emitted, as at most one
@@ -390,6 +445,7 @@ impl Shard {
             EngineMsg::Detach { query } => self.detach(node, query),
             EngineMsg::Crash => self.crash(),
             EngineMsg::Recover { dir, shard } => self.recover(now, &dir, shard),
+            EngineMsg::Run { until } => self.run_until = Some(until),
         }
         true
     }
@@ -426,6 +482,30 @@ impl Shard {
             self.pending = Some((sic, batches));
         }
         more
+    }
+
+    /// Sweeps the pump when its beat is due inside the run window: every
+    /// batch due by `now` goes straight into its node, stamped with `now`'s
+    /// logical time. The next sweep comes at the next due emission, but
+    /// not within a beat of this one, so a sweep cut short at the pump's
+    /// own cap resumes one beat later.
+    fn pump_sources(&mut self, now: Instant) {
+        let open = self.run_until.is_some_and(|until| now < until);
+        if !open || !self.next_sweep.is_some_and(|at| now >= at) {
+            return;
+        }
+        self.out.pump_sweeps += 1;
+        self.last_sweep = now;
+        let ts = self.logical(now);
+        let (slots, shards) = (&mut self.slots, self.outbox.bundles.len());
+        let next = self.pump.step(ts, |node, rb| {
+            if let Some(state) = live_state(slots, shards, node) {
+                state.enqueue(rb, ts);
+            }
+        });
+        let epoch = self.epoch;
+        self.next_sweep =
+            next.map(|at| (epoch + Duration::from_micros(at.as_micros())).max(now + PUMP_BEAT));
     }
 
     /// Checkpoints every hosted node on cadence, or early when a SIC
@@ -469,6 +549,11 @@ impl Shard {
         }
     }
 
+    /// Logical time at `now`: microseconds since the epoch.
+    fn logical(&self, now: Instant) -> Timestamp {
+        Timestamp(now.saturating_duration_since(self.epoch).as_micros() as u64)
+    }
+
     /// Where `node`'s slot sits in `slots`: the pool deals nodes to its
     /// shards round-robin ([`shard_of`]), one bundle per shard.
     fn slot_index(&self, node: usize) -> usize {
@@ -484,14 +569,14 @@ impl Shard {
     }
 
     fn state_mut(&mut self, node: usize) -> Option<&mut NodeState> {
-        self.slot_mut(node).and_then(|s| s.state.as_mut())
+        live_state(&mut self.slots, self.outbox.bundles.len(), node)
     }
 
     /// Buffers a data batch on `node`, stamped with its arrival time.
     /// Traffic for a node this shard does not host (torn down, crashed)
     /// is dropped — equivalent to shedding it.
     fn enqueue(&mut self, now: Instant, node: usize, rb: RoutedBatch) {
-        let ts = Timestamp(now.saturating_duration_since(self.epoch).as_micros() as u64);
+        let ts = self.logical(now);
         if let Some(state) = self.state_mut(node) {
             state.enqueue(rb, ts);
         }
@@ -521,7 +606,7 @@ impl Shard {
     }
 
     /// Installs a fragment, installing its node first when absent (with a
-    /// staggered first deadline).
+    /// staggered first deadline), and starts driving its sources.
     fn attach(&mut self, now: Instant, attach: AttachFragment) {
         let AttachFragment {
             node,
@@ -529,7 +614,15 @@ impl Shard {
             query,
             fragment,
             downstream,
+            sources,
         } = attach;
+        if let Some(s) = sources {
+            let profile_of = |_| s.profile;
+            let bindings = fragment_bindings(&query, fragment, node, profile_of, s.seed);
+            self.pump.add(s.arrival, bindings);
+            let beat = self.last_sweep + PUMP_BEAT;
+            self.next_sweep = Some(self.next_sweep.map_or(beat, |at| at.min(beat)));
+        }
         let at = self.slot_index(node);
         if self.slots.len() <= at {
             self.slots.resize_with(at + 1, Slot::default);
@@ -555,9 +648,10 @@ impl Shard {
         state.attach_fragment(&query, fragment, downstream);
     }
 
-    /// Removes `query`'s fragments from `node`, tearing the node down when
-    /// it hosts nothing else.
+    /// Stops `query`'s sources and removes its fragments from `node`,
+    /// tearing the node down when it hosts nothing else.
     fn detach(&mut self, node: usize, query: QueryId) {
+        self.pump.remove(query);
         let Some(slot) = self.slot_mut(node) else {
             return;
         };
@@ -609,6 +703,15 @@ impl Shard {
     }
 }
 
+/// `node`'s live state among the `slots` of one shard of a pool of
+/// `shards` (slot = `node / shards`), once installed and not torn down.
+fn live_state(slots: &mut [Slot], shards: usize, node: usize) -> Option<&mut NodeState> {
+    slots
+        .get_mut(node / shards)
+        .filter(|s| s.node == node && s.generation > 0)
+        .and_then(|s| s.state.as_mut())
+}
+
 /// The shard's durable log, opened on first use. A failed open is
 /// recorded instead of failing the shard (an undurable engine keeps
 /// serving traffic) and retried on the next write.
@@ -650,10 +753,12 @@ fn durability_error(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::Bundle;
+    use crate::messages::{Bundle, FragmentSources};
     use crate::node_state::NodeConfig;
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
+    use themis_workloads::prelude::{Dataset, SourceProfile};
+    use themis_workloads::pump::{query_bindings, SourceBinding};
 
     #[test]
     fn every_node_lands_on_exactly_one_shard() {
@@ -719,6 +824,7 @@ mod tests {
             query: query.clone(),
             fragment: 0,
             downstream: None,
+            sources: None,
         };
         msg(node, EngineMsg::Attach(fragment))
     }
@@ -969,6 +1075,7 @@ mod tests {
             query: q.clone(),
             fragment: 0,
             downstream,
+            sources: None,
         };
         shard.handle(t0, msg(node, EngineMsg::Attach(fragment)));
         shard.handle(t0, msg(node, EngineMsg::Batch(batch(q, 3))));
@@ -1341,5 +1448,248 @@ mod tests {
         assert_eq!((quiet.checkpoints, quiet.early_checkpoints), (0, 0));
         assert!(quiet.errors.is_empty(), "errors: {:?}", quiet.errors);
         assert!(restore.is_none(), "the quiet shard logged {restore:?}");
+    }
+
+    /// The scenario seed of the shard tests' sources.
+    const SEED: u64 = 3;
+
+    /// `query`'s source bindings, its only fragment on `node`, each
+    /// source emitting with `profile`.
+    fn bindings(query: &QuerySpec, node: usize, profile: SourceProfile) -> Vec<SourceBinding> {
+        query_bindings(query, &[node], |_| profile, SEED)
+    }
+
+    /// Installs `query` on `node` with its sources, arriving at 0.
+    fn sourced(
+        node: usize,
+        config: NodeConfig,
+        query: &Arc<QuerySpec>,
+        profile: SourceProfile,
+    ) -> ShardMsg {
+        let fragment = AttachFragment {
+            node,
+            config,
+            query: query.clone(),
+            fragment: 0,
+            downstream: None,
+            sources: Some(FragmentSources {
+                profile,
+                seed: SEED,
+                arrival: Timestamp::ZERO,
+            }),
+        };
+        msg(node, EngineMsg::Attach(fragment))
+    }
+
+    /// Opens the run window up to `until`.
+    fn run_until(until: Instant) -> ShardMsg {
+        msg(0, EngineMsg::Run { until })
+    }
+
+    /// Tuples that reached `node`'s live incarnation.
+    fn arrived(shard: &Shard, node: usize) -> u64 {
+        let slot = &shard.slots[shard.slot_index(node)];
+        slot.state.as_ref().map_or(0, |s| s.report().arrived_tuples)
+    }
+
+    /// One tuple a millisecond: a 1-tuple batch every 1 ms.
+    fn every_ms() -> SourceProfile {
+        SourceProfile::steady(1_000, 1_000, Dataset::Uniform)
+    }
+
+    /// `(query, created, tuples)` of every batch the shed calls saw.
+    type SeenLog = Arc<Mutex<Vec<(QueryId, Timestamp, usize)>>>;
+
+    /// Records every batch a shed call sees into its log. Over a zero
+    /// capacity every buffered batch is seen by exactly one call.
+    struct Seen(SeenLog, Box<dyn Shedder>);
+    impl Shedder for Seen {
+        fn select_to_keep(&mut self, c: usize, qs: &[QueryBufferState]) -> ShedDecision {
+            let mut seen = self.0.lock().unwrap();
+            for q in qs {
+                seen.extend(q.batches.iter().map(|b| (q.query, b.created, b.tuples)));
+            }
+            self.1.select_to_keep(c, qs)
+        }
+    }
+
+    /// A node shedding every `interval_ms` over a zero capacity, recording
+    /// what it sees into `seen`.
+    fn seeing(interval_ms: u64, seen: &SeenLog) -> NodeConfig {
+        let mut config = config(interval_ms, 0);
+        config.shedder = Box::new(Seen(seen.clone(), config.shedder));
+        config
+    }
+
+    /// The batches the shard's pump enqueues are exactly those a lone
+    /// `SourcePump` over the same bindings emits when stepped on the
+    /// shard's 1 ms service schedule inside the same window: same queries,
+    /// creation times and sizes. Three queries with 50, 20 and 333 ms
+    /// emission intervals share one node whose every 5 ms tick sees (and
+    /// sheds) what arrived since the last.
+    #[test]
+    fn the_shard_pump_enqueues_what_a_lone_pump_emits() {
+        let qs = queries(3);
+        let profiles = [
+            SourceProfile::steady(200, 20, Dataset::Uniform),
+            SourceProfile::steady(100, 50, Dataset::Uniform),
+            SourceProfile::steady(30, 3, Dataset::Uniform),
+        ];
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (mut shard, t0) = shard(None);
+        let mut lone = SourcePump::default();
+        for (q, &profile) in qs.iter().zip(&profiles) {
+            let config = if q.id == qs[0].id {
+                seeing(5, &seen)
+            } else {
+                config(5, 0)
+            };
+            shard.handle(t0, sourced(0, config, q, profile));
+            lone.add(Timestamp::ZERO, bindings(q, 0, profile));
+        }
+        shard.handle(t0, run_until(t0 + 1_000 * MS));
+        let mut expected = Vec::new();
+        for ms in 0..1_020 {
+            shard.service(t0 + ms * MS);
+            if ms < 1_000 {
+                let batch = |_, rb: RoutedBatch| {
+                    expected.push((rb.query, rb.batch.created(), rb.batch.len()))
+                };
+                lone.step(Timestamp::from_millis(u64::from(ms)), batch);
+            }
+        }
+        let mut seen = seen.lock().unwrap().clone();
+        seen.sort();
+        expected.sort();
+        assert_eq!(expected.len(), 20 + 50 + 3);
+        assert_eq!(seen, expected);
+        // The pump sweeps only when a batch falls due (and once at the
+        // window's first beat), not on every 1 ms service.
+        let sweeps = shard.finish().pump_sweeps;
+        assert!(sweeps <= expected.len() as u64 + 1, "{sweeps} sweeps");
+    }
+
+    /// The pump sweeps only inside a run window: before the first one
+    /// and between two, nothing arrives, no sweep counts, and `service`
+    /// names only the 1 s tick deadline; inside one it sweeps each
+    /// millisecond a batch falls due and asks to be served a beat later,
+    /// up to the window's end.
+    #[test]
+    fn nothing_is_swept_outside_a_run_window() {
+        let q = &queries(1)[0];
+        let (mut shard, t0) = shard(None);
+        shard.handle(t0, sourced(0, config(1_000, 1_000_000), q, every_ms()));
+        let first_tick = Some(t0 + 1_000 * MS);
+        for ms in 0..100 {
+            assert_eq!(shard.service(t0 + ms * MS), first_tick);
+        }
+        assert_eq!((shard.out.pump_sweeps, arrived(&shard, 0)), (0, 0));
+        shard.handle(t0 + 100 * MS, run_until(t0 + 200 * MS));
+        for ms in 100..200 {
+            // The window ends at 200 ms: no sweep is asked for there.
+            let now = t0 + ms * MS;
+            let next = if ms < 199 { Some(now + MS) } else { first_tick };
+            assert_eq!(shard.service(now), next, "at {ms} ms");
+        }
+        let (sweeps, tuples) = (shard.out.pump_sweeps, arrived(&shard, 0));
+        // The first sweep re-anchors the source onto the current beat.
+        assert_eq!((sweeps, tuples), (100, 100));
+        for ms in 200..400 {
+            assert_eq!(shard.service(t0 + ms * MS), first_tick);
+        }
+        assert_eq!(
+            (shard.out.pump_sweeps, arrived(&shard, 0)),
+            (sweeps, tuples)
+        );
+        shard.handle(t0 + 400 * MS, run_until(t0 + 450 * MS));
+        for ms in 400..500 {
+            shard.service(t0 + ms * MS);
+        }
+        assert_eq!(shard.out.pump_sweeps, sweeps + 50);
+        assert_eq!(arrived(&shard, 0), tuples + 50);
+    }
+
+    /// A detach stops the query's sources: node 1, re-attached right
+    /// after its query's detach without sources, receives nothing more,
+    /// while node 0's query keeps its tuple a millisecond.
+    #[test]
+    fn a_detached_querys_sources_stop() {
+        let qs = queries(2);
+        let (mut shard, t0) = shard(None);
+        for (node, q) in qs.iter().enumerate() {
+            shard.handle(t0, sourced(node, config(5, 1_000_000), q, every_ms()));
+        }
+        shard.handle(t0, run_until(t0 + 300 * MS));
+        for ms in 0..100 {
+            shard.service(t0 + ms * MS);
+        }
+        assert_eq!((arrived(&shard, 0), arrived(&shard, 1)), (99, 99));
+        let now = t0 + 100 * MS;
+        shard.handle(now, msg(1, EngineMsg::Detach { query: qs[1].id }));
+        shard.handle(now, attach(1, config(5, 1_000_000), &qs[1]));
+        for ms in 100..300 {
+            shard.service(t0 + ms * MS);
+        }
+        assert_eq!((arrived(&shard, 0), arrived(&shard, 1)), (299, 0));
+    }
+
+    /// A crash keeps the shard's sources (their batches to the dead node
+    /// are dropped), and the restart's re-attach, which carries none as
+    /// `Engine::restart_shard` sends it, does not drive them a second
+    /// time: the node receives exactly what a lone pump stepped on the
+    /// same schedule emits while the node is installed.
+    #[test]
+    fn a_restart_does_not_drive_a_source_twice() {
+        let q = &queries(1)[0];
+        let profile = SourceProfile::steady(400, 20, Dataset::Uniform);
+        let (mut shard, t0) = shard(None);
+        shard.handle(t0, sourced(0, config(5, 1_000_000), q, profile));
+        shard.handle(t0, run_until(t0 + 1_000 * MS));
+        let mut lone = SourcePump::default();
+        lone.add(Timestamp::ZERO, bindings(q, 0, profile));
+        let mut expected = 0;
+        for ms in 0..1_000 {
+            let now = t0 + ms * MS;
+            match ms {
+                300 => {
+                    shard.handle(now, msg(0, EngineMsg::Crash));
+                }
+                500 => {
+                    shard.handle(now, attach(0, config(5, 1_000_000), q));
+                }
+                _ => {}
+            }
+            shard.service(now);
+            let installed = !(300..500).contains(&ms);
+            lone.step(Timestamp::from_millis(u64::from(ms)), |_, rb| {
+                expected += u64::from(installed) * rb.batch.len() as u64;
+            });
+        }
+        assert_eq!(expected, 16 * 20, "20-tuple batches every 50 ms for 800 ms");
+        assert_eq!(reports(shard)[&0].arrived_tuples, expected);
+    }
+
+    /// At one `now`, the ticks due come first and the sweep after them:
+    /// served first at its 10 ms deadline, the node ticks on an empty
+    /// buffer, then the sweep enqueues the source's (re-anchored) batch,
+    /// which the 20 ms tick sees.
+    #[test]
+    fn a_sweep_follows_the_ticks_due_at_the_same_now() {
+        let q = &queries(1)[0];
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (mut shard, t0) = shard(None);
+        shard.handle(t0, sourced(0, seeing(10, &seen), q, every_ms()));
+        shard.handle(t0, run_until(t0 + 100 * MS));
+        shard.service(t0 + 10 * MS);
+        let report = |shard: &Shard| shard.slots[0].state.as_ref().unwrap().report().clone();
+        let r = report(&shard);
+        assert_eq!((r.ticks, r.shed_invocations, r.arrived_tuples), (1, 0, 1));
+        assert!(seen.lock().unwrap().is_empty());
+        shard.service(t0 + 20 * MS);
+        let r = report(&shard);
+        assert_eq!((r.ticks, r.shed_invocations), (2, 1));
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(seen.len(), 1, "{seen:?}");
+        assert!(seen[0].1 > Timestamp::from_millis(9), "{seen:?}");
     }
 }

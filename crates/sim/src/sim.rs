@@ -9,7 +9,7 @@
 //! (`updateSIC`).
 //!
 //! The event loop only schedules. Sources are paced by the one
-//! [`SourcePump`] the engine's control loop and the remote generator also
+//! [`SourcePump`] the engine's shards and the remote generator also
 //! step; as in the engine, the pump acquires its batches from one
 //! [`BatchPool`] that every node recycles spent and shed batches into.
 //! Every `updateSIC` round and SIC sample runs in the one

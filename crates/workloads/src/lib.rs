@@ -7,8 +7,8 @@
 //! and a tick-gaming adversarial source ([`sources`], [`testbed`]) — the
 //! scenario builder that assembles queries, placement and capacities
 //! into a simulator-ready [`scenario::Scenario`], and the one source
-//! pacer ([`pump`]) that the engine's control loop and the remote
-//! generator ([`remote`]) both drive.
+//! pacer ([`pump`]) that the engine's shards and the remote generator
+//! ([`remote`]) both drive.
 //!
 //! ```
 //! use themis_core::prelude::*;

@@ -3,7 +3,8 @@
 //!
 //! [`SourcePump::step`] takes the time as an argument and hands each due
 //! batch to a sink; the pump never reads a clock, blocks or touches a
-//! channel. The engine's control loop (sink: the shard bundles) and the
+//! channel. Each engine shard (one pump over the sources feeding its
+//! nodes, sink: the node's input buffer on the same thread) and the
 //! remote generator ([`crate::remote::run_remote_sources`], sink: a
 //! socket) step it on the wall clock; the simulator (sink: its event
 //! queue) and tests step it on a virtual one.
@@ -85,21 +86,32 @@ pub fn query_bindings(
     profile_of: impl Fn(SourceId) -> SourceProfile,
     scenario_seed: u64,
 ) -> Vec<SourceBinding> {
-    let mut out = Vec::new();
-    for (fi, &node) in nodes.iter().enumerate() {
-        for b in &query.fragments[fi].sources {
-            let spec = query.sources.iter().find(|s| s.id == b.source);
-            out.push(SourceBinding {
-                query: query.id,
-                spec: spec.expect("bound source declared").clone(),
-                profile: profile_of(b.source),
-                seed: source_seed(scenario_seed, b.source),
-                node,
-                fragment: fi,
-            });
+    let fragments = nodes.iter().enumerate();
+    fragments
+        .flat_map(|(fi, &node)| fragment_bindings(query, fi, node, &profile_of, scenario_seed))
+        .collect()
+}
+
+/// The bindings of `query`'s fragment `fragment`, hosted on `node`, in
+/// order: the fragment's share of [`query_bindings`].
+pub fn fragment_bindings<'a>(
+    query: &'a QuerySpec,
+    fragment: usize,
+    node: usize,
+    profile_of: impl Fn(SourceId) -> SourceProfile + 'a,
+    scenario_seed: u64,
+) -> impl Iterator<Item = SourceBinding> + 'a {
+    query.fragments[fragment].sources.iter().map(move |b| {
+        let spec = query.sources.iter().find(|s| s.id == b.source);
+        SourceBinding {
+            query: query.id,
+            spec: spec.expect("bound source declared").clone(),
+            profile: profile_of(b.source),
+            seed: source_seed(scenario_seed, b.source),
+            node,
+            fragment,
         }
-    }
-    out
+    })
 }
 
 /// Every source binding of `scenario` at its validated placement:
