@@ -14,8 +14,11 @@
 //! sources emit, for the hosting shard's pump), and [`Engine::detach_query`]
 //! reverses it — the shards stop the sources and purge their buffers, and
 //! nodes left hosting nothing are torn down so their shedding deadlines
-//! never fire again. [`run_engine`] is the one-shot wrapper: start, run
-//! for `warmup + duration`, finish.
+//! never fire again. An attach carries nothing of its node: each shard
+//! builds the nodes it installs (interval, STW, capacity, pool and one
+//! shedder per node) from the node recipe [`Engine::start`] hands it at
+//! spawn. [`run_engine`] is the one-shot wrapper: start, run for
+//! `warmup + duration`, finish.
 //!
 //! [`Engine::start`] spawns `shards` OS threads regardless of node count;
 //! the control loop runs on the calling thread inside [`Engine::run_for`],
@@ -323,11 +326,9 @@ pub struct Engine {
     n_shards: usize,
     n_nodes: usize,
     seed: u64,
-    stw: StwConfig,
-    shedding_interval: TimeDelta,
-    node_capacity_tps: Vec<u32>,
+    /// One channel per shard; a message for node `n` goes on
+    /// `shard_txs[shard_of(n, n_shards)]`.
     shard_txs: Vec<Sender<ShardMsg>>,
-    node_txs: Vec<Sender<ShardMsg>>,
     /// One message per shard service pass that emitted results or in
     /// which a node first shed.
     results_rx: Receiver<PassResults>,
@@ -372,8 +373,7 @@ impl Engine {
             .unwrap_or_else(default_shards)
             .clamp(1, scenario.n_nodes.max(1));
 
-        // Channels: one per shard; each node's sender is a clone of its
-        // owning shard's channel, so senders stay addressable by node index.
+        // Channels: one per shard, which owns the nodes `shard_of` maps to it.
         let mut shard_txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(n_shards);
         let mut shard_rxs = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
@@ -381,17 +381,16 @@ impl Engine {
             shard_txs.push(tx);
             shard_rxs.push(rx);
         }
-        let node_txs: Vec<Sender<ShardMsg>> = (0..scenario.n_nodes)
-            .map(|n| shard_txs[shard_of(n, n_shards)].clone())
-            .collect();
         let (results_tx, results_rx) = unbounded::<PassResults>();
 
+        let pool = BatchPool::new();
+        let recipe = node_recipe(scenario, &config, &pool);
         // Threads carry names so `/proc/self/task/*/stat` sampling (the
         // benchmark's thread sampler) can attribute CPU per role.
-        let pool = BatchPool::new();
         let mut shard_handles = Vec::new();
         for (i, rx) in shard_rxs.into_iter().enumerate() {
             let (txs, results_tx, pool) = (shard_txs.clone(), results_tx.clone(), pool.clone());
+            let recipe = recipe.clone();
             let durability = match (config.checkpoint_every, &config.durability_dir) {
                 (Some(every), Some(dir)) => Some(ShardDurability {
                     dir: dir.clone(),
@@ -403,7 +402,7 @@ impl Engine {
             };
             let handle = thread::Builder::new()
                 .name(format!("shard-{i}"))
-                .spawn(move || run_shard(txs, results_tx, rx, epoch, durability, pool))
+                .spawn(move || run_shard(txs, results_tx, rx, epoch, durability, pool, recipe))
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
@@ -413,22 +412,21 @@ impl Engine {
         // own pump are indistinguishable once enqueued.
         let ingest = config.ingest_listen.as_ref().map(|listen| {
             let stats = Arc::new(Mutex::new(IngestStats::default()));
-            let txs = node_txs.clone();
+            let (txs, n_nodes) = (shard_txs.clone(), scenario.n_nodes);
             let handler_stats = stats.clone();
             let server = IngestServer::bind(
                 listen,
                 Arc::new(move |ev| match ev {
                     IngestEvent::Batch { peer, batch: wb } => {
                         let node = wb.node as usize;
-                        if node >= txs.len() {
+                        if node >= n_nodes {
                             let mut s = handler_stats
                                 .lock()
                                 .expect("ingest stats lock poisoned by a panicked handler");
                             if s.misrouted.insert(peer.clone()) {
                                 let detail = format!(
-                                    "batch from {} routed to unknown node {node} (engine hosts {})",
-                                    wb.source,
-                                    txs.len()
+                                    "batch from {} routed to unknown node {node} (engine hosts {n_nodes})",
+                                    wb.source
                                 );
                                 s.errors.push((peer.to_string(), detail));
                             }
@@ -436,7 +434,7 @@ impl Engine {
                         }
                         let batch =
                             Batch::from_source_data(wb.query, wb.source, wb.created, wb.batch);
-                        let _ = txs[node].send(ShardMsg {
+                        let _ = txs[shard_of(node, txs.len())].send(ShardMsg {
                             node,
                             msg: EngineMsg::Batch(RoutedBatch {
                                 query: wb.query,
@@ -487,11 +485,7 @@ impl Engine {
             n_shards,
             n_nodes: scenario.n_nodes,
             seed: scenario.seed,
-            stw: scenario.stw,
-            shedding_interval: interval,
-            node_capacity_tps: scenario.node_capacity_tps.clone(),
             shard_txs,
-            node_txs,
             results_rx,
             _results_tx: results_tx,
             result_messages: 0,
@@ -555,42 +549,24 @@ impl Engine {
         &self.pool
     }
 
-    /// Builds the configuration a (re-)installed node starts from. Called
-    /// on first attach and again on a shard restart — the shedder
-    /// instance inside is always fresh (its learned state is not durable;
-    /// window panes and SIC tables come back from the log instead).
-    fn node_config(&self, node: usize) -> NodeConfig {
-        let initial_capacity = if self.config.synthetic_cost.is_zero() {
-            usize::MAX / 2
-        } else {
-            ((self.shedding_interval.as_micros() / self.config.synthetic_cost.as_micros().max(1))
-                as usize)
-                .max(1)
-        };
-        let fixed_capacity = self.config.enforce_capacity.then(|| {
-            ((self.node_capacity_tps[node] as u64 * self.shedding_interval.as_micros() / 1_000_000)
-                as usize)
-                .max(1)
-        });
-        NodeConfig {
-            id: NodeId(node as u32),
-            interval: self.shedding_interval,
-            stw: self.stw,
-            shedder: self
-                .config
-                .policy
-                .build(self.seed ^ (0xE0_0000 + node as u64)),
-            synthetic_cost: self.config.synthetic_cost,
-            initial_capacity,
-            fixed_capacity,
-            pool: Some(self.pool.clone()),
-        }
+    /// Sends `msg` to `node` on its shard's channel. A closed channel
+    /// means shutdown is racing; dropping the message is equivalent to
+    /// shedding what it carries.
+    fn send(&self, node: usize, msg: EngineMsg) {
+        let _ = self.shard_txs[shard_of(node, self.n_shards)].send(ShardMsg { node, msg });
+    }
+
+    /// Sends a shard-wide `msg` (its envelope's node is ignored) to
+    /// `shard`, as [`Engine::send`] does.
+    fn to_shard(&self, shard: usize, msg: EngineMsg) {
+        let _ = self.shard_txs[shard].send(ShardMsg { node: 0, msg });
     }
 
     /// Sends fragment `fi` of `query` (fragments placed on `nodes`) to
-    /// its node with a fresh node configuration and the `sources` its
-    /// shard starts driving — on first install, and again (without
-    /// sources) on a shard restart.
+    /// its node with the `sources` its shard starts driving — on first
+    /// install, and again (without sources) on a shard restart. The
+    /// attach carries only the fragment: a shard builds a node it has not
+    /// installed from its own recipe.
     fn attach_fragment(
         &self,
         query: &Arc<QuerySpec>,
@@ -598,18 +574,13 @@ impl Engine {
         fi: usize,
         sources: Option<FragmentSources>,
     ) {
-        let node = nodes[fi];
-        let _ = self.node_txs[node].send(ShardMsg {
-            node,
-            msg: EngineMsg::Attach(AttachFragment {
-                node,
-                config: self.node_config(node),
-                query: query.clone(),
-                fragment: fi,
-                downstream: query.downstream_route(fi, nodes),
-                sources,
-            }),
-        });
+        let attach = AttachFragment {
+            query: query.clone(),
+            fragment: fi,
+            downstream: query.downstream_route(fi, nodes),
+            sources,
+        };
+        self.send(nodes[fi], EngineMsg::Attach(attach));
     }
 
     /// Installs `query` with fragment `fi` on `nodes[fi]`, each fragment
@@ -730,10 +701,7 @@ impl Engine {
             return false;
         };
         for node in nodes {
-            let _ = self.node_txs[node].send(ShardMsg {
-                node,
-                msg: EngineMsg::Detach { query },
-            });
+            self.send(node, EngineMsg::Detach { query });
             self.node_load[node] = self.node_load[node].saturating_sub(1);
         }
         self.coordinator.detach(query, self.now());
@@ -745,19 +713,16 @@ impl Engine {
     /// Fault injection for the crash/restore path under live load; drive
     /// the kill and the restart between [`Engine::run_for`] slices.
     pub fn kill_shard(&self, shard: usize) {
-        let shard = shard.min(self.n_shards - 1);
-        let _ = self.shard_txs[shard].send(ShardMsg {
-            node: 0,
-            msg: EngineMsg::Crash,
-        });
+        self.to_shard(shard.min(self.n_shards - 1), EngineMsg::Crash);
     }
 
     /// Restarts a shard killed by [`Engine::kill_shard`] (clamped to the
     /// pool): re-attaches every fragment placed on its nodes (the same
-    /// attach path `install` took, with fresh shedder instances, but no
-    /// sources: the shard's pump drove them through the crash), then
-    /// sends [`EngineMsg::Recover`] so the shard overlays its latest
-    /// checkpoint and replays its WAL tail. Without a configured
+    /// attach path `install` took, but without sources: the shard's pump
+    /// drove them through the crash; the shard rebuilds each node, fresh
+    /// shedder included, from its recipe), then sends
+    /// [`EngineMsg::Recover`] so the shard overlays its latest checkpoint
+    /// and replays its WAL tail. Without a configured
     /// durability directory the shard restarts cold.
     pub fn restart_shard(&self, shard: usize) {
         let shard = shard.min(self.n_shards - 1);
@@ -769,10 +734,7 @@ impl Engine {
             }
         }
         if let Some(dir) = self.config.durability_dir.clone() {
-            let _ = self.shard_txs[shard].send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Recover { dir, shard },
-            });
+            self.to_shard(shard, EngineMsg::Recover { dir, shard });
         }
     }
 
@@ -785,13 +747,8 @@ impl Engine {
     /// runtimes.
     pub fn restore_from(&mut self, dir: &Path) {
         for shard in 0..self.n_shards {
-            let _ = self.shard_txs[shard].send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Recover {
-                    dir: dir.to_path_buf(),
-                    shard,
-                },
-            });
+            let dir = dir.to_path_buf();
+            self.to_shard(shard, EngineMsg::Recover { dir, shard });
         }
     }
 
@@ -814,9 +771,8 @@ impl Engine {
     /// they arrive until the next round, sample or the deadline.
     pub fn run_for(&mut self, wall: Duration) {
         let deadline = Instant::now() + wall;
-        for tx in &self.shard_txs {
-            let msg = EngineMsg::Run { until: deadline };
-            let _ = tx.send(ShardMsg { node: 0, msg });
+        for shard in 0..self.n_shards {
+            self.to_shard(shard, EngineMsg::Run { until: deadline });
         }
         while Instant::now() < deadline {
             self.control_wakeups += 1;
@@ -829,12 +785,9 @@ impl Engine {
                         .sic
                         .push(update);
                 });
-                // A closed shard channel means shutdown is racing;
-                // dropping the bundle is equivalent to shedding it.
-                for (tx, bundle) in self.shard_txs.iter().zip(bundles) {
+                for (shard, bundle) in bundles.into_iter().enumerate() {
                     if !bundle.is_empty() {
-                        let msg = EngineMsg::Bundle(bundle);
-                        let _ = tx.send(ShardMsg { node: 0, msg });
+                        self.to_shard(shard, EngineMsg::Bundle(bundle));
                     }
                 }
             }
@@ -900,11 +853,8 @@ impl Engine {
                 None => (0, 0, 0, Vec::new()),
             };
         // Shutdown: one message per shard stops all of its nodes.
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardMsg {
-                node: 0,
-                msg: EngineMsg::Shutdown,
-            });
+        for shard in 0..self.n_shards {
+            self.to_shard(shard, EngineMsg::Shutdown);
         }
         let policy_name = self.config.policy.name().to_string();
         let mut nodes: Vec<NodeReport> = vec![NodeReport::default(); self.n_nodes];
@@ -983,6 +933,39 @@ impl Engine {
     }
 }
 
+/// The node recipe [`Engine::start`] hands every shard: how it builds each
+/// node it installs, by global node index, with a shedder seeded by that
+/// index. A shard calls it at every install, so a node rebuilt after a
+/// teardown or a crash gets a fresh shedder (its learned state is not
+/// durable; window panes and SIC tables come back from the log).
+fn node_recipe(
+    scenario: &Scenario,
+    config: &EngineConfig,
+    pool: &BatchPool,
+) -> impl Fn(usize) -> NodeConfig + Clone + Send + 'static {
+    let (interval, stw, seed) = (scenario.shedding_interval, scenario.stw, scenario.seed);
+    let (policy, synthetic_cost, pool) =
+        (config.policy.clone(), config.synthetic_cost, pool.clone());
+    let initial_capacity = if synthetic_cost.is_zero() {
+        usize::MAX / 2
+    } else {
+        ((interval.as_micros() / synthetic_cost.as_micros().max(1)) as usize).max(1)
+    };
+    let (enforce, capacity_tps) = (config.enforce_capacity, scenario.node_capacity_tps.clone());
+    move |node| NodeConfig {
+        id: NodeId(node as u32),
+        interval,
+        stw,
+        shedder: policy.build(seed ^ (0xE0_0000 + node as u64)),
+        synthetic_cost,
+        initial_capacity,
+        fixed_capacity: enforce.then(|| {
+            ((capacity_tps[node] as u64 * interval.as_micros() / 1_000_000) as usize).max(1)
+        }),
+        pool: Some(pool.clone()),
+    }
+}
+
 /// Runs the scenario on a bounded shard pool for `warmup + duration` wall
 /// time and reports per-query SIC fairness plus node counters — the
 /// one-shot wrapper over [`Engine`].
@@ -997,6 +980,7 @@ pub fn run_engine(scenario: &Scenario, config: EngineConfig) -> EngineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use themis_query::prelude::Template;
 
     fn scenario(n_queries: usize, rate: u32, seed: u64) -> Scenario {
@@ -1202,6 +1186,28 @@ mod tests {
             "{}",
             ingest[0]
         );
+    }
+
+    /// `Engine::start` builds one shedder per installed node, not one per
+    /// attached fragment: eight single-fragment queries on two nodes build
+    /// two. The policy counts its factory's calls.
+    #[test]
+    fn start_builds_one_shedder_per_installed_node() {
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        register_shedder("counting-fifo", |_seed| {
+            BUILDS.fetch_add(1, Ordering::Relaxed);
+            Box::new(FifoShedder::new())
+        })
+        .unwrap();
+        let cfg = EngineConfig {
+            policy: lookup_policy("counting-fifo").unwrap(),
+            ..Default::default()
+        };
+        let scn = scenario(8, 100, 8);
+        assert_eq!((scn.queries.len(), scn.n_nodes), (8, 2));
+        // `finish` joins the shards, which have handled every attach.
+        Engine::start(&scn, cfg).finish();
+        assert_eq!(BUILDS.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -7,17 +7,12 @@ use themis_core::prelude::*;
 use themis_query::prelude::{QuerySpec, RoutedBatch};
 use themis_workloads::prelude::SourceProfile;
 
-use crate::node_state::NodeConfig;
-
-/// Installs one fragment of a query on a node — the unit of runtime query
-/// churn. The first attach addressed to a node *installs* the node's state
-/// on its shard (using `config`); later attaches only add fragments.
+/// Installs one fragment of a query on the node its [`ShardMsg`] names —
+/// the unit of runtime query churn. An attach carries only the fragment:
+/// when the node is not installed on its shard (first attach, re-attach
+/// after a teardown or a crash), the shard builds it from the node recipe
+/// it was spawned with; otherwise the attach only adds the fragment.
 pub struct AttachFragment {
-    /// Global node index hosting the fragment.
-    pub node: usize,
-    /// Node configuration, consumed only when the node is not yet
-    /// installed on its shard (the shedder instance inside is per-node).
-    pub config: NodeConfig,
     /// The owning query (shared, immutable across shards).
     pub query: Arc<QuerySpec>,
     /// Fragment index within the query.
@@ -61,7 +56,7 @@ pub enum EngineMsg {
     /// entry names its own.
     Bundle(Bundle),
     /// Install a query fragment on the addressed node (runtime query
-    /// arrival; installs the node itself if absent).
+    /// arrival; builds the node from the shard's recipe if absent).
     Attach(AttachFragment),
     /// Remove every fragment of `query` from the addressed node (runtime
     /// query departure). A node left hosting nothing is torn down: its
@@ -123,8 +118,9 @@ impl Bundle {
 }
 
 /// Envelope delivered to a shard thread: the destination node plus the
-/// payload. Every sender addressing node `n` holds a clone of the owning
-/// shard's channel, so one shard multiplexes messages for all of its nodes.
+/// payload. A message for node `n` goes on the channel of the shard that
+/// owns it ([`crate::shard::shard_of`]), so one shard multiplexes messages
+/// for all of its nodes.
 pub struct ShardMsg {
     /// Global node index the payload is for (ignored for
     /// [`EngineMsg::Bundle`], whose entries carry their own, and for

@@ -144,8 +144,8 @@ pub struct NodeState {
     /// adds nothing (detach, restore, final counters).
     pub(crate) core: Node,
     synthetic_cost: TimeDelta,
+    /// The shedding interval, clamped by [`tick_period`].
     interval: Duration,
-    interval_delta: TimeDelta,
     next_tick: Instant,
     last_tick: Instant,
     /// The SIC table of the last checkpoint written to disk (empty before
@@ -162,10 +162,7 @@ impl NodeState {
     /// first shedding deadline at `first_tick`. Fragments install through
     /// [`NodeState::attach_fragment`].
     pub fn new(config: NodeConfig, node: usize, first_tick: Instant) -> Self {
-        // Clamped to 1 us: a zero interval would pin the deadline in the
-        // past forever (`deadline + ZERO * periods == deadline`), keeping
-        // this node the heap minimum and starving its shard-mates' ticks.
-        let interval = Duration::from_micros(config.interval.as_micros().max(1));
+        let interval = tick_period(config.interval);
         let detector = OverloadDetector::new(config.interval, config.initial_capacity);
         let mut core = Node::new(config.shedder, config.stw, detector);
         core.pin_capacity(config.fixed_capacity);
@@ -177,7 +174,6 @@ impl NodeState {
             core,
             synthetic_cost: config.synthetic_cost,
             interval,
-            interval_delta: config.interval,
             next_tick: first_tick,
             last_tick: first_tick.checked_sub(interval).unwrap_or(first_tick),
             checkpointed: HashMap::new(),
@@ -290,7 +286,7 @@ impl NodeState {
             TimeDelta::from_micros(busy_ns / 1_000),
             kept,
             window,
-            self.interval_delta,
+            TimeDelta::from_micros(self.interval.as_micros() as u64),
         );
     }
 
@@ -309,6 +305,14 @@ impl NodeState {
             self.next_tick = deadline + self.interval * periods;
         }
     }
+}
+
+/// The period between a node's shedding ticks: `interval`, clamped to
+/// 1 us. A zero interval would pin the deadline in the past forever
+/// (`deadline + ZERO * periods == deadline`), keeping the node the heap
+/// minimum and starving its shard-mates' ticks.
+pub(crate) fn tick_period(interval: TimeDelta) -> Duration {
+    Duration::from_micros(interval.as_micros().max(1))
 }
 
 /// Busy-spins for roughly `micros` microseconds (sleeping is too coarse at

@@ -50,7 +50,9 @@
 //!
 //! Shards start **empty**: nodes install on first
 //! [`EngineMsg::Attach`] and tear down when an [`EngineMsg::Detach`]
-//! removes their last fragment — the runtime query-churn path. Teardown
+//! removes their last fragment — the runtime query-churn path. A shard
+//! builds each node it installs — on first attach, after a teardown or a
+//! crash — from the node recipe it was spawned with. Teardown
 //! freezes the node's counters and abandons its deadline-heap entry
 //! (entries are generation-tagged, so a stale deadline popped after a
 //! teardown or re-install is discarded instead of ticking — no heap
@@ -72,7 +74,7 @@ use themis_workloads::pump::{fragment_bindings, SourcePump};
 
 use crate::engine::EngineError;
 use crate::messages::{AttachFragment, Bundle, EngineMsg, PassResults, ResultEvent, ShardMsg};
-use crate::node_state::{downstream_batch, EmissionSink, NodeState};
+use crate::node_state::{downstream_batch, tick_period, EmissionSink, NodeConfig, NodeState};
 
 /// Bundle entries a shard handles per [`Shard::service`]: a coordinator
 /// round's bundle carries thousands of updates, and a tick due meanwhile
@@ -186,10 +188,11 @@ pub struct ShardOutcome {
 /// shard; this shard's own sender included, for fragments feeding a
 /// shard-mate).
 ///
-/// The shard starts with no nodes; [`EngineMsg::Attach`] installs them
-/// (the engine sends the initial scenario's attaches right after spawning
-/// the thread, so "static" deployments take this same path). Its pump
-/// acquires source batches from `pool`, the pool its nodes recycle into.
+/// The shard starts with no nodes; [`EngineMsg::Attach`] installs them,
+/// each built by `recipe` (the engine sends the initial scenario's
+/// attaches right after spawning the thread, so "static" deployments take
+/// this same path). Its pump acquires source batches from `pool`, the pool
+/// its nodes recycle into.
 pub fn run_shard(
     shard_txs: Vec<Sender<ShardMsg>>,
     results_tx: Sender<PassResults>,
@@ -197,6 +200,7 @@ pub fn run_shard(
     epoch: Instant,
     durability: Option<ShardDurability>,
     pool: BatchPool,
+    recipe: impl Fn(usize) -> NodeConfig + Send + 'static,
 ) -> ShardOutcome {
     // A closed peer means shutdown is racing; dropping a message is
     // equivalent to shedding what it carries.
@@ -213,7 +217,8 @@ pub fn run_shard(
             }
         }
     };
-    let mut shard = Shard::new(shard_txs.len(), epoch, durability, Instant::now()).with_pool(pool);
+    let mut shard =
+        Shard::new(shard_txs.len(), epoch, durability, Instant::now(), recipe).with_pool(pool);
     loop {
         // Due ticks (and a due sweep and checkpoint) come before every
         // receive: the deadline, not channel pressure, decides when the
@@ -252,6 +257,8 @@ pub fn run_shard(
 pub struct Shard {
     epoch: Instant,
     durability: Option<ShardDurability>,
+    /// Builds the node a given global node index installs as.
+    recipe: Box<dyn Fn(usize) -> NodeConfig + Send>,
     out: ShardOutcome,
     /// Every node ever installed here at `node / shards` (the nodes
     /// [`shard_of`] maps to one shard index it densely), in node order.
@@ -314,16 +321,19 @@ impl Shard {
     /// An empty shard of a pool of `shards` (so the outbox can bundle
     /// downstream batches by destination shard) whose node logical clocks
     /// count from `epoch`, with its first checkpoint (when durable) one
-    /// cadence after `now`.
+    /// cadence after `now`. Each node it installs is built by `recipe`,
+    /// called with the global node index.
     pub fn new(
         shards: usize,
         epoch: Instant,
         durability: Option<ShardDurability>,
         now: Instant,
+        recipe: impl Fn(usize) -> NodeConfig + Send + 'static,
     ) -> Self {
         let bundles = (0..shards.max(1)).map(|_| Bundle::default()).collect();
         Shard {
             epoch,
+            recipe: Box::new(recipe),
             next_checkpoint: durability.as_ref().map(|d| now + d.every),
             durability,
             out: ShardOutcome::default(),
@@ -438,10 +448,7 @@ impl Shard {
             EngineMsg::Bundle(bundle) => {
                 self.pending = Some((bundle.sic.into_iter(), bundle.batches.into_iter()));
             }
-            EngineMsg::Attach(attach) => {
-                debug_assert_eq!(node, attach.node, "attach addressed to its node");
-                self.attach(now, attach);
-            }
+            EngineMsg::Attach(attach) => self.attach(now, node, attach),
             EngineMsg::Detach { query } => self.detach(node, query),
             EngineMsg::Crash => self.crash(),
             EngineMsg::Recover { dir, shard } => self.recover(now, &dir, shard),
@@ -605,12 +612,11 @@ impl Shard {
         }
     }
 
-    /// Installs a fragment, installing its node first when absent (with a
-    /// staggered first deadline), and starts driving its sources.
-    fn attach(&mut self, now: Instant, attach: AttachFragment) {
+    /// Installs a fragment on `node`, building the node from the recipe
+    /// first when absent (with a staggered first deadline), and starts
+    /// driving its sources.
+    fn attach(&mut self, now: Instant, node: usize, attach: AttachFragment) {
         let AttachFragment {
-            node,
-            config,
             query,
             fragment,
             downstream,
@@ -635,7 +641,8 @@ impl Shard {
         );
         slot.node = node;
         if slot.state.is_none() {
-            let interval = Duration::from_micros(config.interval.as_micros().max(1));
+            let config = (self.recipe)(node);
+            let interval = tick_period(config.interval);
             let stagger = self.installed_seq % STAGGER_SLOTS;
             self.installed_seq += 1;
             let first_tick =
@@ -754,8 +761,8 @@ fn durability_error(
 mod tests {
     use super::*;
     use crate::messages::{Bundle, FragmentSources};
-    use crate::node_state::NodeConfig;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
     use themis_workloads::prelude::{Dataset, SourceProfile};
     use themis_workloads::pump::{query_bindings, SourceBinding};
@@ -799,10 +806,13 @@ mod tests {
     }
 
     /// The only shard of its pool, empty, whose clock starts at the
-    /// returned `t0`.
-    fn shard(durability: Option<ShardDurability>) -> (Shard, Instant) {
+    /// returned `t0`, building every node it installs from `recipe`.
+    fn shard(
+        durability: Option<ShardDurability>,
+        recipe: impl Fn(usize) -> NodeConfig + Send + 'static,
+    ) -> (Shard, Instant) {
         let t0 = Instant::now();
-        (Shard::new(1, t0, durability, t0), t0)
+        (Shard::new(1, t0, durability, t0, recipe), t0)
     }
 
     /// One single-fragment AVG query per id.
@@ -817,10 +827,8 @@ mod tests {
         ShardMsg { node, msg }
     }
 
-    fn attach(node: usize, config: NodeConfig, query: &Arc<QuerySpec>) -> ShardMsg {
+    fn attach(node: usize, query: &Arc<QuerySpec>) -> ShardMsg {
         let fragment = AttachFragment {
-            node,
-            config,
             query: query.clone(),
             fragment: 0,
             downstream: None,
@@ -864,8 +872,8 @@ mod tests {
     #[test]
     fn flooded_shard_still_sheds() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, attach(0, config(5, 100), q));
+        let (mut shard, t0) = shard(None, |_| config(5, 100));
+        shard.handle(t0, attach(0, q));
         for i in 0..1_000 {
             let now = t0 + i * Duration::from_micros(100);
             shard.handle(now, msg(0, EngineMsg::Batch(batch(q, 5))));
@@ -888,7 +896,7 @@ mod tests {
     #[test]
     fn bundled_flood_still_ticks_and_sheds() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(None);
+        let (mut shard, t0) = shard(None, |_| config(5, 100));
         let updates = (0..2_000).map(|i| sic(q.id, 0, f64::from(i % 100) / 100.0));
         let bundles = [
             Bundle {
@@ -901,7 +909,7 @@ mod tests {
             },
         ];
         let mut now = t0;
-        shard.handle(now, attach(0, config(5, 100), q));
+        shard.handle(now, attach(0, q));
         let mut services = 0;
         for bundle in bundles {
             shard.handle(now, msg(0, EngineMsg::Bundle(bundle)));
@@ -933,8 +941,8 @@ mod tests {
     #[test]
     fn overrunning_tick_does_not_storm() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, attach(0, config(20, 100), q));
+        let (mut shard, t0) = shard(None, |_| config(20, 100));
+        shard.handle(t0, attach(0, q));
         assert_eq!(shard.service(t0), Some(t0 + 20 * MS));
         // 105 ms late: the next boundary past 125 ms is 140 ms.
         assert_eq!(shard.service(t0 + 125 * MS), Some(t0 + 140 * MS));
@@ -950,8 +958,8 @@ mod tests {
     #[test]
     fn zero_interval_still_terminates() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, attach(0, config(0, 100), q));
+        let (mut shard, t0) = shard(None, |_| config(0, 100));
+        shard.handle(t0, attach(0, q));
         let us = Duration::from_micros(1);
         for i in 0..100 {
             let now = t0 + i * us;
@@ -970,9 +978,9 @@ mod tests {
     #[test]
     fn zero_interval_node_does_not_starve_shard_mates() {
         let qs = queries(2);
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, attach(0, config(0, 100), &qs[0]));
-        shard.handle(t0, attach(1, config(5, 100), &qs[1]));
+        let (mut shard, t0) = shard(None, |node| config([0, 5][node], 100));
+        shard.handle(t0, attach(0, &qs[0]));
+        shard.handle(t0, attach(1, &qs[1]));
         for ms in 1..=60 {
             shard.service(t0 + ms * MS);
         }
@@ -990,26 +998,26 @@ mod tests {
     #[test]
     fn detach_tears_down_and_reattach_merges() {
         let qs = queries(2);
-        let (mut shard, t0) = shard(None);
+        let (mut shard, t0) = shard(None, |_| config(5, 100));
         let run = |shard: &mut Shard, ms: std::ops::RangeInclusive<u32>| {
             for ms in ms {
                 shard.service(t0 + ms * MS);
             }
         };
         // Node 0 hosts the resident query; node 1 the churn query.
-        shard.handle(t0, attach(0, config(5, 100), &qs[0]));
-        shard.handle(t0, attach(1, config(5, 100), &qs[1]));
+        shard.handle(t0, attach(0, &qs[0]));
+        shard.handle(t0, attach(1, &qs[1]));
         shard.handle(t0, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
         run(&mut shard, 1..=40);
         shard.handle(t0 + 40 * MS, msg(1, EngineMsg::Detach { query: qs[1].id }));
         // Traffic for the torn-down node is dropped.
         shard.handle(t0 + 40 * MS, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
         run(&mut shard, 41..=120);
-        shard.handle(t0 + 120 * MS, attach(1, config(5, 100), &qs[1]));
+        shard.handle(t0 + 120 * MS, attach(1, &qs[1]));
         shard.handle(t0 + 120 * MS, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
         run(&mut shard, 121..=160);
         shard.handle(t0 + 160 * MS, msg(1, EngineMsg::Detach { query: qs[1].id }));
-        shard.handle(t0 + 160 * MS, attach(1, config(5, 100), &qs[1]));
+        shard.handle(t0 + 160 * MS, attach(1, &qs[1]));
         run(&mut shard, 161..=200);
         let reports = reports(shard);
         assert_eq!(reports[&0].ticks, 40, "resident ticked throughout");
@@ -1018,6 +1026,43 @@ mod tests {
         // 16 ticks across the gap.
         assert_eq!(reports[&1].ticks, 7 + 7 + 7);
         assert_eq!(reports[&1].arrived_tuples, 3 + 3);
+    }
+
+    /// A shard calls its recipe only when an attach installs a node:
+    /// three attaches to one node build it once (as does a re-attach
+    /// while it still hosts a fragment), a re-attach after the detaches
+    /// that emptied it builds it again, and so does the restart's
+    /// re-attach after a crash.
+    #[test]
+    fn the_recipe_runs_once_per_installed_node() {
+        let qs = queries(3);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = calls.clone();
+        let (mut shard, t0) = shard(None, move |_| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            config(5, 100)
+        });
+        let calls = || calls.load(Ordering::Relaxed);
+        for q in &qs {
+            shard.handle(t0, attach(0, q));
+        }
+        shard.service(t0 + 10 * MS);
+        assert_eq!(calls(), 1);
+        shard.handle(t0 + 10 * MS, msg(0, EngineMsg::Detach { query: qs[0].id }));
+        shard.handle(t0 + 10 * MS, attach(0, &qs[0]));
+        assert_eq!(calls(), 1, "the node still hosted two fragments");
+        for q in &qs {
+            shard.handle(t0 + 10 * MS, msg(0, EngineMsg::Detach { query: q.id }));
+        }
+        shard.service(t0 + 20 * MS);
+        shard.handle(t0 + 20 * MS, attach(0, &qs[0]));
+        assert_eq!(calls(), 2);
+        shard.service(t0 + 30 * MS);
+        shard.handle(t0 + 30 * MS, msg(0, EngineMsg::Crash));
+        shard.handle(t0 + 30 * MS, attach(0, &qs[0]));
+        shard.service(t0 + 40 * MS);
+        assert_eq!(calls(), 3);
+        assert!(reports(shard)[&0].ticks > 0);
     }
 
     /// Due nodes fire in deadline order, and a tie goes to the lower node
@@ -1034,13 +1079,17 @@ mod tests {
         }
         let fired = Arc::new(Mutex::new(Vec::new()));
         let qs = queries(4);
-        let (mut shard, t0) = shard(None);
-        // `(node, interval)` in install order; install `i` is staggered by
-        // i/32 of its interval: deadlines 33, 33, 17 and 26.25 ms.
-        for (node, interval_ms) in [(2, 33), (1, 32), (0, 16), (3, 24)] {
-            let mut config = config(interval_ms, 0);
-            config.shedder = Box::new(Recording(node, fired.clone(), config.shedder));
-            shard.handle(t0, attach(node, config, &qs[node]));
+        let recorded = fired.clone();
+        // Nodes 0 to 3 shed every 16, 32, 33 and 24 ms.
+        let (mut shard, t0) = shard(None, move |node| {
+            let mut config = config([16, 32, 33, 24][node], 0);
+            config.shedder = Box::new(Recording(node, recorded.clone(), config.shedder));
+            config
+        });
+        // Install `i` is staggered by i/32 of its interval: deadlines 33,
+        // 33, 17 and 26.25 ms.
+        for node in [2, 1, 0, 3] {
+            shard.handle(t0, attach(node, &qs[node]));
             shard.handle(t0, msg(node, EngineMsg::Batch(batch(&qs[node], 1))));
         }
         // Node 0 served 23 ms late skips to 17 + 2 x 16 ms, the earliest.
@@ -1049,19 +1098,20 @@ mod tests {
     }
 
     /// Shard 0 of a pool of two whose node clocks count from two seconds
-    /// before the returned `t0`. A tick stamps its logical time from the
-    /// wall clock, so at any `now` a pane holding tuples stamped 0 (the
-    /// first second's window) closes on the node's next tick.
+    /// before the returned `t0`, each node shedding every 5 ms and never
+    /// overloaded. A tick stamps its logical time from the wall clock, so
+    /// at any `now` a pane holding tuples stamped 0 (the first second's
+    /// window) closes on the node's next tick.
     fn late_shard() -> (Shard, Instant) {
         let t0 = Instant::now();
         let epoch = t0
             .checked_sub(Duration::from_secs(2))
             .expect("host up for two seconds");
-        (Shard::new(2, epoch, None, t0), t0)
+        (Shard::new(2, epoch, None, t0, |_| config(5, 1_000)), t0)
     }
 
-    /// Installs `query` on `node` (shedding every 5 ms, never overloaded)
-    /// feeding `downstream`, and buffers one three-tuple batch for it.
+    /// Installs `query` on `node` feeding `downstream`, and buffers one
+    /// three-tuple batch for it.
     fn feed(
         shard: &mut Shard,
         t0: Instant,
@@ -1070,8 +1120,6 @@ mod tests {
         downstream: Option<(usize, usize)>,
     ) {
         let fragment = AttachFragment {
-            node,
-            config: config(5, 1_000),
             query: q.clone(),
             fragment: 0,
             downstream,
@@ -1141,7 +1189,7 @@ mod tests {
     #[test]
     fn a_pass_without_emissions_sends_nothing() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(None);
+        let (mut shard, t0) = shard(None, |_| config(5, 1_000));
         feed(&mut shard, t0, 0, q, None);
         for ms in 1..=50 {
             shard.service(t0 + ms * MS);
@@ -1158,9 +1206,9 @@ mod tests {
     #[test]
     fn a_first_shedding_tick_is_reported_once_in_its_pass() {
         let qs = queries(2);
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, attach(0, config(5, 100), &qs[0]));
-        shard.handle(t0, attach(1, config(5, 1_000), &qs[1]));
+        let (mut shard, t0) = shard(None, |node| config(5, [100, 1_000][node]));
+        shard.handle(t0, attach(0, &qs[0]));
+        shard.handle(t0, attach(1, &qs[1]));
         let mut first_shed = Vec::new();
         for ms in 1..=30 {
             let now = t0 + ms * MS;
@@ -1208,9 +1256,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("themis-shard-storm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let qs = queries(64);
-        let (mut shard, t0) = shard(Some(durability(&dir, Duration::from_secs(3600))));
+        let (mut shard, t0) = shard(Some(durability(&dir, Duration::from_secs(3600))), |_| {
+            config(50, 100)
+        });
         for q in &qs {
-            shard.handle(t0, attach(0, config(50, 100), q));
+            shard.handle(t0, attach(0, q));
         }
         let moves = (1..=20).flat_map(|round| qs.iter().map(move |q| (q.id, 0.01 * round as f64)));
         for (query, to) in moves.chain([(qs[0].id, 0.2 + 0.6)]) {
@@ -1242,9 +1292,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let qs = queries(3);
         let t0 = Instant::now();
-        let mut shard = Shard::new(2, t0, Some(durability(&dir, 10 * MS)), t0);
+        let durable = Some(durability(&dir, 10 * MS));
+        let mut shard = Shard::new(2, t0, durable, t0, |_| config(5, 1_000));
         for (q, node) in qs.iter().zip([6, 0, 2]) {
-            shard.handle(t0, attach(node, config(5, 1_000), q));
+            shard.handle(t0, attach(node, q));
         }
         for node in [1, 8] {
             shard.handle(t0, msg(node, EngineMsg::Batch(batch(&qs[0], 3))));
@@ -1278,8 +1329,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::write(&root, b"a file, not a directory").unwrap();
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(Some(durability(&root, Duration::from_secs(3600))));
-        shard.handle(t0, attach(0, config(50, 100), q));
+        let (mut shard, t0) = shard(Some(durability(&root, Duration::from_secs(3600))), |_| {
+            config(50, 100)
+        });
+        shard.handle(t0, attach(0, q));
         shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
         shard.service(t0);
         std::fs::remove_file(&root).unwrap();
@@ -1306,8 +1359,8 @@ mod tests {
         let file = std::env::temp_dir().join(format!("themis-shard-file-{}", std::process::id()));
         std::fs::write(&file, b"a file, not a directory").unwrap();
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(Some(durability(&file, 100 * MS)));
-        shard.handle(t0, attach(0, config(50, 100), q));
+        let (mut shard, t0) = shard(Some(durability(&file, 100 * MS)), |_| config(50, 100));
+        shard.handle(t0, attach(0, q));
         shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
         for ms in (0..=500).step_by(100) {
             shard.service(t0 + ms * MS);
@@ -1384,12 +1437,16 @@ mod tests {
         let base_sics = Arc::new(Mutex::new(Vec::new()));
         let qs = queries(1);
         let t0 = Instant::now();
-        let mut shards = [Shard::new(1, t0, None, t0)];
+        let recorded = base_sics.clone();
+        let recipe = move |_| {
+            let mut config = config(50, 100);
+            config.shedder = Box::new(Recording(recorded.clone(), config.shedder));
+            config
+        };
+        let mut shards = [Shard::new(1, t0, None, t0, recipe)];
         let interval = TimeDelta::from_millis(250);
         let mut c = Coordinator::new(StwConfig::PAPER_DEFAULT, interval, interval, interval);
-        let mut config = config(50, 100);
-        config.shedder = Box::new(Recording(base_sics.clone(), config.shedder));
-        shards[0].handle(t0, attach(0, config, &qs[0]));
+        shards[0].handle(t0, attach(0, &qs[0]));
         c.attach(qs[0].id, vec![NodeId(0)], Timestamp::ZERO, None);
         c.record(Timestamp::ZERO, qs[0].id, Sic(0.9));
         control_loop(&mut shards, &qs, &mut c, t0, 4_000, |_, ms| {
@@ -1426,14 +1483,13 @@ mod tests {
             ..durability(&dir, Duration::from_secs(3600))
         };
         let mut shards = [
-            Shard::new(2, t0, Some(quiet), t0),
-            Shard::new(2, t0, None, t0),
+            Shard::new(2, t0, Some(quiet), t0, |_| config(50, 1_000_000)),
+            Shard::new(2, t0, None, t0, |_| config(50, 10)),
         ];
         let interval = TimeDelta::from_millis(250);
         let mut c = Coordinator::new(StwConfig::PAPER_DEFAULT, interval, interval, interval);
-        for (node, capacity) in [(0, 1_000_000), (1, 10)] {
-            let q = &qs[node];
-            shards[node].handle(t0, attach(node, config(50, capacity), q));
+        for (node, q) in qs.iter().enumerate() {
+            shards[node].handle(t0, attach(node, q));
             c.attach(q.id, vec![NodeId(node as u32)], Timestamp::ZERO, None);
         }
         control_loop(&mut shards, &qs, &mut c, t0, 1_000, |_, _| 5);
@@ -1460,15 +1516,8 @@ mod tests {
     }
 
     /// Installs `query` on `node` with its sources, arriving at 0.
-    fn sourced(
-        node: usize,
-        config: NodeConfig,
-        query: &Arc<QuerySpec>,
-        profile: SourceProfile,
-    ) -> ShardMsg {
+    fn sourced(node: usize, query: &Arc<QuerySpec>, profile: SourceProfile) -> ShardMsg {
         let fragment = AttachFragment {
-            node,
-            config,
             query: query.clone(),
             fragment: 0,
             downstream: None,
@@ -1513,12 +1562,15 @@ mod tests {
         }
     }
 
-    /// A node shedding every `interval_ms` over a zero capacity, recording
-    /// what it sees into `seen`.
-    fn seeing(interval_ms: u64, seen: &SeenLog) -> NodeConfig {
-        let mut config = config(interval_ms, 0);
-        config.shedder = Box::new(Seen(seen.clone(), config.shedder));
-        config
+    /// A recipe for nodes shedding every `interval_ms` over a zero
+    /// capacity, recording what they see into `seen`.
+    fn seeing(interval_ms: u64, seen: &SeenLog) -> impl Fn(usize) -> NodeConfig + Send + 'static {
+        let seen = seen.clone();
+        move |_| {
+            let mut config = config(interval_ms, 0);
+            config.shedder = Box::new(Seen(seen.clone(), config.shedder));
+            config
+        }
     }
 
     /// The batches the shard's pump enqueues are exactly those a lone
@@ -1536,15 +1588,10 @@ mod tests {
             SourceProfile::steady(30, 3, Dataset::Uniform),
         ];
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let (mut shard, t0) = shard(None);
+        let (mut shard, t0) = shard(None, seeing(5, &seen));
         let mut lone = SourcePump::default();
         for (q, &profile) in qs.iter().zip(&profiles) {
-            let config = if q.id == qs[0].id {
-                seeing(5, &seen)
-            } else {
-                config(5, 0)
-            };
-            shard.handle(t0, sourced(0, config, q, profile));
+            shard.handle(t0, sourced(0, q, profile));
             lone.add(Timestamp::ZERO, bindings(q, 0, profile));
         }
         shard.handle(t0, run_until(t0 + 1_000 * MS));
@@ -1577,8 +1624,8 @@ mod tests {
     #[test]
     fn nothing_is_swept_outside_a_run_window() {
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, sourced(0, config(1_000, 1_000_000), q, every_ms()));
+        let (mut shard, t0) = shard(None, |_| config(1_000, 1_000_000));
+        shard.handle(t0, sourced(0, q, every_ms()));
         let first_tick = Some(t0 + 1_000 * MS);
         for ms in 0..100 {
             assert_eq!(shard.service(t0 + ms * MS), first_tick);
@@ -1615,9 +1662,9 @@ mod tests {
     #[test]
     fn a_detached_querys_sources_stop() {
         let qs = queries(2);
-        let (mut shard, t0) = shard(None);
+        let (mut shard, t0) = shard(None, |_| config(5, 1_000_000));
         for (node, q) in qs.iter().enumerate() {
-            shard.handle(t0, sourced(node, config(5, 1_000_000), q, every_ms()));
+            shard.handle(t0, sourced(node, q, every_ms()));
         }
         shard.handle(t0, run_until(t0 + 300 * MS));
         for ms in 0..100 {
@@ -1626,7 +1673,7 @@ mod tests {
         assert_eq!((arrived(&shard, 0), arrived(&shard, 1)), (99, 99));
         let now = t0 + 100 * MS;
         shard.handle(now, msg(1, EngineMsg::Detach { query: qs[1].id }));
-        shard.handle(now, attach(1, config(5, 1_000_000), &qs[1]));
+        shard.handle(now, attach(1, &qs[1]));
         for ms in 100..300 {
             shard.service(t0 + ms * MS);
         }
@@ -1642,8 +1689,8 @@ mod tests {
     fn a_restart_does_not_drive_a_source_twice() {
         let q = &queries(1)[0];
         let profile = SourceProfile::steady(400, 20, Dataset::Uniform);
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, sourced(0, config(5, 1_000_000), q, profile));
+        let (mut shard, t0) = shard(None, |_| config(5, 1_000_000));
+        shard.handle(t0, sourced(0, q, profile));
         shard.handle(t0, run_until(t0 + 1_000 * MS));
         let mut lone = SourcePump::default();
         lone.add(Timestamp::ZERO, bindings(q, 0, profile));
@@ -1655,7 +1702,7 @@ mod tests {
                     shard.handle(now, msg(0, EngineMsg::Crash));
                 }
                 500 => {
-                    shard.handle(now, attach(0, config(5, 1_000_000), q));
+                    shard.handle(now, attach(0, q));
                 }
                 _ => {}
             }
@@ -1677,8 +1724,8 @@ mod tests {
     fn a_sweep_follows_the_ticks_due_at_the_same_now() {
         let q = &queries(1)[0];
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let (mut shard, t0) = shard(None);
-        shard.handle(t0, sourced(0, seeing(10, &seen), q, every_ms()));
+        let (mut shard, t0) = shard(None, seeing(10, &seen));
+        shard.handle(t0, sourced(0, q, every_ms()));
         shard.handle(t0, run_until(t0 + 100 * MS));
         shard.service(t0 + 10 * MS);
         let report = |shard: &Shard| shard.slots[0].state.as_ref().unwrap().report().clone();
