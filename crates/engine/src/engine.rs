@@ -2,10 +2,12 @@
 //! hosting all FSPS nodes and the sources that feed them, and one control
 //! loop that disseminates result SIC values.
 //!
-//! Where the simulator models time, the engine *is* real: ticks fire on the
-//! wall clock, the cost model measures actual processing time, and the
-//! shedder's execution time is measured per invocation (the §7.6 overhead
-//! numbers come from here and from `themis-benchmark`'s per-layer metrics).
+//! Where the simulator models time, the engine *is* real: its two drivers,
+//! each shard's [`run_shard`] and the control loop in [`Engine::run_for`],
+//! read one [`WallClock`] and hand its logical time to the clock-free
+//! shards and coordinator; ticks are timed on it for the cost model, and
+//! the shedder's execution time is measured per invocation (the §7.6
+//! overhead numbers come from here and from `themis-benchmark`'s metrics).
 //!
 //! The engine is a long-lived [`Engine`] value with **runtime query
 //! churn**: [`Engine::attach_query`] places a new query's fragments onto
@@ -28,24 +30,18 @@
 //! batch is emitted, stamped, shed or windowed and recycled on its shard's
 //! thread, and crosses no channel. `run_for` opens every shard's run
 //! window ([`EngineMsg::Run`]), so sources emit only inside `run_for`, and
-//! it is the wall-clock driver of the clock-free [`Coordinator`] the
-//! simulator also steps, so `updateSIC` rounds and SIC samples run
-//! identically on both clocks. A pass runs a due coordinator round and
-//! sample and sends each shard at most one [`EngineMsg::Bundle`] of SIC
-//! updates; it then waits for results until the next round, sample or
-//! the deadline. Results arrive one message per shard service pass,
-//! carrying every result that pass emitted and the nodes whose shedder
-//! first ran in it; only those nodes get the coordinator's SIC updates.
-//! [`EngineReport::control_wakeups`], [`EngineReport::pump_sweeps`],
-//! [`EngineReport::mailbox_messages`] and [`EngineReport::result_messages`]
-//! count the resulting wake-ups.
+//! drives the [`Coordinator`] the simulator also steps, so `updateSIC`
+//! rounds and SIC samples run identically on both clocks. Results arrive
+//! one message per shard service pass, carrying every result that pass
+//! emitted and the nodes whose shedder first ran in it; only those nodes
+//! get the coordinator's SIC updates.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use themis_net::listener::{IngestEvent, IngestServer};
@@ -56,7 +52,7 @@ use themis_workloads::prelude::*;
 
 use crate::messages::{AttachFragment, Bundle, EngineMsg, FragmentSources, PassResults, ShardMsg};
 use crate::node_state::NodeConfig;
-use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome};
+use crate::shard::{run_shard, shard_of, ShardDurability, ShardOutcome, WallClock};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -321,7 +317,8 @@ impl EngineReport {
 /// ```
 pub struct Engine {
     config: EngineConfig,
-    epoch: Instant,
+    /// Logical time: the microseconds since the engine started.
+    clock: WallClock,
     epoch_sys: std::time::SystemTime,
     n_shards: usize,
     n_nodes: usize,
@@ -366,7 +363,7 @@ impl Engine {
     /// explicitly with [`Engine::attach_query`] / [`Engine::detach_query`]
     /// between [`Engine::run_for`] slices.
     pub fn start(scenario: &Scenario, config: EngineConfig) -> Engine {
-        let epoch = Instant::now();
+        let clock = WallClock::start();
         let epoch_sys = std::time::SystemTime::now();
         let n_shards = config
             .shards
@@ -395,14 +392,14 @@ impl Engine {
                 (Some(every), Some(dir)) => Some(ShardDurability {
                     dir: dir.clone(),
                     shard: i,
-                    every,
+                    every: TimeDelta::from_micros(every.as_micros() as u64),
                     sic_bound: config.sic_divergence_bound,
                 }),
                 _ => None,
             };
             let handle = thread::Builder::new()
                 .name(format!("shard-{i}"))
-                .spawn(move || run_shard(txs, results_tx, rx, epoch, durability, pool, recipe))
+                .spawn(move || run_shard(txs, results_tx, rx, clock, durability, pool, recipe))
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
@@ -480,7 +477,7 @@ impl Engine {
             .with_series(config.record_series);
         let mut engine = Engine {
             config,
-            epoch,
+            clock,
             epoch_sys,
             n_shards,
             n_nodes: scenario.n_nodes,
@@ -510,7 +507,7 @@ impl Engine {
 
     /// The logical clock: microseconds since the engine epoch.
     pub fn now(&self) -> Timestamp {
-        Timestamp(self.epoch.elapsed().as_micros() as u64)
+        self.clock.now()
     }
 
     /// The engine epoch as a wall-clock instant (microseconds since the
@@ -770,11 +767,11 @@ impl Engine {
     /// coordinator keeps the schedules), then records result messages as
     /// they arrive until the next round, sample or the deadline.
     pub fn run_for(&mut self, wall: Duration) {
-        let deadline = Instant::now() + wall;
+        let until = self.now() + TimeDelta::from_micros(wall.as_micros() as u64);
         for shard in 0..self.n_shards {
-            self.to_shard(shard, EngineMsg::Run { until: deadline });
+            self.to_shard(shard, EngineMsg::Run { until });
         }
-        while Instant::now() < deadline {
+        while self.now() < until {
             self.control_wakeups += 1;
             let now = self.now();
             if now >= self.coordinator.next_round() {
@@ -799,11 +796,8 @@ impl Engine {
                 .coordinator
                 .next_sample()
                 .map_or(round, |at| at.min(round));
-            let wake = deadline.min(self.instant(due));
-            if let Ok(results) = self
-                .results_rx
-                .recv_timeout(wake.saturating_duration_since(Instant::now()))
-            {
+            let wake = self.clock.until(until.min(due));
+            if let Ok(results) = self.results_rx.recv_timeout(wake) {
                 self.record(results);
                 while let Ok(results) = self.results_rx.try_recv() {
                     self.record(results);
@@ -823,11 +817,6 @@ impl Engine {
         for ev in results.events {
             self.coordinator.record(now, ev.query, ev.sic);
         }
-    }
-
-    /// The wall-clock instant of logical time `at`.
-    fn instant(&self, at: Timestamp) -> Instant {
-        self.epoch + Duration::from_micros(at.as_micros())
     }
 
     /// Shuts the shard pool down and assembles the report. Results the
@@ -981,6 +970,7 @@ pub fn run_engine(scenario: &Scenario, config: EngineConfig) -> EngineReport {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
     use themis_query::prelude::Template;
 
     fn scenario(n_queries: usize, rate: u32, seed: u64) -> Scenario {

@@ -2,16 +2,16 @@
 //!
 //! The multi-threaded THEMIS prototype (Figure 5 of the paper), sharded:
 //! a bounded pool of shard threads ([`shard`]) hosts every FSPS node's
-//! state ([`node_state`]) — input buffer, wall-clock overload detector,
-//! online cost model, tuple shedder, fragment runtimes — and paces the
-//! sources that feed them, alongside one control loop that disseminates
-//! result SIC values.
+//! state ([`node_state`]) — input buffer, overload detector, online cost
+//! model, tuple shedder, fragment runtimes — and paces the sources that
+//! feed them, alongside one control loop that disseminates result SIC
+//! values.
 //!
 //! Each shard is a clock-free state machine ([`shard::Shard`]: nodes,
 //! their shedding deadlines, its source pump, the rest of a bundle,
-//! durability bookkeeping) that reads time only from the `now` its
-//! driver passes in;
-//! [`shard::run_shard`] drives one per OS thread on the wall clock, so
+//! durability bookkeeping) on logical time, which it reads only from the
+//! `now` its driver passes in, busy time only from the cost clock it is
+//! given; [`shard::run_shard`] drives one per OS thread on the wall clock, so
 //! 1000+-node scenarios run in a single process with `shards + 1` threads
 //! (pool + the control loop on the calling thread). Ticks fire whenever
 //! their deadline has passed — a message flood cannot starve the
@@ -46,8 +46,8 @@ pub mod prelude {
     pub use crate::messages::{
         AttachFragment, Bundle, EngineMsg, FragmentSources, PassResults, ResultEvent, ShardMsg,
     };
-    pub use crate::node_state::{EmissionSink, NodeConfig, NodeState, ShardRouting};
-    pub use crate::shard::{run_shard, shard_of, Outgoing, Shard, ShardDurability};
+    pub use crate::node_state::{CostClock, NodeConfig, NodeState, ShardRouting};
+    pub use crate::shard::{run_shard, shard_of, Outgoing, Shard, ShardDurability, WallClock};
     pub use themis_core::shedder::{lookup_policy, Policy};
     pub use themis_query::node::{NodeReport, RoutedBatch};
 }

@@ -1,7 +1,6 @@
 //! Messages and reports exchanged inside the prototype engine.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use themis_core::prelude::*;
 use themis_query::prelude::{QuerySpec, RoutedBatch};
@@ -48,7 +47,7 @@ pub struct FragmentSources {
 pub enum EngineMsg {
     /// A data batch.
     Batch(RoutedBatch),
-    /// A coordinator SIC update.
+    /// One coordinator SIC update; only the benchmark replay sends it.
     Sic(SicUpdate),
     /// Work for many nodes of one shard in one message: a coordinator
     /// round's SIC updates, or the batches one shard service pass routed
@@ -90,8 +89,8 @@ pub enum EngineMsg {
     /// ([`crate::engine::Engine::run_for`]): its pump sweeps its sources
     /// until `until`, and not after. The window replaces any earlier one.
     Run {
-        /// The end of the window.
-        until: Instant,
+        /// The end of the window, in logical time.
+        until: Timestamp,
     },
     /// Stop the receiving shard (all of its nodes).
     Shutdown,

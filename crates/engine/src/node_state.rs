@@ -1,23 +1,19 @@
 //! Per-node state of the prototype engine: the shared Figure-5 [`Node`]
 //! (`themis_query::node` — input buffer, overload detector, online cost
-//! model, tuple shedder, operator execution, counters) on a wall clock.
-//! What [`NodeState`] adds is only what a real clock needs: `Instant`
-//! deadlines with the drift/late-tick reschedule below, measured busy time
-//! for [`CostModel::observe_windowed`], the synthetic-cost spin, and the
-//! per-query SIC divergence from the last checkpoint that triggers early
-//! checkpoints. The batch pool of [`NodeConfig::pool`] goes to the node,
-//! which recycles its fragments' spent batches and its shed ones.
-//!
-//! A tick hands its fragments' emissions to the [`EmissionSink`] its caller
-//! supplies: the shard's outbox, which leaves a service pass as one
-//! message per destination, or [`ShardRouting`], the benchmark replay's
-//! per-emission channel sink.
+//! model, tuple shedder, operator execution, counters) on logical time.
+//! It reads no clock: a tick stamps the `now` its driver gives it, and
+//! feeds [`CostModel::observe_windowed`] the busy time of the
+//! [`CostClock`] its driver supplies. What it adds is the drift/late-tick
+//! reschedule below and the per-query SIC divergence from the last
+//! checkpoint that triggers early checkpoints. The batch pool of
+//! [`NodeConfig::pool`] goes to the node, which recycles its fragments'
+//! spent batches and its shed ones.
 //!
 //! Extracting the node from the seed engine's one-OS-thread-per-node
 //! worker lets one shard thread interleave thousands of nodes (see
-//! [`crate::shard`], which also keeps a message flood from starving the
-//! tick). Nodes are *dynamic*: fragments install via
-//! [`NodeState::attach_fragment`] and depart via [`Node::detach`].
+//! [`crate::shard`], which keeps their deadlines and keeps a message
+//! flood from starving the tick). Nodes are *dynamic*: fragments install
+//! via [`NodeState::attach_fragment`] and depart via [`Node::detach`].
 //!
 //! **No drift storm** — a tick that overruns its period reschedules to the
 //! next *future* deadline; the seed's `next_tick += interval` fired a burst
@@ -26,39 +22,18 @@
 //! the cost model weighs observations by actual window length.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
-
-use crossbeam::channel::Sender;
 
 use themis_core::prelude::*;
 use themis_operators::op::Emission;
 use themis_query::prelude::*;
 
-use crate::messages::{EngineMsg, ResultEvent, ShardMsg};
-
-/// Where a tick's fragment emissions go: `route` receives each emitting
-/// fragment's emissions with the `downstream` it was attached with
-/// (`None` = the query-result sink).
-pub trait EmissionSink {
-    /// Takes `fragment` of `query`'s emissions, bound for `downstream`.
-    fn route(
-        &mut self,
-        query: QueryId,
-        fragment: usize,
-        downstream: Option<(usize, usize)>,
-        emissions: Vec<Emission>,
-    );
-}
-
-/// A per-emission channel sink: one message per emission. It serves only
-/// the benchmark's replay harness, which builds it around its own
-/// channels; engine shards collect a pass's emissions in their outbox
-/// instead and send one message per destination.
-pub struct ShardRouting {
-    /// Senders addressing every node (index = global node).
-    pub node_txs: Vec<Sender<ShardMsg>>,
-    /// Sink for query results.
-    pub results_tx: Sender<ResultEvent>,
+/// How long a tick's work took, for the node's cost model: supplied by
+/// the driver, as `now` is.
+pub trait CostClock {
+    /// Runs `work` (one [`Node::tick`], returning the tuples it kept and
+    /// the nanoseconds its shedder took) at a synthetic cost of `per_tuple`
+    /// a kept tuple; returns the kept tuples and the busy time to charge.
+    fn time(&self, per_tuple: TimeDelta, work: &mut dyn FnMut() -> (u64, u64)) -> (u64, TimeDelta);
 }
 
 /// The routed batch a downstream emission becomes: `query`'s fragment
@@ -80,33 +55,6 @@ pub(crate) fn downstream_batch(
     }
 }
 
-impl EmissionSink for ShardRouting {
-    /// Sends each emission to `downstream`'s node as one
-    /// [`EngineMsg::Batch`], or to the results sink when `None`.
-    fn route(
-        &mut self,
-        query: QueryId,
-        fragment: usize,
-        downstream: Option<(usize, usize)>,
-        emissions: Vec<Emission>,
-    ) {
-        for e in emissions {
-            // A closed peer means shutdown is racing; dropping the
-            // emission is equivalent to shedding it.
-            match downstream {
-                Some((node, to)) => {
-                    let msg = EngineMsg::Batch(downstream_batch(query, fragment, to, e));
-                    let _ = self.node_txs[node].send(ShardMsg { node, msg });
-                }
-                None => {
-                    let sic = e.sic();
-                    let _ = self.results_tx.send(ResultEvent { query, sic });
-                }
-            }
-        }
-    }
-}
-
 /// Per-node static configuration.
 pub struct NodeConfig {
     /// Node id.
@@ -117,8 +65,9 @@ pub struct NodeConfig {
     pub stw: StwConfig,
     /// Tuple shedder.
     pub shedder: Box<dyn Shedder>,
-    /// Artificial per-tuple processing cost (spin), so that modest source
-    /// rates overload the node reproducibly. `TimeDelta::ZERO` disables it.
+    /// Artificial per-tuple processing cost, so that modest source rates
+    /// overload the node reproducibly; the cost clock charges it. `ZERO`
+    /// disables it.
     pub synthetic_cost: TimeDelta,
     /// Initial capacity estimate (tuples per interval) used before the
     /// cost model has observations.
@@ -136,7 +85,7 @@ pub struct NodeConfig {
     pub pool: Option<BatchPool>,
 }
 
-/// The shared [`Node`] on a wall clock, owned by a shard thread.
+/// The shared [`Node`] on a shard's logical clock, owned by a shard thread.
 pub struct NodeState {
     /// Global node index (for routing and report scatter).
     pub node: usize,
@@ -144,10 +93,12 @@ pub struct NodeState {
     /// adds nothing (detach, restore, final counters).
     pub(crate) core: Node,
     synthetic_cost: TimeDelta,
-    /// The shedding interval, clamped by [`tick_period`].
-    interval: Duration,
-    next_tick: Instant,
-    last_tick: Instant,
+    /// The shedding interval, clamped to 1 us: a zero interval would pin
+    /// the deadline in the past forever, keeping the node the heap minimum
+    /// and starving its shard-mates' ticks.
+    pub(crate) interval: TimeDelta,
+    /// When the last tick fired; `None` before the first.
+    last_tick: Option<Timestamp>,
     /// The SIC table of the last checkpoint written to disk (empty before
     /// the first one; see [`NodeState::mark_checkpointed`]).
     checkpointed: HashMap<QueryId, Sic>,
@@ -158,11 +109,10 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Builds the (fragment-less) state for global node `node`, with its
-    /// first shedding deadline at `first_tick`. Fragments install through
+    /// Builds the (fragment-less) state for global node `node`; its
+    /// driver keeps its shedding deadline. Fragments install through
     /// [`NodeState::attach_fragment`].
-    pub fn new(config: NodeConfig, node: usize, first_tick: Instant) -> Self {
-        let interval = tick_period(config.interval);
+    pub(crate) fn build(config: NodeConfig, node: usize) -> Self {
         let detector = OverloadDetector::new(config.interval, config.initial_capacity);
         let mut core = Node::new(config.shedder, config.stw, detector);
         core.pin_capacity(config.fixed_capacity);
@@ -173,9 +123,8 @@ impl NodeState {
             node,
             core,
             synthetic_cost: config.synthetic_cost,
-            interval,
-            next_tick: first_tick,
-            last_tick: first_tick.checked_sub(interval).unwrap_or(first_tick),
+            interval: TimeDelta::from_micros(config.interval.as_micros().max(1)),
+            last_tick: None,
             checkpointed: HashMap::new(),
             sic_drift: 0.0,
         }
@@ -191,11 +140,6 @@ impl NodeState {
         downstream: Option<(usize, usize)>,
     ) {
         self.core.attach(query, fragment, downstream);
-    }
-
-    /// The node's next shedding deadline.
-    pub fn next_tick(&self) -> Instant {
-        self.next_tick
     }
 
     /// Counters accumulated so far.
@@ -257,78 +201,130 @@ impl NodeState {
         snapshot
     }
 
-    /// Fires one shedding tick at wall time `now` (see [`Node::tick`]),
-    /// hands the fragments' emissions to `sink`, feeds the cost model the
-    /// measured processing time, then reschedules the deadline past `now`.
-    pub fn tick(&mut self, now: Instant, epoch: Instant, sink: &mut impl EmissionSink) {
-        let window = TimeDelta::from_micros(
-            now.saturating_duration_since(self.last_tick).as_micros() as u64,
-        );
-        self.last_tick = now;
-        self.reschedule(now);
-
-        let now_ts = Timestamp(epoch.elapsed().as_micros() as u64);
-        let select_ns = self.core.stats.shed_time_ns;
-        let start = Instant::now();
-        let kept = self
-            .core
-            .tick(now_ts, |query, fragment, downstream, emissions| {
-                sink.route(query, fragment, downstream, emissions)
-            });
-        if !self.synthetic_cost.is_zero() {
-            spin_for(self.synthetic_cost.as_micros() * kept);
-        }
-        // Busy time is processing only; the shedder's own time is the
-        // separately reported §7.6 overhead.
-        let select_ns = self.core.stats.shed_time_ns - select_ns;
-        let busy_ns = (start.elapsed().as_nanos() as u64).saturating_sub(select_ns);
-        self.core.cost_model_mut().observe_windowed(
-            TimeDelta::from_micros(busy_ns / 1_000),
-            kept,
-            window,
-            TimeDelta::from_micros(self.interval.as_micros() as u64),
-        );
+    /// Fires the tick due at `deadline`, at logical time `now` (see
+    /// [`Node::tick`]): hands the fragments' emissions to `emit` as
+    /// `(query, fragment, downstream, emissions)`, feeds the cost model
+    /// the busy time `cost` reports, and returns the next deadline.
+    pub(crate) fn fire(
+        &mut self,
+        deadline: Timestamp,
+        now: Timestamp,
+        cost: &dyn CostClock,
+        mut emit: impl FnMut(QueryId, usize, Option<(usize, usize)>, Vec<Emission>),
+    ) -> Timestamp {
+        // The first tick's window counts as one full interval.
+        let window = self.last_tick.map_or(self.interval, |last| now - last);
+        self.last_tick = Some(now);
+        let (select_ns, core) = (self.core.stats.shed_time_ns, &mut self.core);
+        let (kept, busy) = cost.time(self.synthetic_cost, &mut || {
+            let kept = core.tick(now, &mut emit);
+            (kept, core.stats.shed_time_ns - select_ns)
+        });
+        let model = self.core.cost_model_mut();
+        model.observe_windowed(busy, kept, window, self.interval);
+        self.reschedule(deadline, now)
     }
 
-    /// Advances the deadline one period, skipping any periods `now` has
-    /// already overrun so the next tick is strictly in the future (the
-    /// drift fix — no burst of zero-timeout catch-up ticks).
-    fn reschedule(&mut self, now: Instant) {
-        let deadline = self.next_tick;
-        self.next_tick = deadline + self.interval;
-        if self.next_tick <= now {
+    /// The deadline after `deadline`, fired at `now`: one period on, or,
+    /// when `now` has overrun that, the first period boundary strictly
+    /// after `now`, counting the tick late (the drift fix — no burst of
+    /// zero-timeout catch-up ticks).
+    fn reschedule(&mut self, deadline: Timestamp, now: Timestamp) -> Timestamp {
+        let periods = (now - deadline).div(self.interval) + 1;
+        if periods > 1 {
             self.core.stats.late_ticks += 1;
-            let behind = now.duration_since(deadline).as_nanos();
-            let periods = (behind / self.interval.as_nanos().max(1))
-                .saturating_add(1)
-                .min(u32::MAX as u128) as u32;
-            self.next_tick = deadline + self.interval * periods;
         }
+        deadline + TimeDelta::from_micros(self.interval.as_micros() * periods)
     }
 }
 
-/// The period between a node's shedding ticks: `interval`, clamped to
-/// 1 us. A zero interval would pin the deadline in the past forever
-/// (`deadline + ZERO * periods == deadline`), keeping the node the heap
-/// minimum and starving its shard-mates' ticks.
-pub(crate) fn tick_period(interval: TimeDelta) -> Duration {
-    Duration::from_micros(interval.as_micros().max(1))
-}
+pub use replay::ShardRouting;
 
-/// Busy-spins for roughly `micros` microseconds (sleeping is too coarse at
-/// this granularity).
-fn spin_for(micros: u64) {
-    let start = Instant::now();
-    let target = Duration::from_micros(micros);
-    while start.elapsed() < target {
-        std::hint::spin_loop();
+/// The benchmark replay builds nodes and fires their ticks by name on wall
+/// instants, one channel message per emission: these thin adapters exist
+/// for it alone, and ROADMAP 1(a) deletes them.
+mod replay {
+    use std::time::Instant;
+
+    use crossbeam::channel::Sender;
+
+    use super::*;
+    use crate::messages::{EngineMsg, ResultEvent, ShardMsg};
+    use crate::shard::WallClock;
+
+    /// A per-emission channel sink around the replay's own channels.
+    pub struct ShardRouting {
+        /// Senders addressing every node (index = global node).
+        pub node_txs: Vec<Sender<ShardMsg>>,
+        /// Sink for query results.
+        pub results_tx: Sender<ResultEvent>,
+    }
+
+    impl ShardRouting {
+        /// Sends each emission to `downstream`'s node as one
+        /// [`EngineMsg::Batch`], or to the results sink when `None`.
+        fn route(
+            &self,
+            query: QueryId,
+            fragment: usize,
+            downstream: Option<(usize, usize)>,
+            emissions: Vec<Emission>,
+        ) {
+            for e in emissions {
+                // A closed peer means shutdown is racing; dropping the
+                // emission is equivalent to shedding it.
+                match downstream {
+                    Some((node, to)) => {
+                        let msg = EngineMsg::Batch(downstream_batch(query, fragment, to, e));
+                        let _ = self.node_txs[node].send(ShardMsg { node, msg });
+                    }
+                    None => {
+                        let sic = e.sic();
+                        let _ = self.results_tx.send(ResultEvent { query, sic });
+                    }
+                }
+            }
+        }
+    }
+
+    impl NodeState {
+        /// A fragment-less node; the replay keeps its deadlines itself.
+        pub fn new(config: NodeConfig, node: usize, _first_tick: Instant) -> Self {
+            Self::build(config, node)
+        }
+
+        /// Fires one tick stamped `epoch.elapsed()`, timed on the wall
+        /// clock, routing its emissions through `routing`.
+        pub fn tick(&mut self, _now: Instant, epoch: Instant, routing: &mut ShardRouting) {
+            let clock = WallClock { epoch };
+            let now = clock.now();
+            self.fire(now, now, &clock, |q, f, to, e| routing.route(q, f, to, e));
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::shard::WallClock;
+    use std::time::Instant;
     use themis_query::prelude::Template;
+
+    /// The modelled cost clock: a tick's busy time is exactly its kept
+    /// tuples times the synthetic per-tuple cost (what the wall clock
+    /// would charge were the work itself free), so runs repeat exactly.
+    pub(crate) struct Modelled;
+
+    impl CostClock for Modelled {
+        fn time(
+            &self,
+            per_tuple: TimeDelta,
+            work: &mut dyn FnMut() -> (u64, u64),
+        ) -> (u64, TimeDelta) {
+            let (kept, _) = work();
+            (kept, TimeDelta::from_micros(per_tuple.as_micros() * kept))
+        }
+    }
 
     fn config(interval_ms: u64) -> NodeConfig {
         NodeConfig {
@@ -343,64 +339,115 @@ mod tests {
         }
     }
 
-    fn state(interval_ms: u64, first_tick: Instant) -> NodeState {
+    fn state(interval_ms: u64) -> NodeState {
         let mut ids = IdGen::new();
         let query = Template::Avg.build(QueryId(0), &mut ids);
-        let mut s = NodeState::new(config(interval_ms), 0, first_tick);
+        let mut s = NodeState::build(config(interval_ms), 0);
         s.attach_fragment(&query, 0, None);
         s
     }
 
     #[test]
     fn deadline_advances_one_period_when_on_time() {
-        let base = Instant::now() + Duration::from_secs(60);
-        let mut s = state(50, base);
-        assert!(base >= s.next_tick(), "due at its deadline");
-        s.reschedule(base);
-        assert_eq!(s.next_tick(), base + Duration::from_millis(50));
+        let base = Timestamp::from_secs(60);
+        let mut s = state(50);
+        assert_eq!(s.reschedule(base, base), base + TimeDelta::from_millis(50));
         assert_eq!(s.report().late_ticks, 0);
     }
 
     #[test]
     fn overrun_skips_missed_periods_to_future_deadline() {
-        let base = Instant::now() + Duration::from_secs(60);
-        let mut s = state(50, base);
+        let base = Timestamp::from_secs(60);
+        let mut s = state(50);
         // The tick fires 5.7 intervals after its deadline (an overrunning
         // predecessor or a message flood held it up).
-        let now = base + Duration::from_micros(5_700 * 50);
-        s.reschedule(now);
+        let now = base + TimeDelta::from_micros(5_700 * 50);
+        let next = s.reschedule(base, now);
         // Seed behaviour was `next_tick += interval`, leaving 5 deadlines
         // in the past — a storm of zero-timeout ticks. Fixed: the next
         // deadline is the first schedule point strictly after `now`.
-        assert!(s.next_tick() > now, "deadline left in the past");
-        assert_eq!(s.next_tick(), base + Duration::from_millis(6 * 50));
-        assert!(now < s.next_tick(), "immediate re-tick would storm");
+        assert!(next > now, "deadline left in the past");
+        assert_eq!(next, base + TimeDelta::from_millis(6 * 50));
         assert_eq!(s.report().late_ticks, 1);
     }
 
     #[test]
     fn exact_multiple_overrun_still_lands_in_future() {
-        let base = Instant::now() + Duration::from_secs(60);
-        let mut s = state(50, base);
-        let now = base + Duration::from_millis(3 * 50);
-        s.reschedule(now);
-        assert_eq!(s.next_tick(), base + Duration::from_millis(4 * 50));
+        let base = Timestamp::from_secs(60);
+        let mut s = state(50);
+        let now = base + TimeDelta::from_millis(3 * 50);
+        assert_eq!(
+            s.reschedule(base, now),
+            base + TimeDelta::from_millis(4 * 50)
+        );
         assert_eq!(s.report().late_ticks, 1);
     }
 
     #[test]
     fn lateness_under_one_period_is_not_late() {
-        let base = Instant::now() + Duration::from_secs(60);
-        let mut s = state(50, base);
-        s.reschedule(base + Duration::from_millis(20));
-        assert_eq!(s.next_tick(), base + Duration::from_millis(50));
+        let base = Timestamp::from_secs(60);
+        let mut s = state(50);
+        let now = base + TimeDelta::from_millis(20);
+        assert_eq!(s.reschedule(base, now), base + TimeDelta::from_millis(50));
         assert_eq!(s.report().late_ticks, 0);
+    }
+
+    /// On the modelled cost clock an overloaded node without a fixed
+    /// capacity learns exactly the synthetic per-tuple cost: its first
+    /// tick keeps all 250 tuples under the initial 1 000, then the
+    /// threshold settles at interval ÷ cost = 250 ms ÷ 2.5 ms = 100, as
+    /// the simulator's node does (`simulated_cost_keeps_the_threshold`).
+    /// The same input gives the same run twice: same thresholds, same
+    /// counters (but for the shedder's own wall time, the measured §7.6
+    /// overhead).
+    #[test]
+    fn modelled_cost_sets_the_threshold_and_repeats() {
+        let run = || {
+            let mut cfg = config(250);
+            cfg.synthetic_cost = TimeDelta::from_micros(2_500);
+            cfg.initial_capacity = 1_000;
+            let mut ids = IdGen::new();
+            let query = Template::Avg.build(QueryId(0), &mut ids);
+            let mut s = NodeState::build(cfg, 0);
+            s.attach_fragment(&query, 0, None);
+            let mut thresholds = Vec::new();
+            let mut deadline = Timestamp::from_millis(250);
+            for _ in 0..8 {
+                for k in 0..5 {
+                    let at = deadline + TimeDelta::from_millis(k);
+                    s.enqueue(avg_batch(&query, at, 50), at);
+                }
+                deadline = s.fire(deadline, deadline, &Modelled, |_, _, _, _| {});
+                thresholds.push(s.core.threshold());
+            }
+            let mut report = s.report().clone();
+            report.shed_time_ns = 0;
+            (thresholds, format!("{report:?}"), report.kept_tuples)
+        };
+        let first = run();
+        assert_eq!(first.0, [100; 8]);
+        assert_eq!(first.2, 250 + 7 * 100);
+        assert_eq!(first, run());
+    }
+
+    /// A source batch of `tuples` tuples for `query`'s only fragment,
+    /// created at `at`.
+    fn avg_batch(query: &QuerySpec, at: Timestamp, tuples: usize) -> RoutedBatch {
+        let src = query.sources[0].id;
+        let tuples = (0..tuples)
+            .map(|j| Tuple::measurement(at, Sic(0.001), j as f64))
+            .collect();
+        RoutedBatch {
+            query: query.id,
+            fragment: 0,
+            ingress: Ingress::Source(src),
+            batch: Batch::from_source(query.id, src, at, tuples),
+        }
     }
 
     #[test]
     fn enqueue_counts_arrivals() {
-        let base = Instant::now();
-        let mut s = state(50, base);
+        let mut s = state(50);
         let tuples = vec![
             Tuple::measurement(Timestamp(0), Sic(0.1), 1.0),
             Tuple::measurement(Timestamp(0), Sic(0.1), 2.0),
@@ -422,8 +469,7 @@ mod tests {
         let mut ids = IdGen::new();
         let q0 = Template::Avg.build(QueryId(0), &mut ids);
         let q1 = Template::Avg.build(QueryId(1), &mut ids);
-        let base = Instant::now();
-        let mut s = NodeState::new(config(50), 0, base);
+        let mut s = NodeState::build(config(50), 0);
         s.attach_fragment(&q0, 0, None);
         s.attach_fragment(&q1, 0, None);
         for (q, src) in [(&q0, q0.sources[0].id), (&q1, q1.sources[0].id)] {
@@ -448,6 +494,7 @@ mod tests {
         assert_eq!(s.core.detach(q1.id), 0);
     }
 
+    /// Through the benchmark replay's wall-clock adapters.
     #[test]
     fn fixed_capacity_pins_the_threshold() {
         let mut ids = IdGen::new();
@@ -503,7 +550,7 @@ mod tests {
 
     #[test]
     fn sic_drift_is_the_largest_divergence_from_the_checkpoint() {
-        let mut s = state(50, Instant::now());
+        let mut s = state(50);
         // Never checkpointed: distances count from zero, and the drift
         // keeps the widest one even after the query moves back.
         sic(&mut s, 0, 0.5);
@@ -518,7 +565,7 @@ mod tests {
 
         // Many queries each moving a little do not add up.
         let mut ids = IdGen::new();
-        let mut s = NodeState::new(config(50), 0, Instant::now());
+        let mut s = NodeState::build(config(50), 0);
         for q in 0..160 {
             s.attach_fragment(&Template::Avg.build(QueryId(q), &mut ids), 0, None);
             sic(&mut s, q, 0.5);
@@ -530,11 +577,18 @@ mod tests {
         assert!((s.sic_drift() - 0.01).abs() < 1e-12);
     }
 
+    /// The wall cost clock spins the synthetic cost of each kept tuple
+    /// and charges it as busy time.
     #[test]
     fn spin_roughly_waits() {
         let t0 = Instant::now();
-        spin_for(200);
+        let per_tuple = TimeDelta::from_micros(100);
+        let (kept, busy) = WallClock::start().time(per_tuple, &mut || (2, 0));
         let us = t0.elapsed().as_micros();
-        assert!(us >= 200, "spun only {us}us");
+        assert_eq!(kept, 2);
+        assert!(
+            us >= 200 && busy.as_micros() >= 200,
+            "spun {us}us, charged {busy}"
+        );
     }
 }

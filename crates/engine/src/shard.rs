@@ -1,12 +1,13 @@
 //! Shards: a bounded pool of OS threads, each owning a slice of node
 //! states and the sources that feed them, in two layers. [`Shard`] is a
 //! clock-free state machine over the nodes, their shedding deadlines (a
-//! min-heap of `Reverse((Instant, node, generation))` entries), the
+//! min-heap of `Reverse((Timestamp, node, generation))` entries), the
 //! shard's source pump, the rest of a bundle, the outbox and the
-//! durability bookkeeping; it reads time only from the `now` passed to
-//! [`Shard::handle`] and [`Shard::service`], so its tests run on virtual
-//! `Instant`s, and it holds no channel sender. [`run_shard`] is its one
-//! wall-clock driver, and the only code here that receives or sends.
+//! durability bookkeeping; it reads logical time only from the `now`
+//! passed to [`Shard::handle`] and [`Shard::service`] and busy time only
+//! from the [`CostClock`] it was built with, so its tests run on virtual
+//! time, and it holds no channel sender. [`run_shard`] is its one
+//! [`WallClock`] driver, and the only code here that receives or sends.
 //!
 //! Where the seed engine spawned one OS thread per FSPS node — capping
 //! experiments at a few dozen nodes — a shard interleaves thousands of
@@ -21,11 +22,10 @@
 //! them. Inside the run window the last [`EngineMsg::Run`] opened,
 //! [`Shard::service`] sweeps the pump at most once per 1 ms beat
 //! (`PUMP_BEAT`), after the ticks due at the same `now`, and enqueues
-//! each due batch straight into its node, stamped with the sweep's
-//! logical time (`now` minus the epoch). A source batch is therefore
-//! emitted, stamped, shed or windowed and recycled on one thread; a batch
-//! emitted at a tick's instant waits for the node's next tick, as one
-//! that arrived in a message would. An [`EngineMsg::Detach`] stops the
+//! each due batch straight into its node, stamped with the sweep's `now`.
+//! A source batch is therefore emitted, stamped, shed or windowed and
+//! recycled on one thread; a batch emitted at a tick's instant waits for
+//! the node's next tick, as one that arrived in a message would. An [`EngineMsg::Detach`] stops the
 //! query's sources. A crash keeps them: sources are producers outside the
 //! dead process, so they go on emitting into the dropped nodes, and the
 //! restart's re-attach carries none.
@@ -48,20 +48,18 @@
 //! first time in its incarnation during the pass: the coordinator sends
 //! SIC updates only to nodes that have shed.
 //!
-//! Shards start **empty**: nodes install on first
-//! [`EngineMsg::Attach`] and tear down when an [`EngineMsg::Detach`]
-//! removes their last fragment — the runtime query-churn path. A shard
-//! builds each node it installs — on first attach, after a teardown or a
-//! crash — from the node recipe it was spawned with. Teardown
-//! freezes the node's counters and abandons its deadline-heap entry
-//! (entries are generation-tagged, so a stale deadline popped after a
-//! teardown or re-install is discarded instead of ticking — no heap
-//! leak: a detached node never ticks again).
+//! Shards start **empty**: nodes install on first [`EngineMsg::Attach`]
+//! (built from the node recipe the shard was spawned with) and tear down
+//! when an [`EngineMsg::Detach`] removes their last fragment — the
+//! runtime query-churn path. Teardown freezes the node's counters and
+//! abandons its deadline-heap entry (entries are generation-tagged, so a
+//! stale deadline popped after a teardown or re-install is discarded
+//! instead of ticking: a detached node never ticks again).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use std::vec::IntoIter;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -74,7 +72,7 @@ use themis_workloads::pump::{fragment_bindings, SourcePump};
 
 use crate::engine::EngineError;
 use crate::messages::{AttachFragment, Bundle, EngineMsg, PassResults, ResultEvent, ShardMsg};
-use crate::node_state::{downstream_batch, tick_period, EmissionSink, NodeConfig, NodeState};
+use crate::node_state::{downstream_batch, CostClock, NodeConfig, NodeState};
 
 /// Bundle entries a shard handles per [`Shard::service`]: a coordinator
 /// round's bundle carries thousands of updates, and a tick due meanwhile
@@ -86,7 +84,7 @@ const MAX_SWEEP: usize = 512;
 /// most once per beat, so a shard whose thousand sources fall due within
 /// one millisecond sweeps once, and a batch waits at most one beat (≤ 0.5 %
 /// of the paper's 250 ms shedding interval).
-const PUMP_BEAT: Duration = Duration::from_millis(1);
+const PUMP_BEAT: TimeDelta = TimeDelta::from_millis(1);
 
 /// First-tick stagger slots: the `i`-th node installed on a shard fires
 /// its first tick `(i % SLOTS) / SLOTS` of an interval into the schedule,
@@ -113,7 +111,8 @@ struct Outbox {
     bundles: Vec<Bundle>,
 }
 
-impl EmissionSink for Outbox {
+impl Outbox {
+    /// Files emissions under `downstream`'s shard, or as results.
     fn route(
         &mut self,
         query: QueryId,
@@ -147,7 +146,7 @@ pub struct ShardDurability {
     /// This shard's index under `dir`.
     pub shard: usize,
     /// Periodic checkpoint cadence.
-    pub every: Duration,
+    pub every: TimeDelta,
     /// Checkpoint early when some query's SIC has moved more than this
     /// bound away from its checkpointed value ([`NodeState::sic_drift`];
     /// `<= 0` disables the early trigger).
@@ -181,8 +180,8 @@ pub struct ShardOutcome {
     pub pump_sweeps: u64,
 }
 
-/// Runs a shard on the wall clock until an [`EngineMsg::Shutdown`] arrives
-/// (or every sender is gone) and returns its [`ShardOutcome`]. After each
+/// Runs a shard on `clock` until an [`EngineMsg::Shutdown`] arrives (or
+/// every sender is gone) and returns its [`ShardOutcome`]. After each
 /// service pass it sends the pass's [`Shard::outbox`]: results on
 /// `results_tx`, each bundle on its shard's sender in `shard_txs` (index =
 /// shard; this shard's own sender included, for fragments feeding a
@@ -197,7 +196,7 @@ pub fn run_shard(
     shard_txs: Vec<Sender<ShardMsg>>,
     results_tx: Sender<PassResults>,
     rx: Receiver<ShardMsg>,
-    epoch: Instant,
+    clock: WallClock,
     durability: Option<ShardDurability>,
     pool: BatchPool,
     recipe: impl Fn(usize) -> NodeConfig + Send + 'static,
@@ -218,12 +217,19 @@ pub fn run_shard(
         }
     };
     let mut shard =
-        Shard::new(shard_txs.len(), epoch, durability, Instant::now(), recipe).with_pool(pool);
+        Shard::new(shard_txs.len(), clock, durability, clock.now(), recipe).with_pool(pool);
+    let mut received = None;
     loop {
-        // Due ticks (and a due sweep and checkpoint) come before every
-        // receive: the deadline, not channel pressure, decides when the
-        // detector runs.
-        let now = Instant::now();
+        // One wall read a turn: the last turn's message and the work due
+        // run at this `now`, due ticks (and a due sweep and checkpoint)
+        // before every receive: the deadline, not channel pressure,
+        // decides when the detector runs.
+        let now = clock.now();
+        if let Some(msg) = received.take() {
+            if !shard.handle(now, msg) {
+                break;
+            }
+        }
         let next = shard.service(now);
         send(&mut shard);
         if next == Some(now) {
@@ -233,20 +239,57 @@ pub fn run_shard(
         // With no node installed and no sweep due in the run window,
         // nothing is due until a message arrives: a timeout past any
         // representable instant blocks.
-        let timeout = next.map_or(Duration::MAX, |at| {
-            at.saturating_duration_since(Instant::now())
-        });
-        match rx.recv_timeout(timeout) {
-            Ok(msg) => {
-                if !shard.handle(Instant::now(), msg) {
-                    break;
-                }
-            }
+        match rx.recv_timeout(next.map_or(Duration::MAX, |at| clock.until(at))) {
+            Ok(msg) => received = Some(msg),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     shard.finish()
+}
+
+/// The engine's wall clock: logical time is the microseconds since
+/// `epoch`. It drives the shards and the control loop, and times ticks.
+#[derive(Debug, Clone, Copy)]
+pub struct WallClock {
+    pub(crate) epoch: std::time::Instant,
+}
+
+impl WallClock {
+    /// A clock whose logical time starts now.
+    pub fn start() -> Self {
+        let epoch = std::time::Instant::now();
+        WallClock { epoch }
+    }
+
+    /// The logical time now.
+    pub(crate) fn now(&self) -> Timestamp {
+        Timestamp(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    /// How long until logical time `at` (zero once it has passed), rounded
+    /// up to the next microsecond, so a wake after it never reads a `now`
+    /// before `at`.
+    pub(crate) fn until(&self, at: Timestamp) -> Duration {
+        let left = Duration::from_micros(at.as_micros()).saturating_sub(self.epoch.elapsed());
+        Duration::from_micros(left.as_nanos().div_ceil(1_000) as u64)
+    }
+}
+
+impl CostClock for WallClock {
+    /// The wall time of `work` plus the synthetic cost, spun (sleeping is
+    /// too coarse here), less the shedder's own time (the separately
+    /// reported §7.6 overhead).
+    fn time(&self, per_tuple: TimeDelta, work: &mut dyn FnMut() -> (u64, u64)) -> (u64, TimeDelta) {
+        let start = std::time::Instant::now();
+        let (kept, select_ns) = work();
+        let spun = start.elapsed() + Duration::from_micros(per_tuple.as_micros() * kept);
+        while start.elapsed() < spun {
+            std::hint::spin_loop();
+        }
+        let busy_ns = (start.elapsed().as_nanos() as u64).saturating_sub(select_ns);
+        (kept, TimeDelta::from_micros(busy_ns / 1_000))
+    }
 }
 
 /// A shard's state machine, on the caller's clock: [`Shard::handle`] takes
@@ -255,7 +298,8 @@ pub fn run_shard(
 /// [`Shard::finish`] returns the counters. [`run_shard`] drives it on the
 /// wall clock.
 pub struct Shard {
-    epoch: Instant,
+    /// Times each tick's work for its node's cost model.
+    cost: Box<dyn CostClock + Send>,
     durability: Option<ShardDurability>,
     /// Builds the node a given global node index installs as.
     recipe: Box<dyn Fn(usize) -> NodeConfig + Send>,
@@ -266,21 +310,21 @@ pub struct Shard {
     /// Tick deadlines `(at, node, generation)`, earliest first and the
     /// lower node first on a tie. An entry whose generation is not its
     /// slot's current one is stale and discarded on pop.
-    heap: BinaryHeap<Reverse<(Instant, usize, u64)>>,
+    heap: BinaryHeap<Reverse<(Timestamp, usize, u64)>>,
     pending: Option<Pending>,
     outbox: Outbox,
     /// The sources feeding this shard's nodes.
     pump: SourcePump,
     /// The end of the run window the last [`EngineMsg::Run`] opened: the
     /// pump sweeps only before it, and never before the first window.
-    run_until: Option<Instant>,
+    run_until: Option<Timestamp>,
     /// When the pump last swept (the epoch before its first sweep).
-    last_sweep: Instant,
+    last_sweep: Timestamp,
     /// When the pump sweeps next; `None` while no source is live.
-    next_sweep: Option<Instant>,
+    next_sweep: Option<Timestamp>,
     installed_seq: u64,
     log: Option<wal::ShardLog>,
-    next_checkpoint: Option<Instant>,
+    next_checkpoint: Option<Timestamp>,
     /// Set by [`EngineMsg::Crash`]: a dead process writes nothing, so both
     /// checkpointing and delta appends stop until Recover — otherwise the
     /// post-crash empty shard would immediately write an empty checkpoint
@@ -319,20 +363,20 @@ impl Slot {
 
 impl Shard {
     /// An empty shard of a pool of `shards` (so the outbox can bundle
-    /// downstream batches by destination shard) whose node logical clocks
-    /// count from `epoch`, with its first checkpoint (when durable) one
-    /// cadence after `now`. Each node it installs is built by `recipe`,
-    /// called with the global node index.
+    /// downstream batches by destination shard) whose ticks `cost` times,
+    /// with its first checkpoint (when durable) one cadence after `now`.
+    /// Each node it installs is built by `recipe`, called with the global
+    /// node index.
     pub fn new(
         shards: usize,
-        epoch: Instant,
+        cost: impl CostClock + Send + 'static,
         durability: Option<ShardDurability>,
-        now: Instant,
+        now: Timestamp,
         recipe: impl Fn(usize) -> NodeConfig + Send + 'static,
     ) -> Self {
         let bundles = (0..shards.max(1)).map(|_| Bundle::default()).collect();
         Shard {
-            epoch,
+            cost: Box::new(cost),
             recipe: Box::new(recipe),
             next_checkpoint: durability.as_ref().map(|d| now + d.every),
             durability,
@@ -346,7 +390,7 @@ impl Shard {
             },
             pump: SourcePump::default(),
             run_until: None,
-            last_sweep: epoch,
+            last_sweep: Timestamp::ZERO,
             next_sweep: None,
             installed_seq: 0,
             log: None,
@@ -373,16 +417,14 @@ impl Shard {
     ///
     /// A ticked node's deadline moves strictly past `now` (NodeState
     /// clamps the interval to >= 1 us), so each node fires at most once per
-    /// call and no node re-fires ahead of a due shard-mate. The cap of one
-    /// firing per installed node still ends the call should a deadline
-    /// fail to move (the reschedule saturates at `u32::MAX` periods).
-    pub fn service(&mut self, now: Instant) -> Option<Instant> {
+    /// call and no node re-fires ahead of a due shard-mate.
+    pub fn service(&mut self, now: Timestamp) -> Option<Timestamp> {
         let mut fired = 0;
         while fired < self.slots.len() {
-            let Some(&Reverse((at, node, generation))) = self.heap.peek() else {
+            let Some(&Reverse((deadline, node, generation))) = self.heap.peek() else {
                 break;
             };
-            if at > now {
+            if deadline > now {
                 break;
             }
             self.heap.pop();
@@ -396,12 +438,14 @@ impl Shard {
             let Some(state) = slot.and_then(|s| s.state.as_mut()) else {
                 continue;
             };
-            state.tick(now, self.epoch, &mut self.outbox);
+            let outbox = &mut self.outbox;
+            let next = state.fire(deadline, now, &*self.cost, |q, f, to, e| {
+                outbox.route(q, f, to, e)
+            });
             if state.core.first_shed() {
-                self.outbox.results.first_shed.push(node);
+                outbox.results.first_shed.push(node);
             }
-            self.heap
-                .push(Reverse((state.next_tick(), node, generation)));
+            self.heap.push(Reverse((next, node, generation)));
             fired += 1;
         }
         self.pump_sources(now);
@@ -411,7 +455,7 @@ impl Shard {
             return Some(now);
         }
         let tick = self.heap.peek().map(|&Reverse((at, ..))| at);
-        let in_window = |at: &Instant| self.run_until.is_some_and(|until| *at < until);
+        let in_window = |at: &Timestamp| self.run_until.is_some_and(|until| *at < until);
         tick.into_iter()
             .chain(self.next_sweep.filter(in_window))
             .min()
@@ -437,7 +481,7 @@ impl Shard {
     /// bundle is only stored: [`Shard::service`] handles its entries. A
     /// message handed while a bundle is still pending first finishes that
     /// bundle, without the ticks in between.
-    pub fn handle(&mut self, now: Instant, msg: ShardMsg) -> bool {
+    pub fn handle(&mut self, now: Timestamp, msg: ShardMsg) -> bool {
         self.out.mailbox_messages += 1;
         self.sweep(now, usize::MAX);
         let ShardMsg { node, msg } = msg;
@@ -471,7 +515,7 @@ impl Shard {
 
     /// Handles up to `limit` entries of the pending bundle in order;
     /// `true` while some remain.
-    fn sweep(&mut self, now: Instant, limit: usize) -> bool {
+    fn sweep(&mut self, now: Timestamp, limit: usize) -> bool {
         let Some((mut sic, mut batches)) = self.pending.take() else {
             return false;
         };
@@ -492,27 +536,24 @@ impl Shard {
     }
 
     /// Sweeps the pump when its beat is due inside the run window: every
-    /// batch due by `now` goes straight into its node, stamped with `now`'s
-    /// logical time. The next sweep comes at the next due emission, but
+    /// batch due by `now` goes straight into its node, stamped with `now`.
+    /// The next sweep comes at the next due emission, but
     /// not within a beat of this one, so a sweep cut short at the pump's
     /// own cap resumes one beat later.
-    fn pump_sources(&mut self, now: Instant) {
+    fn pump_sources(&mut self, now: Timestamp) {
         let open = self.run_until.is_some_and(|until| now < until);
         if !open || !self.next_sweep.is_some_and(|at| now >= at) {
             return;
         }
         self.out.pump_sweeps += 1;
         self.last_sweep = now;
-        let ts = self.logical(now);
         let (slots, shards) = (&mut self.slots, self.outbox.bundles.len());
-        let next = self.pump.step(ts, |node, rb| {
+        let next = self.pump.step(now, |node, rb| {
             if let Some(state) = live_state(slots, shards, node) {
-                state.enqueue(rb, ts);
+                state.enqueue(rb, now);
             }
         });
-        let epoch = self.epoch;
-        self.next_sweep =
-            next.map(|at| (epoch + Duration::from_micros(at.as_micros())).max(now + PUMP_BEAT));
+        self.next_sweep = next.map(|at| at.max(now + PUMP_BEAT));
     }
 
     /// Checkpoints every hosted node on cadence, or early when a SIC
@@ -520,7 +561,7 @@ impl Shard {
     /// checkpointed value (AF-Stream: bound the deviation instead of
     /// logging everything). Only a written checkpoint counts, and only a
     /// written one resets the nodes' divergence.
-    fn checkpoint(&mut self, now: Instant) {
+    fn checkpoint(&mut self, now: Timestamp) {
         let early = std::mem::take(&mut self.diverged);
         let Some(d) = self.durability.as_ref().filter(|_| !self.crashed) else {
             return;
@@ -556,11 +597,6 @@ impl Shard {
         }
     }
 
-    /// Logical time at `now`: microseconds since the epoch.
-    fn logical(&self, now: Instant) -> Timestamp {
-        Timestamp(now.saturating_duration_since(self.epoch).as_micros() as u64)
-    }
-
     /// Where `node`'s slot sits in `slots`: the pool deals nodes to its
     /// shards round-robin ([`shard_of`]), one bundle per shard.
     fn slot_index(&self, node: usize) -> usize {
@@ -582,10 +618,9 @@ impl Shard {
     /// Buffers a data batch on `node`, stamped with its arrival time.
     /// Traffic for a node this shard does not host (torn down, crashed)
     /// is dropped — equivalent to shedding it.
-    fn enqueue(&mut self, now: Instant, node: usize, rb: RoutedBatch) {
-        let ts = self.logical(now);
+    fn enqueue(&mut self, now: Timestamp, node: usize, rb: RoutedBatch) {
         if let Some(state) = self.state_mut(node) {
-            state.enqueue(rb, ts);
+            state.enqueue(rb, now);
         }
     }
 
@@ -615,7 +650,7 @@ impl Shard {
     /// Installs a fragment on `node`, building the node from the recipe
     /// first when absent (with a staggered first deadline), and starts
     /// driving its sources.
-    fn attach(&mut self, now: Instant, node: usize, attach: AttachFragment) {
+    fn attach(&mut self, now: Timestamp, node: usize, attach: AttachFragment) {
         let AttachFragment {
             query,
             fragment,
@@ -640,18 +675,17 @@ impl Shard {
             slot.node
         );
         slot.node = node;
-        if slot.state.is_none() {
-            let config = (self.recipe)(node);
-            let interval = tick_period(config.interval);
+        let state = slot.state.get_or_insert_with(|| {
+            let state = NodeState::build((self.recipe)(node), node);
+            let interval = state.interval.as_micros();
             let stagger = self.installed_seq % STAGGER_SLOTS;
             self.installed_seq += 1;
             let first_tick =
-                now + interval + interval.mul_f64(stagger as f64 / STAGGER_SLOTS as f64);
+                now + TimeDelta::from_micros(interval + interval * stagger / STAGGER_SLOTS);
             slot.generation += 1;
             self.heap.push(Reverse((first_tick, node, slot.generation)));
-            slot.state = Some(NodeState::new(config, node, first_tick));
-        }
-        let state = slot.state.as_mut().expect("installed above");
+            state
+        });
         state.attach_fragment(&query, fragment, downstream);
     }
 
@@ -688,7 +722,7 @@ impl Shard {
     /// Arrives after the engine re-attached the dead nodes' fragments:
     /// overlays the checkpointed state, replays the delta tail (absolute
     /// values; last write wins), and resumes durability writes.
-    fn recover(&mut self, now: Instant, dir: &std::path::Path, shard: usize) {
+    fn recover(&mut self, now: Timestamp, dir: &std::path::Path, shard: usize) {
         self.crashed = false;
         match wal::restore_shard(dir, shard) {
             Ok(Some(restore)) => {
@@ -761,6 +795,7 @@ fn durability_error(
 mod tests {
     use super::*;
     use crate::messages::{Bundle, FragmentSources};
+    use crate::node_state::tests::Modelled;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
@@ -788,7 +823,9 @@ mod tests {
         assert_eq!(shard_of(5, 0), 0);
     }
 
-    const MS: Duration = Duration::from_millis(1);
+    fn millis(ms: u32) -> TimeDelta {
+        TimeDelta::from_millis(ms.into())
+    }
 
     /// A node shedding every `interval_ms` with its threshold pinned to
     /// `capacity` tuples, so no count depends on measured cost.
@@ -805,14 +842,15 @@ mod tests {
         }
     }
 
-    /// The only shard of its pool, empty, whose clock starts at the
-    /// returned `t0`, building every node it installs from `recipe`.
+    /// The only shard of its pool, empty, on the modelled cost clock,
+    /// driven from the returned `t0`, building every node it installs
+    /// from `recipe`.
     fn shard(
         durability: Option<ShardDurability>,
         recipe: impl Fn(usize) -> NodeConfig + Send + 'static,
-    ) -> (Shard, Instant) {
-        let t0 = Instant::now();
-        (Shard::new(1, t0, durability, t0, recipe), t0)
+    ) -> (Shard, Timestamp) {
+        let t0 = Timestamp::ZERO;
+        (Shard::new(1, Modelled, durability, t0, recipe), t0)
     }
 
     /// One single-fragment AVG query per id.
@@ -839,16 +877,33 @@ mod tests {
 
     /// A source batch of `tuples` tuples for `query`'s only fragment.
     fn batch(query: &QuerySpec, tuples: usize) -> RoutedBatch {
+        batch_at(query, tuples, Timestamp::ZERO)
+    }
+
+    /// [`batch`], its tuples created at `at`.
+    fn batch_at(query: &QuerySpec, tuples: usize, at: Timestamp) -> RoutedBatch {
         let src = query.sources[0].id;
         let tuples = (0..tuples)
-            .map(|j| Tuple::measurement(Timestamp(0), Sic(0.001), j as f64))
+            .map(|j| Tuple::measurement(at, Sic(0.001), j as f64))
             .collect();
         RoutedBatch {
             query: query.id,
             fragment: 0,
             ingress: Ingress::Source(src),
-            batch: Batch::from_source(query.id, src, Timestamp(0), tuples),
+            batch: Batch::from_source(query.id, src, at, tuples),
         }
+    }
+
+    /// A coordinator round's bundle carrying only `update`.
+    fn sic_bundle(update: SicUpdate) -> ShardMsg {
+        let sic = vec![update];
+        msg(
+            0,
+            EngineMsg::Bundle(Bundle {
+                sic,
+                ..Bundle::default()
+            }),
+        )
     }
 
     fn sic(query: QueryId, node: usize, sic: f64) -> SicUpdate {
@@ -875,7 +930,7 @@ mod tests {
         let (mut shard, t0) = shard(None, |_| config(5, 100));
         shard.handle(t0, attach(0, q));
         for i in 0..1_000 {
-            let now = t0 + i * Duration::from_micros(100);
+            let now = t0 + TimeDelta::from_micros(i * 100);
             shard.handle(now, msg(0, EngineMsg::Batch(batch(q, 5))));
             shard.service(now);
         }
@@ -914,13 +969,13 @@ mod tests {
         for bundle in bundles {
             shard.handle(now, msg(0, EngineMsg::Bundle(bundle)));
             while shard.service(now) == Some(now) {
-                now += MS;
+                now += millis(1);
                 services += 1;
             }
         }
         // 2 000 updates take four sweeps, 5 120 batches ten.
         assert_eq!(services, 3 + 9);
-        assert_eq!(now, t0 + 12 * MS);
+        assert_eq!(now, t0 + millis(12));
         assert!(!shard.handle(now, msg(0, EngineMsg::Shutdown)));
         let out = shard.finish();
         assert_eq!(out.mailbox_messages, 4, "attach, two bundles, shutdown");
@@ -943,11 +998,11 @@ mod tests {
         let q = &queries(1)[0];
         let (mut shard, t0) = shard(None, |_| config(20, 100));
         shard.handle(t0, attach(0, q));
-        assert_eq!(shard.service(t0), Some(t0 + 20 * MS));
+        assert_eq!(shard.service(t0), Some(t0 + millis(20)));
         // 105 ms late: the next boundary past 125 ms is 140 ms.
-        assert_eq!(shard.service(t0 + 125 * MS), Some(t0 + 140 * MS));
-        assert_eq!(shard.service(t0 + 125 * MS), Some(t0 + 140 * MS));
-        assert_eq!(shard.service(t0 + 140 * MS), Some(t0 + 160 * MS));
+        assert_eq!(shard.service(t0 + millis(125)), Some(t0 + millis(140)));
+        assert_eq!(shard.service(t0 + millis(125)), Some(t0 + millis(140)));
+        assert_eq!(shard.service(t0 + millis(140)), Some(t0 + millis(160)));
         let report = &reports(shard)[&0];
         assert_eq!((report.ticks, report.late_ticks), (2, 1));
     }
@@ -960,9 +1015,9 @@ mod tests {
         let q = &queries(1)[0];
         let (mut shard, t0) = shard(None, |_| config(0, 100));
         shard.handle(t0, attach(0, q));
-        let us = Duration::from_micros(1);
+        let us = TimeDelta::from_micros(1);
         for i in 0..100 {
-            let now = t0 + i * us;
+            let now = t0 + TimeDelta::from_micros(i);
             shard.handle(now, msg(0, EngineMsg::Batch(batch(q, 1))));
             assert_eq!(shard.service(now), Some(now + us));
         }
@@ -982,7 +1037,7 @@ mod tests {
         shard.handle(t0, attach(0, &qs[0]));
         shard.handle(t0, attach(1, &qs[1]));
         for ms in 1..=60 {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
         }
         let reports = reports(shard);
         assert_eq!(reports[&0].ticks, 60);
@@ -1001,7 +1056,7 @@ mod tests {
         let (mut shard, t0) = shard(None, |_| config(5, 100));
         let run = |shard: &mut Shard, ms: std::ops::RangeInclusive<u32>| {
             for ms in ms {
-                shard.service(t0 + ms * MS);
+                shard.service(t0 + millis(ms));
             }
         };
         // Node 0 hosts the resident query; node 1 the churn query.
@@ -1009,15 +1064,21 @@ mod tests {
         shard.handle(t0, attach(1, &qs[1]));
         shard.handle(t0, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
         run(&mut shard, 1..=40);
-        shard.handle(t0 + 40 * MS, msg(1, EngineMsg::Detach { query: qs[1].id }));
+        shard.handle(
+            t0 + millis(40),
+            msg(1, EngineMsg::Detach { query: qs[1].id }),
+        );
         // Traffic for the torn-down node is dropped.
-        shard.handle(t0 + 40 * MS, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
+        shard.handle(t0 + millis(40), msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
         run(&mut shard, 41..=120);
-        shard.handle(t0 + 120 * MS, attach(1, &qs[1]));
-        shard.handle(t0 + 120 * MS, msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
+        shard.handle(t0 + millis(120), attach(1, &qs[1]));
+        shard.handle(t0 + millis(120), msg(1, EngineMsg::Batch(batch(&qs[1], 3))));
         run(&mut shard, 121..=160);
-        shard.handle(t0 + 160 * MS, msg(1, EngineMsg::Detach { query: qs[1].id }));
-        shard.handle(t0 + 160 * MS, attach(1, &qs[1]));
+        shard.handle(
+            t0 + millis(160),
+            msg(1, EngineMsg::Detach { query: qs[1].id }),
+        );
+        shard.handle(t0 + millis(160), attach(1, &qs[1]));
         run(&mut shard, 161..=200);
         let reports = reports(shard);
         assert_eq!(reports[&0].ticks, 40, "resident ticked throughout");
@@ -1046,21 +1107,24 @@ mod tests {
         for q in &qs {
             shard.handle(t0, attach(0, q));
         }
-        shard.service(t0 + 10 * MS);
+        shard.service(t0 + millis(10));
         assert_eq!(calls(), 1);
-        shard.handle(t0 + 10 * MS, msg(0, EngineMsg::Detach { query: qs[0].id }));
-        shard.handle(t0 + 10 * MS, attach(0, &qs[0]));
+        shard.handle(
+            t0 + millis(10),
+            msg(0, EngineMsg::Detach { query: qs[0].id }),
+        );
+        shard.handle(t0 + millis(10), attach(0, &qs[0]));
         assert_eq!(calls(), 1, "the node still hosted two fragments");
         for q in &qs {
-            shard.handle(t0 + 10 * MS, msg(0, EngineMsg::Detach { query: q.id }));
+            shard.handle(t0 + millis(10), msg(0, EngineMsg::Detach { query: q.id }));
         }
-        shard.service(t0 + 20 * MS);
-        shard.handle(t0 + 20 * MS, attach(0, &qs[0]));
+        shard.service(t0 + millis(20));
+        shard.handle(t0 + millis(20), attach(0, &qs[0]));
         assert_eq!(calls(), 2);
-        shard.service(t0 + 30 * MS);
-        shard.handle(t0 + 30 * MS, msg(0, EngineMsg::Crash));
-        shard.handle(t0 + 30 * MS, attach(0, &qs[0]));
-        shard.service(t0 + 40 * MS);
+        shard.service(t0 + millis(30));
+        shard.handle(t0 + millis(30), msg(0, EngineMsg::Crash));
+        shard.handle(t0 + millis(30), attach(0, &qs[0]));
+        shard.service(t0 + millis(40));
         assert_eq!(calls(), 3);
         assert!(reports(shard)[&0].ticks > 0);
     }
@@ -1093,28 +1157,50 @@ mod tests {
             shard.handle(t0, msg(node, EngineMsg::Batch(batch(&qs[node], 1))));
         }
         // Node 0 served 23 ms late skips to 17 + 2 x 16 ms, the earliest.
-        assert_eq!(shard.service(t0 + 40 * MS), Some(t0 + 49 * MS));
+        assert_eq!(shard.service(t0 + millis(40)), Some(t0 + millis(49)));
         assert_eq!(*fired.lock().unwrap(), vec![0, 3, 1, 2]);
     }
 
-    /// Shard 0 of a pool of two whose node clocks count from two seconds
-    /// before the returned `t0`, each node shedding every 5 ms and never
-    /// overloaded. A tick stamps its logical time from the wall clock, so
-    /// at any `now` a pane holding tuples stamped 0 (the first second's
-    /// window) closes on the node's next tick.
-    fn late_shard() -> (Shard, Instant) {
-        let t0 = Instant::now();
-        let epoch = t0
-            .checked_sub(Duration::from_secs(2))
-            .expect("host up for two seconds");
-        (Shard::new(2, epoch, None, t0, |_| config(5, 1_000)), t0)
+    /// Shard 0 of a pool of two driven from the returned `t0`, two
+    /// seconds in, each node shedding every 5 ms and never overloaded. A
+    /// tick stamps the `now` it is given, so a pane holding tuples stamped
+    /// 0 (the first second's window) closes on the node's first tick.
+    fn late_shard() -> (Shard, Timestamp) {
+        let t0 = Timestamp::from_secs(2);
+        (Shard::new(2, Modelled, None, t0, |_| config(5, 1_000)), t0)
+    }
+
+    /// A tick stamps its node with the `now` it is given, not with a wall
+    /// reading: a shard driven from an hour in holds the one-second AVG
+    /// pane of tuples created at 3 600 s open through every tick before
+    /// its end plus the 500 ms grace, and the pass whose tick comes due at
+    /// 3 601.5 s closes it and leaves its one result in the outbox.
+    #[test]
+    fn a_tick_closes_a_pane_at_the_now_it_is_given() {
+        let q = &queries(1)[0];
+        let t0 = Timestamp::from_secs(3600);
+        let mut shard = Shard::new(1, Modelled, None, t0, |_| config(5, 1_000));
+        shard.handle(t0, attach(0, q));
+        shard.handle(t0, msg(0, EngineMsg::Batch(batch_at(q, 3, t0))));
+        for ms in (5..1_500).step_by(5) {
+            shard.service(t0 + millis(ms));
+            assert_eq!(shard.outbox().count(), 0, "at {ms} ms");
+        }
+        shard.service(t0 + millis(1_500));
+        let out: Vec<Outgoing> = shard.outbox().collect();
+        let [Outgoing::Results(results)] = &out[..] else {
+            panic!("expected one results message, got {out:?}");
+        };
+        let queries: Vec<QueryId> = results.events.iter().map(|e| e.query).collect();
+        assert_eq!(queries, [q.id]);
+        assert_eq!(reports(shard)[&0].ticks, 300);
     }
 
     /// Installs `query` on `node` feeding `downstream`, and buffers one
     /// three-tuple batch for it.
     fn feed(
         shard: &mut Shard,
-        t0: Instant,
+        t0: Timestamp,
         node: usize,
         q: &Arc<QuerySpec>,
         downstream: Option<(usize, usize)>,
@@ -1139,7 +1225,7 @@ mod tests {
         for (i, q) in qs.iter().enumerate() {
             feed(&mut shard, t0, if i < 40 { 0 } else { 2 }, q, None);
         }
-        shard.service(t0 + 10 * MS);
+        shard.service(t0 + millis(10));
         let out: Vec<Outgoing> = shard.outbox().collect();
         assert_eq!(out.len(), 1, "{out:?}");
         let Outgoing::Results(results) = &out[0] else {
@@ -1149,7 +1235,7 @@ mod tests {
         let mut queries: Vec<QueryId> = results.events.iter().map(|e| e.query).collect();
         queries.sort();
         assert_eq!(queries, qs.iter().map(|q| q.id).collect::<Vec<_>>());
-        shard.service(t0 + 20 * MS);
+        shard.service(t0 + millis(20));
         assert_eq!(shard.outbox().count(), 0);
         let reports = reports(shard);
         assert_eq!((reports[&0].ticks, reports[&2].ticks), (2, 2));
@@ -1167,7 +1253,7 @@ mod tests {
             let to = [1, 3, 2][i % 3];
             feed(&mut shard, t0, 0, q, Some((to, 0)));
         }
-        shard.service(t0 + 10 * MS);
+        shard.service(t0 + millis(10));
         let mut sizes = Vec::new();
         for out in shard.outbox() {
             let Outgoing::Bundle(to, bundle) = out else {
@@ -1184,15 +1270,15 @@ mod tests {
     }
 
     /// Ticks that close no pane emit nothing, so the pass leaves nothing
-    /// to send: here the node clock counts from `t0`, so the buffered
-    /// tuples' one-second window stays open through 50 ms of ticks.
+    /// to send: here the shard is driven from 0, so the buffered tuples'
+    /// one-second window stays open through 50 ms of ticks.
     #[test]
     fn a_pass_without_emissions_sends_nothing() {
         let q = &queries(1)[0];
         let (mut shard, t0) = shard(None, |_| config(5, 1_000));
         feed(&mut shard, t0, 0, q, None);
         for ms in 1..=50 {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
             assert_eq!(shard.outbox().count(), 0, "at {ms} ms");
         }
         assert_eq!(reports(shard)[&0].ticks, 10);
@@ -1211,7 +1297,7 @@ mod tests {
         shard.handle(t0, attach(1, &qs[1]));
         let mut first_shed = Vec::new();
         for ms in 1..=30 {
-            let now = t0 + ms * MS;
+            let now = t0 + millis(ms);
             let tuples = match ms {
                 1 => 50,
                 6 | 11 => 300,
@@ -1236,7 +1322,7 @@ mod tests {
         assert_eq!(reports[&1].shed_invocations, 0);
     }
 
-    fn durability(dir: &std::path::Path, every: Duration) -> ShardDurability {
+    fn durability(dir: &std::path::Path, every: TimeDelta) -> ShardDurability {
         ShardDurability {
             dir: dir.to_path_buf(),
             shard: 0,
@@ -1256,7 +1342,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("themis-shard-storm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let qs = queries(64);
-        let (mut shard, t0) = shard(Some(durability(&dir, Duration::from_secs(3600))), |_| {
+        let (mut shard, t0) = shard(Some(durability(&dir, TimeDelta::from_secs(3600))), |_| {
             config(50, 100)
         });
         for q in &qs {
@@ -1264,7 +1350,7 @@ mod tests {
         }
         let moves = (1..=20).flat_map(|round| qs.iter().map(move |q| (q.id, 0.01 * round as f64)));
         for (query, to) in moves.chain([(qs[0].id, 0.2 + 0.6)]) {
-            shard.handle(t0, msg(0, EngineMsg::Sic(sic(query, 0, to))));
+            shard.handle(t0, sic_bundle(sic(query, 0, to)));
             shard.service(t0);
         }
         let out = shard.finish();
@@ -1291,16 +1377,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("themis-shard-order-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let qs = queries(3);
-        let t0 = Instant::now();
-        let durable = Some(durability(&dir, 10 * MS));
-        let mut shard = Shard::new(2, t0, durable, t0, |_| config(5, 1_000));
+        let t0 = Timestamp::ZERO;
+        let durable = Some(durability(&dir, millis(10)));
+        let mut shard = Shard::new(2, Modelled, durable, t0, |_| config(5, 1_000));
         for (q, node) in qs.iter().zip([6, 0, 2]) {
             shard.handle(t0, attach(node, q));
         }
         for node in [1, 8] {
             shard.handle(t0, msg(node, EngineMsg::Batch(batch(&qs[0], 3))));
         }
-        shard.service(t0 + 10 * MS);
+        shard.service(t0 + millis(10));
         let out = shard.finish();
         let restore = wal::restore_shard(&dir, 0).expect("readable log");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1329,15 +1415,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::write(&root, b"a file, not a directory").unwrap();
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(Some(durability(&root, Duration::from_secs(3600))), |_| {
+        let (mut shard, t0) = shard(Some(durability(&root, TimeDelta::from_secs(3600))), |_| {
             config(50, 100)
         });
         shard.handle(t0, attach(0, q));
-        shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
+        shard.handle(t0, sic_bundle(sic(q.id, 0, 0.9)));
         shard.service(t0);
         std::fs::remove_file(&root).unwrap();
-        shard.handle(t0 + MS, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.95))));
-        shard.service(t0 + MS);
+        shard.handle(t0 + millis(1), sic_bundle(sic(q.id, 0, 0.95)));
+        shard.service(t0 + millis(1));
         let out = shard.finish();
         let restore = wal::restore_shard(&root, 0).expect("readable log");
         let _ = std::fs::remove_dir_all(&root);
@@ -1359,11 +1445,11 @@ mod tests {
         let file = std::env::temp_dir().join(format!("themis-shard-file-{}", std::process::id()));
         std::fs::write(&file, b"a file, not a directory").unwrap();
         let q = &queries(1)[0];
-        let (mut shard, t0) = shard(Some(durability(&file, 100 * MS)), |_| config(50, 100));
+        let (mut shard, t0) = shard(Some(durability(&file, millis(100))), |_| config(50, 100));
         shard.handle(t0, attach(0, q));
-        shard.handle(t0, msg(0, EngineMsg::Sic(sic(q.id, 0, 0.9))));
+        shard.handle(t0, sic_bundle(sic(q.id, 0, 0.9)));
         for ms in (0..=500).step_by(100) {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
         }
         let out = shard.finish();
         let _ = std::fs::remove_file(&file);
@@ -1385,12 +1471,12 @@ mod tests {
         shards: &mut [Shard],
         qs: &[Arc<QuerySpec>],
         c: &mut Coordinator,
-        t0: Instant,
+        t0: Timestamp,
         until_ms: u32,
         load: impl Fn(usize, u32) -> usize,
     ) {
         for ms in 1..=until_ms + 1 {
-            let (now, ts) = (t0 + ms * MS, Timestamp::from_millis(u64::from(ms)));
+            let (now, ts) = (t0 + millis(ms), Timestamp::from_millis(u64::from(ms)));
             for (node, shard) in shards.iter_mut().enumerate() {
                 let tuples = load(node, ms);
                 if ms % 10 == 0 && ms <= until_ms && tuples > 0 {
@@ -1436,14 +1522,14 @@ mod tests {
         }
         let base_sics = Arc::new(Mutex::new(Vec::new()));
         let qs = queries(1);
-        let t0 = Instant::now();
+        let t0 = Timestamp::ZERO;
         let recorded = base_sics.clone();
         let recipe = move |_| {
             let mut config = config(50, 100);
             config.shedder = Box::new(Recording(recorded.clone(), config.shedder));
             config
         };
-        let mut shards = [Shard::new(1, t0, None, t0, recipe)];
+        let mut shards = [Shard::new(1, Modelled, None, t0, recipe)];
         let interval = TimeDelta::from_millis(250);
         let mut c = Coordinator::new(StwConfig::PAPER_DEFAULT, interval, interval, interval);
         shards[0].handle(t0, attach(0, &qs[0]));
@@ -1477,14 +1563,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("themis-shard-quiet-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let qs = queries(2);
-        let t0 = Instant::now();
+        let t0 = Timestamp::ZERO;
         let quiet = ShardDurability {
             sic_bound: 1e-6,
-            ..durability(&dir, Duration::from_secs(3600))
+            ..durability(&dir, TimeDelta::from_secs(3600))
         };
         let mut shards = [
-            Shard::new(2, t0, Some(quiet), t0, |_| config(50, 1_000_000)),
-            Shard::new(2, t0, None, t0, |_| config(50, 10)),
+            Shard::new(2, Modelled, Some(quiet), t0, |_| config(50, 1_000_000)),
+            Shard::new(2, Modelled, None, t0, |_| config(50, 10)),
         ];
         let interval = TimeDelta::from_millis(250);
         let mut c = Coordinator::new(StwConfig::PAPER_DEFAULT, interval, interval, interval);
@@ -1531,7 +1617,7 @@ mod tests {
     }
 
     /// Opens the run window up to `until`.
-    fn run_until(until: Instant) -> ShardMsg {
+    fn run_until(until: Timestamp) -> ShardMsg {
         msg(0, EngineMsg::Run { until })
     }
 
@@ -1594,10 +1680,10 @@ mod tests {
             shard.handle(t0, sourced(0, q, profile));
             lone.add(Timestamp::ZERO, bindings(q, 0, profile));
         }
-        shard.handle(t0, run_until(t0 + 1_000 * MS));
+        shard.handle(t0, run_until(t0 + millis(1_000)));
         let mut expected = Vec::new();
         for ms in 0..1_020 {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
             if ms < 1_000 {
                 let batch = |_, rb: RoutedBatch| {
                     expected.push((rb.query, rb.batch.created(), rb.batch.len()))
@@ -1626,31 +1712,35 @@ mod tests {
         let q = &queries(1)[0];
         let (mut shard, t0) = shard(None, |_| config(1_000, 1_000_000));
         shard.handle(t0, sourced(0, q, every_ms()));
-        let first_tick = Some(t0 + 1_000 * MS);
+        let first_tick = Some(t0 + millis(1_000));
         for ms in 0..100 {
-            assert_eq!(shard.service(t0 + ms * MS), first_tick);
+            assert_eq!(shard.service(t0 + millis(ms)), first_tick);
         }
         assert_eq!((shard.out.pump_sweeps, arrived(&shard, 0)), (0, 0));
-        shard.handle(t0 + 100 * MS, run_until(t0 + 200 * MS));
+        shard.handle(t0 + millis(100), run_until(t0 + millis(200)));
         for ms in 100..200 {
             // The window ends at 200 ms: no sweep is asked for there.
-            let now = t0 + ms * MS;
-            let next = if ms < 199 { Some(now + MS) } else { first_tick };
+            let now = t0 + millis(ms);
+            let next = if ms < 199 {
+                Some(now + millis(1))
+            } else {
+                first_tick
+            };
             assert_eq!(shard.service(now), next, "at {ms} ms");
         }
         let (sweeps, tuples) = (shard.out.pump_sweeps, arrived(&shard, 0));
         // The first sweep re-anchors the source onto the current beat.
         assert_eq!((sweeps, tuples), (100, 100));
         for ms in 200..400 {
-            assert_eq!(shard.service(t0 + ms * MS), first_tick);
+            assert_eq!(shard.service(t0 + millis(ms)), first_tick);
         }
         assert_eq!(
             (shard.out.pump_sweeps, arrived(&shard, 0)),
             (sweeps, tuples)
         );
-        shard.handle(t0 + 400 * MS, run_until(t0 + 450 * MS));
+        shard.handle(t0 + millis(400), run_until(t0 + millis(450)));
         for ms in 400..500 {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
         }
         assert_eq!(shard.out.pump_sweeps, sweeps + 50);
         assert_eq!(arrived(&shard, 0), tuples + 50);
@@ -1666,16 +1756,16 @@ mod tests {
         for (node, q) in qs.iter().enumerate() {
             shard.handle(t0, sourced(node, q, every_ms()));
         }
-        shard.handle(t0, run_until(t0 + 300 * MS));
+        shard.handle(t0, run_until(t0 + millis(300)));
         for ms in 0..100 {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
         }
         assert_eq!((arrived(&shard, 0), arrived(&shard, 1)), (99, 99));
-        let now = t0 + 100 * MS;
+        let now = t0 + millis(100);
         shard.handle(now, msg(1, EngineMsg::Detach { query: qs[1].id }));
         shard.handle(now, attach(1, &qs[1]));
         for ms in 100..300 {
-            shard.service(t0 + ms * MS);
+            shard.service(t0 + millis(ms));
         }
         assert_eq!((arrived(&shard, 0), arrived(&shard, 1)), (299, 0));
     }
@@ -1691,12 +1781,12 @@ mod tests {
         let profile = SourceProfile::steady(400, 20, Dataset::Uniform);
         let (mut shard, t0) = shard(None, |_| config(5, 1_000_000));
         shard.handle(t0, sourced(0, q, profile));
-        shard.handle(t0, run_until(t0 + 1_000 * MS));
+        shard.handle(t0, run_until(t0 + millis(1_000)));
         let mut lone = SourcePump::default();
         lone.add(Timestamp::ZERO, bindings(q, 0, profile));
         let mut expected = 0;
         for ms in 0..1_000 {
-            let now = t0 + ms * MS;
+            let now = t0 + millis(ms);
             match ms {
                 300 => {
                     shard.handle(now, msg(0, EngineMsg::Crash));
@@ -1726,13 +1816,13 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let (mut shard, t0) = shard(None, seeing(10, &seen));
         shard.handle(t0, sourced(0, q, every_ms()));
-        shard.handle(t0, run_until(t0 + 100 * MS));
-        shard.service(t0 + 10 * MS);
+        shard.handle(t0, run_until(t0 + millis(100)));
+        shard.service(t0 + millis(10));
         let report = |shard: &Shard| shard.slots[0].state.as_ref().unwrap().report().clone();
         let r = report(&shard);
         assert_eq!((r.ticks, r.shed_invocations, r.arrived_tuples), (1, 0, 1));
         assert!(seen.lock().unwrap().is_empty());
-        shard.service(t0 + 20 * MS);
+        shard.service(t0 + millis(20));
         let r = report(&shard);
         assert_eq!((r.ticks, r.shed_invocations), (2, 1));
         let seen = seen.lock().unwrap().clone();
